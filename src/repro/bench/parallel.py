@@ -19,13 +19,6 @@ Usage::
     python -m repro.bench.parallel --check              # smoke gate:
         # fail if the 2-worker fig7 run is >10% slower than 1-worker
         # (only enforced when the host has >= 2 cores)
-    python -m repro.bench.parallel --scenario fig7 \
-        --check-overhead BENCH_PR7.json --tolerance 0.02
-        # instrumentation overhead gate (DESIGN.md §10/§15): the sweep
-        # runs with tracing *disabled*, so every sample prices the
-        # dormant recorder hooks in the sharded hot path; fail if any
-        # (scenario, workers) throughput drops more than 2% below the
-        # committed baseline
 """
 
 from __future__ import annotations
@@ -179,51 +172,6 @@ def check_gate(report: Dict[str, Any]) -> int:
     return 1 if failures else 0
 
 
-def check_overhead(
-    report: Dict[str, Any], baseline_path: str, tolerance: float
-) -> int:
-    """Disabled-instrumentation overhead gate for the sharded executor.
-
-    The sweep always runs with observability *off* (``NULL_RECORDER``
-    cells), so its throughput prices exactly what the tracing hooks cost
-    when dormant.  Compare every (scenario, workers) sample against the
-    committed baseline report and fail when any drops more than
-    ``tolerance`` (fraction) below it — the sharded twin of the
-    ``repro.bench.micro`` 2% overhead gate.
-
-    Returns a process exit code: 1 on regression, else 0.
-    """
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    failures: List[str] = []
-    for name, entry in report["scenarios"].items():
-        reference = baseline.get("scenarios", {}).get(name)
-        if not reference:
-            continue
-        for workers, sample in entry["workers"].items():
-            committed = reference.get("workers", {}).get(workers)
-            if not committed:
-                continue
-            current = sample["items_per_s"]
-            floor = committed["items_per_s"] * (1.0 - tolerance)
-            status = "ok" if current >= floor else "REGRESSION"
-            print(
-                f"{name} workers={workers}: {current:.1f} items/s vs "
-                f"baseline {committed['items_per_s']:.1f} "
-                f"(floor {floor:.1f}) {status}"
-            )
-            if current < floor:
-                failures.append(f"{name}/w{workers}")
-    if failures:
-        print(
-            "instrumentation overhead beyond tolerance: "
-            f"{', '.join(failures)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.parallel", description=__doc__
@@ -246,20 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="exit 1 when identity breaks or (on >=2 cores) the "
         "2-worker fig7 run regresses >10%% below 1-worker",
     )
-    parser.add_argument(
-        "--check-overhead",
-        metavar="BASELINE",
-        help="compare every (scenario, workers) sample's items/s against "
-        "this committed baseline report and exit 1 on a drop beyond "
-        "--tolerance (disabled-instrumentation overhead gate)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.02,
-        help="allowed fractional throughput drop for --check-overhead "
-        "(default 0.02)",
-    )
     options = parser.parse_args(argv)
 
     names = list(SCENARIOS) if options.scenario == "all" else [options.scenario]
@@ -279,10 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     code = 0
     if options.check:
         code = check_gate(report) or code
-    if options.check_overhead:
-        code = check_overhead(
-            report, options.check_overhead, options.tolerance
-        ) or code
     return code
 
 

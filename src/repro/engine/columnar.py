@@ -23,7 +23,10 @@ array passes:
 Trees are rebuilt (:meth:`ColumnBatch.decode`) only at boundaries that
 genuinely need them: operators without kernels, result capture,
 multi-input combination, and irregular batches never leave the tree
-path at all (the schema-sniffing encoder falls back per batch).
+path at all (the schema-sniffing encoder falls back per batch).  A
+shard boundary is *not* one of them: a view pickles as its shape
+signature plus its surviving leaf text columns and arrives as a column
+batch over a store that holds no trees at all (DESIGN.md §14).
 
 **Byte identity.** Every number the executor accounts — produced
 counts, produced bytes, per-stage input counts, delivery inputs and
@@ -45,7 +48,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..wxquery import DirectElement, EnclosedExpr, Expr, IfExpr, SequenceExpr
 from ..xmlkit import Element
-from ..xmlkit.columns import Shape, ShapeNode, leaf_size, shape_of
+from ..xmlkit.columns import (
+    Shape,
+    ShapeNode,
+    Signature,
+    elements_from_columns,
+    leaf_size,
+    shape_for_signature,
+    shape_of,
+)
 from .restructure import Restructurer
 
 ENV_VAR = "REPRO_COLUMNAR"
@@ -119,20 +130,30 @@ class _BatchStore:
     Columns are materialized lazily (a select kernel touching two
     leaves never extracts the other seven) and indexed by *base* row
     position, so derived views with filtered row vectors share them.
+
+    A store that arrived over the wire has ``elements is None`` and
+    every text column of its shape prefilled; its views rebuild trees
+    from the columns whenever a boundary asks for them.
     """
 
     __slots__ = ("shape", "elements", "_texts", "_numbers", "_sizes")
 
-    def __init__(self, shape: Shape, elements: Tuple[Element, ...]) -> None:
+    def __init__(
+        self,
+        shape: Shape,
+        elements: Optional[Tuple[Element, ...]],
+        texts: Sequence[List[Optional[str]]] = (),
+    ) -> None:
         self.shape = shape
         self.elements = elements
-        self._texts: Dict[int, List[Optional[str]]] = {}
+        self._texts: Dict[int, List[Optional[str]]] = dict(enumerate(texts))
         self._numbers: Dict[int, List[Optional[float]]] = {}
         self._sizes: Dict[int, List[int]] = {}
 
     def text_col(self, column: int) -> List[Optional[str]]:
         col = self._texts.get(column)
         if col is None:
+            assert self.elements is not None  # tree-less stores arrive prefilled
             col = self.shape.extractor(column)(self.elements)
             self._texts[column] = col
         return col
@@ -153,17 +174,6 @@ class _BatchStore:
             col = [leaf_size(text, tag_len) for text in self.text_col(column)]
             self._sizes[column] = col
         return col
-
-
-def _rebuild_batch(elements: Tuple[Element, ...]) -> Batch:
-    """Unpickle hook: re-encode the decoded rows on the receiving side.
-
-    The wire payload is exactly the Element batch the tree path would
-    have shipped; re-sniffing on arrival keeps the pickle format free
-    of compiled artifacts.  A full registry on the receiver simply
-    leaves the batch on the tree path.
-    """
-    return encode_batch(list(elements))
 
 
 class ColumnBatch:
@@ -236,16 +246,17 @@ class ColumnBatch:
         """Materialize the Element trees of the surviving rows.
 
         An unprojected view returns the original (frozen-at-ingest)
-        elements; a projected view rebuilds exactly what
-        ``prune_to_paths`` would have produced per item, frozen so
-        downstream accounting sees pinned sizes.  Cached — repeated
-        boundaries (several tree-only stages) decode once.
+        elements; a projected view — or any view of a store that
+        arrived as columns — rebuilds exactly what ``prune_to_paths``
+        would have produced per item, frozen so downstream accounting
+        sees pinned sizes.  Cached — repeated boundaries (several
+        tree-only stages) decode once.
         """
         decoded = self._decoded
         if decoded is None:
             store = self.store
-            if self.vshape is store.shape.root:
-                elements = store.elements
+            elements = store.elements
+            if elements is not None and self.vshape is store.shape.root:
                 decoded = tuple(elements[i] for i in self.rows)
             else:
                 build, columns = self.vshape.decoder()
@@ -261,7 +272,7 @@ class ColumnBatch:
     def decode_row(self, base_index: int) -> Element:
         """Materialize a single row (kernel calibration)."""
         store = self.store
-        if self.vshape is store.shape.root:
+        if store.elements is not None and self.vshape is store.shape.root:
             return store.elements[base_index]
         build, columns = self.vshape.decoder()
         cols = [store.text_col(c) for c in columns]
@@ -284,8 +295,8 @@ class ColumnBatch:
         if total is None:
             store = self.store
             rows = self.rows
-            if self.vshape is store.shape.root:
-                elements = store.elements
+            elements = store.elements
+            if elements is not None and self.vshape is store.shape.root:
                 total = sum(elements[i].serialized_size() for i in rows)
             else:
                 static, leaves = self.vshape.size_info()
@@ -299,8 +310,50 @@ class ColumnBatch:
     # ------------------------------------------------------------------
     # Pickling (sharded cut-edge exchange)
     # ------------------------------------------------------------------
+    def wire(self) -> Tuple[Signature, int, List[List[Optional[str]]], int]:
+        """Columns, not trees: the virtual shape's signature, the row
+        count, its leaf text columns (document order) restricted to the
+        surviving rows, and the serialized byte total."""
+        store = self.store
+        rows = self.rows
+        columns = []
+        for leaf in self.vshape.size_info()[1]:
+            column = store.text_col(leaf.column)  # type: ignore[arg-type]
+            if rows != range(len(column)):  # filtered: gather survivors
+                column = [column[i] for i in rows]
+            columns.append(column)
+        return (self.vshape.signature(), len(rows), columns, self.serialized_bytes())
+
     def __reduce__(self) -> tuple:
-        return (_rebuild_batch, (self.decode(),))
+        return (_arrive, self.wire())
+
+    def detached(self) -> Batch:
+        """This view as a consumer across a shard boundary will see it:
+        the surviving columns only, none of the batch's trees.  What a
+        cell parks in its outbox until the next barrier, so the parked
+        rows do not keep their source documents alive."""
+        return _arrive(*self.wire())
+
+
+def _arrive(
+    signature: Signature,
+    count: int,
+    columns: List[List[Optional[str]]],
+    total_bytes: int,
+) -> Batch:
+    """Unpickle hook: a column view over a tree-less store.
+
+    The shipped shape becomes the receiver's *root* shape (interned in
+    the registry ``shape_of`` uses), so every kernel sees what it would
+    see on a freshly encoded batch of the same items.  A full registry
+    on the receiver yields the equal tree batch instead.
+    """
+    shape = shape_for_signature(signature)
+    if shape is None:
+        return elements_from_columns(signature, columns, count)
+    batch = ColumnBatch(_BatchStore(shape, None, columns), range(count), shape.root)
+    batch._bytes = total_bytes
+    return batch
 
 
 def apply_operator(operator, batch: Batch) -> Batch:

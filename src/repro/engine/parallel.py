@@ -11,7 +11,11 @@ foreign cell get a *proxy* node in the consuming cell, fed exclusively
 by serialized item batches exchanged at epoch barriers — the runtime
 realization of the plan's cut edges, honoring the certified
 ``epoch_lag`` (a batch crossing ``k`` cuts is delivered ``k`` exchange
-epochs after production).
+epochs after production).  A worker pickles each per-destination
+outbox once into a ``bytes`` *frame* beside a header list
+``(stream_id, rows, bytes)``; the parent accounts from the headers and
+forwards the frame untouched, so only the consuming cell ever
+unpickles it — into column batches, never trees (DESIGN.md §12, §14).
 
 Determinism argument (DESIGN.md §12) in brief: every engine operator
 is a per-item push over its own stream's FIFO, multi-input
@@ -33,8 +37,11 @@ import dataclasses
 import heapq
 import math
 import multiprocessing
+import operator
 import os
 import pickle
+import socket
+import struct
 import traceback
 from typing import (
     TYPE_CHECKING,
@@ -55,7 +62,7 @@ from ..obs.timeseries import snapshot_delta
 from ..xmlkit import Element
 from .accounting import DeliveryCounters, RetiredSnapshot, StreamCounters, replay_metrics
 from .columnar import Batch as EngineBatch
-from .columnar import batch_bytes, columnar_mode
+from .columnar import ColumnBatch, batch_bytes, columnar_mode
 from .executor import (
     ExecutionError,
     ItemGenerator,
@@ -77,10 +84,21 @@ if TYPE_CHECKING:  # avoid runtime cycles with repro.sharing / repro.analysis
 __all__ = ["ShardedSimulator"]
 
 #: One exchanged unit: ``(stream_id, items)`` in producer emission
-#: order; the payload is a plain item list or a pickle-stable
-#: :class:`~repro.engine.columnar.ColumnBatch` (which ships its decoded
-#: rows and re-encodes on arrival).
+#: order; the payload is a plain item list (irregular batches) or a
+#: :class:`~repro.engine.columnar.ColumnBatch`, which pickles as its
+#: surviving text columns and arrives as a column batch.
 Batch = Tuple[str, EngineBatch]
+
+#: Per destination cell: a header ``(stream_id, rows, bytes)`` per batch,
+#: and the batches — a list (inline cells) or that list pickled once
+#: into a ``bytes`` frame (workers) only the consuming cell unpickles.
+Outbox = Dict[int, Tuple[List[Tuple[str, int, int]], Any]]
+
+#: Seconds a worker may stay silent at a barrier before the parent
+#: declares it hung, and seconds a stopped worker gets to exit before
+#: it is killed (every result was received by then, so a kill is safe).
+BARRIER_DEADLINE_S = 600.0
+_JOIN_S = 1.0
 
 
 def _strip_parent(stream: "InstalledStream") -> "InstalledStream":
@@ -208,10 +226,11 @@ class _CellRuntime(StreamSimulator):
     # ------------------------------------------------------------------
     def _pump(self, node: _StreamNode, batch: EngineBatch, gauge: _Gauge) -> None:
         consumers = self._exports.get(node.stream.stream_id)
-        if consumers:
+        if consumers and len(batch):  # an empty batch is a no-op downstream
+            parked = batch.detached() if isinstance(batch, ColumnBatch) else batch
             for consumer in consumers:
                 self._outbox.setdefault(consumer, []).append(
-                    (node.stream.stream_id, batch)
+                    (node.stream.stream_id, parked)
                 )
         super()._pump(node, batch, gauge)
 
@@ -220,9 +239,10 @@ class _CellRuntime(StreamSimulator):
     # ------------------------------------------------------------------
     def step(
         self, until: float, inbound: Sequence[Batch], want_state: bool
-    ) -> Tuple[Dict[int, List[Batch]], Optional[Dict[str, Any]]]:
+    ) -> Tuple[Outbox, Optional[Dict[str, Any]]]:
         """Deliver ``inbound`` proxy batches, pump own sources to
-        ``until``, and hand back the outbox accumulated while doing so.
+        ``until``, and hand back the outbox accumulated while doing so,
+        each destination's batches beside their headers.
 
         ``until`` at or before the sources' clocks makes this an
         exchange-only round — the drain-to-quiescence primitive."""
@@ -236,7 +256,7 @@ class _CellRuntime(StreamSimulator):
 
     def _step(
         self, until: float, inbound: Sequence[Batch], want_state: bool
-    ) -> Tuple[Dict[int, List[Batch]], Optional[Dict[str, Any]]]:
+    ) -> Tuple[Outbox, Optional[Dict[str, Any]]]:
         gauge = self._gauge
         nodes = self._nodes
         for stream_id, batch in inbound:
@@ -244,9 +264,34 @@ class _CellRuntime(StreamSimulator):
             if node is not None:
                 self._pump(node, batch, gauge)
         self._pump_all_until(until, gauge)
-        outbox = self._outbox
+        outbox: Outbox = {
+            dst: (
+                [(sid, len(batch), batch_bytes(batch)) for sid, batch in batches],
+                batches,
+            )
+            for dst, batches in self._outbox.items()
+        }
         self._outbox = {}
         return outbox, (self.state() if want_state else None)
+
+    def handle(self, msg: Tuple[Any, ...]) -> Any:
+        """Execute one protocol message; both backends dispatch here."""
+        op = msg[0]
+        if op == "step":
+            return self.step(msg[1], msg[2], msg[3])
+        if op == "state":
+            return self.state()
+        if op == "counters":
+            return self.counters()
+        if op == "finish":
+            return self.finish_cell()
+        if op == "open_gate":
+            self.open_gate(msg[1])
+        elif op == "reconcile":
+            self.apply_reconcile(msg[1])
+        else:
+            raise ExecutionError(f"unknown worker op {op!r}")
+        return None
 
     def open_gate(self, gate_id: int) -> None:
         self._cell_gates[gate_id].open = True
@@ -426,7 +471,11 @@ def _error_payload(exc: BaseException) -> Dict[str, str]:
 
 
 def _worker_main(conn: Any, runtime: _CellRuntime) -> None:
-    """The forked worker loop: execute protocol messages until stopped."""
+    """The forked worker loop: execute protocol messages until stopped.
+
+    Inbound frames are unpickled here (and nowhere else); each
+    destination's outbox is pickled once into the frame the parent
+    forwards as it is."""
     try:
         while True:
             try:
@@ -439,30 +488,28 @@ def _worker_main(conn: Any, runtime: _CellRuntime) -> None:
                 # cause instead of a bare "worker died".
                 conn.send(("error", _error_payload(exc)))
                 continue
-            op = msg[0]
-            if op == "stop":
+            if msg[0] == "stop":
                 break
             try:
-                payload: Any = None
-                if op == "step":
-                    payload = runtime.step(msg[1], msg[2], msg[3])
-                elif op == "state":
-                    payload = runtime.state()
-                elif op == "counters":
-                    payload = runtime.counters()
-                elif op == "open_gate":
-                    runtime.open_gate(msg[1])
-                elif op == "reconcile":
-                    runtime.apply_reconcile(msg[1])
-                elif op == "finish":
-                    payload = runtime.finish_cell()
+                if msg[0] == "step":
+                    inbound = [
+                        batch for frame in msg[2] for batch in pickle.loads(frame)
+                    ]
+                    outbox, state = runtime.step(msg[1], inbound, msg[3])
+                    payload: Any = (
+                        {
+                            dst: (headers, pickle.dumps(batches, pickle.HIGHEST_PROTOCOL))
+                            for dst, (headers, batches) in outbox.items()
+                        },
+                        state,
+                    )
                 else:
-                    raise ExecutionError(f"unknown worker op {op!r}")
+                    payload = runtime.handle(msg)
                 conn.send(("ok", payload))
             except BaseException as exc:  # noqa: BLE001 - ship to parent
                 conn.send(("error", _error_payload(exc)))
-    except EOFError:
-        pass
+    except (EOFError, OSError):
+        pass  # the parent went away: nobody left to report to
     finally:
         conn.close()
 
@@ -477,24 +524,10 @@ class _InlineCell:
         self._result: Any = None
 
     def submit(self, msg: Tuple[Any, ...]) -> None:
-        op = msg[0]
-        runtime = self.runtime
-        if op == "step":
-            self._result = runtime.step(msg[1], msg[2], msg[3])
-        elif op == "state":
-            self._result = runtime.state()
-        elif op == "counters":
-            self._result = runtime.counters()
-        elif op == "open_gate":
-            runtime.open_gate(msg[1])
-            self._result = None
-        elif op == "reconcile":
-            runtime.apply_reconcile(msg[1])
-            self._result = None
-        elif op == "finish":
-            self._result = runtime.finish_cell()
-        else:
-            raise ExecutionError(f"unknown worker op {op!r}")
+        if msg[0] == "step":
+            inbound = [batch for batches in msg[2] for batch in batches]
+            msg = ("step", msg[1], inbound, msg[3])
+        self._result = self.runtime.handle(msg)
 
     def result(self) -> Any:
         result, self._result = self._result, None
@@ -509,8 +542,13 @@ class _ProcessCell:
 
     Under the fork start method the runtime (generators, compiled
     pipelines, UDF closures) is inherited by memory copy — only the
-    protocol messages (exchange batches, counter states, reconcile
+    protocol messages (exchange frames, counter states, reconcile
     diffs) are ever pickled.
+
+    The parent never waits on a worker without bound: its end of the
+    pipe (a Unix socket) carries a kernel receive timeout, so the
+    blocking ``recv`` of :meth:`result` itself gives up after
+    :data:`BARRIER_DEADLINE_S` without a byte from the worker.
     """
 
     __slots__ = ("_conn", "_proc", "_shard", "_recorder")
@@ -525,6 +563,11 @@ class _ProcessCell:
         self._shard = shard
         self._recorder = recorder
         self._conn, child = ctx.Pipe()
+        timeval = struct.pack(
+            "ll", int(BARRIER_DEADLINE_S), int(BARRIER_DEADLINE_S % 1 * 1e6)
+        )
+        with socket.socket(fileno=os.dup(self._conn.fileno())) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
         self._proc = ctx.Process(
             target=_worker_main, args=(child, runtime), daemon=True
         )
@@ -537,37 +580,46 @@ class _ProcessCell:
     def result(self) -> Any:
         try:
             status, payload = self._conn.recv()
-        except EOFError as exc:
+        except (EOFError, OSError) as exc:
+            hung = isinstance(exc, BlockingIOError)  # the receive timeout
+            self._proc.kill()
+            message = (
+                f"parallel worker hung (cell {self._shard} sent nothing for "
+                f"{BARRIER_DEADLINE_S:g} s)"
+                if hung
+                else f"parallel worker died (cell {self._shard})"
+            )
             if self._recorder.enabled:
                 self._recorder.event(
                     "cell.error",
                     shard=self._shard,
-                    exc_type="WorkerDied",
-                    message="parallel worker died",
+                    exc_type="WorkerHung" if hung else "WorkerDied",
+                    message=message,
                     traceback="",
                 )
-            raise ExecutionError("parallel worker died") from exc
+            raise ExecutionError(message) from exc
         if status == "error":
-            if isinstance(payload, dict):
-                if self._recorder.enabled:
-                    self._recorder.event(
-                        "cell.error", shard=self._shard, **payload
-                    )
-                raise ExecutionError(
-                    "parallel worker failed: {exc_type}: {message}\n"
-                    "{traceback}".format(**payload)
-                )
-            raise ExecutionError(f"parallel worker failed:\n{payload}")
+            if self._recorder.enabled:
+                self._recorder.event("cell.error", shard=self._shard, **payload)
+            raise ExecutionError(
+                "parallel worker failed: {exc_type}: {message}\n"
+                "{traceback}".format(**payload)
+            )
         return payload
 
     def close(self) -> None:
+        """Stop the worker, or kill it: a healthy worker idles in
+        ``recv`` and exits at once, one that does not (hung, or blocked
+        sending a reply nobody will read after a sibling failed) has
+        nothing left the parent needs."""
         try:
             self._conn.send(("stop",))
         except (OSError, ValueError):
             pass
-        self._proc.join(timeout=10)
-        if self._proc.is_alive():  # pragma: no cover - defensive
-            self._proc.terminate()
+        self._proc.join(timeout=_JOIN_S)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join()
         self._conn.close()
 
 
@@ -760,18 +812,26 @@ class ShardedSimulator:
         return "process" if self._payload_pickles() else "inline"
 
     def _payload_pickles(self) -> bool:
-        """Probe the IPC payload types: exchanged batches and reconcile
-        diffs carry streams, query records and frozen items."""
+        """Probe the IPC payload types: reconcile diffs and retired
+        snapshots carry stream and query records.  The records are
+        frozen, so the verdict is memoised on the deployment for as
+        long as it holds these very records."""
+        deployment = self.deployment
+        records = (*deployment.streams.values(), *deployment.queries.values())
+        memo = deployment.pickle_probe
+        if (
+            memo is not None
+            and len(memo[0]) == len(records)
+            and all(map(operator.is_, memo[0], records))
+        ):
+            return memo[1]
         try:
-            pickle.dumps(
-                (
-                    list(self.deployment.streams.values()),
-                    list(self.deployment.queries.values()),
-                )
-            )
+            pickle.dumps(records)
+            verdict = True
         except Exception:  # noqa: BLE001 - any failure means fall back
-            return False
-        return True
+            verdict = False
+        deployment.pickle_probe = (records, verdict)
+        return verdict
 
     # ------------------------------------------------------------------
     # Build: slice the deployment into cells
@@ -927,7 +987,7 @@ class ShardedSimulator:
             None
         ] * self._ncells
 
-        pending: Dict[int, List[Batch]] = {}
+        pending: Dict[int, List[Any]] = {}
         opens: List[Tuple[float, int, int]] = []  # (open_at, seq, gate_id)
         sequence = 0
         event_index = 0
@@ -1044,27 +1104,29 @@ class ShardedSimulator:
         return [cell.result() for cell in self._cells]
 
     def _step_all(
-        self, until: float, pending: Dict[int, List[Batch]]
-    ) -> Dict[int, List[Batch]]:
+        self, until: float, pending: Dict[int, List[Any]]
+    ) -> Dict[int, List[Any]]:
         """One synchronized round: every cell pumps to ``until`` with
         its pending inbound, and the outboxes are redistributed in
         canonical order (ascending producer cell, emission order) —
-        becoming the next round's inbound."""
+        becoming the next round's inbound.  The parent is a
+        pass-through: it counts from the headers and forwards each
+        cell's batches (a worker's frame) as it received them."""
         for index, cell in enumerate(self._cells):
             cell.submit(("step", until, pending.get(index, []), False))
         outboxes = [cell.result()[0] for cell in self._cells]
         recorder = self.recorder
-        merged: Dict[int, List[Batch]] = {}
+        merged: Dict[int, List[Any]] = {}
         for src, outbox in enumerate(outboxes):
             for dst in sorted(outbox):
-                batches = outbox[dst]
-                merged.setdefault(dst, []).extend(batches)
-                self.exchange_batches += len(batches)
+                headers, batches = outbox[dst]
+                merged.setdefault(dst, []).append(batches)
+                self.exchange_batches += len(headers)
                 pair = (src, dst)
                 moved = 0
-                for _, batch in batches:
-                    moved += len(batch)
-                    self.exchange_bytes += batch_bytes(batch)
+                for _, rows, size in headers:
+                    moved += rows
+                    self.exchange_bytes += size
                 self.exchange_items += moved
                 self.exchange_pairs[pair] = (
                     self.exchange_pairs.get(pair, 0) + moved
@@ -1082,7 +1144,7 @@ class ShardedSimulator:
                         src=src,
                         dst=dst,
                         until=until,
-                        batches=len(batches),
+                        batches=len(headers),
                         items=moved,
                     )
         return merged
@@ -1156,9 +1218,12 @@ class ShardedSimulator:
         *split* nodes currently co-resident in one cell that is only a
         coarsening — always safe; the conflict case (a certified shard
         spanning two cells, i.e. the new plan demands a *merge* across
-        our cell boundary) is counted and, because every engine
-        operator is per-item deterministic over per-stream FIFOs, safe
-        to continue inline — process mode refuses instead.
+        our cell boundary, or no certificate at all) is counted in
+        ``partition_conflicts`` and the run keeps its partition.  That
+        is safe on either backend, which move the same batches through
+        the same exchange: every engine operator is per-item
+        deterministic over per-stream FIFOs and the exchange hands
+        over each stream's batches unsplit and in order.
         """
         plan = self._fresh_plan()
         loads = [0] * self._ncells
@@ -1196,12 +1261,6 @@ class ShardedSimulator:
             self.partition_conflicts += 1
             if self.recorder.enabled:
                 self.recorder.inc("exec.partition_conflicts")
-            if self.mode_used == "process":
-                raise ExecutionError(
-                    "repartition conflict: the re-certified shard plan "
-                    "merges shards across worker processes; re-run with "
-                    "mode='inline' or workers=1"
-                )
 
     def _reconcile_cells(self, gate_id: int, gate_open: bool) -> None:
         """Diff the repaired deployment against the mirror and ship the

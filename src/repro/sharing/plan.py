@@ -177,6 +177,9 @@ class Deployment:
         #: Inverted signature index over the same availability facts;
         #: maintained in lock-step with ``_available`` (invariant P14x).
         self.sharing_index = StreamAvailabilityIndex()
+        #: The sharded executor's memo of whether these records pickle:
+        #: ``(records probed, verdict)``.
+        self.pickle_probe: Optional[Tuple[tuple, bool]] = None
 
     # ------------------------------------------------------------------
     # Mutation

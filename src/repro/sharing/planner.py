@@ -98,6 +98,19 @@ def derive_compensation(
     return tuple(ops)
 
 
+def _fresh_id(deployment: Deployment, base: str) -> str:
+    """``base``, or the first ``base~N`` no installed stream carries.
+
+    A stream outlives the query it was created for while another query
+    still shares it, and that query's name may be registered again.
+    """
+    stream_id, attempt = base, 1
+    while stream_id in deployment.streams:
+        attempt += 1
+        stream_id = f"{base}~{attempt}"
+    return stream_id
+
+
 class Planner:
     """Builds and costs candidate plans against a deployment state."""
 
@@ -202,7 +215,9 @@ class Planner:
         if placement_node != tap_node:
             relay_route = self.routes.path(tap_node, placement_node)
             relay = InstalledStream(
-                stream_id=f"{query_name}:{subscription.stream}:relay",
+                stream_id=_fresh_id(
+                    deployment, f"{query_name}:{subscription.stream}:relay"
+                ),
                 content=candidate.content,
                 origin_node=tap_node,
                 route=relay_route,
@@ -214,7 +229,7 @@ class Planner:
 
         delivered_route = self.routes.path(placement_node, subscriber_node)
         delivered = InstalledStream(
-            stream_id=f"{query_name}:{subscription.stream}",
+            stream_id=_fresh_id(deployment, f"{query_name}:{subscription.stream}"),
             content=subscription,
             origin_node=placement_node,
             route=delivered_route,

@@ -8,6 +8,9 @@ column per leaf element.  This module owns the shape machinery:
 * :func:`shape_of` sniffs an item's :class:`Shape` (the nested
   ``(tag, children)`` skeleton) and interns it in a bounded registry so
   identical batches share one compiled artifact set;
+  :func:`shape_for_signature` interns a shape that arrived as a bare
+  signature (a column batch crossing a process boundary) in the same
+  registry;
 * each shape carries a code-generated **validator** (exact structural
   match via direct child indexing, no tag scans) and per-leaf
   **extractors** (``elements -> text column``);
@@ -91,6 +94,7 @@ class ShapeNode:
         "_prune_cache",
         "_size_info",
         "_decoder",
+        "_signature",
     )
 
     def __init__(
@@ -104,10 +108,22 @@ class ShapeNode:
         self._prune_cache: Dict[tuple, Optional["ShapeNode"]] = {}
         self._size_info: Optional[Tuple[int, Tuple["ShapeNode", ...]]] = None
         self._decoder: Optional[Tuple[Callable, Tuple[int, ...]]] = None
+        self._signature: Optional[Signature] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.column is not None else "interior"
         return f"<ShapeNode {self.tag!r} {kind} children={len(self.children)}>"
+
+    def signature(self) -> Signature:
+        """The nested ``(tag, children)`` signature of this (possibly
+        pruned) subtree — what a column view ships in place of its
+        shape, and what :func:`shape_for_signature` interns on arrival."""
+        if self._signature is None:
+            self._signature = (
+                self.tag,
+                tuple(child.signature() for child in self.children),
+            )
+        return self._signature
 
     # ------------------------------------------------------------------
     # Navigation (the columnar analogue of Element.find)
@@ -351,14 +367,21 @@ def shape_of(element: Element) -> Optional[Shape]:
     """Sniff and intern ``element``'s shape.
 
     Returns ``None`` when the item is out of bounds or the registry is
-    full — both mean "stay on the tree path".  Interning by signature
-    guarantees that every batch of the same structure shares one
-    :class:`Shape` (and therefore one set of compiled artifacts and one
-    set of cache-keyed :class:`ShapeNode` identities).
+    full — both mean "stay on the tree path".
     """
     signature = _signature_of(element)
-    if signature is None:
-        return None
+    return None if signature is None else shape_for_signature(signature)
+
+
+def shape_for_signature(signature: Signature) -> Optional[Shape]:
+    """Intern the shape of ``signature`` (``None``: registry full).
+
+    Interning by signature guarantees that every batch of the same
+    structure — sniffed from an item here or arriving as columns from
+    another process — shares one :class:`Shape` (and therefore one set
+    of compiled artifacts and one set of cache-keyed :class:`ShapeNode`
+    identities).
+    """
     shape = _REGISTRY.get(signature)
     if shape is None:
         if len(_REGISTRY) >= MAX_SHAPES:
@@ -368,6 +391,16 @@ def shape_of(element: Element) -> Optional[Shape]:
         shape = Shape(root, signature, _compile_validator(signature), tuple(paths))
         _REGISTRY[signature] = shape
     return shape
+
+
+def elements_from_columns(
+    signature: Signature, columns: Sequence[list], count: int
+) -> Tuple[Element, ...]:
+    """Rebuild ``count`` frozen item trees from the leaf text columns
+    of ``signature`` (document order) without interning anything — the
+    arrival path of a column view when the registry is full."""
+    build, _ = _build_nodes(signature, [], ()).decoder()
+    return tuple(build(i, *columns).freeze() for i in range(count))
 
 
 def registry_size() -> int:

@@ -346,6 +346,64 @@ def test_partition_for_workers_is_deterministic():
     assert first.node_cell == second.node_cell
 
 
+def test_partition_is_independent_of_the_hash_seed():
+    """The cut-aware refinement walks sets and dicts; its result must
+    not depend on their iteration order (workers partition alike)."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.analysis import partition_for_workers\n"
+        "from repro.bench.harness import run_scenario\n"
+        "from repro.workload.scenarios import scenario_two\n"
+        "system = run_scenario(scenario_two(query_count=40), 'stream-sharing', execute=False).system\n"
+        "for workers in (2, 3):\n"
+        "    print(partition_for_workers(system.shard_plan(), system.deployment, workers).cells)\n"
+    )
+    outputs = set()
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.add(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+        )
+    assert len(outputs) == 1 and outputs.pop().strip()
+
+
+def test_refinement_cuts_handovers_within_the_lpt_load_guarantee():
+    from repro.analysis import partition_for_workers
+    from repro.analysis.shards import _handovers, shard_weights
+    from repro.bench.harness import run_scenario
+    from repro.workload.scenarios import scenario_two
+
+    system = run_scenario(scenario_two(), "stream-sharing", execute=False).system
+    plan, deployment = system.shard_plan(), system.deployment
+    weights = shard_weights(plan, deployment)
+    partition = partition_for_workers(plan, deployment, 2)
+    cell_of = {s: c for c, cell in enumerate(partition.cells) for s in cell}
+
+    def crossing(place):
+        return sum(
+            count * len({place[s] for s in foreign} - {place[home]})
+            for home, foreign, count in _handovers(plan, deployment)
+        )
+
+    # Plain LPT, recomputed here: the refinement's starting point.
+    loads, lpt = [0, 0], {}
+    for shard_id in sorted(weights, key=lambda s: (-weights[s], s)):
+        target = loads.index(min(loads))
+        loads[target] += weights[shard_id]
+        lpt[shard_id] = target
+    assert crossing(cell_of) < crossing(lpt)
+    ideal = max(sum(weights.values()) / 2, max(weights.values()))
+    heaviest = max(sum(weights[s] for s in cell) for cell in partition.cells)
+    assert heaviest <= (4 / 3 - 1 / 6) * ideal
+    assert partition.cell_count == 2
+
+
 def test_partition_never_splits_a_certified_shard():
     from repro.analysis import partition_for_workers
 

@@ -38,6 +38,7 @@ from repro.properties import (
 )
 from repro.wxquery import analyze, parse_query
 from repro.xmlkit import Path, element, prune_to_paths, shape_of
+from repro.xmlkit.columns import shape_for_signature
 from repro.xmlkit.serializer import serialize
 
 ITEM = Path("photons/photon")
@@ -124,6 +125,35 @@ class TestShapes:
             serialize(e) for e in pruned.decode()
         ]
         assert clone.serialized_bytes() == pruned.serialized_bytes()
+
+    def test_arrival_interns_in_the_registry_shape_of_uses(self):
+        pruned = encode_batch(batch_of(5))
+        pruned = pruned.project(pruned.vshape.prune((("en",),)))
+        clone = pickle.loads(pickle.dumps(pruned))
+        # The shipped (pruned) shape is the receiver's root shape: the
+        # very one sniffing an equal item yields.
+        assert clone.vshape is clone.store.shape.root
+        assert clone.store.shape is shape_of(pruned.decode()[0])
+        assert clone.store.shape is shape_for_signature(pruned.vshape.signature())
+
+    def test_full_registry_on_arrival_yields_the_equal_tree_batch(self, monkeypatch):
+        from repro.xmlkit import columns
+
+        batch = encode_batch(batch_of(6))
+        rows = SelectOperator(graph((RA, ">=", "123.0")), ITEM).process_columns(batch)
+        pruned = rows.project(rows.vshape.prune((("coord",), ("det_time",))))
+        wire = pickle.dumps(pruned)
+        # A receiver whose registry is full and has never seen the shape.
+        monkeypatch.setattr(columns, "_REGISTRY", {})
+        monkeypatch.setattr(columns, "MAX_SHAPES", 0)
+        arrived = pickle.loads(wire)
+        assert not isinstance(arrived, ColumnBatch)
+        assert list(arrived) == list(pruned.decode())
+        assert all(item.frozen for item in arrived)
+        assert [item.serialized_size() for item in arrived] == [
+            item.serialized_size() for item in pruned.decode()
+        ]
+        assert columns.registry_size() == 0
 
 
 class TestModeSwitch:

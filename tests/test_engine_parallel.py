@@ -7,15 +7,21 @@ floats, not approximate), which is the PR's core guarantee.
 """
 
 import dataclasses
+import multiprocessing
 import os
+import pickle
+import signal
+import time
 
 import pytest
 
-from repro.engine.executor import ExecutionError
-from repro.engine.parallel import ShardedSimulator
+from repro.engine import parallel
+from repro.engine.columnar import batch_bytes, columnar_stats, reset_columnar_stats
+from repro.engine.executor import ExecutionError, StreamSimulator
+from repro.engine.parallel import ShardedSimulator, _ProcessCell
 from repro.faults import FaultSchedule, LinkFailure, single_crash, staggered_crashes
 from repro.obs.recorder import Recorder
-from repro.xmlkit import serialize
+from repro.xmlkit import Element, serialize
 
 from .conftest import PAPER_QUERIES, make_system
 
@@ -241,13 +247,16 @@ def test_sequential_epochs_have_no_shard_key():
 
 
 # ----------------------------------------------------------------------
-# Partition conflicts (re-certification failure policy)
+# Partition conflicts (one policy on both backends: keep the partition)
 # ----------------------------------------------------------------------
-def conflict_simulator(system, mode):
-    generators = {
-        name: source.generator_factory()
-        for name, source in system.sources.items()
-    }
+def direct_simulator(system, mode, generators=None, **kwargs):
+    """A 2-worker ShardedSimulator built by hand (no replan hook unless
+    given: re-certification then runs without the statistics catalog)."""
+    if generators is None:
+        generators = {
+            name: source.generator_factory()
+            for name, source in system.sources.items()
+        }
     return ShardedSimulator(
         system.net,
         system.deployment,
@@ -256,32 +265,198 @@ def conflict_simulator(system, mode):
         plan=system.shard_plan(),
         workers=2,
         max_items_per_source=MAX_ITEMS,
-        schedule=FAULT_CASES["crash"](),
-        repair=system.plan_repairer().repair,
-        replan=lambda: dataclasses.replace(
-            system.shard_plan(), certified=False
-        ),
         mode=mode,
+        **kwargs,
     )
 
 
-def test_inline_continues_on_partition_conflict():
-    seq_metrics, _, _ = run_system(1, faults_key="crash")
+@pytest.mark.parametrize("mode", ["inline", "process"])
+@pytest.mark.parametrize("case", ["crash", "rolling", "no-certificate"])
+def test_partition_conflict_keeps_the_partition_in_both_modes(mode, case):
+    """The same run must not succeed or fail by backend.
+
+    ``crash``/``rolling``: after SP6 goes down the repaired Q4 window
+    pipeline, re-certified without the catalog, is order-sensitive; its
+    S510 feed path merges super-peers that live in two cells — a
+    certified shard spanning the cut.  ``no-certificate``: the replan
+    hook returns an uncertified plan outright.  Either way the run
+    keeps its partition, counts the conflict and stays byte-identical.
+    """
+    faults = "crash" if case == "no-certificate" else case
+    seq_metrics, _, _ = run_system(1, faults_key=faults)
     system = deployed_system()
-    simulator = conflict_simulator(system, "inline")
+    extra = {}
+    if case == "no-certificate":
+        extra["replan"] = lambda: dataclasses.replace(
+            system.shard_plan(), certified=False
+        )
+    simulator = direct_simulator(
+        system,
+        mode,
+        schedule=FAULT_CASES[faults](),
+        repair=system.plan_repairer().repair,
+        **extra,
+    )
     metrics = simulator.run()
+    assert simulator.mode_used == mode
     assert simulator.partition_conflicts > 0
-    # Inline cells share one process; keeping the stale partition is
-    # safe (coarsening certified shards is always safe), so the run
-    # still matches the sequential executor exactly.
     assert metrics == seq_metrics
 
 
-def test_process_mode_raises_on_partition_conflict():
+# ----------------------------------------------------------------------
+# The wire: frames, headers, a pass-through parent
+# ----------------------------------------------------------------------
+def test_headers_equal_a_recount_of_the_unpickled_frames(monkeypatch):
+    frames = []
+    result = _ProcessCell.result
+
+    def spying_result(cell):
+        payload = result(cell)
+        if isinstance(payload, tuple) and isinstance(payload[0], dict):
+            frames.extend(frame for _, frame in payload[0].values())
+        return payload
+
+    monkeypatch.setattr(_ProcessCell, "result", spying_result)
+    _, _, simulator = run_system(2, mode="process")
+    assert frames and all(isinstance(frame, bytes) for frame in frames)
+    batches = [batch for frame in frames for _, batch in pickle.loads(frame)]
+    assert simulator.exchange_batches == len(batches)
+    assert simulator.exchange_items == sum(len(batch) for batch in batches)
+    assert simulator.exchange_bytes == sum(batch_bytes(batch) for batch in batches)
+    assert all(len(batch) for batch in batches)  # empty batches stay home
+
+
+def test_parent_neither_decodes_nor_encodes_exchanged_rows():
+    seq_metrics, _, _ = run_system(1)
+    os.environ["REPRO_PARALLEL_MODE"] = "process"
     system = deployed_system()
-    simulator = conflict_simulator(system, "process")
-    with pytest.raises(ExecutionError, match="partition"):
+    reset_columnar_stats()
+    metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=2)
+    assert system.last_simulator.exchange_items > 0
+    assert metrics == seq_metrics
+    stats = columnar_stats()
+    assert stats["rows_decoded"] == 0 and stats["rows_encoded"] == 0
+
+
+class _EverySeventhIrregular:
+    """Drops the first child of every 7th item: each source batch then
+    fails shape validation and stays on the tree path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.count = 0
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    def next_item(self):
+        item = self.inner.next_item()
+        self.count += 1
+        if self.count % 7 == 0:
+            item = Element(item.tag, None, item.children[1:])
+        return item
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_irregular_stream_ships_trees_and_stays_identical(mode):
+    def run(workers):
+        system = deployed_system()
+        generators = {
+            name: _EverySeventhIrregular(source.generator_factory())
+            for name, source in system.sources.items()
+        }
+        if workers == 1:
+            simulator = StreamSimulator(
+                system.net, system.deployment, generators, DURATION,
+                max_items_per_source=MAX_ITEMS,
+            )
+        else:
+            simulator = direct_simulator(system, mode, generators)
+        return simulator.run(), simulator
+
+    before = columnar_stats()["batches_bypassed_irregular"]
+    seq_metrics, _ = run(1)
+    assert columnar_stats()["batches_bypassed_irregular"] > before
+    par_metrics, simulator = run(2)
+    assert simulator.mode_used == mode and simulator.exchange_items > 0
+    assert par_metrics == seq_metrics
+
+
+# ----------------------------------------------------------------------
+# Real worker failure: bounded, structured, nothing left behind
+# ----------------------------------------------------------------------
+class _Saboteur:
+    """A generator that misbehaves after ``after`` items — in a worker
+    process only, never in the process running the tests."""
+
+    def __init__(self, inner, after, act):
+        self.inner = inner
+        self.after = after
+        self.act = act
+        self.count = 0
+        self.parent = os.getpid()
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    def next_item(self):
+        self.count += 1
+        if self.count == self.after and os.getpid() != self.parent:
+            self.act()
+        return self.inner.next_item()
+
+
+def sabotaged_run(act, recorder):
+    system = deployed_system()
+    generators = {
+        name: _Saboteur(source.generator_factory(), MAX_ITEMS // 2, act)
+        for name, source in system.sources.items()
+    }
+    simulator = direct_simulator(system, "process", generators, recorder=recorder)
+    started = time.monotonic()
+    with pytest.raises(ExecutionError) as info:
         simulator.run()
+    elapsed = time.monotonic() - started
+    errors = [e["fields"] for e in recorder.events if e["name"] == "cell.error"]
+    return info.value, errors, elapsed
+
+
+def test_killed_worker_fails_fast_with_one_structured_event():
+    error, events, elapsed = sabotaged_run(
+        lambda: os.kill(os.getpid(), signal.SIGKILL), Recorder()
+    )
+    assert "worker died" in str(error)
+    assert [event["exc_type"] for event in events] == ["WorkerDied"]
+    assert events[0]["shard"] in (0, 1)
+    assert elapsed < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_hung_worker_fails_at_the_deadline_and_siblings_are_reaped(monkeypatch):
+    monkeypatch.setattr(parallel, "BARRIER_DEADLINE_S", 0.5)
+    error, events, elapsed = sabotaged_run(lambda: time.sleep(60.0), Recorder())
+    assert "worker hung" in str(error)
+    assert [event["exc_type"] for event in events] == ["WorkerHung"]
+    assert 0.5 <= elapsed < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_pickle_probe_is_memoised_per_deployment_state(monkeypatch):
+    system = deployed_system()
+    simulator = direct_simulator(system, "process")
+    assert simulator._payload_pickles()
+    probed = system.deployment.pickle_probe
+    monkeypatch.setattr(
+        parallel.pickle, "dumps", lambda *a, **k: pytest.fail("probed again")
+    )
+    assert simulator._payload_pickles()
+    monkeypatch.undo()
+    # A registration changes the record set: the probe runs afresh.
+    system.register_query("Q9", PAPER_QUERIES["Q1"], subscriber_peer="P3")
+    assert direct_simulator(system, "process")._payload_pickles()
+    assert system.deployment.pickle_probe is not probed
 
 
 # ----------------------------------------------------------------------

@@ -314,9 +314,15 @@ class _FakeConn:
         return self._reply
 
 
+class _FakeProc:
+    def kill(self):
+        pass
+
+
 def _fake_cell(reply, recorder, shard=1):
     cell = _ProcessCell.__new__(_ProcessCell)
     cell._conn = _FakeConn(reply)
+    cell._proc = _FakeProc()
     cell._shard = shard
     cell._recorder = recorder
     return cell

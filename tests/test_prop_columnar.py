@@ -126,3 +126,123 @@ def test_auto_mode_matches_off(data):
     auto_out, auto_counts = run(specs, [items], "auto")
     assert auto_out == tree_out
     assert auto_counts == tree_counts
+
+
+# ----------------------------------------------------------------------
+# The wire form: a view ships its surviving columns and arrives as a
+# column batch every kernel treats like a freshly encoded one
+# ----------------------------------------------------------------------
+def regular_photon(ra, dec, en, t):
+    return element(
+        "photon",
+        element("coord", element("cel", element("ra", text=ra), element("dec", text=dec))),
+        element("en", text=en),
+        element("det_time", text=t),
+        element("note", text="a<b&c>d" if en < 0 else None),
+    ).freeze()
+
+
+DEC = ITEM / "coord/cel/dec"
+KEEPS = [
+    frozenset({RA, EN}),
+    frozenset({ITEM / "coord"}),
+    frozenset({EN, TIME, ITEM / "note"}),
+    frozenset({ITEM / "ghost"}),  # prunes every item away
+]
+
+#: One stage of a select/project chain: a selection threshold on ``ra``
+#: (None: reject nothing, 2e6: reject all) or a projection keep-set.
+stages = st.lists(
+    st.one_of(
+        st.sampled_from([None, 0.0, 2e6]).map(lambda c: ("select", c)),
+        st.sampled_from(KEEPS).map(lambda keep: ("project", keep)),
+    ),
+    max_size=3,
+)
+
+
+def chain_view(items, chain):
+    """The column view a select/project chain leaves of ``items``."""
+    from repro.engine.columnar import ColumnBatch, apply_operator, encode_batch
+    from repro.engine.operators import build_operator
+
+    batch = encode_batch(items)
+    for kind, arg in chain:
+        if not isinstance(batch, ColumnBatch):
+            break  # a projection dropped every item: plain empty list
+        if kind == "select":
+            spec = SelectionSpec(
+                PredicateGraph() if arg is None else graph(RA, ">=", str(arg))
+            )
+        else:
+            spec = ProjectionSpec(arg, arg)
+        batch = apply_operator(build_operator(spec, ITEM), batch)
+    return batch
+
+
+def kernel_outputs(batch):
+    """What every columnar kernel makes of ``batch``, as comparable data."""
+    from repro.engine.columnar import DeliveryKernel, apply_operator
+    from repro.engine.operators import build_operator
+    from repro.engine.restructure import Restructurer
+    from repro.properties import WindowContentsSpec
+    from repro.wxquery import analyze, parse_query
+
+    window = WindowSpec("count", Fraction(3), Fraction(2), None)
+    specs = [
+        SelectionSpec(graph(EN, ">=", "0.0")),
+        ProjectionSpec(frozenset({EN, TIME}), frozenset({EN, TIME})),
+        AggregationSpec(
+            function="avg",
+            aggregated_path=EN,
+            window=window,
+            pre_selection=PredicateGraph(),
+            result_filter=PredicateGraph(),
+        ),
+        WindowContentsSpec(window),
+    ]
+    outputs = []
+    for spec in specs:
+        out = apply_operator(build_operator(spec, ITEM), batch)
+        rows = out.decode() if hasattr(out, "decode") else out
+        outputs.append([(serialize(e), e.freeze().serialized_size()) for e in rows])
+    query = (
+        '<out>{ for $p in stream("photons")/photons/photon '
+        "return <r> { $p/en } { $p/det_time } </r> }</out>"
+    )
+    kernel = DeliveryKernel(Restructurer(analyze(parse_query(query))))
+    outputs.append(kernel.count(batch))
+    return outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(st.tuples(finite, finite, finite, finite), max_size=30),
+    chain=stages,
+)
+def test_wire_round_trip_equals_sender_and_fresh_encode(data, chain):
+    import pickle
+
+    from repro.engine.columnar import ColumnBatch, encode_batch
+
+    view = chain_view([regular_photon(*row) for row in data], chain)
+    if not isinstance(view, ColumnBatch):
+        return  # nothing columnar to ship (empty input or all pruned)
+    sent = view.decode()
+    for arrived in (pickle.loads(pickle.dumps(view)), view.detached()):
+        assert isinstance(arrived, ColumnBatch) and arrived.store.elements is None
+        assert len(arrived) == len(view)
+        got = arrived.decode()
+        assert got == sent
+        assert [e.serialized_size() for e in got] == [
+            e.serialized_size() for e in sent
+        ]
+        assert all(e.frozen for e in got)
+        assert arrived.serialized_bytes() == view.serialized_bytes()
+        # Filtered rows re-derive their bytes from the arrived columns.
+        assert arrived.derive(arrived.rows[::2]).serialized_bytes() == sum(
+            e.serialized_size() for e in sent[::2]
+        )
+        if sent:
+            assert arrived.decode_row(0) == sent[0]
+            assert kernel_outputs(arrived) == kernel_outputs(encode_batch(list(sent)))

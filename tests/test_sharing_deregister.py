@@ -174,3 +174,30 @@ class TestScenarioChurn:
         metrics = system.run(duration=10.0)
         remaining = {r.query for r in run.registrations[1::2]}
         assert set(metrics.items_delivered) <= remaining
+
+
+def test_reregistering_a_name_whose_stream_is_still_shared():
+    """Found by sharebench: Q's delivered stream outlives Q while another
+    query shares it, so registering the name again used to collide with
+    "stream 'Q025:photons' already installed"."""
+    from repro.analysis import verify_deployment
+    from repro.bench.harness import run_scenario
+    from repro.workload.scenarios import scenario_grid
+
+    scenario = scenario_grid(4, 4, 60)
+    system = run_scenario(scenario, "stream-sharing", execute=False).system
+    victims = scenario.queries[::3]
+    for spec in victims:
+        system.deregister_query(spec.name)
+    survivors = set(system.deployment.streams)
+    assert any(f"{spec.name}:photons" in survivors for spec in victims)
+    for spec in victims:
+        system.register_query(spec.name, spec.text, spec.subscriber_peer)
+    assert set(system.deployment.queries) == {spec.name for spec in scenario.queries}
+    # Every collision got a fresh id; no survivor was replaced.
+    assert survivors <= set(system.deployment.streams)
+    assert verify_deployment(system.deployment, catalog=system.catalog).ok
+    # And the names can go away again without orphaning anything.
+    for spec in scenario.queries:
+        system.deregister_query(spec.name)
+    assert set(system.deployment.streams) == {s.name for s in scenario.sources}
