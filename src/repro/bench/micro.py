@@ -24,8 +24,7 @@ Usage::
 Each scenario entry also records ``cache_hit_rate`` — the
 control-plane cache snapshot (route / rate / match) taken right after
 registration (DESIGN.md §10).  The timed region itself stays untraced:
-this benchmark measures the instrumentation-disabled path, and CI's
-overhead gate holds it within 2% of the committed baseline.
+this benchmark measures the instrumentation-disabled path.
 
 The ``pre_pr`` block embeds the throughput of the executor *before*
 this optimization round (measured on the same scenarios from the seed

@@ -47,10 +47,20 @@ class PartialAggregate:
 
     @classmethod
     def of_values(cls, values: Sequence[float]) -> "PartialAggregate":
-        partial = cls()
+        """:meth:`fold` over ``values``, left to right and bit for bit:
+        the same running sum, the first of equal minima / maxima kept
+        (``min(kept, value)`` replaces only on ``value < kept``)."""
+        if not values:
+            return cls()
+        total = 0.0
+        minimum = maximum = values[0]
         for value in values:
-            partial.fold(value)
-        return partial
+            total += value
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+        return cls(len(values), total, minimum, maximum)
 
     def fold(self, value: float) -> None:
         self.count += 1
@@ -267,7 +277,8 @@ class WindowAggregateOperator(Operator):
                     position, payload
                 ):
                     batches.extend(windower_add(ordered_position, ordered_payload))
-            out.extend(w for w in map(emit, batches) if w is not None)
+            if batches:  # a window completes on under 1 % of the rows
+                out.extend(w for w in map(emit, batches) if w is not None)
         return out
 
     def flush(self) -> List[Element]:

@@ -44,7 +44,7 @@ encodes source batches of at least :data:`AUTO_MIN_ROWS` items;
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from ..wxquery import DirectElement, EnclosedExpr, Expr, IfExpr, SequenceExpr
 from ..xmlkit import Element
@@ -53,7 +53,7 @@ from ..xmlkit.columns import (
     ShapeNode,
     Signature,
     elements_from_columns,
-    leaf_size,
+    leaf_sizes,
     shape_for_signature,
     shape_of,
 )
@@ -161,7 +161,11 @@ class _BatchStore:
     def number_col(self, column: int) -> List[Optional[float]]:
         col = self._numbers.get(column)
         if col is None:
-            col = [_parse_number(text) for text in self.text_col(column)]
+            texts = self.text_col(column)
+            try:
+                col = list(map(float, cast("List[str]", texts)))
+            except (ValueError, TypeError):  # a missing or non-numeric text
+                col = [_parse_number(text) for text in texts]
             self._numbers[column] = col
         return col
 
@@ -170,8 +174,7 @@ class _BatchStore:
         assert column is not None
         col = self._sizes.get(column)
         if col is None:
-            tag_len = leaf.tag_len
-            col = [leaf_size(text, tag_len) for text in self.text_col(column)]
+            col = leaf_sizes(self.text_col(column), leaf.tag_len)
             self._sizes[column] = col
         return col
 
@@ -259,11 +262,8 @@ class ColumnBatch:
             if elements is not None and self.vshape is store.shape.root:
                 decoded = tuple(elements[i] for i in self.rows)
             else:
-                build, columns = self.vshape.decoder()
-                cols = [store.text_col(c) for c in columns]
+                build, cols = self._decoder()
                 decoded = tuple(build(i, *cols) for i in self.rows)
-                for element in decoded:
-                    element.freeze()
             STATS["batches_decoded"] += 1
             STATS["rows_decoded"] += len(decoded)
             self._decoded = decoded
@@ -274,10 +274,17 @@ class ColumnBatch:
         store = self.store
         if store.elements is not None and self.vshape is store.shape.root:
             return store.elements[base_index]
-        build, columns = self.vshape.decoder()
-        cols = [store.text_col(c) for c in columns]
-        element: Element = build(base_index, *cols)
-        return element.freeze()
+        build, cols = self._decoder()
+        return build(base_index, *cols)
+
+    def _decoder(self) -> Tuple[Callable[..., Element], List[list]]:
+        """The virtual shape's compiled decoder and its arguments: the
+        text columns, then the size columns, of the shape's leaves."""
+        store = self.store
+        leaves = self.vshape.size_info()[1]
+        cols: List[list] = [store.text_col(leaf.column) for leaf in leaves]  # type: ignore[arg-type]
+        cols += [store.size_col(leaf) for leaf in leaves]
+        return self.vshape.decoder(), cols
 
     # ------------------------------------------------------------------
     # Accounting
@@ -302,8 +309,7 @@ class ColumnBatch:
                 static, leaves = self.vshape.size_info()
                 total = static * len(rows)
                 for leaf in leaves:
-                    size_col = store.size_col(leaf)
-                    total += sum(size_col[i] for i in rows)
+                    total += sum(map(store.size_col(leaf).__getitem__, rows))
             self._bytes = total
         return total
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -900,20 +901,22 @@ class StreamSimulator:
             )
         produced = self._produced[stream.stream_id]
         batch_size = self.batch_size
-        while generator.clock < until:
+        limit = sys.maxsize if self.max_items is None else self.max_items
+        mode = self._columnar_mode
+        next_item = generator.next_item
+        clock = generator.clock
+        while clock < until and produced < limit:
             batch: List[Element] = []
-            while (
-                generator.clock < until
-                and len(batch) < batch_size
-                and (self.max_items is None or produced + len(batch) < self.max_items)
-            ):
-                batch.append(generator.next_item().freeze())
-            if not batch:
-                break
+            append = batch.append
+            for _ in range(min(batch_size, limit - produced)):
+                # Pins what the generator left unfrozen (DESIGN.md §7:
+                # a wrapper may restructure an item up to here).
+                append(next_item().freeze())
+                clock = generator.clock
+                if clock >= until:
+                    break
             produced += len(batch)
-            self._pump(node, encode_ingest(batch, self._columnar_mode), gauge)
-            if self.max_items is not None and produced >= self.max_items:
-                break
+            self._pump(node, encode_ingest(batch, mode), gauge)
         self._produced[stream.stream_id] = produced
 
     def _drain_source(self, stream_id: str, until: float) -> None:

@@ -16,7 +16,13 @@ items conforming to :data:`repro.xmlkit.schema.PHOTON_SCHEMA` with
 * detector coordinates and pulse-height channel correlated with energy.
 
 All randomness is drawn from a single seeded :class:`random.Random`, so
-streams are reproducible bit-for-bit.
+streams are reproducible bit-for-bit: the order of the draws is the
+contract (``tests/test_workload.py`` pins a digest of the stream).
+
+Each photon is built once, by the compiled builder of the configured
+schema (:meth:`repro.xmlkit.schema.Schema.builder`): the generator
+renders its numbers to their canonical texts and the builder fills the
+tree with leaves that already know their serialized size.
 """
 
 from __future__ import annotations
@@ -129,6 +135,8 @@ class PhotonStreamConfig:
     def frequency_at(self, time: float) -> float:
         """The active photon rate at virtual ``time``."""
         frequency = self.frequency
+        if not self.rate_profile:
+            return frequency
         for start, stepped in self.rate_profile:
             if time >= start:
                 frequency = stepped
@@ -139,12 +147,27 @@ class PhotonStreamConfig:
     def hot_spots_at(self, time: float) -> Tuple[HotSpot, ...]:
         """The active hot-spot mixture at virtual ``time``."""
         spots = self.hot_spots
+        if not self.hot_spot_schedule:
+            return spots
         for start, stepped in self.hot_spot_schedule:
             if time >= start:
                 spots = stepped
             else:
                 break
         return spots
+
+
+#: The leaves :meth:`PhotonGenerator._build_photon` fills, in the order
+#: it passes them to the schema's builder.
+_PHOTON_LEAVES = (
+    "phc",
+    "coord/cel/ra",
+    "coord/cel/dec",
+    "coord/det/dx",
+    "coord/det/dy",
+    "en",
+    "det_time",
+)
 
 
 class PhotonGenerator:
@@ -158,6 +181,14 @@ class PhotonGenerator:
 
     def __init__(self, config: Optional[PhotonStreamConfig] = None) -> None:
         self.config = config or PhotonStreamConfig()
+        schema = self.config.schema
+        leaves = tuple(str(path) for path in schema.leaf_paths())
+        if leaves != _PHOTON_LEAVES:
+            raise ValueError(
+                f"the photon generator fills the leaves {_PHOTON_LEAVES}, "
+                f"the configured schema declares {leaves}"
+            )
+        self._build = schema.builder()
         self._rng = random.Random(self.config.seed)
         self._clock = 0.0
         self._emitted = 0
@@ -176,7 +207,13 @@ class PhotonGenerator:
     # Item generation
     # ------------------------------------------------------------------
     def next_item(self) -> Element:
-        """Generate the next photon in the stream."""
+        """Generate the next photon in the stream.
+
+        Its text leaves are born frozen; the root and the interior
+        nodes are not, so a wrapping source may still restructure the
+        item (drop or reorder subtrees) before the executor's
+        ``freeze()`` pins the rest.
+        """
         rng = self._rng
         cfg = self.config
 
@@ -232,39 +269,22 @@ class PhotonGenerator:
 
     def _build_photon(self, ra: float, dec: float, energy: float) -> Element:
         rng = self._rng
+        cfg = self.config
         # Pulse-height channel roughly proportional to energy (PSPC has
-        # 256 channels over the band).
-        band = self.config.energy_max - self.config.energy_min
-        phc = max(1, min(255, int(256 * (energy - self.config.energy_min) / band)
-                         + rng.randint(-8, 8)))
-        dx = rng.randint(0, 8191)
-        dy = rng.randint(0, 8191)
-        return Element(
-            "photon",
-            children=(
-                Element("phc", text=phc),
-                Element(
-                    "coord",
-                    children=(
-                        Element(
-                            "cel",
-                            children=(
-                                Element("ra", text=ra),
-                                Element("dec", text=dec),
-                            ),
-                        ),
-                        Element(
-                            "det",
-                            children=(
-                                Element("dx", text=dx),
-                                Element("dy", text=dy),
-                            ),
-                        ),
-                    ),
-                ),
-                Element("en", text=energy),
-                Element("det_time", text=round(self._clock, 4)),
-            ),
+        # 256 channels over the band), jittered by -8..8.
+        band = cfg.energy_max - cfg.energy_min
+        phc = max(1, min(255, int(256 * (energy - cfg.energy_min) / band)
+                         - 8 + rng.randrange(17)))
+        dx = rng.randrange(8192)
+        dy = rng.randrange(8192)
+        return self._build(
+            str(phc),
+            repr(ra),
+            repr(dec),
+            str(dx),
+            str(dy),
+            repr(energy),
+            repr(round(self._clock, 4)),
         )
 
 

@@ -14,13 +14,20 @@ column per leaf element.  This module owns the shape machinery:
 * each shape carries a code-generated **validator** (exact structural
   match via direct child indexing, no tag scans) and per-leaf
   **extractors** (``elements -> text column``);
+* one tree code generator fills :class:`Element` slots directly (no
+  per-node ``__init__``) for both directions: :func:`compile_builder`
+  (``leaf texts -> item`` with born-frozen leaves, what a source that
+  knows its shape calls per item) and :meth:`ShapeNode.decoder`
+  (``row of columns -> item``, frozen at every node from the size
+  columns);
 * :meth:`ShapeNode.resolve` maps child-axis navigation steps to shape
   nodes (column lookups), and :meth:`ShapeNode.prune` mirrors
   :func:`repro.xmlkit.transform.prune_to_paths` on the shape itself —
   projection becomes a column-set change, no trees are built;
-* :func:`escaped_text_len` reproduces the byte accounting of
-  :meth:`Element.serialized_size` exactly, so column-computed sizes are
-  integer-identical to the tree path's frozen sizes.
+* :func:`leaf_sizes` / :func:`leaf_size` / :func:`escaped_text_len`
+  reproduce the byte accounting of :meth:`Element.serialized_size`
+  exactly, so column-computed sizes are integer-identical to the tree
+  path's frozen sizes.
 
 Everything here is deterministic: shapes are interned by value, columns
 are numbered in document order, and code generation depends only on the
@@ -29,7 +36,8 @@ shape signature.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from .element import Element, _escape_text
 
@@ -75,6 +83,30 @@ def leaf_size(text: Optional[str], tag_len: int) -> int:
     return 2 * tag_len + 5 + escaped_text_len(text)
 
 
+def leaf_sizes(texts: Sequence[Optional[str]], tag_len: int) -> List[int]:
+    """Per-row :func:`leaf_size` of one leaf's text column.
+
+    Decided once per column from its content: when every text is
+    present, ASCII and free of ``& < >`` (canonical numbers always are)
+    a row's size is ``2·|tag| + 5 + len(text)``; any other column is
+    sized row by row."""
+    present = cast("Sequence[str]", texts)  # the join below checks it
+    try:
+        joined: Optional[str] = "".join(present)
+    except TypeError:  # a row without text serializes as <t/>
+        joined = None
+    if (
+        joined is not None
+        and joined.isascii()
+        and "&" not in joined
+        and "<" not in joined
+        and ">" not in joined
+    ):
+        base = 2 * tag_len + 5
+        return [base + length for length in map(len, present)]
+    return [leaf_size(text, tag_len) for text in texts]
+
+
 class ShapeNode:
     """One node of a (possibly pruned) shape tree.
 
@@ -107,7 +139,7 @@ class ShapeNode:
         self._resolve_cache: Dict[Tuple[str, ...], Optional["ShapeNode"]] = {}
         self._prune_cache: Dict[tuple, Optional["ShapeNode"]] = {}
         self._size_info: Optional[Tuple[int, Tuple["ShapeNode", ...]]] = None
-        self._decoder: Optional[Tuple[Callable, Tuple[int, ...]]] = None
+        self._decoder: Optional[Callable[..., Element]] = None
         self._signature: Optional[Signature] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -198,18 +230,24 @@ class ShapeNode:
     # ------------------------------------------------------------------
     # Decoding (rebuild Element trees from columns)
     # ------------------------------------------------------------------
-    def decoder(self) -> Tuple[Callable, Tuple[int, ...]]:
-        """``(build, column_ids)``: ``build(i, *columns)`` rebuilds row
-        ``i``'s element tree, where ``columns`` are the text columns of
-        ``column_ids`` in order.  Compiled once per shape node."""
+    def decoder(self) -> Callable[..., Element]:
+        """``build(i, *text_columns, *size_columns)`` rebuilds row ``i``'s
+        element tree, frozen at every node: both column groups follow
+        the leaves of :meth:`size_info` (document order), leaves take
+        their pinned size from their size column and interior nodes add
+        their markup to their children's sizes.  Compiled once per
+        shape node."""
         if self._decoder is None:
-            order: List[int] = []
-            expr = _decoder_expr(self, order)
-            source = f"def _build(i, {', '.join(f't{k}' for k in range(len(order)))}):\n"
-            source += f"    return {expr}\n"
-            namespace: Dict[str, object] = {"E": Element}
-            exec(compile(source, "<shape-decoder>", "exec"), namespace)  # noqa: S102
-            self._decoder = (namespace["_build"], tuple(order))  # type: ignore[assignment]
+            count = len(self.size_info()[1])
+            params = ", ".join(
+                ["i", *(f"t{k}" for k in range(count)), *(f"s{k}" for k in range(count))]
+            )
+            self._decoder = _compile_tree(
+                self.signature(),
+                params,
+                lambda k, tag_len: (f"t{k}[i]", f"s{k}[i]"),
+                pin_interior=True,
+            )
         return self._decoder
 
 
@@ -238,13 +276,97 @@ def _prune_shape(
     return ShapeNode(node.tag, tuple(children), None)
 
 
-def _decoder_expr(node: ShapeNode, order: List[int]) -> str:
-    if node.column is not None:
-        index = len(order)
-        order.append(node.column)
-        return f"E({node.tag!r}, t{index}[i])"
-    parts = ", ".join(_decoder_expr(child, order) for child in node.children)
-    return f"E({node.tag!r}, None, ({parts},))"
+# ----------------------------------------------------------------------
+# Tree code generation (source-side builder, column decoder)
+# ----------------------------------------------------------------------
+def _compile_tree(
+    signature: Signature,
+    params: str,
+    leaf: Callable[[int, int], Tuple[str, str]],
+    pin_interior: bool,
+) -> Callable[..., Element]:
+    """Generate ``def _build(params)`` returning one item of ``signature``.
+
+    Every node is allocated without ``__init__`` and its four slots are
+    filled directly: tags are validated here, once, through the public
+    constructor; a leaf gets ``children = []`` and an interior node
+    ``text = None``, so mixed content cannot be built.
+    ``leaf(k, tag_len)`` supplies the text and pinned-size expressions
+    of the ``k``-th leaf in document order.  With ``pin_interior``
+    interior nodes are frozen too (``2·|tag| + 5`` plus their
+    children's sizes); without, they stay unfrozen and the caller may
+    still restructure the item before ``freeze()``.
+    """
+    lines = [f"def _build({params}):"]
+    nodes = 0
+    leaves = 0
+
+    def emit(sig: Signature) -> int:
+        nonlocal nodes, leaves
+        tag, child_sigs = sig
+        Element(tag)  # raises on an invalid tag
+        tag_len = len(tag.encode("utf-8"))
+        kids = [emit(child_sig) for child_sig in child_sigs]
+        node = nodes
+        nodes += 1
+        if kids:
+            text = size = "None"
+            if pin_interior:
+                size = " + ".join([str(2 * tag_len + 5), *(f"z{kid}" for kid in kids)])
+        else:
+            text, size = leaf(leaves, tag_len)
+            leaves += 1
+        if pin_interior:
+            size = f"z{node} = {size}"
+        lines.append(f"    e{node} = new(E)")
+        lines.append(f"    e{node}.tag = {tag!r}")
+        lines.append(f"    e{node}.text = {text}")
+        lines.append(f"    e{node}.children = [{', '.join(f'e{kid}' for kid in kids)}]")
+        lines.append(f"    e{node}._size = {size}")
+        return node
+
+    lines.append(f"    return e{emit(signature)}")
+    namespace: Dict[str, object] = {
+        "E": Element,
+        "new": object.__new__,
+        "leaf_size": leaf_size,
+    }
+    exec(compile("\n".join(lines), "<shape-tree>", "exec"), namespace)  # noqa: S102
+    return namespace["_build"]  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=MAX_SHAPES)
+def compile_builder(
+    signature: Signature, plain: Tuple[bool, ...]
+) -> Callable[..., Element]:
+    """``build(t0, …, tk)``: one item of ``signature`` from its leaf
+    texts (document order), for a producer that knows its shape.
+
+    Texts arrive canonical (``str``, never numbers).  Leaves are **born
+    frozen**: where ``plain[k]`` declares leaf ``k``'s text ASCII and
+    free of ``& < >`` — ``str(int)`` and ``repr(float)`` are by
+    construction — its size is ``2·|tag| + 5 + len(text)``, any other
+    leaf goes through :func:`leaf_size`.  Interior nodes are left
+    unfrozen with list-valued ``children``.  One compile per
+    ``(signature, plain)``, shared by every producer of that shape.
+    """
+    count = _leaf_count(signature)
+    if count != len(plain):
+        raise ValueError(
+            f"shape <{signature[0]}> has {count} leaves, {len(plain)} declared"
+        )
+
+    def leaf(k: int, tag_len: int) -> Tuple[str, str]:
+        if plain[k]:
+            return f"t{k}", f"{2 * tag_len + 5} + len(t{k})"
+        return f"t{k}", f"leaf_size(t{k}, {tag_len})"
+
+    params = ", ".join(f"t{k}" for k in range(count))
+    return _compile_tree(signature, params, leaf, pin_interior=False)
+
+
+def _leaf_count(signature: Signature) -> int:
+    return sum(map(_leaf_count, signature[1])) or 1
 
 
 # ----------------------------------------------------------------------
@@ -399,8 +521,13 @@ def elements_from_columns(
     """Rebuild ``count`` frozen item trees from the leaf text columns
     of ``signature`` (document order) without interning anything — the
     arrival path of a column view when the registry is full."""
-    build, _ = _build_nodes(signature, [], ()).decoder()
-    return tuple(build(i, *columns).freeze() for i in range(count))
+    root = _build_nodes(signature, [], ())
+    build = root.decoder()
+    sizes = [
+        leaf_sizes(column, leaf.tag_len)
+        for column, leaf in zip(columns, root.size_info()[1])
+    ]
+    return tuple(build(i, *columns, *sizes) for i in range(count))
 
 
 def registry_size() -> int:

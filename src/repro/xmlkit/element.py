@@ -62,6 +62,11 @@ class Element:
         Optional scalar content.  Numbers are canonicalized to strings.
     children:
         Optional iterable of child :class:`Element` objects.
+
+    This constructor is the validating public entry point.  Code that
+    builds many items of one known shape goes through the generated
+    constructors of :mod:`repro.xmlkit.columns`, which fill the slots
+    directly from tags validated once here.
     """
 
     __slots__ = ("tag", "text", "children", "_size")
@@ -195,7 +200,11 @@ class Element:
         element rejects :meth:`append`/:meth:`extend` — which is why
         freezing is explicit rather than implicit on first size query.
         Freezing is idempotent and returns ``self`` for chaining;
-        already-frozen children are reused without descending into them.
+        already-frozen children are reused without descending into them
+        — items from a compiled shape builder
+        (:func:`repro.xmlkit.columns.compile_builder`) arrive with
+        their text leaves born frozen, so freezing one visits its
+        interior nodes only and adds pinned sizes.
         """
         if self._size is None:
             self._size = self._compute_size()

@@ -5,7 +5,8 @@ The paper describes input streams by the tree structure of their DTD
 tree: which element paths exist below the item root, which are leaves,
 and their expected occurrence.  Schemas feed three consumers:
 
-* the workload generator, which synthesizes conforming items;
+* the workload generator, which synthesizes conforming items through
+  the schema's compiled :meth:`Schema.builder`;
 * the statistics catalog, which needs the set of projectable elements
   and their average sizes to evaluate the paper's ``size(p)`` formula;
 * validation in tests (``Schema.validate``).
@@ -14,8 +15,9 @@ and their expected occurrence.  Schemas feed three consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from .columns import Signature, compile_builder
 from .element import Element
 from .errors import XmlSchemaError
 from .path import Path
@@ -90,6 +92,26 @@ class Schema:
             return self.leaf_paths()
         self.node_at(path)  # raises if unknown
         return [p for p in self.leaf_paths() if p.starts_with(path)]
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    def builder(self) -> Callable[..., Element]:
+        """The compiled item constructor of this schema's shape:
+        ``build(*texts)`` takes the canonical texts of
+        :meth:`leaf_paths` in order (see
+        :func:`repro.xmlkit.columns.compile_builder`).  ``int`` and
+        ``decimal`` leaves are sized as plain ASCII, so their texts
+        must be the ``str(int)`` / ``repr(float)`` forms."""
+
+        def signature(node: SchemaNode) -> Signature:
+            return (node.tag, tuple(signature(child) for child in node.children))
+
+        plain = tuple(
+            self._paths[path].value_type in ("int", "decimal")
+            for path in self.leaf_paths()
+        )
+        return compile_builder(signature(self.root), plain)
 
     # ------------------------------------------------------------------
     # Validation

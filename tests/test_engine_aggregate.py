@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine import (
     PartialAggregate,
@@ -56,6 +58,24 @@ class TestPartialAggregate:
         assert partial.final("min") == 1.0
         assert partial.final("max") == 3.0
         assert partial.final("avg") == 2.0
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.sampled_from([0.0, -0.0, 1.5, -1.5, float("inf")]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_of_values_is_the_fold_loop_bit_for_bit(self, values):
+        """Same running sum; of equal extrema (``-0.0 == 0.0``) the
+        first seen is the one kept — ``repr`` tells the zeros apart."""
+        folded = PartialAggregate()
+        for value in values:
+            folded.fold(value)
+        assert repr(PartialAggregate.of_values(values)) == repr(folded)
+        assert repr(PartialAggregate.of_values(tuple(values))) == repr(folded)
 
     def test_empty_window(self):
         empty = PartialAggregate()

@@ -8,6 +8,65 @@ from repro.network.topology import example_topology
 from repro.properties import raw_stream_properties
 from repro.sharing.plan import Deployment, InstalledStream
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
+from repro.xmlkit import Element
+
+
+class _SteppedSource:
+    """Items on a clock advancing an exact 1/8 s per item."""
+
+    def __init__(self):
+        self.clock = 0.0
+        self.emitted = 0
+
+    def next_item(self):
+        self.clock += 0.125
+        self.emitted += 1
+        return Element("photon", children=[Element("en", text=self.emitted)])
+
+
+class _EverySeventhWithoutDet:
+    """Drops ``coord/det`` from every 7th photon before the executor
+    freezes it: by slicing ``coord.children`` on the generator's tree
+    (sharebench's irregular source), or — the reference — by building
+    the irregular tree anew through ``Element(...)``."""
+
+    def __init__(self, inner, rebuild):
+        self.inner = inner
+        self.rebuild = rebuild
+        self.count = 0
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    def next_item(self):
+        item = self.inner.next_item()
+        self.count += 1
+        if self.count % 7:
+            return item
+        if not self.rebuild:
+            coord = item.children[1]
+            coord.children = coord.children[:1]
+            return item
+        phc, coord, en, det_time = item.children
+        ra, dec = coord.children[0].children
+        return Element(
+            "photon",
+            children=(
+                Element("phc", text=phc.text),
+                Element(
+                    "coord",
+                    children=(
+                        Element(
+                            "cel",
+                            children=(Element("ra", text=ra.text), Element("dec", text=dec.text)),
+                        ),
+                    ),
+                ),
+                Element("en", text=en.text),
+                Element("det_time", text=det_time.text),
+            ),
+        )
 
 
 class TestSimulatorBasics:
@@ -65,6 +124,39 @@ class TestSimulatorBasics:
         ).run()
         assert metrics.items_generated["photons"] == 7
 
+    @pytest.mark.parametrize(
+        "max_items, batch_size, expected",
+        [
+            (None, 3, 8),  # the until boundary, in a short final batch
+            (None, 8, 8),  # ... and on a batch boundary
+            (None, 64, 8),
+            (5, 3, 5),  # the cap inside a batch
+            (6, 3, 6),  # ... and on a batch boundary
+            (0, 3, 0),
+        ],
+    )
+    def test_source_limits_draw_no_item_too_many(
+        self, example_net, max_items, batch_size, expected
+    ):
+        deployment = Deployment(example_net)
+        deployment.install_stream(
+            InstalledStream(
+                stream_id="photons",
+                content=raw_stream_properties("photons", "photons/photon").single_input(),
+                origin_node="SP4",
+                route=("SP4",),
+            )
+        )
+        source = _SteppedSource()
+        simulator = StreamSimulator(
+            example_net, deployment, {"photons": source}, duration=1.0,
+            max_items_per_source=max_items, batch_size=batch_size,
+        )
+        metrics = simulator.run()
+        assert metrics.items_generated.get("photons", 0) == expected
+        assert source.emitted == expected
+        assert simulator.peak_live_items == min(batch_size, expected)
+
 
 class TestEndToEndExecution:
     def test_q1_delivery_matches_direct_filtering(self):
@@ -102,6 +194,31 @@ class TestEndToEndExecution:
             deliveries[strategy] = system.run(duration=30.0).items_delivered
         assert deliveries["data-shipping"] == deliveries["query-shipping"]
         assert deliveries["data-shipping"] == deliveries["stream-sharing"]
+
+    def test_restructure_before_freeze_equals_rebuilding(self):
+        """The ``ItemGenerator.next_item`` contract (DESIGN.md §7): the
+        photon generator's leaves are born frozen, its interior nodes
+        are not, so a wrapper that slices ``coord.children`` is billed
+        exactly like one that builds the irregular tree from scratch.
+        Data shipping sends whole photons, so their sizes are billed."""
+        system = make_system("data-shipping")
+        for name, peer in [("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")]:
+            system.register_query(name, PAPER_QUERIES[name], peer)
+
+        def run(wrap):
+            generators = {
+                name: wrap(source.generator_factory())
+                for name, source in system.sources.items()
+            }
+            return StreamSimulator(system.net, system.deployment, generators, 30.0).run()
+
+        sliced = run(lambda inner: _EverySeventhWithoutDet(inner, rebuild=False))
+        rebuilt = run(lambda inner: _EverySeventhWithoutDet(inner, rebuild=True))
+        regular = run(lambda inner: inner)
+        assert sliced == rebuilt
+        # No paper query reads coord/det: same results, fewer bytes.
+        assert sliced.items_delivered == regular.items_delivered
+        assert 0 < sliced.total_mbit() < regular.total_mbit()
 
     def test_repeated_runs_identical(self):
         system = make_system("stream-sharing")

@@ -246,3 +246,57 @@ def test_wire_round_trip_equals_sender_and_fresh_encode(data, chain):
         if sent:
             assert arrived.decode_row(0) == sent[0]
             assert kernel_outputs(arrived) == kernel_outputs(encode_batch(list(sent)))
+
+
+# ----------------------------------------------------------------------
+# Column-wise byte accounting: the rule is chosen per column from its
+# content, the sizes are the tree path's, on every kind of view
+# ----------------------------------------------------------------------
+#: Leaf texts of every class the size rule tells apart: plain ASCII
+#: (canonical numbers among them), markup characters, non-ASCII, none.
+leaf_text = st.one_of(
+    st.none(),
+    finite.map(repr),
+    st.sampled_from(["", "7", "-0.0", "1e3", "nan", " 2 ", "1_0", "abc"]),
+    st.text(alphabet="ab&<>é✓ ", max_size=6),
+)
+
+
+def loose_item(a, b, c):
+    return element("item", element("a", text=a), element("wrap", element("b", text=b), element("ç", text=c)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.lists(st.tuples(leaf_text, leaf_text, leaf_text), min_size=1, max_size=24),
+    stride=st.integers(min_value=1, max_value=3),
+    keep=st.sampled_from([None, (("a",),), (("wrap", "ç"),), (("a",), ("wrap", "b"))]),
+)
+def test_column_sizes_and_numbers_equal_the_tree_path(data, stride, keep):
+    from repro.engine.columnar import ColumnBatch, _parse_number, encode_batch
+    from repro.xmlkit.columns import leaf_size
+
+    items = [loose_item(*row).freeze() for row in data]
+    full = encode_batch(items)
+    assert isinstance(full, ColumnBatch)
+    view = full.derive(full.rows[::stride])
+    if keep is not None:
+        view = view.project(view.vshape.prune(keep))
+    for batch in (view, view.detached()):
+        decoded = batch.decode()
+        assert batch.serialized_bytes() == sum(e.serialized_size() for e in decoded)
+        assert [serialize(e) for e in decoded] == [
+            serialize(e) for e in view.decode()
+        ]
+        for tree in decoded:
+            for node in tree.iter():
+                assert node.frozen
+                assert node._size == node.copy().serialized_size()
+                assert node._size == len(serialize(node).encode())
+        store = batch.store
+        for leaf in batch.vshape.size_info()[1]:
+            texts = store.text_col(leaf.column)
+            assert store.size_col(leaf) == [leaf_size(t, leaf.tag_len) for t in texts]
+            assert [repr(n) for n in store.number_col(leaf.column)] == [
+                repr(_parse_number(t)) for t in texts
+            ]

@@ -1,19 +1,72 @@
 """Unit tests for the photon generator, templates, and scenarios."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.wxquery import analyze, parse_query
 from repro.workload import (
+    HotSpot,
     PhotonGenerator,
     PhotonStreamConfig,
     QueryTemplateGenerator,
     RXJ_REGION,
     VELA_REGION,
     average_item_size,
+    scenario_drift,
     scenario_one,
     scenario_two,
 )
-from repro.xmlkit import PHOTON_SCHEMA
+from repro.xmlkit import PHOTON_SCHEMA, Element, Schema, SchemaNode, serialize
+
+
+def drifting_config():
+    """``scenario_drift``'s rate step plus a hot-spot schedule whose
+    last mixture has a spot outside the strip (the 16-try fall-through
+    to the background)."""
+    return dataclasses.replace(
+        scenario_drift(duration=12.0).sources[0].config,
+        hot_spot_schedule=(
+            (2.0, (HotSpot(ra=150.0, dec=-30.0, sigma=2.0, weight=0.5, mean_energy=1.4),)),
+            (
+                4.5,
+                (
+                    HotSpot(ra=210.0, dec=-5.0, sigma=1.2, weight=0.40, mean_energy=2.1),
+                    HotSpot(ra=112.0, dec=-33.0, sigma=3.0, weight=0.25, mean_energy=1.1),
+                ),
+            ),
+        ),
+    )
+
+
+class ConstructorPhotons(PhotonGenerator):
+    """The reference the compiled builder replaced: the same draws in
+    the same order (``randint`` spelled as before), the tree built
+    through the public validating ``Element(...)`` constructor."""
+
+    def _build_photon(self, ra, dec, energy):
+        rng = self._rng
+        band = self.config.energy_max - self.config.energy_min
+        phc = max(1, min(255, int(256 * (energy - self.config.energy_min) / band)
+                         + rng.randint(-8, 8)))
+        dx = rng.randint(0, 8191)
+        dy = rng.randint(0, 8191)
+        return Element(
+            "photon",
+            children=(
+                Element("phc", text=phc),
+                Element(
+                    "coord",
+                    children=(
+                        Element("cel", children=(Element("ra", text=ra), Element("dec", text=dec))),
+                        Element("det", children=(Element("dx", text=dx), Element("dy", text=dy))),
+                    ),
+                ),
+                Element("en", text=energy),
+                Element("det_time", text=round(self._clock, 4)),
+            ),
+        )
 
 
 class TestPhotonGenerator:
@@ -77,6 +130,66 @@ class TestPhotonGenerator:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             PhotonStreamConfig(frequency=0)
+
+    @pytest.mark.parametrize(
+        "config, digest, clock",
+        [
+            (
+                PhotonStreamConfig(),
+                "416d25705094acba1bebf14b4a330a5ac11b1b26e6048a6b50332b8dc629a9fb",
+                9.987996754722694,
+            ),
+            (
+                drifting_config(),
+                "de25e68c119c5cff2d55d3731d03de10548b0736428e6267807f0e3204608df4",
+                5.518781626175259,
+            ),
+        ],
+        ids=["default", "drift"],
+    )
+    def test_draw_order_is_pinned(self, config, digest, clock):
+        """The seeded stream is a contract (sharebench's seed-0 pins,
+        every golden RunMetrics): digests of the first 1 000 serialized
+        photons, recorded before the compiled builder replaced the
+        ``Element(...)`` literal."""
+        generator = PhotonGenerator(config)
+        seen = hashlib.sha256()
+        for item in generator.items(1000):
+            seen.update(serialize(item).encode())
+        assert seen.hexdigest() == digest
+        assert generator.clock == clock
+
+    @pytest.mark.parametrize("config", [PhotonStreamConfig(seed=s) for s in (1, 7, 20060327)]
+                             + [drifting_config()])
+    def test_built_photons_equal_constructed_ones_node_for_node(self, config):
+        built = PhotonGenerator(config)
+        constructed = ConstructorPhotons(config)
+        for _ in range(300):
+            item, reference = built.next_item(), constructed.next_item()
+            coord = item.children[1]
+            # Born frozen at the leaves only: a wrapper may still
+            # restructure the item before the executor's freeze().
+            assert not item.frozen and not coord.frozen
+            assert all(not node.frozen for node in coord.children)
+            assert all(node.frozen for node in item.iter() if not node.children)
+            assert type(item.children) is list and type(coord.children) is list
+            assert not any(node.frozen for node in reference.iter())
+            assert serialize(item) == serialize(reference)
+            item.freeze()
+            reference.freeze()
+            nodes, expected = list(item.iter()), list(reference.iter())
+            assert len(nodes) == len(expected) == 11
+            for node, other in zip(nodes, expected):
+                assert (node.tag, node.text, len(node.children), node._size) == (
+                    other.tag, other.text, len(other.children), other._size
+                )
+                assert node._size == len(serialize(node).encode())
+        assert built.clock == constructed.clock
+
+    def test_schema_of_another_shape_rejected(self):
+        flat = Schema(SchemaNode("photon", (SchemaNode("en", value_type="decimal"),)), "photons")
+        with pytest.raises(ValueError, match="leaves"):
+            PhotonGenerator(PhotonStreamConfig(schema=flat))
 
     def test_average_item_size_stable(self):
         assert average_item_size() == average_item_size()

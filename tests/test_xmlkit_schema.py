@@ -96,3 +96,59 @@ class TestValidation:
 
         with pytest.raises(XmlSchemaError):
             schema.validate(element("item", Element("wrap", text="t")))
+
+
+class TestBuilder:
+    """The schema's compiled item constructor (DESIGN.md §7, §14)."""
+
+    @pytest.fixture()
+    def schema(self):
+        return Schema(
+            root=SchemaNode(
+                "item",
+                children=(
+                    SchemaNode("n", value_type="int"),
+                    SchemaNode("wrap", children=(SchemaNode("s", value_type="string"),)),
+                    SchemaNode("any"),
+                ),
+            ),
+            stream_tag="items",
+        )
+
+    @pytest.mark.parametrize("text", ["plain", "a<b & c>d", "süß ✓", "", None])
+    def test_equals_the_public_constructor(self, schema, text):
+        from repro.xmlkit import serialize
+
+        built = schema.builder()("42", text, text)
+        reference = element(
+            "item",
+            element("n", text=42),
+            element("wrap", element("s", text=text)),
+            element("any", text=text),
+        )
+        assert built == reference
+        assert serialize(built) == serialize(reference)
+        leaves = [node for node in built.iter() if not node.children]
+        assert [leaf.frozen for leaf in leaves] == [True, True, True]
+        assert not built.frozen and not built.children[1].frozen
+        built.children[1].append(element("late"))  # interior nodes stay open
+        built.freeze()
+        for node in built.iter():
+            assert node._size == len(serialize(node).encode())
+
+    def test_compiled_once_per_shape(self, schema):
+        assert schema.builder() is schema.builder()
+
+    def test_arity_is_the_leaf_count(self, schema):
+        from repro.xmlkit.columns import compile_builder
+
+        with pytest.raises(TypeError):
+            schema.builder()("1", "2")
+        with pytest.raises(ValueError, match="leaves"):
+            compile_builder(("item", (("n", ()), ("m", ()))), (True,))
+
+    def test_tags_validated_at_compile_time(self):
+        from repro.xmlkit.columns import compile_builder
+
+        with pytest.raises(ValueError, match="invalid element tag"):
+            compile_builder(("item", (("no good", ()),)), (False,))
