@@ -10,7 +10,7 @@ Usage::
     python -m repro.bench all
     python -m repro.bench fig7 --workers 4
         # executing experiments on the sharded executor (byte-identical
-        # metrics; see python -m repro.bench.parallel for the sweep)
+        # metrics; sharebench's fig7-sharded-w2 workload measures it)
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from .aggregate import (
 from .eval import item_number, rebase, satisfies
 from .executor import (
     ExecutionError,
-    MaterializingSimulator,
     StreamSimulator,
     interleave_round_robin,
     topological_streams,
@@ -38,7 +37,6 @@ from .window import (
 __all__ = [
     "EngineError",
     "ExecutionError",
-    "MaterializingSimulator",
     "Operator",
     "PartialAggregate",
     "Pipeline",

@@ -1,14 +1,13 @@
 """Metrics replay: turn accumulated executor counters into RunMetrics.
 
-The streaming executor never accounts during the hot pump loop — it
-accumulates plain integer counters (items produced, bytes produced,
-per-stage billed inputs) and *replays* them into a
-:class:`~repro.engine.metrics.RunMetrics` on demand.  This module is
-that replay, factored out of :class:`~repro.engine.executor
-.StreamSimulator` so the sharded executor
-(:mod:`repro.engine.parallel`) can merge per-worker counter states and
-replay them through the *same* code path: equal counters in, equal
-floating-point accumulation order through, byte-identical metrics out.
+The streaming executor never accounts during the hot pump loop — its
+cells accumulate plain integer counters (items produced, bytes
+produced, per-stage billed inputs) and the control loop *replays* them
+into a :class:`~repro.engine.metrics.RunMetrics` on demand
+(:meth:`~repro.engine.executor.StreamSimulator._merge`).  This module
+is that replay; a run over one cell and a run over many go through it
+alike: equal counters in, equal floating-point accumulation order
+through, byte-identical metrics out.
 
 The replay order is part of the contract (floating-point addition does
 not commute):
@@ -143,10 +142,11 @@ def replay_metrics(
 ) -> RunMetrics:
     """Replay accumulated counters into :class:`RunMetrics`.
 
-    The accumulation order matches the materializing executor exactly,
-    so fault-free runs produce floating-point-identical metrics — and
-    the sharded executor, replaying merged worker counters through this
-    same function, matches the sequential executor bit for bit.
+    The accumulation order matches the materializing reference
+    executor (``tests/oracle_materializing.py``) exactly, so fault-free
+    runs produce floating-point-identical metrics — and a sharded run,
+    whose merged cell counters are replayed through this same function,
+    matches the sequential run bit for bit.
 
     Peer and link lookups include removed topology entities, since
     retired routes may cross a crashed peer.

@@ -8,31 +8,36 @@ DESIGN.md): the figures' CPU-load and network-traffic series are
 the cost model's estimates — exactly the estimate/measure split of the
 original system.
 
-Two executors are provided:
+There is one executor core, in two parts (DESIGN.md §7):
 
-* :class:`StreamSimulator` — the production executor: a single-pass,
-  generator-driven streaming engine.  Source items are pumped through
-  the deployment DAG depth-first in small batches, so peak memory is
-  O(window state + one batch) instead of O(all items × all streams);
-  items are size-frozen at ingest (relays charge bytes without
-  re-walking subtrees) and sibling pipelines with a common operator
-  prefix are evaluated once (:mod:`repro.engine.fanout`).
-* :class:`MaterializingSimulator` — the original per-stream
-  materializing executor, kept as the correctness oracle: the golden
-  equivalence test pins that both produce identical
-  :class:`~repro.engine.metrics.RunMetrics` on every built-in scenario.
+* :class:`Cell` — the data plane of a slice of the deployed stream
+  DAG: a single-pass, generator-driven streaming engine.  Source items
+  are pumped depth-first in small batches, so peak memory is O(window
+  state + one batch) instead of O(all items × all streams); items are
+  size-frozen at ingest (relays charge bytes without re-walking
+  subtrees) and sibling pipelines with a common operator prefix are
+  evaluated once (:mod:`repro.engine.fanout`).  A cell only
+  accumulates integer counters; it knows no topology, fault schedule,
+  repairer or rebalancer.
+* :class:`StreamSimulator` — the control loop over N ≥ 1 cells:
+  boundaries, faults and repair, migrations, the plan diff the cells
+  reconcile against, and the merge of their counters into
+  :class:`~repro.engine.metrics.RunMetrics`.  A sequential run is this
+  loop over one cell that spans the whole deployment;
+  :class:`~repro.engine.parallel.ShardedSimulator` runs the same loop
+  over several cells and adds only what more than one cell needs.
 
-End-of-stream: neither executor flushes pipelines.  Subscriptions are
+End-of-stream: a run does not flush pipelines.  Subscriptions are
 continuous queries over unbounded streams; a run's ``duration`` is a
 measurement horizon, not an end-of-stream marker, so partially filled
 windows stay open exactly as they would in the live system (DESIGN.md
 §7).  :meth:`Pipeline.flush` remains available for explicit drains.
 
-Churn: :class:`StreamSimulator` optionally executes a
+Churn: the loop optionally executes a
 :class:`~repro.faults.FaultSchedule`.  The run is split into epochs at
 the scheduled fault times (plus each fault's recovery completion);
 between epochs the fault mutates the topology, the supplied ``repair``
-callback rebuilds the deployment, and the executor *reconciles* its
+callback rebuilds the deployment, and the cells *reconcile* their
 running plan with the repaired one — retiring removed streams (their
 counters are snapshotted for accounting), attaching repair-created
 streams with fresh operator state (recovery restarts window state,
@@ -43,12 +48,15 @@ delivery continuity, so their output is identical to a fault-free run.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import sys
 from collections import deque
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -56,10 +64,10 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
 )
 
-from ..costmodel import base_load
 from ..network.topology import Network
 from ..xmlkit import Element
 
@@ -68,10 +76,11 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.sharing
     from ..obs.slo import QuerySLO
     from ..sharing.plan import Deployment, InstalledStream, RegisteredQuery
 from ..obs.recorder import NULL_RECORDER
-from ..obs.timeseries import snapshot_delta
+from ..obs.timeseries import EpochSnapshot, snapshot_delta
 from .accounting import (
     DeliveryCounters,
     RetiredSnapshot,
+    StageCount,
     StreamCounters,
     replay_metrics,
 )
@@ -86,9 +95,7 @@ from .columnar import (
 )
 from .fanout import PrefixStage, PrefixTree, _Gauge, group_pipelines
 from .metrics import RunMetrics
-from .pipeline import Pipeline
 from .restructure import Restructurer
-
 
 class ItemGenerator(Protocol):
     """Anything that produces stream items on a virtual clock."""
@@ -159,7 +166,7 @@ def interleave_round_robin(
 
 
 # ----------------------------------------------------------------------
-# Streaming executor internals
+# Cell internals
 # ----------------------------------------------------------------------
 class _SingleDelivery:
     """Incremental post-processing of a single-input subscription."""
@@ -304,18 +311,11 @@ class _Gate:
     arriving items are dropped and counted as lost.
     """
 
-    __slots__ = ("open", "open_at", "lost")
+    __slots__ = ("open", "lost")
 
-    def __init__(self, open_at: float) -> None:
-        self.open = False
-        self.open_at = open_at
+    def __init__(self, is_open: bool) -> None:
+        self.open = is_open
         self.lost = 0
-
-
-#: Retired-node accounting snapshots now live in ``repro.engine
-#: .accounting`` so the sharded executor can ship them between
-#: processes; the old private name stays as an alias.
-_RetiredNode = RetiredSnapshot
 
 
 def _prune_stages(stages: List[PrefixStage]) -> None:
@@ -326,6 +326,507 @@ def _prune_stages(stages: List[PrefixStage]) -> None:
             stages.remove(stage)
 
 
+def _stage_counts(node: _StreamNode) -> List[StageCount]:
+    return [
+        (
+            stage.operator.kind,
+            getattr(getattr(stage.operator, "spec", None), "name", None),
+            stage.input_count,
+        )
+        for stage in node.stage_path
+    ]
+
+
+def _strip_parent(stream: "InstalledStream") -> "InstalledStream":
+    """A proxy copy of ``stream``: same id/route/content, no parent.
+
+    Proxy nodes are local DAG roots fed only by the exchange — keeping
+    the parent link would double-feed them wherever the parent happens
+    to be co-resident.
+    """
+    return dataclasses.replace(stream, parent_id=None)
+
+
+#: One exchanged unit: ``(stream_id, items)`` in producer emission
+#: order; the payload is a plain item list (irregular batches) or a
+#: :class:`~repro.engine.columnar.ColumnBatch`.
+Exchanged = Tuple[str, Batch]
+
+#: What a cell hands over after a step, per destination cell: a header
+#: ``(stream_id, rows, bytes)`` per batch, and the batches.
+Outbox = Dict[int, Tuple[List[Tuple[str, int, int]], List[Exchanged]]]
+
+
+# ----------------------------------------------------------------------
+# The cell: the data plane of one slice of the deployment
+# ----------------------------------------------------------------------
+class Cell:
+    """The running plan of one slice of the deployed stream DAG.
+
+    A cell owns everything data-plane — stream nodes and their
+    shared-prefix tries, the source pump, subscription deliveries and
+    their recovery gates — and accumulates plain integer counters.  It
+    starts empty: the control loop installs the plan, and later every
+    repair, as a *diff* (:meth:`apply_reconcile`), advances the cell
+    with :meth:`step` and reads the counters back as :meth:`state`
+    snapshots, which it merges and replays into metrics.  A cell knows
+    no topology, fault schedule, repairer or rebalancer.
+
+    A stream whose parent or subscriber lives in another cell is
+    present there as a *proxy*: a local root that is fed the batches
+    of :meth:`step`'s ``inbound`` instead of a generator's, and whose
+    counters belong to the owning cell.  The owner in turn parks every
+    batch of such a stream in the outbox of the cells that asked — one
+    more feed beside the stream's deliveries.  A cell that spans the
+    whole deployment has neither.
+    """
+
+    def __init__(
+        self,
+        generators: Dict[str, ItemGenerator],
+        max_items_per_source: Optional[int],
+        batch_size: int,
+        capture: Optional[Callable[[str, Element], None]] = None,
+        recorder: Any = NULL_RECORDER,
+    ) -> None:
+        self.generators = generators
+        self.max_items = max_items_per_source
+        self.batch_size = batch_size
+        self.capture = capture
+        #: Operator batches time into per-operator latency histograms
+        #: (traced runs only; see :func:`_make_op_timer`).
+        self._op_timer = _make_op_timer(recorder) if recorder.enabled else None
+        #: ``REPRO_COLUMNAR`` resolved once per cell (forked cells
+        #: inherit the environment, so all cells of a run agree).
+        self._columnar_mode = columnar_mode()
+        self._gauge = _Gauge()
+        self._nodes: Dict[str, _StreamNode] = {}
+        self._proxies: Set[str] = set()
+        #: Exported stream id → the cells consuming it.
+        self._exports: Dict[str, Tuple[int, ...]] = {}
+        self._outbox: Dict[int, List[Exchanged]] = {}
+        #: All deliveries in registration order — the accounting order,
+        #: stable across repairs (queries re-registered by a repair keep
+        #: their delivery object, and with it their position and their
+        #: accumulated counters).
+        self._deliveries: Dict[str, Any] = {}
+        self._feeds: Dict[str, List[Tuple[str, Callable[[Batch], None]]]] = {}
+        self._retired: List[RetiredSnapshot] = []
+        self._gates: Dict[int, _Gate] = {}
+        #: Original streams pumped here → items drawn from the generator
+        #: so far (a source whose home is down stays listed: its
+        #: generator keeps running and the items are lost).
+        self._produced: Dict[str, int] = {}
+        self._source_items_lost = 0
+        self._query_lost: Dict[str, int] = {}
+
+    # ------------------------------------------------------------------
+    # Plan installation and reconciliation
+    # ------------------------------------------------------------------
+    def apply_reconcile(self, diff: Dict[str, Any]) -> None:
+        """Apply this cell's part of a plan diff
+        (:meth:`StreamSimulator._install`).
+
+        Streams no longer installed (or replaced by a same-id fresh
+        installation) are retired: their counters are snapshotted —
+        *before* any detach, so a retired child still reads its parent's
+        count for ``duplicate_count`` — they detach from their parent's
+        relay list or shared-prefix trie (surviving siblings keep their
+        stages and operator state), and orphaned stages are pruned.
+        Added streams arrive parent-before-child with fresh operator
+        state — recovery restarts windows rather than migrating them —
+        and with ``duplicate_base`` pinned so only post-attach parent
+        items are billed as duplication work; a proxy starts at the
+        producing cell's count, which makes that pin the same on any
+        partition.  The first diff of a run (``repair`` false) is the
+        plan itself.
+        """
+        nodes = self._nodes
+        stale_ids = set(diff["stale"])
+        stale = [stream_id for stream_id in nodes if stream_id in stale_ids]
+        for stream_id in stale:
+            if stream_id not in self._proxies:
+                self._retired.append(self._snapshot(nodes[stream_id]))
+        for stream_id in stale:
+            self._detach(nodes[stream_id])
+        for stream_id in stale:
+            del nodes[stream_id]
+            self._proxies.discard(stream_id)
+            self._exports.pop(stream_id, None)
+
+        pipelined: Dict[str, List["InstalledStream"]] = {}
+        for stream, is_proxy, base_count in diff["add"]:
+            stream_id = stream.stream_id
+            node = nodes[stream_id] = _StreamNode(stream)
+            if is_proxy:
+                node.produced_count = base_count
+                node.has_hops = False  # the owning cell counts its bytes
+                self._proxies.add(stream_id)
+                continue
+            node.repair_added = diff["repair"]
+            if stream.parent_id is None:
+                # An original stream; one re-installed because its home
+                # rejoined resumes where the drain left its generator.
+                self._produced.setdefault(stream_id, 0)
+                continue
+            parent_node = nodes[stream.parent_id]
+            node.duplicate_base = parent_node.produced_count
+            if stream.pipeline:
+                pipelined.setdefault(stream.parent_id, []).append(stream)
+            else:
+                parent_node.relay_children.append(node)
+        # Pipelines added together share prefixes among themselves (all
+        # start with fresh state at the same instant) but never join a
+        # surviving trie: that would hand them a sibling's pre-fault
+        # window state, which recovery must restart.
+        for parent_id, children in pipelined.items():
+            parent_node = nodes[parent_id]
+            groups = group_pipelines(
+                [
+                    (child.stream_id, child.content.item_path, child.pipeline)
+                    for child in children
+                ]
+            )
+            parent_node.trie_groups = parent_node.trie_groups + groups
+            for _, _, stage_paths in groups:
+                for stream_id, stage_path in stage_paths.items():
+                    nodes[stream_id].stage_path = stage_path
+
+        for stream_id, consumers in diff["exports"].items():
+            if stream_id not in self._exports:
+                nodes[stream_id].deliveries.append(partial(self._export, stream_id))
+            self._exports[stream_id] = consumers
+
+        # Re-wire subscriptions the repair touched, behind its gate;
+        # silence the ones it had to park (their delivery objects stay
+        # for accounting).
+        gate = None
+        if diff["gate"] is not None:
+            gate_id, is_open = diff["gate"]
+            gate = self._gates[gate_id] = _Gate(is_open)
+        for name in diff["park"]:
+            self._remove_feeds(name)
+        for name, record in diff["rewire"]:
+            delivery = self._deliveries.get(name)
+            if delivery is None:
+                if len(record.delivered) > 1:
+                    # Buffered items count as in-flight.
+                    delivery = _MultiDelivery(record, self._gauge, self.capture)
+                else:
+                    delivery = _SingleDelivery(record, self.capture)
+                self._deliveries[name] = delivery
+            else:
+                self._remove_feeds(name)
+                delivery.record = record
+            self._attach_feeds(name, delivery, gate)
+
+    def open_gate(self, gate_id: int) -> None:
+        self._gates[gate_id].open = True
+
+    @staticmethod
+    def _multi_feeder(
+        delivery: _MultiDelivery, index: int
+    ) -> Callable[[Batch], None]:
+        def feed(batch: Batch) -> None:
+            delivery.feed(index, batch)
+
+        return feed
+
+    def _gated(
+        self, name: str, gate: _Gate, feed: Callable[[Batch], None]
+    ) -> Callable[[Batch], None]:
+        query_lost = self._query_lost
+
+        def gated_feed(batch: Batch) -> None:
+            if gate.open:
+                feed(batch)
+            else:
+                gate.lost += len(batch)
+                query_lost[name] = query_lost.get(name, 0) + len(batch)
+
+        return gated_feed
+
+    def _attach_feeds(
+        self, name: str, delivery: Any, gated_by: Optional[_Gate] = None
+    ) -> None:
+        """Wire a subscription's feeds onto its delivered stream nodes."""
+        entries = self._feeds.setdefault(name, [])
+        record = delivery.record
+        if isinstance(delivery, _MultiDelivery):
+            feeds = [
+                self._multi_feeder(delivery, index)
+                for index in range(len(record.delivered))
+            ]
+        else:
+            feeds = [delivery.feed]
+        for feed, (_, stream_id) in zip(feeds, record.delivered):
+            if stream_id not in self._nodes:
+                continue
+            if gated_by is not None:
+                feed = self._gated(name, gated_by, feed)
+            self._nodes[stream_id].deliveries.append(feed)
+            entries.append((stream_id, feed))
+
+    def _remove_feeds(self, name: str) -> None:
+        for stream_id, feed in self._feeds.pop(name, []):
+            node = self._nodes.get(stream_id)
+            if node is None:
+                continue  # the node itself was retired
+            try:
+                node.deliveries.remove(feed)
+            except ValueError:
+                pass
+
+    def _snapshot(self, node: _StreamNode) -> RetiredSnapshot:
+        stream = node.stream
+        parent_node = (
+            self._nodes.get(stream.parent_id) if stream.parent_id is not None else None
+        )
+        duplicate_count = (
+            parent_node.produced_count - node.duplicate_base
+            if parent_node is not None
+            else 0
+        )
+        return RetiredSnapshot(
+            stream=stream,
+            produced_count=node.produced_count,
+            produced_bytes=node.produced_bytes,
+            duplicate_count=duplicate_count,
+            stage_counts=_stage_counts(node),
+            repair_added=node.repair_added,
+        )
+
+    def _detach(self, node: _StreamNode) -> None:
+        stream = node.stream
+        if stream.parent_id is None:
+            return
+        parent = self._nodes.get(stream.parent_id)
+        if parent is None:
+            return  # parent retired in the same pass; nothing to unlink
+        if node in parent.relay_children:
+            parent.relay_children.remove(node)
+            return
+        for _, trie, stage_paths in parent.trie_groups:
+            stage_path = stage_paths.pop(stream.stream_id, None)
+            if stage_path is None:
+                continue
+            terminal = stage_path[-1]
+            if stream.stream_id in terminal.streams:
+                terminal.streams.remove(stream.stream_id)
+            _prune_stages(trie.roots)
+            break
+        parent.trie_groups = [
+            group for group in parent.trie_groups if group[1].roots
+        ]
+
+    # ------------------------------------------------------------------
+    # Streaming execution
+    # ------------------------------------------------------------------
+    def step(self, until: float, inbound: Sequence[Exchanged] = ()) -> Outbox:
+        """Deliver ``inbound`` proxy batches, pump own sources to
+        stream time ``until``, and hand back what that exported, each
+        destination's batches beside their headers.
+
+        ``until`` at or before the sources' clocks makes this an
+        exchange-only round — the drain-to-quiescence primitive."""
+        nodes = self._nodes
+        for stream_id, batch in inbound:
+            node = nodes.get(stream_id)
+            if node is not None:
+                self._pump(node, batch)
+        for stream_id in self._produced:
+            node = nodes.get(stream_id)
+            if node is not None:
+                self._pump_source(node, until)
+            else:
+                # Source's home super-peer is down: the thin-peer keeps
+                # producing, the items are lost at ingest.
+                self._drain_source(stream_id, until)
+        outbox: Outbox = {
+            dst: (
+                [(sid, len(batch), batch_bytes(batch)) for sid, batch in batches],
+                batches,
+            )
+            for dst, batches in self._outbox.items()
+        }
+        self._outbox = {}
+        return outbox
+
+    def _pump_source(self, node: _StreamNode, until: float) -> None:
+        stream = node.stream
+        generator = self.generators.get(stream.stream_id)
+        if generator is None:
+            raise ExecutionError(
+                f"no generator for original stream {stream.stream_id!r}"
+            )
+        produced = self._produced[stream.stream_id]
+        batch_size = self.batch_size
+        limit = sys.maxsize if self.max_items is None else self.max_items
+        mode = self._columnar_mode
+        next_item = generator.next_item
+        clock = generator.clock
+        while clock < until and produced < limit:
+            batch: List[Element] = []
+            append = batch.append
+            for _ in range(min(batch_size, limit - produced)):
+                # Pins what the generator left unfrozen (DESIGN.md §7:
+                # a wrapper may restructure an item up to here).
+                append(next_item().freeze())
+                clock = generator.clock
+                if clock >= until:
+                    break
+            produced += len(batch)
+            self._pump(node, encode_ingest(batch, mode))
+        self._produced[stream.stream_id] = produced
+
+    def _drain_source(self, stream_id: str, until: float) -> None:
+        """Advance a down source's generator, counting its items lost."""
+        generator = self.generators.get(stream_id)
+        if generator is None:
+            return
+        produced = self._produced[stream_id]
+        while generator.clock < until and (
+            self.max_items is None or produced < self.max_items
+        ):
+            generator.next_item()
+            produced += 1
+            self._source_items_lost += 1
+        self._produced[stream_id] = produced
+
+    def _pump(self, node: _StreamNode, batch: Batch) -> None:
+        """Consume one batch of ``node``'s items: account, deliver, fan out."""
+        gauge = self._gauge
+        gauge.add(len(batch))
+        node.produced_count += len(batch)
+        if node.has_hops:
+            node.produced_bytes += batch_bytes(batch)
+        for feed in node.deliveries:
+            feed(batch)
+        for relay in node.relay_children:
+            self._pump(relay, batch)
+        for _, trie, _ in node.trie_groups:
+            trie.evaluate(batch, self._emit, gauge, self._op_timer)
+        gauge.sub(len(batch))
+
+    def _emit(self, stream_id: str, out: Batch) -> None:
+        self._pump(self._nodes[stream_id], out)
+
+    def _export(self, stream_id: str, batch: Batch) -> None:
+        """The feed of a stream other cells consume."""
+        if len(batch):  # an empty batch is a no-op downstream
+            parked = batch.detached() if isinstance(batch, ColumnBatch) else batch
+            for consumer in self._exports[stream_id]:
+                self._outbox.setdefault(consumer, []).append((stream_id, parked))
+
+    # ------------------------------------------------------------------
+    # Counters out
+    # ------------------------------------------------------------------
+    def counters(self) -> Dict[str, int]:
+        """Items produced per *owned* stream (proxies mirror a foreign
+        count and are excluded)."""
+        return {
+            stream_id: node.produced_count
+            for stream_id, node in self._nodes.items()
+            if stream_id not in self._proxies
+        }
+
+    def state(self) -> Dict[str, Any]:
+        """This cell's accumulated accounting counters, as plain data.
+
+        Pure reads (but for the in-flight window peak, which restarts),
+        so observing mid-run does not perturb the execution."""
+        counters: Dict[str, StreamCounters] = {}
+        #: Cumulative billed inputs per operator name (live + retired).
+        #: A shared trie stage is billed once per stream whose pipeline
+        #: runs through it, so the totals stay comparable with the cost
+        #: model's per-stream charges — and do not depend on how
+        #: sibling pipelines land in cells.
+        totals: Dict[str, int] = {}
+        for stream_id, node in self._nodes.items():
+            if stream_id not in self._proxies:
+                counters[stream_id] = StreamCounters(
+                    node.produced_count,
+                    node.produced_bytes,
+                    node.duplicate_base,
+                    _stage_counts(node),
+                    node.repair_added,
+                )
+        for counted in (*self._retired, *counters.values()):
+            for kind, udf_name, inputs in counted.stage_counts:
+                name = udf_name or kind
+                totals[name] = totals.get(name, 0) + inputs
+        deliveries: Dict[str, Tuple[bool, int, int]] = {}
+        for name, delivery in self._deliveries.items():
+            if isinstance(delivery, _MultiDelivery):
+                deliveries[name] = (True, delivery.total_inputs, delivery.results)
+            else:
+                deliveries[name] = (False, delivery.inputs, delivery.results)
+        gauge = self._gauge
+        return {
+            "counters": counters,
+            "retired": list(self._retired),
+            "deliveries": deliveries,
+            "items_lost": self._source_items_lost
+            + sum(gate.lost for gate in self._gates.values()),
+            "query_lost": dict(self._query_lost),
+            "operator_totals": totals,
+            "inflight": gauge.current,
+            "window_peak": gauge.take_window_peak(),
+            "peak": gauge.peak,
+        }
+
+    def finish(self) -> Dict[str, Any]:
+        """Run the multi-input combinations over their full buffers —
+        only now are all inputs known — and report the final state."""
+        for delivery in self._deliveries.values():
+            if isinstance(delivery, _MultiDelivery):
+                delivery.finish()
+        return self.state()
+
+
+def _make_op_timer(recorder: Any) -> Callable[[PrefixStage, int, float], None]:
+    """Build the per-stage timer handed to the shared-prefix tries.
+
+    The timer records wall-clock latency only.  ``op.*.items`` counters
+    are billed by the control loop from the cells' operator totals at
+    epoch boundaries instead: timer-side counts bill a shared trie
+    stage once per *evaluation*, which depends on how sibling pipelines
+    land in cells — billed totals are partition-invariant, so a run's
+    counters are the same over one cell or many (DESIGN.md §15).
+    """
+
+    def op_timer(stage: PrefixStage, inputs: int, seconds: float) -> None:
+        name = getattr(stage.spec, "name", None) or stage.operator.kind
+        recorder.observe(f"op.{name}.batch_s", seconds)
+
+    return op_timer
+
+
+class _LocalCell:
+    """A cell in this process, behind the submit/result protocol the
+    loop speaks to cells anywhere (a forked one answers later; see
+    :mod:`repro.engine.parallel`)."""
+
+    __slots__ = ("cell", "_reply")
+
+    def __init__(self, cell: Any) -> None:
+        self.cell = cell
+        self._reply: Any = None
+
+    def submit(self, op: str, *args: Any) -> None:
+        self._reply = getattr(self.cell, op)(*args)
+
+    def result(self) -> Any:
+        reply, self._reply = self._reply, None
+        return reply
+
+    def close(self) -> None:
+        return None
+
+
+# ----------------------------------------------------------------------
+# The control loop
+# ----------------------------------------------------------------------
 class StreamSimulator:
     """Execute a deployment for a span of virtual time (single pass).
 
@@ -373,18 +874,28 @@ class StreamSimulator:
         traced run is split into (faults add their own boundaries).
     rebalancer:
         Optional :class:`~repro.sharing.rebalance.Rebalancer`.  When
-        given, the run always takes the epoch path and the rebalancer
+        given, the run is sampled like a traced one and the rebalancer
         observes every mid-run epoch snapshot; when it migrates plans
         (tearing down and re-registering subscriptions working on a
-        sustained-hot super-peer), the executor reconciles the running
+        sustained-hot super-peer), the cells reconcile their running
         pipelines against the rewritten deployment exactly like churn
         repair — but with an already *open* delivery gate, since the
         epoch boundary is quiescent and the rewrite is make-before-
         break (``migration_downtime_epochs`` stays 0 and no items are
         lost; the conservation tests pin both).
 
+    A run is one control loop over its cells (DESIGN.md §7): it
+    installs the plan, advances the cells from boundary to boundary,
+    applies faults and migrations between them, ships the cells the
+    plan diff, and merges their counters into metrics.  This class runs
+    it over one :class:`Cell` that spans the whole deployment, records
+    straight into ``recorder`` and calls ``capture`` in pump order; the
+    ``_build`` / ``_place`` / ``_advance`` / ``_record`` / ``_finish``
+    hooks are where :class:`~repro.engine.parallel.ShardedSimulator`
+    adds what several cells need.
+
     After :meth:`run`, ``peak_live_items`` holds the maximum number of
-    stream items the executor held in flight at any moment — bounded by
+    stream items a cell held in flight at any moment — bounded by
     ``batch_size`` × DAG depth (plus multi-input delivery buffers),
     independent of ``duration``.
     """
@@ -398,11 +909,11 @@ class StreamSimulator:
         max_items_per_source: Optional[int] = None,
         batch_size: int = 64,
         schedule: Optional["FaultSchedule"] = None,
-        repair: Optional[Callable[..., object]] = None,
+        repair: Optional[Callable[..., Any]] = None,
         capture: Optional[Callable[[str, Element], None]] = None,
-        recorder: Optional[object] = None,
+        recorder: Optional[Any] = None,
         epoch_samples: int = 8,
-        rebalancer: Optional[object] = None,
+        rebalancer: Optional[Any] = None,
     ) -> None:
         if duration <= 0:
             raise ExecutionError("duration must be positive")
@@ -417,84 +928,81 @@ class StreamSimulator:
         self.schedule = schedule
         self.repair = repair
         self.capture = capture
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder: Any = recorder if recorder is not None else NULL_RECORDER
         self.epoch_samples = epoch_samples
-        self.rebalancer = rebalancer
+        self.rebalancer: Any = rebalancer
+        self.mode_used = "sequential"
+        self.workers_used = 1
+        #: Exchange epochs of the run, and how many of them each query's
+        #: deliveries lag behind production: one cell exchanges nothing,
+        #: so nothing lags.
+        self.exchange_epochs = 1
+        self.query_lags: Dict[str, int] = {}
         self.peak_live_items = 0
-        #: Most recent per-query SLO records (refreshed at every epoch
-        #: boundary and at run end — the live ``/slo.json`` source).
+        #: Most recent per-query SLO records (refreshed at every
+        #: observed boundary and at run end — the live ``/slo.json``
+        #: source).
         self.last_query_slos: List["QuerySLO"] = []
-        #: ``REPRO_COLUMNAR`` resolved once per simulator (forked cell
-        #: runtimes inherit the environment, so shards agree).
-        self._columnar_mode = columnar_mode()
+        self._final_states: Optional[Sequence[Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
     def run(self) -> RunMetrics:
-        order = self._topological_streams()
-        self._feeds: Dict[str, List[Tuple[str, Callable]]] = {}
-        nodes, singles, multis = self._build_plan(order)
-        gauge = _Gauge()
-        for delivery in multis.values():
-            delivery.gauge = gauge  # buffered items count as in-flight
-        self._gauge = gauge
-        #: All deliveries in registration order — the accounting order,
-        #: stable across repairs (queries re-registered by a repair keep
-        #: their delivery object, and with it their position and their
-        #: accumulated counters).
-        self._deliveries: Dict[str, object] = {
-            record.name: singles.get(record.name) or multis[record.name]
-            for record in self.deployment.queries.values()
-        }
-        self._retired: List[_RetiredNode] = []
-        self._gates: List[_Gate] = []
-        self._sources = [s.stream_id for s in order if s.is_original]
-        self._produced = {stream_id: 0 for stream_id in self._sources}
+        recorder = self.recorder
+        self._cells: List[Any] = []
+        #: What the cells run, kept here to diff the deployment against:
+        #: the streams (in the order a cell holds its nodes, so the
+        #: retire order is known without asking), each one's owning
+        #: cell, the cells holding it (owned or as a proxy) and the
+        #: cells consuming it through the exchange.
+        self._mirror: Dict[str, "InstalledStream"] = {}
+        self._owner: Dict[str, int] = {}
+        self._consumers: Dict[str, Set[int]] = {}
+        #: Super-peer → cell; a node no one placed is in cell 0.
+        self._node_cell: Dict[str, int] = {}
+        #: Retirement sequence as ``(stream_id, owner_cell)`` — the
+        #: global accounting order the merge re-establishes.
+        self._retired_order: List[Tuple[str, int]] = []
+        #: Each query's accounting record (registration order) and host.
+        self._records: Dict[str, "RegisteredQuery"] = {}
+        self._query_cell: Dict[str, int] = {}
+        self._next_gate_id = 0
         self._faults_applied = 0
-        self._source_items_lost = 0
         self._recovery_time_s = 0.0
         self._queries_repaired = 0
         self._migrations_applied = 0
-        self._migration_downtime_epochs = 0
-        self._migration_gates: List[_Gate] = []
-        self._query_lost: Dict[str, int] = {}
         self._query_migrations: Dict[str, int] = {}
-        self._backpressure_epochs = 0
-
-        recorder = self.recorder
         self._epoch_index = 0
         self._epoch_start = 0.0
         self._last_metrics: Optional[RunMetrics] = None
         self._last_operator_totals: Optional[Dict[str, int]] = None
-        self._op_timer = self._make_op_timer() if recorder.enabled else None
-        columnar_base = columnar_stats() if recorder.enabled else None
+        columnar_base = columnar_stats()
 
-        if self.schedule or recorder.enabled or self.rebalancer is not None:
-            # Traced runs always take the epoch path: sources advance in
-            # interleaved time slices so snapshots cut across the whole
-            # deployment.  Per-stream results are unchanged — sources
-            # are independent DAG roots, operators are deterministic,
-            # and multi-input combination runs over the full buffers at
-            # finish() — so metrics match the untraced single-pass run.
-            # Rebalanced runs take it too: the drift detector consumes
-            # the same epoch snapshots a traced run records.
-            self._run_epochs(gauge)
-        else:
-            for stream in order:
-                if stream.is_original:
-                    self._pump_source(nodes[stream.stream_id], gauge, self.duration)
-        for delivery in multis.values():
-            delivery.finish()
+        try:
+            self._build()
+            self._cell_has: List[Set[str]] = [set() for _ in self._cells]
+            #: Epochs (per cell) whose in-flight window peak exceeded
+            #: the batch size — the SLO backpressure-exposure signal.
+            self._backpressure = [0] * len(self._cells)
+            self._install({}, None)
+            self._run_epochs()
+            states = self._ask("finish")
+        finally:
+            for cell in self._cells:
+                cell.close()
 
-        self.peak_live_items = gauge.peak
-        metrics = self._account(self._topological_streams(), nodes)
-        self.last_query_slos = self.query_slos()
+        metrics = self._merge(states)
+        self.peak_live_items = max(state["peak"] for state in states)
+        self._final_states = states
+        self.last_query_slos = self._build_slos(states)
         if recorder.enabled:
             # The final epoch is emitted after finish(): multi-input
             # subscriptions only restructure (and bill) their buffered
             # items there, so snapshotting at the duration boundary
             # would miss that work.
-            self._emit_epoch(self.duration, metrics)
-            recorder.set_gauge("exec.peak_live_items", gauge.peak)
+            self._observe(self.duration, states, metrics)
+        self._finish(states)
+        if recorder.enabled:
+            recorder.set_gauge("exec.peak_live_items", self.peak_live_items)
             recorder.inc("exec.runs")
             for slo in self.last_query_slos:
                 recorder.event("query.slo", **slo.to_dict())
@@ -502,12 +1010,12 @@ class StreamSimulator:
                 recorder.set_gauge(f"peer.work.{peer}", work)
             for (a, b), bits in sorted(metrics.link_bits.items()):
                 recorder.set_gauge(f"link.bits.{a}-{b}", bits)
-            if columnar_base is not None:
-                # Process-wide counters: report this run's delta only.
-                for key, value in columnar_stats().items():
-                    delta = value - columnar_base[key]
-                    if delta:
-                        recorder.inc(f"columnar.{key}", delta)
+            # Process-wide counters: report this run's delta only
+            # (what forked cells dispatched stays in their processes).
+            for key, value in columnar_stats().items():
+                delta = value - columnar_base[key]
+                if delta:
+                    recorder.inc(f"columnar.{key}", delta)
         return metrics
 
     # ------------------------------------------------------------------
@@ -522,43 +1030,103 @@ class StreamSimulator:
         analyzer's interval bounds are checked against
         (``tests/test_prop_flow_soundness.py``).
         """
-        if not hasattr(self, "_nodes"):
+        if self._final_states is None:
             raise ExecutionError("stream_counts() requires a completed run()")
         counts: Dict[str, int] = {}
-        for retired in self._retired:
-            stream_id = retired.stream.stream_id
-            counts[stream_id] = counts.get(stream_id, 0) + retired.produced_count
-        for stream_id, node in self._nodes.items():
-            counts[stream_id] = counts.get(stream_id, 0) + node.produced_count
+        for state in self._final_states:
+            for retired in state["retired"]:
+                stream_id = retired.stream.stream_id
+                counts[stream_id] = counts.get(stream_id, 0) + retired.produced_count
+            for stream_id, live in state["counters"].items():
+                counts[stream_id] = counts.get(stream_id, 0) + live.produced_count
         return counts
 
+    def query_slos(self) -> List["QuerySLO"]:
+        """The latest per-query SLO records (end-of-run after
+        :meth:`run`; mid-run they reflect the last observed boundary)."""
+        return list(self.last_query_slos)
+
     # ------------------------------------------------------------------
-    # Fault-scheduled execution
+    # Hooks: what a run over one cell does; ShardedSimulator overrides
+    # them with what several cells need
     # ------------------------------------------------------------------
-    def _run_epochs(self, gauge: _Gauge) -> None:
-        """Pump sources epoch by epoch, applying faults at boundaries.
+    def _build(self) -> None:
+        """Create the (empty) cells of this run.  One cell spans the
+        whole deployment, records straight into the run's recorder and
+        hands results to ``capture`` in pump order."""
+        self._cells = [
+            _LocalCell(
+                Cell(
+                    self.generators,
+                    self.max_items,
+                    self.batch_size,
+                    self.capture,
+                    self.recorder,
+                )
+            )
+        ]
+
+    def _place(self) -> None:
+        """Give the super-peers of the repaired deployment a cell in
+        ``_node_cell``.  One cell hosts them all."""
+
+    def _advance(self, until: float, quiescent: bool) -> None:
+        """Bring every cell to stream time ``until``; ``quiescent``
+        asks that nothing stay in flight between cells.  One cell is
+        pumped, and holds nothing back between pumps."""
+        self._ask("step", until)
+
+    def _record(self, snapshot: "EpochSnapshot", states: Sequence[Dict[str, Any]]) -> None:
+        """Record one epoch of a traced run.  The run's series is the
+        one cell's series."""
+        self.recorder.add_epoch(snapshot)
+
+    def _finish(self, states: Sequence[Dict[str, Any]]) -> None:
+        """Collect what the cells kept to themselves until the end.
+        One cell in this process kept nothing."""
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def _ask(self, op: str, *args: Any, each: Optional[Sequence[Any]] = None) -> List[Any]:
+        """Run one operation on every cell at once; replies in cell
+        order.  ``each`` holds one more argument per cell."""
+        for index, cell in enumerate(self._cells):
+            if each is None:
+                cell.submit(op, *args)
+            else:
+                cell.submit(op, *args, each[index])
+        return [cell.result() for cell in self._cells]
+
+    def _run_epochs(self) -> None:
+        """Advance the cells boundary by boundary.
 
         Boundaries are the scheduled fault times plus each repair's
         recovery completion (when its gated deliveries reopen); a
-        traced run adds ``epoch_samples`` evenly spaced sampling
-        boundaries and emits one time-series snapshot per epoch —
-        *before* the boundary's faults apply, so churn transients land
-        in the following epochs.
+        traced or rebalanced run adds ``epoch_samples`` evenly spaced
+        sampling boundaries and takes one time-series snapshot per
+        epoch — *before* the boundary's faults apply, so churn
+        transients land in the following epochs.  Such a run therefore
+        advances its sources in interleaved time slices; per-stream
+        results are unchanged — sources are independent DAG roots,
+        operators are deterministic, and multi-input combination runs
+        over the full buffers at the end — so metrics match the
+        unobserved single-pass run.
         """
+        duration = self.duration
         events = (
-            [e for e in self.schedule.events() if e.time < self.duration]
+            [e for e in self.schedule.events() if e.time < duration]
             if self.schedule
             else []
         )
-        recorder = self.recorder
-        observing = recorder.enabled or self.rebalancer is not None
+        rebalancer = self.rebalancer
+        observing = self.recorder.enabled or rebalancer is not None
         samples: List[float] = []
         if observing and self.epoch_samples > 0:
-            step = self.duration / self.epoch_samples
+            step = duration / self.epoch_samples
             samples = [step * k for k in range(1, self.epoch_samples)]
         sample_index = 0
-        opens: List[Tuple[float, int, _Gate]] = []
-        sequence = 0
+        opens: List[Tuple[float, int]] = []  # (open_at, gate_id)
         index = 0
         while True:
             next_fault = events[index].time if index < len(events) else math.inf
@@ -566,454 +1134,288 @@ class StreamSimulator:
             next_sample = (
                 samples[sample_index] if sample_index < len(samples) else math.inf
             )
-            boundary = min(next_fault, next_open, next_sample, self.duration)
-            self._pump_all_until(boundary, gauge)
-            if boundary >= self.duration:
+            boundary = min(next_fault, next_open, next_sample, duration)
+            # Faults and gate openings strike a drained plan; the
+            # rebalancer needs quiescence at every boundary it sees, so
+            # its snapshots are the same over one cell or many.
+            self._advance(
+                boundary,
+                boundary >= duration
+                or boundary in (next_fault, next_open)
+                or rebalancer is not None,
+            )
+            if boundary >= duration:
                 break
             while sample_index < len(samples) and samples[sample_index] <= boundary:
                 sample_index += 1
-            snapshot = self._emit_epoch(boundary) if observing else None
+            snapshot = (
+                self._observe(boundary, self._ask("state")) if observing else None
+            )
             # Recovery completions first: a fault striking the instant a
             # previous recovery ends sees the recovered subscriptions.
             while opens and opens[0][0] <= boundary:
-                heapq.heappop(opens)[2].open = True
+                self._ask("open_gate", heapq.heappop(opens)[1])
             while index < len(events) and events[index].time <= boundary:
                 event = events[index]
                 index += 1
                 gate = self._apply_fault(event)
-                if gate is not None and gate.open_at < self.duration:
-                    heapq.heappush(opens, (gate.open_at, sequence, gate))
-                    sequence += 1
+                if gate is not None and gate[0] < duration:
+                    heapq.heappush(opens, gate)
             # The rebalancer observes after the boundary's faults: a
             # migration then adapts the post-repair plan instead of
             # rewriting one a coincident fault immediately tears up.
-            if self.rebalancer is not None and snapshot is not None:
-                self._migration_downtime_epochs += sum(
-                    1 for g in self._migration_gates if not g.open
-                )
+            if rebalancer is not None and snapshot is not None:
                 self._apply_migration(snapshot)
 
-    def _pump_all_until(self, until: float, gauge: _Gauge) -> None:
-        for stream_id in self._sources:
-            node = self._nodes.get(stream_id)
-            if node is not None:
-                self._pump_source(node, gauge, until)
-            else:
-                # Source's home super-peer is down: the thin-peer keeps
-                # producing, the items are lost at ingest.
-                self._drain_source(stream_id, until)
+    def _apply_fault(self, event: Any) -> Optional[Tuple[float, int]]:
+        """Mutate the topology, repair the plan, reconcile the cells.
 
-    def _apply_fault(self, event) -> Optional[_Gate]:
-        """Mutate the topology, repair the plan, reconcile the executor.
-
-        Returns the recovery gate when it still needs to be opened at a
-        later boundary, else ``None``.
+        Returns ``(open_at, gate_id)`` when the recovery gate still
+        needs to be opened at a later boundary, else ``None``.
         """
         event.apply(self.net)
         self._faults_applied += 1
-        recorder = self.recorder
-        if recorder.enabled:
-            recorder.event(
-                "fault.applied", stream_time=event.time, fault=event.describe()
-            )
-            recorder.inc("exec.faults_applied")
-        report = (
-            self.repair(context=event.describe()) if self.repair is not None else None
-        )
+        what = event.describe()
+        self.recorder.event("fault.applied", stream_time=event.time, fault=what)
+        self.recorder.inc("exec.faults_applied")
+        report = self.repair(context=what) if self.repair is not None else None
         recovery_s = 0.0
         if report is not None:
             recovery_s = report.recovery_time_ms() / 1000.0
             self._queries_repaired += len(report.repaired_queries)
         self._recovery_time_s += min(recovery_s, self.duration - event.time)
-        gate = _Gate(open_at=event.time + recovery_s)
-        gate.open = recovery_s <= 0.0
-        self._gates.append(gate)
-        self._reconcile(gate)
-        return None if gate.open else gate
+        gate_id = self._reconcile(recovery_s <= 0.0)
+        return None if recovery_s <= 0.0 else (event.time + recovery_s, gate_id)
 
-    def _apply_migration(self, snapshot) -> None:
+    def _apply_migration(self, snapshot: "EpochSnapshot") -> None:
         """Offer one epoch snapshot to the rebalancer; apply its moves.
 
         A migration rewrites the deployment control-plane-side (tear
-        down + re-register, verified pre-flight); the executor then
-        reconciles its running pipelines against the rewritten plan
+        down + re-register, verified pre-flight); the cells then
+        reconcile their running pipelines against the rewritten plan
         through the same diff churn repair uses.  The delivery gate is
         created *open*: the boundary is quiescent (everything pumped up
         to it was delivered), the rewrite is instantaneous in stream
         time, so nothing is dropped — migration is make-before-break,
-        unlike fault recovery where the old plan is already dead.
+        unlike fault recovery where the old plan is already dead.  No
+        epoch therefore ever sees a migration's gate closed:
+        ``migration_downtime_epochs`` is structurally 0.
         """
         report = self.rebalancer.observe_epoch(snapshot)
         if report is None:
             return
         self._migrations_applied += 1
-        for name in getattr(report, "moved_queries", ()):
+        for name in report.moved_queries:
             self._query_migrations[name] = self._query_migrations.get(name, 0) + 1
-        recorder = self.recorder
-        if recorder.enabled:
-            recorder.inc("exec.migrations_applied")
-        gate = _Gate(open_at=snapshot.t_end)
-        gate.open = True
-        self._gates.append(gate)
-        self._migration_gates.append(gate)
-        self._reconcile(gate)
+        self.recorder.inc("exec.migrations_applied")
+        self._reconcile(True)
 
     # ------------------------------------------------------------------
-    # Plan construction
+    # Plan installation and reconciliation
     # ------------------------------------------------------------------
-    def _topological_streams(self) -> List["InstalledStream"]:
-        return topological_streams(self.deployment)
+    def _reconcile(self, gate_open: bool) -> int:
+        """Bring the (drained) cells in line with the repaired
+        deployment; returns the id of the gate the re-wired
+        subscriptions deliver behind."""
+        counters: Dict[str, int] = {}
+        for counts in self._ask("counters"):
+            counters.update(counts)
+        self._place()
+        gate_id = self._next_gate_id
+        self._next_gate_id += 1
+        self._install(counters, (gate_id, gate_open))
+        return gate_id
 
-    def _build_plan(
-        self, order: List["InstalledStream"]
-    ) -> Tuple[
-        Dict[str, _StreamNode],
-        Dict[str, _SingleDelivery],
-        Dict[str, _MultiDelivery],
-    ]:
-        nodes = {stream.stream_id: _StreamNode(stream) for stream in order}
-
-        # Wire children to parents; merge non-relay siblings into tries.
-        derived: Dict[str, List["InstalledStream"]] = {}
-        for stream in order:
-            if stream.parent_id is None:
-                continue
-            if stream.pipeline:
-                derived.setdefault(stream.parent_id, []).append(stream)
-            else:
-                nodes[stream.parent_id].relay_children.append(nodes[stream.stream_id])
-        for parent_id, children in derived.items():
-            parent_node = nodes[parent_id]
-            parent_node.trie_groups = group_pipelines(
-                [
-                    (child.stream_id, child.content.item_path, child.pipeline)
-                    for child in children
-                ]
-            )
-            for _, _, stage_paths in parent_node.trie_groups:
-                for stream_id, stage_path in stage_paths.items():
-                    nodes[stream_id].stage_path = stage_path
-
-        # Subscription consumers.
-        self._nodes = nodes
-        singles: Dict[str, _SingleDelivery] = {}
-        multis: Dict[str, _MultiDelivery] = {}
-        for record in self.deployment.queries.values():
-            if len(record.delivered) > 1:
-                delivery: object = _MultiDelivery(record, _Gauge(), self.capture)
-                multis[record.name] = delivery
-            else:
-                delivery = _SingleDelivery(record, self.capture)
-                singles[record.name] = delivery
-            self._attach_feeds(record.name, delivery)
-        return nodes, singles, multis
-
-    @staticmethod
-    def _multi_feeder(
-        delivery: _MultiDelivery, index: int
-    ) -> Callable[[Batch], None]:
-        def feed(batch: Batch) -> None:
-            delivery.feed(index, batch)
-
-        return feed
-
-    def _gated(
-        self, name: str, gate: _Gate, feed: Callable[[Batch], None]
-    ) -> Callable[[Batch], None]:
-        query_lost = self._query_lost
-
-        def gated_feed(batch: Batch) -> None:
-            if gate.open:
-                feed(batch)
-            else:
-                gate.lost += len(batch)
-                query_lost[name] = query_lost.get(name, 0) + len(batch)
-
-        return gated_feed
-
-    def _attach_feeds(
-        self, name: str, delivery: object, gated_by: Optional[_Gate] = None
+    def _install(
+        self, counters: Dict[str, int], gate: Optional[Tuple[int, bool]]
     ) -> None:
-        """Wire a subscription's feeds onto its delivered stream nodes."""
-        entries = self._feeds.setdefault(name, [])
-        record = delivery.record  # type: ignore[attr-defined]
-        if isinstance(delivery, _MultiDelivery):
-            feeds = [
-                self._multi_feeder(delivery, index)
-                for index in range(len(record.delivered))
-            ]
-        else:
-            feeds = [delivery.feed]  # type: ignore[attr-defined]
-        for feed, (_, stream_id) in zip(feeds, record.delivered):
-            if stream_id not in self._nodes:
-                continue
-            if gated_by is not None:
-                feed = self._gated(name, gated_by, feed)
-            self._nodes[stream_id].deliveries.append(feed)
-            entries.append((stream_id, feed))
+        """Diff the deployment against the mirror of what the cells run
+        and ship every cell its part (:meth:`Cell.apply_reconcile`).
 
-    def _remove_feeds(self, name: str) -> None:
-        for stream_id, feed in self._feeds.pop(name, []):
-            node = self._nodes.get(stream_id)
-            if node is None:
-                continue  # the node itself was retired
-            try:
-                node.deliveries.remove(feed)
-            except ValueError:
-                pass
-
-    # ------------------------------------------------------------------
-    # Plan reconciliation after a repair
-    # ------------------------------------------------------------------
-    def _reconcile(self, gate: _Gate) -> None:
-        """Diff the executor's running plan against the repaired one.
-
-        Streams no longer installed (or replaced by a same-id fresh
-        installation) are retired: their counters are snapshotted, they
-        detach from their parent's relay list or shared-prefix trie
-        (surviving siblings keep their stages and operator state), and
-        orphaned stages are pruned.  Repair-created streams attach with
-        fresh operator state — recovery restarts windows rather than
-        migrating them — and with ``duplicate_base`` pinned so only
-        post-attach parent items are billed as duplication work.
+        Against the empty mirror of a starting run (``gate`` is
+        ``None``) the diff is the plan itself.  ``counters`` holds the
+        items each stream has produced, for the proxies a repair
+        creates.
         """
         deployment = self.deployment
-        nodes = self._nodes
+        mirror = self._mirror
+        cell_has = self._cell_has
+        cells = range(len(self._cells))
 
-        stale = {
-            stream_id: node
-            for stream_id, node in nodes.items()
-            if deployment.streams.get(stream_id) is not node.stream
-        }
-        for node in stale.values():
-            self._retired.append(self._snapshot(node))
-        for node in stale.values():
-            self._detach(node)
+        stale = [
+            stream_id
+            for stream_id, stream in mirror.items()
+            if deployment.streams.get(stream_id) is not stream
+        ]
         for stream_id in stale:
-            del nodes[stream_id]
+            self._retired_order.append((stream_id, self._owner.pop(stream_id)))
+            del mirror[stream_id]
+            self._consumers.pop(stream_id, None)
+            for has in cell_has:
+                has.discard(stream_id)
 
-        added = [
-            stream
-            for stream in topological_streams(deployment)
-            if stream.stream_id not in nodes
-        ]
-        pipelined: Dict[str, List["InstalledStream"]] = {}
-        for stream in added:
-            node = _StreamNode(stream)
-            node.repair_added = True
-            nodes[stream.stream_id] = node
-            if stream.parent_id is None:
-                continue  # re-installed original (its home rejoined)
-            parent_node = nodes[stream.parent_id]
-            node.duplicate_base = parent_node.produced_count
-            if stream.pipeline:
-                pipelined.setdefault(stream.parent_id, []).append(stream)
-            else:
-                parent_node.relay_children.append(node)
-        # Repair-created pipelines share prefixes among themselves (all
-        # start with fresh state at the same instant) but never join a
-        # surviving trie: that would hand them a sibling's pre-fault
-        # window state, which recovery must restart.
-        for parent_id, children in pipelined.items():
-            parent_node = nodes[parent_id]
-            groups = group_pipelines(
-                [
-                    (child.stream_id, child.content.item_path, child.pipeline)
-                    for child in children
-                ]
-            )
-            parent_node.trie_groups = parent_node.trie_groups + groups
-            for _, _, stage_paths in groups:
-                for stream_id, stage_path in stage_paths.items():
-                    nodes[stream_id].stage_path = stage_path
+        adds: List[List[Tuple["InstalledStream", bool, int]]] = [[] for _ in cells]
+        export_changed: Set[str] = set()
+        #: Streams (re)installed this round: their owner nodes restart
+        #: at produced_count 0, so proxies must NOT inherit the retired
+        #: predecessor's count from the pre-reconcile gather.
+        fresh: Set[str] = set()
 
-        # Re-wire subscriptions the repair touched; silence the ones it
-        # had to park (their delivery objects stay for accounting).
-        for name, delivery in self._deliveries.items():
-            record = deployment.queries.get(name)
-            if record is None:
-                self._remove_feeds(name)
+        def need(cell: int, stream_id: str) -> None:
+            """``cell`` consumes ``stream_id``: as a proxy if foreign."""
+            if stream_id in cell_has[cell]:
+                return
+            base = 0 if stream_id in fresh else counters.get(stream_id, 0)
+            adds[cell].append((_strip_parent(mirror[stream_id]), True, base))
+            cell_has[cell].add(stream_id)
+            self._consumers.setdefault(stream_id, set()).add(cell)
+            export_changed.add(stream_id)
+
+        for stream in topological_streams(deployment):
+            stream_id = stream.stream_id
+            if stream_id in mirror:
                 continue
-            if delivery.record is record:  # type: ignore[attr-defined]
+            owner = self._node_cell.setdefault(stream.origin_node, 0)
+            mirror[stream_id] = stream
+            self._owner[stream_id] = owner
+            if stream.parent_id is not None:
+                need(owner, stream.parent_id)
+            adds[owner].append((stream, False, 0))
+            cell_has[owner].add(stream_id)
+            fresh.add(stream_id)
+
+        park: List[str] = []
+        rewires: List[List[Tuple[str, "RegisteredQuery"]]] = [[] for _ in cells]
+        records = self._records
+        for name in [*records, *(n for n in deployment.queries if n not in records)]:
+            current = deployment.queries.get(name)
+            if current is None:
+                park.append(name)  # torn down; its record stays for accounting
+                continue
+            if records.get(name) is current:
                 continue  # untouched by this repair
-            self._remove_feeds(name)
-            delivery.record = record  # type: ignore[attr-defined]
-            self._attach_feeds(name, delivery, gated_by=gate)
-
-    def _snapshot(self, node: _StreamNode) -> _RetiredNode:
-        stream = node.stream
-        parent_node = (
-            self._nodes.get(stream.parent_id) if stream.parent_id is not None else None
-        )
-        duplicate_count = (
-            parent_node.produced_count - node.duplicate_base
-            if parent_node is not None
-            else 0
-        )
-        return _RetiredNode(
-            stream=stream,
-            produced_count=node.produced_count,
-            produced_bytes=node.produced_bytes,
-            duplicate_count=duplicate_count,
-            stage_counts=[
-                (
-                    stage.operator.kind,
-                    getattr(getattr(stage.operator, "spec", None), "name", None),
-                    stage.input_count,
+            if name not in records:
+                self._query_cell[name] = self._node_cell.get(
+                    current.subscriber_node, 0
                 )
-                for stage in node.stage_path
+            records[name] = current
+            host = self._query_cell[name]
+            for _, delivered_id in current.delivered:
+                if delivered_id in mirror:
+                    need(host, delivered_id)
+            rewires[host].append((name, current))
+
+        self._ask(
+            "apply_reconcile",
+            each=[
+                {
+                    "repair": gate is not None,
+                    "stale": stale,
+                    "add": adds[cell],
+                    "exports": {
+                        stream_id: tuple(sorted(self._consumers[stream_id]))
+                        for stream_id in export_changed
+                        if self._owner.get(stream_id) == cell
+                    },
+                    "gate": gate,
+                    "park": park,
+                    "rewire": rewires[cell],
+                }
+                for cell in cells
             ],
-            repair_added=node.repair_added,
         )
 
-    def _detach(self, node: _StreamNode) -> None:
-        stream = node.stream
-        if stream.parent_id is None:
-            return
-        parent = self._nodes.get(stream.parent_id)
-        if parent is None:
-            return  # parent retired in the same pass; nothing to unlink
-        if node in parent.relay_children:
-            parent.relay_children.remove(node)
-            return
-        for _, trie, stage_paths in parent.trie_groups:
-            stage_path = stage_paths.pop(stream.stream_id, None)
-            if stage_path is None:
-                continue
-            terminal = stage_path[-1]
-            if stream.stream_id in terminal.streams:
-                terminal.streams.remove(stream.stream_id)
-            _prune_stages(trie.roots)
-            break
-        parent.trie_groups = [
-            group for group in parent.trie_groups if group[1].roots
+    # ------------------------------------------------------------------
+    # Merge: the cells' counters, replayed in the one accounting order
+    # ------------------------------------------------------------------
+    def _merge(self, states: Sequence[Dict[str, Any]]) -> RunMetrics:
+        """Replay the cells' accumulated counters into
+        :class:`RunMetrics` via :func:`repro.engine.accounting
+        .replay_metrics`, in the one accounting order — retired streams
+        in retirement order, live streams parents first, deliveries in
+        registration order — so equal counters give floating-point-
+        identical metrics over one cell or many.  A pure replay:
+        calling it mid-run observes without perturbing the execution.
+        """
+        counters: Dict[str, StreamCounters] = {}
+        lost_by_query: Dict[str, int] = {}
+        for state in states:
+            counters.update(state["counters"])
+            lost_by_query.update(state["query_lost"])
+        # A cell retires its streams in the mirror's order, so each
+        # cell's list is the global sequence restricted to that cell.
+        pending = [iter(state["retired"]) for state in states]
+        retired: List[RetiredSnapshot] = []
+        for stream_id, cell in self._retired_order:
+            snapshot = next(pending[cell], None)
+            if snapshot is None or snapshot.stream.stream_id != stream_id:
+                raise ExecutionError(
+                    f"merge mismatch: no retired snapshot for {stream_id!r} "
+                    f"from cell {cell}"
+                )
+            retired.append(snapshot)
+        if any(next(rest, None) is not None for rest in pending):
+            raise ExecutionError("merge mismatch: unconsumed retired snapshots")
+        # From the registry, not ``deployment.queries``: it keeps
+        # registration order across repairs and still holds
+        # subscriptions that ended the run torn down (their pre-fault
+        # deliveries were real work and must be counted).
+        deliveries = [
+            DeliveryCounters(record, *states[self._query_cell[name]]["deliveries"][name])
+            for name, record in self._records.items()
         ]
+        return replay_metrics(
+            self.net,
+            self.duration,
+            topological_streams(self.deployment),
+            counters,
+            retired,
+            deliveries,
+            faults_applied=self._faults_applied,
+            items_lost=sum(state["items_lost"] for state in states),
+            items_lost_by_query=lost_by_query,
+            recovery_time_s=self._recovery_time_s,
+            queries_repaired=self._queries_repaired,
+            queries_lost=sum(
+                1 for name in self._records if name not in self.deployment.queries
+            ),
+            migrations_applied=self._migrations_applied,
+        )
 
     # ------------------------------------------------------------------
-    # Streaming execution
+    # Observability (DESIGN.md §10, §15)
     # ------------------------------------------------------------------
-    def _pump_source(self, node: _StreamNode, gauge: _Gauge, until: float) -> None:
-        stream = node.stream
-        generator = self.generators.get(stream.stream_id)
-        if generator is None:
-            raise ExecutionError(
-                f"no generator for original stream {stream.stream_id!r}"
-            )
-        produced = self._produced[stream.stream_id]
-        batch_size = self.batch_size
-        limit = sys.maxsize if self.max_items is None else self.max_items
-        mode = self._columnar_mode
-        next_item = generator.next_item
-        clock = generator.clock
-        while clock < until and produced < limit:
-            batch: List[Element] = []
-            append = batch.append
-            for _ in range(min(batch_size, limit - produced)):
-                # Pins what the generator left unfrozen (DESIGN.md §7:
-                # a wrapper may restructure an item up to here).
-                append(next_item().freeze())
-                clock = generator.clock
-                if clock >= until:
-                    break
-            produced += len(batch)
-            self._pump(node, encode_ingest(batch, mode), gauge)
-        self._produced[stream.stream_id] = produced
+    def _observe(
+        self,
+        t_end: float,
+        states: Sequence[Dict[str, Any]],
+        metrics: Optional[RunMetrics] = None,
+    ) -> Optional["EpochSnapshot"]:
+        """Snapshot the delta since the previous observed boundary.
 
-    def _drain_source(self, stream_id: str, until: float) -> None:
-        """Advance a down source's generator, counting its items lost."""
-        generator = self.generators.get(stream_id)
-        if generator is None:
-            return
-        produced = self._produced[stream_id]
-        while generator.clock < until and (
-            self.max_items is None or produced < self.max_items
-        ):
-            generator.next_item()
-            produced += 1
-            self._source_items_lost += 1
-        self._produced[stream_id] = produced
-
-    def _pump(self, node: _StreamNode, batch: Batch, gauge: _Gauge) -> None:
-        """Consume one batch of ``node``'s items: account, deliver, fan out."""
-        gauge.add(len(batch))
-        node.produced_count += len(batch)
-        if node.has_hops:
-            node.produced_bytes += batch_bytes(batch)
-        for feed in node.deliveries:
-            feed(batch)
-        for relay in node.relay_children:
-            self._pump(relay, batch, gauge)
-        for _, trie, _ in node.trie_groups:
-            trie.evaluate(batch, self._emit, gauge, self._op_timer)
-        gauge.sub(len(batch))
-
-    def _emit(self, stream_id: str, out: Batch) -> None:
-        self._pump(self._nodes[stream_id], out, self._gauge)
-
-    # ------------------------------------------------------------------
-    # Observability (traced runs only; see DESIGN.md §10)
-    # ------------------------------------------------------------------
-    def _make_op_timer(self) -> Callable[[PrefixStage, int, float], None]:
-        """Build the per-stage timer handed to the shared-prefix tries.
-
-        The timer records wall-clock latency only.  ``op.*.items``
-        counters are billed from :meth:`_operator_totals` deltas at
-        epoch boundaries instead: timer-side counts bill a shared trie
-        stage once per *evaluation*, which depends on how sibling
-        pipelines land in shard cells — billed totals are partition-
-        invariant, so the sharded executor's merged counters pin equal
-        to this executor's (DESIGN.md §15).
-        """
-        recorder = self.recorder
-
-        def op_timer(stage: PrefixStage, inputs: int, seconds: float) -> None:
-            name = getattr(stage.spec, "name", None) or stage.operator.kind
-            recorder.observe(f"op.{name}.batch_s", seconds)
-
-        return op_timer
-
-    def _operator_totals(self) -> Dict[str, int]:
-        """Cumulative billed inputs per operator name (live + retired).
-
-        Follows the accounting convention: a shared trie stage is billed
-        once per stream whose pipeline runs through it, so the totals
-        stay comparable with the cost model's per-stream charges.
-        """
-        totals: Dict[str, int] = {}
-        for retired in self._retired:
-            for kind, udf_name, inputs in retired.stage_counts:
-                name = udf_name or kind
-                totals[name] = totals.get(name, 0) + inputs
-        for node in self._nodes.values():
-            for stage in node.stage_path:
-                name = getattr(stage.spec, "name", None) or stage.operator.kind
-                totals[name] = totals.get(name, 0) + stage.input_count
-        return totals
-
-    def _emit_epoch(
-        self, t_end: float, metrics: Optional[RunMetrics] = None
-    ):
-        """Snapshot the delta since the previous epoch boundary.
-
-        ``metrics`` is the cumulative accounting replay at ``t_end``
-        (recomputed here when not supplied) — :meth:`_account` is a pure
-        replay of accumulated counters, so calling it mid-run observes
-        without perturbing the execution.  Returns the snapshot (also
-        handed to the recorder, a no-op when tracing is off — untraced
-        rebalanced runs still need it for the drift detector), or
-        ``None`` at a coincident boundary.
+        ``metrics`` is the merged replay at ``t_end`` (computed here
+        when not supplied).  Returns the whole-deployment snapshot —
+        what the rebalancer's drift detector reads; traced runs also
+        :meth:`_record` it — or ``None`` at a coincident boundary.
+        Over drained cells every counter-derived field is the same on
+        any partition; only ``inflight_peak`` is the maximum over cells
+        that peak at different instants.
         """
         if t_end <= self._epoch_start and self._epoch_index > 0:
             return None  # coincident boundaries: nothing elapsed
         if metrics is None:
-            metrics = self._account(self._topological_streams(), self._nodes)
-        totals = self._operator_totals()
-        if self.recorder.enabled:
+            metrics = self._merge(states)
+        totals: Dict[str, int] = {}
+        for state in states:
+            for name, inputs in state["operator_totals"].items():
+                totals[name] = totals.get(name, 0) + inputs
+        recorder = self.recorder
+        if recorder.enabled:
             previous = self._last_operator_totals or {}
             for name, count in totals.items():
                 delta = count - previous.get(name, 0)
                 if delta:
-                    self.recorder.inc(f"op.{name}.items", delta)
+                    recorder.inc(f"op.{name}.items", delta)
         snapshot = snapshot_delta(
             self._epoch_index,
             self._epoch_start,
@@ -1023,306 +1425,52 @@ class StreamSimulator:
             self.net,
             totals,
             self._last_operator_totals,
-            inflight_items=self._gauge.current,
-            inflight_peak=self._gauge.take_window_peak(),
+            inflight_items=sum(state["inflight"] for state in states),
+            inflight_peak=max(state["window_peak"] for state in states),
         )
-        self.recorder.add_epoch(snapshot)
-        if snapshot.inflight_peak > self.batch_size:
-            self._backpressure_epochs += 1
+        if recorder.enabled:
+            self._record(snapshot, states)
+        for cell, state in enumerate(states):
+            if state["window_peak"] > self.batch_size:
+                self._backpressure[cell] += 1
         self._epoch_index += 1
         self._epoch_start = t_end
         self._last_metrics = metrics
         self._last_operator_totals = totals
-        self.last_query_slos = self.query_slos()
+        self.last_query_slos = self._build_slos(states)
         return snapshot
 
-    # ------------------------------------------------------------------
-    # Per-query SLO accounting (DESIGN.md §15)
-    # ------------------------------------------------------------------
-    def query_slos(self) -> List["QuerySLO"]:
-        """One :class:`~repro.obs.slo.QuerySLO` per registered query.
+    def _build_slos(self, states: Sequence[Dict[str, Any]]) -> List["QuerySLO"]:
+        """One :class:`~repro.obs.slo.QuerySLO` per registered query,
+        from the cells' latest states (DESIGN.md §15).
 
-        Pure reads of accumulated counters, so it is safe to call
-        mid-run (the live ``/slo.json`` endpoint does).  The sequential
-        executor delivers inside the producing pump, so ``epoch_lag``
-        and the derived delivery latency are 0; the sharded executor
-        overrides both from the certified plan.
+        ``delivery_latency_s`` converts the certified epoch lag into
+        worst-case stream time: a cut-crossing item produced right
+        after an exchange barrier waits ``epoch_lag`` full exchange
+        epochs before its delivery step sees it.
         """
         from ..obs.slo import QuerySLO
 
+        epoch_width = self.duration / self.exchange_epochs
         slos: List[QuerySLO] = []
-        for name, delivery in self._deliveries.items():
-            if isinstance(delivery, _MultiDelivery):
-                inputs, results = delivery.total_inputs, delivery.results
-            else:
-                inputs = delivery.inputs  # type: ignore[attr-defined]
-                results = delivery.results  # type: ignore[attr-defined]
+        for name in self._records:
+            host = self._query_cell[name]
+            state = states[host]
+            _, inputs, results = state["deliveries"][name]
+            lag = self.query_lags.get(name, 0)
             slos.append(
                 QuerySLO(
                     query=name,
-                    shard=0,
-                    epoch_lag=0,
-                    delivery_latency_s=0.0,
+                    shard=host,
+                    epoch_lag=lag,
+                    delivery_latency_s=lag * epoch_width,
                     delivered_inputs=inputs,
                     delivered_results=results,
-                    items_lost=self._query_lost.get(name, 0),
+                    items_lost=state["query_lost"].get(name, 0),
                     migrations=self._query_migrations.get(name, 0),
-                    backpressure_epochs=self._backpressure_epochs,
-                    queue_peak=self._gauge.peak,
+                    backpressure_epochs=self._backpressure[host],
+                    queue_peak=state["peak"],
                     parked=name not in self.deployment.queries,
                 )
             )
         return slos
-
-    # ------------------------------------------------------------------
-    # Metrics replay
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stage_counts(node: _StreamNode) -> List[Tuple[str, Optional[str], int]]:
-        return [
-            (
-                stage.operator.kind,
-                getattr(getattr(stage.operator, "spec", None), "name", None),
-                stage.input_count,
-            )
-            for stage in node.stage_path
-        ]
-
-    def _stream_counters(
-        self, nodes: Dict[str, _StreamNode]
-    ) -> Dict[str, StreamCounters]:
-        return {
-            stream_id: StreamCounters(
-                produced_count=node.produced_count,
-                produced_bytes=node.produced_bytes,
-                duplicate_base=node.duplicate_base,
-                stage_counts=self._stage_counts(node),
-                repair_added=node.repair_added,
-            )
-            for stream_id, node in nodes.items()
-        }
-
-    def _delivery_counters(self) -> List[DeliveryCounters]:
-        # Built from the delivery registry, not ``deployment.queries``:
-        # the registry keeps registration order across repairs and still
-        # holds subscriptions that ended the run torn down (their
-        # pre-fault deliveries were real work and must be counted).
-        out: List[DeliveryCounters] = []
-        for delivery in self._deliveries.values():
-            if isinstance(delivery, _MultiDelivery):
-                out.append(
-                    DeliveryCounters(
-                        delivery.record, True, delivery.total_inputs, delivery.results
-                    )
-                )
-            else:
-                out.append(
-                    DeliveryCounters(
-                        delivery.record,  # type: ignore[attr-defined]
-                        False,
-                        delivery.inputs,  # type: ignore[attr-defined]
-                        delivery.results,  # type: ignore[attr-defined]
-                    )
-                )
-        return out
-
-    def _account(
-        self, order: List["InstalledStream"], nodes: Dict[str, _StreamNode]
-    ) -> RunMetrics:
-        """Replay the accumulated counters into :class:`RunMetrics` via
-        :func:`repro.engine.accounting.replay_metrics` — the shared
-        replay whose accumulation order matches the materializing
-        executor exactly, so fault-free runs produce floating-point-
-        identical metrics (and the sharded executor, feeding merged
-        counters through the same function, matches this one)."""
-        return replay_metrics(
-            self.net,
-            self.duration,
-            order,
-            self._stream_counters(nodes),
-            self._retired,
-            self._delivery_counters(),
-            faults_applied=self._faults_applied,
-            items_lost=self._source_items_lost
-            + sum(gate.lost for gate in self._gates),
-            items_lost_by_query=self._query_lost,
-            recovery_time_s=self._recovery_time_s,
-            queries_repaired=self._queries_repaired,
-            queries_lost=sum(
-                1 for name in self._deliveries if name not in self.deployment.queries
-            ),
-            migrations_applied=self._migrations_applied,
-            migration_downtime_epochs=self._migration_downtime_epochs,
-        )
-
-
-# ----------------------------------------------------------------------
-# The materializing oracle
-# ----------------------------------------------------------------------
-class MaterializingSimulator:
-    """The seed executor: materialize every stream's full item list.
-
-    Kept as the correctness oracle for :class:`StreamSimulator` — it
-    evaluates every derived stream with its own private pipeline over
-    the parent's fully materialized item list, exactly as the original
-    implementation did.  Peak memory is O(all items × all streams);
-    ``peak_live_items`` reports the total number of materialized items
-    for comparison in the micro benchmark.
-    """
-
-    def __init__(
-        self,
-        net: Network,
-        deployment: "Deployment",
-        generators: Dict[str, ItemGenerator],
-        duration: float,
-        max_items_per_source: Optional[int] = None,
-        recorder: Optional[object] = None,
-    ) -> None:
-        if duration <= 0:
-            raise ExecutionError("duration must be positive")
-        self.net = net
-        self.deployment = deployment
-        self.generators = generators
-        self.duration = duration
-        self.max_items = max_items_per_source
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.peak_live_items = 0
-
-    # ------------------------------------------------------------------
-    def run(self) -> RunMetrics:
-        metrics = RunMetrics(duration=self.duration)
-        items: Dict[str, List[Element]] = {}
-
-        for stream in self._topological_streams():
-            if stream.is_original:
-                items[stream.stream_id] = self._generate(stream, metrics)
-            else:
-                items[stream.stream_id] = self._derive(stream, items, metrics)
-            self._account_transport(stream, items[stream.stream_id], metrics)
-
-        self.peak_live_items = sum(len(produced) for produced in items.values())
-        self._postprocess(items, metrics)
-        return metrics
-
-    # ------------------------------------------------------------------
-    # Stream production
-    # ------------------------------------------------------------------
-    def _topological_streams(self) -> List["InstalledStream"]:
-        return topological_streams(self.deployment)
-
-    def _generate(self, stream: "InstalledStream", metrics: RunMetrics) -> List[Element]:
-        generator = self.generators.get(stream.stream_id)
-        if generator is None:
-            raise ExecutionError(f"no generator for original stream {stream.stream_id!r}")
-        produced: List[Element] = []
-        peer = self.net.super_peer(stream.origin_node)
-        ingest = base_load("ingest") * peer.pindex
-        while generator.clock < self.duration:
-            if self.max_items is not None and len(produced) >= self.max_items:
-                break
-            produced.append(generator.next_item())
-        metrics.count_generated(stream.stream_id, len(produced))
-        metrics.add_peer_work(stream.origin_node, ingest * len(produced))
-        return produced
-
-    def _derive(
-        self,
-        stream: "InstalledStream",
-        items: Dict[str, List[Element]],
-        metrics: RunMetrics,
-    ) -> List[Element]:
-        assert stream.parent_id is not None
-        parent_items = items[stream.parent_id]
-        peer = self.net.super_peer(stream.origin_node)
-
-        # Tapping an existing stream duplicates it at the tap node.
-        duplicate = base_load("duplicate") * peer.pindex
-        metrics.add_peer_work(stream.origin_node, duplicate * len(parent_items))
-
-        if not stream.pipeline:
-            return parent_items  # pure relay: content unchanged
-
-        pipeline = Pipeline.from_specs(stream.pipeline, stream.content.item_path)
-        recorder = self.recorder
-        timer = None
-        if recorder.enabled:
-
-            def timer(operator, inputs, seconds):
-                name = (
-                    getattr(getattr(operator, "spec", None), "name", None)
-                    or operator.kind
-                )
-                recorder.observe(f"op.{name}.batch_s", seconds)
-                recorder.inc(f"op.{name}.items", inputs)
-
-        out: List[Element] = []
-        for item in parent_items:
-            out.extend(pipeline.process_batch((item,), timer))
-        for operator, inputs in zip(pipeline.operators, pipeline.input_counts):
-            udf_name = getattr(getattr(operator, "spec", None), "name", None)
-            work = base_load(operator.kind, udf_name) * peer.pindex * inputs
-            metrics.add_peer_work(stream.origin_node, work)
-        return out
-
-    # ------------------------------------------------------------------
-    # Transport and delivery
-    # ------------------------------------------------------------------
-    def _account_transport(
-        self, stream: "InstalledStream", produced: List[Element], metrics: RunMetrics
-    ) -> None:
-        hops = stream.links()
-        if not hops or not produced:
-            return
-        bits_per_item = [item.serialized_size() * 8 for item in produced]
-        total_bits = float(sum(bits_per_item))
-        for a, b in hops:
-            metrics.add_link_bits(self.net.link(a, b), total_bits)
-        # Forwarding work: the sender side of every hop touches each item.
-        for sender, _ in hops:
-            peer = self.net.super_peer(sender)
-            work = base_load("transfer") * peer.pindex * len(produced)
-            metrics.add_peer_work(sender, work)
-
-    def _postprocess(self, items: Dict[str, List[Element]], metrics: RunMetrics) -> None:
-        """Run each subscription's restructuring at its super-peer."""
-        for record in self.deployment.queries.values():
-            peer = self.net.super_peer(record.subscriber_node)
-            work_per_item = base_load("restructure") * peer.pindex
-            if len(record.delivered) > 1:
-                self._postprocess_multi(record, items, metrics, work_per_item)
-                continue
-            restructurer = Restructurer(record.analyzed)
-            for _, stream_id in record.delivered:
-                delivered = items.get(stream_id, [])
-                metrics.add_peer_work(
-                    record.subscriber_node, work_per_item * len(delivered)
-                )
-                results = 0
-                for item in delivered:
-                    results += len(restructurer.build(item))
-                metrics.count_delivery(record.name, results)
-
-    def _postprocess_multi(
-        self,
-        record: "RegisteredQuery",
-        items: Dict[str, List[Element]],
-        metrics: RunMetrics,
-        work_per_item: float,
-    ) -> None:
-        """Multi-input combination: latest-value semantics over a
-        deterministic round-robin interleaving of the delivered streams
-        (see :class:`repro.engine.combine.LatestValueCombiner`)."""
-        from .combine import LatestValueCombiner
-
-        combiner = LatestValueCombiner(record.analyzed)
-        per_stream = [
-            (input_stream, items.get(stream_id, []))
-            for input_stream, stream_id in record.delivered
-        ]
-        total_inputs = sum(len(delivered) for _, delivered in per_stream)
-        metrics.add_peer_work(record.subscriber_node, work_per_item * total_inputs)
-        results = 0
-        for input_stream, item in interleave_round_robin(per_stream):
-            results += len(combiner.push(input_stream, item))
-        metrics.count_delivery(record.name, results)

@@ -408,8 +408,8 @@ def record(args: argparse.Namespace) -> None:
     }
     if args.workers:
         simulator = run.system.last_simulator
-        extra["workers"] = getattr(simulator, "workers_used", 1)
-        extra["parallel_mode"] = getattr(simulator, "mode_used", "sequential")
+        extra["workers"] = simulator.workers_used
+        extra["parallel_mode"] = simulator.mode_used
     write_jsonl(recorder, args.out, net=run.system.net, extra=extra)
     print(f"wrote {args.out} ({len(recorder.spans)} spans, "
           f"{len(recorder.epochs)} epochs, {len(recorder.events)} events)")
@@ -420,7 +420,7 @@ def record(args: argparse.Namespace) -> None:
         from .export import prometheus_text
 
         with open(args.prom, "w", encoding="utf-8") as handle:
-            handle.write(prometheus_text(recorder, compat=args.prom_compat))
+            handle.write(prometheus_text(recorder))
         print(f"wrote {args.prom}")
 
 
@@ -461,7 +461,6 @@ def serve(args: argparse.Namespace) -> None:
         slo_provider=slo_provider,
         host=args.host,
         port=args.port,
-        prom_compat=args.prom_compat,
     )
     server.start()
     print(f"serving {server.url}/metrics  /healthz  /slo.json")
@@ -519,9 +518,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    help="also write a Chrome trace_event file")
     p.add_argument("--prom", default=None, metavar="METRICS.txt",
                    help="also write a Prometheus text snapshot")
-    p.add_argument("--prom-compat", action="store_true",
-                   help="render the Prometheus snapshot with the legacy "
-                        "label-free metric names")
 
     p = sub.add_parser("summarize", help="print series, span timings and cache rates")
     p.add_argument("run", metavar="RUN.jsonl")
@@ -555,8 +551,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "(longer scrape window)")
     p.add_argument("--hold", type=float, default=0.0, metavar="SECONDS",
                    help="keep the endpoints up this long after the last run")
-    p.add_argument("--prom-compat", action="store_true",
-                   help="serve /metrics with the legacy label-free names")
 
     args = parser.parse_args(argv)
     if args.command == "record":

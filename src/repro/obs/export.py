@@ -311,8 +311,8 @@ def _prom_name(name: str) -> str:
 #: Dotted-name → labeled-series patterns, first match wins.  Metric
 #: families whose dotted names encode a dimension (shard, exchange
 #: pair, operator, peer, link) render as one Prometheus metric with
-#: real labels; anything unmatched keeps the flat mangled name, so
-#: plain series (``cache.route.hits`` …) are identical in both modes.
+#: real labels; anything unmatched (``cache.route.hits`` …) keeps the
+#: flat mangled name.
 _LABEL_PATTERNS: List[Tuple["re.Pattern[str]", str, Tuple[str, ...]]] = []
 
 
@@ -350,13 +350,12 @@ def _compile_label_patterns() -> None:
 _compile_label_patterns()
 
 
-def _prom_series(name: str, compat: bool) -> Tuple[str, Dict[str, str]]:
+def _prom_series(name: str) -> Tuple[str, Dict[str, str]]:
     """Map a dotted metric name to ``(prometheus metric, labels)``."""
-    if not compat:
-        for pattern, metric, label_names in _LABEL_PATTERNS:
-            match = pattern.match(name)
-            if match:
-                return metric, dict(zip(label_names, match.groups()))
+    for pattern, metric, label_names in _LABEL_PATTERNS:
+        match = pattern.match(name)
+        if match:
+            return metric, dict(zip(label_names, match.groups()))
     return _prom_name(name), {}
 
 
@@ -367,12 +366,10 @@ def _label_suffix(labels: Dict[str, str], extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def prometheus_text(recorder: Recorder, compat: bool = False) -> str:
+def prometheus_text(recorder: Recorder) -> str:
     """Render counters, gauges and histograms in exposition format.
 
-    ``compat=True`` reproduces the historical label-free rendering
-    (every dotted name mangled into one flat metric); the default
-    folds the dimensional name families into labeled series — e.g.
+    The dimensional name families fold into labeled series — e.g.
     ``exchange.cell0->cell1.items`` becomes
     ``repro_exchange_pair_items_total{src_shard="0",dst_shard="1"}``
     and per-shard operator histograms become
@@ -391,20 +388,20 @@ def prometheus_text(recorder: Recorder, compat: bool = False) -> str:
             lines.append(f"# TYPE {metric} {kind}")
 
     for name in sorted(recorder.counters):
-        metric, labels = _prom_series(name, compat)
+        metric, labels = _prom_series(name)
         emit_type(metric, "counter")
         lines.append(
             f"{metric}{_label_suffix(labels)} {recorder.counters[name]}"
         )
     for name in sorted(recorder.gauges):
-        metric, labels = _prom_series(name, compat)
+        metric, labels = _prom_series(name)
         emit_type(metric, "gauge")
         lines.append(
             f"{metric}{_label_suffix(labels)} {recorder.gauges[name]}"
         )
     for name in sorted(recorder.histograms):
         hist = recorder.histograms[name]
-        metric, labels = _prom_series(name, compat)
+        metric, labels = _prom_series(name)
         emit_type(metric, "histogram")
         cumulative = 0
         for bound, count in zip(HISTOGRAM_BUCKETS, hist.buckets):

@@ -50,13 +50,11 @@ class MetricsServer:
         slo_provider: Optional[Callable[[], List[Any]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        prom_compat: bool = False,
     ) -> None:
         self.recorder = recorder
         self.slo_provider = slo_provider
         self.host = host
         self.port = port
-        self.prom_compat = prom_compat
         self.started_unix: Optional[float] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -127,9 +125,7 @@ class MetricsServer:
     # Endpoint payloads (also the unit-testable surface)
     # ------------------------------------------------------------------
     def render_metrics(self) -> str:
-        return prometheus_text(
-            self.recorder.snapshot(), compat=self.prom_compat
-        )
+        return prometheus_text(self.recorder.snapshot())
 
     def health(self) -> dict:
         recorder = self.recorder

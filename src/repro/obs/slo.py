@@ -17,12 +17,12 @@ data plane actually delivered to it over a run (DESIGN.md §15):
   signal the future serving front end will shed load on), plus the
   shard's peak queue depth.
 
-Both executors compute these from their accumulated counters
-(:meth:`~repro.engine.executor.StreamSimulator.query_slos`,
-:meth:`~repro.engine.parallel.ShardedSimulator.query_slos`), refresh
-them at every epoch boundary (the live ``/slo.json`` endpoint reads
-the latest batch mid-run), and emit one ``query.slo`` event per query
-into traced run logs — ``python -m repro.obs slo RUN.jsonl`` renders
+The executor's control loop computes these from its cells'
+accumulated counters
+(:meth:`~repro.engine.executor.StreamSimulator.query_slos`, over one
+cell or many), refreshes them at every epoch boundary (the live
+``/slo.json`` endpoint reads the latest batch mid-run), and emits one
+``query.slo`` event per query into traced run logs — ``python -m repro.obs slo RUN.jsonl`` renders
 the table.
 """
 

@@ -35,7 +35,6 @@ from .subscribe import RegistrationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..analysis.shards import ShardPlan
-    from ..engine.parallel import ShardedSimulator
     from ..faults import FaultEvent
     from .repair import RepairReport
 
@@ -547,8 +546,9 @@ class StreamGlobe:
         ``workers`` — run on the sharded executor
         (:class:`~repro.engine.parallel.ShardedSimulator`) with up to
         this many worker cells, partitioned by the certified
-        :meth:`shard_plan`.  ``RunMetrics`` is byte-identical to the
-        sequential executor at every worker count.  Defaults to the
+        :meth:`shard_plan` — the same control loop over several cells
+        instead of one, so ``RunMetrics`` is byte-identical to the
+        sequential run at every worker count.  Defaults to the
         ``REPRO_PARALLEL`` environment variable (worker count; unset
         or ``1`` means sequential); ``REPRO_PARALLEL_MODE`` picks the
         backend (``auto``/``process``/``inline``).
@@ -575,7 +575,7 @@ class StreamGlobe:
                     raise ValueError(
                         f"REPRO_PARALLEL must be a worker count, got {env!r}"
                     ) from None
-        simulator: Union[StreamSimulator, "ShardedSimulator"]
+        simulator: StreamSimulator
         if workers is not None and workers > 1:
             from ..engine.parallel import ShardedSimulator
 

@@ -92,13 +92,3 @@ class TestBenchCli:
 
         with pytest.raises(SystemExit):
             main(["figure99"])
-
-
-class TestBenchSchemas:
-    def test_micro_report_carries_cache_hit_rates(self):
-        from repro.bench.micro import run_benchmark
-
-        report = run_benchmark(["smoke"], repeats=1)
-        entry = report["scenarios"]["smoke"]
-        assert set(entry["cache_hit_rate"]) == {"route", "rate", "match"}
-        assert all(0.0 <= v <= 1.0 for v in entry["cache_hit_rate"].values())

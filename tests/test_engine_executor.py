@@ -1,5 +1,9 @@
 """Integration tests for the measured stream simulator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system
@@ -243,3 +247,29 @@ class TestEndToEndExecution:
         assert cpu["SP4"] > 0  # ingest at the source super-peer
         acc = metrics.peer_accumulated_mbit(net, "SP4")
         assert acc > 0
+
+
+def test_sequential_run_imports_nothing_of_the_sharded_plane():
+    """The loop and the cell live in ``repro.engine.executor``: a
+    sequential run pays for neither ``multiprocessing`` nor the shard
+    analysis (this is what keeps its resident memory where it was)."""
+    script = (
+        "import sys\n"
+        "from repro.bench.harness import run_scenario\n"
+        "from repro.workload.scenarios import scenario_one\n"
+        "run = run_scenario(scenario_one(), 'stream-sharing')\n"
+        "assert run.metrics.items_generated\n"
+        "heavy = ('multiprocessing', 'repro.analysis', 'repro.engine.parallel')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("REPRO_PARALLEL", "REPRO_OBS_TRACE")
+    }
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ from repro.engine.columnar import (
     reset_columnar_stats,
 )
 from repro.engine.executor import ExecutionError, StreamSimulator
-from repro.engine.parallel import ShardedSimulator, _ProcessCell
+from repro.engine.parallel import ShardedSimulator
 from repro.faults import FaultSchedule, LinkFailure, single_crash, staggered_crashes
 from repro.obs.recorder import Recorder
 from repro.xmlkit import Element, serialize
@@ -160,13 +160,14 @@ def test_recertification_changes_the_partition_mid_run():
 # ----------------------------------------------------------------------
 # Fallbacks and clamps
 # ----------------------------------------------------------------------
-def test_uncertified_plan_falls_back_to_sequential():
+def check_uncertified_plan_runs_sequentially(faults_key):
     system = deployed_system()
     generators = {
         name: source.generator_factory()
         for name, source in system.sources.items()
     }
     plan = dataclasses.replace(system.shard_plan(), certified=False)
+    captured = {}
     simulator = ShardedSimulator(
         system.net,
         system.deployment,
@@ -175,12 +176,42 @@ def test_uncertified_plan_falls_back_to_sequential():
         plan=plan,
         workers=4,
         max_items_per_source=MAX_ITEMS,
+        schedule=FAULT_CASES[faults_key]() if faults_key else None,
+        repair=system.plan_repairer().repair if faults_key else None,
+        capture=lambda name, item: captured.setdefault(name, []).append(
+            serialize(item)
+        ),
     )
     metrics = simulator.run()
     assert simulator.mode_used == "sequential"
     assert simulator.workers_used == 1
-    seq_metrics, _, _ = run_system(1)
+    assert simulator.exchange_items == 0 and simulator.partition_conflicts == 0
+    seq_metrics, seq_cap, _ = run_system(1, faults_key=faults_key)
     assert metrics == seq_metrics
+    assert captured == seq_cap
+    assert metrics.faults_applied == (2 if faults_key else 0)
+
+
+def test_uncertified_plan_falls_back_to_sequential():
+    check_uncertified_plan_runs_sequentially(None)
+
+
+def test_uncertified_plan_falls_back_to_sequential_under_faults():
+    """Without a certificate the run is the one loop over one cell, not
+    a second simulator: faults, repair and reconcile included."""
+    check_uncertified_plan_runs_sequentially("crash_rejoin")
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_non_positive_batch_size_is_rejected(sharded):
+    """Validated once, where both simulators are built: with no items
+    per pump the clock would never advance."""
+    system = deployed_system()
+    extra = {"plan": system.shard_plan(), "workers": 2} if sharded else {}
+    with pytest.raises(ExecutionError, match="batch size must be positive"):
+        (ShardedSimulator if sharded else StreamSimulator)(
+            system.net, system.deployment, {}, DURATION, batch_size=0, **extra
+        )
 
 
 def test_single_worker_request_stays_sequential():
@@ -313,15 +344,14 @@ def test_partition_conflict_keeps_the_partition_in_both_modes(mode, case):
 # ----------------------------------------------------------------------
 def test_headers_equal_a_recount_of_the_unpickled_frames(monkeypatch):
     frames = []
-    result = _ProcessCell.result
+    step_all = ShardedSimulator._step_all
 
-    def spying_result(cell):
-        payload = result(cell)
-        if isinstance(payload, tuple) and isinstance(payload[0], dict):
-            frames.extend(frame for _, frame in payload[0].values())
-        return payload
+    def spying_step_all(simulator, until, pending):
+        merged = step_all(simulator, until, pending)
+        frames.extend(frame for group in merged.values() for frame in group)
+        return merged
 
-    monkeypatch.setattr(_ProcessCell, "result", spying_result)
+    monkeypatch.setattr(ShardedSimulator, "_step_all", spying_step_all)
     _, _, simulator = run_system(2, mode="process")
     assert frames and all(isinstance(frame, bytes) for frame in frames)
     batches = [batch for frame in frames for _, batch in pickle.loads(frame)]

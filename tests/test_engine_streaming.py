@@ -1,9 +1,10 @@
 """Tests for the single-pass streaming executor.
 
 The central contract: :class:`StreamSimulator` (streaming) and
-:class:`MaterializingSimulator` (the seed executor, kept as oracle)
-produce *identical* ``RunMetrics`` — same link bits, same peer work,
-same delivery counts — on every built-in scenario and strategy.
+:class:`MaterializingSimulator` (the seed executor, kept beside this
+test as the oracle, ``tests/oracle_materializing.py``) produce
+*identical* ``RunMetrics`` — same link bits, same peer work, same
+delivery counts — on every built-in scenario and strategy.
 """
 
 from fractions import Fraction
@@ -11,10 +12,10 @@ from fractions import Fraction
 import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system
+from tests.oracle_materializing import MaterializingSimulator
 from repro.bench.harness import run_scenario
 from repro.engine.executor import (
     ExecutionError,
-    MaterializingSimulator,
     StreamSimulator,
     interleave_round_robin,
     topological_streams,

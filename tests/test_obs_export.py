@@ -155,15 +155,3 @@ class TestPrometheusText:
             if line.startswith("# TYPE repro_exchange_pair_items_total ")
         ]
         assert len(type_lines) == 1
-
-    def test_compat_flag_restores_mangled_names(self, recorder):
-        recorder.inc("exchange.cell0->cell1.items", 803)
-        text = prometheus_text(recorder, compat=True)
-        assert "repro_exchange_cell0__cell1_items 803" in text
-        # Only the mandatory histogram `le` label survives in compat.
-        labeled = [
-            line for line in text.splitlines()
-            if "{" in line and 'le="' not in line
-        ]
-        assert labeled == []
-        assert "repro_op_select_batch_s_count 1" in text
