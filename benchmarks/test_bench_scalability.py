@@ -71,10 +71,10 @@ class TestScalability:
         assert growth < peer_growth
 
     def test_deployments_healthy(self, scaling_runs):
-        from repro.sharing.validate import validate_deployment
+        from repro.analysis import verify_deployment
 
         for run in scaling_runs.values():
-            assert validate_deployment(run.system.deployment) == []
+            assert verify_deployment(run.system.deployment).ok
 
     def test_write_report(self, scaling_runs):
         series = {

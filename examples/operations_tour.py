@@ -3,7 +3,7 @@
 A tour of the operational API around the optimizer:
 
 * ``explain_registration`` — why the optimizer chose a plan;
-* ``validate_deployment`` — audit the network state's invariants;
+* ``verify_deployment`` — audit the network state's invariants;
 * ``deployment_to_json`` — export the state for dashboards;
 * ``deregister_query`` — tear down subscriptions with reference-counted
   stream garbage collection.
@@ -19,11 +19,11 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import PhotonGenerator, PhotonStreamConfig, StreamGlobe, example_topology
+from repro.analysis import verify_deployment
 from repro.sharing import (
     deployment_to_json,
     explain_deployment,
     explain_registration,
-    validate_deployment,
 )
 
 CONFIG = PhotonStreamConfig(seed=20060326, frequency=100.0)
@@ -53,8 +53,8 @@ def main() -> None:
         print()
 
     print("=== deployment audit ===")
-    problems = validate_deployment(system.deployment)
-    print("invariant violations:", problems or "none")
+    report = verify_deployment(system.deployment)
+    print("invariant violations:", "none" if report.ok else report.render())
     print()
     print(explain_deployment(system.deployment))
 
@@ -74,7 +74,7 @@ def main() -> None:
     print(f"removed streams: {sorted(removed)}")
     print("only the original source stream remains:",
           list(system.deployment.streams))
-    assert validate_deployment(system.deployment) == []
+    assert verify_deployment(system.deployment).ok
 
 
 if __name__ == "__main__":

@@ -20,17 +20,15 @@ Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..predicates import ZERO, PredicateGraph
 from ..properties import AggregationSpec, ReAggregationSpec
 from ..xmlkit import Element, Path
+from .columnar import Batch, RowBatch
 from .eval import rebase
 from .operators import EngineError, Operator
 from .window import SlidingWindower, WindowBatch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnBatch
 
 
 # ----------------------------------------------------------------------
@@ -96,9 +94,10 @@ class PartialAggregate:
         return self.total / self.count
 
 
-def _number_text(value: float) -> str:
-    """Canonical numeric rendering (integers without trailing ``.0``)."""
-    if value == int(value) and abs(value) < 1e15:
+def number_text(value: float) -> str:
+    """Canonical numeric rendering (integers without trailing ``.0``;
+    the magnitude test comes first: ``int`` rejects ``inf`` and ``nan``)."""
+    if abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -113,14 +112,14 @@ def partial_to_wire(partial: PartialAggregate, function: str) -> Element:
     """
     children: List[Element] = []
     if function in ("avg", "sum"):
-        children.append(Element("sum", text=_number_text(partial.total)))
+        children.append(Element("sum", text=number_text(partial.total)))
         children.append(Element("count", text=partial.count))
     elif function == "count":
         children.append(Element("count", text=partial.count))
     elif function in ("min", "max"):
         value = partial.minimum if function == "min" else partial.maximum
         if value is not None:
-            children.append(Element(function, text=_number_text(value)))
+            children.append(Element(function, text=number_text(value)))
         children.append(Element("count", text=partial.count))
     else:
         raise EngineError(f"unknown aggregation function {function!r}")
@@ -189,7 +188,6 @@ class WindowAggregateOperator(Operator):
     """
 
     kind = "aggregation"
-    columnar = True
 
     def __init__(
         self, spec: AggregationSpec, item_path: Path, reorder_capacity: int = 0
@@ -203,8 +201,8 @@ class WindowAggregateOperator(Operator):
             float(spec.window.size), float(spec.window.step)
         )
         self._count = 0
-        # Rebase both navigation paths once; per-item evaluation is then
-        # pure tree walking (same values as item_number on the spec paths).
+        # Rebase both navigation paths once (same values as item_number
+        # on the spec paths).
         self._aggregated_steps = rebase(spec.aggregated_path, item_path).steps
         self._reference_steps = (
             None
@@ -220,30 +218,14 @@ class WindowAggregateOperator(Operator):
         else:
             self._reorder = None
 
-    def process(self, item: Element) -> List[Element]:
-        position = self._position(item)
-        if position is None:
-            return []
-        value = item.number(self._aggregated_steps)
-        payload = value if value is not None else float("nan")
-        if self._reorder is None:
-            batches = self._windower.add(position, payload)
-        else:
-            batches = []
-            for ordered_position, ordered_payload in self._reorder.add(position, payload):
-                batches.extend(self._windower.add(ordered_position, ordered_payload))
-        return [w for w in map(self._emit, batches) if w is not None]
+    def process_columns(self, batch: Batch) -> Batch:
+        """Gather the position/value columns once, then fold the rows
+        into windows one by one in batch order.
 
-    def process_columns(self, batch: "ColumnBatch") -> List[Element]:
-        """Columnar aggregation: gather the position/value columns once,
-        then run the identical sequential window folds.
-
-        The windower's float arithmetic is order-sensitive, so rows are
-        folded one by one in batch order — same calls, same state, same
-        emitted wire items as the tree path; only the per-row tree
-        navigation and float parsing are replaced by column reads.
-        Window state is shared with :meth:`process`, so columnar and
-        tree batches can interleave across fallback boundaries.
+        The windower's float arithmetic is order-sensitive, so the fold
+        is sequential whatever store the batch lives in; a row without
+        a position is skipped, one without a value still advances the
+        windows (it folds as a NaN marker that ``_emit`` drops).
         """
         rows = batch.rows
         values = batch.number_column(self._aggregated_steps)
@@ -252,7 +234,7 @@ class WindowAggregateOperator(Operator):
             assert self._reference_steps is not None
             positions = batch.number_column(self._reference_steps)
             if positions is None:
-                return []  # reference path never resolves: every row skipped
+                return RowBatch(())  # reference path never resolves: every row skipped
         out: List[Element] = []
         nan = float("nan")
         emit = self._emit
@@ -279,7 +261,7 @@ class WindowAggregateOperator(Operator):
                     batches.extend(windower_add(ordered_position, ordered_payload))
             if batches:  # a window completes on under 1 % of the rows
                 out.extend(w for w in map(emit, batches) if w is not None)
-        return out
+        return RowBatch(out)
 
     def flush(self) -> List[Element]:
         batches = []
@@ -288,14 +270,6 @@ class WindowAggregateOperator(Operator):
                 batches.extend(self._windower.add(position, payload))
         batches.extend(self._windower.flush())
         return [w for w in map(self._emit, batches) if w is not None]
-
-    def _position(self, item: Element) -> Optional[float]:
-        if self.spec.window.kind == "count":
-            position = float(self._count)
-            self._count += 1
-            return position
-        assert self._reference_steps is not None
-        return item.number(self._reference_steps)
 
     def _emit(self, batch: WindowBatch[float]) -> Optional[Element]:
         values = [v for v in batch.contents if v == v]  # drop NaN markers

@@ -1,53 +1,60 @@
-"""Columnar batch evaluation for the hot operator path.
+"""The engine's one batch form: a view over a shape store or a row store.
 
-A :class:`ColumnBatch` is a struct-of-arrays view over a batch of
-*regular* stream items: every item shares the exact same nested element
-structure (the photon workload, partial-aggregate wire items, ...), so
-the batch is represented as the tuple of source elements plus lazily
-materialized flat columns — one text/number column per leaf element —
-and a *selection vector* of surviving row indices.  Operators that know
-how to work on columns (:meth:`Operator.process_columns`) then run as
-array passes:
+Every batch in the engine answers one view API — ``len``, ``rows``,
+``number_column(steps)``, ``derive(rows)``, ``project(keep)``,
+``decode()``, ``serialized_bytes()``, pickling and ``detached()`` —
+over one of two stores, chosen once, at ingest, from the batch itself
+(:func:`encode_ingest`):
 
-* selection refines the row vector with fused predicate comparisons
-  (:func:`repro.predicates.vectorized.filter_rows`);
-* projection swaps the batch's *virtual shape* for a pruned one — a
-  pure metadata change, no trees are built or copied;
-* window/aggregate operators gather the position/value columns and run
-  the exact same sequential window folds as the tree path;
-* delivery counting (:class:`DeliveryKernel`) exploits that a
-  restructured result count is structurally invariant across rows of
-  one shape, replacing per-item restructuring with one calibration
-  build per shape.
+* :class:`ColumnBatch` — a struct-of-arrays view over a batch of
+  *regular* items: at least :data:`AUTO_MIN_ROWS` rows that all share
+  one interned shape (the photon workload).  The store holds lazily
+  materialized flat columns, one per leaf element; projection swaps the
+  view's *virtual shape* (pure metadata), trees are rebuilt only where
+  a boundary needs them, and a view pickles as its shape signature plus
+  its surviving leaf text columns, arriving over a store that holds no
+  trees at all.
+* :class:`RowBatch` — the same API over the frozen trees themselves,
+  for everything else: irregular or small source batches and the
+  element lists operators emit (``<agg>``, ``<window>``, UDF output).
+  Number columns are gathered per path on first use and shared by every
+  derived view, projection prunes each row, ``decode()`` is the
+  surviving trees, and the view ships as its element list.
 
-Trees are rebuilt (:meth:`ColumnBatch.decode`) only at boundaries that
-genuinely need them: operators without kernels, result capture,
-multi-input combination, and irregular batches never leave the tree
-path at all (the schema-sniffing encoder falls back per batch).  A
-shard boundary is *not* one of them: a view pickles as its shape
-signature plus its surviving leaf text columns and arrives as a column
-batch over a store that holds no trees at all (DESIGN.md §14).
+Operators are written once against this API (:mod:`.operators`):
+selection refines the row vector with fused predicate comparisons
+(:func:`repro.predicates.vectorized.filter_rows`), window and aggregate
+operators gather the position/value columns and fold sequentially in
+batch order, and delivery counting (:class:`DeliveryKernel`) exploits
+that a restructured result count is structurally invariant across rows
+of one interned shape.
 
 **Byte identity.** Every number the executor accounts — produced
-counts, produced bytes, per-stage input counts, delivery inputs and
-results, exchange items/bytes — is computed from the columns to be
-integer-identical to the tree path (``serialized_bytes`` reproduces the
-frozen-size formula; the count kernel reproduces per-item
-``len(build(item))``), so ``RunMetrics`` and the obs epoch series are
-byte-identical under ``REPRO_COLUMNAR=on|off`` (DESIGN.md §14).
-
-The switch: ``REPRO_COLUMNAR=auto|on|off`` — ``auto`` (default)
-encodes source batches of at least :data:`AUTO_MIN_ROWS` items;
-``on`` always attempts encoding (identity tests); ``off`` never does.
+counts and bytes, per-stage input counts, delivery inputs and results,
+exchange items/bytes — is integer-identical on either store
+(``serialized_bytes`` reproduces the frozen-size formula; the count
+kernel reproduces per-item ``len(build(item))``), so ``RunMetrics`` and
+the obs epoch series do not depend on which store a batch landed in
+(DESIGN.md §14).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 from ..wxquery import DirectElement, EnclosedExpr, Expr, IfExpr, SequenceExpr
-from ..xmlkit import Element
+from ..xmlkit import Element, Path, prune_to_paths
 from ..xmlkit.columns import (
     Shape,
     ShapeNode,
@@ -57,17 +64,17 @@ from ..xmlkit.columns import (
     shape_for_signature,
     shape_of,
 )
-from .restructure import Restructurer
 
-ENV_VAR = "REPRO_COLUMNAR"
+if TYPE_CHECKING:  # pragma: no cover - typing only (restructure imports operators)
+    from .restructure import Restructurer
 
-#: ``auto`` mode only encodes batches at least this large: tiny batches
-#: (the materializing oracle pushes single items) don't amortize the
-#: validation/extraction overhead.
+#: Ingest only sniffs batches at least this large: tiny batches (the
+#: materializing oracle pushes single items) don't amortize the
+#: validation/extraction overhead and go to a row store unexamined.
 AUTO_MIN_ROWS = 8
 
-#: A stream batch anywhere in the engine: plain trees or a column view.
-Batch = Union[Sequence[Element], "ColumnBatch"]
+#: A stream batch anywhere in the engine: a view over either store.
+Batch = Union["ColumnBatch", "RowBatch"]
 
 #: Always-on plain-int counters (same idiom as the PR 4/5 cache
 #: counters): bumped on the encode/decode/bypass paths, surfaced as
@@ -96,22 +103,8 @@ def reset_columnar_stats() -> None:
         STATS[key] = 0
 
 
-def columnar_mode() -> str:
-    """Resolve the ``REPRO_COLUMNAR`` switch to ``auto``/``on``/``off``."""
-    value = os.environ.get(ENV_VAR, "").strip().lower()
-    if value in ("", "auto"):
-        return "auto"
-    if value in ("on", "1", "true", "always"):
-        return "on"
-    if value in ("off", "0", "false", "never"):
-        return "off"
-    raise ValueError(
-        f"{ENV_VAR} must be auto, on or off (got {value!r})"
-    )
-
-
 # ----------------------------------------------------------------------
-# The batch store and the column view
+# The shape store and its column view
 # ----------------------------------------------------------------------
 def _parse_number(text: Optional[str]) -> Optional[float]:
     """Mirror :meth:`Element.number`: missing text or a non-float parse
@@ -216,8 +209,20 @@ class ColumnBatch:
         """Same shape, refined row vector (selection output)."""
         return ColumnBatch(self.store, rows, self.vshape)
 
-    def project(self, vshape: ShapeNode) -> "ColumnBatch":
-        """Same rows, pruned virtual shape (projection output)."""
+    def project(self, keep: Tuple[Tuple[str, ...], ...]) -> "ColumnBatch":
+        """Same rows, virtual shape pruned to the ``keep`` step tuples
+        (projection output).
+
+        Pruning is structural, so one shape-level prune answers for
+        every row: a ``None`` pruned shape means every item of this
+        shape prunes to nothing (all rows dropped), anything else is a
+        pure metadata change — no trees are built until a downstream
+        boundary decodes, and byte accounting flows from the pruned
+        shape's size columns, identical to freezing the pruned trees.
+        """
+        vshape = self.vshape.prune(keep)
+        if vshape is None:
+            return self.derive([])
         if vshape is self.vshape:
             return self
         return ColumnBatch(self.store, self.rows, vshape)
@@ -229,7 +234,7 @@ class ColumnBatch:
         """Numeric column for a child-axis path, or ``None`` when the
         path misses the shape or lands on an interior node — both mean
         every row evaluates to ``None``, exactly like
-        ``Element.number`` on the tree path."""
+        ``Element.number`` on the row's tree."""
         node = self.vshape.resolve(steps)
         if node is None or node.column is None:
             return None
@@ -251,9 +256,9 @@ class ColumnBatch:
         An unprojected view returns the original (frozen-at-ingest)
         elements; a projected view — or any view of a store that
         arrived as columns — rebuilds exactly what ``prune_to_paths``
-        would have produced per item, frozen so downstream accounting
-        sees pinned sizes.  Cached — repeated boundaries (several
-        tree-only stages) decode once.
+        produces per item, frozen so downstream accounting sees pinned
+        sizes.  Cached — repeated boundaries (several per-item stages)
+        decode once.
         """
         decoded = self._decoded
         if decoded is None:
@@ -352,75 +357,140 @@ def _arrive(
     The shipped shape becomes the receiver's *root* shape (interned in
     the registry ``shape_of`` uses), so every kernel sees what it would
     see on a freshly encoded batch of the same items.  A full registry
-    on the receiver yields the equal tree batch instead.
+    on the receiver yields the equal trees in a row store instead.
     """
     shape = shape_for_signature(signature)
     if shape is None:
-        return elements_from_columns(signature, columns, count)
+        return RowBatch(elements_from_columns(signature, columns, count))
     batch = ColumnBatch(_BatchStore(shape, None, columns), range(count), shape.root)
     batch._bytes = total_bytes
     return batch
 
 
-def apply_operator(operator, batch: Batch) -> Batch:
-    """Evaluate one operator stage on a tree or column batch.
+# ----------------------------------------------------------------------
+# The row store and its view
+# ----------------------------------------------------------------------
+class RowBatch:
+    """The view API of :class:`ColumnBatch` over a row store.
 
-    Column batches go to the operator's kernel when it has one;
-    operators without kernels see decoded trees (per item, in order),
-    so every operator observes the exact input sequence the tree path
-    would have fed it.  Shared by the prefix trie and ``Pipeline``.
+    The store is what no interned shape describes — irregular or small
+    source batches, operator-emitted elements — kept as the trees
+    themselves, frozen on the way in (sizes are pinned and the gathered
+    columns cannot go stale), plus the number columns its consumers
+    asked for.  A column is gathered over *all* rows on first use and
+    indexed by base row position; derived views share trees and
+    columns, so sibling stages of a prefix trie navigate each path once
+    per batch instead of once per item and stage.
     """
-    if isinstance(batch, ColumnBatch):
-        if operator.columnar:
-            return operator.process_columns(batch)
-        process = operator.process
-        return [produced for item in batch.decode() for produced in process(item)]
-    process = operator.process
-    return [produced for item in batch for produced in process(item)]
+
+    __slots__ = ("elements", "rows", "_numbers", "_decoded", "_bytes")
+
+    def __init__(self, items: Iterable[Element]) -> None:
+        self.elements = elements = tuple([item.freeze() for item in items])
+        self.rows: Sequence[int] = range(len(elements))
+        self._numbers: Dict[Tuple[str, ...], List[Optional[float]]] = {}
+        self._decoded: Optional[Tuple[Element, ...]] = elements
+        self._bytes: Optional[int] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<RowBatch rows={len(self.rows)} of {len(self.elements)}>"
+
+    def derive(self, rows: Sequence[int]) -> "RowBatch":
+        """Same store, refined row vector (selection output)."""
+        view = RowBatch.__new__(RowBatch)
+        view.elements = self.elements
+        view.rows = rows
+        view._numbers = self._numbers
+        view._decoded = view._bytes = None
+        return view
+
+    def project(self, keep: Tuple[Tuple[str, ...], ...]) -> "RowBatch":
+        """The surviving rows pruned to the ``keep`` step tuples, in a
+        fresh store; rows that retain nothing are dropped."""
+        paths = [Path(steps) for steps in keep]
+        pruned = (prune_to_paths(item, paths) for item in self.decode())
+        return RowBatch(item for item in pruned if item is not None)
+
+    def number_column(self, steps: Tuple[str, ...]) -> List[Optional[float]]:
+        """``Element.number(steps)`` of every row of the store."""
+        col = self._numbers.get(steps)
+        if col is None:
+            col = self._numbers[steps] = [
+                element.number(steps) for element in self.elements
+            ]
+        return col
+
+    def decode(self) -> Tuple[Element, ...]:
+        """The trees of the surviving rows (cached)."""
+        decoded = self._decoded
+        if decoded is None:
+            elements = self.elements
+            decoded = self._decoded = tuple([elements[i] for i in self.rows])
+        return decoded
+
+    def serialized_bytes(self) -> int:
+        """The pinned sizes of the surviving rows, summed (cached)."""
+        total = self._bytes
+        if total is None:
+            total = self._bytes = sum(
+                [item.serialized_size() for item in self.decode()]
+            )
+        return total
+
+    def __reduce__(self) -> tuple:
+        """Ships as its element list (pinned sizes included)."""
+        return (RowBatch, (list(self.decode()),))
+
+    def detached(self) -> "RowBatch":
+        """A view that holds the surviving trees only: a filtered view
+        leaves the rest of its batch and the gathered columns behind."""
+        decoded = self.decode()
+        return self if decoded is self.elements else RowBatch(decoded)
 
 
 def batch_bytes(batch: Batch) -> int:
-    """Serialized bytes of a batch, column- or tree-represented."""
-    if isinstance(batch, ColumnBatch):
-        return batch.serialized_bytes()
-    return sum(item.serialized_size() for item in batch)
+    """Serialized bytes of a batch.  A function of its own because the
+    executor's byte accounting is timed under this name (sharebench
+    wraps ``repro.engine.executor.batch_bytes``)."""
+    return batch.serialized_bytes()
 
 
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
 def encode_batch(items: Sequence[Element]) -> Batch:
-    """Encode a batch, or return it unchanged when it cannot be.
+    """A shape store when every item validates against the first
+    item's interned shape, a row store otherwise.
 
-    Fallback predicate (DESIGN.md §14): the first item's shape must be
-    within the sniffing bounds and registry capacity, and *every* item
-    must validate against it — one irregular document sends the whole
-    batch down the tree path (never a partial split, so batch order and
-    per-stage input counts are trivially preserved).
+    The shape must be within the sniffing bounds and registry capacity
+    and *every* item must validate against it — one irregular document
+    sends the whole batch to a row store (never a partial split, so
+    batch order and per-stage input counts are trivially preserved).
     """
     if not items:
-        return items
+        return RowBatch(items)
     shape = shape_of(items[0])
     if shape is None:
         STATS["batches_bypassed_shape"] += 1
-        return items
+        return RowBatch(items)
     validate = shape.validator
     for item in items:
         if not validate(item):
             STATS["batches_bypassed_irregular"] += 1
-            return items
+            return RowBatch(items)
     STATS["batches_encoded"] += 1
     STATS["rows_encoded"] += len(items)
     store = _BatchStore(shape, tuple(items))
     return ColumnBatch(store, range(len(items)), shape.root)
 
 
-def encode_ingest(batch: List[Element], mode: str) -> Batch:
-    """Source-ingest encoding under the resolved mode."""
-    if mode == "off" or not batch:
-        return batch
-    if mode != "on" and len(batch) < AUTO_MIN_ROWS:
-        return batch
+def encode_ingest(batch: Sequence[Element]) -> Batch:
+    """Pick the store of a batch entering the engine, from the batch."""
+    if len(batch) < AUTO_MIN_ROWS:
+        return RowBatch(batch)
     return encode_batch(batch)
 
 
@@ -457,8 +527,9 @@ class DeliveryKernel:
     ``wire_to_partial``/``final`` rules.
 
     :meth:`count` returns ``None`` whenever it will not vouch for
-    exactness (conditional return clause, unparsable wire fields) — the
-    caller then decodes and takes the per-item tree path.
+    exactness (rows of no interned shape, conditional return clause,
+    unparsable wire fields) — the caller then decodes and builds per
+    item.
     """
 
     __slots__ = ("restructurer", "countable", "_const")
@@ -469,7 +540,9 @@ class DeliveryKernel:
         #: Calibrated results-per-emitting-row, keyed by virtual shape.
         self._const: Dict[ShapeNode, int] = {}
 
-    def count(self, batch: ColumnBatch) -> Optional[int]:
+    def count(self, batch: Batch) -> Optional[int]:
+        if isinstance(batch, RowBatch):
+            return None  # no interned shape to calibrate on; not a fallback
         if not self.countable:
             STATS["delivery_kernel_fallbacks"] += 1
             return None
@@ -509,7 +582,7 @@ class DeliveryKernel:
         try:
             counts = [int(text) if text else 0 for text in count_col]
         except ValueError:
-            return None  # malformed wire item: let the tree path raise
+            return None  # malformed wire item: let the per-item build raise
         if function == "avg":
             emitting = [i for i in rows if counts[i] > 0]
         else:  # min / max: also need the carried value element

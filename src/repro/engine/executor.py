@@ -86,10 +86,8 @@ from .accounting import (
 )
 from .columnar import (
     Batch,
-    ColumnBatch,
     DeliveryKernel,
     batch_bytes,
-    columnar_mode,
     columnar_stats,
     encode_ingest,
 )
@@ -183,33 +181,26 @@ class _SingleDelivery:
         self.inputs = 0
         self.results = 0
         self.capture = capture
-        #: Lazily built column count kernel (capture-free feeds only).
-        self._kernel: Optional[DeliveryKernel] = None
+        #: Count kernel of capture-free feeds.
+        self._kernel = DeliveryKernel(self.restructurer)
 
     def feed(self, batch: Batch) -> None:
         self.inputs += len(batch)
         build = self.restructurer.build
         capture = self.capture
-        if isinstance(batch, ColumnBatch):
-            if capture is None:
-                # Count-only delivery: the kernel counts restructured
-                # results per shape without building the trees; it
-                # vouches for exactness or returns None (then decode
-                # and take the per-item path below).
-                kernel = self._kernel
-                if kernel is None:
-                    kernel = self._kernel = DeliveryKernel(self.restructurer)
-                count = kernel.count(batch)
-                if count is not None:
-                    self.results += count
-                    return
-            batch = batch.decode()
         if capture is None:
-            for item in batch:
+            # Count-only delivery: the kernel counts restructured
+            # results per shape without building the trees; it vouches
+            # for exactness or returns None (then build per item).
+            count = self._kernel.count(batch)
+            if count is not None:
+                self.results += count
+                return
+            for item in batch.decode():
                 self.results += len(build(item))
             return
         name = self.record.name
-        for item in batch:
+        for item in batch.decode():
             out = build(item)
             self.results += len(out)
             for produced in out:
@@ -242,11 +233,9 @@ class _MultiDelivery:
         self.capture = capture
 
     def feed(self, index: int, batch: Batch) -> None:
-        if isinstance(batch, ColumnBatch):
-            # Combination interleaves whole buffered streams item by
-            # item — a genuine tree boundary.
-            batch = batch.decode()
-        self.buffers[index].extend(batch)
+        # Combination interleaves whole buffered streams item by item —
+        # a genuine tree boundary.
+        self.buffers[index].extend(batch.decode())
         self.gauge.add(len(batch))
 
     def finish(self) -> None:
@@ -347,9 +336,8 @@ def _strip_parent(stream: "InstalledStream") -> "InstalledStream":
     return dataclasses.replace(stream, parent_id=None)
 
 
-#: One exchanged unit: ``(stream_id, items)`` in producer emission
-#: order; the payload is a plain item list (irregular batches) or a
-#: :class:`~repro.engine.columnar.ColumnBatch`.
+#: One exchanged unit: ``(stream_id, batch)`` in producer emission
+#: order.
 Exchanged = Tuple[str, Batch]
 
 #: What a cell hands over after a step, per destination cell: a header
@@ -396,9 +384,6 @@ class Cell:
         #: Operator batches time into per-operator latency histograms
         #: (traced runs only; see :func:`_make_op_timer`).
         self._op_timer = _make_op_timer(recorder) if recorder.enabled else None
-        #: ``REPRO_COLUMNAR`` resolved once per cell (forked cells
-        #: inherit the environment, so all cells of a run agree).
-        self._columnar_mode = columnar_mode()
         self._gauge = _Gauge()
         self._nodes: Dict[str, _StreamNode] = {}
         self._proxies: Set[str] = set()
@@ -662,7 +647,6 @@ class Cell:
         produced = self._produced[stream.stream_id]
         batch_size = self.batch_size
         limit = sys.maxsize if self.max_items is None else self.max_items
-        mode = self._columnar_mode
         next_item = generator.next_item
         clock = generator.clock
         while clock < until and produced < limit:
@@ -676,7 +660,7 @@ class Cell:
                 if clock >= until:
                     break
             produced += len(batch)
-            self._pump(node, encode_ingest(batch, mode))
+            self._pump(node, encode_ingest(batch))
         self._produced[stream.stream_id] = produced
 
     def _drain_source(self, stream_id: str, until: float) -> None:
@@ -696,8 +680,9 @@ class Cell:
     def _pump(self, node: _StreamNode, batch: Batch) -> None:
         """Consume one batch of ``node``'s items: account, deliver, fan out."""
         gauge = self._gauge
-        gauge.add(len(batch))
-        node.produced_count += len(batch)
+        count = len(batch)
+        gauge.add(count)
+        node.produced_count += count
         if node.has_hops:
             node.produced_bytes += batch_bytes(batch)
         for feed in node.deliveries:
@@ -706,7 +691,7 @@ class Cell:
             self._pump(relay, batch)
         for _, trie, _ in node.trie_groups:
             trie.evaluate(batch, self._emit, gauge, self._op_timer)
-        gauge.sub(len(batch))
+        gauge.sub(count)
 
     def _emit(self, stream_id: str, out: Batch) -> None:
         self._pump(self._nodes[stream_id], out)
@@ -714,7 +699,7 @@ class Cell:
     def _export(self, stream_id: str, batch: Batch) -> None:
         """The feed of a stream other cells consume."""
         if len(batch):  # an empty batch is a no-op downstream
-            parked = batch.detached() if isinstance(batch, ColumnBatch) else batch
+            parked = batch.detached()
             for consumer in self._exports[stream_id]:
                 self._outbox.setdefault(consumer, []).append((stream_id, parked))
 

@@ -23,8 +23,8 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..properties import OperatorSpec
-from ..xmlkit import Element, Path
-from .columnar import Batch, ColumnBatch, apply_operator
+from ..xmlkit import Path
+from .columnar import Batch
 from .operators import Operator, build_operator
 
 
@@ -136,9 +136,8 @@ class PrefixTree:
         """Push one input batch through every stage exactly once.
 
         ``emit(stream_id, outputs)`` is invoked for every terminal
-        stream, with tree outputs already frozen (size-pinned) for
-        cheap transport accounting; column-batch outputs keep their
-        size columns instead.  Empty batches short-circuit without
+        stream; the output view answers transport accounting from
+        pinned sizes or size columns.  Empty batches short-circuit without
         touching operator state, matching per-stream pipelines which
         never call an operator on an empty batch.  ``timer``, when
         given, observes ``(stage, input_count, wall_seconds)`` per
@@ -155,26 +154,25 @@ class PrefixTree:
         gauge: Optional[_Gauge],
         timer: Optional[Callable[[PrefixStage, int, float], None]] = None,
     ) -> None:
-        if not batch:
+        inputs = len(batch)
+        if not inputs:
             return
-        stage.input_count += len(batch)
+        stage.input_count += inputs
         if timer is None:
-            out = apply_operator(stage.operator, batch)
+            out = stage.operator.process_columns(batch)
         else:
             start = perf_counter()
-            out = apply_operator(stage.operator, batch)
-            timer(stage, len(batch), perf_counter() - start)
-        if not isinstance(out, ColumnBatch):
-            for produced in out:
-                produced.freeze()
+            out = stage.operator.process_columns(batch)
+            timer(stage, inputs, perf_counter() - start)
+        outputs = len(out)
         if gauge is not None:
-            gauge.add(len(out))
+            gauge.add(outputs)
         for stream_id in stage.streams:
             emit(stream_id, out)
         for child in stage.children:
             self._evaluate(child, out, emit, gauge, timer)
         if gauge is not None:
-            gauge.sub(len(out))
+            gauge.sub(outputs)
 
 
 def group_pipelines(

@@ -1,11 +1,14 @@
 """Operator base class and the factory that builds executable operators
 from the operator *specs* stored in properties and plans.
 
-Every operator is a push-based transformer: ``process(item)`` consumes
-one input item and returns zero or more output items.  ``flush()``
-drains any end-of-stream state (open windows are *not* flushed by
-default — continuous queries never see end-of-stream; the executor only
-calls ``flush`` when a benchmark explicitly asks for drained state).
+Every operator is a push-based transformer with two entry points —
+``process(item)`` consumes one input item and returns zero or more
+output items, ``process_columns(batch)`` consumes a batch view and
+returns one — of which a subclass implements **exactly one**; the base
+class derives the other (DESIGN.md §14).  ``flush()`` drains any
+end-of-stream state (open windows are *not* flushed by default —
+continuous queries never see end-of-stream; the executor only calls
+``flush`` when a benchmark explicitly asks for drained state).
 
 Work accounting: the executor charges ``base_load(op.kind) · pindex``
 work units per *input* item, which is exactly the cost model's
@@ -15,7 +18,7 @@ and measurement share one constant table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Union
+from typing import List
 
 from ..properties import (
     AggregationSpec,
@@ -28,37 +31,36 @@ from ..properties import (
     WindowContentsSpec,
 )
 from ..xmlkit import Element, Path
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnBatch
+from .columnar import Batch, RowBatch
 
 
 class Operator:
-    """Base push operator; subclasses set ``kind`` and override hooks."""
+    """Base push operator; subclasses set ``kind`` and implement one of
+    :meth:`process` and :meth:`process_columns` (each default is
+    written in terms of the other, so implementing neither recurses).
+
+    Either way every operator observes its input rows one by one in
+    batch order, so views over different stores interleave freely on
+    one operator instance.
+    """
 
     kind: str = "abstract"
 
-    #: ``True`` when the subclass implements :meth:`process_columns`;
-    #: the trie/pipeline dispatch on this flag (one attribute read)
-    #: instead of ``hasattr`` per batch.  Operators without a kernel
-    #: receive decoded trees from the caller.
-    columnar: bool = False
-
     def process(self, item: Element) -> List[Element]:
-        """Consume one item; return the produced items (possibly none)."""
-        raise NotImplementedError
+        """Consume one item; return the produced items (possibly none).
 
-    def process_columns(
-        self, batch: "ColumnBatch"
-    ) -> Union[List[Element], "ColumnBatch"]:
-        """Consume a column batch (only when ``columnar`` is ``True``).
+        Default: the batch kernel over a one-row view (which freezes
+        the item, like everything that enters the engine)."""
+        return list(self.process_columns(RowBatch((item,))).decode())
 
-        Must be observationally identical to calling :meth:`process`
-        on every decoded row in order — same outputs, same operator
-        state afterwards — so tree and columnar batches can interleave
-        freely on one operator instance (fallback boundaries).
-        """
-        raise NotImplementedError
+    def process_columns(self, batch: Batch) -> Batch:
+        """Consume a batch view; return the view of the produced items.
+
+        Default: :meth:`process` per decoded row, in order."""
+        process = self.process
+        return RowBatch(
+            [produced for item in batch.decode() for produced in process(item)]
+        )
 
     def flush(self) -> List[Element]:
         """Drain remaining state at explicit end-of-stream (default: none)."""

@@ -8,14 +8,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..properties import OperatorSpec
 from ..xmlkit import Element, Path
-from .columnar import (
-    AUTO_MIN_ROWS,
-    Batch,
-    ColumnBatch,
-    apply_operator,
-    columnar_mode,
-    encode_batch,
-)
+from .columnar import encode_ingest
 from .operators import Operator, build_operator
 from .restructure import Restructurer
 
@@ -84,7 +77,7 @@ class Pipeline:
 
     def process_batch(
         self,
-        items: Batch,
+        items: Sequence[Element],
         timer: Optional[Callable[[Operator, int, float], None]] = None,
     ) -> List[Element]:
         """Fold ``items`` through every stage.
@@ -94,36 +87,24 @@ class Pipeline:
         shared-prefix trie's timer; the disabled path is one ``None``
         check per stage.
 
-        When ``REPRO_COLUMNAR`` permits it and the batch is regular,
-        the fold runs over a :class:`ColumnBatch`; stages without a
-        columnar kernel see decoded trees, and the return value is
-        always a plain element list (decoded at the boundary), so the
-        public contract — outputs, per-stage ``input_counts`` — is
-        unchanged bit for bit.
+        The items enter the way a source batch enters a cell —
+        :func:`~repro.engine.columnar.encode_ingest` picks their store
+        (a row store freezes them) — and the outputs are decoded at the
+        end, so the contract is elements in, an element list out.
         """
-        batch: Batch = list(items) if not isinstance(items, ColumnBatch) else items
-        if not isinstance(batch, ColumnBatch):
-            mode = columnar_mode()
-            if (
-                mode != "off"
-                and (mode == "on" or len(batch) >= AUTO_MIN_ROWS)
-                and any(operator.columnar for operator in self.operators)
-            ):
-                batch = encode_batch(batch)
+        batch = encode_ingest(items)
         for index, operator in enumerate(self.operators):
             if not batch:
                 break
             self.input_counts[index] += len(batch)
             if timer is None:
-                batch = apply_operator(operator, batch)
+                batch = operator.process_columns(batch)
             else:
                 inputs = len(batch)
                 start = perf_counter()
-                batch = apply_operator(operator, batch)
+                batch = operator.process_columns(batch)
                 timer(operator, inputs, perf_counter() - start)
-        if isinstance(batch, ColumnBatch):
-            return list(batch.decode())
-        return batch
+        return list(batch.decode())
 
     def flush(self) -> List[Element]:
         """Drain stage state front-to-back (explicit end-of-stream)."""

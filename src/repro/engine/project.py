@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, List, Tuple, Union
+from typing import FrozenSet, Tuple
 
-from ..xmlkit import Element, Path, prune_to_paths
+from ..xmlkit import Path
+from .columnar import Batch
 from .operators import Operator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnBatch
 
 
 class ProjectOperator(Operator):
@@ -20,34 +18,16 @@ class ProjectOperator(Operator):
     """
 
     kind = "projection"
-    columnar = True
 
     def __init__(self, output_elements: FrozenSet[Path], item_path: Path) -> None:
         self.item_path = item_path
-        self._relative = [path.relative_to(item_path) for path in output_elements]
-        #: Step tuples of the retained paths, precomputed once for the
-        #: columnar kernel's shape-prune cache key.
+        #: Step tuples of the retained paths, relative to the item root
+        #: (hashable: a shape store caches its prune per keep-set).
         self._keep_steps: Tuple[Tuple[str, ...], ...] = tuple(
-            tuple(path.steps) for path in self._relative
+            path.relative_to(item_path).steps for path in output_elements
         )
 
-    def process(self, item: Element) -> List[Element]:
-        pruned = prune_to_paths(item, self._relative)
-        return [pruned] if pruned is not None else []
-
-    def process_columns(
-        self, batch: "ColumnBatch"
-    ) -> Union[List[Element], "ColumnBatch"]:
-        """Columnar projection: swap the batch's virtual shape.
-
-        Pruning is structural, so one shape-level prune answers for
-        every row: a ``None`` pruned shape means every item of this
-        shape prunes to nothing (all rows dropped), anything else is a
-        pure metadata change — no trees are built until a downstream
-        boundary decodes.  Byte accounting flows from the pruned
-        shape's size columns, identical to freezing the pruned trees.
-        """
-        vshape = batch.vshape.prune(self._keep_steps)
-        if vshape is None:
-            return batch.derive([])
-        return batch.project(vshape)
+    def process_columns(self, batch: Batch) -> Batch:
+        """The batch's own projection: a shape store swaps its virtual
+        shape, a row store prunes each row."""
+        return batch.project(self._keep_steps)

@@ -30,7 +30,7 @@ from ..wxquery import (
     VarOutput,
 )
 from ..xmlkit import Element
-from .aggregate import wire_to_partial
+from .aggregate import number_text, wire_to_partial
 from .operators import EngineError, Operator
 
 #: A binding value during return-clause evaluation.
@@ -223,9 +223,7 @@ def _assemble(tag: str, parts: List[Value]) -> Element:
 
 def _scalar_text(value: Value) -> str:
     assert isinstance(value, float)
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+    return number_text(value)
 
 
 def _as_elements(values: List[Value]) -> List[Element]:

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..predicates import ZERO, PredicateGraph
 from ..predicates.vectorized import filter_rows
-from ..xmlkit import Element, Path
+from ..xmlkit import Path
+from .columnar import Batch
 from .eval import rebase
 from .operators import Operator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnBatch
-
 #: One compiled predicate edge: rebased navigation steps for both
 #: operands (``None`` encodes the zero node), the additive bound, and
-#: strictness.  Precompiled once per operator so per-item evaluation
-#: never constructs :class:`~repro.xmlkit.Path` objects.
+#: strictness.  Precompiled once per operator so evaluation never
+#: constructs :class:`~repro.xmlkit.Path` objects.
 _CompiledEdge = Tuple[Optional[Tuple[str, ...]], Optional[Tuple[str, ...]], float, bool]
 
 
@@ -33,12 +31,13 @@ class SelectOperator(Operator):
     """Filter items by a conjunctive predicate graph.
 
     Semantically identical to evaluating :func:`repro.engine.eval.satisfies`
-    per item; the predicate edges are compiled at construction time so the
-    per-item work is pure tree navigation.
+    per item (the reference the tests compare with); the predicate edges
+    are compiled at construction time and evaluated one fused comparison
+    pass per edge over the batch's number columns
+    (:func:`repro.predicates.vectorized.filter_rows`).
     """
 
     kind = "selection"
-    columnar = True
 
     def __init__(self, graph: PredicateGraph, item_path: Path) -> None:
         self.graph = graph
@@ -47,45 +46,12 @@ class SelectOperator(Operator):
         self.seen = 0
         self.passed = 0
 
-    def process(self, item: Element) -> List[Element]:
-        self.seen += 1
-        if self._accepts(item):
-            self.passed += 1
-            return [item]
-        return []
-
-    def process_columns(self, batch: "ColumnBatch") -> "ColumnBatch":
-        """Vectorized selection: refine the batch's row vector.
-
-        One fused comparison pass per predicate edge
-        (:func:`repro.predicates.vectorized.filter_rows`), byte-
-        identical to per-item :meth:`_accepts` over the decoded rows.
-        """
+    def process_columns(self, batch: Batch) -> Batch:
+        """Refine the batch's row vector to the accepted rows."""
         self.seen += len(batch)
         rows = filter_rows(self._edges, batch.rows, batch.number_column)
         self.passed += len(rows)
         return batch.derive(rows)
-
-    def _accepts(self, item: Element) -> bool:
-        for source_steps, target_steps, value, strict in self._edges:
-            # Element.number returns None for a missing path or a
-            # non-numeric text; either operand being None fails the
-            # whole conjunction.  The zero node contributes 0.0.
-            left: Optional[float] = (
-                0.0 if source_steps is None else item.number(source_steps)
-            )
-            right: Optional[float] = (
-                0.0 if target_steps is None else item.number(target_steps)
-            )
-            if left is None or right is None:
-                return False
-            limit = right + value
-            if strict:
-                if not left < limit:
-                    return False
-            elif not left <= limit:
-                return False
-        return True
 
     @property
     def observed_selectivity(self) -> float:

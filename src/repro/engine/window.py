@@ -13,15 +13,13 @@ regular cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generic, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from ..properties import WindowContentsSpec
 from ..xmlkit import Element, Path
+from .columnar import Batch, RowBatch
 from .eval import rebase
 from .operators import EngineError, Operator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnBatch
 
 T = TypeVar("T")
 
@@ -141,7 +139,6 @@ class WindowContentsOperator(Operator):
     """
 
     kind = "window"
-    columnar = True
 
     def __init__(self, spec: WindowContentsSpec, item_path: Path) -> None:
         self.spec = spec
@@ -150,33 +147,25 @@ class WindowContentsOperator(Operator):
             float(spec.window.size), float(spec.window.step)
         )
         self._count = 0
-        # Rebase the reference path once; per-item positioning is then
-        # pure navigation (same value as item_number on the spec path).
+        # Rebase the reference path once (same value as item_number on
+        # the spec path).
         self._reference_steps = (
             None
             if spec.window.reference is None
             else rebase(spec.window.reference, item_path).steps
         )
 
-    def process(self, item: Element) -> List[Element]:
-        position = self._position(item)
-        if position is None:
-            return []
-        batches = self._windower.add(position, item)
-        return [self._emit(batch) for batch in batches]
-
-    def process_columns(self, batch: "ColumnBatch") -> List[Element]:
-        """Columnar window filling: positions come from the reference
-        column, payloads are the decoded items (the emitted ``<window>``
-        elements copy the items themselves, so trees are needed here
-        anyway).  Same sequential windower calls as :meth:`process`;
-        state is shared across tree/columnar batches."""
+    def process_columns(self, batch: Batch) -> Batch:
+        """Fill windows row by row in batch order: positions come from
+        the reference column (rows without one are skipped), payloads
+        are the decoded items — the emitted ``<window>`` elements copy
+        the items themselves, so trees are needed here anyway."""
         count_kind = self.spec.window.kind == "count"
         if not count_kind:
             assert self._reference_steps is not None
             positions = batch.number_column(self._reference_steps)
             if positions is None:
-                return []  # reference path never resolves: every row skipped
+                return RowBatch(())  # reference path never resolves: every row skipped
         items = batch.decode()
         out: List[Element] = []
         windower_add = self._windower.add
@@ -191,18 +180,10 @@ class WindowContentsOperator(Operator):
                     continue
                 position = reference
             out.extend(map(emit, windower_add(position, items[offset])))
-        return out
+        return RowBatch(out)
 
     def flush(self) -> List[Element]:
         return [self._emit(batch) for batch in self._windower.flush()]
-
-    def _position(self, item: Element) -> Optional[float]:
-        if self.spec.window.kind == "count":
-            position = float(self._count)
-            self._count += 1
-            return position
-        assert self._reference_steps is not None
-        return item.number(self._reference_steps)
 
     @staticmethod
     def _emit(batch: WindowBatch[Element]) -> Element:

@@ -244,8 +244,9 @@ def _slo_table(log: RunLog) -> Optional[str]:
 
 
 def _columnar_table(counters: Dict[str, float]) -> Optional[str]:
-    """Columnar-engine counter table, or ``None`` when the run never
-    touched the columnar path (tree-only runs print nothing)."""
+    """Columnar-engine counter table, or ``None`` when the run bumped
+    no ``columnar.*`` counter (every batch small enough for a row store
+    unexamined, or an untraced run)."""
     rows = [
         [name[len("columnar."):], int(value)]
         for name, value in sorted(counters.items())

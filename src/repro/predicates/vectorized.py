@@ -2,22 +2,22 @@
 
 The selection operator compiles its predicate graph once into edge
 tuples ``(source_steps, target_steps, bound, strict)`` where ``None``
-steps encode the zero node (see :mod:`repro.engine.select`).  The tree
-path evaluates them per item; :func:`filter_rows` evaluates one edge at
-a time across a whole column batch, refining the surviving row vector —
-the fused-comparison form of the same conjunction.
+steps encode the zero node (see :mod:`repro.engine.select`).
+:func:`filter_rows` — the engine's one predicate evaluator — evaluates
+one edge at a time across a whole batch, refining the surviving row
+vector: the fused-comparison form of the conjunction.
 
-Semantics are pinned to ``SelectOperator._accepts``: an operand whose
-path does not resolve (or is not numeric) makes the item fail the whole
+Semantics are pinned to :func:`repro.engine.eval.satisfies`, the
+per-item reference the tests compare it with: an operand whose path
+does not resolve (or is not numeric) makes the item fail the whole
 conjunction, the zero node contributes ``0.0``, and each edge tests
 ``left ≤ right + bound`` (strict: ``<``) with the identical operand
-order and float arithmetic, so tree and columnar evaluation accept
-byte-identical row sets.
+order and float arithmetic, so both accept byte-identical row sets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 #: A compiled edge (re-exported shape; owned by repro.engine.select).
 CompiledEdge = Tuple[Optional[Tuple[str, ...]], Optional[Tuple[str, ...]], float, bool]
@@ -37,7 +37,7 @@ def filter_rows(
 
     Evaluates edge-by-edge over the surviving rows (cheapest-first
     short-circuit: an empty survivor set stops immediately), exactly
-    mirroring the per-item conjunction of ``SelectOperator._accepts``.
+    mirroring the per-item conjunction of ``satisfies``.
     """
     for source_steps, target_steps, bound, strict in edges:
         if not rows:
@@ -99,7 +99,3 @@ def filter_rows(
             ]
     return rows
 
-
-def rows_as_list(rows: Sequence[int]) -> List[int]:
-    """Materialize a row vector (``range`` views included) as a list."""
-    return rows if isinstance(rows, list) else list(rows)

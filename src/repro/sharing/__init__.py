@@ -16,7 +16,6 @@ from .explain import explain_deployment, explain_registration
 from .rebalance import HotPeerCostModel, MigrationReport, Rebalancer
 from .repair import PlanRepairer, RepairReport
 from .export import deployment_to_dict, deployment_to_json
-from .validate import DeploymentInvariantError, check_deployment, validate_deployment
 from .widening import WideningAction, WideningPlanner, widen_content
 
 __all__ = [
@@ -41,14 +40,11 @@ __all__ = [
     "WideningPlanner",
     "Deregistrar",
     "DeregistrationError",
-    "DeploymentInvariantError",
-    "check_deployment",
     "deployment_to_dict",
     "deployment_to_json",
     "derive_compensation",
     "explain_deployment",
     "explain_registration",
     "live_stream_ids",
-    "validate_deployment",
     "widen_content",
 ]

@@ -22,7 +22,7 @@ from ..costmodel import (
     StreamStatistics,
 )
 from ..engine import RunMetrics, StreamSimulator
-from ..engine.executor import ItemGenerator
+from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import default_recorder
 from ..properties import StreamProperties, extract_from_analysis, raw_stream_properties
@@ -550,8 +550,9 @@ class StreamGlobe:
         instead of one, so ``RunMetrics`` is byte-identical to the
         sequential run at every worker count.  Defaults to the
         ``REPRO_PARALLEL`` environment variable (worker count; unset
-        or ``1`` means sequential); ``REPRO_PARALLEL_MODE`` picks the
-        backend (``auto``/``process``/``inline``).
+        or ``1`` means sequential, a count below 1 is rejected whichever
+        way it arrived); ``REPRO_PARALLEL_MODE`` picks the backend
+        (``auto``/``process``/``inline``).
 
         ``rebalancer`` — an optional
         :class:`~repro.sharing.rebalance.Rebalancer` (constructed over
@@ -575,6 +576,8 @@ class StreamGlobe:
                     raise ValueError(
                         f"REPRO_PARALLEL must be a worker count, got {env!r}"
                     ) from None
+        if workers is not None and workers < 1:
+            raise ExecutionError("workers must be >= 1")
         simulator: StreamSimulator
         if workers is not None and workers > 1:
             from ..engine.parallel import ShardedSimulator

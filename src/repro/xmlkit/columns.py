@@ -26,8 +26,8 @@ column per leaf element.  This module owns the shape machinery:
   projection becomes a column-set change, no trees are built;
 * :func:`leaf_sizes` / :func:`leaf_size` / :func:`escaped_text_len`
   reproduce the byte accounting of :meth:`Element.serialized_size`
-  exactly, so column-computed sizes are integer-identical to the tree
-  path's frozen sizes.
+  exactly, so column-computed sizes are integer-identical to the
+  trees' frozen sizes.
 
 Everything here is deterministic: shapes are interned by value, columns
 are numbered in document order, and code generation depends only on the
@@ -45,7 +45,7 @@ from .element import Element, _escape_text
 Signature = Tuple[str, tuple]
 
 #: Sniffing limits: shapes beyond these bounds are never columnarized
-#: (the tree path handles them; deep/wide documents don't batch well).
+#: (a row store holds them; deep/wide documents don't batch well).
 MAX_SHAPE_NODES = 64
 MAX_SHAPE_DEPTH = 12
 
@@ -489,7 +489,7 @@ def shape_of(element: Element) -> Optional[Shape]:
     """Sniff and intern ``element``'s shape.
 
     Returns ``None`` when the item is out of bounds or the registry is
-    full — both mean "stay on the tree path".
+    full — both mean "keep the trees" (a row store).
     """
     signature = _signature_of(element)
     return None if signature is None else shape_for_signature(signature)

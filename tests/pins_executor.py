@@ -127,8 +127,10 @@ CASES: Dict[str, Case] = {
 SLO_COUNTERS = ("query", "delivered_inputs", "delivered_results", "items_lost",
                 "migrations", "parked")
 
-#: Recorder series left out of the projection: ``columnar.*`` counts
-#: kernel dispatches, which depend on ``REPRO_COLUMNAR``.
+#: Recorder series left out of the projection: ``columnar.*`` are
+#: process-local counts of how batches were stored and decoded — they
+#: describe the execution (which process ran a cell, what crossed a
+#: cut), not its output.
 _UNPINNED_PREFIXES = ("columnar.",)
 
 

@@ -53,12 +53,52 @@ def reroute(system, stream_id, route):
 # ----------------------------------------------------------------------
 # Valid deployments verify clean
 # ----------------------------------------------------------------------
+def own_peer_system(strategy):
+    """The paper's queries, each at its own thin peer."""
+    system = make_system(strategy)
+    for name, peer in [("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")]:
+        system.register_query(name, PAPER_QUERIES[name], peer)
+    return system
+
+
+def widened_system():
+    """A narrow stream installed first, then widened for a broader query."""
+    system = make_system("stream-sharing", enable_widening=True)
+    system.register_query("narrow", PAPER_QUERIES["Q2"], "P2")
+    system.register_query("wide", PAPER_QUERIES["Q1"], "P1")
+    return system
+
+
+def scenario_one_system(**options):
+    from repro.bench.harness import run_scenario
+    from repro.workload.scenarios import scenario_one
+
+    return run_scenario(
+        scenario_one(), "stream-sharing", execute=False, **options
+    ).system
+
+
+STRATEGIES = ["data-shipping", "query-shipping", "stream-sharing"]
+
+
 @pytest.mark.parametrize(
-    "strategy", ["data-shipping", "query-shipping", "stream-sharing"]
+    "build",
+    [
+        *(pytest.param(lambda s=s: registered_system(s), id=s) for s in STRATEGIES),
+        *(
+            pytest.param(lambda s=s: own_peer_system(s), id=f"own-peers-{s}")
+            for s in STRATEGIES
+        ),
+        pytest.param(widened_system, id="widened"),
+        pytest.param(scenario_one_system, id="scenario-one"),
+        pytest.param(
+            lambda: scenario_one_system(enable_widening=True),
+            id="scenario-one-widened",
+        ),
+    ],
 )
-def test_registered_deployments_verify_clean(strategy):
-    system = registered_system(strategy)
-    report = verify_system(system)
+def test_registered_deployments_verify_clean(build):
+    report = verify_system(build())
     assert report.ok, report.render()
 
 

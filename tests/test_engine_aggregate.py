@@ -122,6 +122,13 @@ class TestWireFormat:
         assert wire.child("min") is None
         assert wire_to_partial(wire, "min").final("min") is None
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_non_finite_sum_round_trips(self, value):
+        """A stream may carry ``inf``: the rendering must not choke on it."""
+        wire = partial_to_wire(PartialAggregate.of_values([1.0, value]), "sum")
+        assert wire.child("sum").text == repr(value)
+        assert wire_to_partial(wire, "sum").final("sum") == value
+
     def test_bad_wire_item_rejected(self):
         from repro.engine.operators import EngineError
 

@@ -1,9 +1,9 @@
-"""Unit tests for the columnar batch accelerator (DESIGN.md §14).
+"""Unit tests for the engine's batch form (DESIGN.md §14).
 
-Covers the shape machinery (sniffing, validation, pruning), the
-ColumnBatch view (decode/size/pickle), each operator kernel's identity
-with its tree path, the delivery count kernel, and the end-to-end
-executor identity under ``REPRO_COLUMNAR=on`` vs ``off``.
+Covers the shape machinery (sniffing, validation, pruning), the two
+views (decode/size/pickle), what picks the store, each operator
+kernel on both stores, the delivery count kernel, and the end-to-end
+executor identity between runs whose batches land in different stores.
 """
 
 import pickle
@@ -18,16 +18,19 @@ from repro.engine import (
     SelectOperator,
     WindowAggregateOperator,
     partial_to_wire,
+    satisfies,
 )
+from repro.engine import columnar
 from repro.engine.columnar import (
     AUTO_MIN_ROWS,
     ColumnBatch,
     DeliveryKernel,
-    apply_operator,
-    columnar_mode,
+    RowBatch,
     columnar_stats,
     encode_batch,
+    encode_ingest,
 )
+from repro.engine.operators import Operator
 from repro.engine.restructure import Restructurer
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import (
@@ -78,10 +81,27 @@ class TestShapes:
     def test_irregular_batch_bypasses_whole_batch(self):
         items = batch_of(5)
         odd = element("photon", element("en", text=1.0)).freeze()
-        before = columnar_stats()["batches_bypassed_irregular"]
+        before = columnar_stats()
         out = encode_batch(items + [odd])
-        assert out == items + [odd]  # the original list, untouched
-        assert columnar_stats()["batches_bypassed_irregular"] == before + 1
+        assert isinstance(out, RowBatch)
+        assert list(out.decode()) == items + [odd]
+        assert out.decode()[0] is items[0]  # the trees themselves
+        assert out.serialized_bytes() == sum(e.serialized_size() for e in items + [odd])
+        before["batches_bypassed_irregular"] += 1
+        assert columnar_stats() == before  # bypassed, and nothing encoded
+
+    def test_auto_skips_small_batches(self):
+        """A batch below ``AUTO_MIN_ROWS`` goes to a row store unexamined:
+        neither encoded nor counted as bypassed."""
+        pipeline = Pipeline.from_specs(
+            [SelectionSpec(graph((EN, ">=", "1.0")))], ITEM
+        )
+        small = batch_of(AUTO_MIN_ROWS - 1)
+        before = columnar_stats()
+        assert pipeline.process_batch(small) == small
+        assert isinstance(encode_ingest(small), RowBatch)
+        assert columnar_stats() == before
+        assert isinstance(encode_ingest(batch_of(AUTO_MIN_ROWS)), ColumnBatch)
 
     def test_interned_shapes_share_nodes(self):
         a, b = photon(), photon(ra=99.0)
@@ -96,7 +116,7 @@ class TestShapes:
     def test_decode_row_and_serialized_bytes_match_trees(self):
         batch = encode_batch(batch_of(10))
         keep = (("coord", "cel", "ra"), ("en",))
-        pruned = batch.project(batch.vshape.prune(keep))
+        pruned = batch.project(keep)
         decoded = pruned.decode()
         expected = [
             prune_to_paths(item, [Path("coord/cel/ra"), Path("en")])
@@ -117,8 +137,7 @@ class TestShapes:
 
     def test_pickle_round_trip(self):
         batch = encode_batch(batch_of(9))
-        keep = (("en",),)
-        pruned = batch.project(batch.vshape.prune(keep))
+        pruned = batch.project((("en",),))
         clone = pickle.loads(pickle.dumps(pruned))
         assert isinstance(clone, ColumnBatch)
         assert [serialize(e) for e in clone.decode()] == [
@@ -127,8 +146,7 @@ class TestShapes:
         assert clone.serialized_bytes() == pruned.serialized_bytes()
 
     def test_arrival_interns_in_the_registry_shape_of_uses(self):
-        pruned = encode_batch(batch_of(5))
-        pruned = pruned.project(pruned.vshape.prune((("en",),)))
+        pruned = encode_batch(batch_of(5)).project((("en",),))
         clone = pickle.loads(pickle.dumps(pruned))
         # The shipped (pruned) shape is the receiver's root shape: the
         # very one sniffing an equal item yields.
@@ -141,57 +159,57 @@ class TestShapes:
 
         batch = encode_batch(batch_of(6))
         rows = SelectOperator(graph((RA, ">=", "123.0")), ITEM).process_columns(batch)
-        pruned = rows.project(rows.vshape.prune((("coord",), ("det_time",))))
+        pruned = rows.project((("coord",), ("det_time",)))
         wire = pickle.dumps(pruned)
         # A receiver whose registry is full and has never seen the shape.
         monkeypatch.setattr(columns, "_REGISTRY", {})
         monkeypatch.setattr(columns, "MAX_SHAPES", 0)
         arrived = pickle.loads(wire)
-        assert not isinstance(arrived, ColumnBatch)
-        assert list(arrived) == list(pruned.decode())
-        assert all(item.frozen for item in arrived)
-        assert [item.serialized_size() for item in arrived] == [
-            item.serialized_size() for item in pruned.decode()
-        ]
+        assert isinstance(arrived, RowBatch)
+        assert arrived.decode() == pruned.decode()
+        assert all(item.frozen for item in arrived.decode())
+        assert arrived.serialized_bytes() == pruned.serialized_bytes()
         assert columns.registry_size() == 0
 
+    def test_row_view_ships_its_surviving_trees(self):
+        items = batch_of(6)
+        view = RowBatch(items)
+        kept = view.derive([1, 4])
+        for arrived in (pickle.loads(pickle.dumps(kept)), kept.detached()):
+            assert isinstance(arrived, RowBatch)
+            assert list(arrived.decode()) == [items[1], items[4]]
+            assert len(arrived.elements) == 2  # the rest stayed home
+            assert arrived.serialized_bytes() == kept.serialized_bytes()
+        assert view.detached() is view
 
-class TestModeSwitch:
-    def test_mode_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
-        assert columnar_mode() == "auto"
-        for value, mode in (("on", "on"), ("1", "on"), ("off", "off"), ("0", "off")):
-            monkeypatch.setenv("REPRO_COLUMNAR", value)
-            assert columnar_mode() == mode
-        monkeypatch.setenv("REPRO_COLUMNAR", "sideways")
-        with pytest.raises(ValueError):
-            columnar_mode()
 
-    def test_auto_skips_small_batches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "auto")
-        pipeline = Pipeline.from_specs(
-            [SelectionSpec(graph((EN, ">=", "1.0")))], ITEM
-        )
-        small = batch_of(AUTO_MIN_ROWS - 1)
-        before = columnar_stats()["batches_encoded"]
-        assert pipeline.process_batch(small) == small
-        assert columnar_stats()["batches_encoded"] == before
+def both_stores(items):
+    """The same items as a shape-store and as a row-store view."""
+    shaped = encode_batch(items)
+    assert isinstance(shaped, ColumnBatch)
+    return shaped, RowBatch(items)
 
 
 class TestKernels:
     def test_select_kernel_matches_tree(self):
-        op_tree = SelectOperator(graph((RA, ">=", "125.0"), (EN, "<=", "1.8")), ITEM)
-        op_cols = SelectOperator(graph((RA, ">=", "125.0"), (EN, "<=", "1.8")), ITEM)
+        """On either store, the rows ``satisfies`` accepts per item."""
+        predicate = graph((RA, ">=", "125.0"), (EN, "<=", "1.8"))
         items = batch_of(20)
-        tree_out = [out for item in items for out in op_tree.process(item)]
-        cols_out = op_cols.process_columns(encode_batch(items))
-        assert list(cols_out.decode()) == tree_out
-        assert (op_cols.seen, op_cols.passed) == (op_tree.seen, op_tree.passed)
+        expected = [item for item in items if satisfies(item, predicate, ITEM)]
+        assert 0 < len(expected) < len(items)
+        for view in both_stores(items):
+            op = SelectOperator(predicate, ITEM)
+            assert list(op.process_columns(view).decode()) == expected
+            assert (op.seen, op.passed) == (len(items), len(expected))
+        op = SelectOperator(predicate, ITEM)
+        assert [out for item in items for out in op.process(item)] == expected
+        assert (op.seen, op.passed) == (len(items), len(expected))
 
     def test_select_kernel_missing_path_rejects_all(self):
-        op = SelectOperator(graph((ITEM / "ghost", ">=", "0.0")), ITEM)
-        out = op.process_columns(encode_batch(batch_of(6)))
-        assert len(out) == 0 and op.seen == 6 and op.passed == 0
+        for view in both_stores(batch_of(6)):
+            op = SelectOperator(graph((ITEM / "ghost", ">=", "0.0")), ITEM)
+            out = op.process_columns(view)
+            assert len(out) == 0 and op.seen == 6 and op.passed == 0
 
     def test_pipeline_identity_with_counts(self, monkeypatch):
         specs = [
@@ -199,14 +217,21 @@ class TestKernels:
             ProjectionSpec(frozenset({RA, EN}), frozenset({RA, EN})),
         ]
         items = batch_of(16)
-        monkeypatch.setenv("REPRO_COLUMNAR", "off")
-        tree = Pipeline.from_specs(specs, ITEM)
-        tree_out = tree.process_batch(list(items))
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
+        encoded = columnar_stats()["batches_encoded"]
         cols = Pipeline.from_specs(specs, ITEM)
         cols_out = cols.process_batch(list(items))
-        assert [serialize(e) for e in cols_out] == [serialize(e) for e in tree_out]
-        assert cols.input_counts == tree.input_counts
+        assert columnar_stats()["batches_encoded"] == encoded + 1
+        monkeypatch.setattr(columnar, "AUTO_MIN_ROWS", len(items) + 1)
+        rows = Pipeline.from_specs(specs, ITEM)
+        rows_out = rows.process_batch(list(items))
+        assert columnar_stats()["batches_encoded"] == encoded + 1
+        expected = [
+            prune_to_paths(item, [Path("coord/cel/ra"), Path("en")])
+            for item in items[3:]
+        ]
+        assert [serialize(e) for e in cols_out] == [serialize(e) for e in expected]
+        assert [serialize(e) for e in rows_out] == [serialize(e) for e in expected]
+        assert cols.input_counts == rows.input_counts == [16, 13]
 
     def test_aggregate_kernel_shares_state_with_tree_path(self):
         spec = AggregationSpec(
@@ -218,25 +243,36 @@ class TestKernels:
         )
         reference = WindowAggregateOperator(spec, ITEM)
         mixed = WindowAggregateOperator(spec, ITEM)
-        first, second = batch_of(10), [
-            photon(en=2.0 + i, t=float(10 + i)) for i in range(10)
+        first = batch_of(10)
+        second = [photon(en=2.0 + i, t=float(10 + i)) for i in range(10)]
+        third = [photon(en=0.5 * i, t=float(20 + i)) for i in range(10)]
+        ref_out = [
+            o for item in first + second + third for o in reference.process(item)
         ]
-        ref_out = [o for item in first + second for o in reference.process(item)]
-        # Columnar batch, then a tree batch across the fallback boundary:
-        # the windower state must carry over exactly.
-        mixed_out = list(mixed.process_columns(encode_batch(first)))
-        mixed_out += [o for item in second for o in mixed.process(item)]
+        # A shape-store batch, a row-store batch over the trees, then
+        # single items: the windower state must carry over exactly.
+        shaped = encode_batch(first)
+        assert isinstance(shaped, ColumnBatch)
+        mixed_out = list(mixed.process_columns(shaped).decode())
+        mixed_out += mixed.process_columns(RowBatch(second)).decode()
+        mixed_out += [o for item in third for o in mixed.process(item)]
         assert [serialize(e) for e in mixed_out] == [serialize(e) for e in ref_out]
+        assert len(ref_out) > 10
 
     def test_apply_operator_decodes_for_tree_only_operators(self):
-        class Doubler:
-            columnar = False
+        """Applying a per-item operator to a batch: the base class
+        decodes the view, loops, and wraps what came out, frozen."""
 
+        class Doubler(Operator):
             def process(self, item):
-                return [item, item]
+                return [item, item.copy()]
 
-        out = apply_operator(Doubler(), encode_batch(batch_of(4)))
-        assert isinstance(out, list) and len(out) == 8
+        decoded = columnar_stats()["batches_decoded"]
+        projected = encode_batch(batch_of(4)).project((("en",),))
+        out = Doubler().process_columns(projected)
+        assert isinstance(out, RowBatch) and len(out) == 8
+        assert all(item.frozen for item in out.decode())
+        assert columnar_stats()["batches_decoded"] == decoded + 1
 
 
 class TestDeliveryKernel:
@@ -284,23 +320,72 @@ class TestDeliveryKernel:
             partial_to_wire(PartialAggregate.of_values([2.0]), "avg").freeze()
             for _ in range(5)
         ]
+        before = columnar_stats()["delivery_kernel_fallbacks"]
         assert kernel.count(encode_batch(wire)) is None
+        assert columnar_stats()["delivery_kernel_fallbacks"] == before + 1
+
+    def test_row_store_is_not_vouched_for_and_is_no_fallback(self):
+        kernel = DeliveryKernel(self._restructurer(PAPER_QUERIES["Q1"]))
+        before = columnar_stats()
+        assert kernel.count(RowBatch(batch_of(9))) is None
+        assert columnar_stats() == before
+
+
+class _DetectorLess:
+    """Every 7th photon lacks ``coord/det`` — a subtree no paper query
+    reads — so every source batch lands in a row store."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.count = 0
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    def next_item(self):
+        item = self.inner.next_item()
+        self.count += 1
+        if self.count % 7 == 0:
+            coord = item.children[1]
+            assert coord.tag == "coord" and coord.children[1].tag == "det"
+            coord.children = coord.children[:1]
+        return item
 
 
 class TestExecutorIdentity:
-    def _run(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_COLUMNAR", mode)
+    def _run(self, wrap=None):
         system = make_system(verify=True)
+        if wrap is not None:
+            for source in system.sources.values():
+                source.generator_factory = (
+                    lambda factory=source.generator_factory: wrap(factory())
+                )
         for name in ("Q1", "Q3"):
             system.register_query(name, PAPER_QUERIES[name], f"P{name[1]}")
         outputs = []
+        before = columnar_stats()
         metrics = system.run(
             8.0, capture=lambda query, item: outputs.append((query, serialize(item)))
         )
-        return metrics, outputs
+        stats = {k: v - before[k] for k, v in columnar_stats().items()}
+        return metrics, outputs, stats
 
     def test_metrics_and_results_identical(self, monkeypatch):
-        tree_metrics, tree_out = self._run(monkeypatch, "off")
-        cols_metrics, cols_out = self._run(monkeypatch, "on")
-        assert cols_metrics == tree_metrics
-        assert cols_out == tree_out
+        """The store is picked by the input, never by the environment:
+        the same run with every batch forced into a row store, and with
+        input whose irregularity no query can see."""
+        # The counters are process-local: keep sharded cells in-process.
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+        cols_metrics, cols_out, cols_stats = self._run()
+        assert cols_stats["batches_encoded"] > 0
+        irregular_metrics, irregular_out, irregular_stats = self._run(_DetectorLess)
+        assert irregular_stats["batches_encoded"] == 0
+        assert irregular_stats["batches_bypassed_irregular"] > 0
+        assert irregular_out == cols_out
+        assert irregular_metrics.items_delivered == cols_metrics.items_delivered
+        monkeypatch.setattr(columnar, "AUTO_MIN_ROWS", 10**9)
+        rows_metrics, rows_out, rows_stats = self._run()
+        assert not any(rows_stats.values())
+        assert rows_metrics == cols_metrics
+        assert rows_out == cols_out

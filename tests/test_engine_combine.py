@@ -100,7 +100,7 @@ class TestMultiInputEndToEnd:
         assert metrics.items_delivered["pair"] == expected
 
     def test_multi_input_deployment_healthy(self):
-        from repro.sharing.validate import validate_deployment
+        from repro.analysis import verify_deployment
 
         system = StreamGlobe(_two_stream_network(), strategy="stream-sharing")
         for name, seed, peer in [("left", 1, "L"), ("right", 2, "R")]:
@@ -111,4 +111,4 @@ class TestMultiInputEndToEnd:
                 frequency=40.0, source_peer=peer,
             )
         system.register_query("pair", TWO_STREAM_QUERY, "U")
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok

@@ -12,7 +12,7 @@ from repro.engine import (
     item_number,
     satisfies,
 )
-from repro.engine.operators import EngineError
+from repro.engine.operators import EngineError, Operator
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import ProjectionSpec, RestructureSpec, SelectionSpec
 from repro.xmlkit import Element, Path, element
@@ -107,6 +107,38 @@ class TestBuildOperator:
     def test_unknown_spec_rejected(self):
         with pytest.raises(EngineError):
             build_operator(object(), ITEM)
+
+    def test_every_operator_implements_exactly_one_evaluation_method(self):
+        """One implementation per operator (DESIGN.md §14): a subclass
+        overrides ``process`` or ``process_columns`` and the base class
+        derives the other, so a second copy of an operator's logic
+        cannot grow back unnoticed."""
+        import repro.engine.udf  # noqa: F401 - build_operator imports it lazily
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        shipped = {
+            cls for cls in subclasses(Operator) if cls.__module__.startswith("repro.engine.")
+        }
+        assert {cls.__name__ for cls in shipped} == {
+            "SelectOperator",
+            "ProjectOperator",
+            "WindowAggregateOperator",
+            "ReAggregateOperator",
+            "WindowContentsOperator",
+            "UdfOperator",
+            "RestructureOperator",
+        }
+        for cls in shipped:
+            overridden = [
+                name
+                for name in ("process", "process_columns")
+                if getattr(cls, name) is not getattr(Operator, name)
+            ]
+            assert len(overridden) == 1, (cls.__name__, overridden)
 
 
 class TestPipeline:

@@ -18,7 +18,6 @@ import pytest
 from repro.engine import parallel
 from repro.engine.columnar import (
     batch_bytes,
-    columnar_mode,
     columnar_stats,
     reset_columnar_stats,
 )
@@ -375,7 +374,7 @@ def test_parent_neither_decodes_nor_encodes_exchanged_rows():
 
 class _EverySeventhIrregular:
     """Drops the first child of every 7th item: each source batch then
-    fails shape validation and stays on the tree path."""
+    fails shape validation and lands in a row store."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -412,8 +411,7 @@ def test_irregular_stream_ships_trees_and_stays_identical(mode):
 
     before = columnar_stats()["batches_bypassed_irregular"]
     seq_metrics, _ = run(1)
-    if columnar_mode() != "off":  # off: the encoder is never offered a batch
-        assert columnar_stats()["batches_bypassed_irregular"] > before
+    assert columnar_stats()["batches_bypassed_irregular"] > before
     par_metrics, simulator = run(2)
     assert simulator.mode_used == mode and simulator.exchange_items > 0
     assert par_metrics == seq_metrics
@@ -514,3 +512,15 @@ def test_repro_parallel_env_rejects_garbage(monkeypatch):
     system = deployed_system()
     with pytest.raises(ValueError, match="REPRO_PARALLEL"):
         system.run(DURATION, max_items_per_source=MAX_ITEMS)
+
+
+@pytest.mark.parametrize("workers, env", [(0, None), (-3, None), (None, "0")])
+def test_run_rejects_a_worker_count_below_one(monkeypatch, workers, env):
+    """Like ``ShardedSimulator(workers=0)``: not a silent sequential run."""
+    if env is None:
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_PARALLEL", env)
+    system = deployed_system()
+    with pytest.raises(ExecutionError, match="workers must be >= 1"):
+        system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=workers)

@@ -81,6 +81,12 @@ class TestAggregateQueries:
         (result,) = builder.build(wire)
         assert result.text == "2"
 
+    def test_non_finite_rendering(self):
+        builder = restructurer(PAPER_QUERIES["Q3"])
+        wire = partial_to_wire(PartialAggregate.of_values([1.0, float("inf")]), "avg")
+        (result,) = builder.build(wire)
+        assert result.text == "inf"
+
     def test_empty_window_produces_nothing(self):
         builder = restructurer(PAPER_QUERIES["Q3"])
         wire = partial_to_wire(PartialAggregate(), "avg")

@@ -20,6 +20,7 @@ from repro.engine.executor import (
     interleave_round_robin,
     topological_streams,
 )
+from repro.engine.columnar import encode_ingest
 from repro.engine.fanout import PrefixTree, group_pipelines
 from repro.engine.pipeline import Pipeline
 from repro.predicates import PredicateGraph, normalize_comparison
@@ -242,7 +243,10 @@ class TestPrefixTree:
 
         items = [_photon(en=e) for e in (0.5, 1.2, 2.0, 0.9, 1.8)]
         emitted = {}
-        tree.evaluate(items, lambda sid, out: emitted.setdefault(sid, []).extend(out))
+        tree.evaluate(
+            encode_ingest(items),
+            lambda sid, out: emitted.setdefault(sid, []).extend(out.decode()),
+        )
 
         for sid, specs, stage_path in (("s1", specs1, path1), ("s2", specs2, path2)):
             pipeline = Pipeline.from_specs(specs, ITEM)

@@ -1,22 +1,37 @@
-"""Property test: tree and columnar evaluation are observationally equal.
+"""Property tests: the two batch stores are observationally equal.
 
-For random photon batches — including irregular documents (missing
-paths, extra children) that force the whole-batch tree fallback — a
-pipeline run under ``REPRO_COLUMNAR=on`` must produce byte-identical
-outputs and identical per-stage ``input_counts`` to the same pipeline
-run under ``REPRO_COLUMNAR=off`` (see DESIGN.md §14).
+The engine has one implementation per operator, written against one
+batch view over either a shape store or a row store (DESIGN.md §14).
+What is left to hold is that the *stores* agree: the same random batch
+through the same operator chain as a :class:`ColumnBatch` and as a
+:class:`RowBatch` yields the same outputs, per-stage input counts,
+``serialized_bytes``, operator state and wire round trip — also when
+the two alternate on one operator instance — and that the store
+ingest picks from the input changes nothing a caller can observe.
+``repro.engine.eval.satisfies`` is the independent per-item reference
+for the selection kernel.
 """
 
-import os
-from contextlib import contextmanager
+import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Pipeline
-from repro.predicates import PredicateGraph, normalize_comparison
-from repro.properties import AggregationSpec, ProjectionSpec, SelectionSpec, WindowSpec
+from repro.engine import Pipeline, columnar, satisfies
+from repro.engine.columnar import ColumnBatch, RowBatch, encode_batch
+from repro.engine.operators import build_operator
+from repro.predicates import ZERO, PredicateGraph, normalize_comparison
+from repro.predicates.atoms import Bound
+from repro.properties import (
+    AggregationSpec,
+    ProjectionSpec,
+    SelectionSpec,
+    WindowContentsSpec,
+    WindowSpec,
+)
 from repro.xmlkit import Path, element
 from repro.xmlkit.serializer import serialize
 
@@ -28,12 +43,157 @@ TIME = ITEM / "det_time"
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+#: ``det_time`` values: a time-based window operator emits every window
+#: between two positions, so the span bounds the work per example.
+times = st.floats(min_value=0.0, max_value=300.0)
 
+#: Leaf texts a number column has to get right: small integers (so
+#: that bounds are met exactly, where strict and non-strict edges part
+#: ways) in several spellings ``float()`` accepts, text it rejects, no
+#: text, arbitrary floats.
+number_text = st.one_of(
+    st.integers(-2, 2).map(str),
+    st.sampled_from(["-0.0", "1e0", " 2 ", "2.0", "1_0", "nan", "inf", "-inf"]),
+    st.sampled_from([None, "", "abc", "0x10", "1,5"]),
+    finite,
+)
+
+
+def graph(path, op, const):
+    return PredicateGraph(
+        normalize_comparison(path, op, None, Fraction(str(const)))
+    )
+
+
+def chains():
+    diff = WindowSpec("diff", Fraction(10), Fraction(5), TIME)
+    count = WindowSpec("count", Fraction(3), Fraction(2), None)
+
+    def aggregate(window):
+        return AggregationSpec(
+            function="avg",
+            aggregated_path=EN,
+            window=window,
+            pre_selection=graph(EN, ">=", "-1000.0"),
+            result_filter=PredicateGraph(),
+        )
+
+    return {
+        "select_project": [
+            SelectionSpec(graph(RA, ">=", "0.0")),
+            ProjectionSpec(frozenset({RA, EN}), frozenset({RA, EN})),
+        ],
+        "aggregate": [aggregate(diff)],
+        "select_count_aggregate": [
+            SelectionSpec(graph(EN, "<=", "100.0")),
+            aggregate(count),
+        ],
+        "project_window": [
+            ProjectionSpec(frozenset({EN, TIME}), frozenset({EN, TIME})),
+            WindowContentsSpec(count),
+        ],
+    }
+
+
+# ----------------------------------------------------------------------
+# One chain, the same batches, either store
+# ----------------------------------------------------------------------
+def regular_photon(ra, en, t):
+    """One shape whatever the texts are (a textless leaf is still a leaf)."""
+    return element(
+        "photon",
+        element("coord", element("cel", element("ra", text=ra))),
+        element("en", text=en),
+        element("det_time", text=t),
+    ).freeze()
+
+
+def shape_view(items):
+    view = encode_batch(items)
+    assert isinstance(view, ColumnBatch) or not items
+    return view
+
+
+def described(view):
+    """Everything a consumer can observe of a stage's output view."""
+    decoded = view.decode()
+    arrived = pickle.loads(pickle.dumps(view))
+    assert arrived.decode() == decoded
+    assert arrived.serialized_bytes() == view.serialized_bytes()
+    assert all(item.frozen for item in decoded)
+    assert view.serialized_bytes() == sum(item.serialized_size() for item in decoded)
+    return len(view), [serialize(item) for item in decoded], view.serialized_bytes()
+
+
+def state_of(operator):
+    """The mutable state a kernel leaves behind, as comparable data."""
+    windower = getattr(operator, "_windower", None)
+    buffered = None
+    if windower is not None:
+        buffered = (
+            windower._next_index,
+            windower._last_position,
+            [
+                (position, repr(payload) if isinstance(payload, float) else serialize(payload))
+                for position, payload in windower._buffer
+            ],
+        )
+    return (
+        getattr(operator, "seen", None),
+        getattr(operator, "passed", None),
+        getattr(operator, "_count", None),
+        buffered,
+    )
+
+
+def run_chain(specs, batches, views):
+    """Fold ``batches`` through fresh operators, batch ``k`` entering as
+    ``views[k % len(views)]`` builds it; returns all that is observable."""
+    operators = [build_operator(spec, ITEM) for spec in specs]
+    trace = []
+    for index, items in enumerate(batches):
+        batch = views[index % len(views)](items)
+        for operator in operators:
+            if not batch:
+                break
+            inputs = len(batch)
+            batch = operator.process_columns(batch)
+            trace.append((type(operator).__name__, inputs, described(batch)))
+    return trace, [state_of(operator) for operator in operators]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(st.tuples(number_text, number_text, times), max_size=40),
+    name=st.sampled_from(sorted(chains())),
+    cuts=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+)
+# A window whose sum is not finite used to die in the wire rendering.
+@example(data=[("0", "inf", 0.0), ("0", "nan", 1.0), ("0", "0", 10.0)], name="aggregate", cuts=(0, 2))
+def test_tree_vs_columnar_identity(data, name, cuts):
+    """Row store (the trees) against shape store (their columns)."""
+    # Time-based windows require a det_time-sorted stream.
+    data = sorted(data, key=lambda row: row[2])
+    items = [regular_photon(*row) for row in data]
+    # Three batches, so stateful operators cross batch boundaries.
+    low, high = sorted(cuts)
+    batches = [items[:low], items[low:high], items[high:]]
+    specs = chains()[name]
+    reference = run_chain(specs, batches, [RowBatch])
+    assert run_chain(specs, batches, [shape_view]) == reference
+    # The two stores alternating on one operator instance.
+    assert run_chain(specs, batches, [shape_view, RowBatch]) == reference
+    assert run_chain(specs, batches, [RowBatch, shape_view]) == reference
+
+
+# ----------------------------------------------------------------------
+# Ingest picks the store from the batch; nobody can tell which
+# ----------------------------------------------------------------------
 # A row is (ra, en, det_time, variant).  Variant 0 is the regular
 # photon shape; 1 drops the selected path, 2 adds an extra child —
-# either irregularity must force the encoder's whole-batch fallback.
+# either irregularity sends the whole batch to a row store.
 rows = st.lists(
-    st.tuples(finite, finite, finite, st.integers(min_value=0, max_value=2)),
+    st.tuples(finite, finite, times, st.integers(min_value=0, max_value=2)),
     min_size=0,
     max_size=40,
 )
@@ -52,87 +212,132 @@ def photon(ra, en, t, variant):
     return element("photon", *children).freeze()
 
 
-def graph(path, op, const):
-    return PredicateGraph(
-        normalize_comparison(path, op, None, Fraction(str(const)))
-    )
-
-
-def pipelines():
-    select_project = [
-        SelectionSpec(graph(RA, ">=", "0.0")),
-        ProjectionSpec(frozenset({RA, EN}), frozenset({RA, EN})),
-    ]
-    aggregate = [
-        AggregationSpec(
-            function="avg",
-            aggregated_path=EN,
-            window=WindowSpec("diff", Fraction(10), Fraction(5), TIME),
-            pre_selection=graph(EN, ">=", "-1000.0"),
-            result_filter=PredicateGraph(),
-        )
-    ]
-    return {"select_project": select_project, "aggregate": aggregate}
-
-
-@contextmanager
-def columnar_env(mode):
-    prior = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = mode
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_COLUMNAR"]
-        else:
-            os.environ["REPRO_COLUMNAR"] = prior
-
-
-def run(specs, batches, mode):
-    with columnar_env(mode):
-        pipeline = Pipeline.from_specs(specs, ITEM)
-        outputs = []
-        for batch in batches:
-            outputs.extend(
-                serialize(out) for out in pipeline.process_batch(list(batch))
-            )
+def run_pipeline(specs, batches):
+    pipeline = Pipeline.from_specs(specs, ITEM)
+    outputs = []
+    for batch in batches:
+        outputs.extend(serialize(out) for out in pipeline.process_batch(list(batch)))
     return outputs, list(pipeline.input_counts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=rows, name=st.sampled_from(["select_project", "aggregate"]))
-def test_tree_vs_columnar_identity(data, name):
+def test_auto_mode_matches_off(data, name):
+    """The store ingest picks on its own — by batch size and regularity
+    — against every batch in a row store (``AUTO_MIN_ROWS`` out of
+    reach) and against the per-item API (one-row row stores)."""
     if name == "aggregate":
-        # Time-based windows require a det_time-sorted stream.
         data = sorted(data, key=lambda row: row[2])
     items = [photon(*row) for row in data]
-    # Two batches so stateful (window) operators cross a batch boundary;
-    # det_time order within the stream is whatever hypothesis drew.
     half = len(items) // 2
     batches = [items[:half], items[half:]]
-    specs = pipelines()[name]
-    tree_out, tree_counts = run(specs, batches, "off")
-    cols_out, cols_counts = run(specs, batches, "on")
-    assert cols_out == tree_out
-    assert cols_counts == tree_counts
+    specs = chains()[name]
+    picked = run_pipeline(specs, batches)
+    with mock.patch.object(columnar, "AUTO_MIN_ROWS", 10**9):
+        assert run_pipeline(specs, batches) == picked
+    assert run_pipeline(specs, [[item] for item in items]) == picked
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=rows)
-def test_auto_mode_matches_off(data):
-    items = [photon(*row) for row in data]
-    specs = pipelines()["select_project"]
-    tree_out, tree_counts = run(specs, [items], "off")
-    auto_out, auto_counts = run(specs, [items], "auto")
-    assert auto_out == tree_out
-    assert auto_counts == tree_counts
+# ----------------------------------------------------------------------
+# The selection kernel against the per-item reference
+# ----------------------------------------------------------------------
+LEAVES = ("a", "b", "c")
+#: Operand paths: the three leaves, an interior node, a path no
+#: document has, and the zero node.
+OPERANDS = [ITEM / "a", ITEM / "wrap/b", ITEM / "wrap/c", ITEM / "wrap", ITEM / "ghost", ZERO]
+
+bound_value = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]),
+    finite,
+)
+
+edges = st.lists(
+    st.tuples(
+        st.sampled_from(OPERANDS), st.sampled_from(OPERANDS), bound_value, st.booleans()
+    ),
+    max_size=4,
+)
+
+
+def predicate_graph(drawn):
+    predicate = PredicateGraph()
+    for source, target, value, strict in drawn:
+        if source != target and (source, target) not in predicate.edges:
+            predicate.add_edge(source, target, Bound(value, strict))
+    return predicate
+
+
+def document(texts, present):
+    """``<item><a/><wrap><b/><c/></wrap></item>`` with the leaves of
+    ``present`` (an empty ``wrap`` stays, as a textless leaf)."""
+    a, b, c = (
+        [element(tag, text=text)] if tag in present else []
+        for tag, text in zip(LEAVES, texts)
+    )
+    return element("item", *a, element("wrap", *b, *c)).freeze()
+
+
+def assert_selects_like_satisfies(predicate, view, items):
+    operator = build_operator(SelectionSpec(predicate), ITEM)
+    accepted = operator.process_columns(view).decode()
+    expected = [item for item in items if satisfies(item, predicate, ITEM)]
+    assert len(accepted) == len(expected)
+    assert all(got is want for got, want in zip(accepted, expected))
+    assert (operator.seen, operator.passed) == (len(items), len(expected))
+
+
+#: Texts and bounds that meet exactly (where strict and non-strict
+#: edges part ways), overflow, vanish, or are no number at all.
+EDGE_TEXTS = ["-2", "0", "-0.0", "1e0", " 2 ", "1_0", "nan", "inf", "-inf", "1e308", "abc", "", None]
+EDGE_BOUNDS = [0.0, -0.0, 1.0, -2.0, 4.0, 8.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+
+
+def test_selection_kernel_equals_satisfies_edge_by_edge():
+    """Every single edge over every pair of operands, bound and
+    strictness, on a batch holding every pair of texts."""
+    items = [
+        document((a, b, "1"), set(LEAVES)) for a in EDGE_TEXTS for b in EDGE_TEXTS
+    ]
+    views = (shape_view(items), RowBatch(items))
+    for source in OPERANDS:
+        for target in OPERANDS:
+            if source == target:
+                continue
+            for value in EDGE_BOUNDS:
+                for strict in (False, True):
+                    predicate = predicate_graph([(source, target, value, strict)])
+                    for view in views:
+                        assert_selects_like_satisfies(predicate, view, items)
+
+
+masks = st.sets(st.sampled_from(LEAVES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=edges,
+    texts=st.lists(st.tuples(number_text, number_text, number_text), min_size=1, max_size=12),
+    mask=masks,
+    row_masks=st.lists(masks, min_size=12, max_size=12),
+)
+def test_selection_kernel_equals_satisfies_on_both_stores(drawn, texts, mask, row_masks):
+    """Conjunctions of edges, over documents whose paths come and go."""
+    predicate = predicate_graph(drawn)
+    # One mask for all rows: a regular batch, offered to both stores.
+    regular = [document(row, mask) for row in texts]
+    assert_selects_like_satisfies(predicate, shape_view(regular), regular)
+    assert_selects_like_satisfies(predicate, RowBatch(regular), regular)
+    # A mask per row: only a row store can hold it.
+    irregular = [document(row, present) for row, present in zip(texts, row_masks)]
+    assert_selects_like_satisfies(predicate, encode_batch(irregular), irregular)
 
 
 # ----------------------------------------------------------------------
 # The wire form: a view ships its surviving columns and arrives as a
 # column batch every kernel treats like a freshly encoded one
 # ----------------------------------------------------------------------
-def regular_photon(ra, dec, en, t):
+def noted_photon(ra, dec, en, t):
     return element(
         "photon",
         element("coord", element("cel", element("ra", text=ra), element("dec", text=dec))),
@@ -163,29 +368,22 @@ stages = st.lists(
 
 def chain_view(items, chain):
     """The column view a select/project chain leaves of ``items``."""
-    from repro.engine.columnar import ColumnBatch, apply_operator, encode_batch
-    from repro.engine.operators import build_operator
-
     batch = encode_batch(items)
     for kind, arg in chain:
-        if not isinstance(batch, ColumnBatch):
-            break  # a projection dropped every item: plain empty list
         if kind == "select":
             spec = SelectionSpec(
                 PredicateGraph() if arg is None else graph(RA, ">=", str(arg))
             )
         else:
             spec = ProjectionSpec(arg, arg)
-        batch = apply_operator(build_operator(spec, ITEM), batch)
+        batch = build_operator(spec, ITEM).process_columns(batch)
     return batch
 
 
 def kernel_outputs(batch):
-    """What every columnar kernel makes of ``batch``, as comparable data."""
-    from repro.engine.columnar import DeliveryKernel, apply_operator
-    from repro.engine.operators import build_operator
+    """What every kernel makes of ``batch``, as comparable data."""
+    from repro.engine.columnar import DeliveryKernel
     from repro.engine.restructure import Restructurer
-    from repro.properties import WindowContentsSpec
     from repro.wxquery import analyze, parse_query
 
     window = WindowSpec("count", Fraction(3), Fraction(2), None)
@@ -203,9 +401,8 @@ def kernel_outputs(batch):
     ]
     outputs = []
     for spec in specs:
-        out = apply_operator(build_operator(spec, ITEM), batch)
-        rows = out.decode() if hasattr(out, "decode") else out
-        outputs.append([(serialize(e), e.freeze().serialized_size()) for e in rows])
+        out = build_operator(spec, ITEM).process_columns(batch)
+        outputs.append([(serialize(e), e.serialized_size()) for e in out.decode()])
     query = (
         '<out>{ for $p in stream("photons")/photons/photon '
         "return <r> { $p/en } { $p/det_time } </r> }</out>"
@@ -221,13 +418,9 @@ def kernel_outputs(batch):
     chain=stages,
 )
 def test_wire_round_trip_equals_sender_and_fresh_encode(data, chain):
-    import pickle
-
-    from repro.engine.columnar import ColumnBatch, encode_batch
-
-    view = chain_view([regular_photon(*row) for row in data], chain)
+    view = chain_view([noted_photon(*row) for row in data], chain)
     if not isinstance(view, ColumnBatch):
-        return  # nothing columnar to ship (empty input or all pruned)
+        return  # no shape to ship: an empty input is an empty row store
     sent = view.decode()
     for arrived in (pickle.loads(pickle.dumps(view)), view.detached()):
         assert isinstance(arrived, ColumnBatch) and arrived.store.elements is None
@@ -250,7 +443,7 @@ def test_wire_round_trip_equals_sender_and_fresh_encode(data, chain):
 
 # ----------------------------------------------------------------------
 # Column-wise byte accounting: the rule is chosen per column from its
-# content, the sizes are the tree path's, on every kind of view
+# content, the sizes are the frozen trees', on every kind of view
 # ----------------------------------------------------------------------
 #: Leaf texts of every class the size rule tells apart: plain ASCII
 #: (canonical numbers among them), markup characters, non-ASCII, none.
@@ -273,7 +466,7 @@ def loose_item(a, b, c):
     keep=st.sampled_from([None, (("a",),), (("wrap", "ç"),), (("a",), ("wrap", "b"))]),
 )
 def test_column_sizes_and_numbers_equal_the_tree_path(data, stride, keep):
-    from repro.engine.columnar import ColumnBatch, _parse_number, encode_batch
+    from repro.engine.columnar import _parse_number
     from repro.xmlkit.columns import leaf_size
 
     items = [loose_item(*row).freeze() for row in data]
@@ -281,7 +474,7 @@ def test_column_sizes_and_numbers_equal_the_tree_path(data, stride, keep):
     assert isinstance(full, ColumnBatch)
     view = full.derive(full.rows[::stride])
     if keep is not None:
-        view = view.project(view.vshape.prune(keep))
+        view = view.project(keep)
     for batch in (view, view.detached()):
         decoded = batch.decode()
         assert batch.serialized_bytes() == sum(e.serialized_size() for e in decoded)

@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system
 from repro.sharing.deregister import DeregistrationError, live_stream_ids
-from repro.sharing.validate import validate_deployment
+from repro.analysis import verify_deployment
 
 
 class TestBasicDeregistration:
@@ -51,7 +51,7 @@ class TestSharedStreamSurvival:
         assert "Q1:photons" not in removed
         assert "Q1:photons" in system.deployment.streams
         assert "Q2:photons" in system.deployment.streams
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok
 
     def test_cascade_when_last_consumer_leaves(self):
         system = make_system()
@@ -170,7 +170,7 @@ class TestScenarioChurn:
         # Deregister every other query, then audit.
         for result in run.registrations[::2]:
             system.deregister_query(result.query)
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok
         metrics = system.run(duration=10.0)
         remaining = {r.query for r in run.registrations[1::2]}
         assert set(metrics.items_delivered) <= remaining

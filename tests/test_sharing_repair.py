@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system
 from repro.faults import LinkFailure, SuperPeerCrash, SuperPeerRejoin
-from repro.sharing.validate import validate_deployment
+from repro.analysis import verify_deployment
 
 
 def register_all(system, names=("Q1", "Q2", "Q3", "Q4")):
@@ -25,7 +25,7 @@ class TestCrashRepair:
         assert "Q1" in report.torn_down_queries
         assert set(report.repaired_queries) == set(report.torn_down_queries)
         assert report.pending == []
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok
         # Every surviving route avoids the crashed peer.
         for stream in system.deployment.streams.values():
             assert "SP5" not in stream.route
@@ -67,7 +67,7 @@ class TestLinkFailureRepair:
         assert report.repaired_queries == ["Q1"]
         for stream in system.deployment.streams.values():
             assert ("SP4", "SP5") not in stream.links()
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok
 
 
 class TestPendingSubscriptions:
@@ -110,7 +110,7 @@ class TestPendingSubscriptions:
         healed = system.apply_fault(SuperPeerRejoin(15.0, "SP4"))
         assert healed.reinstalled_sources == ["photons"]
         assert sorted(healed.repaired_queries) == ["Q1", "Q2", "Q3", "Q4"]
-        assert validate_deployment(system.deployment) == []
+        assert verify_deployment(system.deployment).ok
 
 
 class TestTeardownParity:
