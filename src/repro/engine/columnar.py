@@ -1,10 +1,10 @@
-"""The engine's one batch form: a view over a shape store or a row store.
+"""The engine's one batch form: a view over one of three stores.
 
 Every batch in the engine answers one view API — ``len``, ``rows``,
 ``number_column(steps)``, ``derive(rows)``, ``project(keep)``,
-``decode()``, ``serialized_bytes()``, pickling and ``detached()`` —
-over one of two stores, chosen once, at ingest, from the batch itself
-(:func:`encode_ingest`):
+``decode()``, ``serialized_bytes()``, ``shape_views()``, pickling and
+``detached()`` — over one of three stores, chosen once, at ingest, from
+the batch itself (:func:`encode_ingest`):
 
 * :class:`ColumnBatch` — a struct-of-arrays view over a batch of
   *regular* items: at least :data:`AUTO_MIN_ROWS` rows that all share
@@ -14,9 +14,17 @@ over one of two stores, chosen once, at ingest, from the batch itself
   a boundary needs them, and a view pickles as its shape signature plus
   its surviving leaf text columns, arriving over a store that holds no
   trees at all.
+* :class:`GroupedBatch` — irregularity as a row property: the rows of a
+  batch that mixes a *few* interned shapes (an optional leaf, two record
+  types), in arrival order, each pointing into the shape store of its
+  group.  Number columns are the groups' columns scattered back into
+  arrival order, projection prunes each group's shape, and bytes,
+  decoders and delivery counts are those of the per-group
+  :class:`ColumnBatch` views.  Ships as its element list.
 * :class:`RowBatch` — the same API over the frozen trees themselves,
-  for everything else: irregular or small source batches and the
-  element lists operators emit (``<agg>``, ``<window>``, UDF output).
+  for everything else: small source batches, rows past the sniffing
+  bounds, batches with too many shapes to amortize, and the element
+  lists operators emit (``<agg>``, ``<window>``, UDF output).
   Number columns are gathered per path on first use and shared by every
   derived view, projection prunes each row, ``decode()`` is the
   surviving trees, and the view ships as its element list.
@@ -31,7 +39,7 @@ of one interned shape.
 
 **Byte identity.** Every number the executor accounts — produced
 counts and bytes, per-stage input counts, delivery inputs and results,
-exchange items/bytes — is integer-identical on either store
+exchange items/bytes — is integer-identical on every store
 (``serialized_bytes`` reproduces the frozen-size formula; the count
 kernel reproduces per-item ``len(build(item))``), so ``RunMetrics`` and
 the obs epoch series do not depend on which store a batch landed in
@@ -60,9 +68,11 @@ from ..xmlkit.columns import (
     ShapeNode,
     Signature,
     elements_from_columns,
+    interned_shape,
     leaf_sizes,
     shape_for_signature,
-    shape_of,
+    shapes_for_signatures,
+    signature_of,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (restructure imports operators)
@@ -73,18 +83,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (restructure imports operato
 #: validation/extraction overhead and go to a row store unexamined.
 AUTO_MIN_ROWS = 8
 
-#: A stream batch anywhere in the engine: a view over either store.
-Batch = Union["ColumnBatch", "RowBatch"]
+#: A stream batch anywhere in the engine: a view over one of the stores.
+Batch = Union["ColumnBatch", "GroupedBatch", "RowBatch"]
 
 #: Always-on plain-int counters (same idiom as the PR 4/5 cache
 #: counters): bumped on the encode/decode/bypass paths, surfaced as
 #: ``columnar.*`` recorder counters on traced runs and via
-#: :func:`columnar_stats`.
+#: :func:`columnar_stats`.  Which store engaged: every sniffed batch
+#: bumps exactly one of ``batches_encoded`` (one shape: a shape store),
+#: ``batches_bypassed_shape`` (first row past the sniffing bounds or
+#: the registry) and ``batches_bypassed_irregular`` (failed first-shape
+#: validation); of the latter, ``batches_grouped`` landed in a grouped
+#: store and the rest in a row store.
 STATS: Dict[str, int] = {
     "batches_encoded": 0,
     "rows_encoded": 0,
     "batches_bypassed_shape": 0,
     "batches_bypassed_irregular": 0,
+    "batches_grouped": 0,
+    "rows_grouped": 0,
     "batches_decoded": 0,
     "rows_decoded": 0,
     "delivery_kernel_batches": 0,
@@ -227,6 +244,10 @@ class ColumnBatch:
             return self
         return ColumnBatch(self.store, self.rows, vshape)
 
+    def shape_views(self) -> Tuple["ColumnBatch", ...]:
+        """The single-shape column views this batch consists of: itself."""
+        return (self,)
+
     # ------------------------------------------------------------------
     # Column access (indexed by base row id)
     # ------------------------------------------------------------------
@@ -368,13 +389,192 @@ def _arrive(
 
 
 # ----------------------------------------------------------------------
+# The grouped store and its view
+# ----------------------------------------------------------------------
+class _GroupedStore:
+    """Rows in arrival order over a small set of interned shapes.
+
+    Every base row carries a group id and its index inside that group;
+    every group is a plain :class:`_BatchStore` over the group's
+    elements, so columns, sizes and decoders are the per-shape ones.
+    Number columns scattered back into base order are cached here and
+    shared by every derived view and sibling trie stage.
+    """
+
+    __slots__ = ("groups", "group_of", "local", "_numbers")
+
+    def __init__(
+        self, shapes: Sequence[Shape], group_of: List[int], items: Sequence[Element]
+    ) -> None:
+        members: List[List[Element]] = [[] for _ in shapes]
+        local: List[int] = []
+        for item, group in zip(items, group_of):
+            bucket = members[group]
+            local.append(len(bucket))
+            bucket.append(item)
+        self.groups = tuple(
+            _BatchStore(shape, tuple(bucket)) for shape, bucket in zip(shapes, members)
+        )
+        self.group_of = group_of
+        self.local = local
+        self._numbers: Dict[
+            Tuple[Optional[int], ...], Optional[List[Optional[float]]]
+        ] = {}
+
+    def number_col(
+        self, columns: Tuple[Optional[int], ...]
+    ) -> Optional[List[Optional[float]]]:
+        """The base-indexed number column made of leaf column
+        ``columns[g]`` of every group ``g`` (``None``: the group has no
+        such leaf, its rows read ``None``; no group has one, there is
+        no column)."""
+        try:
+            return self._numbers[columns]
+        except KeyError:
+            pass
+        parts = [
+            None if column is None else group.number_col(column)
+            for group, column in zip(self.groups, columns)
+        ]
+        col = self._numbers[columns] = (
+            None
+            if all(part is None for part in parts)
+            else [
+                None if (part := parts[group]) is None else part[index]
+                for group, index in zip(self.group_of, self.local)
+            ]
+        )
+        return col
+
+
+class GroupedBatch:
+    """A row-ordered interleave of single-shape column views.
+
+    ``rows`` holds base indices in arrival order, as in the other two
+    views — windows on a monotone reference element depend on it — and
+    ``vshapes`` one (possibly pruned) virtual shape per group.  Only
+    what has to respect that order is answered here; bytes, decoders
+    and delivery counts come from the per-group :class:`ColumnBatch`
+    views (:meth:`shape_views`).  A group that projection prunes to
+    nothing loses its rows; its virtual shape is then moot and stays
+    as it was.
+    """
+
+    __slots__ = ("store", "rows", "vshapes", "_views", "_decoded", "_bytes")
+
+    def __init__(
+        self,
+        store: _GroupedStore,
+        rows: Sequence[int],
+        vshapes: Tuple[ShapeNode, ...],
+    ) -> None:
+        self.store = store
+        self.rows = rows
+        self.vshapes = vshapes
+        self._views: Optional[List[ColumnBatch]] = None
+        self._decoded: Optional[Tuple[Element, ...]] = None
+        self._bytes: Optional[int] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<GroupedBatch rows={len(self.rows)} shapes={len(self.vshapes)}>"
+
+    def derive(self, rows: Sequence[int]) -> "GroupedBatch":
+        """Same shapes, refined row vector (selection output)."""
+        return GroupedBatch(self.store, rows, self.vshapes)
+
+    def project(self, keep: Tuple[Tuple[str, ...], ...]) -> "GroupedBatch":
+        """One shape-level prune per group; the rows of a group that
+        prunes to nothing are dropped, the rest keep their order."""
+        pruned = [vshape.prune(keep) for vshape in self.vshapes]
+        rows = self.rows
+        if None in pruned:
+            group_of = self.store.group_of
+            rows = [i for i in rows if pruned[group_of[i]] is not None]
+        vshapes = tuple(
+            old if new is None else new for old, new in zip(self.vshapes, pruned)
+        )
+        return GroupedBatch(self.store, rows, vshapes)
+
+    def number_column(self, steps: Tuple[str, ...]) -> Optional[List[Optional[float]]]:
+        """The groups' number columns for a child-axis path, scattered
+        into one base-indexed column: ``None`` on the rows of a group
+        whose shape lacks the path (``Element.number`` on their trees),
+        ``None`` altogether when every group lacks it."""
+        columns = tuple(
+            [
+                None if (node := vshape.resolve(steps)) is None else node.column
+                for vshape in self.vshapes
+            ]
+        )
+        return self.store.number_col(columns)
+
+    def shape_views(self) -> List[ColumnBatch]:
+        """The surviving rows of each group as a view of the group's
+        own store, group-local row vector and virtual shape (groups
+        without a surviving row left out)."""
+        return [view for view in self._group_views() if view.rows]
+
+    def _group_views(self) -> List[ColumnBatch]:
+        views = self._views
+        if views is None:
+            store = self.store
+            group_of, local = store.group_of, store.local
+            survivors: List[List[int]] = [[] for _ in store.groups]
+            for i in self.rows:
+                survivors[group_of[i]].append(local[i])
+            views = self._views = [
+                ColumnBatch(group, rows, vshape)
+                for group, rows, vshape in zip(store.groups, survivors, self.vshapes)
+            ]
+        return views
+
+    def decode(self) -> Tuple[Element, ...]:
+        """Each group's decoded rows — the original elements of an
+        unprojected group, rebuilt ones otherwise — merged back into
+        ``rows`` order (cached)."""
+        decoded = self._decoded
+        if decoded is None:
+            group_of = self.store.group_of
+            parts = [
+                iter(view.decode() if view.rows else ())
+                for view in self._group_views()
+            ]
+            decoded = self._decoded = tuple(
+                [next(parts[group_of[i]]) for i in self.rows]
+            )
+        return decoded
+
+    def serialized_bytes(self) -> int:
+        """The groups' serialized bytes, summed (cached)."""
+        total = self._bytes
+        if total is None:
+            total = self._bytes = sum(
+                [view.serialized_bytes() for view in self.shape_views()]
+            )
+        return total
+
+    def __reduce__(self) -> tuple:
+        """Ships as its element list, like a row store (no workload
+        crosses a cut with irregular input)."""
+        return (RowBatch, (list(self.decode()),))
+
+    def detached(self) -> "RowBatch":
+        """The surviving trees only, in a row store."""
+        return RowBatch(self.decode())
+
+
+# ----------------------------------------------------------------------
 # The row store and its view
 # ----------------------------------------------------------------------
 class RowBatch:
     """The view API of :class:`ColumnBatch` over a row store.
 
-    The store is what no interned shape describes — irregular or small
-    source batches, operator-emitted elements — kept as the trees
+    The store is what no interned shape describes — small source
+    batches, batches of too many or unsniffable shapes,
+    operator-emitted elements — kept as the trees
     themselves, frozen on the way in (sizes are pinned and the gathered
     columns cannot go stale), plus the number columns its consumers
     asked for.  A column is gathered over *all* rows on first use and
@@ -413,6 +613,10 @@ class RowBatch:
         paths = [Path(steps) for steps in keep]
         pruned = (prune_to_paths(item, paths) for item in self.decode())
         return RowBatch(item for item in pruned if item is not None)
+
+    def shape_views(self) -> None:
+        """No interned shape describes these rows."""
+        return None
 
     def number_column(self, steps: Tuple[str, ...]) -> List[Optional[float]]:
         """``Element.number(steps)`` of every row of the store."""
@@ -462,29 +666,89 @@ def batch_bytes(batch: Batch) -> int:
 # Encoding
 # ----------------------------------------------------------------------
 def encode_batch(items: Sequence[Element]) -> Batch:
-    """A shape store when every item validates against the first
-    item's interned shape, a row store otherwise.
+    """Pick the store of a sniffed batch, from its rows.
 
-    The shape must be within the sniffing bounds and registry capacity
-    and *every* item must validate against it — one irregular document
-    sends the whole batch to a row store (never a partial split, so
-    batch order and per-stage input counts are trivially preserved).
+    A shape store when every row validates against the first row's
+    shape.  A batch that does not is looked at row by row
+    (:func:`_assign_shapes`) and becomes a grouped store when it
+    qualifies, a row store otherwise — whole-batch either way, so batch
+    order and per-stage input counts are those of the input.  Shapes
+    are looked up while the batch is undecided and interned only once
+    it is stored under them, all or none: the registry never evicts, so
+    a batch that ends in a row store must leave nothing in it.
     """
     if not items:
         return RowBatch(items)
-    shape = shape_of(items[0])
-    if shape is None:
+    first = signature_of(items[0])
+    if first is None:
         STATS["batches_bypassed_shape"] += 1
         return RowBatch(items)
-    validate = shape.validator
-    for item in items:
-        if not validate(item):
-            STATS["batches_bypassed_irregular"] += 1
+    shape = interned_shape(first)
+    if shape is None or not all(map(shape.validator, items)):
+        signatures, group_of = _assign_shapes(items)
+        if len(signatures) != 1:
+            return _encode_mixed(items, signatures, group_of)
+        shape = shape_for_signature(first)
+        if shape is None:  # one shape, new, and the registry is full
+            STATS["batches_bypassed_shape"] += 1
             return RowBatch(items)
     STATS["batches_encoded"] += 1
     STATS["rows_encoded"] += len(items)
     store = _BatchStore(shape, tuple(items))
     return ColumnBatch(store, range(len(items)), shape.root)
+
+
+def _assign_shapes(items: Sequence[Element]) -> Tuple[List[Signature], List[int]]:
+    """Every row's shape: the signatures in order of first appearance
+    and a group id per row — tried against the validators of the
+    interned shapes this batch has met first, sniffed when none fits.
+
+    No signatures at all when the batch stays whole in a row store: a
+    row past the sniffing bounds, or more shapes than amortize — a
+    second shape asks for a mean group of at least
+    :data:`AUTO_MIN_ROWS` rows, the size below which sniffing is
+    already known not to pay.
+    """
+    limit = max(1, len(items) // AUTO_MIN_ROWS)
+    groups: Dict[Signature, int] = {}
+    validators: List[Tuple[Callable[[Element], bool], int]] = []
+    group_of: List[int] = []
+    for item in items:
+        for validate, group in validators:
+            if validate(item):
+                break
+        else:
+            signature = signature_of(item)
+            if signature is None:
+                return [], []
+            known = groups.get(signature)
+            if known is None:
+                if len(groups) == limit:
+                    return [], []
+                known = groups[signature] = len(groups)
+                shape = interned_shape(signature)
+                if shape is not None:
+                    validators.append((shape.validator, known))
+            group = known
+        group_of.append(group)
+    return list(groups), group_of
+
+
+def _encode_mixed(
+    items: Sequence[Element], signatures: List[Signature], group_of: List[int]
+) -> Batch:
+    """The store of a batch that failed first-shape validation: grouped
+    when its rows were assigned shapes the registry has room for."""
+    STATS["batches_bypassed_irregular"] += 1
+    shapes = shapes_for_signatures(signatures) if signatures else None
+    if shapes is None:
+        return RowBatch(items)
+    STATS["batches_grouped"] += 1
+    STATS["rows_grouped"] += len(items)
+    store = _GroupedStore(shapes, group_of, items)
+    return GroupedBatch(
+        store, range(len(items)), tuple(shape.root for shape in shapes)
+    )
 
 
 def encode_ingest(batch: Sequence[Element]) -> Batch:
@@ -518,7 +782,8 @@ class DeliveryKernel:
     one shape: path outputs count matched nodes (structure), variable
     outputs count bindings (structure), constructors emit exactly one
     element.  So the kernel builds the result for *one* calibration row
-    per shape and multiplies.
+    per shape and multiplies — per group of a grouped batch, one
+    kernel batch per feed.
 
     Aggregate wire batches add a per-row emptiness test: an ``<agg>``
     item whose finalized value is ``None`` (empty window under
@@ -541,24 +806,28 @@ class DeliveryKernel:
         self._const: Dict[ShapeNode, int] = {}
 
     def count(self, batch: Batch) -> Optional[int]:
-        if isinstance(batch, RowBatch):
+        views = batch.shape_views()
+        if views is None:
             return None  # no interned shape to calibrate on; not a fallback
         if not self.countable:
             STATS["delivery_kernel_fallbacks"] += 1
             return None
         if not len(batch):
             return 0
-        restructurer = self.restructurer
-        # Mirror Restructurer._bind's mode split exactly.
-        if batch.vshape.tag == "agg" and restructurer._aggregations:
-            result = self._count_aggregate(batch)
-        else:
-            result = self._calibrated(batch, batch.rows[0]) * len(batch)
-        if result is None:
-            STATS["delivery_kernel_fallbacks"] += 1
-        else:
-            STATS["delivery_kernel_batches"] += 1
-        return result
+        total = 0
+        aggregating = bool(self.restructurer._aggregations)
+        for view in views:
+            # Mirror Restructurer._bind's mode split exactly.
+            if aggregating and view.vshape.tag == "agg":
+                result = self._count_aggregate(view)
+            else:
+                result = self._calibrated(view, view.rows[0]) * len(view)
+            if result is None:
+                STATS["delivery_kernel_fallbacks"] += 1
+                return None
+            total += result
+        STATS["delivery_kernel_batches"] += 1
+        return total
 
     def _calibrated(self, batch: ColumnBatch, base_row: int) -> int:
         const = self._const.get(batch.vshape)

@@ -246,7 +246,15 @@ def _slo_table(log: RunLog) -> Optional[str]:
 def _columnar_table(counters: Dict[str, float]) -> Optional[str]:
     """Columnar-engine counter table, or ``None`` when the run bumped
     no ``columnar.*`` counter (every batch small enough for a row store
-    unexamined, or an untraced run)."""
+    unexamined, or an untraced run).
+
+    Which store engaged: ``batches_encoded`` / ``rows_encoded`` count
+    sniffed batches stored under one shape (shape stores),
+    ``batches_grouped`` / ``rows_grouped`` those stored under a few
+    (grouped stores); ``batches_bypassed_irregular`` minus
+    ``batches_grouped``, plus ``batches_bypassed_shape``, went to row
+    stores after sniffing.  ``delivery_kernel_batches`` are deliveries
+    counted per shape instead of built per item."""
     rows = [
         [name[len("columnar."):], int(value)]
         for name, value in sorted(counters.items())

@@ -5,12 +5,15 @@ encodes *regular* item batches — batches where every item has the exact
 same nested element structure, like the photon workload — into one flat
 column per leaf element.  This module owns the shape machinery:
 
-* :func:`shape_of` sniffs an item's :class:`Shape` (the nested
-  ``(tag, children)`` skeleton) and interns it in a bounded registry so
-  identical batches share one compiled artifact set;
-  :func:`shape_for_signature` interns a shape that arrived as a bare
-  signature (a column batch crossing a process boundary) in the same
-  registry;
+* :func:`signature_of` sniffs an item's nested ``(tag, children)``
+  skeleton; :func:`shape_for_signature` / :func:`shapes_for_signatures`
+  intern a :class:`Shape` per signature in a bounded registry that is
+  never evicted, so identical batches share one compiled artifact set —
+  which is why a batch looks its rows up first (:func:`interned_shape`)
+  and interns only the shapes it ends up stored under; a column batch
+  crossing a process boundary arrives as a bare signature and is
+  interned in the same registry; :func:`shape_of` is sniff-and-intern
+  for one item;
 * each shape carries a code-generated **validator** (exact structural
   match via direct child indexing, no tag scans) and per-leaf
   **extractors** (``elements -> text column``);
@@ -411,9 +414,9 @@ class Shape:
         return extract
 
 
-def _signature_of(element: Element) -> Optional[Signature]:
+def signature_of(element: Element) -> Optional[Signature]:
     """The nested ``(tag, children)`` signature, or ``None`` when the
-    item exceeds the sniffing bounds."""
+    item exceeds the sniffing bounds.  Sniffing interns nothing."""
     budget = MAX_SHAPE_NODES
 
     def walk(node: Element, depth: int) -> Optional[Signature]:
@@ -491,7 +494,7 @@ def shape_of(element: Element) -> Optional[Shape]:
     Returns ``None`` when the item is out of bounds or the registry is
     full — both mean "keep the trees" (a row store).
     """
-    signature = _signature_of(element)
+    signature = signature_of(element)
     return None if signature is None else shape_for_signature(signature)
 
 
@@ -513,6 +516,24 @@ def shape_for_signature(signature: Signature) -> Optional[Shape]:
         shape = Shape(root, signature, _compile_validator(signature), tuple(paths))
         _REGISTRY[signature] = shape
     return shape
+
+
+def interned_shape(signature: Signature) -> Optional[Shape]:
+    """The shape already interned for ``signature``, if any — a lookup
+    that interns and compiles nothing, for a batch that does not yet
+    know whether it will be stored under the shape."""
+    return _REGISTRY.get(signature)
+
+
+def shapes_for_signatures(signatures: Sequence[Signature]) -> Optional[List[Shape]]:
+    """Intern the shapes of all (distinct) ``signatures`` or of none
+    (``None``: the registry has no room for the new ones among them),
+    so that a batch the registry turns away leaves nothing behind."""
+    new = sum(signature not in _REGISTRY for signature in signatures)
+    if new and len(_REGISTRY) + new > MAX_SHAPES:
+        return None
+    # Room was checked: none of these comes back ``None``.
+    return [cast(Shape, shape_for_signature(signature)) for signature in signatures]
 
 
 def elements_from_columns(

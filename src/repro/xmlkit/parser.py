@@ -8,7 +8,10 @@ paper's data model converts attributes to elements up front (Section 2).
 
 The implementation is a single-pass recursive-descent scanner over the
 input string; it reports precise line/column positions on error via
-:class:`repro.xmlkit.errors.XmlParseError`.
+:class:`repro.xmlkit.errors.XmlParseError` — the only exception input
+can provoke: character references outside XML's ``Char`` production and
+nesting past :data:`MAX_DEPTH` are refused like any other malformed
+document.
 """
 
 from __future__ import annotations
@@ -27,6 +30,15 @@ _ENTITIES = {
 }
 
 _NAME_FORBIDDEN = set(" \t\r\n<>&/'\"=")
+
+#: Deepest element nesting accepted.  The parser, and everything that
+#: walks a tree after it (``freeze``, ``copy``, ``serialize``), recurses
+#: once or twice per level, so hostile nesting must stop here, as a
+#: parse error, well inside the interpreter's recursion limit.
+MAX_DEPTH = 256
+
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
 
 
 class _Scanner:
@@ -112,10 +124,13 @@ def _decode_text(raw: str, scanner: _Scanner, base: int) -> str:
         if end < 0:
             raise scanner.error("unterminated entity reference", base + i)
         name = raw[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
+        if name.startswith("#"):
+            code = _char_code(name[1:])
+            if code is None:
+                raise scanner.error(
+                    f"&{name}; is not a reference to an XML character", base + i
+                )
+            out.append(chr(code))
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:
@@ -124,7 +139,32 @@ def _decode_text(raw: str, scanner: _Scanner, base: int) -> str:
     return "".join(out)
 
 
-def _parse_element(scanner: _Scanner) -> Element:
+def _char_code(body: str) -> Optional[int]:
+    """The code point ``&#body;`` names, or ``None`` when ``body`` is
+    not plain (hexa)decimal digits or the code point is outside XML's
+    ``Char`` production (NUL, most control characters, surrogates,
+    ``#xFFFE``/``#xFFFF``, anything past ``#x10FFFF``)."""
+    hexadecimal = body[:1] in ("x", "X")
+    digits = body[1:] if hexadecimal else body
+    if not digits or not (_HEX_DIGITS if hexadecimal else _DIGITS).issuperset(digits):
+        return None
+    digits = digits.lstrip("0")
+    if len(digits) > 7:  # past #x10FFFF in either base; int() caps its input
+        return None
+    code = int(digits or "0", 16 if hexadecimal else 10)
+    if (
+        code in (0x9, 0xA, 0xD)
+        or 0x20 <= code <= 0xD7FF
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        return code
+    return None
+
+
+def _parse_element(scanner: _Scanner, depth: int = 1) -> Element:
+    if depth > MAX_DEPTH:
+        raise scanner.error(f"elements nested deeper than {MAX_DEPTH} levels")
     scanner.expect("<")
     tag = scanner.read_name()
     scanner.skip_whitespace()
@@ -158,7 +198,7 @@ def _parse_element(scanner: _Scanner) -> Element:
             scanner.expect(">")
             break
         if scanner.peek() == "<":
-            children.append(_parse_element(scanner))
+            children.append(_parse_element(scanner, depth + 1))
             continue
         start = scanner.pos
         next_markup = scanner.text.find("<", scanner.pos)

@@ -1,9 +1,11 @@
 """Unit tests for the engine's batch form (DESIGN.md §14).
 
-Covers the shape machinery (sniffing, validation, pruning), the two
-views (decode/size/pickle), what picks the store, each operator
-kernel on both stores, the delivery count kernel, and the end-to-end
-executor identity between runs whose batches land in different stores.
+Covers the shape machinery (sniffing, validation, pruning, what gets
+interned), the views (decode/size/pickle), what picks the store, each
+operator kernel on the shape and the row store, the delivery count
+kernel, and the end-to-end executor identity between runs whose batches
+land in different stores (the grouped store's own identity is a
+property test, ``tests/test_prop_columnar.py``).
 """
 
 import pickle
@@ -25,6 +27,7 @@ from repro.engine.columnar import (
     AUTO_MIN_ROWS,
     ColumnBatch,
     DeliveryKernel,
+    GroupedBatch,
     RowBatch,
     columnar_stats,
     encode_batch,
@@ -170,6 +173,56 @@ class TestShapes:
         assert all(item.frozen for item in arrived.decode())
         assert arrived.serialized_bytes() == pruned.serialized_bytes()
         assert columns.registry_size() == 0
+
+    def test_a_batch_that_ends_in_a_row_store_interns_nothing(self, monkeypatch):
+        """The registry never evicts, so only a batch stored under a
+        shape may intern it: ``shape_of(items[0])`` used to intern ahead
+        of validation, and 256 irregular batches with distinct first
+        rows shut every later regular batch out of the shape store."""
+        from repro.xmlkit import columns
+
+        monkeypatch.setattr(columns, "_REGISTRY", {})
+        before = columnar_stats()
+        for k in range(300):
+            first = element("photon", element(f"junk{k}", text=k)).freeze()
+            out = encode_ingest([first] + batch_of(AUTO_MIN_ROWS))
+            assert isinstance(out, RowBatch)  # two shapes, too few rows
+        assert columns.registry_size() == 0
+        assert isinstance(encode_ingest(batch_of(AUTO_MIN_ROWS)), ColumnBatch)
+        assert columns.registry_size() == 1
+        before["batches_bypassed_irregular"] += 300
+        before["batches_encoded"] += 1
+        before["rows_encoded"] += AUTO_MIN_ROWS
+        assert columnar_stats() == before
+
+    def test_a_mixed_batch_interns_all_its_shapes_or_none(self, monkeypatch):
+        from repro.xmlkit import columns
+
+        monkeypatch.setattr(columns, "_REGISTRY", {})
+        odd = [element("photon", element("en", text=k)).freeze() for k in range(8)]
+        items = [item for pair in zip(batch_of(8), odd) for item in pair]
+        monkeypatch.setattr(columns, "MAX_SHAPES", 1)  # room for one of the two
+        before = columnar_stats()
+        assert isinstance(encode_ingest(items), RowBatch)
+        assert columns.registry_size() == 0
+        before["batches_bypassed_irregular"] += 1
+        assert columnar_stats() == before
+        monkeypatch.setattr(columns, "MAX_SHAPES", 2)
+        grouped = encode_ingest(items)
+        assert isinstance(grouped, GroupedBatch)
+        assert columns.registry_size() == 2
+        assert list(grouped.decode()) == items
+        assert grouped.decode()[1] is items[1]  # the trees themselves
+        before["batches_bypassed_irregular"] += 1
+        before["batches_grouped"] += 1
+        before["rows_grouped"] += 16
+        before["batches_decoded"] += 2  # one shape-store view per group
+        before["rows_decoded"] += 16
+        assert columnar_stats() == before
+        # One more shape in the batch than its rows amortize: a row store.
+        third = element("photon", element("det_time", text=1)).freeze()
+        assert isinstance(encode_ingest(items[:-1] + [third]), RowBatch)
+        assert columns.registry_size() == 2
 
     def test_row_view_ships_its_surviving_trees(self):
         items = batch_of(6)
@@ -333,7 +386,8 @@ class TestDeliveryKernel:
 
 class _DetectorLess:
     """Every 7th photon lacks ``coord/det`` — a subtree no paper query
-    reads — so every source batch lands in a row store."""
+    reads — so every source batch mixes two shapes and lands in a
+    grouped store."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -354,8 +408,8 @@ class _DetectorLess:
 
 
 class TestExecutorIdentity:
-    def _run(self, wrap=None):
-        system = make_system(verify=True)
+    def _run(self, wrap=None, **kwargs):
+        system = make_system(verify=True, **kwargs)
         if wrap is not None:
             for source in system.sources.values():
                 source.generator_factory = (
@@ -382,10 +436,27 @@ class TestExecutorIdentity:
         irregular_metrics, irregular_out, irregular_stats = self._run(_DetectorLess)
         assert irregular_stats["batches_encoded"] == 0
         assert irregular_stats["batches_bypassed_irregular"] > 0
+        assert irregular_stats["batches_grouped"] > 0
         assert irregular_out == cols_out
-        assert irregular_metrics.items_delivered == cols_metrics.items_delivered
+        assert irregular_metrics == cols_metrics
+        # A traced run reports which store engaged: the same counters,
+        # as ``columnar.*`` in the run log and ``obs summarize``'s table.
+        from repro.obs.cli import _columnar_table
+        from repro.obs.recorder import Recorder
+
+        recorder = Recorder()
+        _, _, traced_stats = self._run(_DetectorLess, recorder=recorder)
+        assert traced_stats["batches_grouped"] > 0
+        assert {
+            name[len("columnar."):]: value
+            for name, value in recorder.counters.items()
+            if name.startswith("columnar.")
+        } == {key: value for key, value in traced_stats.items() if value}
+        table = _columnar_table(recorder.counters)
+        assert "batches_grouped" in table and "rows_grouped" in table
         monkeypatch.setattr(columnar, "AUTO_MIN_ROWS", 10**9)
-        rows_metrics, rows_out, rows_stats = self._run()
-        assert not any(rows_stats.values())
-        assert rows_metrics == cols_metrics
-        assert rows_out == cols_out
+        for wrap in (None, _DetectorLess):
+            rows_metrics, rows_out, rows_stats = self._run(wrap)
+            assert not any(rows_stats.values())
+            assert rows_metrics == cols_metrics
+            assert rows_out == cols_out

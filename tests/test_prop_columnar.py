@@ -1,12 +1,13 @@
-"""Property tests: the two batch stores are observationally equal.
+"""Property tests: the three batch stores are observationally equal.
 
 The engine has one implementation per operator, written against one
-batch view over either a shape store or a row store (DESIGN.md §14).
-What is left to hold is that the *stores* agree: the same random batch
-through the same operator chain as a :class:`ColumnBatch` and as a
-:class:`RowBatch` yields the same outputs, per-stage input counts,
+batch view over a shape store, a grouped store or a row store
+(DESIGN.md §14).  What is left to hold is that the *stores* agree: the
+same random batch through the same operator chain as a
+:class:`ColumnBatch` (one shape) or a :class:`GroupedBatch` (a few) and
+as a :class:`RowBatch` yields the same outputs, per-stage input counts,
 ``serialized_bytes``, operator state and wire round trip — also when
-the two alternate on one operator instance — and that the store
+all three alternate on one operator instance — and that the store
 ingest picks from the input changes nothing a caller can observe.
 ``repro.engine.eval.satisfies`` is the independent per-item reference
 for the selection kernel.
@@ -21,7 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Pipeline, columnar, satisfies
-from repro.engine.columnar import ColumnBatch, RowBatch, encode_batch
+from repro.engine.columnar import (
+    ColumnBatch,
+    DeliveryKernel,
+    GroupedBatch,
+    RowBatch,
+    encode_batch,
+)
+from repro.engine.aggregate import PartialAggregate, partial_to_wire
 from repro.engine.operators import build_operator
 from repro.predicates import ZERO, PredicateGraph, normalize_comparison
 from repro.predicates.atoms import Bound
@@ -33,6 +41,7 @@ from repro.properties import (
     WindowSpec,
 )
 from repro.xmlkit import Path, element
+from repro.xmlkit.columns import signature_of
 from repro.xmlkit.serializer import serialize
 
 ITEM = Path("photons/photon")
@@ -117,9 +126,9 @@ def shape_view(items):
 def described(view):
     """Everything a consumer can observe of a stage's output view."""
     decoded = view.decode()
-    arrived = pickle.loads(pickle.dumps(view))
-    assert arrived.decode() == decoded
-    assert arrived.serialized_bytes() == view.serialized_bytes()
+    for arrived in (pickle.loads(pickle.dumps(view)), view.detached()):
+        assert arrived.decode() == decoded
+        assert arrived.serialized_bytes() == view.serialized_bytes()
     assert all(item.frozen for item in decoded)
     assert view.serialized_bytes() == sum(item.serialized_size() for item in decoded)
     return len(view), [serialize(item) for item in decoded], view.serialized_bytes()
@@ -184,6 +193,160 @@ def test_tree_vs_columnar_identity(data, name, cuts):
     # The two stores alternating on one operator instance.
     assert run_chain(specs, batches, [shape_view, RowBatch]) == reference
     assert run_chain(specs, batches, [RowBatch, shape_view]) == reference
+
+
+# ----------------------------------------------------------------------
+# Mixed shapes: the grouped store against the row store
+# ----------------------------------------------------------------------
+#: What a photon may lack or carry beyond the regular shape.  Each
+#: variant is a shape of its own; a batch draws from two to four.
+VARIANTS = [
+    "regular",
+    "no_ra",  # an optional leaf a predicate reads
+    "note",  # an optional leaf nothing reads
+    "no_time",  # the window reference is missing
+    "no_en",  # the aggregated value is missing
+    "two_en",  # an extra repeated child (navigation takes the first)
+    "flag_only",  # a shape every projection here prunes to nothing
+]
+
+
+def variant_photon(ra, en, t, variant):
+    if variant == "flag_only":
+        return element("photon", element("flag", text=1)).freeze()
+    children = []
+    if variant != "no_ra":
+        children.append(element("coord", element("cel", element("ra", text=ra))))
+    if variant != "no_en":
+        children.append(element("en", text=en))
+    if variant == "two_en":
+        children.append(element("en", text="7"))
+    if variant != "no_time":
+        children.append(element("det_time", text=t))
+    if variant == "note":
+        children.append(element("note", text="a<b"))
+    return element("photon", *children).freeze()
+
+
+def picked_view(items):
+    """The store the batch itself picks once size is no object: a
+    shape store for one shape, a grouped store for several."""
+    with mock.patch.object(columnar, "AUTO_MIN_ROWS", 1):
+        view = encode_batch(items)
+    shapes = {signature_of(item) for item in items}
+    expected = {0: RowBatch, 1: ColumnBatch}.get(len(shapes), GroupedBatch)
+    assert type(view) is expected
+    return view
+
+
+mixed_rows = st.lists(
+    st.tuples(number_text, number_text, times, st.integers(0, 3)), max_size=40
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=mixed_rows,
+    menu=st.lists(st.sampled_from(VARIANTS), min_size=2, max_size=4, unique=True),
+    name=st.sampled_from(sorted(chains())),
+    cuts=st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
+)
+# Every variant under every chain, whatever the generator happens to draw
+# (a group pruned to nothing only shows where projection comes first).
+@example(data=[("1", "2", float(k), k) for k in range(12)], menu=["regular", "flag_only", "note"], name="project_window", cuts=(0, 0, 7))
+@example(data=[("1", "2", float(k), k) for k in range(12)], menu=["no_ra", "two_en", "no_en", "regular"], name="select_project", cuts=(0, 0, 7))
+@example(data=[("1", "2", float(k), k) for k in range(12)], menu=["no_time", "no_en", "two_en"], name="aggregate", cuts=(2, 5, 9))
+@example(data=[("1", "2", float(k), k) for k in range(12)], menu=["no_en", "flag_only", "regular"], name="select_count_aggregate", cuts=(2, 5, 9))
+def test_grouped_vs_row_store_identity(data, menu, name, cuts):
+    """The same mixed batches as grouped stores and as row stores."""
+    data = sorted(data, key=lambda row: row[2])
+    low, mid, high = sorted(cuts)
+    items = [
+        # One slice is regular, so that a shape store takes part too.
+        variant_photon(ra, en, t, "regular" if low <= k < mid else menu[pick % len(menu)])
+        for k, (ra, en, t, pick) in enumerate(data)
+    ]
+    batches = [items[:low], items[low:mid], items[mid:high], items[high:]]
+    specs = chains()[name]
+    reference = run_chain(specs, batches, [RowBatch])
+    assert run_chain(specs, batches, [picked_view]) == reference
+    # All three stores alternating on one operator instance.
+    assert run_chain(specs, batches, [picked_view, RowBatch]) == reference
+    assert run_chain(specs, batches, [RowBatch, picked_view]) == reference
+
+
+#: Return clauses whose result count per item is 1, the number of
+#: ``en`` children (0, 1 or 2 by shape), and of two paths together.
+COUNTED_RETURNS = [
+    "<r> { $p/en } { $p/coord/cel/ra } </r>",
+    "$p/en",
+    "($p/en, $p/det_time, $p/note)",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=mixed_rows,
+    menu=st.lists(st.sampled_from(VARIANTS), min_size=2, max_size=4, unique=True),
+    returned=st.sampled_from(COUNTED_RETURNS),
+    stride=st.integers(1, 3),
+    keep=st.sampled_from([None, frozenset({EN}), frozenset({RA, TIME})]),
+)
+def test_delivery_count_on_grouped_store_equals_per_item_build(
+    data, menu, returned, stride, keep
+):
+    from repro.engine.restructure import Restructurer
+    from repro.wxquery import analyze, parse_query
+
+    items = [variant_photon(ra, en, t, menu[pick % len(menu)]) for ra, en, t, pick in data]
+    view = picked_view(items)
+    view = view.derive(view.rows[::stride])
+    if keep is not None:
+        view = build_operator(ProjectionSpec(keep, keep), ITEM).process_columns(view)
+    query = f'<out>{{ for $p in stream("photons")/photons/photon return {returned} }}</out>'
+    restructurer = Restructurer(analyze(parse_query(query)))
+    kernel = DeliveryKernel(restructurer)
+    expected = sum(len(restructurer.build(item)) for item in view.decode())
+    before = columnar.columnar_stats()
+    counted = kernel.count(view)
+    bumped = {
+        key: value - before[key]
+        for key, value in columnar.columnar_stats().items()
+        if value != before[key]
+    }
+    if isinstance(view, RowBatch):
+        assert counted is None and not bumped
+    else:
+        assert counted == expected
+        # One kernel batch per feed, however many groups it spans.
+        assert {k: v for k, v in bumped.items() if k.startswith("delivery")} == (
+            {"delivery_kernel_batches": 1} if len(view) else {}
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    windows=st.lists(st.lists(finite, max_size=3), min_size=1, max_size=24),
+    function=st.sampled_from(["min", "max", "avg", "sum", "count"]),
+)
+def test_delivery_count_on_mixed_aggregate_wires(windows, function):
+    """``<agg>`` wire items of an empty and a filled window differ in
+    shape under min / max: a grouped batch of ``agg``-tagged groups."""
+    from repro.engine.restructure import Restructurer
+    from repro.wxquery import analyze, parse_query
+
+    query = (
+        '<out>{ for $w in stream("photons")/photons/photon |det_time diff 4 step 4| '
+        f"let $a := {function}($w/en) return <r> {{ $a }} </r> }}</out>"
+    )
+    restructurer = Restructurer(analyze(parse_query(query)))
+    wires = [
+        partial_to_wire(PartialAggregate.of_values(values), function).freeze()
+        for values in windows
+    ]
+    view = picked_view(wires)
+    expected = sum(len(restructurer.build(item)) for item in wires)
+    assert DeliveryKernel(restructurer).count(view) == expected
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.xmlkit import Element, XmlParseError, element, parse, parse_stream, serialize
+from repro.xmlkit.parser import MAX_DEPTH
 
 
 class TestWellFormed:
@@ -69,6 +70,36 @@ class TestMalformed:
             assert err.line == 2
         else:
             pytest.fail("expected XmlParseError")
+
+    @pytest.mark.parametrize("parser", [parse, parse_stream])
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            # Character references int()/chr() used to choke on (a bare
+            # ValueError), and NUL, which is no XML character.
+            ("<a>\n <b>ok &#xZZ;</b></a>", 2, 8),
+            ("<a>&#;</a>", 1, 4),
+            ("<a>&#1114112;</a>", 1, 4),
+            ("<a>&#-5;</a>", 1, 4),
+            ("<a>&#0;</a>", 1, 4),
+            ("<a>&#x" + "9" * 5000 + ";</a>", 1, 4),  # past int()'s digit cap
+            ("<a>&#xD800;</a>", 1, 4),  # a surrogate
+            ("<a>&#1_0;</a>", 1, 4),  # int() would take the underscore
+            # Nesting that used to end in RecursionError: refused at the
+            # first tag past the bound.
+            ("<a>" * 3000 + "</a>" * 3000, 1, 3 * MAX_DEPTH + 1),
+        ],
+    )
+    def test_hostile_input_is_a_parse_error(self, parser, text, line, column):
+        with pytest.raises(XmlParseError) as caught:
+            parser(text)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_nesting_up_to_the_bound_and_every_xml_char_class_parse(self):
+        deep = parse("<a>" * MAX_DEPTH + "</a>" * MAX_DEPTH)
+        assert sum(1 for _ in deep.iter()) == MAX_DEPTH
+        text = parse("<a>&#9;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;&#0065;</a>").text
+        assert text == "\t \ud7ff\ue000\ufffd\U00010000\U0010ffffA"
 
 
 class TestParseStream:
