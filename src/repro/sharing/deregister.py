@@ -21,7 +21,7 @@ remaining queries would have committed (covered by tests).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
 from ..costmodel import PlanEffects, base_load
 from .plan import Deployment, InstalledStream
@@ -106,15 +106,18 @@ class Deregistrar:
             # derived stream needs its parent's rate, and the parent may
             # itself be dead in the same sweep.
             for stream in dead:
-                self._release_stream(deployment, stream, release)
+                self.stream_effects(deployment, stream, release)
             for stream in dead:
                 if deployment.release_stream(stream.stream_id):
                     removed.append(stream.stream_id)
 
-    def _release_stream(
-        self, deployment: Deployment, stream: InstalledStream, release: PlanEffects
+    def stream_effects(
+        self, deployment: Deployment, stream: InstalledStream, effects: PlanEffects
     ) -> None:
-        """Estimated commitments of one stream, mirroring the planner."""
+        """Add one installed stream's estimated commitments to
+        ``effects``, mirroring the planner: what installing it commits
+        (:meth:`StreamGlobe.install_derived_stream`) is what removing it
+        releases."""
         net = self.planner.net
         rate = self.planner.stream_rate(stream.content)
 
@@ -123,9 +126,9 @@ class Deregistrar:
         # crossed a crashed peer, and their commitments — estimated
         # against the pre-fault topology — must still be released.
         for a, b in stream.links():
-            release.add_link(net.link(a, b, include_removed=True), rate.bits_per_second)
+            effects.add_link(net.link(a, b, include_removed=True), rate.bits_per_second)
         for sender in stream.route[:-1]:
-            self._charge(release, sender, "transfer", rate.frequency)
+            self._charge(effects, sender, "transfer", rate.frequency)
 
         # Tap duplication and pipeline work at the origin.
         parent = (
@@ -136,16 +139,17 @@ class Deregistrar:
         if parent is not None:
             parent_rate = self.planner.stream_rate(parent.content)
             # The planner charges one tap duplication per input chain, at
-            # the node where the chain taps the reused stream.  Only the
-            # chain's first stream pays it back: a stream consuming its
-            # own plan's relay does not duplicate again.
-            if parent.is_original or parent.query != stream.query:
+            # the node where the chain taps the reused stream.
+            if stream.taps_parent:
                 self._charge(
-                    release, stream.origin_node, "duplicate", parent_rate.frequency
+                    effects, stream.origin_node, "duplicate", parent_rate.frequency
                 )
             frequency = parent_rate.frequency
             for spec in stream.pipeline:
-                self._charge(release, stream.origin_node, spec.kind, frequency)
+                udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
+                self._charge(
+                    effects, stream.origin_node, spec.kind, frequency, udf_name
+                )
                 frequency = self.planner._stage_output_frequency(
                     spec, stream.content, frequency, rate.frequency
                 )
@@ -157,7 +161,12 @@ class Deregistrar:
             deployment.usage.add_peer_work(peer, -work)
 
     def _charge(
-        self, effects: PlanEffects, node: str, kind: str, frequency: float
+        self,
+        effects: PlanEffects,
+        node: str,
+        kind: str,
+        frequency: float,
+        udf_name: Optional[str] = None,
     ) -> None:
         peer = self.planner.net.super_peer(node, include_removed=True)
-        effects.add_peer(node, base_load(kind) * peer.pindex * frequency)
+        effects.add_peer(node, base_load(kind, udf_name) * peer.pindex * frequency)

@@ -55,6 +55,13 @@ class InstalledStream:
     query:
         Name of the subscription this stream was created for (``None``
         for original source streams).
+    taps_parent:
+        Whether installing the stream duplicated its parent at a tap
+        node.  The planner charges one tap duplication per input chain,
+        so a delivered stream fed by its own plan's relay (or a
+        widening's restoring stream) does not tap — a fact of how the
+        stream was created, which names cannot recover once a
+        subscription's name is registered again.
     """
 
     stream_id: str
@@ -64,6 +71,7 @@ class InstalledStream:
     parent_id: Optional[str] = None
     pipeline: Tuple[OperatorSpec, ...] = ()
     query: Optional[str] = None
+    taps_parent: bool = True
 
     def __post_init__(self) -> None:
         if not self.route:

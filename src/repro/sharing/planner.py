@@ -236,6 +236,7 @@ class Planner:
             parent_id=delivered_parent,
             pipeline=pipeline,
             query=query_name,
+            taps_parent=relay is None,
         )
 
         effects = self._estimate_effects(

@@ -292,3 +292,11 @@ class PlanRepairer:
 
     def _park(self, record: RegisteredQuery, reason: str) -> None:
         self._pending[record.name] = (record, reason)
+
+    def is_parked(self, name: str) -> bool:
+        return name in self._pending
+
+    def cancel(self, name: str) -> bool:
+        """Forget a parked subscription (its owner deregistered it);
+        says whether there was one."""
+        return self._pending.pop(name, None) is not None

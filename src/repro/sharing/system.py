@@ -11,7 +11,6 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -197,37 +196,14 @@ class StreamGlobe:
         installed directly (user-defined operators) must account for the
         same traffic and work, or the ``a_b``/``a_l`` bookkeeping — and
         with it every later placement decision — drifts from reality.
-        Mirrors :meth:`Deregistrar._release_stream` so deregistration
-        returns the ledger to zero.
+        The walk is the one deregistration releases with, so removing
+        the stream returns the ledger to what it was.
         """
-        from ..costmodel import PlanEffects, base_load
+        from ..costmodel import PlanEffects
+        from .deregister import Deregistrar
 
         effects = PlanEffects()
-        rate = self.planner.stream_rate(stream.content)
-
-        def charge(node: str, kind: str, frequency: float) -> None:
-            peer = self.net.super_peer(node)
-            effects.add_peer(node, base_load(kind) * peer.pindex * frequency)
-
-        for a, b in stream.links():
-            effects.add_link(self.net.link(a, b), rate.bits_per_second)
-        for sender in stream.route[:-1]:
-            charge(sender, "transfer", rate.frequency)
-
-        parent = (
-            self.deployment.streams.get(stream.parent_id)
-            if stream.parent_id is not None
-            else None
-        )
-        if parent is not None:
-            parent_rate = self.planner.stream_rate(parent.content)
-            charge(stream.origin_node, "duplicate", parent_rate.frequency)
-            frequency = parent_rate.frequency
-            for spec in stream.pipeline:
-                charge(stream.origin_node, spec.kind, frequency)
-                frequency = self.planner._stage_output_frequency(
-                    spec, stream.content, frequency, rate.frequency
-                )
+        Deregistrar(self.planner).stream_effects(self.deployment, stream, effects)
         self.deployment.commit_effects(effects)
 
     # ------------------------------------------------------------------
@@ -322,6 +298,7 @@ class StreamGlobe:
         Returns the registration result; capacity rejections (with
         admission control enabled) are reported, not raised.
         """
+        self._require_free_name(name)
         recorder = self.recorder
         with recorder.span("register", query=name, strategy=self.registrar.strategy) as span:
             with recorder.span("parse"):
@@ -370,6 +347,8 @@ class StreamGlobe:
             raise ValueError(
                 f"duplicate query name(s) in batch: {', '.join(sorted(duplicates))}"
             )
+        for name in names:
+            self._require_free_name(name)
 
         from .index import admission_order_key
 
@@ -416,15 +395,26 @@ class StreamGlobe:
         self._preflight(f"after batch registration of {len(prepared)} queries")
         return [by_name[name] for name in names]
 
+    def _require_free_name(self, name: str) -> None:
+        """A name is taken while its subscription is installed — or
+        parked by plan repair, which registers it again at a rejoin."""
+        parked = self._repairer is not None and self._repairer.is_parked(name)
+        if parked or name in self.deployment.queries:
+            raise ValueError(f"query {name!r} already registered")
+
     def deregister_query(self, name: str) -> List[str]:
         """Remove a subscription and garbage-collect its streams.
 
         Streams shared with other live subscriptions survive; streams
         no subscription needs anymore are removed and their estimated
-        resource commitments released.  Returns the removed stream ids.
+        resource commitments released.  Returns the removed stream ids
+        (none for a subscription plan repair had parked: it holds
+        nothing, and is forgotten).
         """
         from .deregister import Deregistrar
 
+        if self._repairer is not None and self._repairer.cancel(name):
+            return []
         with self.recorder.span("deregister", query=name) as span:
             removed = Deregistrar(self.planner).deregister(self.deployment, name)
             if self.recorder.enabled:
@@ -548,11 +538,10 @@ class StreamGlobe:
         this many worker cells, partitioned by the certified
         :meth:`shard_plan` — the same control loop over several cells
         instead of one, so ``RunMetrics`` is byte-identical to the
-        sequential run at every worker count.  Defaults to the
-        ``REPRO_PARALLEL`` environment variable (worker count; unset
-        or ``1`` means sequential, a count below 1 is rejected whichever
-        way it arrived); ``REPRO_PARALLEL_MODE`` picks the backend
-        (``auto``/``process``/``inline``).
+        sequential run at every worker count.  ``None`` or ``1`` means
+        sequential, a count below 1 is rejected; the backend (forked or
+        in-process cells) is the executor's choice from what it observes
+        of the host and the plan.
 
         ``rebalancer`` — an optional
         :class:`~repro.sharing.rebalance.Rebalancer` (constructed over
@@ -567,15 +556,6 @@ class StreamGlobe:
             name: source.generator_factory() for name, source in self.sources.items()
         }
         repair = self.plan_repairer().repair if faults else None
-        if workers is None:
-            env = os.environ.get("REPRO_PARALLEL", "").strip()
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_PARALLEL must be a worker count, got {env!r}"
-                    ) from None
         if workers is not None and workers < 1:
             raise ExecutionError("workers must be >= 1")
         simulator: StreamSimulator
@@ -595,7 +575,6 @@ class StreamGlobe:
                 replan=self.shard_plan,
                 capture=capture,
                 recorder=self.recorder,
-                mode=os.environ.get("REPRO_PARALLEL_MODE", "auto"),
                 rebalancer=rebalancer,
             )
         else:

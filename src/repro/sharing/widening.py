@@ -30,6 +30,7 @@ are tied to the exact operator conditions).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -189,14 +190,8 @@ class WideningPlanner:
         self._plan_consumers(deployment, candidate, widened_content, action, query_name)
         self._estimate_delta(deployment, candidate, parent, action)
 
-        widened_stream = InstalledStream(
-            stream_id=candidate.stream_id,
-            content=widened_content,
-            origin_node=candidate.origin_node,
-            route=candidate.route,
-            parent_id=candidate.parent_id,
-            pipeline=widened_pipeline,
-            query=candidate.query,
+        widened_stream = dataclasses.replace(
+            candidate, content=widened_content, pipeline=widened_pipeline
         )
         return widened_stream, action
 
@@ -231,6 +226,7 @@ class WideningPlanner:
                     parent_id=candidate.stream_id,
                     pipeline=derive_compensation(widened_content, candidate.content),
                     query=record.name,
+                    taps_parent=False,
                 )
                 action.delivery_restores.append(
                     DeliveryRestore(
@@ -299,26 +295,14 @@ class WideningPlanner:
         the evaluation plan's combined effects so that admission control
         and the usage ledger see widening and plan as one unit.
         """
-        old = deployment.streams[action.stream_id]
-        deployment.streams[action.stream_id] = InstalledStream(
-            stream_id=old.stream_id,
+        deployment.streams[action.stream_id] = dataclasses.replace(
+            deployment.streams[action.stream_id],
             content=action.widened_content,
-            origin_node=old.origin_node,
-            route=old.route,
-            parent_id=old.parent_id,
             pipeline=action.widened_pipeline,
-            query=old.query,
         )
         for stream_id, pipeline in action.consumer_pipelines.items():
-            child = deployment.streams[stream_id]
-            deployment.streams[stream_id] = InstalledStream(
-                stream_id=child.stream_id,
-                content=child.content,
-                origin_node=child.origin_node,
-                route=child.route,
-                parent_id=child.parent_id,
-                pipeline=pipeline,
-                query=child.query,
+            deployment.streams[stream_id] = dataclasses.replace(
+                deployment.streams[stream_id], pipeline=pipeline
             )
         for restore in action.delivery_restores:
             deployment.install_stream(restore.restore)

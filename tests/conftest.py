@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import os
 import sys
+from dataclasses import dataclass
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
+from hypothesis import settings
 
 from repro.costmodel import StatisticsCatalog, StreamStatistics
 from repro.network.topology import example_topology
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.properties import extract_properties
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 from repro.wxquery import parse_query
@@ -57,6 +62,95 @@ Q4_TEXT = """<photons>
 PAPER_QUERIES = {"Q1": Q1_TEXT, "Q2": Q2_TEXT, "Q3": Q3_TEXT, "Q4": Q4_TEXT}
 
 PHOTON_ITEM_PATH = Path("photons/photon")
+
+#: CI runs the suite once (``--hypothesis-profile=ci``): the same
+#: examples every run, so a red leg is a red leg again on the re-run.
+settings.register_profile("ci", derandomize=True)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _repro_environment_is_left_alone():
+    """How a run executes is an argument, never the environment: a test
+    that sets a ``REPRO_*`` variable and leaks it changes every test
+    after it (``monkeypatch.setenv`` restores; ``os.environ[...] =``
+    does not)."""
+    before = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    yield
+    after = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    assert after == before, "a test leaked REPRO_* environment variables"
+
+
+@contextlib.contextmanager
+def pinned_cells(mode):
+    """Pin what ``ShardedSimulator``'s ``auto`` rule observes of the
+    host: one core gives ``inline`` cells, two give forked ``process``
+    cells — whatever machine runs the suite."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            "repro.engine.parallel.os.cpu_count",
+            lambda: {"inline": 1, "process": 2}[mode],
+        )
+        yield
+
+
+@pytest.fixture()
+def inline_cells():
+    """Sharded runs of this test use same-process cells."""
+    with pinned_cells("inline"):
+        yield
+
+
+@dataclass(frozen=True)
+class Executor:
+    """How a run executes, as a test input: over how many cells, and
+    into which recorder.  Nothing a test asserts about *what* a run
+    delivers or bills may depend on either."""
+
+    workers: int
+    traced: bool
+
+    def recorder(self):
+        """A recorder for one system (never shared between systems)."""
+        return Recorder() if self.traced else NULL_RECORDER
+
+    def system(self, *args, **kwargs):
+        """``make_system`` recording into this executor's recorder."""
+        return make_system(*args, recorder=self.recorder(), **kwargs)
+
+    def run(self, system, *args, **kwargs):
+        """``system.run`` over this executor's cells."""
+        return system.run(*args, workers=self.workers, **kwargs)
+
+    def __str__(self):
+        cells = "one-cell" if self.workers == 1 else f"{self.workers}-inline-cells"
+        return f"{cells}-{'traced' if self.traced else 'untraced'}"
+
+
+#: {one cell, two inline cells} x {null recorder, live recorder}.
+EXECUTORS = tuple(
+    Executor(workers, traced) for traced in (False, True) for workers in (1, 2)
+)
+
+
+def on_every_executor(test):
+    """Run ``test(..., executor=...)`` once per entry of ``EXECUTORS``
+    under its one test id: what it asserts must hold however the run
+    executes.  The failing executor is printed (pytest shows captured
+    output); fixtures are shared between the passes."""
+    signature = inspect.signature(test)
+
+    def on_each(*args, **kwargs):
+        for executor in EXECUTORS:
+            print(f"executor: {executor}")
+            with pinned_cells("inline"):
+                test(*args, executor=executor, **kwargs)
+
+    on_each.__name__ = test.__name__
+    on_each.__doc__ = test.__doc__
+    on_each.__signature__ = signature.replace(
+        parameters=[p for p in signature.parameters.values() if p.name != "executor"]
+    )
+    return on_each
 
 
 @pytest.fixture(scope="session")

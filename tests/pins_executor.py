@@ -192,9 +192,41 @@ def run_log_projection(recorder: Recorder) -> Dict[str, Any]:
     }
 
 
+#: Counters only a multi-cell run has (its exchange traffic and its
+#: executor shape).
+_CELL_PREFIXES = ("exchange.", "exec.")
+
+
+def partition_free(log: Dict[str, Any]) -> Dict[str, Any]:
+    """The part of :func:`run_log_projection` that no partition into
+    cells and no source batch size may change: what was generated per
+    epoch and delivered in total (a multi-cell run reports one series
+    per cell, and delivery may lag production by the certified
+    ``epoch_lag``), the counters every run has, the ordered fault
+    events and what each ``query.slo`` event says was delivered.  (How
+    many batches an operator timed is not in it: an exchange barrier
+    may hand a cell in two batches what one cell pumps as one.)"""
+    generated: Dict[str, int] = {}
+    delivered = 0
+    for epoch in log["epochs"]:
+        key = f"{epoch['t_start']}-{epoch['t_end']}"
+        generated[key] = generated.get(key, 0) + epoch["items_generated"]
+        delivered += epoch["items_delivered"]
+    return {
+        "generated": generated,
+        "delivered": delivered,
+        "counters": [
+            pair for pair in log["counters"] if not pair[0].startswith(_CELL_PREFIXES)
+        ],
+        "events": [
+            [name, fields if name == "fault.applied" else slo_counters([dict(fields)])]
+            for name, fields in log["events"]
+        ],
+    }
+
+
 def observe(case: str, workers: int = 1, traced: bool = False) -> Dict[str, Any]:
-    """One run of ``case``; ``workers=1`` pins the sequential run even
-    under ``REPRO_PARALLEL``, the explicit recorder beats
+    """One run of ``case``; the explicit recorder beats
     ``REPRO_OBS_TRACE``."""
     recorder = Recorder() if traced else NULL_RECORDER
     system, run_args = CASES[case](recorder)

@@ -21,6 +21,8 @@ from repro.bench import (
 from repro.network.topology import example_topology
 from repro.workload.scenarios import Scenario, scenario_one
 
+from .conftest import on_every_executor
+
 
 @pytest.fixture(scope="module")
 def small_scenario():
@@ -152,11 +154,17 @@ class TestObservabilityReports:
 
 
 class TestEmptyScenario:
-    def test_no_queries(self):
+    @on_every_executor
+    def test_no_queries(self, executor):
         scenario = Scenario(
             name="empty", network_factory=example_topology, duration=1.0
         )
-        run = run_scenario(scenario, "stream-sharing")
+        run = run_scenario(
+            scenario,
+            "stream-sharing",
+            recorder=executor.recorder(),
+            workers=executor.workers,
+        )
         assert run.registrations == []
         assert isinstance(run, ScenarioRun)
         assert run.registration_stats_ms() == (0.0, 0.0, 0.0)

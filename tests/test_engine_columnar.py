@@ -408,7 +408,7 @@ class _DetectorLess:
 
 
 class TestExecutorIdentity:
-    def _run(self, wrap=None, **kwargs):
+    def _run(self, workers, wrap=None, **kwargs):
         system = make_system(verify=True, **kwargs)
         if wrap is not None:
             for source in system.sources.values():
@@ -420,20 +420,28 @@ class TestExecutorIdentity:
         outputs = []
         before = columnar_stats()
         metrics = system.run(
-            8.0, capture=lambda query, item: outputs.append((query, serialize(item)))
+            8.0,
+            capture=lambda query, item: outputs.append((query, serialize(item))),
+            workers=workers,
         )
         stats = {k: v - before[k] for k, v in columnar_stats().items()}
         return metrics, outputs, stats
 
-    def test_metrics_and_results_identical(self, monkeypatch):
+    def test_metrics_and_results_identical(self, inline_cells, monkeypatch):
         """The store is picked by the input, never by the environment:
         the same run with every batch forced into a row store, and with
-        input whose irregularity no query can see."""
-        # The counters are process-local: keep sharded cells in-process.
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
-        cols_metrics, cols_out, cols_stats = self._run()
+        input whose irregularity no query can see — over one cell and
+        over two (in-process: the counters are process-local)."""
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                self._check_identical(workers, patch)
+
+    def _check_identical(self, workers, monkeypatch):
+        cols_metrics, cols_out, cols_stats = self._run(workers)
         assert cols_stats["batches_encoded"] > 0
-        irregular_metrics, irregular_out, irregular_stats = self._run(_DetectorLess)
+        irregular_metrics, irregular_out, irregular_stats = self._run(
+            workers, _DetectorLess
+        )
         assert irregular_stats["batches_encoded"] == 0
         assert irregular_stats["batches_bypassed_irregular"] > 0
         assert irregular_stats["batches_grouped"] > 0
@@ -445,7 +453,7 @@ class TestExecutorIdentity:
         from repro.obs.recorder import Recorder
 
         recorder = Recorder()
-        _, _, traced_stats = self._run(_DetectorLess, recorder=recorder)
+        _, _, traced_stats = self._run(workers, _DetectorLess, recorder=recorder)
         assert traced_stats["batches_grouped"] > 0
         assert {
             name[len("columnar."):]: value
@@ -456,7 +464,7 @@ class TestExecutorIdentity:
         assert "batches_grouped" in table and "rows_grouped" in table
         monkeypatch.setattr(columnar, "AUTO_MIN_ROWS", 10**9)
         for wrap in (None, _DetectorLess):
-            rows_metrics, rows_out, rows_stats = self._run(wrap)
+            rows_metrics, rows_out, rows_stats = self._run(workers, wrap)
             assert not any(rows_stats.values())
             assert rows_metrics == cols_metrics
             assert rows_out == cols_out

@@ -9,6 +9,8 @@ from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 from repro.wxquery import analyze, parse_query
 from repro.xmlkit import Element, element
 
+from .conftest import on_every_executor
+
 TWO_STREAM_QUERY = """
 <pair>{ for $p in stream("left")/photons/photon
         for $q in stream("right")/photons/photon
@@ -77,8 +79,11 @@ def _two_stream_network():
 
 
 class TestMultiInputEndToEnd:
-    def test_two_stream_subscription_executes(self):
-        system = StreamGlobe(_two_stream_network(), strategy="stream-sharing")
+    @on_every_executor
+    def test_two_stream_subscription_executes(self, executor):
+        system = StreamGlobe(
+            _two_stream_network(), strategy="stream-sharing", recorder=executor.recorder()
+        )
         left_config = PhotonStreamConfig(seed=1, frequency=40.0)
         right_config = PhotonStreamConfig(seed=2, frequency=40.0)
         system.register_stream(
@@ -92,7 +97,7 @@ class TestMultiInputEndToEnd:
         result = system.register_query("pair", TWO_STREAM_QUERY, "U")
         assert result.accepted
         assert len(result.plan.inputs) == 2
-        metrics = system.run(duration=5.0)
+        metrics = executor.run(system, duration=5.0)
         generated = metrics.items_generated
         # Round-robin latest-value combination: one result per input
         # item except the very first (warm-up).

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from repro.engine.executor import ExecutionError, StreamSimulator
 from repro.network.topology import example_topology
 from repro.properties import raw_stream_properties
@@ -163,11 +163,12 @@ class TestSimulatorBasics:
 
 
 class TestEndToEndExecution:
-    def test_q1_delivery_matches_direct_filtering(self):
+    @on_every_executor
+    def test_q1_delivery_matches_direct_filtering(self, executor):
         """Items delivered through the network equal direct evaluation."""
-        system = make_system("stream-sharing")
+        system = executor.system("stream-sharing")
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
-        metrics = system.run(duration=20.0)
+        metrics = executor.run(system, duration=20.0)
 
         from repro.workload.photons import VELA_REGION
 
@@ -181,21 +182,23 @@ class TestEndToEndExecution:
                 expected += 1
         assert metrics.items_delivered["Q1"] == expected
 
-    def test_q2_subset_of_q1(self):
-        system = make_system("stream-sharing")
+    @on_every_executor
+    def test_q2_subset_of_q1(self, executor):
+        system = executor.system("stream-sharing")
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
-        metrics = system.run(duration=20.0)
+        metrics = executor.run(system, duration=20.0)
         assert 0 < metrics.items_delivered["Q2"] <= metrics.items_delivered["Q1"]
 
-    def test_sharing_strategies_deliver_identical_results(self):
+    @on_every_executor
+    def test_sharing_strategies_deliver_identical_results(self, executor):
         """The optimizer must never change *what* is delivered."""
         deliveries = {}
         for strategy in ("data-shipping", "query-shipping", "stream-sharing"):
-            system = make_system(strategy)
+            system = executor.system(strategy)
             for name, peer in [("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")]:
                 system.register_query(name, PAPER_QUERIES[name], peer)
-            deliveries[strategy] = system.run(duration=30.0).items_delivered
+            deliveries[strategy] = executor.run(system, duration=30.0).items_delivered
         assert deliveries["data-shipping"] == deliveries["query-shipping"]
         assert deliveries["data-shipping"] == deliveries["stream-sharing"]
 
@@ -224,19 +227,21 @@ class TestEndToEndExecution:
         assert sliced.items_delivered == regular.items_delivered
         assert 0 < sliced.total_mbit() < regular.total_mbit()
 
-    def test_repeated_runs_identical(self):
-        system = make_system("stream-sharing")
+    @on_every_executor
+    def test_repeated_runs_identical(self, executor):
+        system = executor.system("stream-sharing")
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
-        first = system.run(duration=10.0)
-        second = system.run(duration=10.0)
+        first = executor.run(system, duration=10.0)
+        second = executor.run(system, duration=10.0)
         assert first.items_delivered == second.items_delivered
         assert first.link_bits == second.link_bits
         assert first.peer_work == second.peer_work
 
-    def test_metrics_derivations(self):
-        system = make_system("data-shipping")
+    @on_every_executor
+    def test_metrics_derivations(self, executor):
+        system = executor.system("data-shipping")
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
-        metrics = system.run(duration=10.0)
+        metrics = executor.run(system, duration=10.0)
         net = system.net
         total_kbps = sum(metrics.link_kbps(link) for link in net.links())
         assert total_kbps > 0
@@ -262,11 +267,7 @@ def test_sequential_run_imports_nothing_of_the_sharded_plane():
         "heavy = ('multiprocessing', 'repro.analysis', 'repro.engine.parallel')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("REPRO_PARALLEL", "REPRO_OBS_TRACE")
-    }
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_OBS_TRACE"}
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     result = subprocess.run(
         [sys.executable, "-c", script],

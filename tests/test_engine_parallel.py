@@ -24,10 +24,10 @@ from repro.engine.columnar import (
 from repro.engine.executor import ExecutionError, StreamSimulator
 from repro.engine.parallel import ShardedSimulator
 from repro.faults import FaultSchedule, LinkFailure, single_crash, staggered_crashes
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.xmlkit import Element, serialize
 
-from .conftest import PAPER_QUERIES, make_system
+from .conftest import PAPER_QUERIES, make_system, pinned_cells
 
 DURATION = 8.0
 MAX_ITEMS = 150
@@ -48,27 +48,21 @@ def deployed_system(**kwargs):
     return system
 
 
-def run_system(workers, mode="inline", faults_key=None, **system_kwargs):
+def run_system(workers, mode="inline", faults_key=None, traced=False):
     """One full run; returns (metrics, per-query capture, simulator)."""
-    os.environ["REPRO_PARALLEL_MODE"] = mode
-    system = deployed_system(**system_kwargs)
+    system = deployed_system(recorder=Recorder() if traced else NULL_RECORDER)
     captured = {}
-    metrics = system.run(
-        DURATION,
-        max_items_per_source=MAX_ITEMS,
-        faults=FAULT_CASES[faults_key]() if faults_key else None,
-        capture=lambda name, item: captured.setdefault(name, []).append(
-            serialize(item)
-        ),
-        workers=workers,
-    )
+    with pinned_cells(mode):
+        metrics = system.run(
+            DURATION,
+            max_items_per_source=MAX_ITEMS,
+            faults=FAULT_CASES[faults_key]() if faults_key else None,
+            capture=lambda name, item: captured.setdefault(name, []).append(
+                serialize(item)
+            ),
+            workers=workers,
+        )
     return metrics, captured, system.last_simulator
-
-
-@pytest.fixture(autouse=True)
-def _clean_parallel_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -77,19 +71,21 @@ def _clean_parallel_env(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 4, 8])
 def test_identity_inline(workers):
     seq_metrics, seq_cap, _ = run_system(1)
-    par_metrics, par_cap, simulator = run_system(workers)
-    assert par_metrics == seq_metrics
-    assert par_cap == seq_cap
-    assert simulator.mode_used == "inline"
-    assert 1 < simulator.workers_used <= workers
+    for traced in (False, True):
+        par_metrics, par_cap, simulator = run_system(workers, traced=traced)
+        assert par_metrics == seq_metrics
+        assert par_cap == seq_cap
+        assert simulator.mode_used == "inline"
+        assert 1 < simulator.workers_used <= workers
 
 
 def test_identity_process():
     seq_metrics, seq_cap, _ = run_system(1)
-    par_metrics, par_cap, simulator = run_system(2, mode="process")
-    assert par_metrics == seq_metrics
-    assert par_cap == seq_cap
-    assert simulator.mode_used == "process"
+    for traced in (False, True):
+        par_metrics, par_cap, simulator = run_system(2, mode="process", traced=traced)
+        assert par_metrics == seq_metrics
+        assert par_cap == seq_cap
+        assert simulator.mode_used == "process"
 
 
 # ----------------------------------------------------------------------
@@ -99,25 +95,26 @@ def test_identity_process():
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
 def test_identity_under_faults_inline(case):
     seq_metrics, seq_cap, _ = run_system(1, faults_key=case)
-    par_metrics, par_cap, _ = run_system(4, faults_key=case)
-    assert par_metrics == seq_metrics
-    assert par_cap == seq_cap
-    assert par_metrics.faults_applied > 0
+    for traced in (False, True):
+        par_metrics, par_cap, _ = run_system(4, faults_key=case, traced=traced)
+        assert par_metrics == seq_metrics
+        assert par_cap == seq_cap
+        assert par_metrics.faults_applied > 0
 
 
 def test_identity_under_faults_process():
     seq_metrics, seq_cap, _ = run_system(1, faults_key="crash_rejoin")
-    par_metrics, par_cap, simulator = run_system(
-        2, mode="process", faults_key="crash_rejoin"
-    )
-    assert par_metrics == seq_metrics
-    assert par_cap == seq_cap
-    assert simulator.mode_used == "process"
+    for traced in (False, True):
+        par_metrics, par_cap, simulator = run_system(
+            2, mode="process", faults_key="crash_rejoin", traced=traced
+        )
+        assert par_metrics == seq_metrics
+        assert par_cap == seq_cap
+        assert simulator.mode_used == "process"
 
 
 def test_recertification_changes_the_partition_mid_run():
     """Churn merges/splits shards mid-run; the run stays identical."""
-    os.environ["REPRO_PARALLEL_MODE"] = "inline"
     seq_metrics, _, _ = run_system(1, faults_key="rolling")
 
     system = deployed_system()
@@ -253,10 +250,9 @@ def test_query_lags_respect_certified_epoch_lag():
 # ----------------------------------------------------------------------
 # Traced runs: one interleaved epoch series per shard cell
 # ----------------------------------------------------------------------
-def test_traced_run_emits_per_shard_epochs():
+def test_traced_run_emits_per_shard_epochs(inline_cells):
     recorder = Recorder()
     seq_metrics, _, _ = run_system(1)
-    os.environ["REPRO_PARALLEL_MODE"] = "inline"
     system = deployed_system(recorder=recorder)
     metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=2)
     assert metrics == seq_metrics
@@ -362,10 +358,11 @@ def test_headers_equal_a_recount_of_the_unpickled_frames(monkeypatch):
 
 def test_parent_neither_decodes_nor_encodes_exchanged_rows():
     seq_metrics, _, _ = run_system(1)
-    os.environ["REPRO_PARALLEL_MODE"] = "process"
     system = deployed_system()
     reset_columnar_stats()
-    metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=2)
+    with pinned_cells("process"):
+        metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=2)
+    assert system.last_simulator.mode_used == "process"
     assert system.last_simulator.exchange_items > 0
     assert metrics == seq_metrics
     stats = columnar_stats()
@@ -493,34 +490,9 @@ def test_pickle_probe_is_memoised_per_deployment_state(monkeypatch):
     assert system.deployment.pickle_probe is not probed
 
 
-# ----------------------------------------------------------------------
-# Environment-variable integration
-# ----------------------------------------------------------------------
-def test_repro_parallel_env_selects_sharded_executor(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "2")
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
-    seq_metrics, _, _ = run_system(1)
-
-    system = deployed_system()
-    metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS)
-    assert isinstance(system.last_simulator, ShardedSimulator)
-    assert metrics == seq_metrics
-
-
-def test_repro_parallel_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "banana")
-    system = deployed_system()
-    with pytest.raises(ValueError, match="REPRO_PARALLEL"):
-        system.run(DURATION, max_items_per_source=MAX_ITEMS)
-
-
-@pytest.mark.parametrize("workers, env", [(0, None), (-3, None), (None, "0")])
-def test_run_rejects_a_worker_count_below_one(monkeypatch, workers, env):
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_rejects_a_worker_count_below_one(workers):
     """Like ``ShardedSimulator(workers=0)``: not a silent sequential run."""
-    if env is None:
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_PARALLEL", env)
     system = deployed_system()
     with pytest.raises(ExecutionError, match="workers must be >= 1"):
         system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=workers)

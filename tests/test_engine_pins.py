@@ -49,8 +49,7 @@ def test_traced_sequential_run_log_matches_the_record(case, pins):
 
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sharded_inline_run_matches_the_record(case, workers, pins, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+def test_sharded_inline_run_matches_the_record(case, workers, pins, inline_cells):
     observed = _observed(case, workers=workers)
     recorded = pins[case]
     assert observed["metrics"] == recorded["metrics"]

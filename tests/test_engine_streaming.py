@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from tests.oracle_materializing import MaterializingSimulator
 from repro.bench.harness import run_scenario
 from repro.engine.executor import (
@@ -293,10 +293,11 @@ class TestFlushSemantics:
         assert drained  # open windows existed at the horizon...
         assert len(outputs) == 3  # ...but only completed windows streamed out
 
-    def test_executor_delivers_exactly_the_unflushed_windows(self):
-        system = make_system("stream-sharing")
+    @on_every_executor
+    def test_executor_delivers_exactly_the_unflushed_windows(self, executor):
+        system = executor.system("stream-sharing")
         system.register_query("Q3", PAPER_QUERIES["Q3"], "P1")
-        metrics = system.run(duration=45.0)
+        metrics = executor.run(system, duration=45.0)
         # 3 completed |det_time diff 20 step 10| windows in 45s; the two
         # still-open windows at the horizon are NOT emitted.
         assert metrics.items_delivered["Q3"] == 3

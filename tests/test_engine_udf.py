@@ -2,7 +2,8 @@
 
 import pytest
 
-from tests.conftest import make_system
+from tests.conftest import make_system, on_every_executor
+from repro.costmodel import DEFAULT_DESCRIPTIONS, UdfDescription, base_load
 from repro.engine import (
     DEFAULT_UDF_REGISTRY,
     Pipeline,
@@ -112,13 +113,15 @@ class TestUdfStreamSharing:
         )
         assert result.plan.inputs[0].reused_id == "photons"
 
-    def test_udf_stream_executes_in_simulation(self):
-        DEFAULT_UDF_REGISTRY.register("scale", scale_energy)
-        system = make_system("stream-sharing")
+    @on_every_executor
+    def test_udf_stream_executes_in_simulation(self, executor):
+        if "scale" not in DEFAULT_UDF_REGISTRY:
+            DEFAULT_UDF_REGISTRY.register("scale", scale_energy)
+        system = executor.system("stream-sharing")
         system.install_derived_stream(
             "photons-x2", "photons", [UdfSpec("scale", ("2.0",))], target="P1"
         )
-        metrics = system.run(duration=5.0)
+        metrics = executor.run(system, duration=5.0)
         # UDF work is charged at the source super-peer.
         assert metrics.peer_work["SP4"] > 0
 
@@ -166,3 +169,51 @@ class TestFuzzyOrderAggregation:
         out.extend(buffered_op.flush())
         sums = [wire_to_partial(w, "sum").total for w in out]
         assert sums == [2.0, 2.0, 2.0, 2.0, 2.0]
+
+
+class TestDeclaredUdfLoad:
+    """§3.2: a declared ``bload`` prices the UDF wherever work is
+    estimated — at commit and at release as in the planner and the
+    executor's accounting."""
+
+    @pytest.fixture(autouse=True)
+    def heavy(self):
+        DEFAULT_UDF_REGISTRY.register("heavy", lambda item: [item])
+        DEFAULT_DESCRIPTIONS.register(UdfDescription("heavy", base_load=400.0))
+        yield
+        DEFAULT_DESCRIPTIONS._descriptions.clear()
+
+    def test_committed_measured_and_released_with_the_declared_load(self):
+        system = make_system("stream-sharing")
+        usage = system.deployment.usage
+        peers = system.net.super_peer_names()
+        before = {peer: usage.peer_work(peer) for peer in peers}
+
+        stream = system.install_derived_stream(
+            "photons-heavy", "photons", [UdfSpec("heavy")], target="P1"
+        )
+        origin = stream.origin_node
+        pindex = system.net.super_peer(origin).pindex
+        per_item = 400.0 + base_load("duplicate") + base_load("transfer")
+        committed = usage.peer_work(origin) - before[origin]
+        assert committed == pytest.approx(per_item * pindex * 100.0)
+
+        # The estimate is what the run then bills (ingest is measured,
+        # never committed).
+        duration = 10.0
+        metrics = system.run(duration)
+        ingest = base_load("ingest") * pindex * metrics.items_generated["photons"]
+        measured = (metrics.peer_work[origin] - ingest) / duration
+        assert committed == pytest.approx(measured, rel=0.05)
+
+        # No subscription owns the stream: the next deregistration
+        # collects it and returns the ledger to what it was.
+        system.register_query(
+            "q",
+            '<photons>{ for $p in stream("photons")/photons/photon '
+            "where $p/en >= 1.0 return <r> { $p/en } </r> }</photons>",
+            "P2",
+        )
+        assert "photons-heavy" in system.deregister_query("q")
+        for peer in peers:
+            assert usage.peer_work(peer) == pytest.approx(before[peer], abs=1e-6)

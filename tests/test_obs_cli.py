@@ -30,22 +30,23 @@ class TestHitRates:
 
 
 class TestRecord:
-    def test_record_writes_all_artifacts(self, tmp_path, capsys):
-        out = tmp_path / "run.jsonl"
-        chrome = tmp_path / "trace.json"
-        prom = tmp_path / "metrics.txt"
-        code = main(
-            [
-                "record", "--scenario", "churn-smoke",
-                "-o", str(out), "--chrome", str(chrome), "--prom", str(prom),
-            ]
-        )
-        assert code == 0
-        assert out.exists() and chrome.exists() and prom.exists()
-        with open(chrome, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["traceEvents"]
-        assert prom.read_text().startswith("# TYPE repro_")
-        assert "spans" in capsys.readouterr().out
+    def test_record_writes_all_artifacts(self, tmp_path, capsys, inline_cells):
+        for workers in ("1", "2"):
+            out = tmp_path / f"run{workers}.jsonl"
+            chrome = tmp_path / f"trace{workers}.json"
+            prom = tmp_path / f"metrics{workers}.txt"
+            code = main(
+                [
+                    "record", "--scenario", "churn-smoke", "--workers", workers,
+                    "-o", str(out), "--chrome", str(chrome), "--prom", str(prom),
+                ]
+            )
+            assert code == 0
+            assert out.exists() and chrome.exists() and prom.exists()
+            with open(chrome, "r", encoding="utf-8") as handle:
+                assert json.load(handle)["traceEvents"]
+            assert prom.read_text().startswith("# TYPE repro_")
+            assert "spans" in capsys.readouterr().out
 
     def test_unknown_scenario_exits(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -53,19 +54,27 @@ class TestRecord:
 
 
 class TestSummarize:
-    def test_prints_every_section(self, run_log_path, capsys):
-        assert main(["summarize", run_log_path]) == 0
-        out = capsys.readouterr().out
-        # The acceptance-criterion surface: per-epoch peer CPU / link
-        # traffic series, planner span timings, and cache hit rates.
-        assert "Per-epoch peer CPU load" in out
-        assert "Per-epoch link traffic" in out
-        assert "Per-epoch item flow and churn transients" in out
-        assert "planner span timings" in out
-        assert "register" in out and "search" in out
-        assert "cache.route" in out and "hit_rate" in out
-        assert "== plan decisions ==" in out
-        assert "== repairs ==" in out
+    def test_prints_every_section(self, run_log_path, tmp_path, capsys, inline_cells):
+        """The log of a one-cell run and of a two-cell run."""
+        sharded = str(tmp_path / "sharded.jsonl")
+        recorded = main(
+            ["record", "--scenario", "churn-smoke", "--workers", "2", "-o", sharded]
+        )
+        assert recorded == 0
+        capsys.readouterr()
+        for path in (run_log_path, sharded):
+            assert main(["summarize", path]) == 0
+            out = capsys.readouterr().out
+            # The acceptance-criterion surface: per-epoch peer CPU / link
+            # traffic series, planner span timings, and cache hit rates.
+            assert "Per-epoch peer CPU load" in out
+            assert "Per-epoch link traffic" in out
+            assert "Per-epoch item flow and churn transients" in out
+            assert "planner span timings" in out
+            assert "register" in out and "search" in out
+            assert "cache.route" in out and "hit_rate" in out
+            assert "== plan decisions ==" in out
+            assert "== repairs ==" in out
 
     def test_churn_columns_present(self, run_log_path, capsys):
         main(["summarize", run_log_path])

@@ -49,11 +49,8 @@ def traced_pair():
     schedule (two rolling crash/rejoin pairs), so this fixture also
     covers trace merging across mid-run plan repair.
     """
-    # workers=1 pins the sequential executor even when the suite runs
-    # under REPRO_PARALLEL=N.
     seq = run_scenario(
-        scenario_churn_hotspots(), "stream-sharing", recorder=Recorder(),
-        workers=1,
+        scenario_churn_hotspots(), "stream-sharing", recorder=Recorder()
     )
     par = run_scenario(
         scenario_churn_hotspots(),

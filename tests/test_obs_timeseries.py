@@ -8,6 +8,8 @@ from repro.network.topology import example_topology
 from repro.obs import EpochSnapshot, Recorder, snapshot_delta
 from repro.workload.scenarios import scenario_churn
 
+from .conftest import pinned_cells
+
 
 @pytest.fixture()
 def net():
@@ -80,60 +82,69 @@ class TestChurnTransient:
     """Satellite: the recovery transient is visible in the epoch series."""
 
     @pytest.fixture(scope="class")
-    def churn_run(self):
-        scenario = scenario_churn(
-            rows=2, cols=2, query_count=4, duration=12.0,
-            crash_peer="SP1", crash_at=4.0, rejoin_at=8.0,
-        )
-        recorder = Recorder()
-        run = run_scenario(scenario, "stream-sharing", recorder=recorder)
-        return scenario, recorder, run
+    def churn_runs(self):
+        """The same traced churn run over one cell and over two."""
+        runs = []
+        with pinned_cells("inline"):
+            for workers in (1, 2):
+                scenario = scenario_churn(
+                    rows=2, cols=2, query_count=4, duration=12.0,
+                    crash_peer="SP1", crash_at=4.0, rejoin_at=8.0,
+                )
+                recorder = Recorder()
+                run = run_scenario(
+                    scenario, "stream-sharing", recorder=recorder, workers=workers
+                )
+                runs.append((scenario, recorder, run))
+        return runs
 
-    def test_epochs_cover_the_whole_run(self, churn_run):
-        scenario, recorder, _ = churn_run
-        # A sharded run (REPRO_PARALLEL) interleaves one series per
-        # cell; contiguity holds within each shard's series.
-        by_shard = {}
-        for snapshot in recorder.epochs:
-            by_shard.setdefault(snapshot.shard, []).append(snapshot)
-        for epochs in by_shard.values():
-            assert epochs[0].t_start == 0.0
-            assert epochs[-1].t_end == pytest.approx(scenario.duration)
-            for before, after in zip(epochs, epochs[1:]):
-                assert after.t_start == pytest.approx(before.t_end)
+    def test_epochs_cover_the_whole_run(self, churn_runs):
+        for scenario, recorder, _ in churn_runs:
+            # A multi-cell run interleaves one series per cell;
+            # contiguity holds within each shard's series.
+            by_shard = {}
+            for snapshot in recorder.epochs:
+                by_shard.setdefault(snapshot.shard, []).append(snapshot)
+            for epochs in by_shard.values():
+                assert epochs[0].t_start == 0.0
+                assert epochs[-1].t_end == pytest.approx(scenario.duration)
+                for before, after in zip(epochs, epochs[1:]):
+                    assert after.t_start == pytest.approx(before.t_end)
 
-    def test_rerouted_bits_only_after_the_crash(self, churn_run):
-        _, recorder, _ = churn_run
-        pre_fault = [e for e in recorder.epochs if e.t_end <= 4.0]
-        post_fault = [e for e in recorder.epochs if e.t_start >= 4.0]
-        assert pre_fault and post_fault
-        # Epochs are emitted before the boundary's fault applies, so the
-        # recovery transient lands strictly in post-fault epochs.
-        assert all(e.rerouted_traffic_bits == 0.0 for e in pre_fault)
-        assert sum(e.rerouted_traffic_bits for e in post_fault) > 0.0
+    def test_rerouted_bits_only_after_the_crash(self, churn_runs):
+        for _, recorder, _ in churn_runs:
+            pre_fault = [e for e in recorder.epochs if e.t_end <= 4.0]
+            post_fault = [e for e in recorder.epochs if e.t_start >= 4.0]
+            assert pre_fault and post_fault
+            # Epochs are emitted before the boundary's fault applies, so
+            # the recovery transient lands strictly in post-fault epochs.
+            assert all(e.rerouted_traffic_bits == 0.0 for e in pre_fault)
+            assert sum(e.rerouted_traffic_bits for e in post_fault) > 0.0
 
-    def test_fault_epochs_are_marked(self, churn_run):
-        _, recorder, run = churn_run
-        assert run.metrics is not None
-        assert sum(e.faults_applied for e in recorder.epochs) == 2
-        assert all(e.faults_applied == 0 for e in recorder.epochs if e.t_end <= 4.0)
+    def test_fault_epochs_are_marked(self, churn_runs):
+        for _, recorder, run in churn_runs:
+            assert run.metrics is not None
+            assert sum(e.faults_applied for e in recorder.epochs) == 2
+            assert all(
+                e.faults_applied == 0 for e in recorder.epochs if e.t_end <= 4.0
+            )
 
-    def test_epoch_deltas_sum_to_run_totals(self, churn_run):
-        _, recorder, run = churn_run
-        metrics = run.metrics
-        epochs = recorder.epochs
-        assert sum(e.items_generated for e in epochs) == sum(
-            metrics.items_generated.values()
-        )
-        assert sum(e.items_delivered for e in epochs) == sum(
-            metrics.items_delivered.values()
-        )
-        assert sum(e.items_lost for e in epochs) == metrics.items_lost
-        assert sum(e.rerouted_traffic_bits for e in epochs) == pytest.approx(
-            metrics.rerouted_traffic_bits
-        )
-        total_bits = sum(sum(e.link_bits.values()) for e in epochs)
-        assert total_bits == pytest.approx(sum(metrics.link_bits.values()))
+    def test_epoch_deltas_sum_to_run_totals(self, churn_runs):
+        for _, recorder, run in churn_runs:
+            metrics = run.metrics
+            epochs = recorder.epochs
+            assert sum(e.items_generated for e in epochs) == sum(
+                metrics.items_generated.values()
+            )
+            assert sum(e.items_delivered for e in epochs) == sum(
+                metrics.items_delivered.values()
+            )
+            assert sum(e.items_lost for e in epochs) == metrics.items_lost
+            assert sum(e.rerouted_traffic_bits for e in epochs) == pytest.approx(
+                metrics.rerouted_traffic_bits
+            )
+            total_bits = sum(sum(e.link_bits.values()) for e in epochs)
+            assert total_bits == pytest.approx(sum(metrics.link_bits.values()))
 
 
 class TestSortEpochs:

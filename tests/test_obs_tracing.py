@@ -15,7 +15,7 @@ from repro.network.routing import RouteCache
 from repro.network.topology import example_topology
 from repro.obs import NULL_RECORDER, Recorder
 from repro.workload.scenarios import scenario_churn, scenario_one
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, pinned_cells
 
 
 def _spans_by_name(recorder):
@@ -108,72 +108,80 @@ class TestCacheStats:
 class TestRepairTracing:
     @pytest.fixture(scope="class")
     def churned(self):
-        scenario = scenario_churn(
-            rows=2, cols=2, query_count=4, duration=12.0,
-            crash_peer="SP1", crash_at=4.0, rejoin_at=8.0,
-        )
-        recorder = Recorder()
-        run = run_scenario(scenario, "stream-sharing", recorder=recorder)
-        return recorder, run
+        """The same traced churn run over one cell and over two."""
+        runs = []
+        with pinned_cells("inline"):
+            for workers in (1, 2):
+                scenario = scenario_churn(
+                    rows=2, cols=2, query_count=4, duration=12.0,
+                    crash_peer="SP1", crash_at=4.0, rejoin_at=8.0,
+                )
+                recorder = Recorder()
+                run = run_scenario(
+                    scenario, "stream-sharing", recorder=recorder, workers=workers
+                )
+                runs.append((recorder, run))
+        return runs
 
     def test_repair_span_tree(self, churned):
-        recorder, _ = churned
-        names = _spans_by_name(recorder)
-        assert len(names["repair"]) == 2  # crash + rejoin
-        repair = names["repair"][0]
-        for phase in ("repair.damage", "repair.teardown", "repair.reregister"):
-            phase_span = next(
-                s for s in names[phase] if s.parent_id == repair.span_id
-            )
-            assert phase_span.end_s is not None
-        assert "summary" in repair.attrs
+        for recorder, _ in churned:
+            names = _spans_by_name(recorder)
+            assert len(names["repair"]) == 2  # crash + rejoin
+            repair = names["repair"][0]
+            for phase in ("repair.damage", "repair.teardown", "repair.reregister"):
+                phase_span = next(
+                    s for s in names[phase] if s.parent_id == repair.span_id
+                )
+                assert phase_span.end_s is not None
+            assert "summary" in repair.attrs
 
     def test_repair_report_events(self, churned):
-        recorder, _ = churned
-        reports = [e for e in recorder.events if e["name"] == "repair.report"]
-        assert len(reports) == 2
-        crash = reports[0]["fields"]
-        assert crash["damaged_streams"] >= 1
-        assert crash["queries_repaired"] + crash["queries_lost"] >= 1
-        assert crash["recovery_time_ms"] >= 0.0
+        for recorder, _ in churned:
+            reports = [e for e in recorder.events if e["name"] == "repair.report"]
+            assert len(reports) == 2
+            crash = reports[0]["fields"]
+            assert crash["damaged_streams"] >= 1
+            assert crash["queries_repaired"] + crash["queries_lost"] >= 1
+            assert crash["recovery_time_ms"] >= 0.0
 
     def test_fault_events(self, churned):
-        recorder, _ = churned
-        faults = [e for e in recorder.events if e["name"] == "fault.applied"]
-        assert [e["fields"]["stream_time"] for e in faults] == [4.0, 8.0]
+        for recorder, _ in churned:
+            faults = [e for e in recorder.events if e["name"] == "fault.applied"]
+            assert [e["fields"]["stream_time"] for e in faults] == [4.0, 8.0]
 
     def test_route_cache_invalidated_by_churn(self, churned):
-        recorder, run = churned
-        # Two topology mutations -> at least one wholesale drop each.
-        assert run.system.planner.routes.invalidations >= 2
-        assert recorder.counters["cache.route.invalidations"] >= 2
+        for recorder, run in churned:
+            # Two topology mutations -> at least one wholesale drop each.
+            assert run.system.planner.routes.invalidations >= 2
+            assert recorder.counters["cache.route.invalidations"] >= 2
 
 
 class TestTracedEqualsUntraced:
+    @pytest.mark.usefixtures("inline_cells")
     def test_metrics_identical(self):
         scenario = scenario_one(query_count=6)
         scenario.duration = 10.0
-        plain = run_scenario(scenario, "stream-sharing")
-        traced = run_scenario(scenario, "stream-sharing", recorder=Recorder())
-        assert plain.metrics is not None and traced.metrics is not None
-        assert traced.metrics.link_bits == plain.metrics.link_bits
-        assert traced.metrics.peer_work == plain.metrics.peer_work
-        assert traced.metrics.items_delivered == plain.metrics.items_delivered
-        assert traced.metrics.items_generated == plain.metrics.items_generated
+        plain = run_scenario(scenario, "stream-sharing", recorder=NULL_RECORDER)
+        for workers in (1, 2):
+            traced = run_scenario(
+                scenario, "stream-sharing", recorder=Recorder(), workers=workers
+            )
+            assert traced.metrics == plain.metrics
 
+    @pytest.mark.usefixtures("inline_cells")
     def test_operator_histograms_observed(self):
-        # Runs under REPRO_PARALLEL too: traced shard cells now ship
-        # their operator histograms back at epoch barriers and the
-        # parent merges them (DESIGN.md §15).
-        scenario = scenario_one(query_count=4)
-        scenario.duration = 6.0
-        recorder = Recorder()
-        run_scenario(scenario, "stream-sharing", recorder=recorder)
-        batch_hists = [n for n in recorder.histograms if n.endswith(".batch_s")]
-        assert batch_hists, "expected per-operator latency histograms"
-        items = [n for n in recorder.counters if n.startswith("op.")]
-        assert items
-        assert recorder.counters["exec.runs"] == 1
+        # Traced shard cells ship their operator histograms back at
+        # epoch barriers and the parent merges them (DESIGN.md §15).
+        for workers in (1, 2):
+            scenario = scenario_one(query_count=4)
+            scenario.duration = 6.0
+            recorder = Recorder()
+            run_scenario(scenario, "stream-sharing", recorder=recorder, workers=workers)
+            batch_hists = [n for n in recorder.histograms if n.endswith(".batch_s")]
+            assert batch_hists, "expected per-operator latency histograms"
+            items = [n for n in recorder.counters if n.startswith("op.")]
+            assert items
+            assert recorder.counters["exec.runs"] == 1
 
 
 class TestRouteCacheInvalidation:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from repro.predicates import ZERO, Bound
 from repro.xmlkit import Path
 
@@ -108,13 +108,15 @@ class TestSection1Narrative:
         plan = system.results[1].plan.inputs[0]
         assert [s.kind for s in plan.delivered.pipeline] == ["selection", "projection"]
 
-    def test_sharing_reduces_traffic_vs_no_sharing(self, system):
-        no_sharing = make_system("data-shipping")
-        for name, peer in [("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")]:
-            no_sharing.register_query(name, PAPER_QUERIES[name], peer)
-        shared = system.run(duration=30.0).total_mbit()
-        shipped = no_sharing.run(duration=30.0).total_mbit()
-        assert shared < shipped / 3
+    @on_every_executor
+    def test_sharing_reduces_traffic_vs_no_sharing(self, executor):
+        mbit = {}
+        for strategy in ("stream-sharing", "data-shipping"):
+            system = executor.system(strategy)
+            for name, peer in [("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")]:
+                system.register_query(name, PAPER_QUERIES[name], peer)
+            mbit[strategy] = executor.run(system, duration=30.0).total_mbit()
+        assert mbit["stream-sharing"] < mbit["data-shipping"] / 3
 
 
 class TestSection2LanguageRules:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from repro.sharing.deregister import DeregistrationError, live_stream_ids
 from repro.analysis import verify_deployment
 
@@ -64,26 +64,28 @@ class TestSharedStreamSurvival:
         assert "Q1:photons" in removed
         assert list(system.deployment.streams) == ["photons"]
 
-    def test_execution_after_deregistration(self):
-        system = make_system()
+    @on_every_executor
+    def test_execution_after_deregistration(self, executor):
+        system = executor.system()
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
         system.deregister_query("Q1")
-        metrics = system.run(duration=10.0)
+        metrics = executor.run(system, duration=10.0)
         assert "Q1" not in metrics.items_delivered
         assert metrics.items_delivered["Q2"] > 0
 
-    def test_q2_results_unchanged_by_q1_departure(self):
-        keep = make_system()
+    @on_every_executor
+    def test_q2_results_unchanged_by_q1_departure(self, executor):
+        keep = executor.system()
         keep.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         keep.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
-        baseline = keep.run(duration=10.0).items_delivered["Q2"]
+        baseline = executor.run(keep, duration=10.0).items_delivered["Q2"]
 
-        churn = make_system()
+        churn = executor.system()
         churn.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         churn.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
         churn.deregister_query("Q1")
-        assert churn.run(duration=10.0).items_delivered["Q2"] == baseline
+        assert executor.run(churn, duration=10.0).items_delivered["Q2"] == baseline
 
 
 class TestLedgerParity:
@@ -161,17 +163,20 @@ class TestLiveStreamAnalysis:
 
 
 class TestScenarioChurn:
-    def test_mass_churn_leaves_consistent_state(self):
+    @on_every_executor
+    def test_mass_churn_leaves_consistent_state(self, executor):
         from repro.bench.harness import run_scenario
         from repro.workload.scenarios import scenario_one
 
-        run = run_scenario(scenario_one(), "stream-sharing", execute=False)
+        run = run_scenario(
+            scenario_one(), "stream-sharing", execute=False, recorder=executor.recorder()
+        )
         system = run.system
         # Deregister every other query, then audit.
         for result in run.registrations[::2]:
             system.deregister_query(result.query)
         assert verify_deployment(system.deployment).ok
-        metrics = system.run(duration=10.0)
+        metrics = executor.run(system, duration=10.0)
         remaining = {r.query for r in run.registrations[1::2]}
         assert set(metrics.items_delivered) <= remaining
 
@@ -201,3 +206,27 @@ def test_reregistering_a_name_whose_stream_is_still_shared():
     for spec in scenario.queries:
         system.deregister_query(spec.name)
     assert set(system.deployment.streams) == {s.name for s in scenario.sources}
+
+
+def test_reregistered_name_tapping_its_own_predecessor_releases_its_tap():
+    """Found by the executor state machine (P132): Q1's stream outlives
+    Q1 while Q2 shares it; Q1 registered again taps that stream, which
+    still carries Q1's name.  The new stream paid a tap duplication like
+    any other consumer and must give it back — whether it did is a fact
+    of how it was created, not of who is called what."""
+    # Q2's region and energy cut, but keeping ``phc``: only Q1's stream
+    # can serve it.
+    narrow = PAPER_QUERIES["Q2"].replace("{ $p/en }", "{ $p/phc } { $p/en }")
+    system = make_system()
+    system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+    system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
+    system.deregister_query("Q1")
+    system.register_query("Q1", narrow, "P1")
+    again = system.deployment.stream("Q1:photons~2")
+    assert again.parent_id == "Q1:photons" and again.taps_parent
+    system.deregister_query("Q1")
+    system.deregister_query("Q2")
+    assert list(system.deployment.streams) == ["photons"]
+    usage = system.deployment.usage
+    for peer in system.net.super_peer_names():
+        assert usage.peer_work(peer) == pytest.approx(0.0, abs=1e-6)

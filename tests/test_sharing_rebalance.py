@@ -23,6 +23,8 @@ from repro.sharing.rebalance import HotPeerCostModel, Rebalancer
 from repro.sharing.system import StreamGlobe
 from repro.workload.scenarios import scenario_drift
 
+from .conftest import on_every_executor
+
 #: Calibrated to the drift scenario's simulated CPU% scale (~6% idle,
 #: ~26% after the rate step) — same knobs the PR 8 bench uses.
 CONFIG = DriftConfig(
@@ -32,9 +34,12 @@ CONFIG = DriftConfig(
 STATELESS_KINDS = ("selection", "projection")
 
 
-def _build(scenario):
+def _build(scenario, recorder=None):
     system = StreamGlobe(
-        scenario.build_network(), strategy="stream-sharing", verify=True
+        scenario.build_network(),
+        strategy="stream-sharing",
+        verify=True,
+        recorder=recorder,
     )
     for source in scenario.sources:
         system.register_stream(
@@ -254,11 +259,12 @@ class TestHotPeerCostModel:
 
 
 class TestRebalancerKnobs:
-    def test_max_migrations_caps_passes(self):
+    @on_every_executor
+    def test_max_migrations_caps_passes(self, executor):
         scenario = scenario_drift()
-        system = _build(scenario)
+        system = _build(scenario, executor.recorder())
         rebalancer = Rebalancer(system, config=CONFIG, max_migrations=0)
-        metrics = system.run(scenario.duration, rebalancer=rebalancer)
+        metrics = executor.run(system, scenario.duration, rebalancer=rebalancer)
         assert metrics.migrations_applied == 0
         assert rebalancer.reports == []
         # Alerts still fire — only the control-plane rewrite is capped.

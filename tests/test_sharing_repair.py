@@ -113,6 +113,30 @@ class TestPendingSubscriptions:
         assert verify_deployment(system.deployment).ok
 
 
+    def test_a_parked_name_is_taken_until_its_owner_deregisters_it(self):
+        """Found by the executor state machine: a parked subscription is
+        registered again at the rejoin, so registering its name in the
+        meantime used to blow up there, mid-run, and deregistering it
+        was refused as unknown while it waited to come back."""
+        system = make_system(verify=True)
+        register_all(system, names=("Q1", "Q2"))
+        system.apply_fault(SuperPeerCrash(5.0, "SP1"))
+        assert [name for name, _ in system.plan_repairer().pending] == ["Q1"]
+        streams = set(system.deployment.streams)
+        with pytest.raises(ValueError, match="'Q1' already registered"):
+            system.register_query("Q1", PAPER_QUERIES["Q3"], "P3")
+        with pytest.raises(ValueError, match="'Q2' already registered"):
+            system.register_query("Q2", PAPER_QUERIES["Q3"], "P3")
+        assert set(system.deployment.streams) == streams  # refused up front
+
+        assert system.deregister_query("Q1") == []
+        assert system.plan_repairer().pending == []
+        system.register_query("Q1", PAPER_QUERIES["Q3"], "P3")
+        healed = system.apply_fault(SuperPeerRejoin(15.0, "SP1"))
+        assert healed.repaired_queries == []
+        assert system.deployment.queries["Q1"].subscriber_node == "SP3"
+
+
 class TestTeardownParity:
     @pytest.mark.parametrize("strategy", ["data-shipping", "stream-sharing"])
     def test_full_churn_returns_ledger_to_baseline(self, strategy):

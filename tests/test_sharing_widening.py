@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import (
     ProjectionSpec,
@@ -124,19 +124,20 @@ class TestWideningEndToEnd:
     def _system(self):
         return make_system("stream-sharing", enable_widening=True)
 
-    def test_widening_considered_and_results_unchanged(self):
+    @on_every_executor
+    def test_widening_considered_and_results_unchanged(self, executor):
         """Register a narrow query, then a wide one that the narrow
         stream cannot serve unwidened.  Whatever the optimizer picks,
         every query's results must equal the unwidened system's."""
-        widened_system = self._system()
+        widened_system = executor.system("stream-sharing", enable_widening=True)
         widened_system.register_query("narrow", NARROW_QUERY, "P1")
         widened_system.register_query("wide", WIDE_QUERY, "P2")
-        baseline = make_system("stream-sharing")
+        baseline = executor.system("stream-sharing")
         baseline.register_query("narrow", NARROW_QUERY, "P1")
         baseline.register_query("wide", WIDE_QUERY, "P2")
 
-        widened_metrics = widened_system.run(duration=30.0)
-        baseline_metrics = baseline.run(duration=30.0)
+        widened_metrics = executor.run(widened_system, duration=30.0)
+        baseline_metrics = executor.run(baseline, duration=30.0)
         assert widened_metrics.items_delivered == baseline_metrics.items_delivered
 
     def test_widening_commits_consistent_state(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from repro.network.topology import example_topology
 from repro.sharing import StreamGlobe
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
@@ -68,18 +68,20 @@ class TestQueryRegistration:
 
 
 class TestRunBehaviour:
-    def test_run_without_queries(self):
-        system = make_system()
-        metrics = system.run(duration=2.0)
+    @on_every_executor
+    def test_run_without_queries(self, executor):
+        system = executor.system()
+        metrics = executor.run(system, duration=2.0)
         assert metrics.items_delivered == {}
         assert metrics.items_generated["photons"] > 0
 
-    def test_run_is_repeatable_after_new_registration(self):
-        system = make_system()
+    @on_every_executor
+    def test_run_is_repeatable_after_new_registration(self, executor):
+        system = executor.system()
         system.register_query("a", PAPER_QUERIES["Q1"], "P1")
-        first = system.run(duration=5.0)
+        first = executor.run(system, duration=5.0)
         system.register_query("b", PAPER_QUERIES["Q2"], "P2")
-        second = system.run(duration=5.0)
+        second = executor.run(system, duration=5.0)
         # Q1's results are unaffected by Q2's registration.
         assert second.items_delivered["a"] == first.items_delivered["a"]
 

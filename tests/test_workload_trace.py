@@ -12,6 +12,8 @@ from repro.workload.trace import (
 )
 from repro.xmlkit import Path, parse_stream
 
+from .conftest import on_every_executor
+
 
 @pytest.fixture()
 def photons():
@@ -83,7 +85,8 @@ class TestReplay:
 
 
 class TestReplayDrivesTheSystem:
-    def test_trace_as_stream_source(self, photons, tmp_path):
+    @on_every_executor
+    def test_trace_as_stream_source(self, photons, tmp_path, executor):
         """A recorded trace can back a registered stream end to end."""
         from repro.network.topology import example_topology
         from repro.sharing import StreamGlobe
@@ -91,7 +94,9 @@ class TestReplayDrivesTheSystem:
         path = str(tmp_path / "trace.xml")
         save_trace(photons, path)
 
-        system = StreamGlobe(example_topology(), strategy="stream-sharing")
+        system = StreamGlobe(
+            example_topology(), strategy="stream-sharing", recorder=executor.recorder()
+        )
         system.register_stream(
             "photons",
             "photons/photon",
@@ -106,6 +111,6 @@ class TestReplayDrivesTheSystem:
             "P1",
         )
         assert result.accepted
-        metrics = system.run(duration=2.0)
+        metrics = executor.run(system, duration=2.0)
         assert metrics.items_delivered["all"] > 0
         assert metrics.items_delivered["all"] == metrics.items_generated["photons"]
