@@ -16,6 +16,7 @@ then shared.  Findings of this ablation (scenario 1):
 import pytest
 
 from conftest import write_result
+from repro.analysis import verify_deployment
 from repro.bench import series_table
 from repro.bench.harness import run_scenario
 from repro.workload.scenarios import scenario_one
@@ -54,6 +55,22 @@ class TestWideningAblation:
 
     def test_widening_actually_fires(self, widened):
         assert widening_count(widened) >= 3
+
+    def test_widened_deployment_verifies_and_tears_down_clean(self):
+        """What widening rewrites (consumers, restores) verifies clean,
+        and deregistering everything releases exactly what it committed."""
+        system = run_scenario(
+            scenario_one(), "stream-sharing", enable_widening=True, execute=False
+        ).system
+        deployment = system.deployment
+        report = verify_deployment(deployment, catalog=system.catalog)
+        assert report.ok, report.render()
+        for name in list(deployment.queries):
+            system.deregister_query(name)
+        assert all(stream.is_original for stream in deployment.streams.values())
+        usage = deployment.usage
+        assert not any(usage._peer_work.values())
+        assert not any(usage._link_bits.values())
 
     def test_widening_buys_load_with_traffic(self, baseline, widened):
         """Under γ = 0.5, widening trades traffic for computational

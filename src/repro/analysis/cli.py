@@ -126,7 +126,7 @@ def _plan_reports(
     scenarios: Sequence[str], strategies: Optional[Sequence[str]]
 ) -> List[AnalysisReport]:
     # Imported lazily: --code must work even if the engine side is broken.
-    from ..sharing.strategies import STRATEGIES
+    from ..sharing.subscribe import STRATEGIES
     from .preflight import build_verified_system
 
     builders = _scenario_builders()
@@ -136,13 +136,24 @@ def _plan_reports(
         for strategy in strategies or list(STRATEGIES):
             title = f"plan verification: scenario {key}, strategy {strategy!r}"
             reports.append(build_verified_system(scenario, strategy, title=title))
+            if (key, strategy) == ("1", "stream-sharing"):
+                # Widening rewrites installed streams in place: the one
+                # deployment shape no other scenario produces.
+                reports.append(
+                    build_verified_system(
+                        scenario,
+                        strategy,
+                        title=f"{title}, widening enabled",
+                        enable_widening=True,
+                    )
+                )
     return reports
 
 
 def _flow_reports(
     scenarios: Sequence[str], strategies: Optional[Sequence[str]]
 ) -> List[AnalysisReport]:
-    from ..sharing.strategies import STRATEGIES
+    from ..sharing.subscribe import STRATEGIES
     from .preflight import build_flow_report
 
     builders = _scenario_builders()
@@ -158,7 +169,7 @@ def _flow_reports(
 def _shard_reports(
     scenarios: Sequence[str], strategies: Optional[Sequence[str]]
 ) -> Tuple[List[AnalysisReport], List[Tuple[str, str, "ShardPlan"]]]:
-    from ..sharing.strategies import STRATEGIES
+    from ..sharing.subscribe import STRATEGIES
     from .preflight import build_shard_plan
 
     builders = _scenario_builders()
@@ -177,7 +188,7 @@ def _shard_reports(
 def _churn_reports(
     strategies: Optional[Sequence[str]], passes: Tuple[str, ...]
 ) -> List[AnalysisReport]:
-    from ..sharing.strategies import STRATEGIES
+    from ..sharing.subscribe import STRATEGIES
     from ..workload.scenarios import scenario_churn
     from .preflight import build_churned_system
 
@@ -263,7 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run_code = run_plan = True  # no flags: run the default full gate
 
     if args.strategy and (run_plan or run_flow or run_shards or run_churn):
-        from ..sharing.strategies import STRATEGIES
+        from ..sharing.subscribe import STRATEGIES
 
         unknown = [s for s in args.strategy if s not in STRATEGIES]
         if unknown:

@@ -67,11 +67,15 @@ def certify_system(
     )
 
 
-def _build_system(scenario: "Scenario", strategy: str) -> "StreamGlobe":
+def _build_system(
+    scenario: "Scenario", strategy: str, enable_widening: bool = False
+) -> "StreamGlobe":
     """Register a scenario's full workload without executing it."""
     from ..sharing.system import StreamGlobe
 
-    system = StreamGlobe(scenario.build_network(), strategy=strategy)
+    system = StreamGlobe(
+        scenario.build_network(), strategy=strategy, enable_widening=enable_widening
+    )
     for source in scenario.sources:
         system.register_stream(
             source.name,
@@ -86,10 +90,13 @@ def _build_system(scenario: "Scenario", strategy: str) -> "StreamGlobe":
 
 
 def build_verified_system(
-    scenario: "Scenario", strategy: str, title: str = "plan verification"
+    scenario: "Scenario",
+    strategy: str,
+    title: str = "plan verification",
+    enable_widening: bool = False,
 ) -> AnalysisReport:
     """Register ``scenario`` under ``strategy`` and verify the deployment."""
-    return verify_system(_build_system(scenario, strategy), title=title)
+    return verify_system(_build_system(scenario, strategy, enable_widening), title=title)
 
 
 def build_flow_report(

@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import Dict
 
-from ..sharing.strategies import STRATEGIES
+from ..sharing.subscribe import STRATEGIES
 from ..workload.scenarios import scenario_one, scenario_two
 from .harness import ScenarioRun, run_scenario
 from .report import (

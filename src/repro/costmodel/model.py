@@ -284,11 +284,12 @@ class PlanEffects:
     def add_peer(self, peer: str, work_per_second: float) -> None:
         self.peer_work[peer] = self.peer_work.get(peer, 0.0) + work_per_second
 
-    def merge(self, other: "PlanEffects") -> None:
+    def merge(self, other: "PlanEffects", sign: float = 1.0) -> None:
+        """Add ``other`` (``sign=-1.0``: subtract it)."""
         for link, bits in other.link_bits.items():
-            self.add_link(link, bits)
+            self.add_link(link, sign * bits)
         for peer, work in other.peer_work.items():
-            self.add_peer(peer, work)
+            self.add_peer(peer, sign * work)
 
 
 class CostModel:

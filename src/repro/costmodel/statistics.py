@@ -111,7 +111,9 @@ class StreamStatistics:
     #: Memoization: plan search re-estimates the same projections and
     #: selections thousands of times during registration.
     _projection_cache: Dict[frozenset, float] = field(default_factory=dict, repr=False)
-    _selectivity_cache: Dict[tuple, float] = field(default_factory=dict, repr=False)
+    _selectivity_cache: Dict[PredicateGraph, float] = field(
+        default_factory=dict, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -276,10 +278,7 @@ class StreamStatistics:
         """
         if graph.is_empty():
             return 1.0
-        key = tuple(sorted(
-            (str(s), str(t), b.value, b.strict) for (s, t), b in graph.edges.items()
-        ))
-        cached = self._selectivity_cache.get(key)
+        cached = self._selectivity_cache.get(graph)
         if cached is not None:
             return cached
         selectivity = 1.0
@@ -307,7 +306,7 @@ class StreamStatistics:
             if source != ZERO and target != ZERO:
                 selectivity *= 0.5
         result = max(MIN_SELECTIVITY, min(1.0, selectivity))
-        self._selectivity_cache[key] = result
+        self._selectivity_cache[graph] = result
         return result
 
     # ------------------------------------------------------------------

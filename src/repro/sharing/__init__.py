@@ -8,10 +8,9 @@ from .plan import (
     RegisteredQuery,
 )
 from .planner import Planner, PlanningError, derive_compensation
-from .strategies import STRATEGIES, StrategyRegistrar
-from .subscribe import RegistrationResult, Subscriber
+from .subscribe import STRATEGIES, RegistrationResult, Subscriber
 from .system import StreamGlobe
-from .deregister import Deregistrar, DeregistrationError, live_stream_ids
+from .deregister import DeregistrationError, live_stream_ids, tear_down
 from .explain import explain_deployment, explain_registration
 from .rebalance import HotPeerCostModel, MigrationReport, Rebalancer
 from .repair import PlanRepairer, RepairReport
@@ -33,12 +32,10 @@ __all__ = [
     "RepairReport",
     "RegistrationResult",
     "STRATEGIES",
-    "StrategyRegistrar",
     "StreamGlobe",
     "Subscriber",
     "WideningAction",
     "WideningPlanner",
-    "Deregistrar",
     "DeregistrationError",
     "deployment_to_dict",
     "deployment_to_json",
@@ -46,5 +43,6 @@ __all__ = [
     "explain_deployment",
     "explain_registration",
     "live_stream_ids",
+    "tear_down",
     "widen_content",
 ]

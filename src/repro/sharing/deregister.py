@@ -14,17 +14,19 @@ is reference-counted:
    are released from the usage ledger (traffic on their routes,
    pipeline/duplicate/transfer work, the query's restructuring work).
 
-Released usage is recomputed with the same estimators that committed
-it, so the ledger returns to exactly what a fresh registration of the
-remaining queries would have committed (covered by tests).
+Released usage is :meth:`Planner.stream_effects` — the walk that
+committed it — so the ledger returns to exactly what a fresh
+registration of the remaining queries would have committed (covered by
+tests).  :func:`tear_down` is the only tear-down: deregistration, plan
+repair and rebalancing all remove subscriptions through it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
-from ..costmodel import PlanEffects, base_load
-from .plan import Deployment, InstalledStream
+from ..costmodel import PlanEffects, estimate_stream_rate
+from .plan import Deployment, RegisteredQuery
 from .planner import Planner
 
 
@@ -54,119 +56,52 @@ def live_stream_ids(deployment: Deployment) -> Set[str]:
     return live
 
 
-class Deregistrar:
-    """Removes queries and garbage-collects their streams."""
+def tear_down(
+    planner: Planner, deployment: Deployment, names: Iterable[str]
+) -> Tuple[Dict[str, RegisteredQuery], List[str]]:
+    """Remove the subscriptions ``names`` and garbage-collect their
+    streams; returns their records and the ids of the removed streams.
 
-    def __init__(self, planner: Planner) -> None:
-        self.planner = planner
+    Pop the records, release their post-processing load, sweep the
+    streams nothing needs any more, apply the release.
+    """
+    try:
+        records = {name: deployment.queries.pop(name) for name in names}
+    except KeyError as exc:
+        raise DeregistrationError(f"unknown query {exc.args[0]!r}") from None
 
-    # ------------------------------------------------------------------
-    def deregister(self, deployment: Deployment, query_name: str) -> List[str]:
-        """Remove ``query_name``; return the ids of removed streams."""
-        record = deployment.queries.pop(query_name, None)
-        if record is None:
-            raise DeregistrationError(f"unknown query {query_name!r}")
-
-        # Release the query's own post-processing load.
-        release = PlanEffects()
+    release = PlanEffects()
+    for record in records.values():
         for _, stream_id in record.delivered:
             stream = deployment.streams.get(stream_id)
-            if stream is None:
-                continue
-            rate = self.planner.stream_rate(stream.content)
-            self._charge(release, record.subscriber_node, "restructure", rate.frequency)
+            if stream is not None:
+                # Estimated afresh: the planner's rate memo counts its
+                # lookups, and that count is part of the executor pins.
+                rate = estimate_stream_rate(stream.content, planner.catalog)
+                planner.charge(
+                    release, record.subscriber_node, "restructure", rate.frequency
+                )
 
-        removed = self._collect_garbage(deployment, release)
-        self._apply_release(deployment, release)
-        return removed
-
-    # ------------------------------------------------------------------
-    def _collect_garbage(
-        self, deployment: Deployment, release: PlanEffects
-    ) -> List[str]:
-        removed: List[str] = []
-        while True:
-            live = live_stream_ids(deployment)
-            # Sorted by id: release/removal order (and with it the
-            # reported removal list) must not depend on dict insertion
-            # order, so indexed and brute-force registrations — which
-            # install streams in different orders — tear down
-            # identically.
-            dead = sorted(
-                (
-                    stream
-                    for stream in deployment.streams.values()
-                    if stream.stream_id not in live
-                ),
-                key=lambda stream: stream.stream_id,
-            )
-            if not dead:
-                return removed
-            # Release every dead stream before deleting any: releasing a
-            # derived stream needs its parent's rate, and the parent may
-            # itself be dead in the same sweep.
-            for stream in dead:
-                self.stream_effects(deployment, stream, release)
-            for stream in dead:
-                if deployment.release_stream(stream.stream_id):
-                    removed.append(stream.stream_id)
-
-    def stream_effects(
-        self, deployment: Deployment, stream: InstalledStream, effects: PlanEffects
-    ) -> None:
-        """Add one installed stream's estimated commitments to
-        ``effects``, mirroring the planner: what installing it commits
-        (:meth:`StreamGlobe.install_derived_stream`) is what removing it
-        releases."""
-        net = self.planner.net
-        rate = self.planner.stream_rate(stream.content)
-
-        # Route traffic and forwarding work.  Lookups include removed
-        # peers/links: plan repair tears down streams whose routes
-        # crossed a crashed peer, and their commitments — estimated
-        # against the pre-fault topology — must still be released.
-        for a, b in stream.links():
-            effects.add_link(net.link(a, b, include_removed=True), rate.bits_per_second)
-        for sender in stream.route[:-1]:
-            self._charge(effects, sender, "transfer", rate.frequency)
-
-        # Tap duplication and pipeline work at the origin.
-        parent = (
-            deployment.streams.get(stream.parent_id)
-            if stream.parent_id is not None
-            else None
+    removed: List[str] = []
+    while True:
+        live = live_stream_ids(deployment)
+        # Sorted by id: release/removal order (and with it the reported
+        # removal list) must not depend on dict insertion order, so
+        # indexed and brute-force registrations — which install streams
+        # in different orders — tear down identically.
+        dead = sorted(
+            (s for s in deployment.streams.values() if s.stream_id not in live),
+            key=lambda stream: stream.stream_id,
         )
-        if parent is not None:
-            parent_rate = self.planner.stream_rate(parent.content)
-            # The planner charges one tap duplication per input chain, at
-            # the node where the chain taps the reused stream.
-            if stream.taps_parent:
-                self._charge(
-                    effects, stream.origin_node, "duplicate", parent_rate.frequency
-                )
-            frequency = parent_rate.frequency
-            for spec in stream.pipeline:
-                udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
-                self._charge(
-                    effects, stream.origin_node, spec.kind, frequency, udf_name
-                )
-                frequency = self.planner._stage_output_frequency(
-                    spec, stream.content, frequency, rate.frequency
-                )
-
-    def _apply_release(self, deployment: Deployment, release: PlanEffects) -> None:
-        for link, bits in release.link_bits.items():
-            deployment.usage.add_link_traffic(link, -bits)
-        for peer, work in release.peer_work.items():
-            deployment.usage.add_peer_work(peer, -work)
-
-    def _charge(
-        self,
-        effects: PlanEffects,
-        node: str,
-        kind: str,
-        frequency: float,
-        udf_name: Optional[str] = None,
-    ) -> None:
-        peer = self.planner.net.super_peer(node, include_removed=True)
-        effects.add_peer(node, base_load(kind, udf_name) * peer.pindex * frequency)
+        if not dead:
+            break
+        # Release every dead stream before deleting any: releasing a
+        # derived stream needs its parent's rate, and the parent may
+        # itself be dead in the same sweep.
+        for stream in dead:
+            planner.installed_effects(release, deployment, stream)
+        for stream in dead:
+            if deployment.release_stream(stream.stream_id):
+                removed.append(stream.stream_id)
+    deployment.commit_effects(release, sign=-1.0)
+    return records, removed

@@ -20,13 +20,16 @@ subscriptions served, and the estimated resource usage underlying
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import NetworkUsage, PlanEffects
 from ..network.topology import Network
 from ..properties import OperatorSpec, Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import StreamAvailabilityIndex, SubscriptionProbe
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .widening import WideningAction
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class InputPlan:
     delivered: InstalledStream
     effects: PlanEffects
     cost: float
-    widening: Optional[object] = None  # WideningAction (import-cycle-free)
+    widening: Optional["WideningAction"] = None
     #: Cost of Algorithm 1's *initial* plan (ship the original stream to
     #: the subscriber) — the baseline the chosen plan improved on; set
     #: by the search, reported in the decision record.
@@ -153,7 +156,7 @@ class EvaluationPlan:
         for plan in self.inputs:
             effects.merge(plan.effects)
             if plan.widening is not None:
-                effects.merge(plan.widening.effects)  # type: ignore[attr-defined]
+                effects.merge(plan.widening.effects)
         return effects
 
     def installed_operator_count(self) -> int:
@@ -235,12 +238,13 @@ class Deployment:
             raise ValueError(f"query {record.name!r} already registered")
         self.queries[record.name] = record
 
-    def commit_effects(self, effects: PlanEffects) -> None:
-        """Fold a plan's estimated usage into the persistent state."""
+    def commit_effects(self, effects: PlanEffects, sign: float = 1.0) -> None:
+        """Fold estimated usage into the persistent state (``sign=-1.0``
+        releases it again)."""
         for link, bits in effects.link_bits.items():
-            self.usage.add_link_traffic(link, bits)
+            self.usage.add_link_traffic(link, sign * bits)
         for peer, work in effects.peer_work.items():
-            self.usage.add_peer_work(peer, work)
+            self.usage.add_peer_work(peer, sign * work)
 
     # ------------------------------------------------------------------
     # Lookup

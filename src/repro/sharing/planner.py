@@ -12,8 +12,10 @@ module implements it in three parts:
   the subscriber's super-peer (the shape of Algorithm 1's *initial*
   plan, which ships the stream first).  Both variants are generated and
   the cost function chooses — a documented, cost-neutral generalization;
-* effect estimation — the added traffic per link and operator load per
-  peer, from the cost model's ``size(p)``/``freq(p)`` estimates.
+* :meth:`Planner.stream_effects` — what one installed stream commits
+  (traffic per link, operator load per peer, from the cost model's
+  ``size(p)``/``freq(p)`` estimates): the one walk that costs a
+  candidate, commits a stream and releases it again.
 """
 
 from __future__ import annotations
@@ -239,9 +241,15 @@ class Planner:
             taps_parent=relay is None,
         )
 
-        effects = self._estimate_effects(
-            candidate, tap_node, placement_node, relay, delivered, subscription
-        )
+        # What the candidate commits: the walk over the streams it
+        # installs plus the subscriber's post-processing.
+        effects = PlanEffects()
+        reused_rate = self.stream_rate(candidate.content)
+        delivered_rate = self.stream_rate(subscription)
+        if relay is not None:
+            self.stream_effects(effects, relay, reused_rate, reused_rate)
+        self.stream_effects(effects, delivered, delivered_rate, reused_rate)
+        self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
         cost = self.cost_model.plan_cost(effects, deployment.usage)
         self.plans_costed += 1
         return InputPlan(
@@ -256,73 +264,79 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # Effect estimation
+    # The ledger walk
     # ------------------------------------------------------------------
-    def _estimate_effects(
+    def stream_effects(
         self,
-        candidate: InstalledStream,
-        tap_node: str,
-        placement_node: str,
-        relay: Optional[InstalledStream],
-        delivered: InstalledStream,
-        subscription: StreamProperties,
-    ) -> PlanEffects:
-        effects = PlanEffects()
-        reused_rate = self.stream_rate(candidate.content)
-        delivered_rate = self.stream_rate(subscription)
+        effects: PlanEffects,
+        stream: InstalledStream,
+        rate: StreamRate,
+        parent_rate: Optional[StreamRate],
+    ) -> None:
+        """Add what one installed stream commits to ``effects`` — the
+        one walk behind every ledger entry (invariant: ``usage`` equals
+        this walk summed over the installed streams plus one
+        ``restructure`` :meth:`charge` per delivered input).
 
-        # Duplicating the reused stream at the tap node.
-        self._charge(effects, tap_node, "duplicate", reused_rate.frequency)
-
-        # Relay stream: reused content shipped to the placement node.
-        if relay is not None:
-            self._route_effects(effects, relay.route, reused_rate)
-
-        # Compensation pipeline at the placement node.
-        frequency = reused_rate.frequency
-        for spec in delivered.pipeline:
-            udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
-            self._charge(effects, placement_node, spec.kind, frequency, udf_name)
-            frequency = self._stage_output_frequency(
-                spec, subscription, frequency, delivered_rate.frequency
+        Tap duplication, then the pipeline stages at the origin, then
+        route traffic and transfer work.  ``rate`` is the stream's own
+        :meth:`stream_rate`, ``parent_rate`` that of the stream it
+        derives from (``None``: nothing runs at the origin) — passed in
+        because a candidate's parent is not installed yet.
+        """
+        if parent_rate is not None:
+            origin = stream.origin_node
+            frequency = parent_rate.frequency
+            if stream.taps_parent:
+                self.charge(effects, origin, "duplicate", frequency)
+            for spec in stream.pipeline:
+                udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
+                self.charge(effects, origin, spec.kind, frequency, udf_name)
+                frequency = self._stage_output_frequency(
+                    spec, stream.content, frequency, rate.frequency
+                )
+        for a, b in stream.links():
+            effects.add_link(
+                self.net.link(a, b, include_removed=True), rate.bits_per_second
             )
+        for sender in stream.route[:-1]:
+            self.charge(effects, sender, "transfer", rate.frequency)
 
-        # Delivered stream: subscription content to the subscriber.
-        self._route_effects(effects, delivered.route, delivered_rate)
+    def installed_effects(
+        self, effects: PlanEffects, deployment: Deployment, stream: InstalledStream
+    ) -> None:
+        """:meth:`stream_effects` of a stream installed in ``deployment``."""
+        rate = self.stream_rate(stream.content)
+        parent = deployment.streams.get(stream.parent_id or "")
+        parent_rate = None if parent is None else self.stream_rate(parent.content)
+        self.stream_effects(effects, stream, rate, parent_rate)
 
-        # Post-processing at the subscriber's super-peer.
-        self._charge(effects, delivered.target_node, "restructure", delivered_rate.frequency)
-        return effects
-
-    def _stage_output_frequency(
-        self,
-        spec: OperatorSpec,
-        subscription: StreamProperties,
-        input_frequency: float,
-        delivered_frequency: float,
-    ) -> float:
-        if isinstance(spec, SelectionSpec):
-            stats = self.catalog.for_stream(subscription.stream)
-            return min(input_frequency, stats.frequency * stats.selectivity(spec.graph))
-        if isinstance(spec, (AggregationSpec, ReAggregationSpec, WindowContentsSpec)):
-            return delivered_frequency
-        return input_frequency  # projections keep the frequency
-
-    def _route_effects(self, effects: PlanEffects, route, rate) -> None:
-        if len(route) < 2:
-            return
-        for a, b in zip(route, route[1:]):
-            effects.add_link(self.net.link(a, b), rate.bits_per_second)
-        for sender in route[:-1]:
-            self._charge(effects, sender, "transfer", rate.frequency)
-
-    def _charge(
+    def charge(
         self,
         effects: PlanEffects,
         node: str,
         kind: str,
         frequency: float,
-        udf_name=None,
+        udf_name: Optional[str] = None,
     ) -> None:
-        peer = self.net.super_peer(node)
+        """Add one operator's load at ``node`` — ``bload`` × the peer's
+        performance index × the input frequency.  Peers (like the
+        walk's links) resolve through the topology's removed-entity
+        stash: a commitment estimated before a fault is released after
+        it."""
+        peer = self.net.super_peer(node, include_removed=True)
         effects.add_peer(node, base_load(kind, udf_name) * peer.pindex * frequency)
+
+    def _stage_output_frequency(
+        self,
+        spec: OperatorSpec,
+        content: StreamProperties,
+        input_frequency: float,
+        output_frequency: float,
+    ) -> float:
+        if isinstance(spec, SelectionSpec):
+            stats = self.catalog.for_stream(content.stream)
+            return min(input_frequency, stats.frequency * stats.selectivity(spec.graph))
+        if isinstance(spec, (AggregationSpec, ReAggregationSpec, WindowContentsSpec)):
+            return output_frequency
+        return input_frequency  # projections keep the frequency

@@ -12,11 +12,12 @@ and the control plane (DESIGN.md §13):
    sustained-overload alerts (windowed means + hysteresis, so photon
    bursts and fault transients don't trigger churn);
 2. on an alert, :meth:`migrate` re-plans every subscription whose
-   delivery chain places operator work on a hot super-peer, reusing
-   the PR 3 repair machinery as the migration primitive: tear the
-   affected subscriptions down (garbage-collecting their now-unshared
-   streams and releasing the estimated commitments), then re-register
-   each one through the ordinary strategy — *with the planner's cost
+   delivery chain places operator work on a hot super-peer, with
+   plan repair's two primitives: tear the affected subscriptions down
+   (:func:`~repro.sharing.deregister.tear_down`: garbage-collecting
+   their now-unshared streams and releasing the estimated
+   commitments), then re-register each one
+   (:meth:`StreamGlobe.reregister`) — *with the planner's cost
    model temporarily wrapped to surcharge work placed on hot peers*,
    so Algorithm 1's strict-``<`` comparison steers new operator
    placements away from the hotspot;
@@ -40,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..costmodel import CostModel, NetworkUsage, PlanEffects, estimate_stream_rate
+from ..costmodel import CostModel, NetworkUsage, PlanEffects
 from ..obs.drift import DriftAlert, DriftConfig, DriftDetector
 from ..obs.timeseries import EpochSnapshot
-from .deregister import Deregistrar
+from .deregister import tear_down
 from .plan import RegisteredQuery
 from .planner import PlanningError
 from .subscribe import RegistrationResult
@@ -210,39 +211,19 @@ class Rebalancer:
         report.peer_work_before = {
             peer: deployment.usage.peer_work(peer) for peer in hot
         }
-        deregistrar = Deregistrar(system.planner)
 
         with recorder.span(
             "rebalance", context=context, hot_peers=list(hot)
         ) as rebalance_span:
             with recorder.span("rebalance.teardown") as span:
-                # Pop the affected subscriptions, release their
-                # post-processing load, and sweep: streams no surviving
-                # subscription shares are garbage-collected and their
-                # estimated commitments released — the identical
-                # teardown the repair path runs, against an undamaged
-                # topology.
-                popped: Dict[str, RegisteredQuery] = {
-                    name: deployment.queries.pop(name) for name in affected
-                }
-                report.moved_queries = sorted(popped)
-                release = PlanEffects()
-                for record in popped.values():
-                    for _, stream_id in record.delivered:
-                        stream = deployment.streams.get(stream_id)
-                        if stream is None:
-                            continue
-                        rate = estimate_stream_rate(stream.content, system.catalog)
-                        deregistrar._charge(
-                            release,
-                            record.subscriber_node,
-                            "restructure",
-                            rate.frequency,
-                        )
-                report.removed_streams = deregistrar._collect_garbage(
-                    deployment, release
+                # Streams no surviving subscription shares are
+                # garbage-collected and their estimated commitments
+                # released — the tear-down the repair path runs,
+                # against an undamaged topology.
+                popped, report.removed_streams = tear_down(
+                    system.planner, deployment, affected
                 )
-                deregistrar._apply_release(deployment, release)
+                report.moved_queries = sorted(popped)
                 if recorder.enabled:
                     span.set(
                         moved_queries=len(popped),
@@ -251,13 +232,11 @@ class Rebalancer:
 
             with recorder.span("rebalance.reregister") as span:
                 base_model = system.planner.cost_model
-                system.planner.cost_model = HotPeerCostModel(
-                    base_model, hot, self.penalty
-                )
+                biased = HotPeerCostModel(base_model, hot, self.penalty)
                 try:
-                    for name, record in sorted(popped.items()):
+                    for _, record in sorted(popped.items()):
                         report.reregistered.append(
-                            self._reregister(record)
+                            self._reregister(record, biased, base_model)
                         )
                 finally:
                     system.planner.cost_model = base_model
@@ -282,7 +261,7 @@ class Rebalancer:
                 hot_work_released=report.hot_work_released(),
             )
 
-        system._preflight(f"after rebalance migration ({context})")
+        system.preflight(f"after rebalance migration ({context})")
         return report
 
     # ------------------------------------------------------------------
@@ -318,39 +297,27 @@ class Rebalancer:
                 affected.append(name)
         return affected
 
-    def _reregister(self, record: RegisteredQuery) -> RegistrationResult:
+    def _reregister(
+        self, record: RegisteredQuery, biased: HotPeerCostModel, unbiased: CostModel
+    ) -> RegistrationResult:
         """Re-register one torn-down subscription, never losing it.
 
         The surcharged search can only fail where the unbiased search
         would (the penalty is finite), but re-plan defensively: on a
-        surcharged :class:`PlanningError`, retry with the base model —
-        the topology is intact, so the original plan shape is always
-        still available.
+        surcharged :class:`PlanningError` or rejection, retry with the
+        base model — the topology is intact, so the original plan shape
+        is always still available.
         """
         system = self.system
+        system.planner.cost_model = biased
         try:
-            result = system.registrar.register(
-                system.deployment,
-                record.properties,
-                record.analyzed,
-                record.subscriber_node,
-            )
+            result = system.reregister(record)
             if result.accepted:
                 return result
         except PlanningError:
             pass
-        base_model = system.planner.cost_model
-        if isinstance(base_model, HotPeerCostModel):
-            system.planner.cost_model = base_model._base
-        try:
-            result = system.registrar.register(
-                system.deployment,
-                record.properties,
-                record.analyzed,
-                record.subscriber_node,
-            )
-        finally:
-            system.planner.cost_model = base_model
+        system.planner.cost_model = unbiased
+        result = system.reregister(record)
         if not result.accepted:
             raise PlanningError(
                 f"migration could not re-register query {record.name!r}: "

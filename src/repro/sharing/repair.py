@@ -14,11 +14,11 @@ consistent, verifiable state against the *surviving* topology:
    re-registration rediscover the (still installed) surviving prefix
    keeps the analysis simple and the repaired state verifiable;
 2. **tear-down** — affected subscriptions are removed and their streams
-   garbage-collected through the deregistration machinery, releasing
-   every estimated commitment (including those on now-removed peers and
-   links, via the topology's removed-entity stash);
+   garbage-collected by :func:`~repro.sharing.deregister.tear_down`,
+   releasing every estimated commitment (including those on now-removed
+   peers and links, via the topology's removed-entity stash);
 3. **re-registration** — each affected subscription is registered
-   afresh via the configured strategy, exactly as a new query would be:
+   afresh (:meth:`StreamGlobe.reregister`), exactly as a new query would be:
    Algorithm 1 searches the surviving topology and shares surviving
    streams.  Window state is *not* migrated — recovered windowed
    queries restart their windows (DESIGN.md §8);
@@ -36,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
-from ..costmodel import PlanEffects, estimate_stream_rate
 from ..network.topology import Network, TopologyError
-from ..properties import raw_stream_properties
-from .deregister import Deregistrar
-from .plan import Deployment, InstalledStream, RegisteredQuery
+from .deregister import tear_down
+from .plan import Deployment, RegisteredQuery
 from .planner import PlanningError
 from .subscribe import RegistrationResult
 
@@ -112,53 +110,42 @@ class PlanRepairer:
         net = system.net
         recorder = system.recorder
         report = RepairReport(context=context)
-        deregistrar = Deregistrar(system.planner)
 
         with recorder.span("repair", context=context) as repair_span:
             with recorder.span("repair.damage") as span:
-                self._reinstall_sources(deployment, net, report)
+                # Original streams whose home super-peer rejoined.
+                for name, source in system.sources.items():
+                    if name not in deployment.streams and source.home_node in net:
+                        deployment.install_stream(source.stream())
+                        report.reinstalled_sources.append(name)
 
                 damaged = self._damaged_closure(deployment, net)
                 report.damaged_streams = sorted(damaged)
 
-                # Tear down every subscription whose subscriber vanished
-                # or whose delivery chain touches a damaged stream.
-                affected: Dict[str, RegisteredQuery] = {}
-                for name, record in list(deployment.queries.items()):
-                    if record.subscriber_node not in net or any(
+                # Every subscription whose subscriber vanished or whose
+                # delivery chain touches a damaged stream.
+                affected_names = [
+                    name
+                    for name, record in deployment.queries.items()
+                    if record.subscriber_node not in net
+                    or any(
                         stream_id not in deployment.streams or stream_id in damaged
                         for _, stream_id in record.delivered
-                    ):
-                        affected[name] = deployment.queries.pop(name)
-                report.torn_down_queries = sorted(affected)
+                    )
+                ]
+                report.torn_down_queries = sorted(affected_names)
                 if recorder.enabled:
                     span.set(
                         damaged_streams=len(damaged),
-                        torn_down_queries=len(affected),
+                        torn_down_queries=len(report.torn_down_queries),
                     )
 
             with recorder.span("repair.teardown") as span:
-                # Release the torn-down subscriptions' post-processing
-                # load, then sweep: with their consumers gone, damaged
-                # derived streams are dead and the (idempotent) garbage
-                # collection releases their commitments — estimated
-                # against the pre-fault topology, hence the
-                # removed-entity lookups in Deregistrar.
-                release = PlanEffects()
-                for record in affected.values():
-                    for _, stream_id in record.delivered:
-                        stream = deployment.streams.get(stream_id)
-                        if stream is None:
-                            continue
-                        rate = estimate_stream_rate(stream.content, system.catalog)
-                        deregistrar._charge(
-                            release,
-                            record.subscriber_node,
-                            "restructure",
-                            rate.frequency,
-                        )
-                report.removed_streams.extend(
-                    deregistrar._collect_garbage(deployment, release)
+                # With their consumers gone, damaged derived streams are
+                # dead and the sweep releases their commitments —
+                # estimated against the pre-fault topology.
+                affected, report.removed_streams = tear_down(
+                    system.planner, deployment, affected_names
                 )
                 # Damaged *original* streams (their source's home
                 # crashed) are never garbage — drop them explicitly, and
@@ -171,7 +158,6 @@ class PlanRepairer:
                     if stream is not None and stream.is_original:
                         deployment.release_stream(stream_id)
                         report.removed_streams.append(stream_id)
-                deregistrar._apply_release(deployment, release)
                 if recorder.enabled:
                     span.set(removed_streams=len(report.removed_streams))
 
@@ -209,29 +195,10 @@ class PlanRepairer:
                 recovery_time_ms=report.recovery_time_ms(),
             )
 
-        system._preflight(f"after plan repair ({context})")
+        system.preflight(f"after plan repair ({context})")
         return report
 
     # ------------------------------------------------------------------
-    def _reinstall_sources(
-        self, deployment: Deployment, net: Network, report: RepairReport
-    ) -> None:
-        """Re-install original streams whose home super-peer rejoined."""
-        for name, source in self.system.sources.items():
-            if name in deployment.streams or source.home_node not in net:
-                continue
-            deployment.install_stream(
-                InstalledStream(
-                    stream_id=name,
-                    content=raw_stream_properties(
-                        name, source.item_path
-                    ).single_input(),
-                    origin_node=source.home_node,
-                    route=(source.home_node,),
-                )
-            )
-            report.reinstalled_sources.append(name)
-
     @staticmethod
     def _damaged_closure(deployment: Deployment, net: Network) -> Set[str]:
         damaged: Set[str] = set()
@@ -279,9 +246,7 @@ class PlanRepairer:
             )
             return
         try:
-            result = self.system.registrar.register(
-                deployment, record.properties, record.analyzed, record.subscriber_node
-            )
+            result = self.system.reregister(record)
         except (PlanningError, TopologyError) as exc:
             self._park(record, str(exc))
             return

@@ -22,15 +22,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Set
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
-from ..costmodel import LatencyModel
+from ..costmodel import PlanEffects
 from ..matching import MatchMemo, match_stream_properties
 from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import SubscriptionProbe
 from .plan import Deployment, EvaluationPlan, InputPlan, InstalledStream, RegisteredQuery
 from .planner import Planner, PlanningError
+from .widening import WideningPlanner
+
+
+#: The evaluation strategies compared in Section 4.  **Data shipping**
+#: transmits the whole original stream to the subscriber's super-peer
+#: and evaluates the query there, once per subscription; **query
+#: shipping** evaluates it at the source's super-peer and ships only the
+#: result; **stream sharing** is Algorithm 1.  The first two are the
+#: search's initial plan under a fixed placement, with no frontier.
+STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
 
 
 @dataclass
@@ -50,6 +60,7 @@ class Subscriber:
     def __init__(
         self,
         planner: Planner,
+        strategy: str,
         match_mode: str = "edgewise",
         search_order: str = "bfs",
         admission_control: bool = False,
@@ -57,33 +68,31 @@ class Subscriber:
         enable_widening: bool = False,
         use_index: bool = True,
     ) -> None:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
         if search_order not in ("bfs", "dfs"):
             raise ValueError("search_order must be 'bfs' or 'dfs'")
         self.planner = planner
+        self.strategy = strategy
         self.match_mode = match_mode
         self.search_order = search_order
         self.admission_control = admission_control
         #: Ablation switch (bench E8): with ``False``, existing aggregate
         #: result streams are never considered for reuse.
         self.share_aggregates = share_aggregates
-        #: The Section 6 enhancement: consider widening almost-matching
-        #: streams (see :mod:`repro.sharing.widening`).
-        self.enable_widening = enable_widening
         #: Control-plane scale-up: consult the deployment's
         #: StreamAvailabilityIndex instead of scanning every stream at a
         #: node, and memoize matching verdicts.  Plan-equivalent to the
         #: brute-force scan (the index only prunes guaranteed
         #: non-matches); ``False`` keeps the paper-faithful linear scan,
-        #: e.g. as the benchmark baseline.  Widening needs the near-miss
-        #: candidates the index would prune, so it forces the scan.
+        #: the reference the index is tested against.
         self.use_index = use_index
         self.match_memo = MatchMemo() if use_index else None
-        if enable_widening:
-            from .widening import WideningPlanner
-
-            self._widening_planner = WideningPlanner(planner)
-        else:
-            self._widening_planner = None
+        #: The Section 6 enhancement: consider widening almost-matching
+        #: streams (see :mod:`repro.sharing.widening`).  It needs the
+        #: near-miss candidates the index would prune, so it forces the
+        #: scan.
+        self.widening = WideningPlanner(planner) if enable_widening else None
 
     # ------------------------------------------------------------------
     def subscribe(
@@ -115,32 +124,46 @@ class Subscriber:
                     inputs=len(plan.inputs),
                 )
 
-        latency = self.planner.latency_model.registration_time_ms(
-            visited_nodes=plan.visited_nodes,
-            candidate_matches=plan.candidate_matches,
-            installed_operators=plan.installed_operator_count(),
-            route_hops=plan.route_hop_count(),
-        )
-
-        if self.admission_control:
-            effects = plan.combined_effects()
-            if self.planner.cost_model.overloads(effects, deployment.usage):
-                return RegistrationResult(
-                    query=properties.name,
-                    accepted=False,
-                    plan=plan,
-                    registration_ms=latency,
-                    rejection_reason="no evaluation plan without overload",
-                )
-
-        with recorder.span("commit", query=properties.name):
-            self._commit(deployment, plan, properties, analyzed, subscriber_node)
-        return RegistrationResult(
+        result = RegistrationResult(
             query=properties.name,
             accepted=True,
             plan=plan,
-            registration_ms=latency,
+            registration_ms=self.planner.latency_model.registration_time_ms(
+                visited_nodes=plan.visited_nodes,
+                candidate_matches=plan.candidate_matches,
+                installed_operators=plan.installed_operator_count(),
+                route_hops=plan.route_hop_count(),
+            ),
         )
+        effects = plan.combined_effects()
+        if self.admission_control and self.planner.cost_model.overloads(
+            effects, deployment.usage
+        ):
+            result.accepted = False
+            result.rejection_reason = "no evaluation plan without overload"
+            return result
+
+        with recorder.span("commit", query=properties.name):
+            delivered = []
+            for input_plan in plan.inputs:
+                if input_plan.widening is not None:
+                    input_plan.widening.commit(deployment)
+                for stream in input_plan.new_streams():
+                    deployment.install_stream(stream)
+                delivered.append(
+                    (input_plan.input_stream, input_plan.delivered.stream_id)
+                )
+            deployment.commit_effects(effects)
+            deployment.register_query(
+                RegisteredQuery(
+                    name=properties.name,
+                    properties=properties,
+                    analyzed=analyzed,
+                    subscriber_node=subscriber_node,
+                    delivered=tuple(delivered),
+                )
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Algorithm 1 core
@@ -158,24 +181,30 @@ class Subscriber:
         except KeyError as exc:
             raise PlanningError(str(exc)) from None
 
+        def plans(candidate, node, placements=("tap", "target")):
+            return self.planner.plans_for_candidate(
+                deployment,
+                candidate,
+                node,
+                subscription_input,
+                query_name,
+                subscriber_node,
+                placements,
+            )
+
         # Lines 4–5: the initial plan ships the original stream to the
-        # subscriber's super-peer and evaluates everything there.
-        initial_candidates = self.planner.plans_for_candidate(
-            deployment,
-            original,
-            original.origin_node,
-            subscription_input,
-            query_name,
-            subscriber_node,
-            placements=("target",),
-        )
-        best = initial_candidates[0]
+        # subscriber's super-peer and evaluates everything there (query
+        # shipping: evaluates at the source and ships the result).
+        placement = "tap" if self.strategy == "query-shipping" else "target"
+        (best,) = plans(original, original.origin_node, (placement,))
+        if self.strategy != "stream-sharing":
+            return best
         initial_cost = best.cost
 
         # Widening needs the almost-matching candidates the signature
         # index prunes, so it falls back to the full per-node scan.
         probe: Optional[SubscriptionProbe] = None
-        if self.use_index and not self.enable_widening:
+        if self.use_index and self.widening is None:
             # Interning makes recurring contents pointer-identical, so
             # memo/index/rate-cache probes short-circuit on identity
             # instead of re-running structural equality.
@@ -192,77 +221,40 @@ class Subscriber:
             marked.add(node)                                        # line 8
             plan.visited_nodes += 1
             # Delivery targets of matched streams (line 15); enqueued
-            # after the candidate loop in sorted order so both search
-            # paths expand the frontier identically.
+            # after the candidate loop in sorted order so both candidate
+            # sources expand the frontier identically.
             matched_targets: Set[str] = set()
 
             if probe is not None:
-                # Indexed path: one representative per distinct content.
-                # Same-content streams tapped at the same node plan
-                # identically, and only the smallest id can win the
-                # strict-< tie-break, so matching and costing the
-                # representative is plan-equivalent to the full scan.
-                for candidate, targets in deployment.distinct_candidates_at(
-                    node, probe
-                ):
-                    if (
-                        not self.share_aggregates
-                        and candidate.content.aggregation is not None
-                    ):
-                        continue
-                    plan.candidate_matches += 1
-                    if not match_stream_properties(                 # line 14
-                        candidate.content,
-                        subscription_input,
-                        self.match_mode,
-                        self.match_memo,
-                    ):
-                        continue  # widening forces probe=None, no fallback here
-                    matched_targets.update(targets)                 # line 15
-                    for variant in self.planner.plans_for_candidate(  # line 19
-                        deployment,
-                        candidate,
-                        node,
-                        subscription_input,
-                        query_name,
-                        subscriber_node,
-                    ):
-                        if variant.cost < best.cost:                # lines 20–22
-                            best = variant
+                # One representative per distinct content: same-content
+                # streams tapped at the same node plan identically, and
+                # only the smallest id can win the strict-< tie-break,
+                # so matching and costing the representative is
+                # plan-equivalent to the full scan.
+                candidates = deployment.distinct_candidates_at(node, probe)
             else:
-                for candidate in self._variants_at(
-                    deployment, node, subscription_input
+                candidates = self._scan(deployment, node, subscription_input)
+            for candidate, targets in candidates:
+                if not self.share_aggregates and candidate.content.aggregation is not None:
+                    continue
+                plan.candidate_matches += 1
+                if match_stream_properties(                         # line 14
+                    candidate.content,
+                    subscription_input,
+                    self.match_mode,
+                    self.match_memo,
                 ):
-                    if (
-                        not self.share_aggregates
-                        and candidate.content.aggregation is not None
-                    ):
-                        continue
-                    plan.candidate_matches += 1
-                    if not match_stream_properties(                 # line 14
-                        candidate.content,
-                        subscription_input,
-                        self.match_mode,
-                        self.match_memo,
-                    ):
-                        widened = self._widening_variant(
-                            deployment, candidate, node, subscription_input,
-                            query_name, subscriber_node,
-                        )
-                        if widened is not None and widened.cost < best.cost:
-                            best = widened
-                        continue
-                    matched_targets.add(candidate.target_node)      # line 15
-                    for variant in self.planner.plans_for_candidate(  # line 19
-                        deployment,
-                        candidate,
-                        node,
-                        subscription_input,
-                        query_name,
-                        subscriber_node,
-                    ):
-                        if variant.cost < best.cost:                # lines 20–22
-                            best = variant
+                    matched_targets.update(targets)                 # line 15
+                    variants = plans(candidate, node)               # line 19
+                elif self.widening is not None:
+                    variants = self._widened(
+                        deployment, candidate, subscription_input, query_name, plans, node
+                    )
+                else:
+                    continue
+                for variant in variants:
+                    if variant.cost < best.cost:                    # lines 20–22
+                        best = variant
 
             for target in sorted(matched_targets):                  # lines 16–18
                 if target not in marked and target not in queue:
@@ -270,92 +262,49 @@ class Subscriber:
         best.initial_cost = initial_cost
         return best
 
-    def _widening_variant(
+    def _widened(
         self,
         deployment: Deployment,
         candidate: InstalledStream,
-        node: str,
         subscription_input: StreamProperties,
         query_name: str,
-        subscriber_node: str,
-    ) -> Optional[InputPlan]:
-        """Cost the best plan that reuses ``candidate`` after widening it."""
-        if self._widening_planner is None:
-            return None
-        widened = self._widening_planner.plan_widening(
+        plans: Callable[[InstalledStream, str], List[InputPlan]],
+        node: str,
+    ) -> List[InputPlan]:
+        """The plans that reuse a non-matching ``candidate`` after
+        widening it, the widening's ledger delta costed in."""
+        widened = self.widening.plan_widening(
             deployment, candidate, subscription_input, query_name
         )
         if widened is None:
-            return None
+            return []
         widened_stream, action = widened
-        best: Optional[InputPlan] = None
-        for variant in self.planner.plans_for_candidate(
-            deployment,
-            widened_stream,
-            node,
-            subscription_input,
-            query_name,
-            subscriber_node,
-        ):
+        variants = plans(widened_stream, node)
+        for variant in variants:
             variant.widening = action
-            merged = variant.effects
-            combined = type(merged)()
-            combined.merge(merged)
+            combined = PlanEffects()
+            combined.merge(variant.effects)
             combined.merge(action.effects)
-            variant.cost = self.planner.cost_model.plan_cost(
-                combined, deployment.usage
-            )
-            if best is None or variant.cost < best.cost:
-                best = variant
-        return best
+            variant.cost = self.planner.cost_model.plan_cost(combined, deployment.usage)
+        return variants
 
     @staticmethod
-    def _variants_at(
-        deployment: Deployment,
-        node: str,
-        subscription_input: StreamProperties,
-    ) -> List[InstalledStream]:
-        """Line 9: streams available at ``node`` derived from the same
-        original input stream (the brute-force scan; the indexed path
-        uses ``Deployment.distinct_candidates_at``).
+    def _scan(
+        deployment: Deployment, node: str, subscription_input: StreamProperties
+    ) -> List[Tuple[InstalledStream, Tuple[str, ...]]]:
+        """Line 9, the brute-force reference: every stream available at
+        ``node`` derived from the same original input stream, with its
+        delivery target (the indexed source is
+        ``Deployment.distinct_candidates_at``).
 
-        Candidates are sorted by stream id so equal-cost plans tie-break
-        identically in both search paths — the ``best`` updates use
-        strict ``<``, so the first-iterated candidate wins.
+        Sorted by stream id so equal-cost plans tie-break identically
+        from both candidate sources — the ``best`` updates use strict
+        ``<``, so the first-iterated candidate wins.
         """
-        return sorted(
-            (
-                stream
-                for stream in deployment.streams_at(node)
-                if stream.content.stream == subscription_input.stream
-            ),
-            key=lambda stream: stream.stream_id,
-        )
-
-    # ------------------------------------------------------------------
-    def _commit(
-        self,
-        deployment: Deployment,
-        plan: EvaluationPlan,
-        properties: Properties,
-        analyzed: AnalyzedQuery,
-        subscriber_node: str,
-    ) -> None:
-        delivered = []
-        for input_plan in plan.inputs:
-            if input_plan.widening is not None:
-                assert self._widening_planner is not None
-                self._widening_planner.commit(deployment, input_plan.widening)
-            for stream in input_plan.new_streams():
-                deployment.install_stream(stream)
-            delivered.append((input_plan.input_stream, input_plan.delivered.stream_id))
-        deployment.commit_effects(plan.combined_effects())
-        deployment.register_query(
-            RegisteredQuery(
-                name=properties.name,
-                properties=properties,
-                analyzed=analyzed,
-                subscriber_node=subscriber_node,
-                delivered=tuple(delivered),
+        return [
+            (stream, (stream.target_node,))
+            for stream in sorted(
+                deployment.streams_at(node), key=lambda stream: stream.stream_id
             )
-        )
+            if stream.content.stream == subscription_input.stream
+        ]

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from ..costmodel import (
     CostModel,
     LatencyModel,
+    PlanEffects,
     StatisticsCatalog,
     StreamStatistics,
 )
@@ -24,13 +25,19 @@ from ..engine import RunMetrics, StreamSimulator
 from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import default_recorder
-from ..properties import StreamProperties, extract_from_analysis, raw_stream_properties
-from ..wxquery import Query, analyze, parse_query
+from ..properties import (
+    Properties,
+    StreamProperties,
+    extract_from_analysis,
+    raw_stream_properties,
+)
+from ..wxquery import AnalyzedQuery, Query, analyze, parse_query
 from ..xmlkit import Path
-from .plan import Deployment, InstalledStream
+from .deregister import tear_down
+from .index import admission_order_key
+from .plan import Deployment, InstalledStream, RegisteredQuery
 from .planner import Planner
-from .strategies import StrategyRegistrar
-from .subscribe import RegistrationResult
+from .subscribe import RegistrationResult, Subscriber
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..analysis.shards import ShardPlan
@@ -50,6 +57,15 @@ class SourceRegistration:
     home_node: str
     frequency: float
     generator_factory: Callable[[], ItemGenerator] = field(repr=False)
+
+    def stream(self) -> InstalledStream:
+        """The original stream's record, available at its home only."""
+        return InstalledStream(
+            stream_id=self.name,
+            content=raw_stream_properties(self.name, self.item_path).single_input(),
+            origin_node=self.home_node,
+            route=(self.home_node,),
+        )
 
 
 class StreamGlobe:
@@ -82,7 +98,7 @@ class StreamGlobe:
         self.planner = Planner(
             net, self.catalog, self.cost_model, latency_model, recorder=self.recorder
         )
-        self.registrar = StrategyRegistrar(
+        self.subscriber = Subscriber(
             self.planner,
             strategy,
             match_mode=match_mode,
@@ -132,14 +148,7 @@ class StreamGlobe:
             frequency=frequency,
             generator_factory=generator_factory,
         )
-        self.deployment.install_stream(
-            InstalledStream(
-                stream_id=name,
-                content=raw_stream_properties(name, path).single_input(),
-                origin_node=home,
-                route=(home,),
-            )
-        )
+        self.deployment.install_stream(self.sources[name].stream())
 
     # ------------------------------------------------------------------
     # Programmatic derived streams (user-defined operators)
@@ -184,32 +193,20 @@ class StreamGlobe:
             parent_id=parent_id,
             pipeline=tuple(pipeline),
         )
+        # Commit what the stream uses, as query registration does for
+        # the streams it installs: the same walk, so removing the stream
+        # returns the ledger to what it was.
         self.deployment.install_stream(stream)
-        self._commit_installed_effects(stream)
-        self._preflight(f"after installing derived stream {stream_id!r}")
-        return stream
-
-    def _commit_installed_effects(self, stream: InstalledStream) -> None:
-        """Commit a hand-installed stream's estimated resource usage.
-
-        Query registration commits effects through the planner; streams
-        installed directly (user-defined operators) must account for the
-        same traffic and work, or the ``a_b``/``a_l`` bookkeeping — and
-        with it every later placement decision — drifts from reality.
-        The walk is the one deregistration releases with, so removing
-        the stream returns the ledger to what it was.
-        """
-        from ..costmodel import PlanEffects
-        from .deregister import Deregistrar
-
         effects = PlanEffects()
-        Deregistrar(self.planner).stream_effects(self.deployment, stream, effects)
+        self.planner.installed_effects(effects, self.deployment, stream)
         self.deployment.commit_effects(effects)
+        self.preflight(f"after installing derived stream {stream_id!r}")
+        return stream
 
     # ------------------------------------------------------------------
     # Static verification
     # ------------------------------------------------------------------
-    def _preflight(self, context: str) -> None:
+    def preflight(self, context: str) -> None:
         """Run the static analysis passes when ``verify=True``.
 
         Three passes gate every plan mutation: the P1xx/T2xx plan
@@ -300,22 +297,16 @@ class StreamGlobe:
         """
         self._require_free_name(name)
         recorder = self.recorder
-        with recorder.span("register", query=name, strategy=self.registrar.strategy) as span:
+
+        def analysis() -> Tuple[Properties, AnalyzedQuery]:
             with recorder.span("parse"):
                 parsed = parse_query(query) if isinstance(query, str) else query
             with recorder.span("analyze"):
                 analyzed = analyze(parsed)
-                properties = extract_from_analysis(analyzed, name)
-            subscriber_node = self.net.home_of(subscriber_peer)
-            with recorder.span("plan"):
-                result = self.registrar.register(
-                    self.deployment, properties, analyzed, subscriber_node
-                )
-            if recorder.enabled:
-                span.set(accepted=result.accepted)
-        self.results.append(result)
-        self._record_decision(result)
-        self._preflight(f"after registering query {name!r}")
+                return extract_from_analysis(analyzed, name), analyzed
+
+        result = self._register(name, analysis, subscriber_peer)
+        self.preflight(f"after registering query {name!r}")
         return result
 
     def register_queries(
@@ -350,50 +341,64 @@ class StreamGlobe:
         for name in names:
             self._require_free_name(name)
 
-        from .index import admission_order_key
-
         parsed_cache: Dict[str, Query] = {}
-        analyzed_cache: Dict[int, object] = {}
+        analyzed_cache: Dict[int, AnalyzedQuery] = {}
         prepared = []
         for name, query, subscriber_peer in batch:
             if isinstance(query, str):
                 parsed = parsed_cache.get(query)
                 if parsed is None:
-                    parsed = parse_query(query)
-                    parsed_cache[query] = parsed
+                    parsed = parsed_cache[query] = parse_query(query)
             else:
                 parsed = query
             analyzed = analyzed_cache.get(id(parsed))
             if analyzed is None:
-                analyzed = analyze(parsed)
-                analyzed_cache[id(parsed)] = analyzed
+                analyzed = analyzed_cache[id(parsed)] = analyze(parsed)
             properties = extract_from_analysis(analyzed, name)
             prepared.append(
-                (name, properties, analyzed, self.net.home_of(subscriber_peer))
+                (name, (properties, analyzed), self.net.home_of(subscriber_peer))
             )
 
-        order = sorted(
-            range(len(prepared)),
-            key=lambda i: admission_order_key(prepared[i][1]),
-        )
-        recorder = self.recorder
-        by_name: Dict[str, RegistrationResult] = {}
-        for i in order:
-            name, properties, analyzed, subscriber_node = prepared[i]
-            with recorder.span(
-                "register", query=name, strategy=self.registrar.strategy, batch=True
-            ) as span:
-                with recorder.span("plan"):
-                    result = self.registrar.register(
-                        self.deployment, properties, analyzed, subscriber_node
-                    )
-                if recorder.enabled:
-                    span.set(accepted=result.accepted)
-            self.results.append(result)
-            self._record_decision(result)
-            by_name[name] = result
-        self._preflight(f"after batch registration of {len(prepared)} queries")
+        prepared.sort(key=lambda entry: admission_order_key(entry[1][0]))
+        by_name = {
+            name: self._register(name, lambda: analysis, subscriber_node, batch=True)
+            for name, analysis, subscriber_node in prepared
+        }
+        self.preflight(f"after batch registration of {len(prepared)} queries")
         return [by_name[name] for name in names]
+
+    def _register(
+        self,
+        name: str,
+        analysis: Callable[[], Tuple[Properties, AnalyzedQuery]],
+        subscriber_peer: str,
+        **tags: object,
+    ) -> RegistrationResult:
+        """The registration body: analyze (inside the ``register`` span,
+        unless the caller already has), plan, record the outcome."""
+        recorder = self.recorder
+        with recorder.span(
+            "register", query=name, strategy=self.subscriber.strategy, **tags
+        ) as span:
+            properties, analyzed = analysis()
+            subscriber_node = self.net.home_of(subscriber_peer)
+            with recorder.span("plan"):
+                result = self.subscriber.subscribe(
+                    self.deployment, properties, analyzed, subscriber_node
+                )
+            if recorder.enabled:
+                span.set(accepted=result.accepted)
+        self.results.append(result)
+        self._record_decision(result)
+        return result
+
+    def reregister(self, record: RegisteredQuery) -> RegistrationResult:
+        """Plan and commit a torn-down subscription again (plan repair,
+        rebalancing): the same search, admission check and commit, but
+        no new entry in :attr:`results` and no ``plan.decision``."""
+        return self.subscriber.subscribe(
+            self.deployment, record.properties, record.analyzed, record.subscriber_node
+        )
 
     def _require_free_name(self, name: str) -> None:
         """A name is taken while its subscription is installed — or
@@ -411,12 +416,10 @@ class StreamGlobe:
         (none for a subscription plan repair had parked: it holds
         nothing, and is forgotten).
         """
-        from .deregister import Deregistrar
-
         if self._repairer is not None and self._repairer.cancel(name):
             return []
         with self.recorder.span("deregister", query=name) as span:
-            removed = Deregistrar(self.planner).deregister(self.deployment, name)
+            _, removed = tear_down(self.planner, self.deployment, [name])
             if self.recorder.enabled:
                 span.set(removed_streams=list(removed))
         return removed
@@ -431,7 +434,7 @@ class StreamGlobe:
         from .explain import decision_record
 
         record = decision_record(result, self.deployment)
-        record["strategy"] = self.registrar.strategy
+        record["strategy"] = self.subscriber.strategy
         self.recorder.event("plan.decision", **record)
         self._sync_cache_gauges()
 
@@ -463,7 +466,7 @@ class StreamGlobe:
                 self.planner.rate_cache_hits, self.planner.rate_cache_misses
             ),
         }
-        memo = self.registrar.match_memo
+        memo = self.subscriber.match_memo
         if memo is not None:
             stats["match"] = memo.stats()
         return stats
@@ -551,7 +554,7 @@ class StreamGlobe:
         verified pre-flight (``verify=True``) and, on the sharded
         executor, re-certifying the shard plan exactly like churn.
         """
-        self._preflight("before execution")
+        self.preflight("before execution")
         generators = {
             name: source.generator_factory() for name, source in self.sources.items()
         }

@@ -20,8 +20,10 @@ Because every existing consumer of the widened stream suddenly sees a
 superset, widening also rewrites their compensation pipelines and —
 for subscriptions that consumed the stream *directly* — inserts a
 restoring pipeline at their super-peer, so delivered results stay
-bit-identical.  All of that is costed as a delta against the cost
-function ``C`` and competes with ordinary plans inside Algorithm 1.
+bit-identical.  All of that is costed as a delta — the ledger walk
+(:meth:`Planner.stream_effects`) over the touched streams after the
+widening minus the walk before it — against the cost function ``C`` and
+competes with ordinary plans inside Algorithm 1.
 
 Widening is restricted to selection/projection streams; aggregate,
 window, and UDF streams are never widened (their consumers' semantics
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..costmodel import PlanEffects, base_load, estimate_stream_rate
+from ..costmodel import PlanEffects
 from ..matching import match_stream_properties
 from ..predicates import PredicateGraph
 from ..properties import (
@@ -43,7 +45,7 @@ from ..properties import (
     SelectionSpec,
     StreamProperties,
 )
-from .plan import Deployment, InstalledStream, RegisteredQuery
+from .plan import Deployment, InstalledStream
 from .planner import Planner, derive_compensation
 
 
@@ -129,31 +131,47 @@ def widen_content(
 # Widening actions
 # ----------------------------------------------------------------------
 @dataclass
-class DeliveryRestore:
-    """A restoring stream for a subscription that consumed the widened
-    stream directly: re-applies the original content at the target."""
-
-    query: str
-    input_stream: str
-    old_stream_id: str
-    restore: InstalledStream
-
-
-@dataclass
 class WideningAction:
     """Everything a committed widening changes in the deployment."""
 
     stream_id: str
     widened_content: StreamProperties
-    widened_pipeline: Tuple[OperatorSpec, ...]
-    #: Child stream id → its recomputed compensation pipeline.
-    consumer_pipelines: Dict[str, Tuple[OperatorSpec, ...]] = field(default_factory=dict)
-    delivery_restores: List[DeliveryRestore] = field(default_factory=list)
+    #: The widened stream and its child streams as they are re-installed
+    #: (the children's compensation pipelines recomputed).
+    rewritten: List[InstalledStream] = field(default_factory=list)
+    #: ``(query, input stream, restoring stream)`` per subscription
+    #: that consumed the widened stream directly: the restoring stream
+    #: re-applies the original content at the target.
+    restores: List[Tuple[str, str, InstalledStream]] = field(default_factory=list)
+    #: The ledger delta: the walk over the streams above after the
+    #: widening minus the walk over them before it.
     effects: PlanEffects = field(default_factory=PlanEffects)
+
+    def commit(self, deployment: Deployment) -> None:
+        """Apply the action's *structural* changes.
+
+        Effects are NOT committed here — the subscriber folds them into
+        the evaluation plan's combined effects so that admission control
+        and the usage ledger see widening and plan as one unit.
+        """
+        for stream in self.rewritten:
+            deployment.streams[stream.stream_id] = stream
+        for query, input_stream, restore in self.restores:
+            deployment.install_stream(restore)
+            record = deployment.queries[query]
+            deployment.queries[query] = dataclasses.replace(
+                record,
+                delivered=tuple(
+                    (name, restore.stream_id)
+                    if (name, stream_id) == (input_stream, self.stream_id)
+                    else (name, stream_id)
+                    for name, stream_id in record.delivered
+                ),
+            )
 
 
 class WideningPlanner:
-    """Builds and commits widening actions against a deployment."""
+    """Builds widening actions against a deployment."""
 
     def __init__(self, planner: Planner) -> None:
         self.planner = planner
@@ -170,7 +188,8 @@ class WideningPlanner:
 
         Returns the *hypothetical* widened stream (not yet installed)
         plus the action describing the deployment change, or ``None``
-        when widening does not apply.
+        when widening does not apply — in particular when the
+        candidate's parent cannot supply the widened content.
         """
         if candidate.is_original:
             return None  # the raw stream is already maximal
@@ -178,40 +197,36 @@ class WideningPlanner:
         if widened_content is None:
             return None
         parent = deployment.streams.get(candidate.parent_id or "")
-        if parent is None:
+        if parent is None or not match_stream_properties(
+            parent.content, widened_content
+        ):
             return None
-        widened_pipeline = derive_compensation(parent.content, widened_content)
-
-        action = WideningAction(
-            stream_id=candidate.stream_id,
-            widened_content=widened_content,
-            widened_pipeline=widened_pipeline,
+        widened = dataclasses.replace(
+            candidate,
+            content=widened_content,
+            pipeline=derive_compensation(parent.content, widened_content),
         )
-        self._plan_consumers(deployment, candidate, widened_content, action, query_name)
-        self._estimate_delta(deployment, candidate, parent, action)
+        action = WideningAction(candidate.stream_id, widened_content, [widened])
 
-        widened_stream = dataclasses.replace(
-            candidate, content=widened_content, pipeline=widened_pipeline
-        )
-        return widened_stream, action
-
-    # ------------------------------------------------------------------
-    def _plan_consumers(
-        self,
-        deployment: Deployment,
-        candidate: InstalledStream,
-        widened_content: StreamProperties,
-        action: WideningAction,
-        query_name: str,
-    ) -> None:
+        planner = self.planner
+        before = PlanEffects()
+        parent_rate = planner.stream_rate(parent.content)
+        old_rate = planner.stream_rate(candidate.content)
+        new_rate = planner.stream_rate(widened_content)
+        planner.stream_effects(before, candidate, old_rate, parent_rate)
+        planner.stream_effects(action.effects, widened, new_rate, parent_rate)
         # Child streams: recompute their compensation pipelines against
         # the widened content.
         for stream in deployment.streams.values():
             if stream.parent_id != candidate.stream_id:
                 continue
-            action.consumer_pipelines[stream.stream_id] = derive_compensation(
-                widened_content, stream.content
+            rewritten = dataclasses.replace(
+                stream, pipeline=derive_compensation(widened_content, stream.content)
             )
+            action.rewritten.append(rewritten)
+            rate = planner.stream_rate(stream.content)
+            planner.stream_effects(before, stream, rate, old_rate)
+            planner.stream_effects(action.effects, rewritten, rate, new_rate)
         # Direct deliveries: subscriptions whose delivered stream IS the
         # candidate get a restoring stream at their super-peer.
         for record in deployment.queries.values():
@@ -228,95 +243,7 @@ class WideningPlanner:
                     query=record.name,
                     taps_parent=False,
                 )
-                action.delivery_restores.append(
-                    DeliveryRestore(
-                        query=record.name,
-                        input_stream=input_stream,
-                        old_stream_id=stream_id,
-                        restore=restore,
-                    )
-                )
-
-    def _estimate_delta(
-        self,
-        deployment: Deployment,
-        candidate: InstalledStream,
-        parent: InstalledStream,
-        action: WideningAction,
-    ) -> None:
-        """Delta effects: extra traffic on the widened route, pipeline
-        load changes at the origin, restore pipelines at targets."""
-        catalog = self.planner.catalog
-        net = self.planner.net
-        old_rate = estimate_stream_rate(candidate.content, catalog)
-        new_rate = estimate_stream_rate(action.widened_content, catalog)
-        delta_bits = new_rate.bits_per_second - old_rate.bits_per_second
-        for a, b in candidate.links():
-            action.effects.add_link(net.link(a, b), delta_bits)
-        delta_frequency = new_rate.frequency - old_rate.frequency
-        peer = net.super_peer(candidate.origin_node)
-        for sender, _ in candidate.links():
-            sender_peer = net.super_peer(sender)
-            action.effects.add_peer(
-                sender, base_load("transfer") * sender_peer.pindex * delta_frequency
-            )
-        # Pipeline load delta at the origin (approximate: both pipelines
-        # see the parent stream's frequency at their selection stage).
-        parent_rate = estimate_stream_rate(parent.content, catalog)
-        def pipeline_work(pipeline):
-            work = 0.0
-            frequency = parent_rate.frequency
-            for spec in pipeline:
-                work += base_load(spec.kind) * peer.pindex * frequency
-                if spec.kind == "selection" and isinstance(spec, SelectionSpec):
-                    stats = catalog.for_stream(candidate.content.stream)
-                    frequency = min(
-                        frequency, stats.frequency * stats.selectivity(spec.graph)
-                    )
-            return work
-        action.effects.add_peer(
-            candidate.origin_node,
-            pipeline_work(action.widened_pipeline) - pipeline_work(candidate.pipeline),
-        )
-        # Restoring pipelines at delivery targets.
-        for restore in action.delivery_restores:
-            target = net.super_peer(restore.restore.origin_node)
-            for spec in restore.restore.pipeline:
-                action.effects.add_peer(
-                    restore.restore.origin_node,
-                    base_load(spec.kind) * target.pindex * new_rate.frequency,
-                )
-
-    # ------------------------------------------------------------------
-    def commit(self, deployment: Deployment, action: WideningAction) -> None:
-        """Apply a widening action's *structural* changes.
-
-        Effects are NOT committed here — the subscriber folds them into
-        the evaluation plan's combined effects so that admission control
-        and the usage ledger see widening and plan as one unit.
-        """
-        deployment.streams[action.stream_id] = dataclasses.replace(
-            deployment.streams[action.stream_id],
-            content=action.widened_content,
-            pipeline=action.widened_pipeline,
-        )
-        for stream_id, pipeline in action.consumer_pipelines.items():
-            deployment.streams[stream_id] = dataclasses.replace(
-                deployment.streams[stream_id], pipeline=pipeline
-            )
-        for restore in action.delivery_restores:
-            deployment.install_stream(restore.restore)
-            record = deployment.queries[restore.query]
-            delivered = tuple(
-                (input_stream, restore.restore.stream_id)
-                if stream_id == restore.old_stream_id and input_stream == restore.input_stream
-                else (input_stream, stream_id)
-                for input_stream, stream_id in record.delivered
-            )
-            deployment.queries[restore.query] = RegisteredQuery(
-                name=record.name,
-                properties=record.properties,
-                analyzed=record.analyzed,
-                subscriber_node=record.subscriber_node,
-                delivered=delivered,
-            )
+                action.restores.append((record.name, input_stream, restore))
+                planner.stream_effects(action.effects, restore, old_rate, new_rate)
+        action.effects.merge(before, sign=-1.0)
+        return widened, action

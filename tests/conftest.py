@@ -211,3 +211,30 @@ def make_system(strategy="stream-sharing", seed=20060326, frequency=100.0, **kwa
 @pytest.fixture()
 def sharing_system():
     return make_system("stream-sharing")
+
+
+def assert_ledger_is_the_walk(system):
+    """The control plane's invariant: the usage ledger is a function of
+    the deployment — ``Planner.stream_effects`` summed over every
+    installed stream plus one ``restructure`` charge per delivered input,
+    on removed peers and links too."""
+    from repro.costmodel import PlanEffects
+
+    planner, deployment = system.planner, system.deployment
+    walk = PlanEffects()
+    for stream in deployment.streams.values():
+        planner.installed_effects(walk, deployment, stream)
+    for record in deployment.queries.values():
+        for _, stream_id in record.delivered:
+            rate = planner.stream_rate(deployment.streams[stream_id].content)
+            planner.charge(walk, record.subscriber_node, "restructure", rate.frequency)
+    usage = deployment.usage
+    expected_links = {link.ends: bits for link, bits in walk.link_bits.items()}
+    for ledger, expected in (
+        (usage._peer_work, walk.peer_work),
+        (usage._link_bits, expected_links),
+    ):
+        for key in set(ledger) | set(expected):
+            assert ledger.get(key, 0.0) == pytest.approx(
+                expected.get(key, 0.0), rel=1e-6, abs=1e-6
+            ), key

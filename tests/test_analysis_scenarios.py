@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import build_churned_system, build_verified_system
-from repro.sharing.strategies import STRATEGIES
+from repro.sharing import STRATEGIES
 from repro.workload.scenarios import (
     scenario_churn,
     scenario_grid,

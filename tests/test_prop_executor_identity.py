@@ -7,8 +7,9 @@ and ``run``, inside which super-peers crash and rejoin, links fail and
 the rebalancer migrates — and differ only in *how* they execute a run:
 over one cell or 2 / 4 inline cells, in source batches of another size,
 into a live recorder or the null one.  After every step the reference
-twin verifies clean (P1xx/T2xx/F4xx/S5xx, index P140–143) and every twin
-holds the same deployment; after every run ``RunMetrics``, the captured
+twin verifies clean (P1xx/T2xx/F4xx/S5xx, index P140–143), its usage
+ledger is the walk over what is installed, and every twin holds the
+same deployment; after every run ``RunMetrics``, the captured
 deliveries and the SLO counters agree on all twins, and the
 partition-free part of the run log on the traced ones.  The kind of
 input (regular, mixed-shape, row-store) is drawn per machine, so the
@@ -58,7 +59,7 @@ from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 from repro.workload.templates import QueryTemplateGenerator
 from repro.xmlkit import Element, serialize
 
-from .conftest import PAPER_QUERIES
+from .conftest import PAPER_QUERIES, assert_ledger_is_the_walk
 from .pins_executor import partition_free, run_log_projection, slo_counters
 
 #: Subscription texts: the paper's four (selection, selection over a
@@ -357,6 +358,7 @@ class ExecutorIdentity(RuleBasedStateMachine):
         report.merge(flow_system(reference))
         report.merge(certify_system(reference)[1])
         assert report.ok, report.render()
+        assert_ledger_is_the_walk(reference)
 
 
 @pytest.fixture(autouse=True)

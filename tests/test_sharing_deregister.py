@@ -2,7 +2,12 @@
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
+from tests.conftest import (
+    PAPER_QUERIES,
+    assert_ledger_is_the_walk,
+    make_system,
+    on_every_executor,
+)
 from repro.sharing.deregister import DeregistrationError, live_stream_ids
 from repro.analysis import verify_deployment
 
@@ -179,6 +184,7 @@ class TestScenarioChurn:
         metrics = executor.run(system, duration=10.0)
         remaining = {r.query for r in run.registrations[1::2]}
         assert set(metrics.items_delivered) <= remaining
+        assert_ledger_is_the_walk(system)
 
 
 def test_reregistering_a_name_whose_stream_is_still_shared():

@@ -23,7 +23,7 @@ from repro.sharing.rebalance import HotPeerCostModel, Rebalancer
 from repro.sharing.system import StreamGlobe
 from repro.workload.scenarios import scenario_drift
 
-from .conftest import on_every_executor
+from .conftest import assert_ledger_is_the_walk, on_every_executor
 
 #: Calibrated to the drift scenario's simulated CPU% scale (~6% idle,
 #: ~26% after the rate step) — same knobs the PR 8 bench uses.
@@ -98,6 +98,7 @@ class TestMigrationConservation:
         assert report.moved_queries
         assert report.migrated_queries == report.moved_queries
         assert report.hot_work_released() > 0.0
+        assert_ledger_is_the_walk(drift_runs["adaptive_sys"])
 
     def test_stateless_deliveries_exactly_conserved(self, drift_runs):
         static = drift_runs["static"]

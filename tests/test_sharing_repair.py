@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system
+from tests.conftest import PAPER_QUERIES, assert_ledger_is_the_walk, make_system
 from repro.faults import LinkFailure, SuperPeerCrash, SuperPeerRejoin
 from repro.analysis import verify_deployment
 
@@ -156,3 +156,39 @@ class TestTeardownParity:
                 baseline[peer], abs=1e-6
             )
             assert usage.peer_work(peer) >= 0.0
+
+
+@pytest.mark.parametrize("scenario", ["scenario_churn", "scenario_churn_hotspots"])
+def test_ledger_is_the_walk_after_every_scheduled_fault(scenario):
+    """Repair releases through the walk that committed — also what was
+    committed on peers and links the fault has since removed."""
+    from repro.bench.harness import run_scenario
+    from repro.workload import scenarios
+
+    built = getattr(scenarios, scenario)()
+    system = run_scenario(built, "stream-sharing", execute=False).system
+    events = built.faults.events()
+    assert len(events) >= 2
+    for event in events:
+        system.apply_fault(event)
+        assert_ledger_is_the_walk(system)
+
+
+def test_planning_toward_a_crashed_super_peer_still_raises():
+    """The ledger walk resolves removed peers and links (it releases
+    what was committed before a fault); a *plan* never reaches one,
+    because its routes come from ``RouteCache`` over the live topology."""
+    from repro.network.topology import TopologyError
+    from repro.sharing.planner import PlanningError
+
+    system = make_system()
+    register_all(system, names=("Q3",))
+    system.apply_fault(SuperPeerCrash(5.0, "SP1"))  # P1's home
+    with pytest.raises(TopologyError):
+        system.planner.routes.path("SP4", "SP1")
+    streams = dict(system.deployment.streams)
+    with pytest.raises((PlanningError, TopologyError)):
+        system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+    assert system.deployment.streams == streams
+    assert "Q1" not in system.deployment.queries
+    assert_ledger_is_the_walk(system)

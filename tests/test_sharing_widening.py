@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
+from tests.conftest import (
+    PAPER_QUERIES,
+    assert_ledger_is_the_walk,
+    make_system,
+    on_every_executor,
+)
+from repro.analysis import verify_deployment
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import (
     ProjectionSpec,
@@ -12,7 +18,7 @@ from repro.properties import (
     StreamProperties,
     extract_properties,
 )
-from repro.sharing import widen_content
+from repro.sharing import WideningPlanner, widen_content
 from repro.sharing.widening import widen_projection, widen_selection
 from repro.wxquery import parse_query
 from repro.xmlkit import Path
@@ -158,8 +164,50 @@ class TestWideningEndToEnd:
                 )
 
     def test_widening_disabled_by_default(self):
+        """The sequence that widens when the enhancement is on (see
+        ``test_widening_ledger_returns_to_baseline``) never does by
+        default."""
         system = make_system("stream-sharing")
-        assert system.registrar._subscriber._widening_planner is None
+        system.register_query("narrow", NARROW_QUERY, "P2")
+        system.register_query("wide", WIDE_QUERY, "P2")
+        assert not any(
+            plan.widening for result in system.results for plan in result.plan.inputs
+        )
+
+    def test_widening_ledger_returns_to_baseline(self):
+        """A widening's delta is the ledger walk after minus the walk
+        before, so what the widened streams release is what was
+        committed (at PR 21: 1 463.76 units/s left at SP7, P132)."""
+        system = self._system()
+        usage = system.deployment.usage
+        baseline = (dict(usage._peer_work), dict(usage._link_bits))
+        system.register_query("narrow", NARROW_QUERY, "P2")
+        wide = system.register_query("wide", WIDE_QUERY, "P2")
+        assert wide.plan.inputs[0].widening is not None
+        assert_ledger_is_the_walk(system)
+        system.deregister_query("narrow")
+        system.deregister_query("wide")
+        assert sorted(system.deployment.streams) == ["photons"]
+        for before, after in zip(baseline, (usage._peer_work, usage._link_bits)):
+            assert {k: v for k, v in after.items() if v} == before
+        assert verify_deployment(system.deployment, catalog=system.catalog).ok
+
+    def test_no_widening_under_a_parent_that_cannot_supply_it(self):
+        """A stream is only as wide as what it derives from: a candidate
+        fed by a narrower stream (a widening's restoring stream, say)
+        cannot be widened past it — at PR 21 scenario 1 did exactly
+        that (P113; Q020 and Q023 delivered 395 items instead of 1 079)."""
+        system = self._system()
+        system.register_query("narrow", NARROW_QUERY, "P2")
+        deployment = system.deployment
+        narrow = deployment.stream("narrow:photons")
+        child = system.install_derived_stream(
+            "narrow:copy", "narrow:photons", (), "P1", tap_node=narrow.target_node
+        )
+        needed = extract_properties(parse_query(WIDE_QUERY), "wide").single_input()
+        widening = WideningPlanner(system.planner)
+        assert widening.plan_widening(deployment, narrow, needed, "wide") is not None
+        assert widening.plan_widening(deployment, child, needed, "wide") is None
 
     def test_widening_used_when_it_wins(self):
         """On a path where the narrow stream flows right past the new
@@ -176,3 +224,21 @@ class TestWideningEndToEnd:
             # The narrow query's delivery now passes through a restore.
             record = system.deployment.queries["narrow"]
             assert record.delivered[0][1].startswith("narrow:photons#restore")
+
+
+def test_scenario_one_with_widening_keeps_the_ledger_and_verifies():
+    """The widened deployment of the ablation (benchmarks/): five
+    widenings, each rewriting consumers and installing restores."""
+    from repro.bench.harness import run_scenario
+    from repro.workload.scenarios import scenario_one
+
+    run = run_scenario(
+        scenario_one(), "stream-sharing", enable_widening=True, execute=False
+    )
+    assert any(
+        plan.widening for result in run.registrations for plan in result.plan.inputs
+    )
+    system = run.system
+    assert_ledger_is_the_walk(system)
+    report = verify_deployment(system.deployment, catalog=system.catalog)
+    assert report.ok, report.render()
