@@ -1,0 +1,78 @@
+"""Experiment E12 (extension) — the availability index against the scan.
+
+Algorithm 1 as the paper states it scans every stream available at a
+visited node; ``StreamAvailabilityIndex`` hands Algorithm 2 only the
+streams whose signature can match, one per distinct content.  The same
+250 pre-parsed template queries are registered on the 3x3 grid both
+ways (``conftest.index_scale_runs``).  The index is an optimization,
+never a behaviour change: every plan decision is equal, and what differs
+is how many candidates reach Algorithm 2 — exactly repeatable counts,
+written to ``index_scale.txt`` and compared byte for byte in CI.  The
+wall-clock ratio of the same run is asserted ``> 1`` here and written
+to the uncompared ``scalability.txt`` by ``test_bench_scalability.py``.
+The living throughput measurement is sharebench ``grid-register-800``.
+"""
+
+from conftest import write_result
+from repro.bench import series_table
+
+QUERIES = 250
+
+
+def decisions(run):
+    """Per query: accepted, and per input the reused stream, the tap
+    node and the placement node."""
+    return {
+        result.query: (
+            result.accepted,
+            tuple(
+                (p.input_stream, p.reused_id, p.tap_node, p.placement_node)
+                for p in (result.plan.inputs if result.plan else ())
+            ),
+        )
+        for result in run.registrations
+    }
+
+
+def candidate_matches(run):
+    return sum(r.plan.candidate_matches for r in run.registrations if r.plan)
+
+
+class TestIndexScale:
+    def test_all_queries_accepted(self, index_scale_runs):
+        for run, _ in index_scale_runs.values():
+            assert run.accepted == QUERIES
+
+    def test_decisions_are_identical(self, index_scale_runs):
+        indexed, scan = (run for run, _ in index_scale_runs.values())
+        assert decisions(indexed) == decisions(scan)
+        assert sorted(indexed.system.deployment.streams) == sorted(
+            scan.system.deployment.streams
+        )
+
+    def test_index_prunes_what_reaches_algorithm_2(self, index_scale_runs):
+        indexed, scan = (run for run, _ in index_scale_runs.values())
+        assert candidate_matches(indexed) * 2 < candidate_matches(scan)
+
+    def test_index_is_faster_in_the_same_run(self, index_scale_runs):
+        (_, indexed_s), (_, scan_s) = index_scale_runs.values()
+        assert scan_s / indexed_s > 1.0
+
+    def test_write_report(self, index_scale_runs):
+        series = {
+            mode: {
+                "candidate matches": float(candidate_matches(run)),
+                "matches / registration": candidate_matches(run) / QUERIES,
+                "installed streams": float(len(run.system.deployment.streams)),
+            }
+            for mode, (run, _) in index_scale_runs.items()
+        }
+        write_result(
+            "index_scale.txt",
+            series_table(
+                "Metric",
+                f"{QUERIES} queries, 3x3 grid, stream sharing; decisions identical",
+                series,
+                precision=1,
+            ),
+        )

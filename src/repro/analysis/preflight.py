@@ -76,16 +76,7 @@ def _build_system(
     system = StreamGlobe(
         scenario.build_network(), strategy=strategy, enable_widening=enable_widening
     )
-    for source in scenario.sources:
-        system.register_stream(
-            source.name,
-            "photons/photon",
-            source.generator_factory(),
-            frequency=source.frequency,
-            source_peer=source.source_peer,
-        )
-    for spec in scenario.queries:
-        system.register_query(spec.name, spec.text, spec.subscriber_peer)
+    scenario.register_on(system)
     return system
 
 

@@ -2,9 +2,10 @@
 paper's metrics.
 
 The harness owns the pieces every experiment shares: building (and
-optionally capacity-limiting) the network, registering sources and
-queries, executing the deployment, and packaging the series the paper's
-figures and tables report.
+optionally capacity-limiting) the network, registering the scenario on
+it (:meth:`~repro.workload.scenarios.Scenario.register_on`), executing
+the deployment, and packaging the series the paper's figures and tables
+report.
 """
 
 from __future__ import annotations
@@ -159,18 +160,7 @@ def run_scenario(
         use_index=use_index,
         recorder=recorder,
     )
-    for source in scenario.sources:
-        system.register_stream(
-            source.name,
-            "photons/photon",
-            source.generator_factory(),
-            frequency=source.frequency,
-            source_peer=source.source_peer,
-        )
-    registrations = [
-        system.register_query(spec.name, spec.text, spec.subscriber_peer)
-        for spec in scenario.queries
-    ]
+    registrations = scenario.register_on(system)
     metrics = (
         system.run(scenario.duration, faults=scenario.faults, workers=workers)
         if execute

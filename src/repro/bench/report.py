@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
+from ..obs.export import PLANNER_SPAN_ORDER, format_table
 from .harness import ScenarioRun
 
 STRATEGY_LABELS = {
@@ -11,18 +12,6 @@ STRATEGY_LABELS = {
     "query-shipping": "Query Shipping",
     "stream-sharing": "Stream Sharing",
 }
-
-
-def _format_table(header: Sequence[str], rows: List[Sequence[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    def fmt(row: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-    lines = [fmt(header), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
 
 
 def series_table(
@@ -47,7 +36,7 @@ def series_table(
         ]
         for label in labels
     ]
-    return _format_table(header, rows) + f"\n({unit})"
+    return format_table(header, rows) + f"\n({unit})"
 
 
 def cpu_report(runs: Dict[str, ScenarioRun]) -> str:
@@ -95,24 +84,7 @@ def registration_table(
             for scenario in scenarios:
                 row.append(f"{stats[scenario][index]:.0f}")
         rows.append(row)
-    return _format_table(header, rows) + "\n(Query registration times, ms)"
-
-
-#: Preferred display order of control-plane span names; span names not
-#: listed here render after these, in first-seen order.
-PLANNER_PHASE_ORDER = (
-    "register",
-    "parse",
-    "analyze",
-    "plan",
-    "search",
-    "commit",
-    "deregister",
-    "repair",
-    "repair.damage",
-    "repair.teardown",
-    "repair.reregister",
-)
+    return format_table(header, rows) + "\n(Query registration times, ms)"
 
 
 def cache_report(runs: Dict[str, ScenarioRun]) -> str:
@@ -136,7 +108,7 @@ def cache_report(runs: Dict[str, ScenarioRun]) -> str:
         ]
         for cache in caches
     ]
-    return _format_table(header, rows) + "\n(Cache hit rate, %)"
+    return format_table(header, rows) + "\n(Cache hit rate, %)"
 
 
 def planner_phase_report(runs: Dict[str, ScenarioRun]) -> str:
@@ -146,7 +118,7 @@ def planner_phase_report(runs: Dict[str, ScenarioRun]) -> str:
     timings; untraced strategies render as ``-``.
     """
     totals = {strategy: run.planner_phase_seconds() for strategy, run in runs.items()}
-    phases = [p for p in PLANNER_PHASE_ORDER if any(p in t for t in totals.values())]
+    phases = [p for p in PLANNER_SPAN_ORDER if any(p in t for t in totals.values())]
     for per_phase in totals.values():
         for name in per_phase:
             if name not in phases:
@@ -162,7 +134,7 @@ def planner_phase_report(runs: Dict[str, ScenarioRun]) -> str:
         ]
         for phase in phases
     ]
-    return _format_table(header, rows) + "\n(Planner phase wall time, ms)"
+    return format_table(header, rows) + "\n(Planner phase wall time, ms)"
 
 
 def rejection_report(runs: Dict[str, ScenarioRun]) -> str:
@@ -171,4 +143,4 @@ def rejection_report(runs: Dict[str, ScenarioRun]) -> str:
         [STRATEGY_LABELS.get(strategy, strategy), str(run.accepted), str(run.rejected)]
         for strategy, run in runs.items()
     ]
-    return _format_table(header, rows) + "\n(Constrained-capacity admission, Section 4)"
+    return format_table(header, rows) + "\n(Constrained-capacity admission, Section 4)"

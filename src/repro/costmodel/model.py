@@ -306,6 +306,10 @@ class CostModel:
         self._net = net
         self.gamma = gamma
 
+    def peer_capacity(self, peer: str) -> float:
+        """Work units/s the named super-peer can sustain."""
+        return self._net.super_peer(peer).capacity
+
     def plan_cost(self, effects: PlanEffects, usage: NetworkUsage) -> float:
         """``C(P)`` of a candidate plan against the current usage."""
         traffic_cost = 0.0

@@ -40,7 +40,6 @@ from .recorder import (
     NullRecorder,
     Recorder,
     Span,
-    default_recorder,
 )
 from .timeseries import EpochSnapshot, snapshot_delta, sort_epochs
 from .drift import DriftAlert, DriftConfig, DriftDetector
@@ -70,7 +69,6 @@ __all__ = [
     "SegmentStore",
     "Span",
     "chrome_trace",
-    "default_recorder",
     "load_jsonl",
     "merge_segment",
     "prometheus_text",

@@ -24,46 +24,15 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .export import RunLog, load_jsonl, write_chrome_trace, write_jsonl
-from .recorder import Recorder
-
-#: Span names that belong to the control plane's planning pipeline, in
-#: display order (register is the root; the rest are its phases).
-PLANNER_SPAN_ORDER = (
-    "register",
-    "parse",
-    "analyze",
-    "plan",
-    "search",
-    "commit",
-    "repair",
-    "repair.damage",
-    "repair.teardown",
-    "repair.reregister",
+from .export import (
+    PLANNER_SPAN_ORDER,
+    RunLog,
+    format_table,
+    load_jsonl,
+    write_chrome_trace,
+    write_jsonl,
 )
-
-
-def _fmt(value: float, width: int = 9) -> str:
-    if isinstance(value, float):
-        return f"{value:{width}.3f}"
-    return f"{value:{width}d}"
-
-
-def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    widths = [len(h) for h in headers]
-    rendered: List[List[str]] = []
-    for row in rows:
-        cells = [cell if isinstance(cell, str) else _fmt(cell).strip() for cell in row]
-        rendered.append(cells)
-        for i, cell in enumerate(cells):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for cells in rendered:
-        lines.append("  ".join(cells[i].rjust(widths[i]) for i in range(len(cells))))
-    return "\n".join(lines)
+from .recorder import Recorder
 
 
 def hit_rates(counters: Dict[str, float]) -> Dict[str, Tuple[float, float, float]]:
@@ -93,7 +62,7 @@ def _epoch_series_tables(log: RunLog, max_links: int = 8) -> List[str]:
         for e in log.epochs
     ]
     out.append("Per-epoch peer CPU load (% of capacity):")
-    out.append(_table(["epoch", "t0", "t1"] + peers, rows))
+    out.append(format_table(["epoch", "t0", "t1"] + peers, rows))
 
     link_totals: Dict[str, float] = {}
     for e in log.epochs:
@@ -109,7 +78,7 @@ def _epoch_series_tables(log: RunLog, max_links: int = 8) -> List[str]:
         title += f", top {len(links)} of {len(link_totals)} links by volume"
     out.append("")
     out.append(title + "):")
-    out.append(_table(["epoch", "t0", "t1"] + links, rows))
+    out.append(format_table(["epoch", "t0", "t1"] + links, rows))
 
     rows = [
         [
@@ -126,7 +95,7 @@ def _epoch_series_tables(log: RunLog, max_links: int = 8) -> List[str]:
     out.append("")
     out.append("Per-epoch item flow and churn transients:")
     out.append(
-        _table(
+        format_table(
             ["epoch", "generated", "delivered", "lost", "rerouted_bits", "faults", "q_peak"],
             rows,
         )
@@ -150,7 +119,7 @@ def _span_timing_table(log: RunLog) -> str:
         ]
         for name in ordered
     ]
-    return _table(["span", "count", "total_ms", "mean_ms", "max_ms"], rows)
+    return format_table(["span", "count", "total_ms", "mean_ms", "max_ms"], rows)
 
 
 def _cache_table(counters: Dict[str, float]) -> str:
@@ -169,7 +138,7 @@ def _cache_table(counters: Dict[str, float]) -> str:
                 int(invalidations) if invalidations is not None else "-",
             ]
         )
-    return _table(["cache", "hits", "misses", "hit_rate", "invalidations"], rows)
+    return format_table(["cache", "hits", "misses", "hit_rate", "invalidations"], rows)
 
 
 def _operator_latency_table(histograms: Dict[str, Dict[str, Any]]) -> Optional[str]:
@@ -195,7 +164,7 @@ def _operator_latency_table(histograms: Dict[str, Dict[str, Any]]) -> Optional[s
         )
     if not rows:
         return None
-    return _table(
+    return format_table(
         ["operator", "batches", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"],
         rows,
     )
@@ -225,7 +194,7 @@ def _slo_table(log: RunLog) -> Optional[str]:
         ]
         for s in slos
     ]
-    return _table(
+    return format_table(
         [
             "query",
             "shard",
@@ -262,7 +231,7 @@ def _columnar_table(counters: Dict[str, float]) -> Optional[str]:
     ]
     if not rows:
         return None
-    return _table(["columnar", "count"], rows)
+    return format_table(["columnar", "count"], rows)
 
 
 def summarize(log: RunLog, out: Any = None) -> None:
@@ -353,7 +322,7 @@ def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> N
         if va != vb:
             rows.append([name, va, vb, vb - va])
     w("\nCounters (changed only):\n")
-    w(_table(["counter", "A", "B", "delta"], rows) + "\n" if rows else "  (identical)\n")
+    w(format_table(["counter", "A", "B", "delta"], rows) + "\n" if rows else "  (identical)\n")
 
     ta, tb = a.span_totals(), b.span_totals()
     rows = []
@@ -364,7 +333,7 @@ def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> N
             [name, int(ea["count"]), int(eb["count"]), ea["total_s"] * 1e3, eb["total_s"] * 1e3]
         )
     w("\nSpan totals:\n")
-    w(_table(["span", "A_count", "B_count", "A_ms", "B_ms"], rows) + "\n" if rows else "  (none)\n")
+    w(format_table(["span", "A_count", "B_count", "A_ms", "B_ms"], rows) + "\n" if rows else "  (none)\n")
 
     def epoch_sums(log: RunLog) -> Dict[str, float]:
         return {
@@ -379,7 +348,7 @@ def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> N
     sa, sb = epoch_sums(a), epoch_sums(b)
     rows = [[k, sa[k], sb[k], sb[k] - sa[k]] for k in sa]
     w("\nEpoch aggregates:\n")
-    w(_table(["metric", "A", "B", "delta"], rows) + "\n")
+    w(format_table(["metric", "A", "B", "delta"], rows) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -474,16 +443,7 @@ def serve(args: argparse.Namespace) -> None:
     server.start()
     print(f"serving {server.url}/metrics  /healthz  /slo.json")
     try:
-        for source in scenario.sources:
-            system.register_stream(
-                source.name,
-                "photons/photon",
-                source.generator_factory(),
-                frequency=source.frequency,
-                source_peer=source.source_peer,
-            )
-        for spec in scenario.queries:
-            system.register_query(spec.name, spec.text, spec.subscriber_peer)
+        scenario.register_on(system)
         for round_index in range(args.repeat):
             metrics = system.run(
                 scenario.duration,

@@ -1,4 +1,6 @@
-"""Exporters: JSONL event logs, Chrome traces, Prometheus exposition.
+"""Exporters: JSONL event logs, Chrome traces, Prometheus exposition,
+and the plain-text table every report (``repro.obs``, ``repro.bench``)
+renders through.
 
 The JSONL log is the canonical run artifact (one JSON object per
 line, ``type``-tagged); ``repro.obs summarize`` and ``repro.obs
@@ -27,19 +29,58 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
-from .recorder import Recorder
+from .recorder import Recorder, span_totals
 from .timeseries import EpochSnapshot, sort_epochs
 
 __all__ = [
+    "PLANNER_SPAN_ORDER",
     "RunLog",
     "chrome_trace",
+    "format_table",
     "load_jsonl",
     "prometheus_text",
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+#: Control-plane span names in display order (a root, then its phases);
+#: reports list names outside it after these.
+PLANNER_SPAN_ORDER = (
+    "register",
+    "parse",
+    "analyze",
+    "plan",
+    "search",
+    "commit",
+    "deregister",
+    "repair",
+    "repair.damage",
+    "repair.teardown",
+    "repair.reregister",
+    "rebalance",
+    "rebalance.teardown",
+    "rebalance.reregister",
+)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Right-aligned columns under a dashed rule; a cell that is not a
+    string renders as ``%.3f`` (float) or ``%d``."""
+
+    def text(cell: Any) -> str:
+        if isinstance(cell, str):
+            return cell
+        return f"{cell:.3f}" if isinstance(cell, float) else f"{cell:d}"
+
+    table = [list(headers)] + [[text(cell) for cell in row] for row in rows]
+    widths = [max(len(cells[i]) for cells in table) for i in range(len(headers))]
+    table.insert(1, ["-" * width for width in widths])
+    return "\n".join(
+        "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
+        for cells in table
+    )
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +120,8 @@ def _write_jsonl(
         handle.write(json.dumps(obj, sort_keys=True) + "\n")
 
     emit(_meta_line(recorder, net, extra))
-    for span in recorder.spans:
-        emit({"type": "span", **span.to_dict()})
+    for span in recorder.span_records():
+        emit({"type": "span", **span})
     for event in recorder.events:
         emit({"type": "event", **event})
     # Canonical (index, shard) order: the sharded executor's per-cell
@@ -108,21 +149,14 @@ class RunLog:
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
+    def span_records(self) -> List[Dict[str, Any]]:
+        """The spans as records — what :meth:`Recorder.span_records`
+        returns for a live recorder."""
+        return self.spans
+
     def span_totals(self) -> Dict[str, Dict[str, float]]:
-        """Same aggregation as :meth:`Recorder.span_totals`."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            if span.get("t1") is None:
-                continue
-            entry = totals.setdefault(
-                span["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            duration = span["t1"] - span["t0"]
-            entry["count"] += 1
-            entry["total_s"] += duration
-            if duration > entry["max_s"]:
-                entry["max_s"] = duration
-        return totals
+        """Completed spans aggregated by name (:func:`span_totals`)."""
+        return span_totals(self.spans)
 
     def events_named(self, name: str) -> List[Dict[str, Any]]:
         return [event for event in self.events if event["name"] == name]
@@ -181,14 +215,9 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
     pairs (``"s"``/``"f"``) from the producing shard's lane to the
     consuming shard's — the cut-edge hand-offs of the sharded plane.
     """
-    if isinstance(source, Recorder):
-        spans = [span.to_dict() for span in source.spans]
-        events = source.events
-        epochs = source.epochs
-    else:
-        spans = source.spans
-        events = source.events
-        epochs = source.epochs
+    spans = source.span_records()
+    events = source.events
+    epochs = source.epochs
     trace_events: List[Dict[str, Any]] = [
         {
             "name": "process_name",

@@ -28,9 +28,8 @@ report.
 from __future__ import annotations
 
 import bisect
-import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = [
     "Histogram",
@@ -38,34 +37,8 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "Span",
-    "default_recorder",
+    "span_totals",
 ]
-
-#: Environment variable that switches :func:`default_recorder` from the
-#: no-op singleton to a fresh live recorder (used by the CI job that
-#: runs the tier-1 suite with tracing enabled).
-TRACE_ENV_VAR = "REPRO_OBS_TRACE"
-
-#: Environment variable pinning :attr:`Recorder.created_unix` to a fixed
-#: epoch timestamp.  Without it every exported JSONL run log embeds the
-#: wall clock at recorder construction, so ``python -m repro.obs diff``
-#: on two otherwise identical runs always reports a meta difference.
-#: Tests and CI set it (typically to ``0``) to make run logs
-#: byte-stable.
-EPOCH_ENV_VAR = "REPRO_OBS_EPOCH"
-
-
-def _created_unix() -> float:
-    """Wall-clock creation stamp, honoring the ``REPRO_OBS_EPOCH`` pin."""
-    pinned = os.environ.get(EPOCH_ENV_VAR)
-    if pinned is None or pinned == "":
-        return time.time()
-    try:
-        return float(pinned)
-    except ValueError:
-        raise ValueError(
-            f"{EPOCH_ENV_VAR} must be a unix timestamp (float), got {pinned!r}"
-        ) from None
 
 #: Geometric bucket ladder shared by every histogram: wide enough for
 #: seconds-scale latencies down to sub-microsecond operator batches.
@@ -319,7 +292,7 @@ class Recorder:
             self.created_unix = origin.created_unix
             self._t0 = origin._t0
         else:
-            self.created_unix = _created_unix()
+            self.created_unix = time.time()
             self._t0 = time.perf_counter()
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
@@ -398,31 +371,28 @@ class Recorder:
         clone.epochs = list(self.epochs)
         return clone
 
+    def span_records(self) -> List[Dict[str, Any]]:
+        """The completed spans as exported records (:meth:`Span.to_dict`)."""
+        return [span.to_dict() for span in self.spans]
+
     def span_totals(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate completed spans by name: count, total and max seconds."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            if span.end_s is None:
-                continue
-            entry = totals.setdefault(
-                span.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            duration = span.end_s - span.start_s
-            entry["count"] += 1
-            entry["total_s"] += duration
-            if duration > entry["max_s"]:
-                entry["max_s"] = duration
-        return totals
+        """Completed spans aggregated by name (:func:`span_totals`)."""
+        return span_totals(self.span_records())
 
 
-def default_recorder() -> Any:
-    """The recorder used when a component is not handed one explicitly.
-
-    Returns :data:`NULL_RECORDER` (zero overhead) unless the
-    ``REPRO_OBS_TRACE`` environment variable is set non-empty, in which
-    case every component gets its own fresh :class:`Recorder` — the CI
-    tracing job uses this to run the whole tier-1 suite instrumented.
-    """
-    if os.environ.get(TRACE_ENV_VAR):
-        return Recorder()
-    return NULL_RECORDER
+def span_totals(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+    """Aggregate completed span records by name: count, total and max
+    seconds — over a live recorder's spans or a parsed run log's."""
+    totals: Dict[str, Dict[str, float]] = {}
+    for span in records:
+        if span.get("t1") is None:
+            continue
+        entry = totals.setdefault(
+            span["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
+        )
+        duration = span["t1"] - span["t0"]
+        entry["count"] += 1
+        entry["total_s"] += duration
+        if duration > entry["max_s"]:
+            entry["max_s"] = duration
+    return totals

@@ -66,7 +66,7 @@ def tear_down(
     streams nothing needs any more, apply the release.
     """
     try:
-        records = {name: deployment.queries.pop(name) for name in names}
+        records = {name: deployment.pop_query(name) for name in names}
     except KeyError as exc:
         raise DeregistrationError(f"unknown query {exc.args[0]!r}") from None
 

@@ -191,6 +191,10 @@ class Deployment:
         #: The sharded executor's memo of whether these records pickle:
         #: ``(records probed, verdict)``.
         self.pickle_probe: Optional[Tuple[tuple, bool]] = None
+        #: Bumped by every mutation of ``streams`` / ``queries``: what a
+        #: cache of anything derived from the plan is keyed on (names
+        #: are reused, so the installed ids are not a key).
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -203,6 +207,7 @@ class Deployment:
                 f"stream {stream.stream_id!r}: unknown parent {stream.parent_id!r}"
             )
         self.streams[stream.stream_id] = stream
+        self.version += 1
         for node in stream.route:
             # setdefault: a super-peer may have rejoined the topology
             # after this deployment was constructed.
@@ -222,6 +227,7 @@ class Deployment:
         stream = self.streams.pop(stream_id, None)
         if stream is None:
             return False
+        self.version += 1
         for node in stream.route:
             bucket = self._available.get(node)
             if bucket is None:
@@ -237,6 +243,26 @@ class Deployment:
         if record.name in self.queries:
             raise ValueError(f"query {record.name!r} already registered")
         self.queries[record.name] = record
+        self.version += 1
+
+    def pop_query(self, name: str) -> RegisteredQuery:
+        """Remove and return a subscription's record (``KeyError`` if
+        it is not registered)."""
+        record = self.queries.pop(name)
+        self.version += 1
+        return record
+
+    def replace_stream(self, stream: InstalledStream) -> None:
+        """Swap an installed stream's record for one with the same id
+        and route (widening changes content and pipeline only)."""
+        self.streams[stream.stream_id] = stream
+        self.version += 1
+
+    def replace_query(self, record: RegisteredQuery) -> None:
+        """Swap a subscription's record (widening moves a delivery to
+        its restoring stream)."""
+        self.queries[record.name] = record
+        self.version += 1
 
     def commit_effects(self, effects: PlanEffects, sign: float = 1.0) -> None:
         """Fold estimated usage into the persistent state (``sign=-1.0``

@@ -86,8 +86,7 @@ class HotPeerCostModel:
         cost = self._base.plan_cost(effects, usage)
         for peer, work in effects.peer_work.items():
             if peer in self._hot:
-                capacity = self._base._net.super_peer(peer).capacity
-                cost += self._penalty * (work / capacity)
+                cost += self._penalty * (work / self._base.peer_capacity(peer))
         return cost
 
     def overloads(self, effects: PlanEffects, usage: NetworkUsage) -> bool:

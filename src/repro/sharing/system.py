@@ -24,7 +24,7 @@ from ..costmodel import (
 from ..engine import RunMetrics, StreamSimulator
 from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
-from ..obs.recorder import default_recorder
+from ..obs.recorder import NULL_RECORDER
 from ..properties import (
     Properties,
     StreamProperties,
@@ -90,9 +90,9 @@ class StreamGlobe:
         self.verify = verify
         #: Observability sink, owned per system (never shared between
         #: systems — benchmark baselines must not pollute each other's
-        #: series, exactly like the MatchMemo ownership rule).  Defaults
-        #: to the no-op singleton unless REPRO_OBS_TRACE is set.
-        self.recorder = recorder if recorder is not None else default_recorder()
+        #: series, exactly like the MatchMemo ownership rule); the no-op
+        #: singleton unless one is handed in.
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.catalog = StatisticsCatalog()
         self.cost_model = CostModel(net, gamma=gamma)
         self.planner = Planner(
@@ -220,29 +220,14 @@ class StreamGlobe:
         # Imported lazily: repro.analysis depends on repro.sharing.plan.
         from ..analysis import (
             InvariantViolation,
-            analyze_flow,
-            certify_shards,
-            verify_deployment,
+            certify_system,
+            flow_system,
+            verify_system,
         )
 
-        report = verify_deployment(
-            self.deployment, catalog=self.catalog, title=f"pre-flight {context}"
-        )
-        report.merge(
-            analyze_flow(
-                self.deployment,
-                self.catalog,
-                title=f"flow pre-flight {context}",
-                recorder=self.recorder,
-            )
-        )
-        _, shard_report = certify_shards(
-            self.deployment,
-            self.catalog,
-            title=f"shards pre-flight {context}",
-            recorder=self.recorder,
-        )
-        report.merge(shard_report)
+        report = verify_system(self, title=f"pre-flight {context}")
+        report.merge(flow_system(self, title=f"flow pre-flight {context}"))
+        report.merge(certify_system(self, title=f"shards pre-flight {context}")[1])
         if not report.ok:
             raise InvariantViolation(context, report)
 
@@ -250,24 +235,20 @@ class StreamGlobe:
         """The certified :class:`~repro.analysis.ShardPlan` of the
         current deployment, cached per plan state.
 
-        The cache key fingerprints the topology version plus the
-        installed stream and query sets, so any plan mutation — a
-        registration, a deregistration, or a fault repair (which bumps
-        :attr:`Network.version`) — invalidates the certificate.
+        The cache key is the topology version plus the deployment's
+        mutation count — not the installed names, which are reused: a
+        subscription registered again elsewhere under its old name is a
+        different plan — so any plan mutation (a registration, a
+        deregistration, a fault repair, a migration) invalidates the
+        certificate.
         """
-        from ..analysis import certify_shards
+        from ..analysis import certify_system
 
-        fingerprint = (
-            self.net.version,
-            tuple(sorted(self.deployment.streams)),
-            tuple(sorted(self.deployment.queries)),
-        )
+        fingerprint = (self.net.version, self.deployment.version)
         cached = getattr(self, "_shard_plan_cache", None)
         if cached is not None and cached[0] == fingerprint:
             return cached[1]
-        plan, _ = certify_shards(
-            self.deployment, self.catalog, recorder=self.recorder
-        )
+        plan, _ = certify_system(self)
         self._shard_plan_cache = (fingerprint, plan)
         return plan
 

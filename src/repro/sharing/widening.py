@@ -155,18 +155,20 @@ class WideningAction:
         and the usage ledger see widening and plan as one unit.
         """
         for stream in self.rewritten:
-            deployment.streams[stream.stream_id] = stream
+            deployment.replace_stream(stream)
         for query, input_stream, restore in self.restores:
             deployment.install_stream(restore)
             record = deployment.queries[query]
-            deployment.queries[query] = dataclasses.replace(
-                record,
-                delivered=tuple(
-                    (name, restore.stream_id)
-                    if (name, stream_id) == (input_stream, self.stream_id)
-                    else (name, stream_id)
-                    for name, stream_id in record.delivered
-                ),
+            deployment.replace_query(
+                dataclasses.replace(
+                    record,
+                    delivered=tuple(
+                        (name, restore.stream_id)
+                        if (name, stream_id) == (input_stream, self.stream_id)
+                        else (name, stream_id)
+                        for name, stream_id in record.delivered
+                    ),
+                )
             )
 
 

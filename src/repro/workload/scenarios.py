@@ -9,13 +9,14 @@
   subscriber thin-peers.
 
 Both are pure descriptions; :mod:`repro.bench.harness` instantiates
-them per strategy and executes them.
+them per strategy and executes them.  :meth:`Scenario.register_on` is
+the one place a description becomes registrations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..faults import FaultSchedule, LinkFailure, SuperPeerCrash, SuperPeerRejoin
 from ..network.topology import Network, example_topology, grid_topology
@@ -62,6 +63,25 @@ class Scenario:
 
     def build_network(self) -> Network:
         return self.network_factory()
+
+    def register_on(self, system: Any) -> List[Any]:
+        """Register the sources, then the queries, on ``system`` — a
+        :class:`~repro.sharing.system.StreamGlobe` over
+        :meth:`build_network`, or anything with its ``register_stream``
+        / ``register_query``; returns the registration results in query
+        order."""
+        for source in self.sources:
+            system.register_stream(
+                source.name,
+                "photons/photon",
+                source.generator_factory(),
+                frequency=source.frequency,
+                source_peer=source.source_peer,
+            )
+        return [
+            system.register_query(spec.name, spec.text, spec.subscriber_peer)
+            for spec in self.queries
+        ]
 
 
 def scenario_one(seed: int = 20060326, query_count: int = 25) -> Scenario:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import inspect
 import os
+import pathlib
+import re
 import sys
 from dataclasses import dataclass
 
@@ -69,15 +71,17 @@ settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _repro_environment_is_left_alone():
-    """How a run executes is an argument, never the environment: a test
-    that sets a ``REPRO_*`` variable and leaks it changes every test
-    after it (``monkeypatch.setenv`` restores; ``os.environ[...] =``
-    does not)."""
-    before = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-    yield
-    after = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-    assert after == before, "a test leaked REPRO_* environment variables"
+def _product_does_not_read_the_environment():
+    """How a run executes and what it records are arguments, never the
+    environment: nothing under ``src/repro`` reads ``os.environ``, so no
+    variable a test (or a shell) leaves behind can change another test."""
+    root = pathlib.Path(__file__).parent.parent / "src" / "repro"
+    readers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+    )
+    assert not readers, f"src/repro reads the environment: {readers}"
 
 
 @contextlib.contextmanager

@@ -226,8 +226,7 @@ def partition_free(log: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def observe(case: str, workers: int = 1, traced: bool = False) -> Dict[str, Any]:
-    """One run of ``case``; the explicit recorder beats
-    ``REPRO_OBS_TRACE``."""
+    """One run of ``case``, traced or not."""
     recorder = Recorder() if traced else NULL_RECORDER
     system, run_args = CASES[case](recorder)
     digests: Dict[str, Any] = {}

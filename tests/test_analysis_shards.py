@@ -16,7 +16,11 @@ from repro.analysis import (
     operator_effect,
     stream_effect,
 )
-from repro.analysis.preflight import build_churned_system, build_shard_plan
+from repro.analysis.preflight import (
+    build_churned_system,
+    build_shard_plan,
+    certify_system,
+)
 from repro.network.topology import Network
 from repro.predicates import PredicateGraph
 from repro.properties import (
@@ -297,6 +301,20 @@ def test_shard_plan_facade_caches_per_plan_state():
     fresh = system.shard_plan()
     assert fresh is not plan  # a plan mutation invalidates the cache
     assert system.shard_plan() is fresh
+
+
+def test_shard_plan_follows_a_name_registered_again_elsewhere():
+    """Names are reused, so the installed ids are not a cache key: the
+    same subscription at another peer is another plan."""
+    system = make_system()
+    system.register_query("Q", PAPER_QUERIES["Q1"], "P1")
+    stale = system.shard_plan()
+    system.deregister_query("Q")
+    system.register_query("Q", PAPER_QUERIES["Q1"], "P3")
+    assert sorted(system.deployment.streams) == ["Q:photons", "photons"]
+    fresh, _ = certify_system(system)
+    assert fresh.to_dict() != stale.to_dict()
+    assert system.shard_plan().to_dict() == fresh.to_dict()
 
 
 def test_verify_flag_runs_the_certifier():

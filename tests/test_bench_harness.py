@@ -118,21 +118,13 @@ class TestObservabilityReports:
         assert "route" in report and "Stream Sharing" in report
 
     def test_planner_phase_seconds_empty_when_untraced(self, small_scenario):
-        # Pin the null recorder: REPRO_OBS_TRACE=1 in the environment
-        # would otherwise trace this run too.
-        from repro.obs import NULL_RECORDER
-
-        run = run_scenario(
-            small_scenario, "stream-sharing", execute=False, recorder=NULL_RECORDER
-        )
+        run = run_scenario(small_scenario, "stream-sharing", execute=False)
         assert run.planner_phase_seconds() == {}
 
     def test_planner_phase_report_needs_a_trace(self, small_scenario):
-        from repro.obs import NULL_RECORDER
-
         runs = {
             "stream-sharing": run_scenario(
-                small_scenario, "stream-sharing", execute=False, recorder=NULL_RECORDER
+                small_scenario, "stream-sharing", execute=False
             )
         }
         assert "none" in planner_phase_report(runs)

@@ -126,7 +126,7 @@ def test_the_resolver_notices_a_renamed_module():
     files = _tree_files()
     text = (
         "`repro.engine.executor` and `repro.engine.executer.StreamSimulator`,\n"
-        "`REPRO_OBS_TRACE` and `REPRO_PARALLEL`, `tests/conftest.py` and\n"
+        "`REPRO_PARALLEL` (no variable is read), `tests/conftest.py` and\n"
         "`tests/conftests.py`; the `test` job and the `bench-micro` job."
     )
     assert dangling_names(text, files, _source_variables(files), _ci_jobs()) == [

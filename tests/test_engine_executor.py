@@ -267,8 +267,7 @@ def test_sequential_run_imports_nothing_of_the_sharded_plane():
         "heavy = ('multiprocessing', 'repro.analysis', 'repro.engine.parallel')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_OBS_TRACE"}
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     result = subprocess.run(
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120, check=True,

@@ -4,13 +4,8 @@ import time
 
 import pytest
 
-from repro.obs import NULL_RECORDER, NullRecorder, Recorder, default_recorder
-from repro.obs.recorder import (
-    EPOCH_ENV_VAR,
-    HISTOGRAM_BUCKETS,
-    TRACE_ENV_VAR,
-    Histogram,
-)
+from repro.obs import NULL_RECORDER, NullRecorder, Recorder
+from repro.obs.recorder import HISTOGRAM_BUCKETS, Histogram
 from repro.obs.timeseries import EpochSnapshot
 
 
@@ -134,51 +129,42 @@ class TestNullRecorder:
 
 
 class TestDefaultRecorder:
-    def test_null_unless_env_set(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
-        assert default_recorder() is NULL_RECORDER
+    def test_null_unless_env_set(self):
+        """A system handed no recorder records nothing: ``recorder=``
+        is the only way to trace (no environment is read — the session
+        guard in ``tests/conftest.py``)."""
+        from repro.network.topology import example_topology
+        from repro.sharing import StreamGlobe
 
-    def test_env_yields_fresh_recorders(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV_VAR, "1")
-        first, second = default_recorder(), default_recorder()
-        assert first.enabled and second.enabled
-        assert first is not second  # per-system ownership
+        assert StreamGlobe(example_topology()).recorder is NULL_RECORDER
+        live = Recorder()
+        assert StreamGlobe(example_topology(), recorder=live).recorder is live
 
 
 class TestEpochPin:
-    """Satellite (PR 8): ``REPRO_OBS_EPOCH`` pins ``created_unix`` so
-    exports diff byte-stable across runs (tests and CI set it to 0)."""
+    """``created_unix`` is the wall clock at construction and lives on
+    the meta line only: everything after it is a function of what was
+    recorded."""
 
-    def test_unset_uses_wall_clock(self, monkeypatch):
-        monkeypatch.delenv(EPOCH_ENV_VAR, raising=False)
+    def test_unset_uses_wall_clock(self):
         before = time.time()
         recorder = Recorder()
         assert before <= recorder.created_unix <= time.time()
 
-    def test_pinned_value_is_used_verbatim(self, monkeypatch):
-        monkeypatch.setenv(EPOCH_ENV_VAR, "0")
-        assert Recorder().created_unix == 0.0
-        monkeypatch.setenv(EPOCH_ENV_VAR, "1234.5")
-        assert Recorder().created_unix == 1234.5
-
-    def test_empty_value_falls_back_to_wall_clock(self, monkeypatch):
-        monkeypatch.setenv(EPOCH_ENV_VAR, "")
-        assert Recorder().created_unix > 1_000_000.0
-
-    def test_garbage_value_raises(self, monkeypatch):
-        monkeypatch.setenv(EPOCH_ENV_VAR, "yesterday")
-        with pytest.raises(ValueError, match=EPOCH_ENV_VAR):
-            Recorder()
-
-    def test_pin_makes_exports_byte_stable(self, monkeypatch, tmp_path):
+    def test_pin_makes_exports_byte_stable(self, tmp_path):
+        """Two recorders with equal contents export equal lines after
+        the meta line."""
         from repro.obs import write_jsonl
 
-        monkeypatch.setenv(EPOCH_ENV_VAR, "0")
-        paths = []
+        bodies = []
         for run in range(2):
             recorder = Recorder()
             recorder.inc("cache.hits", 3)
+            recorder.set_gauge("cache.hit_rate", 0.75)
+            recorder.observe("op.select.batch_s", 0.001)
             path = tmp_path / f"run{run}.jsonl"
             write_jsonl(recorder, str(path))
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
+            meta, *body = path.read_text().splitlines()
+            assert '"type": "meta"' in meta
+            bodies.append(body)
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 3

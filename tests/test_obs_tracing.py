@@ -93,9 +93,7 @@ class TestRegistrationSpans:
 
 class TestCacheStats:
     def test_always_available_without_tracing(self):
-        # Pin the null recorder: REPRO_OBS_TRACE=1 in the environment
-        # would otherwise hand this system a live Recorder.
-        system = make_system("stream-sharing", recorder=NULL_RECORDER)
+        system = make_system("stream-sharing")
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert system.recorder.enabled is False
         stats = system.cache_stats()

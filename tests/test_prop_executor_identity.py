@@ -2,12 +2,14 @@
 
 Twin systems are driven in lock-step through the control plane's whole
 vocabulary — ``register`` (a name in use is re-registered under the
-same name), ``deregister``, ``install_udf`` (a hand-installed stream),
-and ``run``, inside which super-peers crash and rejoin, links fail and
-the rebalancer migrates — and differ only in *how* they execute a run:
+same name at another peer), ``deregister``, ``install_udf`` (a
+hand-installed stream), and ``run``, inside which super-peers crash and
+rejoin, links fail and the rebalancer migrates — and differ only in
+*how* they execute a run:
 over one cell or 2 / 4 inline cells, in source batches of another size,
 into a live recorder or the null one.  After every step the reference
-twin verifies clean (P1xx/T2xx/F4xx/S5xx, index P140–143), its usage
+twin verifies clean (P1xx/T2xx/F4xx/S5xx, index P140–143), its cached
+shard certificate is the one a fresh certification issues, its usage
 ledger is the walk over what is installed, and every twin holds the
 same deployment; after every run ``RunMetrics``, the captured
 deliveries and the SLO counters agree on all twins, and the
@@ -273,8 +275,13 @@ class ExecutorIdentity(RuleBasedStateMachine):
     )
     def register(self, name, pick, peer):
         """Register ``name``; a name in use is re-registered: taken
-        down and registered again, with whatever text came up."""
+        down and registered again, with whatever text came up, at
+        another peer — the same ids, a different plan."""
         if name in self._registered():
+            system = self.twins[0].system
+            record = system.deployment.queries.get(name)
+            if record and record.subscriber_node == system.net.home_of(peer):
+                peer = SUBSCRIBERS[SUBSCRIBERS.index(peer) - 1]
             self._each(lambda system: system.deregister_query(name))
         self._each(
             lambda system: system.register_query(name, _POOL[pick], peer).accepted
@@ -356,8 +363,10 @@ class ExecutorIdentity(RuleBasedStateMachine):
         reference = self.twins[0].system
         report = verify_system(reference)
         report.merge(flow_system(reference))
-        report.merge(certify_system(reference)[1])
+        certificate, shard_report = certify_system(reference)
+        report.merge(shard_report)
         assert report.ok, report.render()
+        assert reference.shard_plan().to_dict() == certificate.to_dict()
         assert_ledger_is_the_walk(reference)
 
 

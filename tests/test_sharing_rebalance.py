@@ -21,12 +21,13 @@ from repro.faults.schedule import staggered_crashes
 from repro.obs.drift import DriftConfig
 from repro.sharing.rebalance import HotPeerCostModel, Rebalancer
 from repro.sharing.system import StreamGlobe
-from repro.workload.scenarios import scenario_drift
+from repro.workload.scenarios import scenario_drift, scenario_hotspot_shift
 
 from .conftest import assert_ledger_is_the_walk, on_every_executor
 
 #: Calibrated to the drift scenario's simulated CPU% scale (~6% idle,
-#: ~26% after the rate step) — same knobs the PR 8 bench uses.
+#: ~26% after the rate step) — the knobs benchmarks/test_bench_rebalance.py
+#: tabulates the same runs under.
 CONFIG = DriftConfig(
     cpu_threshold=15.0, clear_threshold=8.0, window=2, sustain=2, cooldown=4
 )
@@ -41,16 +42,7 @@ def _build(scenario, recorder=None):
         verify=True,
         recorder=recorder,
     )
-    for source in scenario.sources:
-        system.register_stream(
-            source.name,
-            "photons/photon",
-            source.generator_factory(),
-            frequency=source.frequency,
-            source_peer=source.source_peer,
-        )
-    for spec in scenario.queries:
-        system.register_query(spec.name, spec.text, spec.subscriber_peer)
+    scenario.register_on(system)
     return system
 
 
@@ -58,10 +50,8 @@ def _stateless(scenario):
     return [q.name for q in scenario.queries if q.kind in STATELESS_KINDS]
 
 
-@pytest.fixture(scope="module")
-def drift_runs():
-    """Static, adaptive and sharded-adaptive runs of scenario_drift."""
-    scenario = scenario_drift()
+def _runs(scenario):
+    """Static, adaptive and sharded-adaptive runs of one scenario."""
     static_sys = _build(scenario)
     static = static_sys.run(scenario.duration)
 
@@ -87,10 +77,39 @@ def drift_runs():
     }
 
 
+@pytest.fixture(scope="module")
+def drift_runs():
+    """The source rate steps up mid-run: *how much* load drifts."""
+    return _runs(scenario_drift())
+
+
+@pytest.fixture(scope="module")
+def shift_runs():
+    """The hot spots rotate and the rate steps: *where* and how much."""
+    return _runs(scenario_hotspot_shift())
+
+
+def on_both_scenarios(test):
+    """Run ``test(self, runs)`` over ``drift_runs`` and ``shift_runs``
+    under its one test id (the pattern of ``on_every_executor``): the
+    migration contract does not depend on what drifted.  The failing
+    scenario is printed."""
+
+    def on_each(self, drift_runs, shift_runs):
+        for runs in (drift_runs, shift_runs):
+            print(f"scenario: {runs['scenario'].name}")
+            test(self, runs)
+
+    on_each.__name__ = test.__name__
+    on_each.__doc__ = test.__doc__
+    return on_each
+
+
 class TestMigrationConservation:
-    def test_migration_actually_happened(self, drift_runs):
-        adaptive = drift_runs["adaptive"]
-        rebalancer = drift_runs["rebalancer"]
+    @on_both_scenarios
+    def test_migration_actually_happened(self, runs):
+        adaptive = runs["adaptive"]
+        rebalancer = runs["rebalancer"]
         assert adaptive.migrations_applied >= 1
         assert len(rebalancer.reports) == adaptive.migrations_applied
         assert rebalancer.detector.alerts
@@ -98,36 +117,40 @@ class TestMigrationConservation:
         assert report.moved_queries
         assert report.migrated_queries == report.moved_queries
         assert report.hot_work_released() > 0.0
-        assert_ledger_is_the_walk(drift_runs["adaptive_sys"])
+        assert_ledger_is_the_walk(runs["adaptive_sys"])
 
-    def test_stateless_deliveries_exactly_conserved(self, drift_runs):
-        static = drift_runs["static"]
-        adaptive = drift_runs["adaptive"]
-        for name in _stateless(drift_runs["scenario"]):
+    @on_both_scenarios
+    def test_stateless_deliveries_exactly_conserved(self, runs):
+        static = runs["static"]
+        adaptive = runs["adaptive"]
+        for name in _stateless(runs["scenario"]):
             assert adaptive.items_delivered.get(name, 0) == (
                 static.items_delivered.get(name, 0)
             ), f"stateless query {name} lost or duplicated deliveries"
 
-    def test_no_items_lost_and_no_queries_lost(self, drift_runs):
-        adaptive = drift_runs["adaptive"]
+    @on_both_scenarios
+    def test_no_items_lost_and_no_queries_lost(self, runs):
+        adaptive = runs["adaptive"]
         assert adaptive.items_lost == 0
         assert adaptive.queries_lost == 0
         # Every registered query still delivers after the migration.
-        static = drift_runs["static"]
+        static = runs["static"]
         assert set(adaptive.items_delivered) == set(static.items_delivered)
 
-    def test_migration_downtime_is_zero(self, drift_runs):
+    @on_both_scenarios
+    def test_migration_downtime_is_zero(self, runs):
         # Make-before-break at a quiescent barrier: the reconcile gate
         # opens immediately, so no observed epoch sees it closed.
-        assert drift_runs["adaptive"].migration_downtime_epochs == 0
-        assert drift_runs["sharded"].migration_downtime_epochs == 0
+        assert runs["adaptive"].migration_downtime_epochs == 0
+        assert runs["sharded"].migration_downtime_epochs == 0
 
-    def test_aggregation_shift_is_bounded_by_window_restarts(self, drift_runs):
+    @on_both_scenarios
+    def test_aggregation_shift_is_bounded_by_window_restarts(self, runs):
         # Windowed operators restart across a move (§8): their counts
         # may shift by a few flushed/partial windows, never wholesale.
-        static = drift_runs["static"]
-        adaptive = drift_runs["adaptive"]
-        scenario = drift_runs["scenario"]
+        static = runs["static"]
+        adaptive = runs["adaptive"]
+        scenario = runs["scenario"]
         windowed = [
             q.name for q in scenario.queries if q.kind not in STATELESS_KINDS
         ]
@@ -140,10 +163,11 @@ class TestMigrationConservation:
         )
         assert delta <= len(windowed) * 2
 
-    def test_adaptive_beats_static_on_hottest_peer(self, drift_runs):
-        static, adaptive = drift_runs["static"], drift_runs["adaptive"]
-        net_s = drift_runs["static_sys"].net
-        net_a = drift_runs["adaptive_sys"].net
+    @on_both_scenarios
+    def test_adaptive_beats_static_on_hottest_peer(self, runs):
+        static, adaptive = runs["static"], runs["adaptive"]
+        net_s = runs["static_sys"].net
+        net_a = runs["adaptive_sys"].net
         hot_static = max(
             static.peer_cpu_percent(net_s, p) for p in net_s.super_peer_names()
         )
@@ -152,20 +176,23 @@ class TestMigrationConservation:
         )
         assert hot_adaptive < hot_static
 
-    def test_migrated_streams_count_as_rerouted_traffic(self, drift_runs):
+    @on_both_scenarios
+    def test_migrated_streams_count_as_rerouted_traffic(self, runs):
         # Migration-created streams are accounted like repair-created
         # ones: their traffic shows up as re-routing overhead.
-        assert drift_runs["static"].rerouted_traffic_bits == 0.0
-        assert drift_runs["adaptive"].rerouted_traffic_bits > 0.0
+        assert runs["static"].rerouted_traffic_bits == 0.0
+        assert runs["adaptive"].rerouted_traffic_bits > 0.0
 
 
 class TestShardedMigration:
-    def test_sharded_adaptive_matches_sequential_exactly(self, drift_runs):
-        assert drift_runs["sharded"] == drift_runs["adaptive"]
+    @on_both_scenarios
+    def test_sharded_adaptive_matches_sequential_exactly(self, runs):
+        assert runs["sharded"] == runs["adaptive"]
 
-    def test_sharded_applied_the_same_migrations(self, drift_runs):
-        sequential = drift_runs["rebalancer"]
-        sharded = drift_runs["sharded_rebalancer"]
+    @on_both_scenarios
+    def test_sharded_applied_the_same_migrations(self, runs):
+        sequential = runs["rebalancer"]
+        sharded = runs["sharded_rebalancer"]
         assert [r.epoch_index for r in sharded.reports] == [
             r.epoch_index for r in sequential.reports
         ]
@@ -173,8 +200,9 @@ class TestShardedMigration:
             r.moved_queries for r in sequential.reports
         ]
 
-    def test_sharded_ran_on_multiple_cells(self, drift_runs):
-        simulator = drift_runs["sharded_sys"].last_simulator
+    @on_both_scenarios
+    def test_sharded_ran_on_multiple_cells(self, runs):
+        simulator = runs["sharded_sys"].last_simulator
         assert simulator.workers_used == 2
 
 
