@@ -219,8 +219,8 @@ class WindowAggregateOperator(Operator):
             self._reorder = None
 
     def process_columns(self, batch: Batch) -> Batch:
-        """Gather the position/value columns once, then fold the rows
-        into windows one by one in batch order.
+        """Gather the batch's ``(position, value)`` run from its
+        columns, then fold it into the windows in one call.
 
         The windower's float arithmetic is order-sensitive, so the fold
         is sequential whatever store the batch lives in; a row without
@@ -229,39 +229,30 @@ class WindowAggregateOperator(Operator):
         """
         rows = batch.rows
         values = batch.number_column(self._aggregated_steps)
-        count_kind = self.spec.window.kind == "count"
-        if not count_kind:
+        nan = float("nan")
+        if values is None:
+            payloads = [nan] * len(rows)
+        else:
+            payloads = [nan if values[i] is None else values[i] for i in rows]
+        if self.spec.window.kind == "count":
+            first = self._count
+            self._count += len(rows)
+            run = list(zip(map(float, range(first, self._count)), payloads))
+        else:
             assert self._reference_steps is not None
             positions = batch.number_column(self._reference_steps)
             if positions is None:
                 return RowBatch(())  # reference path never resolves: every row skipped
-        out: List[Element] = []
-        nan = float("nan")
-        emit = self._emit
-        windower_add = self._windower.add
-        reorder = self._reorder
-        for i in rows:
-            if count_kind:
-                position = float(self._count)
-                self._count += 1
-            else:
-                reference = positions[i]
-                if reference is None:
-                    continue
-                position = reference
-            value = None if values is None else values[i]
-            payload = value if value is not None else nan
-            if reorder is None:
-                batches = windower_add(position, payload)
-            else:
-                batches = []
-                for ordered_position, ordered_payload in reorder.add(
-                    position, payload
-                ):
-                    batches.extend(windower_add(ordered_position, ordered_payload))
-            if batches:  # a window completes on under 1 % of the rows
-                out.extend(w for w in map(emit, batches) if w is not None)
-        return RowBatch(out)
+            run = [
+                (positions[i], payload)
+                for i, payload in zip(rows, payloads)
+                if positions[i] is not None
+            ]
+        if self._reorder is not None:
+            reorder_add = self._reorder.add
+            run = [released for arrival in run for released in reorder_add(*arrival)]
+        completed = self._windower.add_run(run)
+        return RowBatch([w for w in map(self._emit, completed) if w is not None])
 
     def flush(self) -> List[Element]:
         batches = []

@@ -184,8 +184,15 @@ class _SingleDelivery:
         #: Count kernel of capture-free feeds.
         self._kernel = DeliveryKernel(self.restructurer)
 
-    def feed(self, batch: Batch) -> None:
-        self.inputs += len(batch)
+    def feed(
+        self, batch: Batch, members: Optional[Sequence["_SingleDelivery"]] = None
+    ) -> None:
+        """Restructure one batch.  A closure program feeds one delivery
+        of each group — count-only deliveries of the closure that
+        restructure alike, ``members``, this one among them — and what
+        it counts is credited to every member; any other feed credits
+        this delivery alone."""
+        inputs = len(batch)
         build = self.restructurer.build
         capture = self.capture
         if capture is None:
@@ -193,12 +200,13 @@ class _SingleDelivery:
             # results per shape without building the trees; it vouches
             # for exactness or returns None (then build per item).
             count = self._kernel.count(batch)
-            if count is not None:
-                self.results += count
-                return
-            for item in batch.decode():
-                self.results += len(build(item))
+            if count is None:
+                count = sum(len(build(item)) for item in batch.decode())
+            for member in members or (self,):
+                member.inputs += inputs
+                member.results += count
             return
+        self.inputs += inputs
         name = self.record.name
         for item in batch.decode():
             out = build(item)
@@ -269,6 +277,7 @@ class _StreamNode:
         "trie_groups",
         "stage_path",
         "deliveries",
+        "countable",
         "duplicate_base",
         "repair_added",
     )
@@ -284,13 +293,93 @@ class _StreamNode:
         self.trie_groups: List[Tuple[object, PrefixTree, dict]] = []
         #: This stream's own stage path inside its parent's trie.
         self.stage_path: List[PrefixStage] = []
-        #: Subscription consumers fed with this stream's items.
+        #: Consumers fed with this stream's items one by one, in
+        #: attachment order: capturing, gated and multi-input
+        #: subscription feeds, the export feed.
         self.deliveries: List[Callable[[Batch], None]] = []
+        #: Ungated count-only single-input subscriptions: only their
+        #: counters are observable, so the closure program groups them.
+        self.countable: List[_SingleDelivery] = []
         #: Parent items produced before this node attached (mid-run
         #: attachments duplicate only post-attach parent items).
         self.duplicate_base = 0
         #: Created by plan repair — its traffic is re-routing overhead.
         self.repair_added = False
+
+
+class _ClosureProgram:
+    """What one batch costs a relay closure — a stream that is fed
+    batches (an original, a proxy, a pipelined stream) and the relays
+    below it, which all see the *same* batch object — flattened from
+    its nodes in pump order (a node's feeds, its relays depth first,
+    its tries).
+
+    Shared per batch: one length, one byte size for every member with
+    hops, one restructured count per delivery group.  Not shared: every
+    member bills its own ``produced_count`` / ``produced_bytes`` and
+    every subscription its own ``inputs`` / ``results``.
+    """
+
+    __slots__ = ("members", "hopped", "groups", "steps")
+
+    def __init__(self, root: _StreamNode) -> None:
+        self.members: List[_StreamNode] = []
+        #: The members that ship their items (``has_hops``).
+        self.hopped: List[_StreamNode] = []
+        #: ``(depth, feed, trie)`` in pump order: a member's one-by-one
+        #: feed to call or trie to evaluate, with the batch held in
+        #: flight once per relay level above it (``depth`` times) as
+        #: the stream by stream descent held it — or neither, where the
+        #: descent went deeper than the next step's level (the
+        #: in-flight peak saw that).
+        self.steps: List[
+            Tuple[int, Optional[Callable[[Batch], None]], Optional[PrefixTree]]
+        ] = []
+        grouped: Dict[object, List[_SingleDelivery]] = {}
+        entered = self._visit(root, 1, 0, grouped)
+        if entered:
+            self.steps.append((entered, None, None))
+        #: Per delivery group — the closure's countable deliveries that
+        #: restructure alike: the feed of one member, and the members.
+        self.groups = [
+            (members[0].feed, tuple(members)) for members in grouped.values()
+        ]
+
+    def _visit(
+        self,
+        node: _StreamNode,
+        depth: int,
+        entered: int,
+        grouped: Dict[object, List[_SingleDelivery]],
+    ) -> int:
+        """Add ``node`` at relay level ``depth`` and the relays below
+        it; ``entered`` is the deepest level entered since the last
+        step (returned as it stands afterwards)."""
+        self.members.append(node)
+        if node.has_hops:
+            self.hopped.append(node)
+        entered = max(entered, depth)
+        for delivery in node.countable:
+            grouped.setdefault(delivery.restructurer.signature, []).append(delivery)
+        for feed in node.deliveries:
+            entered = self._step(depth, entered, feed, None)
+        for relay in node.relay_children:
+            entered = self._visit(relay, depth + 1, entered, grouped)
+        for _, trie, _ in node.trie_groups:
+            entered = self._step(depth, entered, None, trie)
+        return entered
+
+    def _step(
+        self,
+        depth: int,
+        entered: int,
+        feed: Optional[Callable[[Batch], None]],
+        trie: Optional[PrefixTree],
+    ) -> int:
+        if entered > depth:
+            self.steps.append((entered, None, None))
+        self.steps.append((depth, feed, trie))
+        return 0
 
 
 class _Gate:
@@ -386,6 +475,10 @@ class Cell:
         self._op_timer = _make_op_timer(recorder) if recorder.enabled else None
         self._gauge = _Gauge()
         self._nodes: Dict[str, _StreamNode] = {}
+        #: What a batch entering a stream runs, per closure root (a
+        #: relay is a member of its root's program); derived from the
+        #: nodes and their feeds by :meth:`apply_reconcile`.
+        self._programs: Dict[str, _ClosureProgram] = {}
         self._proxies: Set[str] = set()
         #: Exported stream id → the cells consuming it.
         self._exports: Dict[str, Tuple[int, ...]] = {}
@@ -395,7 +488,8 @@ class Cell:
         #: their delivery object, and with it their position and their
         #: accumulated counters).
         self._deliveries: Dict[str, Any] = {}
-        self._feeds: Dict[str, List[Tuple[str, Callable[[Batch], None]]]] = {}
+        #: Per subscription: the node lists its feeds sit in.
+        self._feeds: Dict[str, List[Tuple[list, Any]]] = {}
         self._retired: List[RetiredSnapshot] = []
         self._gates: Dict[int, _Gate] = {}
         #: Original streams pumped here → items drawn from the generator
@@ -404,6 +498,13 @@ class Cell:
         self._produced: Dict[str, int] = {}
         self._source_items_lost = 0
         self._query_lost: Dict[str, int] = {}
+        #: How much pumping the plan costs — batches drawn from the
+        #: sources, closure programs run, delivery groups counted.
+        #: They describe the execution, not its output (a partition
+        #: into cells adds proxies and cuts batches at its barriers).
+        self.source_batches = 0
+        self.pump_steps = 0
+        self.delivery_counts = 0
 
     # ------------------------------------------------------------------
     # Plan installation and reconciliation
@@ -424,7 +525,8 @@ class Cell:
         items are billed as duplication work; a proxy starts at the
         producing cell's count, which makes that pin the same on any
         partition.  The first diff of a run (``repair`` false) is the
-        plan itself.
+        plan itself.  Feeds and nodes change nowhere else, so the
+        closure programs :meth:`_pump` runs are rebuilt at the end.
         """
         nodes = self._nodes
         stale_ids = set(diff["stale"])
@@ -505,6 +607,12 @@ class Cell:
                 delivery.record = record
             self._attach_feeds(name, delivery, gate)
 
+        self._programs = {
+            stream_id: _ClosureProgram(node)
+            for stream_id, node in nodes.items()
+            if node.stream.parent_id is None or node.stream.pipeline
+        }
+
     def open_gate(self, gate_id: int) -> None:
         self._gates[gate_id].open = True
 
@@ -537,6 +645,7 @@ class Cell:
         """Wire a subscription's feeds onto its delivered stream nodes."""
         entries = self._feeds.setdefault(name, [])
         record = delivery.record
+        countable = False
         if isinstance(delivery, _MultiDelivery):
             feeds = [
                 self._multi_feeder(delivery, index)
@@ -544,23 +653,24 @@ class Cell:
             ]
         else:
             feeds = [delivery.feed]
+            countable = gated_by is None and delivery.capture is None
         for feed, (_, stream_id) in zip(feeds, record.delivered):
-            if stream_id not in self._nodes:
-                continue
-            if gated_by is not None:
-                feed = self._gated(name, gated_by, feed)
-            self._nodes[stream_id].deliveries.append(feed)
-            entries.append((stream_id, feed))
-
-    def _remove_feeds(self, name: str) -> None:
-        for stream_id, feed in self._feeds.pop(name, []):
             node = self._nodes.get(stream_id)
             if node is None:
-                continue  # the node itself was retired
-            try:
-                node.deliveries.remove(feed)
-            except ValueError:
-                pass
+                continue
+            if countable:
+                consumers, feed = node.countable, delivery
+            else:
+                consumers = node.deliveries
+                if gated_by is not None:
+                    feed = self._gated(name, gated_by, feed)
+            consumers.append(feed)
+            entries.append((consumers, feed))
+
+    def _remove_feeds(self, name: str) -> None:
+        # A retired node's list is simply no longer pumped.
+        for consumers, feed in self._feeds.pop(name, []):
+            consumers.remove(feed)
 
     def _snapshot(self, node: _StreamNode) -> RetiredSnapshot:
         stream = node.stream
@@ -614,15 +724,14 @@ class Cell:
 
         ``until`` at or before the sources' clocks makes this an
         exchange-only round — the drain-to-quiescence primitive."""
-        nodes = self._nodes
+        programs = self._programs
         for stream_id, batch in inbound:
-            node = nodes.get(stream_id)
-            if node is not None:
-                self._pump(node, batch)
+            program = programs.get(stream_id)
+            if program is not None:
+                self._pump(program, batch)
         for stream_id in self._produced:
-            node = nodes.get(stream_id)
-            if node is not None:
-                self._pump_source(node, until)
+            if stream_id in programs:
+                self._pump_source(stream_id, until)
             else:
                 # Source's home super-peer is down: the thin-peer keeps
                 # producing, the items are lost at ingest.
@@ -637,14 +746,12 @@ class Cell:
         self._outbox = {}
         return outbox
 
-    def _pump_source(self, node: _StreamNode, until: float) -> None:
-        stream = node.stream
-        generator = self.generators.get(stream.stream_id)
+    def _pump_source(self, stream_id: str, until: float) -> None:
+        generator = self.generators.get(stream_id)
         if generator is None:
-            raise ExecutionError(
-                f"no generator for original stream {stream.stream_id!r}"
-            )
-        produced = self._produced[stream.stream_id]
+            raise ExecutionError(f"no generator for original stream {stream_id!r}")
+        program = self._programs[stream_id]
+        produced = self._produced[stream_id]
         batch_size = self.batch_size
         limit = sys.maxsize if self.max_items is None else self.max_items
         next_item = generator.next_item
@@ -660,8 +767,9 @@ class Cell:
                 if clock >= until:
                     break
             produced += len(batch)
-            self._pump(node, encode_ingest(batch))
-        self._produced[stream.stream_id] = produced
+            self.source_batches += 1
+            self._pump(program, encode_ingest(batch))
+        self._produced[stream_id] = produced
 
     def _drain_source(self, stream_id: str, until: float) -> None:
         """Advance a down source's generator, counting its items lost."""
@@ -677,31 +785,40 @@ class Cell:
             self._source_items_lost += 1
         self._produced[stream_id] = produced
 
-    def _pump(self, node: _StreamNode, batch: Batch) -> None:
-        """Consume one batch of ``node``'s items: account, deliver, fan out."""
-        gauge = self._gauge
+    def _pump(self, program: _ClosureProgram, batch: Batch) -> None:
+        """Consume one batch of a closure root's items: account,
+        deliver, fan out — for the whole closure at once."""
         count = len(batch)
-        gauge.add(count)
-        node.produced_count += count
-        if node.has_hops:
-            node.produced_bytes += batch_bytes(batch)
-        for feed in node.deliveries:
-            feed(batch)
-        for relay in node.relay_children:
-            self._pump(relay, batch)
-        for _, trie, _ in node.trie_groups:
-            trie.evaluate(batch, self._emit, gauge, self._op_timer)
-        gauge.sub(count)
+        if not count:
+            return  # nothing to account, deliver or fan out below
+        self.pump_steps += 1
+        for member in program.members:
+            member.produced_count += count
+        if program.hopped:
+            size = batch_bytes(batch)
+            for member in program.hopped:
+                member.produced_bytes += size
+        self.delivery_counts += len(program.groups)
+        for feed, members in program.groups:
+            feed(batch, members)
+        gauge = self._gauge
+        for depth, feed, trie in program.steps:
+            held = count * depth
+            gauge.add(held)
+            if feed is not None:
+                feed(batch)
+            elif trie is not None:
+                trie.evaluate(batch, self._emit, gauge, self._op_timer)
+            gauge.sub(held)
 
     def _emit(self, stream_id: str, out: Batch) -> None:
-        self._pump(self._nodes[stream_id], out)
+        self._pump(self._programs[stream_id], out)
 
     def _export(self, stream_id: str, batch: Batch) -> None:
         """The feed of a stream other cells consume."""
-        if len(batch):  # an empty batch is a no-op downstream
-            parked = batch.detached()
-            for consumer in self._exports[stream_id]:
-                self._outbox.setdefault(consumer, []).append((stream_id, parked))
+        parked = batch.detached()
+        for consumer in self._exports[stream_id]:
+            self._outbox.setdefault(consumer, []).append((stream_id, parked))
 
     # ------------------------------------------------------------------
     # Counters out
@@ -758,6 +875,11 @@ class Cell:
             "inflight": gauge.current,
             "window_peak": gauge.take_window_peak(),
             "peak": gauge.peak,
+            "exec": {
+                "source_batches": self.source_batches,
+                "pump_steps": self.pump_steps,
+                "delivery_counts": self.delivery_counts,
+            },
         }
 
     def finish(self) -> Dict[str, Any]:
@@ -924,6 +1046,12 @@ class StreamSimulator:
         self.exchange_epochs = 1
         self.query_lags: Dict[str, int] = {}
         self.peak_live_items = 0
+        #: What pumping the plan cost, summed over the cells
+        #: (``source_batches``, ``pump_steps``, ``delivery_counts``;
+        #: see :class:`Cell`) — mirrored as ``exec.*`` into a live
+        #: recorder.  Like ``columnar.*`` they describe the execution,
+        #: not its output: no identity comparison reads them.
+        self.exec_counts: Dict[str, int] = {}
         #: Most recent per-query SLO records (refreshed at every
         #: observed boundary and at run end — the live ``/slo.json``
         #: source).
@@ -1001,6 +1129,8 @@ class StreamSimulator:
                 delta = value - columnar_base[key]
                 if delta:
                     recorder.inc(f"columnar.{key}", delta)
+            for key, value in self.exec_counts.items():
+                recorder.inc(f"exec.{key}", value)
         return metrics
 
     # ------------------------------------------------------------------
@@ -1324,9 +1454,13 @@ class StreamSimulator:
         """
         counters: Dict[str, StreamCounters] = {}
         lost_by_query: Dict[str, int] = {}
+        exec_counts: Dict[str, int] = {}
         for state in states:
             counters.update(state["counters"])
             lost_by_query.update(state["query_lost"])
+            for key, value in state["exec"].items():
+                exec_counts[key] = exec_counts.get(key, 0) + value
+        self.exec_counts = exec_counts
         # A cell retires its streams in the mirror's order, so each
         # cell's list is the global sequence restricted to that cell.
         pending = [iter(state["retired"]) for state in states]

@@ -15,6 +15,7 @@ subscribing thin-peer, and its output is never reused in the network
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Union
 
 from ..wxquery import (
@@ -44,15 +45,29 @@ class Restructurer:
     """Evaluate a subscription's ``return`` clause over stream items.
 
     The return expression is compiled once into a tree of closures
-    (:meth:`_compile`); per-item evaluation then runs without AST
-    type dispatch — the executor restructures every delivered item of
-    every subscription, so this is one of the engine's hottest paths.
+    (:func:`compile_return`, shared by every subscription with an equal
+    clause); per-item evaluation then runs without AST type dispatch —
+    the executor restructures every delivered item of every
+    subscription, so this is one of the engine's hottest paths.
     """
 
     def __init__(self, analyzed: AnalyzedQuery) -> None:
         self.analyzed = analyzed
         self._aggregations = analyzed.aggregations()
-        self._compiled = self._compile(analyzed.flwr.return_expr)
+        self._for_vars = tuple(
+            binding.var for binding in analyzed.bindings.values() if binding.kind == "for"
+        )
+        self._compiled = compile_return(analyzed.flwr.return_expr)
+        first = self._aggregations[0] if self._aggregations else None
+        #: Everything restructuring reads of the query (equal clauses
+        #: share one compiled tree): restructurers with equal signatures
+        #: build equal results from equal items, so the executor counts
+        #: such deliveries of one stream once.
+        self.signature = (
+            self._compiled,
+            first and (first.var, first.aggregate or "avg", first.source_var),
+            self._for_vars,
+        )
 
     def __reduce__(self) -> tuple:
         """Pickle as the analyzed query; the closure tree recompiles on
@@ -90,118 +105,120 @@ class Restructurer:
             if aggregation.source_var is not None:
                 bindings[aggregation.source_var] = []
             return bindings
-        for binding in self.analyzed.bindings.values():
-            if binding.kind == "for":
-                if item.tag == "window":
-                    bindings[binding.var] = list(item.children)
-                else:
-                    bindings[binding.var] = item
+        for var in self._for_vars:
+            bindings[var] = list(item.children) if item.tag == "window" else item
         return bindings
 
-    # ------------------------------------------------------------------
-    # Expression compilation
-    # ------------------------------------------------------------------
-    def _compile(self, expr: Expr) -> "Compiled":
-        """Translate a return expression into a closure tree.
 
-        Each closure maps ``bindings -> List[Value]``; per-item
-        evaluation pays no AST isinstance dispatch.  Bindings are never
-        empty here — :meth:`build` filters empty-window items first.
-        """
-        if isinstance(expr, EmptyElement):
-            tag = expr.tag
-            return lambda bindings: [Element(tag)]
-        if isinstance(expr, DirectElement):
-            tag = expr.tag
-            pieces = [self._compile(piece) for piece in expr.content]
-            def direct(bindings: Dict[str, Value]) -> List[Value]:
-                parts: List[Value] = []
-                for piece in pieces:
-                    parts.extend(piece(bindings))
-                return [_assemble(tag, parts)]
-            return direct
-        if isinstance(expr, EnclosedExpr):
-            return self._compile(expr.body)
-        if isinstance(expr, SequenceExpr):
-            items = [self._compile(piece) for piece in expr.items]
-            def sequence(bindings: Dict[str, Value]) -> List[Value]:
-                out: List[Value] = []
-                for piece in items:
-                    out.extend(piece(bindings))
-                return out
-            return sequence
-        if isinstance(expr, IfExpr):
-            atoms = expr.condition.atoms
-            then_branch = self._compile(expr.then_branch)
-            else_branch = self._compile(expr.else_branch)
-            holds = self._holds
-            return lambda bindings: (
-                then_branch(bindings) if holds(atoms, bindings) else else_branch(bindings)
-            )
-        if isinstance(expr, PathOutput):
-            var, steps = expr.var, expr.path.steps
-            def navigate(bindings: Dict[str, Value]) -> List[Value]:
-                value = bindings.get(var)
-                if value is None:
-                    raise EngineError(f"unbound variable ${var} at restructuring")
-                if isinstance(value, float):
-                    raise EngineError(f"cannot navigate into scalar ${var}")
-                roots = value if isinstance(value, list) else [value]
-                found: List[Value] = []
-                for root in roots:
-                    found.extend(node.copy() for node in root.find_all(steps))
-                return found
-            return navigate
-        if isinstance(expr, VarOutput):
-            var = expr.var
-            def output(bindings: Dict[str, Value]) -> List[Value]:
-                value = bindings.get(var)
-                if value is None:
-                    raise EngineError(f"unbound variable ${var} at restructuring")
-                if isinstance(value, list):
-                    return [element.copy() for element in value]
-                if isinstance(value, Element):
-                    return [value.copy()]
-                return [value]
-            return output
-        raise EngineError(f"cannot restructure expression {expr!r}")
+# ----------------------------------------------------------------------
+# Expression compilation
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def compile_return(expr: Expr) -> "Compiled":
+    """Translate a return expression into a closure tree.
 
-    def _holds(self, atoms, bindings: Dict[str, Value]) -> bool:
-        for atom in atoms:
-            if not self._atom_holds(atom, bindings):
-                return False
-        return True
+    Each closure maps ``bindings -> List[Value]``; per-item evaluation
+    pays no AST isinstance dispatch.  Bindings are never empty here —
+    :meth:`Restructurer.build` filters empty-window items first.  The
+    tree holds no state, so one compile serves every subscription with
+    an equal clause (template workloads register hundreds of them).
+    """
+    if isinstance(expr, EmptyElement):
+        tag = expr.tag
+        return lambda bindings: [Element(tag)]
+    if isinstance(expr, DirectElement):
+        tag = expr.tag
+        pieces = [compile_return(piece) for piece in expr.content]
+        def direct(bindings: Dict[str, Value]) -> List[Value]:
+            parts: List[Value] = []
+            for piece in pieces:
+                parts.extend(piece(bindings))
+            return [_assemble(tag, parts)]
+        return direct
+    if isinstance(expr, EnclosedExpr):
+        return compile_return(expr.body)
+    if isinstance(expr, SequenceExpr):
+        items = [compile_return(piece) for piece in expr.items]
+        def sequence(bindings: Dict[str, Value]) -> List[Value]:
+            out: List[Value] = []
+            for piece in items:
+                out.extend(piece(bindings))
+            return out
+        return sequence
+    if isinstance(expr, IfExpr):
+        atoms = expr.condition.atoms
+        then_branch = compile_return(expr.then_branch)
+        else_branch = compile_return(expr.else_branch)
+        return lambda bindings: (
+            then_branch(bindings) if _holds(atoms, bindings) else else_branch(bindings)
+        )
+    if isinstance(expr, PathOutput):
+        var, steps = expr.var, expr.path.steps
+        def navigate(bindings: Dict[str, Value]) -> List[Value]:
+            value = bindings.get(var)
+            if value is None:
+                raise EngineError(f"unbound variable ${var} at restructuring")
+            if isinstance(value, float):
+                raise EngineError(f"cannot navigate into scalar ${var}")
+            roots = value if isinstance(value, list) else [value]
+            found: List[Value] = []
+            for root in roots:
+                found.extend(node.copy() for node in root.find_all(steps))
+            return found
+        return navigate
+    if isinstance(expr, VarOutput):
+        var = expr.var
+        def output(bindings: Dict[str, Value]) -> List[Value]:
+            value = bindings.get(var)
+            if value is None:
+                raise EngineError(f"unbound variable ${var} at restructuring")
+            if isinstance(value, list):
+                return [element.copy() for element in value]
+            if isinstance(value, Element):
+                return [value.copy()]
+            return [value]
+        return output
+    raise EngineError(f"cannot restructure expression {expr!r}")
 
-    def _atom_holds(self, atom: Comparison, bindings: Dict[str, Value]) -> bool:
-        left = self._operand_value(atom.left, bindings)
-        if atom.right_operand is not None:
-            right = self._operand_value(atom.right_operand, bindings)
-        else:
-            right = 0.0
-        if left is None or right is None:
+
+def _holds(atoms, bindings: Dict[str, Value]) -> bool:
+    for atom in atoms:
+        if not _atom_holds(atom, bindings):
             return False
-        limit = right + float(atom.constant)
-        return {
-            "=": left == limit,
-            "<": left < limit,
-            "<=": left <= limit,
-            ">": left > limit,
-            ">=": left >= limit,
-        }.get(atom.op, False)
+    return True
 
-    def _operand_value(self, operand, bindings: Dict[str, Value]) -> Optional[float]:
-        if operand.var is None:
-            return None
-        value = bindings.get(operand.var)
-        if value is None:
-            return None
-        if isinstance(value, float):
-            return value
-        if isinstance(value, list):
-            return None
-        if operand.path.is_empty():
-            return None
-        return operand.path.number(value)
+
+def _atom_holds(atom: Comparison, bindings: Dict[str, Value]) -> bool:
+    left = _operand_value(atom.left, bindings)
+    if atom.right_operand is not None:
+        right = _operand_value(atom.right_operand, bindings)
+    else:
+        right = 0.0
+    if left is None or right is None:
+        return False
+    limit = right + float(atom.constant)
+    return {
+        "=": left == limit,
+        "<": left < limit,
+        "<=": left <= limit,
+        ">": left > limit,
+        ">=": left >= limit,
+    }.get(atom.op, False)
+
+
+def _operand_value(operand, bindings: Dict[str, Value]) -> Optional[float]:
+    if operand.var is None:
+        return None
+    value = bindings.get(operand.var)
+    if value is None:
+        return None
+    if isinstance(value, float):
+        return value
+    if isinstance(value, list):
+        return None
+    if operand.path.is_empty():
+        return None
+    return operand.path.number(value)
 
 
 def _assemble(tag: str, parts: List[Value]) -> Element:

@@ -13,7 +13,7 @@ regular cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, List, Optional, Tuple, TypeVar
+from typing import Generic, Iterable, List, Optional, Tuple, TypeVar
 
 from ..properties import WindowContentsSpec
 from ..xmlkit import Element, Path
@@ -57,15 +57,36 @@ class SlidingWindower(Generic[T]):
         self._last_position: Optional[float] = None
 
     def add(self, position: float, payload: T) -> List[WindowBatch[T]]:
-        if self._last_position is not None and position < self._last_position:
-            raise EngineError(
-                f"out-of-order position {position} after {self._last_position}; "
-                "time-based windows need a sorted reference element"
-            )
-        self._last_position = position
-        completed = self._complete_up_to(position)
-        self._buffer.append((position, payload))
-        return completed
+        return self.add_run(((position, payload),))
+
+    def add_run(self, run: Iterable[Tuple[float, T]]) -> List[WindowBatch[T]]:
+        """Add a run of ``(position, payload)`` arrivals in order;
+        return every window they complete, in order.
+
+        An arrival inside the current window is one append: the window
+        arithmetic runs only when a position reaches the window's end.
+        A decreasing position raises with everything before it added.
+        """
+        out: List[WindowBatch[T]] = []
+        buffer = self._buffer
+        last = self._last_position
+        end = self.origin + self._next_index * self.step + self.size
+        for arrival in run:
+            position = arrival[0]
+            if last is not None and position < last:
+                self._last_position = last
+                raise EngineError(
+                    f"out-of-order position {position} after {last}; "
+                    "time-based windows need a sorted reference element"
+                )
+            last = position
+            if not position < end:
+                out.extend(self._complete_up_to(position))
+                buffer = self._buffer
+                end = self.origin + self._next_index * self.step + self.size
+            buffer.append(arrival)
+        self._last_position = last
+        return out
 
     def _complete_up_to(self, position: float) -> List[WindowBatch[T]]:
         out: List[WindowBatch[T]] = []

@@ -128,10 +128,16 @@ SLO_COUNTERS = ("query", "delivered_inputs", "delivered_results", "items_lost",
                 "migrations", "parked")
 
 #: Recorder series left out of the projection: ``columnar.*`` are
-#: process-local counts of how batches were stored and decoded — they
+#: process-local counts of how batches were stored and decoded, the
+#: three ``exec.*`` names count how much pumping the plan cost — they
 #: describe the execution (which process ran a cell, what crossed a
-#: cut), not its output.
-_UNPINNED_PREFIXES = ("columnar.",)
+#: cut, where a barrier cut a batch), not its output.
+UNPINNED_PREFIXES = (
+    "columnar.",
+    "exec.source_batches",
+    "exec.pump_steps",
+    "exec.delivery_counts",
+)
 
 
 def _number(value: Any) -> Any:
@@ -159,7 +165,7 @@ def _pinned(mapping: Dict[str, Any]) -> Dict[str, Any]:
     return {
         name: value
         for name, value in mapping.items()
-        if not name.startswith(_UNPINNED_PREFIXES)
+        if not name.startswith(UNPINNED_PREFIXES)
     }
 
 

@@ -1,18 +1,31 @@
 """Integration tests for the measured stream simulator."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
+from fractions import Fraction
 
 import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
-from repro.engine.executor import ExecutionError, StreamSimulator
+from tests.pins_executor import UNPINNED_PREFIXES
+from tests.test_engine_combine import TWO_STREAM_QUERY
+from tests.test_engine_streaming import ITEM, _selection
+from repro.engine.columnar import RowBatch, batch_bytes, columnar_stats, encode_ingest
+from repro.engine.executor import Cell, ExecutionError, StreamSimulator
 from repro.network.topology import example_topology
-from repro.properties import raw_stream_properties
-from repro.sharing.plan import Deployment, InstalledStream
+from repro.obs import Recorder
+from repro.predicates import PredicateGraph
+from repro.properties import AggregationSpec, WindowSpec, raw_stream_properties
+from repro.sharing import StreamGlobe
+from repro.sharing.plan import Deployment, InstalledStream, RegisteredQuery
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
+from repro.workload.scenarios import scenario_grid
+from repro.wxquery import analyze, parse_query
 from repro.xmlkit import Element
+from repro.xmlkit.serializer import serialize
 
 
 class _SteppedSource:
@@ -273,3 +286,264 @@ def test_sequential_run_imports_nothing_of_the_sharded_plane():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
+# The closure program against the stream-by-stream pump it replaced
+# ----------------------------------------------------------------------
+def _stream_by_stream(cell, program, batch):
+    """``Cell._pump`` as it was before closure programs, over the same
+    nodes: every stream accounts, delivers and fans out for itself and
+    reaches its relays by recursion — the reference."""
+    gauge = cell._gauge
+
+    def pump(node, batch):
+        count = len(batch)
+        gauge.add(count)
+        node.produced_count += count
+        if node.has_hops:
+            node.produced_bytes += batch_bytes(batch)
+        for delivery in node.countable:
+            delivery.feed(batch)
+        for feed in node.deliveries:
+            feed(batch)
+        for relay in node.relay_children:
+            pump(relay, batch)
+        for _, trie, _ in node.trie_groups:
+            trie.evaluate(batch, lambda stream_id, out: pump(cell._nodes[stream_id], out), gauge)
+        gauge.sub(count)
+
+    pump(program.members[0], batch)
+
+
+def _installed(stream_id, parent_id=None, pipeline=(), hops=True):
+    return InstalledStream(
+        stream_id=stream_id,
+        content=raw_stream_properties("photons", "photons/photon").single_input(),
+        origin_node="SP4",
+        route=("SP4", "SP5") if hops else ("SP4",),
+        parent_id=parent_id,
+        pipeline=tuple(pipeline),
+    )
+
+
+def _record(name, text, *delivered):
+    return RegisteredQuery(
+        name=name,
+        properties=None,
+        analyzed=analyze(parse_query(text)),
+        subscriber_node="SP4",
+        delivered=tuple(delivered),
+    )
+
+
+def _single(name, body, stream_id, source="left"):
+    text = f'<out>{{ for $p in stream("{source}")/photons/photon {body} }}</out>'
+    return name, _record(name, text, (source, stream_id))
+
+
+def _diff(streams=(), rewire=(), gate=None):
+    return {
+        "repair": gate is not None,
+        "stale": [],
+        "add": [(stream, False, 0) for stream in streams],
+        "exports": {},
+        "gate": gate,
+        "park": [],
+        "rewire": list(rewire),
+    }
+
+
+PLAIN = "return <r> { $p/en } </r>"
+AVERAGE = "|det_time diff 1 step 1| let $a := avg($p/en) return <r> { $a } </r>"
+
+#: Two sources; below ``left`` relay chains three and four deep — the
+#: deepest with nothing but count-only subscriptions, so only the
+#: in-flight gauge ever sees it —, tries at the root and at relays, a
+#: pipelined stream with a relay of its own.
+CLOSURE_PLAN = [
+    _installed("left"),
+    _installed("right"),
+    _installed("A", "left"),
+    _installed("B", "A", hops=False),
+    _installed("C", "left"),
+    _installed("E", "C", hops=False),
+    _installed("F", "E"),
+    _installed("S1", "left", [_selection("en", ">=", "1.0")]),
+    _installed("S2", "B", [_selection("en", ">=", "1.5")]),
+    _installed("S2r", "S2"),
+    _installed(
+        "agg",
+        "A",
+        [
+            AggregationSpec(
+                function="avg",
+                aggregated_path=ITEM / "en",
+                window=WindowSpec("diff", Fraction(1), Fraction(1), ITEM / "det_time"),
+                pre_selection=PredicateGraph(),
+                result_filter=PredicateGraph(),
+            )
+        ],
+    ),
+    _installed("aggr", "agg"),
+]
+
+
+def _closure_run(reference):
+    """Drive one cell through the plan: capturing, count-only and
+    multi-input subscriptions first; mid-run a repair adds a relay and
+    wires three subscriptions behind a closed gate, which opens later."""
+    config = {"left": PhotonStreamConfig(seed=5, frequency=40.0),
+              "right": PhotonStreamConfig(seed=6, frequency=25.0)}
+    captured = []
+    capture = lambda name, item: captured.append((name, serialize(item)))  # noqa: E731
+    cell = Cell({name: PhotonGenerator(c) for name, c in config.items()}, None, 16, capture)
+    if reference:
+        cell._pump = lambda program, batch: _stream_by_stream(cell, program, batch)
+    cell.apply_reconcile(
+        _diff(
+            CLOSURE_PLAN,
+            [
+                _single("cap_left", PLAIN, "left"),
+                _single("cap_B", PLAIN, "B"),
+                _single("cap_S2r", "return $p/en", "S2r"),
+                ("pair", _record("pair", TWO_STREAM_QUERY, ("left", "B"), ("right", "right"))),
+            ],
+        )
+    )
+    cell.capture = None
+    cell.apply_reconcile(
+        _diff(
+            rewire=[
+                _single("n1", PLAIN, "A"),
+                _single("n2", PLAIN, "B"),
+                _single("n3", "where $p/en >= 0.5 " + PLAIN, "C"),
+                _single("n4", "return ($p/en, $p/det_time)", "B"),
+                _single("n5", "return if $p/en >= 1.2 then <hi/> else <lo> { $p/en } </lo>", "C"),
+                _single("n6", PLAIN, "S2"),
+                _single("n8", PLAIN, "F"),
+                _single("n7", PLAIN, "S2r"),
+                _single("a1", AVERAGE, "agg"),
+                _single("a2", AVERAGE, "aggr"),
+                _single("a3", AVERAGE.replace("avg", "min"), "aggr"),
+            ]
+        )
+    )
+    cell.step(2.0)
+    name, moved = _single("n2", PLAIN, "D")
+    cell.capture = capture
+    cell.apply_reconcile(
+        _diff([_installed("D", "A")], [(name, moved), _single("g1", PLAIN, "D")], gate=(0, False))
+    )
+    cell.capture = None
+    cell.apply_reconcile(_diff(rewire=[_single("g2", PLAIN, "B")], gate=(1, False)))
+    cell.step(3.0)
+    cell.open_gate(0)
+    cell.step(4.5)
+    cell.open_gate(1)
+    cell.step(6.0)
+    return cell, captured
+
+
+def _plain(state):
+    """A cell state as plain comparable data."""
+    state = dict(state)
+    state["counters"] = {
+        stream_id: [getattr(counted, field) for field in counted.__slots__]
+        for stream_id, counted in state["counters"].items()
+    }
+    return state
+
+
+def _comparable(state):
+    """A cell state without what describes the execution only; a gate
+    that lost nothing says so with or without an entry."""
+    state = _plain(state)
+    del state["exec"]
+    state["query_lost"] = {name: lost for name, lost in state["query_lost"].items() if lost}
+    return state
+
+
+class TestClosureProgram:
+    def test_mixed_closure_equals_the_stream_by_stream_pump(self):
+        """Captures in the old pump order, counters, lost items and
+        the in-flight peak — also around the gates of a mid-run repair
+        next to grouped siblings."""
+        cell, captured = _closure_run(reference=False)
+        twin, expected = _closure_run(reference=True)
+        state, twin_state = cell.finish(), twin.finish()
+        assert captured == expected
+        assert _comparable(state) == _comparable(twin_state)
+        # The run was worth comparing: relays three deep, a group that
+        # spans nodes, a multi-input feed on a relay, gates that lost
+        # and then delivered.
+        left = cell._programs["left"]
+        members = [node.stream.stream_id for node in left.members]
+        assert members == ["left", "A", "B", "D", "C", "E", "F"]
+        assert (4, None, None) in left.steps
+        groups = sorted(
+            sorted(member.record.name for member in members) for _, members in left.groups
+        )
+        assert groups == [["n1", "n3", "n8"], ["n4"], ["n5"]]  # gated g1, g2, n2 feed alone
+        assert sorted(len(members) for _, members in cell._programs["agg"].groups) == [1, 2]
+        deliveries = state["deliveries"]
+        assert 0 < state["query_lost"]["g1"] < state["query_lost"]["g2"]
+        assert state["query_lost"]["n2"] == state["query_lost"]["g1"]
+        assert 0 < deliveries["g2"][1] < deliveries["g1"][1] < deliveries["n1"][1]
+        assert deliveries["a1"] == deliveries["a2"] and deliveries["a1"][2] > 0
+        assert deliveries["pair"][2] > 0 and len(captured) > 500
+        # ... at no more than one program per closure and source batch.
+        counts = state["exec"]
+        assert len(cell._programs) == 5 and len(cell._nodes) == 13
+        assert counts["pump_steps"] <= 5 * counts["source_batches"]
+
+    def test_empty_batch_touches_nothing(self):
+        cell, captured = _closure_run(reference=False)
+        cell.state()  # restarts the in-flight window peak
+
+        def everything():
+            return _plain(cell.state()), columnar_stats(), len(captured)
+
+        before = everything()
+        for program in cell._programs.values():
+            cell._pump(program, RowBatch(()))
+            cell._pump(program, encode_ingest([]))
+        assert everything() == before
+
+    def test_a_finished_cell_is_freed_without_the_collector(self):
+        """Programs point at nodes and feeds, never back: the plan of a
+        finished run goes when its cell goes (peak RSS of back-to-back
+        runs stays one plan's worth)."""
+        cell, _ = _closure_run(reference=False)
+        _, trie, _ = cell._nodes["B"].trie_groups[0]
+        probe = weakref.ref(trie)
+        del trie
+        gc.disable()
+        try:
+            del cell
+            assert probe() is None
+        finally:
+            gc.enable()
+
+
+def test_pump_cost_follows_closures_not_streams():
+    """The always-on pumping counters on the grid plan, exactly (they
+    are counts, not timings): per source batch the cell runs at most
+    one program per relay closure, whatever the number of streams,
+    relays and subscriptions."""
+    scenario = scenario_grid(4, 4, 200)
+    recorder = Recorder()
+    system = StreamGlobe(scenario.build_network(), strategy="stream-sharing", recorder=recorder)
+    scenario.register_on(system)
+    system.run(10.0)
+    streams = system.deployment.streams.values()
+    relays = sum(1 for s in streams if s.parent_id is not None and not s.pipeline)
+    closures = len(streams) - relays
+    counts = system.last_simulator.exec_counts
+    assert (len(streams), relays, closures) == (203, 90, 113)
+    assert counts == {"source_batches": 16, "pump_steps": 989, "delivery_counts": 973}
+    assert counts["pump_steps"] / counts["source_batches"] <= closures
+    assert counts["delivery_counts"] < 200 * counts["source_batches"]
+    assert {
+        name: value for name, value in recorder.counters.items() if name in UNPINNED_PREFIXES
+    } == {f"exec.{name}": value for name, value in counts.items()}

@@ -33,6 +33,8 @@ from repro.obs import (
 )
 from repro.workload.scenarios import scenario_churn_hotspots
 
+from .pins_executor import UNPINNED_PREFIXES
+
 
 def _hist(values):
     hist = Histogram()
@@ -78,8 +80,9 @@ class TestTraceMergeIdentity:
             name: (value, par.system.recorder.counters.get(name))
             for name, value in seq.system.recorder.counters.items()
             # columnar.* counts kernel dispatches inside one process and
-            # is inherently process-local under fork (DESIGN.md §15).
-            if not name.startswith("columnar.")
+            # is inherently process-local under fork (DESIGN.md §15);
+            # the pumping-cost counters depend on the partition.
+            if not name.startswith(UNPINNED_PREFIXES)
             and par.system.recorder.counters.get(name) != value
         }
         assert mismatched == {}

@@ -350,6 +350,158 @@ def test_delivery_count_on_mixed_aggregate_wires(windows, function):
 
 
 # ----------------------------------------------------------------------
+# Delivery groups: a relay closure counts once per return clause and
+# credits every subscription what its own restructurer would build
+# ----------------------------------------------------------------------
+def _subscription(body):
+    return f'<out>{{ for {body} }}</out>'
+
+
+_PHOTONS = 'stream("photons")/photons/photon'
+
+#: Per stream kind a closure may carry: the subscriptions that can be
+#: delivered from it.  Equal return clauses under different texts
+#: (another element around the FLWR, another ``where``) share a group;
+#: another variable name or aggregation function does not.
+CLOSURE_QUERIES = {
+    "plain": [
+        _subscription(f"$p in {_PHOTONS} return <r> {{ $p/en }} {{ $p/coord/cel/ra }} </r>"),
+        f"<other>{{ for $p in {_PHOTONS} where $p/en >= 1.0 "
+        "return <r> { $p/en } { $p/coord/cel/ra } </r> }</other>",
+        _subscription(f"$q in {_PHOTONS} return <r> {{ $q/en }} {{ $q/coord/cel/ra }} </r>"),
+        _subscription(f"$p in {_PHOTONS} return ($p/en, $p/det_time, $p/note)"),
+        _subscription(f"$p in {_PHOTONS} return if $p/en >= 0 then <hi> {{ $p/en }} </hi> else <lo/>"),
+    ],
+    "aggregate": [
+        _subscription(
+            f"$w in {_PHOTONS} |det_time diff 4 step 4| let $a := {function}($w/en) return {returned}"
+        )
+        for function in ("avg", "min", "max")
+        for returned in ("<r> { $a } </r>", "if $a >= 1 then <hi> { $a } </hi> else <lo/>")
+    ],
+    "window": [
+        _subscription(f"$w in {_PHOTONS} |count 3 step 2| return <batch> {{ $w }} </batch>"),
+        _subscription(f"$w in {_PHOTONS} |count 3 step 2| return <ens> {{ $w/en }} </ens>"),
+        _subscription(f"$v in {_PHOTONS} |count 3 step 2| return <ens> {{ $v/en }} </ens>"),
+    ],
+}
+
+
+@st.composite
+def closure_batches(draw, kind):
+    """A few batches of one stream kind, as item lists: long enough for
+    a shape or grouped store, short enough for a row store, empty."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        if kind == "aggregate":
+            function = draw(st.sampled_from(["avg", "min", "max"]))
+            windows = draw(st.lists(st.lists(finite, max_size=3), max_size=24))
+            batches.append(
+                [partial_to_wire(PartialAggregate.of_values(w), function).freeze() for w in windows]
+            )
+            continue
+        menu = draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=3, unique=True))
+        photons = [
+            variant_photon(ra, en, t, menu[pick % len(menu)])
+            for ra, en, t, pick in draw(mixed_rows)
+        ]
+        if kind == "plain":
+            batches.append(photons)
+        else:
+            size = draw(st.integers(1, 3))
+            batches.append(
+                [
+                    element("window", *photons[low : low + size]).freeze()
+                    for low in range(0, len(photons), size)
+                ]
+            )
+    return batches
+
+
+@st.composite
+def closures(draw):
+    kind = draw(st.sampled_from(sorted(CLOSURE_QUERIES)))
+    queries = CLOSURE_QUERIES[kind]
+    # Member k hangs below an earlier member; chains stop at depth 4.
+    parents = draw(st.lists(st.integers(0, 5), max_size=5))
+    members = [
+        (
+            draw(st.booleans()),  # ships its items (has hops)
+            draw(st.lists(st.integers(0, len(queries) - 1), max_size=3)),
+        )
+        for _ in range(len(parents) + 1)
+    ]
+    return kind, parents, members, draw(closure_batches(kind)), draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(closures())
+def test_grouped_crediting_equals_per_delivery_builds(closure):
+    """The pump over a random relay closure against what every member
+    would have counted alone: ``Restructurer.build`` per item and
+    subscription, one byte size per shipping stream."""
+    from types import SimpleNamespace
+
+    from repro.engine.columnar import batch_bytes, encode_ingest
+    from repro.engine.executor import Cell, _ClosureProgram, _SingleDelivery, _StreamNode
+    from repro.engine.restructure import Restructurer
+    from repro.wxquery import analyze, parse_query
+
+    kind, parents, members, batches, sniffed = closure
+    analyzed = [analyze(parse_query(text)) for text in CLOSURE_QUERIES[kind]]
+    nodes, depth, deliveries = [], [], []
+    for index, (hops, picks) in enumerate(members):
+        route = ("SP0", "SP1") if hops else ("SP0",)
+        node = _StreamNode(SimpleNamespace(stream_id=f"s{index}", route=route))
+        if index:
+            parent = parents[index - 1] % index
+            while depth[parent] >= 4:
+                parent -= 1
+            nodes[parent].relay_children.append(node)
+        depth.append(depth[parent] + 1 if index else 1)
+        nodes.append(node)
+        for pick in picks:
+            record = SimpleNamespace(name=f"q{len(deliveries)}", analyzed=analyzed[pick])
+            delivery = _SingleDelivery(record)
+            node.countable.append(delivery)
+            deliveries.append((delivery, pick))
+
+    cell = Cell({}, None, 64)
+    program = _ClosureProgram(nodes[0])
+    assert len(program.members) == len(nodes) and max(depth) <= 4
+    # Equal restructuring, not equal text, makes a group.
+    signatures = {Restructurer(analyzed[pick]).signature for _, pick in deliveries}
+    assert len(program.groups) == len(signatures) <= len({pick for _, pick in deliveries})
+
+    views = [
+        (encode_ingest(items) if sniffed else picked_view(items)) if items else RowBatch(())
+        for items in batches
+    ]
+    before = columnar.columnar_stats()
+    for view in views:
+        cell._pump(program, view)
+    fed = sum(1 for view in views if len(view))
+    bumped = {
+        key: value - before[key] for key, value in columnar.columnar_stats().items()
+    }
+    # At most one kernel batch or one fallback per group and batch.
+    assert cell.pump_steps == fed and cell.delivery_counts == fed * len(program.groups)
+    assert (
+        bumped["delivery_kernel_batches"] + bumped["delivery_kernel_fallbacks"]
+        <= cell.delivery_counts
+    )
+
+    rows = sum(len(view) for view in views)
+    size = sum(batch_bytes(view) for view in views)
+    for node, (hops, _) in zip(nodes, members):
+        assert (node.produced_count, node.produced_bytes) == (rows, size if hops else 0)
+    for delivery, pick in deliveries:
+        alone = Restructurer(analyzed[pick])
+        expected = sum(len(alone.build(item)) for view in views for item in view.decode())
+        assert (delivery.inputs, delivery.results) == (rows, expected)
+
+
+# ----------------------------------------------------------------------
 # Ingest picks the store from the batch; nobody can tell which
 # ----------------------------------------------------------------------
 # A row is (ra, en, det_time, variant).  Variant 0 is the regular
