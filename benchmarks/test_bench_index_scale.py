@@ -6,8 +6,10 @@ streams whose signature can match, one per distinct content.  The same
 250 pre-parsed template queries are registered on the 3x3 grid both
 ways (``conftest.index_scale_runs``).  The index is an optimization,
 never a behaviour change: every plan decision is equal, and what differs
-is how many candidates reach Algorithm 2 — exactly repeatable counts,
-written to ``index_scale.txt`` and compared byte for byte in CI.  The
+is how many candidates reach Algorithm 2 and how many placement
+variants are costed or skipped by the search's cost floor — exactly
+repeatable counts, written to ``index_scale.txt`` and compared byte for
+byte in CI.  The
 wall-clock ratio of the same run is asserted ``> 1`` here and written
 to the uncompared ``scalability.txt`` by ``test_bench_scalability.py``.
 The living throughput measurement is sharebench ``grid-register-800``.
@@ -64,6 +66,8 @@ class TestIndexScale:
                 "candidate matches": float(candidate_matches(run)),
                 "matches / registration": candidate_matches(run) / QUERIES,
                 "installed streams": float(len(run.system.deployment.streams)),
+                "plans costed": float(run.system.planner.plans_costed),
+                "plans bounded": float(run.system.planner.plans_bounded),
             }
             for mode, (run, _) in index_scale_runs.items()
         }

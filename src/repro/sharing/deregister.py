@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from ..costmodel import PlanEffects, estimate_stream_rate
+from ..costmodel import PlanEffects
 from .plan import Deployment, RegisteredQuery
 from .planner import Planner
 
@@ -75,9 +75,7 @@ def tear_down(
         for _, stream_id in record.delivered:
             stream = deployment.streams.get(stream_id)
             if stream is not None:
-                # Estimated afresh: the planner's rate memo counts its
-                # lookups, and that count is part of the executor pins.
-                rate = estimate_stream_rate(stream.content, planner.catalog)
+                rate = planner.stream_rate(stream.content)
                 planner.charge(
                     release, record.subscriber_node, "restructure", rate.frequency
                 )

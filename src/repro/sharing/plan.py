@@ -324,9 +324,6 @@ class Deployment:
                 group.add(stream.target_node)
         return [(representatives[content], targets[content]) for content in order]
 
-    def original_streams(self) -> List[InstalledStream]:
-        return [s for s in self.streams.values() if s.is_original]
-
     def stream(self, stream_id: str) -> InstalledStream:
         try:
             return self.streams[stream_id]
@@ -334,7 +331,9 @@ class Deployment:
             raise KeyError(f"unknown stream {stream_id!r}") from None
 
     def find_original(self, stream_name: str) -> InstalledStream:
-        for stream in self.original_streams():
-            if stream.stream_id == stream_name:
-                return stream
-        raise KeyError(f"no original stream named {stream_name!r} is registered")
+        """The original stream ``stream_name`` (an original's id is its
+        name)."""
+        stream = self.streams.get(stream_name)
+        if stream is None or not stream.is_original:
+            raise KeyError(f"no original stream named {stream_name!r} is registered")
+        return stream

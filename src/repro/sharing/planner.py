@@ -15,7 +15,10 @@ module implements it in three parts:
 * :meth:`Planner.stream_effects` — what one installed stream commits
   (traffic per link, operator load per peer, from the cost model's
   ``size(p)``/``freq(p)`` estimates): the one walk that costs a
-  candidate, commits a stream and releases it again.
+  candidate, commits a stream and releases it again;
+* :meth:`Planner.cost_floor` — a lower bound on what every placement
+  variant of a candidate costs, so the search skips a candidate that
+  cannot beat its incumbent without building it.
 """
 
 from __future__ import annotations
@@ -135,6 +138,9 @@ class Planner:
         self.rate_cache_hits = 0
         self.rate_cache_misses = 0
         self.plans_costed = 0
+        #: Variants the search skipped because their candidate's
+        #: :meth:`cost_floor` could not beat the incumbent plan.
+        self.plans_bounded = 0
         #: Shortest-path memo; invalidated by the topology's churn
         #: version counter, so repairs re-route automatically.
         self.routes = RouteCache(net)
@@ -262,6 +268,47 @@ class Planner:
             effects=effects,
             cost=cost,
         )
+
+    def cost_floor(
+        self,
+        content: StreamProperties,
+        tap_node: str,
+        subscription: StreamProperties,
+        subscriber_node: str,
+    ) -> float:
+        """A lower bound on the cost of every placement variant of
+        reusing a stream of ``content`` at ``tap_node``.
+
+        Both variants duplicate the reused stream at the tap, ship
+        something over ``path(tap, subscriber)`` — the delivered stream
+        (compensation at the tap) or a relay of the reused one
+        (compensation at the subscriber) — and restructure at the
+        subscriber.  The floor sums those terms at the smaller of the
+        two rates, usage-free and penalty-free; every term of
+        :meth:`CostModel.plan_cost` is non-negative, so no variant costs
+        less (up to float rounding).
+        """
+        reused = self.stream_rate(content)
+        delivered = self.stream_rate(subscription)
+        route = self.routes.path(tap_node, subscriber_node)
+        bits = min(reused.bits_per_second, delivered.bits_per_second)
+        traffic = 0.0
+        for a, b in zip(route, route[1:]):
+            traffic += bits / self.net.link(a, b, include_removed=True).bandwidth
+        share = self._load_share
+        load = share(tap_node, "duplicate", reused.frequency)
+        load += share(subscriber_node, "restructure", delivered.frequency)
+        frequency = min(reused.frequency, delivered.frequency)
+        for sender in route[:-1]:
+            load += share(sender, "transfer", frequency)
+        gamma = self.cost_model.gamma
+        return gamma * traffic + (1.0 - gamma) * load
+
+    def _load_share(self, node: str, kind: str, frequency: float) -> float:
+        """One operator's share of a peer's capacity (``u_l`` of its
+        :meth:`charge`)."""
+        peer = self.net.super_peer(node, include_removed=True)
+        return base_load(kind) * peer.pindex * frequency / peer.capacity
 
     # ------------------------------------------------------------------
     # The ledger walk

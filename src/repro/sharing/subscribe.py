@@ -11,7 +11,9 @@ For each input stream of a newly registered subscription the algorithm
    relevant part of the network;
 3. matches every variant stream available at each visited node against
    the subscription (Algorithm 2) and keeps the cheapest plan under the
-   cost function ``C`` (lines 19–22).
+   cost function ``C`` (lines 19–22) — a matched stream whose
+   :meth:`~repro.sharing.planner.Planner.cost_floor` already reaches the
+   incumbent's cost is never built (branch and bound; decisions equal).
 
 The queue discipline is configurable: FIFO gives the paper's
 breadth-first search, LIFO the depth-first alternative the paper notes
@@ -41,6 +43,13 @@ from .widening import WideningPlanner
 #: result; **stream sharing** is Algorithm 1.  The first two are the
 #: search's initial plan under a fixed placement, with no frontier.
 STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
+
+#: Relative slack on :meth:`Planner.cost_floor` before it prunes: the
+#: floor and a variant's cost sum the same terms in different orders,
+#: so rounding may put the floor a few ulps above the cost it bounds;
+#: this margin (far above any rounding, far below any real cost gap)
+#: keeps the prune from ever skipping a strict winner.
+FLOOR_MARGIN = 1e-9
 
 
 @dataclass
@@ -245,6 +254,14 @@ class Subscriber:
                     self.match_memo,
                 ):
                     matched_targets.update(targets)                 # line 15
+                    floor = self.planner.cost_floor(
+                        candidate.content, node, subscription_input, subscriber_node
+                    )
+                    if floor * (1.0 - FLOOR_MARGIN) >= best.cost:
+                        # No variant can beat ``best`` under strict <:
+                        # skip building and costing them.
+                        self.planner.plans_bounded += 1 if node == subscriber_node else 2
+                        continue
                     variants = plans(candidate, node)               # line 19
                 elif self.widening is not None:
                     variants = self._widened(

@@ -11,6 +11,7 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 #: Number of sample items used to build a stream's statistics entry.
 STATISTICS_SAMPLE_SIZE = 400
+
+#: Distinct query texts (or parsed queries) whose analysis one system
+#: keeps, least recently used first out.
+ANALYSIS_MEMO_SIZE = 1024
 
 
 @dataclass
@@ -112,6 +117,14 @@ class StreamGlobe:
         self.sources: Dict[str, SourceRegistration] = {}
         self.results: List[RegistrationResult] = []
         self._repairer = None  # lazily created PlanRepairer
+        #: ``query`` argument -> (analysis, input properties): the
+        #: properties of a subscription depend on its text only, its
+        #: name aside.  Per system, like the match memo.
+        self._analyses: OrderedDict[
+            Union[str, Query], Tuple[AnalyzedQuery, Tuple[StreamProperties, ...]]
+        ] = OrderedDict()
+        self.analysis_hits = 0
+        self.analysis_misses = 0
 
     # ------------------------------------------------------------------
     # Stream registration
@@ -277,18 +290,36 @@ class StreamGlobe:
         admission control enabled) are reported, not raised.
         """
         self._require_free_name(name)
-        recorder = self.recorder
-
-        def analysis() -> Tuple[Properties, AnalyzedQuery]:
-            with recorder.span("parse"):
-                parsed = parse_query(query) if isinstance(query, str) else query
-            with recorder.span("analyze"):
-                analyzed = analyze(parsed)
-                return extract_from_analysis(analyzed, name), analyzed
-
-        result = self._register(name, analysis, subscriber_peer)
+        result = self._register(
+            name, lambda: self._analysis(name, query), subscriber_peer
+        )
         self.preflight(f"after registering query {name!r}")
         return result
+
+    def _analysis(
+        self, name: str, query: Union[str, Query]
+    ) -> Tuple[Properties, AnalyzedQuery]:
+        """Parse, analyze and extract ``query`` for the subscription
+        ``name`` — once per distinct ``query`` while it stays in the
+        memo (errors are raised afresh on every attempt, never kept)."""
+        memo = self._analyses
+        entry = memo.get(query)
+        if entry is not None:
+            self.analysis_hits += 1
+            memo.move_to_end(query)
+            analyzed, inputs = entry
+            return Properties(name=name, inputs=inputs), analyzed
+        self.analysis_misses += 1
+        recorder = self.recorder
+        with recorder.span("parse"):
+            parsed = parse_query(query) if isinstance(query, str) else query
+        with recorder.span("analyze"):
+            analyzed = analyze(parsed)
+            properties = extract_from_analysis(analyzed, name)
+        memo[query] = (analyzed, properties.inputs)
+        if len(memo) > ANALYSIS_MEMO_SIZE:
+            memo.popitem(last=False)
+        return properties, analyzed
 
     def register_queries(
         self,
@@ -300,7 +331,6 @@ class StreamGlobe:
         entries.  Compared to a loop over :meth:`register_query`, batch
         admission
 
-        * parses and analyzes each *distinct* query text once,
         * admits the batch most-general-first
           (:func:`~repro.sharing.index.admission_order_key`), so broad
           subscriptions install the streams the narrow ones then tap —
@@ -322,23 +352,10 @@ class StreamGlobe:
         for name in names:
             self._require_free_name(name)
 
-        parsed_cache: Dict[str, Query] = {}
-        analyzed_cache: Dict[int, AnalyzedQuery] = {}
-        prepared = []
-        for name, query, subscriber_peer in batch:
-            if isinstance(query, str):
-                parsed = parsed_cache.get(query)
-                if parsed is None:
-                    parsed = parsed_cache[query] = parse_query(query)
-            else:
-                parsed = query
-            analyzed = analyzed_cache.get(id(parsed))
-            if analyzed is None:
-                analyzed = analyzed_cache[id(parsed)] = analyze(parsed)
-            properties = extract_from_analysis(analyzed, name)
-            prepared.append(
-                (name, (properties, analyzed), self.net.home_of(subscriber_peer))
-            )
+        prepared = [
+            (name, self._analysis(name, query), self.net.home_of(subscriber_peer))
+            for name, query, subscriber_peer in batch
+        ]
 
         prepared.sort(key=lambda entry: admission_order_key(entry[1][0]))
         by_name = {
@@ -446,6 +463,9 @@ class StreamGlobe:
             "rate": rated(
                 self.planner.rate_cache_hits, self.planner.rate_cache_misses
             ),
+            "analysis": rated(
+                self.analysis_hits, self.analysis_misses, entries=len(self._analyses)
+            ),
         }
         memo = self.subscriber.match_memo
         if memo is not None:
@@ -462,6 +482,7 @@ class StreamGlobe:
                 else:
                     recorder.counters[f"cache.{cache}.{key}"] = value
         recorder.counters["planner.plans_costed"] = self.planner.plans_costed
+        recorder.counters["planner.plans_bounded"] = self.planner.plans_bounded
 
     # ------------------------------------------------------------------
     # Fault handling and plan repair

@@ -196,12 +196,15 @@ def example_net():
     return example_topology()
 
 
-def make_system(strategy="stream-sharing", seed=20060326, frequency=100.0, **kwargs):
-    """Build a StreamGlobe over the example topology with one stream."""
+def make_system(
+    strategy="stream-sharing", seed=20060326, frequency=100.0, net=None, **kwargs
+):
+    """Build a StreamGlobe over ``net`` (default: the example topology)
+    with one stream."""
     from repro.sharing import StreamGlobe
 
     config = PhotonStreamConfig(seed=seed, frequency=frequency)
-    system = StreamGlobe(example_topology(), strategy=strategy, **kwargs)
+    system = StreamGlobe(net or example_topology(), strategy=strategy, **kwargs)
     system.register_stream(
         "photons",
         "photons/photon",

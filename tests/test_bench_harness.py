@@ -109,7 +109,7 @@ class TestReports:
 class TestObservabilityReports:
     def test_cache_hit_rates_always_available(self, small_runs):
         rates = small_runs["stream-sharing"].cache_hit_rates()
-        assert set(rates) == {"route", "rate", "match"}
+        assert set(rates) == {"route", "rate", "match", "analysis"}
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())
 
     def test_cache_report_renders(self, small_runs):

@@ -97,7 +97,7 @@ class TestCacheStats:
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert system.recorder.enabled is False
         stats = system.cache_stats()
-        assert set(stats) == {"route", "rate", "match"}
+        assert set(stats) == {"route", "rate", "match", "analysis"}
         for cache in stats.values():
             assert 0.0 <= cache["hit_rate"] <= 1.0
         assert stats["route"]["invalidations"] == 0

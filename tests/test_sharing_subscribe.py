@@ -7,9 +7,21 @@ aggregates via re-aggregation.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import PAPER_QUERIES, make_system
-from repro.sharing.planner import PlanningError
+from repro.bench.harness import run_scenario, scale_network
+from repro.faults import LinkFailure, SuperPeerCrash
+from repro.matching import match_stream_properties
+from repro.network.topology import example_topology
+from repro.predicates import UnsatisfiableError
+from repro.properties import extract_properties
+from repro.sharing.planner import Planner, PlanningError
+from repro.sharing.subscribe import FLOOR_MARGIN
+from repro.workload.scenarios import scenario_churn_hotspots, scenario_grid, scenario_one
+from repro.workload.templates import QueryTemplateGenerator
+from repro.wxquery import WXQueryError, parse_query
 
 
 class TestStreamSharingDecisions:
@@ -158,3 +170,189 @@ class TestAdmissionControl:
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert list(system.deployment.streams) == ["photons"]
         assert system.deployment.queries == {}
+
+
+# ----------------------------------------------------------------------
+# The cost floor (branch and bound over matched candidates)
+# ----------------------------------------------------------------------
+_POOL = [g.text for g in QueryTemplateGenerator(seed=7).generate(10)]
+_POOL += list(PAPER_QUERIES.values())
+
+SUBSCRIBERS = ("P1", "P2", "P3", "P4")
+
+#: Churn the example topology survives connected; each leaves a removed
+#: peer or link in the topology's stash.
+_FAULTS = (
+    None,
+    SuperPeerCrash(5.0, "SP5"),
+    SuperPeerCrash(5.0, "SP7"),
+    LinkFailure(5.0, "SP4", "SP5"),
+    LinkFailure(5.0, "SP6", "SP7"),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=8),
+    capacity=st.sampled_from([1.0, 0.05, 0.002]),
+    bandwidth=st.sampled_from([None, 1e6, 1e5]),
+    fault=st.sampled_from(_FAULTS),
+    probe=st.integers(0, len(_POOL) - 1),
+    subscriber=st.sampled_from(["SP0", "SP1", "SP3", "SP4", "SP6"]),
+)
+@example(picks=[0], capacity=1.0, bandwidth=None, fault=None, probe=0, subscriber="SP1")
+def test_cost_floor_bounds_every_variant(picks, capacity, bandwidth, fault, probe, subscriber):
+    """``cost_floor`` never exceeds the cost of a placement variant of
+    any matched candidate, whatever the usage, penalties and churn: the
+    soundness the search's prune relies on."""
+    # Small capacities overload peers and links: costs carry penalties.
+    system = make_system(net=scale_network(example_topology(), capacity, bandwidth))
+    for i, pick in enumerate(picks):
+        system.register_query(f"W{i:02d}", _POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)])
+    if fault is not None:
+        system.apply_fault(fault)
+    planner, deployment = system.planner, system.deployment
+    texts = sorted({_POOL[pick] for pick in picks} | {_POOL[probe]})
+    for text in texts:
+        for subscription in extract_properties(parse_query(text), "probe").inputs:
+            for node in system.net.super_peer_names():
+                for candidate in deployment.streams_at(node):
+                    if not match_stream_properties(candidate.content, subscription):
+                        continue
+                    floor = planner.cost_floor(candidate.content, node, subscription, subscriber)
+                    costs = [
+                        variant.cost
+                        for variant in planner.plans_for_candidate(
+                            deployment, candidate, node, subscription, "probe", subscriber
+                        )
+                    ]
+                    assert floor >= 0.0
+                    assert min(costs) >= floor * (1.0 - FLOOR_MARGIN), (
+                        candidate.stream_id, node, floor, costs,
+                    )
+
+
+def _decisions(results):
+    """Everything a registration decided, floats by ``repr``."""
+    return [
+        (
+            result.query,
+            result.accepted,
+            [
+                (
+                    p.input_stream,
+                    p.reused_id,
+                    p.tap_node,
+                    p.placement_node,
+                    repr(p.cost),
+                    [(link.ends, repr(bits)) for link, bits in p.effects.link_bits.items()],
+                    [(peer, repr(work)) for peer, work in p.effects.peer_work.items()],
+                    [stream.stream_id for stream in p.new_streams()],
+                )
+                for p in result.plan.inputs
+            ],
+        )
+        for result in results
+    ]
+
+
+def _registered(scenario, monkeypatch, bounded):
+    """Register ``scenario`` (then apply its faults, collecting what plan
+    repair re-registered); with ``bounded=False`` the floor is 0 and
+    prunes nothing."""
+    with monkeypatch.context() as patch:
+        if not bounded:
+            patch.setattr(Planner, "cost_floor", lambda self, *args: 0.0)
+        run = run_scenario(scenario, "stream-sharing", execute=False)
+        system = run.system
+        results = list(run.registrations)
+        for event in scenario.faults.events() if scenario.faults else ():
+            results += system.apply_fault(event).reregistered
+    ledger = system.deployment.usage
+    facts = (
+        {
+            sid: (s.content, s.origin_node, s.route, s.parent_id, s.pipeline)
+            for sid, s in system.deployment.streams.items()
+        },
+        sorted((k, repr(v)) for k, v in ledger._peer_work.items()),
+        sorted((k, repr(v)) for k, v in ledger._link_bits.items()),
+    )
+    return _decisions(results), facts, system.planner
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [scenario_one, lambda: scenario_grid(3, 3, 250), scenario_churn_hotspots],
+    ids=["scenario1", "grid-3x3-250", "churn-hotspots"],
+)
+def test_bounded_search_decides_like_the_full_search(scenario, monkeypatch):
+    """The prune is exact: with a floor of 0 every matched candidate is
+    built and costed, and every decision, cost, effect and stream id is
+    the same — after plan repair too."""
+    decisions, facts, planner = _registered(scenario(), monkeypatch, bounded=True)
+    full_decisions, full_facts, full = _registered(scenario(), monkeypatch, bounded=False)
+    assert decisions == full_decisions
+    assert facts == full_facts
+    assert planner.plans_bounded > 0 and full.plans_bounded == 0
+    assert planner.plans_costed + planner.plans_bounded == full.plans_costed
+
+
+def test_scenario_one_variants_examined_are_unchanged():
+    """Variants costed plus variants bounded is what the search costed
+    before it bounded anything (189 on scenario 1)."""
+    planner = run_scenario(scenario_one(), "stream-sharing", execute=False).system.planner
+    assert planner.plans_bounded > 0
+    assert planner.plans_costed + planner.plans_bounded == 189
+
+
+# ----------------------------------------------------------------------
+# The analysis memo
+# ----------------------------------------------------------------------
+UNSATISFIABLE = """<r>{ for $p in stream("photons")/photons/photon
+  where $p/en >= 2.0 and $p/en <= 1.0 return $p/en }</r>"""
+
+
+class TestAnalysisMemo:
+    def test_one_text_is_analysed_once(self):
+        system = make_system("stream-sharing")
+        system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+        system.register_query("Q1b", PAPER_QUERIES["Q1"], "P2")
+        first, second = system.deployment.queries["Q1"], system.deployment.queries["Q1b"]
+        assert first.analyzed is second.analyzed
+        assert first.properties.inputs == second.properties.inputs
+        assert (first.properties.name, second.properties.name) == ("Q1", "Q1b")
+        stats = system.cache_stats()["analysis"]
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+
+    def test_a_parsed_query_is_a_key_too(self):
+        system = make_system("stream-sharing")
+        system.register_queries(
+            [(name, parse_query(PAPER_QUERIES["Q2"]), "P1") for name in ("A", "B")]
+        )
+        assert system.deployment.queries["A"].analyzed is system.deployment.queries["B"].analyzed
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("<r>{ for $p in }</r>", WXQueryError), (UNSATISFIABLE, UnsatisfiableError)],
+        ids=["parse", "unsatisfiable"],
+    )
+    def test_errors_are_raised_on_every_attempt(self, text, error):
+        system = make_system("stream-sharing")
+        for attempt in (1, 2, 3):
+            with pytest.raises(error):
+                system.register_query("X", text, "P1")
+            assert system.analysis_misses == attempt
+            assert system.cache_stats()["analysis"]["entries"] == 0
+        assert system.deployment.queries == {}
+
+    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.sharing.system.ANALYSIS_MEMO_SIZE", 3)
+        system = make_system("stream-sharing")
+        texts = _POOL[:6]
+        for i, text in enumerate(texts + texts[-2:]):
+            system.register_query(f"W{i}", text, "P1")
+            assert system.cache_stats()["analysis"]["entries"] <= 3
+        # The two texts used last stayed in; the first ones were evicted.
+        assert (system.analysis_hits, system.analysis_misses) == (2, 6)
+        system.register_query("W-first", texts[0], "P1")
+        assert system.analysis_misses == 7
