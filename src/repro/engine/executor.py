@@ -95,6 +95,14 @@ from .fanout import PrefixStage, PrefixTree, _Gauge, group_pipelines
 from .metrics import RunMetrics
 from .restructure import Restructurer
 
+#: Items a source draws per pump through the DAG (``batch_size``'s
+#: default).  One measured constant, not a per-plan rule: a sweep over
+#: 64 / 256 / 512 / 1024 puts 512 at or within noise of the best on
+#: every sharebench workload (DESIGN.md §7).  Batch boundaries are
+#: invisible to every output.
+SOURCE_BATCH = 512
+
+
 class ItemGenerator(Protocol):
     """Anything that produces stream items on a virtual clock."""
 
@@ -950,8 +958,9 @@ class StreamSimulator:
     max_items_per_source:
         Safety cap on generated items per source.
     batch_size:
-        Items generated per pump through the DAG; bounds peak memory
-        together with open window state.
+        Items generated per pump through the DAG (default
+        :data:`SOURCE_BATCH`); bounds peak memory together with open
+        window state.
     schedule:
         Optional :class:`~repro.faults.FaultSchedule`.  Events due
         before ``duration`` are applied at their stream times; later
@@ -1014,7 +1023,7 @@ class StreamSimulator:
         generators: Dict[str, ItemGenerator],
         duration: float,
         max_items_per_source: Optional[int] = None,
-        batch_size: int = 64,
+        batch_size: int = SOURCE_BATCH,
         schedule: Optional["FaultSchedule"] = None,
         repair: Optional[Callable[..., Any]] = None,
         capture: Optional[Callable[[str, Element], None]] = None,

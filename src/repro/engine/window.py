@@ -12,6 +12,7 @@ regular cadence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generic, Iterable, List, Optional, Tuple, TypeVar
 
@@ -65,7 +66,9 @@ class SlidingWindower(Generic[T]):
 
         An arrival inside the current window is one append: the window
         arithmetic runs only when a position reaches the window's end.
-        A decreasing position raises with everything before it added.
+        A decreasing position raises with everything before it added,
+        and so does ``inf`` or ``nan`` (no window ends after either;
+        ``-inf`` completes none and is added like any position).
         """
         out: List[WindowBatch[T]] = []
         buffer = self._buffer
@@ -79,11 +82,17 @@ class SlidingWindower(Generic[T]):
                     f"out-of-order position {position} after {last}; "
                     "time-based windows need a sorted reference element"
                 )
-            last = position
             if not position < end:
+                if not position < math.inf:
+                    self._last_position = last
+                    raise EngineError(
+                        f"window position {position} is not finite; "
+                        "time-based windows need a finite reference element"
+                    )
                 out.extend(self._complete_up_to(position))
                 buffer = self._buffer
                 end = self.origin + self._next_index * self.step + self.size
+            last = position
             buffer.append(arrival)
         self._last_position = last
         return out

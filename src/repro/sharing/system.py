@@ -23,7 +23,7 @@ from ..costmodel import (
     StreamStatistics,
 )
 from ..engine import RunMetrics, StreamSimulator
-from ..engine.executor import ExecutionError, ItemGenerator
+from ..engine.executor import SOURCE_BATCH, ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
 from ..properties import (
@@ -575,6 +575,7 @@ class StreamGlobe:
                 plan=self.shard_plan(),
                 workers=workers,
                 max_items_per_source=max_items_per_source,
+                batch_size=SOURCE_BATCH,
                 schedule=faults,
                 repair=repair,
                 replan=self.shard_plan,
@@ -589,6 +590,7 @@ class StreamGlobe:
                 generators,
                 duration,
                 max_items_per_source=max_items_per_source,
+                batch_size=SOURCE_BATCH,
                 schedule=faults,
                 repair=repair,
                 capture=capture,

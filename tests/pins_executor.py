@@ -11,17 +11,25 @@ gauges, histogram sample counts, the ordered ``fault.applied`` /
 ``query.slo`` events).
 
 ``fixtures/executor_pins.json`` holds these observations as recorded at
-commit ``d8cfb61``, the last one with two separate executors.
+commit ``d8cfb61``, the last one with two separate executors, and
+re-recorded once when the default source batch went from 64 to 512
+items (``SOURCE_BATCH``): only the :data:`BATCH_SHAPE` fields moved.
 Re-record (only when an output change is intended and explained)::
 
     PYTHONPATH=src python -m tests.pins_executor
+
+It refuses to write when the new record differs from the fixture
+outside :data:`BATCH_SHAPE`: a change of batch shape may be re-recorded,
+a change of output must be made on purpose, by hand.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import os
+import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.harness import run_scenario
@@ -143,6 +151,61 @@ UNPINNED_PREFIXES = (
     "cache.",
     "planner.",
 )
+
+
+#: Pinned fields that describe how the run was cut into batches, not
+#: what it delivered: the epochs' ``inflight_peak`` and the
+#: ``exec.peak_live_items`` gauge (items in flight), how many batches
+#: each operator timed, and per query the delivery queue's peak and the
+#: epochs it exceeded one source batch (in ``slos`` and in the
+#: ``query.slo`` events).  A dict key or a ``[name, value]`` pair
+#: matching one of these patterns is one of them.
+BATCH_SHAPE = (
+    "inflight_peak",
+    "exec.peak_live_items",
+    "op.*.batch_s",
+    "queue_peak",
+    "backpressure_epochs",
+)
+
+
+def _is_batch_shape(name: Any) -> bool:
+    return isinstance(name, str) and any(
+        fnmatch.fnmatchcase(name, pattern) for pattern in BATCH_SHAPE
+    )
+
+
+def outside_batch_shape(value: Any) -> Any:
+    """``value`` (a record, or any part of one) without its
+    :data:`BATCH_SHAPE` fields."""
+    if isinstance(value, dict):
+        return {
+            key: outside_batch_shape(part)
+            for key, part in value.items()
+            if not _is_batch_shape(key)
+        }
+    if isinstance(value, list):
+        return [
+            outside_batch_shape(part)
+            for part in value
+            if not (isinstance(part, list) and len(part) == 2 and _is_batch_shape(part[0]))
+        ]
+    return value
+
+
+def moved_outside_batch_shape(
+    record: Dict[str, Any], pins: Dict[str, Any]
+) -> List[str]:
+    """``case: part`` for every pinned part ``record`` changes outside
+    :data:`BATCH_SHAPE` (a case ``record`` lacks counts as changed; a
+    new case has nothing to compare with)."""
+    moved = []
+    for case, parts in sorted(pins.items()):
+        new = record.get(case, {})
+        for part, value in sorted(parts.items()):
+            if outside_batch_shape(new.get(part)) != outside_batch_shape(value):
+                moved.append(f"{case}: {part}")
+    return moved
 
 
 def _number(value: Any) -> Any:
@@ -292,8 +355,8 @@ def slo_events(log: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def load_pins() -> Dict[str, Any]:
     """The fixture, with the run log's counters and gauges projected
-    like an observation (it was recorded when fewer series were
-    unpinned)."""
+    like an observation (a series unpinned after the fixture was
+    recorded drops out here)."""
     with open(FIXTURE, encoding="utf-8") as handle:
         pins = json.load(handle)
     for parts in pins.values():
@@ -317,8 +380,24 @@ def _dump(pins: Dict[str, Any]) -> str:
     return "{\n" + ",\n".join(cases) + "\n}\n"
 
 
-if __name__ == "__main__":
+def main() -> int:
+    text = _dump(record_all())
+    if os.path.exists(FIXTURE):
+        moved = moved_outside_batch_shape(json.loads(text), load_pins())
+        if moved:
+            print(
+                f"not writing {FIXTURE}: outside BATCH_SHAPE the record differs in",
+                *moved,
+                sep="\n  ",
+                file=sys.stderr,
+            )
+            return 1
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w", encoding="utf-8") as out:
-        out.write(_dump(record_all()))
+        out.write(text)
     print(f"wrote {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Integration tests for the measured stream simulator."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from tests.pins_executor import UNPINNED_PREFIXES
 from tests.test_engine_combine import TWO_STREAM_QUERY
 from tests.test_engine_streaming import ITEM, _selection
 from repro.engine.columnar import RowBatch, batch_bytes, columnar_stats, encode_ingest
-from repro.engine.executor import Cell, ExecutionError, StreamSimulator
+from repro.engine.executor import SOURCE_BATCH, Cell, ExecutionError, StreamSimulator
 from repro.network.topology import example_topology
 from repro.obs import Recorder
 from repro.predicates import PredicateGraph
@@ -530,18 +531,24 @@ def test_pump_cost_follows_closures_not_streams():
     """The always-on pumping counters on the grid plan, exactly (they
     are counts, not timings): per source batch the cell runs at most
     one program per relay closure, whatever the number of streams,
-    relays and subscriptions."""
+    relays and subscriptions.  A source batch ends after
+    ``SOURCE_BATCH`` items or at an epoch boundary (a traced run samples
+    eight), so the batch count follows the constant."""
     scenario = scenario_grid(4, 4, 200)
     recorder = Recorder()
     system = StreamGlobe(scenario.build_network(), strategy="stream-sharing", recorder=recorder)
     scenario.register_on(system)
-    system.run(10.0)
+    metrics = system.run(10.0)
     streams = system.deployment.streams.values()
     relays = sum(1 for s in streams if s.parent_id is not None and not s.pipeline)
     closures = len(streams) - relays
     counts = system.last_simulator.exec_counts
     assert (len(streams), relays, closures) == (203, 90, 113)
-    assert counts == {"source_batches": 16, "pump_steps": 989, "delivery_counts": 973}
+    assert counts == {"source_batches": 8, "pump_steps": 534, "delivery_counts": 526}
+    (generated,) = metrics.items_generated.values()  # the grid's one source
+    per_epoch = [epoch.items_generated for epoch in recorder.epochs]
+    assert sum(per_epoch) == generated
+    assert counts["source_batches"] == sum(math.ceil(n / SOURCE_BATCH) for n in per_epoch)
     assert counts["pump_steps"] / counts["source_batches"] <= closures
     assert counts["delivery_counts"] < 200 * counts["source_batches"]
     assert {

@@ -8,11 +8,19 @@ over one cell or several, so the identity tests between them compare
 the loop with itself; these pins compare it with the record.
 """
 
+import copy
 import json
 
 import pytest
 
-from .pins_executor import CASES, load_pins, observe, slo_counters, slo_events
+from .pins_executor import (
+    CASES,
+    load_pins,
+    moved_outside_batch_shape,
+    observe,
+    slo_counters,
+    slo_events,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +63,37 @@ def test_sharded_inline_run_matches_the_record(case, workers, pins, inline_cells
     assert observed["metrics"] == recorded["metrics"]
     assert observed["captures"] == recorded["captures"]
     assert slo_counters(observed["slos"]) == slo_counters(recorded["slos"])
+
+
+def test_rerecording_may_move_batch_shape_and_nothing_else(pins):
+    """The re-recorder's guard: what describes batch shape may move, an
+    output may not — it names the case and the part that moved."""
+    record = copy.deepcopy(pins)
+    case = record["hotspots-staggered"]
+    log = case["log"]
+    for epoch in log["epochs"]:
+        epoch["inflight_peak"] += 1
+    log["histogram_counts"] = {name: count + 1 for name, count in log["histogram_counts"].items()}
+    log["gauges"] = [
+        [name, value + 1 if name == "exec.peak_live_items" else value]
+        for name, value in log["gauges"]
+    ]
+    for slo in case["slos"]:
+        slo["queue_peak"] += 1
+        slo["backpressure_epochs"] += 1
+    for name, fields in log["events"]:
+        for field in fields:
+            if name == "query.slo" and field[0] in ("queue_peak", "backpressure_epochs"):
+                field[1] += 1
+    assert moved_outside_batch_shape(record, pins) == []
+    case["slos"][0]["delivered_inputs"] += 1
+    log["events"][-1][1][0][1] = "renamed"
+    del record["scenario1"]
+    assert moved_outside_batch_shape(record, pins) == [
+        "hotspots-staggered: log",
+        "hotspots-staggered: slos",
+        "scenario1: captures",
+        "scenario1: log",
+        "scenario1: metrics",
+        "scenario1: slos",
+    ]

@@ -1,13 +1,21 @@
 """Unit tests for the sliding windower, reorder buffer, and window
 contents operator."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 
-from repro.engine import ReorderBuffer, SlidingWindower, WindowContentsOperator
+from repro.engine import (
+    ReorderBuffer,
+    SlidingWindower,
+    WindowAggregateOperator,
+    WindowContentsOperator,
+)
+from repro.engine.columnar import ColumnBatch, GroupedBatch, RowBatch, encode_batch
 from repro.engine.operators import EngineError
-from repro.properties import WindowContentsSpec, WindowSpec
+from repro.predicates import PredicateGraph
+from repro.properties import AggregationSpec, WindowContentsSpec, WindowSpec
 from repro.xmlkit import Element, Path, element
 
 ITEM = Path("s/item")
@@ -143,3 +151,104 @@ class TestWindowContentsOperator:
             op.process(item)
         (window,) = op.flush()
         assert len(window.children) == 3
+
+
+# ----------------------------------------------------------------------
+# Non-finite positions: no window ends after inf or nan
+# ----------------------------------------------------------------------
+class _Spinning(Exception):
+    pass
+
+
+def _outcome(call):
+    """``call()``'s value or the ``EngineError`` it raised.  A call still
+    running after half a second is interrupted, so a windower that
+    loops forever (emitting windows as it goes) fails the test instead
+    of hanging the suite and filling memory."""
+
+    def interrupt(signum, frame):
+        raise _Spinning
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        return call()
+    except EngineError as error:
+        return error
+    except _Spinning:
+        pytest.fail("the call did not return")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NON_FINITE = ("inf", "nan")
+STORES = {"shape": ColumnBatch, "grouped": GroupedBatch, "row": RowBatch}
+
+
+def _windows(batches):
+    return [(w.start, w.end, w.contents) for w in batches]
+
+
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_windower_rejects_it_with_everything_before_it_added(self, text):
+        windower = SlidingWindower(1.0, 1.0)
+        windower.add(0.5, "a")
+        error = _outcome(lambda: windower.add(float(text), "x"))
+        assert isinstance(error, EngineError)
+        assert f"window position {text} is not finite" in str(error)
+        # The run goes on from where it was.
+        assert _windows(windower.add(2.0, "b")) == [(0.0, 1.0, ("a",)), (1.0, 2.0, ())]
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_windower_rejects_it_inside_a_run(self, text):
+        windower = SlidingWindower(1.0, 1.0)
+        run = [(0.5, "a"), (1.5, "b"), (float(text), "x"), (2.5, "c")]
+        assert isinstance(_outcome(lambda: windower.add_run(run)), EngineError)
+        assert windower._last_position == 1.5
+        assert [payload for _, payload in windower._buffer] == ["b"]
+
+    def test_minus_inf_completes_no_window(self):
+        windower = SlidingWindower(1.0, 1.0)
+        assert _outcome(lambda: windower.add(float("-inf"), "a")) == []
+        windower.add(0.5, "b")
+        assert _windows(windower.add(1.5, "c")) == [(0.0, 1.0, ("b",))]
+
+    @pytest.mark.parametrize("store", ["shape", "grouped", "row"])
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("operator", ["aggregate", "aggregate-reordered", "contents"])
+    def test_operators_reject_it_on_every_store(self, operator, text, store):
+        """A reference leaf reading ``inf`` or ``nan`` raises from the
+        diff-window operators, whatever store the batch lives in and
+        whether a reorder buffer sits in front of the windows (which
+        hands the position on at the latest when flushed)."""
+        window = WindowSpec("diff", Fraction(2), Fraction(2), ITEM / "t")
+        if operator == "contents":
+            op = WindowContentsOperator(WindowContentsSpec(window), ITEM)
+        else:
+            spec = AggregationSpec(
+                function="sum",
+                aggregated_path=ITEM / "v",
+                window=window,
+                pre_selection=PredicateGraph(),
+                result_filter=PredicateGraph(),
+            )
+            capacity = 4 if operator == "aggregate-reordered" else 0
+            op = WindowAggregateOperator(spec, ITEM, reorder_capacity=capacity)
+        items = []
+        for i in range(16):
+            children = [Element("t", text=text if i == 10 else float(i)), Element("v", text=i)]
+            if store == "grouped" and i % 2:
+                children.append(Element("w", text=i))
+            items.append(element("item", *children).freeze())
+        batch = RowBatch(items) if store == "row" else encode_batch(items)
+        assert isinstance(batch, STORES[store])
+
+        def run():
+            op.process_columns(batch)
+            op.flush()
+
+        error = _outcome(run)
+        assert isinstance(error, EngineError)
+        assert "is not finite" in str(error)

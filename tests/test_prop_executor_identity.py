@@ -42,7 +42,7 @@ from hypothesis.stateful import (
 
 from repro.analysis import certify_system, flow_system, verify_system
 from repro.engine import DEFAULT_UDF_REGISTRY, clear_default_registry
-from repro.engine.executor import StreamSimulator
+from repro.engine.executor import SOURCE_BATCH, StreamSimulator
 from repro.engine.parallel import ShardedSimulator
 from repro.faults import (
     FaultSchedule,
@@ -215,10 +215,12 @@ class ExecutorIdentity(RuleBasedStateMachine):
     @initialize(
         kind=st.sampled_from(["regular", "mixed", "rows"]),
         cells=st.sampled_from([(2, 4), (4, 2)]),
-        batch_size=st.sampled_from([5, 16, 200]),
+        batch_sizes=st.lists(
+            st.sampled_from([5, 16, 64, 200]), min_size=2, max_size=2, unique=True
+        ),
         paper=st.booleans(),
     )
-    def build(self, kind, cells, batch_size, paper):
+    def build(self, kind, cells, batch_sizes, paper):
         def twin(workers, batch, traced):
             system = StreamGlobe(
                 example_topology(),
@@ -231,12 +233,13 @@ class ExecutorIdentity(RuleBasedStateMachine):
 
         #: The reference first: one cell, default batches, untraced.
         #: {one cell, several} x {untraced, traced}; the traced pair
-        #: shares a batch size, so their run logs are comparable.
+        #: runs at two other batch sizes, which the partition-free part
+        #: of their run logs must not tell apart either.
         self.twins = [
-            twin(1, 64, False),
-            twin(cells[0], 64, False),
-            twin(1, batch_size, True),
-            twin(cells[1], batch_size, True),
+            twin(1, SOURCE_BATCH, False),
+            twin(cells[0], SOURCE_BATCH, False),
+            twin(1, batch_sizes[0], True),
+            twin(cells[1], batch_sizes[1], True),
         ]
         if paper:
             # Figure 2: Q2 taps Q1's stream and Q4 re-aggregates Q3's,
