@@ -8,18 +8,14 @@ the paper's qualitative claims, and writes the rendered table into
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
 
 
 def write_result(name: str, content: str) -> None:
@@ -34,6 +30,7 @@ def _verified_runs(scenario):
     deployment (full size — the tier-1 suite covers reduced sizes)."""
     from repro.analysis import verify_system
     from repro.bench import run_scenario
+    from repro.sharing import STRATEGIES
 
     runs = {}
     for strategy in STRATEGIES:
@@ -60,30 +57,3 @@ def scenario2_runs():
     from repro.workload.scenarios import scenario_two
 
     return _verified_runs(scenario_two())
-
-
-@pytest.fixture(scope="session")
-def index_scale_runs():
-    """E12's workload — 250 template queries on the 3x3 grid, every
-    distinct text parsed once — registered through the availability
-    index and through the reference scan: ``{mode: (run, wall seconds)}``.
-    Session-scoped because two tables read it: the counts go to
-    ``index_scale.txt``, the same-run wall-clock ratio to
-    ``scalability.txt``."""
-    from repro.bench import run_scenario
-    from repro.workload.scenarios import scenario_grid
-    from repro.wxquery import parse_query
-
-    scenario = scenario_grid(3, 3, 250)
-    parsed = {text: parse_query(text) for text in {q.text for q in scenario.queries}}
-    scenario.queries = [
-        dataclasses.replace(spec, text=parsed[spec.text]) for spec in scenario.queries
-    ]
-    runs = {}
-    for mode, use_index in (("indexed", True), ("scan", False)):
-        start = time.perf_counter()
-        run = run_scenario(
-            scenario, "stream-sharing", use_index=use_index, execute=False
-        )
-        runs[mode] = (run, time.perf_counter() - start)
-    return runs

@@ -63,11 +63,3 @@ class TestGammaSweep:
             "ablation_gamma.txt",
             series_table("Metric", "scenario 1, stream sharing", series, precision=2),
         )
-
-
-def test_gamma_ablation_regeneration(benchmark):
-    def regenerate():
-        return run_scenario(scenario_one(), "stream-sharing", gamma=0.5, execute=False)
-
-    run = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert run.accepted == 25

@@ -91,13 +91,3 @@ def test_write_ablation_report(baseline_run):
         "ablation_sharing.txt",
         series_table("Metric", "scenario 1, stream sharing variants", series),
     )
-
-
-def test_sharing_ablation_regeneration(benchmark):
-    def regenerate():
-        return run_scenario(
-            scenario_one(), "stream-sharing", match_mode="closure", execute=False
-        )
-
-    run = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert run.accepted == 25

@@ -110,13 +110,3 @@ class TestWideningAblation:
             "ablation_widening.txt",
             series_table("Metric", "scenario 1, gamma=0.5", series),
         )
-
-
-def test_widening_regeneration(benchmark):
-    def regenerate():
-        return run_scenario(
-            scenario_one(), "stream-sharing", enable_widening=True, execute=False
-        )
-
-    run = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert run.accepted == 25

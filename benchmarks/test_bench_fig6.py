@@ -10,12 +10,8 @@
   less overall CPU than data shipping, and greatly reduces traffic.
 """
 
-import pytest
-
 from conftest import write_result
 from repro.bench import cpu_report, traffic_report
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
 
 SOURCE_PEER = "SP4"
 
@@ -69,13 +65,3 @@ class TestFigure6Shapes:
             "fig6.txt",
             cpu_report(scenario1_runs) + "\n\n" + traffic_report(scenario1_runs),
         )
-
-
-@pytest.mark.parametrize("strategy", ["data-shipping", "query-shipping", "stream-sharing"])
-def test_fig6_regeneration(benchmark, strategy):
-    """Benchmark the full Figure 6 regeneration for one strategy."""
-    scenario = scenario_one()
-    run = benchmark.pedantic(
-        run_scenario, args=(scenario, strategy), rounds=1, iterations=1
-    )
-    assert run.total_traffic_mbit() > 0

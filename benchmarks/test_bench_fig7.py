@@ -11,12 +11,8 @@ claims (Section 4):
   query-shipping peaks at the two stream source nodes.
 """
 
-import pytest
-
 from conftest import write_result
 from repro.bench import accumulated_traffic_report, cpu_report
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_two
 
 SOURCES = ("SP0", "SP15")
 
@@ -72,13 +68,3 @@ class TestFigure7Shapes:
             + "\n\n"
             + accumulated_traffic_report(scenario2_runs),
         )
-
-
-@pytest.mark.parametrize("strategy", ["stream-sharing"])
-def test_fig7_regeneration(benchmark, strategy):
-    """Benchmark the Figure 7 regeneration (sharing strategy)."""
-    scenario = scenario_two()
-    run = benchmark.pedantic(
-        run_scenario, args=(scenario, strategy), rounds=1, iterations=1
-    )
-    assert run.accepted == 100

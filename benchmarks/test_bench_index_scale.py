@@ -4,21 +4,48 @@ Algorithm 1 as the paper states it scans every stream available at a
 visited node; ``StreamAvailabilityIndex`` hands Algorithm 2 only the
 streams whose signature can match, one per distinct content.  The same
 250 pre-parsed template queries are registered on the 3x3 grid both
-ways (``conftest.index_scale_runs``).  The index is an optimization,
+ways (``index_scale_runs``).  The index is an optimization,
 never a behaviour change: every plan decision is equal, and what differs
 is how many candidates reach Algorithm 2 and how many placement
 variants are costed or skipped by the search's cost floor — exactly
 repeatable counts, written to ``index_scale.txt`` and compared byte for
 byte in CI.  The
 wall-clock ratio of the same run is asserted ``> 1`` here and written
-to the uncompared ``scalability.txt`` by ``test_bench_scalability.py``.
-The living throughput measurement is sharebench ``grid-register-800``.
+nowhere.  The living throughput measurement is sharebench
+``grid-register-800``.
 """
 
+import dataclasses
+import time
+
+import pytest
+
 from conftest import write_result
-from repro.bench import series_table
+from repro.bench import run_scenario, series_table
+from repro.workload.scenarios import scenario_grid
+from repro.wxquery import parse_query
 
 QUERIES = 250
+
+
+@pytest.fixture(scope="module")
+def index_scale_runs():
+    """The workload — 250 template queries on the 3x3 grid, every
+    distinct text parsed once — registered through the availability
+    index and through the reference scan: ``{mode: (run, wall seconds)}``."""
+    scenario = scenario_grid(3, 3, QUERIES)
+    parsed = {text: parse_query(text) for text in {q.text for q in scenario.queries}}
+    scenario.queries = [
+        dataclasses.replace(spec, text=parsed[spec.text]) for spec in scenario.queries
+    ]
+    runs = {}
+    for mode, use_index in (("indexed", True), ("scan", False)):
+        start = time.perf_counter()
+        run = run_scenario(
+            scenario, "stream-sharing", use_index=use_index, execute=False
+        )
+        runs[mode] = (run, time.perf_counter() - start)
+    return runs
 
 
 def decisions(run):

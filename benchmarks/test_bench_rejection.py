@@ -9,9 +9,10 @@ close to half).
 
 import pytest
 
-from conftest import STRATEGIES, write_result
+from conftest import write_result
 from repro.bench import rejection_report
 from repro.bench.harness import run_scenario
+from repro.sharing import STRATEGIES
 from repro.workload.scenarios import scenario_two
 
 CONSTRAINTS = dict(
@@ -58,12 +59,3 @@ class TestRejectionShapes:
 
     def test_write_report(self, rejection_runs):
         write_result("rejection.txt", rejection_report(rejection_runs))
-
-
-def test_rejection_regeneration(benchmark):
-    """Benchmark the rejection-study regeneration."""
-    def regenerate():
-        return run_scenario(scenario_two(), "stream-sharing", **CONSTRAINTS)
-
-    run = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert run.accepted >= 90

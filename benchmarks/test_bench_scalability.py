@@ -76,8 +76,7 @@ class TestScalability:
         for run in scaling_runs.values():
             assert verify_deployment(run.system.deployment).ok
 
-    def test_write_report(self, scaling_runs, index_scale_runs):
-        (_, indexed_s), (_, scan_s) = index_scale_runs.values()
+    def test_write_report(self, scaling_runs):
         series = {
             name: {
                 "avg visited nodes": avg_visited(run),
@@ -88,20 +87,5 @@ class TestScalability:
         }
         write_result(
             "scalability.txt",
-            series_table(
-                "Metric",
-                f"{QUERIES} queries, stream sharing; E12, 250 queries on 3x3: "
-                f"index {scan_s / indexed_s:.1f}x the scan's registrations/s, same run",
-                series,
-            ),
+            series_table("Metric", f"{QUERIES} queries, stream sharing", series),
         )
-
-
-def test_scalability_regeneration(benchmark):
-    def regenerate():
-        return run_scenario(
-            scenario_grid(4, 4, QUERIES), "stream-sharing", execute=False
-        )
-
-    run = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert run.accepted == QUERIES

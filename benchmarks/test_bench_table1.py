@@ -3,14 +3,17 @@
 Reproduced claim (Section 4): "The stream sharing approach stays within
 a factor of 3 of the other two much simpler approaches", in both
 scenarios, for average registration latency — acceptable because
-continuous queries stay registered for long periods.
+continuous queries stay registered for long periods.  The times come
+from the registration latency model (DESIGN.md §1), not a clock, so
+``table1.txt`` is pinned like every other table.
 """
 
 import pytest
 
-from conftest import STRATEGIES, write_result
+from conftest import write_result
 from repro.bench import registration_table
 from repro.bench.harness import run_scenario
+from repro.sharing import STRATEGIES
 from repro.workload.scenarios import scenario_one, scenario_two
 
 
@@ -60,15 +63,3 @@ class TestTable1Shapes:
 
     def test_write_report(self, registration_runs):
         write_result("table1.txt", registration_table(registration_runs))
-
-
-def test_table1_regeneration(benchmark):
-    """Benchmark the Table 1 regeneration (registration only)."""
-    def regenerate():
-        return {
-            strategy: run_scenario(scenario_one(), strategy, execute=False)
-            for strategy in STRATEGIES
-        }
-
-    runs = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    assert all(run.accepted == 25 for run in runs.values())

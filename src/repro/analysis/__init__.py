@@ -29,9 +29,6 @@ from .linter import lint_paths, lint_source
 from .plan_verifier import verify_deployment
 from .preflight import (
     build_churned_system,
-    build_flow_report,
-    build_shard_plan,
-    build_verified_system,
     certify_system,
     flow_system,
     verify_system,
@@ -69,9 +66,6 @@ __all__ = [
     "ShardPlan",
     "analyze_flow",
     "build_churned_system",
-    "build_flow_report",
-    "build_shard_plan",
-    "build_verified_system",
     "certify_shards",
     "certify_system",
     "check_content",

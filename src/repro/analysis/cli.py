@@ -14,13 +14,16 @@ Passes
 
 * ``--code`` lints the given files/directories (default ``src/repro``)
   with the repro-specific :mod:`~repro.analysis.linter` (L3xx);
-* ``--plan`` builds the paper's benchmark scenarios, registers their
+* ``--plan`` builds the paper's benchmark scenarios
+  (``--scenario`` takes a name of
+  :data:`~repro.workload.scenarios.SCENARIOS`), registers their
   workload (without pumping items) and runs the
   :func:`~repro.analysis.plan_verifier.verify_deployment` invariants
   (P1xx/T2xx) over the resulting deployments;
 * ``--flow`` runs the abstract interpreter
   (:func:`~repro.analysis.flow.analyze_flow`, F4xx) over the same
-  deployments;
+  deployments — each (scenario, strategy) is registered once, whatever
+  the passes;
 * ``--shards`` runs the shard-safety certifier
   (:func:`~repro.analysis.shards.certify_shards`, S5xx) and prints each
   deployment's :class:`~repro.analysis.shards.ShardPlan` as one
@@ -52,31 +55,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import AnalysisReport
 from .linter import lint_paths
 
 if TYPE_CHECKING:  # pragma: no cover - engine-side import kept lazy
-    from typing import Callable, Dict
-
-    from ..workload.scenarios import Scenario
     from .shards import ShardPlan
 
 __all__ = ["main"]
 
-_SCENARIOS = ("1", "2", "grid")
+#: What --plan/--flow/--shards register without --scenario: the
+#: fault-free scenarios (--churn replays the faulted one).
+_DEFAULT_SCENARIOS = ("1", "2", "grid")
 _DEFAULT_CODE_PATHS = (os.path.join("src", "repro"),)
-
-
-def _scenario_builders() -> "Dict[str, Callable[[], Scenario]]":
-    from ..workload.scenarios import scenario_grid, scenario_one, scenario_two
-
-    return {
-        "1": scenario_one,
-        "2": scenario_two,
-        "grid": lambda: scenario_grid(rows=3, cols=3, query_count=24),
-    }
 
 
 def _code_report(paths: Sequence[str]) -> AnalysisReport:
@@ -122,81 +114,69 @@ def _has_python_files(paths: Sequence[str]) -> bool:
     return False
 
 
-def _plan_reports(
-    scenarios: Sequence[str], strategies: Optional[Sequence[str]]
-) -> List[AnalysisReport]:
-    # Imported lazily: --code must work even if the engine side is broken.
-    from ..sharing.subscribe import STRATEGIES
-    from .preflight import build_verified_system
-
-    builders = _scenario_builders()
-    reports = []
-    for key in scenarios:
-        scenario = builders[key]()
-        for strategy in strategies or list(STRATEGIES):
-            title = f"plan verification: scenario {key}, strategy {strategy!r}"
-            reports.append(build_verified_system(scenario, strategy, title=title))
-            if (key, strategy) == ("1", "stream-sharing"):
-                # Widening rewrites installed streams in place: the one
-                # deployment shape no other scenario produces.
-                reports.append(
-                    build_verified_system(
-                        scenario,
-                        strategy,
-                        title=f"{title}, widening enabled",
-                        enable_widening=True,
-                    )
-                )
-    return reports
-
-
-def _flow_reports(
-    scenarios: Sequence[str], strategies: Optional[Sequence[str]]
-) -> List[AnalysisReport]:
-    from ..sharing.subscribe import STRATEGIES
-    from .preflight import build_flow_report
-
-    builders = _scenario_builders()
-    reports = []
-    for key in scenarios:
-        scenario = builders[key]()
-        for strategy in strategies or list(STRATEGIES):
-            title = f"flow analysis: scenario {key}, strategy {strategy!r}"
-            reports.append(build_flow_report(scenario, strategy, title=title))
-    return reports
-
-
-def _shard_reports(
-    scenarios: Sequence[str], strategies: Optional[Sequence[str]]
+def _scenario_reports(
+    scenarios: Sequence[str],
+    strategies: Optional[Sequence[str]],
+    passes: Tuple[str, ...],
 ) -> Tuple[List[AnalysisReport], List[Tuple[str, str, "ShardPlan"]]]:
-    from ..sharing.subscribe import STRATEGIES
-    from .preflight import build_shard_plan
+    """Register each (scenario, strategy) once and run ``passes`` on it.
 
-    builders = _scenario_builders()
-    reports: List[AnalysisReport] = []
+    The reports come back grouped by pass, in the order of ``passes``.
+    """
+    # Imported lazily: --code must work even if the engine side is broken.
+    from ..bench.harness import run_scenario
+    from ..sharing.subscribe import STRATEGIES
+    from ..workload.scenarios import SCENARIOS
+    from .preflight import certify_system, flow_system, verify_system
+
+    by_pass: Dict[str, List[AnalysisReport]] = {name: [] for name in passes}
     plans: List[Tuple[str, str, "ShardPlan"]] = []
     for key in scenarios:
-        scenario = builders[key]()
-        for strategy in strategies or list(STRATEGIES):
-            title = f"shard certification: scenario {key}, strategy {strategy!r}"
-            plan, report = build_shard_plan(scenario, strategy, title=title)
-            reports.append(report)
-            plans.append((key, strategy, plan))
-    return reports, plans
+        scenario = SCENARIOS[key]()
+        for strategy in strategies or STRATEGIES:
+            system = run_scenario(scenario, strategy, execute=False).system
+            where = f"scenario {key}, strategy {strategy!r}"
+            if "plan" in passes:
+                by_pass["plan"].append(
+                    verify_system(system, title=f"plan verification: {where}")
+                )
+                if (key, strategy) == ("1", "stream-sharing"):
+                    # Widening rewrites installed streams in place: the one
+                    # deployment shape no other scenario produces.
+                    widened = run_scenario(
+                        scenario, strategy, enable_widening=True, execute=False
+                    ).system
+                    by_pass["plan"].append(
+                        verify_system(
+                            widened,
+                            title=f"plan verification: {where}, widening enabled",
+                        )
+                    )
+            if "flow" in passes:
+                by_pass["flow"].append(
+                    flow_system(system, title=f"flow analysis: {where}")
+                )
+            if "shards" in passes:
+                plan, shard_report = certify_system(
+                    system, title=f"shard certification: {where}"
+                )
+                by_pass["shards"].append(shard_report)
+                plans.append((key, strategy, plan))
+    return [report for name in passes for report in by_pass[name]], plans
 
 
 def _churn_reports(
     strategies: Optional[Sequence[str]], passes: Tuple[str, ...]
 ) -> List[AnalysisReport]:
     from ..sharing.subscribe import STRATEGIES
-    from ..workload.scenarios import scenario_churn
+    from ..workload.scenarios import SCENARIOS
     from .preflight import build_churned_system
 
     reports: List[AnalysisReport] = []
-    for strategy in strategies or list(STRATEGIES):
+    for strategy in strategies or STRATEGIES:
         reports.extend(
             build_churned_system(
-                scenario_churn(),
+                SCENARIOS["churn"](),
                 strategy,
                 title=f"churn verification, strategy {strategy!r}",
                 passes=passes,
@@ -206,6 +186,8 @@ def _churn_reports(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from ..workload.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis gates: source lint, plan verifier, "
@@ -248,10 +230,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=_SCENARIOS,
+        choices=SCENARIOS,
         action="append",
         help="restrict plan/flow/shards to one scenario (repeatable; "
-        "default: all)",
+        "default: 1, 2 and grid)",
     )
     parser.add_argument(
         "--strategy",
@@ -283,26 +265,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"pick from {', '.join(STRATEGIES)}"
             )
 
-    scenarios = args.scenario or _SCENARIOS
     reports: List[AnalysisReport] = []
     if run_code:
         paths = args.code if args.code else list(_DEFAULT_CODE_PATHS)
         reports.append(_code_report(paths))
-    if run_plan:
-        reports.extend(_plan_reports(scenarios, args.strategy))
-    if run_flow:
-        reports.extend(_flow_reports(scenarios, args.strategy))
-    if run_shards:
-        shard_reports, plans = _shard_reports(scenarios, args.strategy)
-        reports.extend(shard_reports)
+    passes = tuple(
+        name
+        for name, wanted in (("plan", run_plan), ("flow", run_flow), ("shards", run_shards))
+        if wanted
+    )
+    if passes:
+        scenario_reports, plans = _scenario_reports(
+            args.scenario or _DEFAULT_SCENARIOS, args.strategy, passes
+        )
+        reports.extend(scenario_reports)
         for key, strategy, plan in plans:
             print(f"SHARD-PLAN {key} {strategy} {plan.to_json()}")
         if args.shard_plan_out and plans:
             with open(args.shard_plan_out, "w", encoding="utf-8") as handle:
                 handle.write(plans[-1][2].to_json() + "\n")
     if run_churn:
-        churn_passes: Tuple[str, ...] = ("plan", "flow", "shards")
-        reports.extend(_churn_reports(args.strategy, churn_passes))
+        reports.extend(_churn_reports(args.strategy, ("plan", "flow", "shards")))
 
     failed = False
     for report in reports:

@@ -2,18 +2,16 @@
 
 Entry points per pass:
 
-* :func:`verify_system` / :func:`build_verified_system` — the P1xx/T2xx
-  plan verifier (``--plan``);
-* :func:`flow_system` / :func:`build_flow_report` — the F4xx abstract
-  interpreter (``--flow``);
-* :func:`certify_system` / :func:`build_shard_plan` — the S5xx shard
-  certifier (``--shards``);
+* :func:`verify_system` — the P1xx/T2xx plan verifier (``--plan``);
+* :func:`flow_system` — the F4xx abstract interpreter (``--flow``);
+* :func:`certify_system` — the S5xx shard certifier (``--shards``);
 * :func:`build_churned_system` — replay a scenario's fault schedule and
   run the requested passes after every repair (``--churn``, and the
   certificate re-validation gate for ``--flow``/``--shards``).
 
-The ``build_*`` variants register a scenario's full workload *without
-executing it* — they are what ``python -m repro.analysis`` runs in CI.
+``python -m repro.analysis`` registers each scenario's full workload
+*without executing it* (:func:`~repro.bench.harness.run_scenario` with
+``execute=False``) and runs every requested pass on that one system.
 All passes are span-traced through the system's recorder
 (``analysis.flow`` / ``analysis.shards`` spans).
 """
@@ -33,9 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "build_churned_system",
-    "build_flow_report",
-    "build_shard_plan",
-    "build_verified_system",
     "certify_system",
     "flow_system",
     "verify_system",
@@ -67,43 +62,6 @@ def certify_system(
     )
 
 
-def _build_system(
-    scenario: "Scenario", strategy: str, enable_widening: bool = False
-) -> "StreamGlobe":
-    """Register a scenario's full workload without executing it."""
-    from ..sharing.system import StreamGlobe
-
-    system = StreamGlobe(
-        scenario.build_network(), strategy=strategy, enable_widening=enable_widening
-    )
-    scenario.register_on(system)
-    return system
-
-
-def build_verified_system(
-    scenario: "Scenario",
-    strategy: str,
-    title: str = "plan verification",
-    enable_widening: bool = False,
-) -> AnalysisReport:
-    """Register ``scenario`` under ``strategy`` and verify the deployment."""
-    return verify_system(_build_system(scenario, strategy, enable_widening), title=title)
-
-
-def build_flow_report(
-    scenario: "Scenario", strategy: str, title: str = "flow analysis"
-) -> AnalysisReport:
-    """Register ``scenario`` under ``strategy`` and run the flow pass."""
-    return flow_system(_build_system(scenario, strategy), title=title)
-
-
-def build_shard_plan(
-    scenario: "Scenario", strategy: str, title: str = "shard certification"
-) -> Tuple[ShardPlan, AnalysisReport]:
-    """Register ``scenario`` under ``strategy`` and certify its shards."""
-    return certify_system(_build_system(scenario, strategy), title=title)
-
-
 def build_churned_system(
     scenario: "Scenario",
     strategy: str,
@@ -125,7 +83,9 @@ def build_churned_system(
     unknown = set(passes) - {"plan", "flow", "shards"}
     if unknown:
         raise ValueError(f"unknown churn passes: {sorted(unknown)}")
-    system = _build_system(scenario, strategy)
+    from ..bench.harness import run_scenario
+
+    system = run_scenario(scenario, strategy, execute=False).system
     last_plan: Optional[ShardPlan] = None
     reports: List[AnalysisReport] = []
     for event in scenario.faults.events():

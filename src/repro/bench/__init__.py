@@ -4,9 +4,7 @@ from .harness import ScenarioRun, run_scenario, scale_network
 from .report import (
     STRATEGY_LABELS,
     accumulated_traffic_report,
-    cache_report,
     cpu_report,
-    planner_phase_report,
     registration_table,
     rejection_report,
     series_table,
@@ -17,9 +15,7 @@ __all__ = [
     "STRATEGY_LABELS",
     "ScenarioRun",
     "accumulated_traffic_report",
-    "cache_report",
     "cpu_report",
-    "planner_phase_report",
     "registration_table",
     "rejection_report",
     "run_scenario",

@@ -92,27 +92,6 @@ class ScenarioRun:
         assert self.metrics is not None
         return self.metrics.total_mbit()
 
-    def cache_hit_rates(self) -> Dict[str, float]:
-        """Hit rate per control-plane cache (always available)."""
-        return {
-            name: stats["hit_rate"]
-            for name, stats in self.system.cache_stats().items()
-        }
-
-    def planner_phase_seconds(self) -> Dict[str, float]:
-        """Total wall seconds per control-plane span name.
-
-        Empty unless the run was traced (a :class:`~repro.obs.Recorder`
-        was handed to :func:`run_scenario`).
-        """
-        recorder = self.system.recorder
-        if not recorder.enabled:
-            return {}
-        return {
-            name: totals["total_s"]
-            for name, totals in recorder.span_totals().items()
-        }
-
 
 def run_scenario(
     scenario: Scenario,
@@ -133,7 +112,8 @@ def run_scenario(
     """Register a scenario's workload under ``strategy`` and execute it.
 
     ``execute=False`` skips the measured simulation (used by
-    registration-only experiments like Table 1 and the rejection study).
+    registration-only experiments like Table 1 and the rejection study,
+    and by the analysis passes of ``python -m repro.analysis``).
 
     ``recorder`` — an optional :class:`~repro.obs.Recorder` handed to
     the system, capturing control-plane spans and the data-plane epoch

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..obs.export import PLANNER_SPAN_ORDER, format_table
+from ..obs.export import format_table
 from .harness import ScenarioRun
 
 STRATEGY_LABELS = {
@@ -85,56 +85,6 @@ def registration_table(
                 row.append(f"{stats[scenario][index]:.0f}")
         rows.append(row)
     return format_table(header, rows) + "\n(Query registration times, ms)"
-
-
-def cache_report(runs: Dict[str, ScenarioRun]) -> str:
-    """Control-plane cache effectiveness: hit rate per cache × strategy.
-
-    Always available — the cache counters are kept regardless of
-    tracing (DESIGN.md §10).
-    """
-    rates = {strategy: run.cache_hit_rates() for strategy, run in runs.items()}
-    caches: List[str] = []
-    for per_cache in rates.values():
-        for name in per_cache:
-            if name not in caches:
-                caches.append(name)
-    header = ["Cache"] + [STRATEGY_LABELS.get(s, s) for s in runs]
-    rows = [
-        [cache]
-        + [
-            f"{rates[s][cache] * 100.0:.1f}" if cache in rates[s] else "-"
-            for s in runs
-        ]
-        for cache in caches
-    ]
-    return format_table(header, rows) + "\n(Cache hit rate, %)"
-
-
-def planner_phase_report(runs: Dict[str, ScenarioRun]) -> str:
-    """Per-phase planner wall time (ms) per strategy.
-
-    Only traced runs (a Recorder handed to ``run_scenario``) carry span
-    timings; untraced strategies render as ``-``.
-    """
-    totals = {strategy: run.planner_phase_seconds() for strategy, run in runs.items()}
-    phases = [p for p in PLANNER_SPAN_ORDER if any(p in t for t in totals.values())]
-    for per_phase in totals.values():
-        for name in per_phase:
-            if name not in phases:
-                phases.append(name)
-    if not phases:
-        return "planner phase timings: none (no traced run; pass a Recorder)"
-    header = ["Phase"] + [STRATEGY_LABELS.get(s, s) for s in runs]
-    rows = [
-        [phase]
-        + [
-            f"{totals[s][phase] * 1000.0:.1f}" if phase in totals[s] else "-"
-            for s in runs
-        ]
-        for phase in phases
-    ]
-    return format_table(header, rows) + "\n(Planner phase wall time, ms)"
 
 
 def rejection_report(runs: Dict[str, ScenarioRun]) -> str:

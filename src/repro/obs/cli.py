@@ -354,25 +354,11 @@ def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> N
 # ----------------------------------------------------------------------
 # record
 # ----------------------------------------------------------------------
-def _build_scenario(name: str) -> Any:
-    from ..workload import scenarios
-
-    if name == "churn":
-        return scenarios.scenario_churn()
-    if name == "churn-smoke":
-        return scenarios.scenario_churn(rows=2, cols=2, query_count=4, duration=12.0,
-                                        crash_peer="SP1", crash_at=4.0, rejoin_at=8.0)
-    if name == "one":
-        return scenarios.scenario_one()
-    if name == "grid":
-        return scenarios.scenario_grid()
-    raise SystemExit(f"unknown scenario {name!r} (try: churn, churn-smoke, one, grid)")
-
-
 def record(args: argparse.Namespace) -> None:
     from ..bench.harness import run_scenario
+    from ..workload.scenarios import SCENARIOS
 
-    scenario = _build_scenario(args.scenario)
+    scenario = SCENARIOS[args.scenario]()
     recorder = Recorder()
     run = run_scenario(
         scenario, args.strategy, recorder=recorder, workers=args.workers
@@ -422,9 +408,10 @@ def serve(args: argparse.Namespace) -> None:
     ``/slo.json`` records refresh at every observed epoch barrier.
     """
     from ..sharing.system import StreamGlobe
+    from ..workload.scenarios import SCENARIOS
     from .serve import MetricsServer
 
-    scenario = _build_scenario(args.scenario)
+    scenario = SCENARIOS[args.scenario]()
     recorder = Recorder()
     system = StreamGlobe(
         scenario.build_network(), strategy=args.strategy, recorder=recorder
@@ -470,14 +457,17 @@ def serve(args: argparse.Namespace) -> None:
 # entry point
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from ..workload.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description="Run introspection for repro."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("record", help="run a scenario traced and write a JSONL run log")
-    p.add_argument("--scenario", default="churn",
-                   help="churn | churn-smoke | one | grid (default: churn)")
+    p.add_argument("--scenario", default="churn", choices=SCENARIOS,
+                   help="a name of repro.workload.scenarios.SCENARIOS "
+                        "(default: churn)")
     p.add_argument("--strategy", default="stream-sharing")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="execute on the sharded data plane with N worker "
@@ -507,8 +497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="execute a scenario while serving live /metrics, /healthz "
              "and /slo.json",
     )
-    p.add_argument("--scenario", default="churn",
-                   help="churn | churn-smoke | one | grid (default: churn)")
+    p.add_argument("--scenario", default="churn", choices=SCENARIOS,
+                   help="a name of repro.workload.scenarios.SCENARIOS "
+                        "(default: churn)")
     p.add_argument("--strategy", default="stream-sharing")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="execute on the sharded data plane with N worker cells")

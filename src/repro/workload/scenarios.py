@@ -16,7 +16,8 @@ the one place a description becomes registrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..faults import FaultSchedule, LinkFailure, SuperPeerCrash, SuperPeerRejoin
 from ..network.topology import Network, example_topology, grid_topology
@@ -365,3 +366,18 @@ def scenario_two(seed: int = 20060327, query_count: int = 100) -> Scenario:
         queries=rng_queries,
         duration=60.0,
     )
+
+
+#: The scenarios the command-line tools run, by the name their
+#: ``--scenario`` option takes (``python -m repro.analysis``,
+#: ``python -m repro.obs record|serve``).
+SCENARIOS: Dict[str, Callable[[], Scenario]] = {
+    "1": scenario_one,
+    "2": scenario_two,
+    "grid": partial(scenario_grid, rows=3, cols=3, query_count=24),
+    "churn": scenario_churn,
+    "churn-smoke": partial(
+        scenario_churn, rows=2, cols=2, query_count=4, duration=12.0,
+        crash_peer="SP1", crash_at=4.0, rejoin_at=8.0,
+    ),
+}

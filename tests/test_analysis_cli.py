@@ -123,3 +123,27 @@ def test_churn_pass_revalidates_certificates(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.strip() == "OK"
+
+
+def test_every_pass_reads_one_registration(monkeypatch, capsys):
+    """--plan --flow --shards registers each (scenario, strategy) once,
+    plus scenario 1 with widening enabled for the plan pass."""
+    from repro.bench import harness
+    from repro.sharing import STRATEGIES
+
+    register = harness.run_scenario
+    calls = []
+
+    def counted(scenario, strategy, **options):
+        calls.append((scenario.name, strategy, options.get("enable_widening", False)))
+        return register(scenario, strategy, **options)
+
+    monkeypatch.setattr(harness, "run_scenario", counted)
+    assert main(["--plan", "--flow", "--shards", "--quiet"]) == 0
+    expected = [
+        (scenario, strategy, False)
+        for scenario in ("scenario-1", "scenario-2", "grid-3x3")
+        for strategy in STRATEGIES
+    ]
+    expected.insert(3, ("scenario-1", "stream-sharing", True))
+    assert calls == expected

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import build_churned_system, build_verified_system
+from repro.analysis import build_churned_system, verify_system
+from repro.bench import run_scenario
 from repro.sharing import STRATEGIES
 from repro.workload.scenarios import (
     scenario_churn,
@@ -19,21 +20,25 @@ from repro.workload.scenarios import (
 )
 
 
+def _verified(scenario, strategy):
+    return verify_system(run_scenario(scenario, strategy, execute=False).system)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_scenario_one_verifies_clean(strategy):
-    report = build_verified_system(scenario_one(query_count=10), strategy)
+    report = _verified(scenario_one(query_count=10), strategy)
     assert report.ok, report.render()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_scenario_two_verifies_clean(strategy):
-    report = build_verified_system(scenario_two(query_count=16), strategy)
+    report = _verified(scenario_two(query_count=16), strategy)
     assert report.ok, report.render()
 
 
 def test_grid_scenario_verifies_clean():
     scenario = scenario_grid(rows=3, cols=3, query_count=12)
-    report = build_verified_system(scenario, "stream-sharing")
+    report = _verified(scenario, "stream-sharing")
     assert report.ok, report.render()
 
 

@@ -16,11 +16,8 @@ from repro.analysis import (
     operator_effect,
     stream_effect,
 )
-from repro.analysis.preflight import (
-    build_churned_system,
-    build_shard_plan,
-    certify_system,
-)
+from repro.analysis.preflight import build_churned_system, certify_system
+from repro.bench import run_scenario
 from repro.network.topology import Network
 from repro.predicates import PredicateGraph
 from repro.properties import (
@@ -45,6 +42,11 @@ TWO_STREAM_QUERY = """
         for $q in stream("right")/photons/photon
         return <both> { $p/en } { $q/en } </both> }</pair>
 """
+
+
+def _shard_plan(scenario):
+    system = run_scenario(scenario, "stream-sharing", execute=False).system
+    return certify_system(system)
 
 
 def _aggregation(window):
@@ -132,7 +134,7 @@ def test_unknown_kind_reports_s501(catalog):
 # ----------------------------------------------------------------------
 def test_grid_scenario_certifies_multiple_shards():
     scenario = scenario_grid(rows=3, cols=3, query_count=24)
-    plan, report = build_shard_plan(scenario, "stream-sharing")
+    plan, report = _shard_plan(scenario)
     assert report.ok, report.render()
     assert plan.certified
     assert plan.shard_count >= 2  # the acceptance bar: real parallelism
@@ -146,13 +148,13 @@ def test_grid_scenario_certifies_multiple_shards():
 
 def test_paper_scenario_partition_is_deterministic():
     scenario = scenario_one()
-    first, _ = build_shard_plan(scenario, "stream-sharing")
-    second, _ = build_shard_plan(scenario_one(), "stream-sharing")
+    first, _ = _shard_plan(scenario)
+    second, _ = _shard_plan(scenario_one())
     assert first.to_json() == second.to_json()
 
 
 def test_shard_plan_json_schema():
-    plan, _ = build_shard_plan(scenario_grid(rows=3, cols=3, query_count=24), "stream-sharing")
+    plan, _ = _shard_plan(scenario_grid(rows=3, cols=3, query_count=24))
     data = json.loads(plan.to_json())
     assert data["version"] == 1
     assert data["network_version"] == plan.network_version
@@ -177,7 +179,7 @@ def test_shard_plan_json_schema():
 
 
 def test_cut_edges_connect_distinct_shards():
-    plan, _ = build_shard_plan(scenario_grid(rows=3, cols=3, query_count=24), "stream-sharing")
+    plan, _ = _shard_plan(scenario_grid(rows=3, cols=3, query_count=24))
     assert plan.cut_edges  # a 3×3 grid with local queries always cuts
     for edge in plan.cut_edges:
         assert plan.shard_of(edge.link[0]) == edge.from_shard
@@ -394,7 +396,6 @@ def test_partition_is_independent_of_the_hash_seed():
 def test_refinement_cuts_handovers_within_the_lpt_load_guarantee():
     from repro.analysis import partition_for_workers
     from repro.analysis.shards import _handovers, shard_weights
-    from repro.bench.harness import run_scenario
     from repro.workload.scenarios import scenario_two
 
     system = run_scenario(scenario_two(), "stream-sharing", execute=False).system

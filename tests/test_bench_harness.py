@@ -8,9 +8,7 @@ import pytest
 
 from repro.bench import (
     ScenarioRun,
-    cache_report,
     cpu_report,
-    planner_phase_report,
     registration_table,
     rejection_report,
     run_scenario,
@@ -104,45 +102,6 @@ class TestReports:
     def test_rejection_report(self, small_runs):
         report = rejection_report(small_runs)
         assert "Accepted" in report
-
-
-class TestObservabilityReports:
-    def test_cache_hit_rates_always_available(self, small_runs):
-        rates = small_runs["stream-sharing"].cache_hit_rates()
-        assert set(rates) == {"route", "rate", "match", "analysis"}
-        assert all(0.0 <= rate <= 1.0 for rate in rates.values())
-
-    def test_cache_report_renders(self, small_runs):
-        report = cache_report(small_runs)
-        assert "Cache hit rate" in report
-        assert "route" in report and "Stream Sharing" in report
-
-    def test_planner_phase_seconds_empty_when_untraced(self, small_scenario):
-        run = run_scenario(small_scenario, "stream-sharing", execute=False)
-        assert run.planner_phase_seconds() == {}
-
-    def test_planner_phase_report_needs_a_trace(self, small_scenario):
-        runs = {
-            "stream-sharing": run_scenario(
-                small_scenario, "stream-sharing", execute=False
-            )
-        }
-        assert "none" in planner_phase_report(runs)
-
-    def test_planner_phase_report_on_traced_run(self, small_scenario):
-        from repro.obs import Recorder
-
-        runs = {
-            "stream-sharing": run_scenario(
-                small_scenario, "stream-sharing", execute=False, recorder=Recorder()
-            )
-        }
-        phases = runs["stream-sharing"].planner_phase_seconds()
-        for name in ("register", "parse", "analyze", "plan", "search", "commit"):
-            assert phases[name] > 0.0
-        report = planner_phase_report(runs)
-        assert "Planner phase wall time" in report
-        assert report.index("register") < report.index("search")
 
 
 class TestEmptyScenario:

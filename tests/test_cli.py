@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.workload.scenarios import SCENARIOS
 from tests.conftest import PAPER_QUERIES
 
 
@@ -63,32 +64,24 @@ class TestWXQueryCli:
         assert "raw" in output
 
 
-class TestBenchCli:
-    def test_rejection_command_runs(self, capsys):
-        from repro.bench.__main__ import main
+class TestScenarioNames:
+    """One table names the scenarios of both run-driving tools."""
 
-        assert main(["rejection"]) == 0
-        output = capsys.readouterr().out
-        assert "Stream Sharing" in output
-        assert "Rejected" in output
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_every_name_runs_on_both_tools(self, name, tmp_path, monkeypatch, capsys):
+        from repro.analysis.cli import main as analysis_main
+        from repro.obs import cli as obs_cli
+        from repro.obs.export import load_jsonl
 
-    def test_table1_command_runs(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["table1"]) == 0
-        output = capsys.readouterr().out
-        assert "Query registration times" in output
-
-    def test_caches_command_runs(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["caches"]) == 0
-        output = capsys.readouterr().out
-        assert "Cache hit rate" in output
-        assert "Planner phase wall time" in output
-
-    def test_unknown_experiment_rejected(self):
-        from repro.bench.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["figure99"])
+        scenario = SCENARIOS[name]()
+        assert scenario.queries
+        assert analysis_main(
+            ["--plan", "--scenario", name, "--strategy", "stream-sharing", "--quiet"]
+        ) == 0
+        log = tmp_path / "run.jsonl"
+        assert obs_cli.main(["record", "--scenario", name, "-o", str(log)]) == 0
+        assert load_jsonl(str(log)).meta["scenario"] == scenario.name
+        served = []
+        monkeypatch.setattr(obs_cli, "serve", lambda args: served.append(args.scenario))
+        assert obs_cli.main(["serve", "--scenario", name]) == 0
+        assert served == [name]

@@ -4,15 +4,19 @@ Every backticked ``repro.*`` dotted name, ``REPRO_*`` variable,
 ``path/file.py`` and CI job name quoted in DESIGN.md, README.md and
 EXPERIMENTS.md must resolve against the tree: the module imports and
 has the attribute, the variable is read somewhere under ``src/repro``,
-the file is in the tree, the job is defined in the workflow.  History
-belongs in CHANGES.md, so a name the documents still use is a name the
-tree still has.
+the file is in the tree, the job is defined in the workflow.  Every
+``python -m <module>`` command, in code blocks too, must name a module
+that imports and runs as a program (a package with a ``__main__``).
+History belongs in CHANGES.md, so a name the documents still use is a
+name the tree still has.
 
 ``benchmarks/sharebench/README.md`` is not checked: feature PRs may not
 edit the benchmark's directory, and it still names ``REPRO_COLUMNAR``.
 """
 
 import importlib
+import importlib.util
+import inspect
 import os
 import re
 
@@ -26,6 +30,7 @@ _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _VARIABLE = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
 _FILE = re.compile(r"[\w.\-]+(?:/[\w.\-]+)+\.(?:py|json|md|txt|yml|toml)\b")
 _JOB = re.compile(r"`([a-z][a-z0-9-]*)`\s+job\b")
+_COMMAND = re.compile(r"\bpython3? -m ([A-Za-z_][\w.]*)")
 
 
 def _tree_files():
@@ -78,6 +83,18 @@ def _resolves(dotted):
     return False
 
 
+def _runs_as_main(name):
+    """``python -m name`` would run: the module imports, and a package
+    has a ``__main__`` submodule, a plain module a ``__main__`` guard."""
+    try:
+        module = importlib.import_module(name)
+    except ImportError:
+        return False
+    if hasattr(module, "__path__"):
+        return importlib.util.find_spec(f"{name}.__main__") is not None
+    return "__main__" in inspect.getsource(module)
+
+
 def dangling_names(text, files, variables, jobs):
     """``(line, kind, name)`` for every quoted name that resolves to
     nothing."""
@@ -105,6 +122,9 @@ def dangling_names(text, files, variables, jobs):
     for job in _JOB.finditer(text):
         if job.group(1) not in jobs:
             dangling.append((line_of(job.start()), "CI job", job.group(1)))
+    for command in _COMMAND.finditer(text):
+        if not _runs_as_main(command.group(1)):
+            dangling.append((line_of(command.start()), "command", command.group(1)))
     return dangling
 
 
@@ -122,16 +142,25 @@ def test_every_quoted_name_resolves(document):
 
 def test_the_resolver_notices_a_renamed_module():
     """The mutation check, kept: a name one letter off is dangling, as
-    is a job the workflow does not define."""
+    is a job the workflow does not define, a misspelled module and a
+    package that cannot run as a program."""
     files = _tree_files()
     text = (
         "`repro.engine.executor` and `repro.engine.executer.StreamSimulator`,\n"
         "`REPRO_PARALLEL` (no variable is read), `tests/conftest.py` and\n"
-        "`tests/conftests.py`; the `test` job and the `bench-micro` job."
+        "`tests/conftests.py`; the `test` job and the `bench-micro` job.\n"
+        "```bash\n"
+        "python -m repro.analysis --plan\n"
+        "PYTHONPATH=src python -m repro.anaylsis --plan\n"
+        "python3 -m repro.bench --workers 2\n"
+        "python -m json.tool\n"
+        "```"
     )
     assert dangling_names(text, files, _source_variables(files), _ci_jobs()) == [
         (1, "name", "repro.engine.executer.StreamSimulator"),
         (2, "variable", "REPRO_PARALLEL"),
         (3, "file", "tests/conftests.py"),
         (3, "CI job", "bench-micro"),
+        (6, "command", "repro.anaylsis"),
+        (7, "command", "repro.bench"),
     ]
