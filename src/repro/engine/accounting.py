@@ -138,7 +138,6 @@ def replay_metrics(
     queries_repaired: int = 0,
     queries_lost: int = 0,
     migrations_applied: int = 0,
-    migration_downtime_epochs: int = 0,
 ) -> RunMetrics:
     """Replay accumulated counters into :class:`RunMetrics`.
 
@@ -207,7 +206,6 @@ def replay_metrics(
     metrics.queries_repaired = queries_repaired
     metrics.queries_lost = queries_lost
     metrics.migrations_applied = migrations_applied
-    metrics.migration_downtime_epochs = migration_downtime_epochs
     return metrics
 
 

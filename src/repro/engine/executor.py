@@ -102,6 +102,10 @@ from .restructure import Restructurer
 #: invisible to every output.
 SOURCE_BATCH = 512
 
+#: Evenly spaced time-series sampling boundaries a traced or rebalanced
+#: run is split into (faults add their own boundaries).
+EPOCH_SAMPLES = 8
+
 
 class ItemGenerator(Protocol):
     """Anything that produces stream items on a virtual clock."""
@@ -907,7 +911,7 @@ def _make_op_timer(recorder: Any) -> Callable[[PrefixStage, int, float], None]:
     epoch boundaries instead: timer-side counts bill a shared trie
     stage once per *evaluation*, which depends on how sibling pipelines
     land in cells — billed totals are partition-invariant, so a run's
-    counters are the same over one cell or many (DESIGN.md §15).
+    counters are the same over one cell or many (DESIGN.md §12).
     """
 
     def op_timer(stage: PrefixStage, inputs: int, seconds: float) -> None:
@@ -978,16 +982,13 @@ class StreamSimulator:
         fault-equivalence tests compare these item-for-item.
     recorder:
         Optional :class:`~repro.obs.Recorder`.  When enabled, the run
-        is split into epochs (``epoch_samples`` fixed boundaries plus
+        is split into epochs (:data:`EPOCH_SAMPLES` fixed boundaries plus
         every fault/recovery boundary) and one
         :class:`~repro.obs.EpochSnapshot` per epoch is emitted, along
         with per-operator latency histograms and item counters.  The
         default is the shared no-op recorder: every instrumentation
         site then costs a single attribute or ``None`` check
         (DESIGN.md §10).
-    epoch_samples:
-        Number of evenly spaced time-series sampling boundaries a
-        traced run is split into (faults add their own boundaries).
     rebalancer:
         Optional :class:`~repro.sharing.rebalance.Rebalancer`.  When
         given, the run is sampled like a traced one and the rebalancer
@@ -997,8 +998,7 @@ class StreamSimulator:
         pipelines against the rewritten deployment exactly like churn
         repair — but with an already *open* delivery gate, since the
         epoch boundary is quiescent and the rewrite is make-before-
-        break (``migration_downtime_epochs`` stays 0 and no items are
-        lost; the conservation tests pin both).
+        break (no items are lost; the conservation tests pin it).
 
     A run is one control loop over its cells (DESIGN.md §7): it
     installs the plan, advances the cells from boundary to boundary,
@@ -1028,7 +1028,6 @@ class StreamSimulator:
         repair: Optional[Callable[..., Any]] = None,
         capture: Optional[Callable[[str, Element], None]] = None,
         recorder: Optional[Any] = None,
-        epoch_samples: int = 8,
         rebalancer: Optional[Any] = None,
     ) -> None:
         if duration <= 0:
@@ -1045,7 +1044,6 @@ class StreamSimulator:
         self.repair = repair
         self.capture = capture
         self.recorder: Any = recorder if recorder is not None else NULL_RECORDER
-        self.epoch_samples = epoch_samples
         self.rebalancer: Any = rebalancer
         self.mode_used = "sequential"
         self.workers_used = 1
@@ -1227,7 +1225,7 @@ class StreamSimulator:
 
         Boundaries are the scheduled fault times plus each repair's
         recovery completion (when its gated deliveries reopen); a
-        traced or rebalanced run adds ``epoch_samples`` evenly spaced
+        traced or rebalanced run adds :data:`EPOCH_SAMPLES` evenly spaced
         sampling boundaries and takes one time-series snapshot per
         epoch — *before* the boundary's faults apply, so churn
         transients land in the following epochs.  Such a run therefore
@@ -1246,9 +1244,9 @@ class StreamSimulator:
         rebalancer = self.rebalancer
         observing = self.recorder.enabled or rebalancer is not None
         samples: List[float] = []
-        if observing and self.epoch_samples > 0:
-            step = duration / self.epoch_samples
-            samples = [step * k for k in range(1, self.epoch_samples)]
+        if observing:
+            step = duration / EPOCH_SAMPLES
+            samples = [step * k for k in range(1, EPOCH_SAMPLES)]
         sample_index = 0
         opens: List[Tuple[float, int]] = []  # (open_at, gate_id)
         index = 0
@@ -1322,8 +1320,7 @@ class StreamSimulator:
         to it was delivered), the rewrite is instantaneous in stream
         time, so nothing is dropped — migration is make-before-break,
         unlike fault recovery where the old plan is already dead.  No
-        epoch therefore ever sees a migration's gate closed:
-        ``migration_downtime_epochs`` is structurally 0.
+        epoch therefore ever sees a migration's gate closed.
         """
         report = self.rebalancer.observe_epoch(snapshot)
         if report is None:
@@ -1511,7 +1508,7 @@ class StreamSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Observability (DESIGN.md §10, §15)
+    # Observability (DESIGN.md §10, §12)
     # ------------------------------------------------------------------
     def _observe(
         self,
@@ -1570,7 +1567,7 @@ class StreamSimulator:
 
     def _build_slos(self, states: Sequence[Dict[str, Any]]) -> List["QuerySLO"]:
         """One :class:`~repro.obs.slo.QuerySLO` per registered query,
-        from the cells' latest states (DESIGN.md §15).
+        from the cells' latest states (DESIGN.md §12).
 
         ``delivery_latency_s`` converts the certified epoch lag into
         worst-case stream time: a cut-crossing item produced right

@@ -36,7 +36,7 @@ class RunMetrics:
     #: Recovery-gate drops broken down by subscription (queries with no
     #: drops are omitted, so fault-free runs keep an empty dict).  Sums
     #: to the gate component of :attr:`items_lost`; feeds the per-query
-    #: SLO records (DESIGN.md §15).
+    #: SLO records (DESIGN.md §12).
     items_lost_by_query: Dict[str, int] = field(default_factory=dict)
     #: Total stream time spent recovering (per fault: the slowest
     #: re-registration, capped at the remaining run horizon).
@@ -53,10 +53,6 @@ class RunMetrics:
     #: Live plan migrations applied by a :class:`~repro.sharing
     #: .rebalance.Rebalancer` during the run.
     migrations_applied: int = 0
-    #: Epochs during which any migration's delivery gate stayed closed.
-    #: Migrations are make-before-break at quiescent epoch barriers, so
-    #: this stays 0 — the conservation tests pin it.
-    migration_downtime_epochs: int = 0
 
     # ------------------------------------------------------------------
     # Accumulation

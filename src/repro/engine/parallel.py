@@ -9,7 +9,8 @@ deployed operator DAG by the certified shard plan
 (``StreamGlobe.shard_plan()``, PR 6), packing the finest certified
 shards into *cells* — one per worker — and runs each cell in its own
 ``multiprocessing`` worker (forked; an in-process backend covers
-unpicklable payloads and single-core hosts).  Streams whose parent or
+unpicklable payloads, hosts without ``fork`` and single-core hosts —
+the run observes which applies).  Streams whose parent or
 subscriber lives in a foreign cell get a *proxy* node in the consuming
 cell, fed exclusively by serialized item batches exchanged at epoch
 barriers — the runtime realization of the plan's cut edges, honoring
@@ -60,6 +61,7 @@ from ..obs.timeseries import EpochSnapshot, snapshot_delta
 from ..xmlkit import Element
 from .accounting import DeliveryCounters, StreamCounters, replay_metrics
 from .executor import (
+    SOURCE_BATCH,
     Cell,
     ExecutionError,
     ItemGenerator,
@@ -82,6 +84,15 @@ __all__ = ["ShardedSimulator"]
 #: it is killed (every result was received by then, so a kill is safe).
 BARRIER_DEADLINE_S = 600.0
 _JOIN_S = 1.0
+
+#: Evenly spaced exchange barriers of a multi-cell run: cut-edge
+#: batches produced in one exchange epoch are delivered at its end (the
+#: certified ``epoch_lag`` contract).  Fault and recovery boundaries
+#: are *drained* barriers, and so is every sampling boundary of a
+#: rebalanced run: the drained counters replay byte-for-byte, so the
+#: drift detector sees the snapshots of a one-cell run and migrates
+#: identically.
+EXCHANGE_EPOCHS = 8
 
 
 # ----------------------------------------------------------------------
@@ -320,19 +331,11 @@ class ShardedSimulator(StreamSimulator):
         a topology change — ``lambda: system.shard_plan()``.  Defaults
         to re-running :func:`~repro.analysis.certify_shards` on the
         (repaired) deployment.
-    mode:
-        ``"process"`` (forked workers), ``"inline"`` (in-process cells
-        — same partitioning, exchange and merge, no concurrency), or
-        ``"auto"``: process when fork is available, the payload
-        pickles and the host has >1 core, else inline.
-    exchange_epochs:
-        Number of evenly spaced exchange barriers; cut-edge batches
-        produced in one exchange epoch are delivered at its end (the
-        certified ``epoch_lag`` contract).  Fault and recovery
-        boundaries are *drained* barriers, and so is every sampling
-        boundary of a rebalanced run: the drained counters replay
-        byte-for-byte, so the drift detector sees the snapshots of a
-        one-cell run and migrates identically.
+
+    The cells run in forked worker processes when the host has ``fork``
+    and more than one core and the plan's records pickle; otherwise in
+    this process (same partitioning, exchange and merge, no
+    concurrency).  ``mode_used`` reports which.
 
     Beside what a one-cell run reports, after :meth:`run`:
 
@@ -358,15 +361,12 @@ class ShardedSimulator(StreamSimulator):
         plan: "ShardPlan",
         workers: int,
         max_items_per_source: Optional[int] = None,
-        batch_size: int = 64,
+        batch_size: int = SOURCE_BATCH,
         schedule: Optional["FaultSchedule"] = None,
         repair: Optional[Callable[..., Any]] = None,
         replan: Optional[Callable[[], "ShardPlan"]] = None,
         capture: Optional[Callable[[str, Element], None]] = None,
         recorder: Optional[Any] = None,
-        epoch_samples: int = 8,
-        exchange_epochs: int = 8,
-        mode: str = "auto",
         rebalancer: Optional[Any] = None,
     ) -> None:
         super().__init__(
@@ -380,18 +380,14 @@ class ShardedSimulator(StreamSimulator):
             repair=repair,
             capture=capture,
             recorder=recorder,
-            epoch_samples=epoch_samples,
             rebalancer=rebalancer,
         )
         if workers < 1:
             raise ExecutionError("workers must be >= 1")
-        if mode not in ("auto", "inline", "process"):
-            raise ExecutionError(f"unknown parallel mode {mode!r}")
         self.plan = plan
         self.workers = workers
         self.replan = replan
-        self.exchange_epochs = max(1, exchange_epochs)
-        self.mode = mode
+        self.exchange_epochs = EXCHANGE_EPOCHS
         self.partition_conflicts = 0
         self.peak_live_items_per_shard: Dict[int, int] = {0: 0}
         self.exchange_batches = 0
@@ -410,21 +406,12 @@ class ShardedSimulator(StreamSimulator):
         return partition_for_workers(self.plan, self.deployment, self.workers)
 
     def _resolve_mode(self) -> str:
-        if self.mode == "inline":
-            return "inline"
-        fork_ok = "fork" in multiprocessing.get_all_start_methods()
-        if self.mode == "process":
-            if not fork_ok:
-                raise ExecutionError(
-                    "process mode requires the fork start method"
-                )
-            if not self._payload_pickles():
-                raise ExecutionError(
-                    "process mode requires picklable streams/queries/items"
-                )
-            return "process"
-        # auto
-        if not fork_ok or (os.cpu_count() or 1) <= 1:
+        """Forked cells if this host and plan allow them, in-process
+        cells otherwise (DESIGN.md §12)."""
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or (os.cpu_count() or 1) <= 1
+        ):
             return "inline"
         return "process" if self._payload_pickles() else "inline"
 

@@ -19,7 +19,7 @@ those end-of-run totals into inspectable runs:
   (:mod:`repro.obs.export`).
 * cross-process tracing — worker cells ship trace segments at epoch
   barriers; :mod:`repro.obs.merge` folds them deterministically into
-  one parent run log (DESIGN.md §15).
+  one parent run log (DESIGN.md §12).
 * :class:`QuerySLO` — per-query delivered service levels (delivery,
   epoch-lag freshness, loss, migrations, backpressure exposure),
   computed by both executors (:mod:`repro.obs.slo`).
@@ -31,7 +31,7 @@ those end-of-run totals into inspectable runs:
 
 See DESIGN.md §10 for the architecture, event schema, and the overhead
 budget (the disabled path must stay within 2% of the untraced
-baseline; CI enforces it), and §15 for distributed tracing and SLOs.
+baseline; CI enforces it), and §12 for distributed tracing and SLOs.
 """
 
 from .recorder import (

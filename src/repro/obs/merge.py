@@ -27,7 +27,7 @@ folds them into the parent recorder once, after the last barrier
   per-cell series under ``<name>.shard<N>`` (rendered with a
   ``shard`` label by the Prometheus exporter);
 * cell counters (none today — operator item counts are billed
-  parent-side from partition-invariant totals, DESIGN.md §15) would
+  parent-side from partition-invariant totals, DESIGN.md §12) would
   sum into the parent's.
 """
 

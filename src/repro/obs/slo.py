@@ -1,7 +1,7 @@
 """Per-query service-level objective (SLO) records.
 
 Every registered query gets one :class:`QuerySLO` summarizing what the
-data plane actually delivered to it over a run (DESIGN.md §15):
+data plane actually delivered to it over a run (DESIGN.md §12):
 
 * **delivery** — items fed to its restructuring step and results
   produced;

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import (
     CostModel,
@@ -23,7 +23,7 @@ from ..costmodel import (
     StreamStatistics,
 )
 from ..engine import RunMetrics, StreamSimulator
-from ..engine.executor import SOURCE_BATCH, ExecutionError, ItemGenerator
+from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
 from ..properties import (
@@ -560,9 +560,16 @@ class StreamGlobe:
         generators = {
             name: source.generator_factory() for name, source in self.sources.items()
         }
-        repair = self.plan_repairer().repair if faults else None
         if workers is not None and workers < 1:
             raise ExecutionError("workers must be >= 1")
+        options: Dict[str, Any] = dict(
+            max_items_per_source=max_items_per_source,
+            schedule=faults,
+            repair=self.plan_repairer().repair if faults else None,
+            capture=capture,
+            recorder=self.recorder,
+            rebalancer=rebalancer,
+        )
         simulator: StreamSimulator
         if workers is not None and workers > 1:
             from ..engine.parallel import ShardedSimulator
@@ -574,28 +581,12 @@ class StreamGlobe:
                 duration,
                 plan=self.shard_plan(),
                 workers=workers,
-                max_items_per_source=max_items_per_source,
-                batch_size=SOURCE_BATCH,
-                schedule=faults,
-                repair=repair,
                 replan=self.shard_plan,
-                capture=capture,
-                recorder=self.recorder,
-                rebalancer=rebalancer,
+                **options,
             )
         else:
             simulator = StreamSimulator(
-                self.net,
-                self.deployment,
-                generators,
-                duration,
-                max_items_per_source=max_items_per_source,
-                batch_size=SOURCE_BATCH,
-                schedule=faults,
-                repair=repair,
-                capture=capture,
-                recorder=self.recorder,
-                rebalancer=rebalancer,
+                self.net, self.deployment, generators, duration, **options
             )
         self.last_simulator = simulator
         metrics = simulator.run()

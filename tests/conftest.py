@@ -86,7 +86,7 @@ def _product_does_not_read_the_environment():
 
 @contextlib.contextmanager
 def pinned_cells(mode):
-    """Pin what ``ShardedSimulator``'s ``auto`` rule observes of the
+    """Pin what ``ShardedSimulator``'s backend rule observes of the
     host: one core gives ``inline`` cells, two give forked ``process``
     cells — whatever machine runs the suite."""
     with pytest.MonkeyPatch.context() as patch:

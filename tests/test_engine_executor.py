@@ -554,3 +554,33 @@ def test_pump_cost_follows_closures_not_streams():
     assert {
         name: value for name, value in recorder.counters.items() if name in UNPINNED_PREFIXES
     } == {f"exec.{name}": value for name, value in counts.items()}
+
+
+def test_sharded_simulator_draws_source_batches_of_the_constant(inline_cells):
+    """A ``ShardedSimulator`` built by hand draws what ``StreamGlobe.run``
+    draws: ``SOURCE_BATCH`` items per source batch, ended early only at
+    an epoch boundary (exchange barriers and samples coincide here)."""
+    from repro.engine.parallel import ShardedSimulator
+
+    recorder = Recorder()
+    system = make_system(recorder=recorder)
+    for name, text in PAPER_QUERIES.items():
+        system.register_query(name, text, subscriber_peer=f"P{name[1]}")
+    generators = {
+        name: source.generator_factory() for name, source in system.sources.items()
+    }
+    simulator = ShardedSimulator(
+        system.net,
+        system.deployment,
+        generators,
+        8.0,
+        plan=system.shard_plan(),
+        workers=2,
+        recorder=recorder,
+    )
+    simulator.run()
+    assert (simulator.mode_used, simulator.workers_used) == ("inline", 2)
+    per_cell_epoch = [epoch.items_generated for epoch in recorder.epochs]
+    assert simulator.exec_counts["source_batches"] == sum(
+        math.ceil(n / SOURCE_BATCH) for n in per_cell_epoch
+    )

@@ -48,11 +48,11 @@ def deployed_system(**kwargs):
     return system
 
 
-def run_system(workers, mode="inline", faults_key=None, traced=False):
+def run_system(workers, cells="inline", faults_key=None, traced=False):
     """One full run; returns (metrics, per-query capture, simulator)."""
     system = deployed_system(recorder=Recorder() if traced else NULL_RECORDER)
     captured = {}
-    with pinned_cells(mode):
+    with pinned_cells(cells):
         metrics = system.run(
             DURATION,
             max_items_per_source=MAX_ITEMS,
@@ -82,7 +82,7 @@ def test_identity_inline(workers):
 def test_identity_process():
     seq_metrics, seq_cap, _ = run_system(1)
     for traced in (False, True):
-        par_metrics, par_cap, simulator = run_system(2, mode="process", traced=traced)
+        par_metrics, par_cap, simulator = run_system(2, cells="process", traced=traced)
         assert par_metrics == seq_metrics
         assert par_cap == seq_cap
         assert simulator.mode_used == "process"
@@ -106,14 +106,14 @@ def test_identity_under_faults_process():
     seq_metrics, seq_cap, _ = run_system(1, faults_key="crash_rejoin")
     for traced in (False, True):
         par_metrics, par_cap, simulator = run_system(
-            2, mode="process", faults_key="crash_rejoin", traced=traced
+            2, cells="process", faults_key="crash_rejoin", traced=traced
         )
         assert par_metrics == seq_metrics
         assert par_cap == seq_cap
         assert simulator.mode_used == "process"
 
 
-def test_recertification_changes_the_partition_mid_run():
+def test_recertification_changes_the_partition_mid_run(inline_cells):
     """Churn merges/splits shards mid-run; the run stays identical."""
     seq_metrics, _, _ = run_system(1, faults_key="rolling")
 
@@ -140,7 +140,6 @@ def test_recertification_changes_the_partition_mid_run():
         schedule=FAULT_CASES["rolling"](),
         repair=system.plan_repairer().repair,
         replan=replan,
-        mode="inline",
     )
     par_metrics = simulator.run()
     assert par_metrics == seq_metrics
@@ -280,7 +279,7 @@ def test_sequential_epochs_have_no_shard_key():
 # ----------------------------------------------------------------------
 # Partition conflicts (one policy on both backends: keep the partition)
 # ----------------------------------------------------------------------
-def direct_simulator(system, mode, generators=None, **kwargs):
+def direct_simulator(system, generators=None, **kwargs):
     """A 2-worker ShardedSimulator built by hand (no replan hook unless
     given: re-certification then runs without the statistics catalog)."""
     if generators is None:
@@ -296,7 +295,6 @@ def direct_simulator(system, mode, generators=None, **kwargs):
         plan=system.shard_plan(),
         workers=2,
         max_items_per_source=MAX_ITEMS,
-        mode=mode,
         **kwargs,
     )
 
@@ -323,12 +321,12 @@ def test_partition_conflict_keeps_the_partition_in_both_modes(mode, case):
         )
     simulator = direct_simulator(
         system,
-        mode,
         schedule=FAULT_CASES[faults](),
         repair=system.plan_repairer().repair,
         **extra,
     )
-    metrics = simulator.run()
+    with pinned_cells(mode):
+        metrics = simulator.run()
     assert simulator.mode_used == mode
     assert simulator.partition_conflicts > 0
     assert metrics == seq_metrics
@@ -347,7 +345,7 @@ def test_headers_equal_a_recount_of_the_unpickled_frames(monkeypatch):
         return merged
 
     monkeypatch.setattr(ShardedSimulator, "_step_all", spying_step_all)
-    _, _, simulator = run_system(2, mode="process")
+    _, _, simulator = run_system(2, cells="process")
     assert frames and all(isinstance(frame, bytes) for frame in frames)
     batches = [batch for frame in frames for _, batch in pickle.loads(frame)]
     assert simulator.exchange_batches == len(batches)
@@ -403,8 +401,9 @@ def test_irregular_stream_ships_trees_and_stays_identical(mode):
                 max_items_per_source=MAX_ITEMS,
             )
         else:
-            simulator = direct_simulator(system, mode, generators)
-        return simulator.run(), simulator
+            simulator = direct_simulator(system, generators)
+        with pinned_cells(mode):
+            return simulator.run(), simulator
 
     before = columnar_stats()["batches_bypassed_irregular"]
     seq_metrics, _ = run(1)
@@ -445,9 +444,9 @@ def sabotaged_run(act, recorder):
         name: _Saboteur(source.generator_factory(), MAX_ITEMS // 2, act)
         for name, source in system.sources.items()
     }
-    simulator = direct_simulator(system, "process", generators, recorder=recorder)
+    simulator = direct_simulator(system, generators, recorder=recorder)
     started = time.monotonic()
-    with pytest.raises(ExecutionError) as info:
+    with pinned_cells("process"), pytest.raises(ExecutionError) as info:
         simulator.run()
     elapsed = time.monotonic() - started
     errors = [e["fields"] for e in recorder.events if e["name"] == "cell.error"]
@@ -476,7 +475,7 @@ def test_hung_worker_fails_at_the_deadline_and_siblings_are_reaped(monkeypatch):
 
 def test_pickle_probe_is_memoised_per_deployment_state(monkeypatch):
     system = deployed_system()
-    simulator = direct_simulator(system, "process")
+    simulator = direct_simulator(system)
     assert simulator._payload_pickles()
     probed = system.deployment.pickle_probe
     monkeypatch.setattr(
@@ -486,7 +485,7 @@ def test_pickle_probe_is_memoised_per_deployment_state(monkeypatch):
     monkeypatch.undo()
     # A registration changes the record set: the probe runs afresh.
     system.register_query("Q9", PAPER_QUERIES["Q1"], subscriber_peer="P3")
-    assert direct_simulator(system, "process")._payload_pickles()
+    assert direct_simulator(system)._payload_pickles()
     assert system.deployment.pickle_probe is not probed
 
 

@@ -1,6 +1,6 @@
 """Distributed observability: trace-merge identity, SLOs, live serving.
 
-Pins the PR-10 contracts (DESIGN.md §15):
+Pins the distributed-observability contracts (DESIGN.md §12):
 
 * a traced ``workers=2`` run on the multi-hotspot churn scenario
   (including its ``staggered_crashes`` fault schedule) merges to the
@@ -80,7 +80,7 @@ class TestTraceMergeIdentity:
             name: (value, par.system.recorder.counters.get(name))
             for name, value in seq.system.recorder.counters.items()
             # columnar.* counts kernel dispatches inside one process and
-            # is inherently process-local under fork (DESIGN.md §15);
+            # is inherently process-local under fork (DESIGN.md §12);
             # the pumping-cost counters depend on the partition.
             if not name.startswith(UNPINNED_PREFIXES)
             and par.system.recorder.counters.get(name) != value

@@ -61,7 +61,7 @@ from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 from repro.workload.templates import QueryTemplateGenerator
 from repro.xmlkit import Element, serialize
 
-from .conftest import PAPER_QUERIES, assert_ledger_is_the_walk
+from .conftest import PAPER_QUERIES, assert_ledger_is_the_walk, pinned_cells
 from .pins_executor import partition_free, run_log_projection, slo_counters
 
 #: Subscription texts: the paper's four (selection, selection over a
@@ -180,10 +180,10 @@ class Twin:
                 plan=system.shard_plan(),
                 workers=self.workers,
                 replan=system.shard_plan,
-                mode="inline",
                 **common,
             )
-        metrics = simulator.run()
+        with pinned_cells("inline"):
+            metrics = simulator.run()
         slos = [slo.to_dict() for slo in simulator.last_query_slos]
         return metrics, captured, slo_counters(slos)
 
