@@ -1006,8 +1006,8 @@ class StreamSimulator:
     plan diff, and merges their counters into metrics.  This class runs
     it over one :class:`Cell` that spans the whole deployment, records
     straight into ``recorder`` and calls ``capture`` in pump order; the
-    ``_build`` / ``_place`` / ``_advance`` / ``_record`` / ``_finish``
-    hooks are where :class:`~repro.engine.parallel.ShardedSimulator`
+    ``_build`` / ``_place`` / ``_advance`` / ``_finish`` hooks are
+    where :class:`~repro.engine.parallel.ShardedSimulator`
     adds what several cells need.
 
     After :meth:`run`, ``peak_live_items`` holds the maximum number of
@@ -1163,11 +1163,6 @@ class StreamSimulator:
                 counts[stream_id] = counts.get(stream_id, 0) + live.produced_count
         return counts
 
-    def query_slos(self) -> List["QuerySLO"]:
-        """The latest per-query SLO records (end-of-run after
-        :meth:`run`; mid-run they reflect the last observed boundary)."""
-        return list(self.last_query_slos)
-
     # ------------------------------------------------------------------
     # Hooks: what a run over one cell does; ShardedSimulator overrides
     # them with what several cells need
@@ -1197,11 +1192,6 @@ class StreamSimulator:
         asks that nothing stay in flight between cells.  One cell is
         pumped, and holds nothing back between pumps."""
         self._ask("step", until)
-
-    def _record(self, snapshot: "EpochSnapshot", states: Sequence[Dict[str, Any]]) -> None:
-        """Record one epoch of a traced run.  The run's series is the
-        one cell's series."""
-        self.recorder.add_epoch(snapshot)
 
     def _finish(self, states: Sequence[Dict[str, Any]]) -> None:
         """Collect what the cells kept to themselves until the end.
@@ -1520,11 +1510,14 @@ class StreamSimulator:
 
         ``metrics`` is the merged replay at ``t_end`` (computed here
         when not supplied).  Returns the whole-deployment snapshot —
-        what the rebalancer's drift detector reads; traced runs also
-        :meth:`_record` it — or ``None`` at a coincident boundary.
+        what the rebalancer's drift detector reads and a traced run
+        records, over one cell or many — or ``None`` at a coincident
+        boundary.
         Over drained cells every counter-derived field is the same on
         any partition; only ``inflight_peak`` is the maximum over cells
-        that peak at different instants.
+        that peak at different instants.  A sampling boundary of a
+        multi-cell run is not drained: there ``items_delivered`` may lag
+        production by the certified ``epoch_lag``.
         """
         if t_end <= self._epoch_start and self._epoch_index > 0:
             return None  # coincident boundaries: nothing elapsed
@@ -1554,7 +1547,7 @@ class StreamSimulator:
             inflight_peak=max(state["window_peak"] for state in states),
         )
         if recorder.enabled:
-            self._record(snapshot, states)
+            recorder.add_epoch(snapshot)
         for cell, state in enumerate(states):
             if state["window_peak"] > self.batch_size:
                 self._backpressure[cell] += 1

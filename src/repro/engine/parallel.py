@@ -55,11 +55,9 @@ from typing import (
 )
 
 from ..network.topology import Network
-from ..obs.merge import SegmentShipper, SegmentStore
+from ..obs.merge import merge_segment, trace_segment
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..obs.timeseries import EpochSnapshot, snapshot_delta
 from ..xmlkit import Element
-from .accounting import DeliveryCounters, StreamCounters, replay_metrics
 from .executor import (
     SOURCE_BATCH,
     Cell,
@@ -68,9 +66,7 @@ from .executor import (
     Outbox,
     StreamSimulator,
     _LocalCell,
-    topological_streams,
 )
-from .metrics import RunMetrics
 
 if TYPE_CHECKING:  # avoid runtime cycles with repro.sharing / repro.analysis
     from ..analysis.shards import RuntimePartition, ShardPlan
@@ -102,19 +98,17 @@ class _ShardCell:
     """A cell with what the sharded plane adds around it.
 
     Traced runs hand each shard a live recorder pinned to the parent's
-    timeline: the cell's operator batches time into it, every protocol
-    operation is a ``cell.*`` span, and its state ships back as trace
-    segments beside the counter states (:mod:`repro.obs.merge`).
-    Captured results cannot reach the run's hook from another process
-    as they are produced: they are parked here and ride on the final
-    state.  Operations the plane adds nothing to go to the cell as
-    they are.
+    timeline: the cell's operator batches time into it and every
+    protocol operation is a ``cell.*`` span.  Neither the trace nor the
+    captured results can reach the parent from another process as they
+    are produced: both are kept here and ride on the final state, the
+    trace as one segment (:mod:`repro.obs.merge`).  Operations the plane
+    adds nothing to go to the cell as they are.
     """
 
-    def __init__(self, index: int, cell: Cell, recorder: Any, capture: bool) -> None:
+    def __init__(self, cell: Cell, recorder: Any, capture: bool) -> None:
         self.cell = cell
         self._recorder = recorder
-        self._shipper = SegmentShipper(recorder, index) if recorder.enabled else None
         self._captured: Dict[str, List[Element]] = {}
         if capture:
             cell.capture = self._park
@@ -141,19 +135,14 @@ class _ShardCell:
         ):
             self.cell.apply_reconcile(diff)
 
-    def state(self) -> Dict[str, Any]:
-        state = self.cell.state()
-        if self._shipper is not None:
-            # The trace cut happens last, so everything the barrier's
-            # own work recorded ships with this very state message.
-            state["trace"] = self._shipper.take()
-        return state
-
     def finish(self) -> Dict[str, Any]:
-        with self._recorder.span("cell.finish"):
+        recorder = self._recorder
+        with recorder.span("cell.finish"):
             self.cell.finish()
-        state = self.state()
+        state = self.cell.state()
         state["captured"] = self._captured
+        if recorder.enabled:
+            state["trace"] = trace_segment(recorder)
         return state
 
 
@@ -457,7 +446,7 @@ class ShardedSimulator(StreamSimulator):
             # without adjustment.
             own = Recorder(origin=recorder) if recorder.enabled else NULL_RECORDER
             cell = Cell(self.generators, self.max_items, self.batch_size, recorder=own)
-            cells.append(_ShardCell(index, cell, own, self.capture is not None))
+            cells.append(_ShardCell(cell, own, self.capture is not None))
         if self.mode_used == "process":
             ctx = multiprocessing.get_context("fork")
             self._cells = [
@@ -475,9 +464,6 @@ class ShardedSimulator(StreamSimulator):
         ]
         self._pending: Dict[int, List[Any]] = {}
         self._flow_seq = 0
-        self._trace_store = SegmentStore(len(cells))
-        self._cell_last_metrics: List[Optional[RunMetrics]] = [None] * len(cells)
-        self._cell_last_totals: List[Optional[Dict[str, int]]] = [None] * len(cells)
 
     # ------------------------------------------------------------------
     # Exchange rounds
@@ -595,79 +581,8 @@ class ShardedSimulator(StreamSimulator):
             self.recorder.inc("exec.partition_conflicts")
 
     # ------------------------------------------------------------------
-    # Per-shard traced epochs, trace shipping, end-of-run capture replay
+    # What the cells kept to the end: captures and traces
     # ------------------------------------------------------------------
-    def _cell_metrics(
-        self,
-        cell: int,
-        state: Dict[str, Any],
-        merged: Dict[str, StreamCounters],
-    ) -> RunMetrics:
-        """One cell's slice of the accounting: its owned streams and
-        hosted queries, replayed against the *global* merged counters
-        (children need foreign parents' counts).  Global fault
-        transients are attributed to cell 0."""
-        order = [
-            stream
-            for stream in topological_streams(self.deployment)
-            if self._owner.get(stream.stream_id) == cell
-        ]
-        hosted = [name for name in self._records if self._query_cell[name] == cell]
-        first = cell == 0
-        return replay_metrics(
-            self.net,
-            self.duration,
-            order,
-            merged,
-            state["retired"],
-            [
-                DeliveryCounters(self._records[name], *state["deliveries"][name])
-                for name in hosted
-            ],
-            faults_applied=self._faults_applied if first else 0,
-            items_lost=state["items_lost"],
-            items_lost_by_query=state["query_lost"],
-            recovery_time_s=self._recovery_time_s if first else 0.0,
-            queries_repaired=self._queries_repaired if first else 0,
-            queries_lost=sum(
-                1 for name in hosted if name not in self.deployment.queries
-            ),
-            migrations_applied=self._migrations_applied if first else 0,
-        )
-
-    def _record(self, snapshot: EpochSnapshot, states: Sequence[Dict[str, Any]]) -> None:
-        """One epoch per cell, each with its ``shard`` key, over the
-        whole-deployment snapshot's interval (that snapshot itself
-        stays out of the log: a duplicate global series would change
-        the export), and whatever trace the cells shipped with these
-        states."""
-        if self.workers_used == 1:
-            super()._record(snapshot, states)
-            return
-        merged: Dict[str, StreamCounters] = {}
-        for state in states:
-            self._trace_store.absorb(state.get("trace"))
-            merged.update(state["counters"])
-        for cell, state in enumerate(states):
-            metrics = self._cell_metrics(cell, state, merged)
-            totals = state["operator_totals"]
-            epoch = snapshot_delta(
-                snapshot.index,
-                snapshot.t_start,
-                snapshot.t_end,
-                metrics,
-                self._cell_last_metrics[cell],
-                self.net,
-                totals,
-                self._cell_last_totals[cell],
-                inflight_items=state["inflight"],
-                inflight_peak=state["window_peak"],
-            )
-            epoch.shard = cell
-            self.recorder.add_epoch(epoch)
-            self._cell_last_metrics[cell] = metrics
-            self._cell_last_totals[cell] = totals
-
     def _finish(self, states: Sequence[Dict[str, Any]]) -> None:
         self.peak_live_items_per_shard = {
             cell: state["peak"] for cell, state in enumerate(states)
@@ -693,6 +608,7 @@ class ShardedSimulator(StreamSimulator):
         for (src, dst), items in sorted(self.exchange_pairs.items()):
             recorder.inc(f"exchange.cell{src}->cell{dst}.items", items)
         recorder.set_gauge("exec.workers", self.workers_used)
-        # One deterministic fold of every cell's shipped trace — after
-        # this, the parent RunLog carries the whole plane.
-        self._trace_store.merge_into(recorder)
+        # One deterministic fold, cells in shard order: after it the
+        # parent's run log carries the whole plane.
+        for cell, state in enumerate(states):
+            merge_segment(recorder, cell, state.pop("trace"))

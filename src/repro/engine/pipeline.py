@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import pickle
-from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..properties import OperatorSpec
 from ..xmlkit import Element, Path
@@ -75,17 +74,8 @@ class Pipeline:
     def process(self, item: Element) -> List[Element]:
         return self.process_batch((item,))
 
-    def process_batch(
-        self,
-        items: Sequence[Element],
-        timer: Optional[Callable[[Operator, int, float], None]] = None,
-    ) -> List[Element]:
+    def process_batch(self, items: Sequence[Element]) -> List[Element]:
         """Fold ``items`` through every stage.
-
-        ``timer``, when given, observes ``(operator, input_count,
-        wall_seconds)`` per evaluated stage — same contract as the
-        shared-prefix trie's timer; the disabled path is one ``None``
-        check per stage.
 
         The items enter the way a source batch enters a cell —
         :func:`~repro.engine.columnar.encode_ingest` picks their store
@@ -97,13 +87,7 @@ class Pipeline:
             if not batch:
                 break
             self.input_counts[index] += len(batch)
-            if timer is None:
-                batch = operator.process_columns(batch)
-            else:
-                inputs = len(batch)
-                start = perf_counter()
-                batch = operator.process_columns(batch)
-                timer(operator, inputs, perf_counter() - start)
+            batch = operator.process_columns(batch)
         return list(batch.decode())
 
     def flush(self) -> List[Element]:

@@ -17,21 +17,20 @@ those end-of-run totals into inspectable runs:
   (per-shard lanes with cut-edge flow arrows for sharded runs), and
   Prometheus text exposition with real labels
   (:mod:`repro.obs.export`).
-* cross-process tracing — worker cells ship trace segments at epoch
-  barriers; :mod:`repro.obs.merge` folds them deterministically into
-  one parent run log (DESIGN.md §12).
+* cross-process tracing — each worker cell ships its trace once, on
+  its final state; :mod:`repro.obs.merge` folds the cells in shard
+  order into one parent run log (DESIGN.md §12).
 * :class:`QuerySLO` — per-query delivered service levels (delivery,
   epoch-lag freshness, loss, migrations, backpressure exposure),
   computed by both executors (:mod:`repro.obs.slo`).
 * :class:`MetricsServer` — live ``/metrics`` / ``/healthz`` /
   ``/slo.json`` over HTTP while a run executes
   (:mod:`repro.obs.serve`).
-* a CLI — ``python -m repro.obs record|summarize|diff|chrome|slo|serve``
+* a CLI — ``python -m repro.obs record|summarize|diff|chrome|serve``
   (:mod:`repro.obs.cli`).
 
-See DESIGN.md §10 for the architecture, event schema, and the overhead
-budget (the disabled path must stay within 2% of the untraced
-baseline; CI enforces it), and §12 for distributed tracing and SLOs.
+See DESIGN.md §10 for the architecture, event schema and the overhead
+budget of the disabled path, and §12 for distributed tracing and SLOs.
 """
 
 from .recorder import (
@@ -41,7 +40,7 @@ from .recorder import (
     Recorder,
     Span,
 )
-from .timeseries import EpochSnapshot, snapshot_delta, sort_epochs
+from .timeseries import EpochSnapshot, snapshot_delta
 from .drift import DriftAlert, DriftConfig, DriftDetector
 from .export import (
     chrome_trace,
@@ -50,7 +49,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .merge import SegmentShipper, SegmentStore, merge_segment
+from .merge import merge_segment, trace_segment
 from .serve import MetricsServer
 from .slo import QuerySLO, slos_from_events
 
@@ -65,8 +64,6 @@ __all__ = [
     "NullRecorder",
     "QuerySLO",
     "Recorder",
-    "SegmentShipper",
-    "SegmentStore",
     "Span",
     "chrome_trace",
     "load_jsonl",
@@ -74,7 +71,7 @@ __all__ = [
     "prometheus_text",
     "slos_from_events",
     "snapshot_delta",
-    "sort_epochs",
+    "trace_segment",
     "write_chrome_trace",
     "write_jsonl",
 ]

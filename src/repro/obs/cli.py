@@ -3,16 +3,13 @@
 Subcommands:
 
 * ``record``    — execute a workload scenario with tracing on and write
-  the JSONL run log (optionally also a Chrome trace and a Prometheus
-  text snapshot);
+  the JSONL run log (optionally also a Prometheus text snapshot);
 * ``summarize`` — print a run log's per-epoch peer-CPU / link-traffic
-  series, planner span timings, and cache hit rates;
+  series, planner span timings, per-query SLOs and cache hit rates;
 * ``diff``      — compare two run logs (counters, span totals, epoch
   aggregates);
 * ``chrome``    — convert a JSONL run log into a Chrome ``trace_event``
   file for chrome://tracing / Perfetto;
-* ``slo``       — print a run log's per-query SLO table (delivery,
-  freshness/epoch lag, loss, migrations, backpressure exposure);
 * ``serve``     — execute a scenario while serving live ``/metrics``
   (Prometheus), ``/healthz`` and ``/slo.json`` over HTTP.
 """
@@ -377,9 +374,6 @@ def record(args: argparse.Namespace) -> None:
     write_jsonl(recorder, args.out, net=run.system.net, extra=extra)
     print(f"wrote {args.out} ({len(recorder.spans)} spans, "
           f"{len(recorder.epochs)} epochs, {len(recorder.events)} events)")
-    if args.chrome:
-        write_chrome_trace(recorder, args.chrome)
-        print(f"wrote {args.chrome} (open in chrome://tracing or ui.perfetto.dev)")
     if args.prom:
         from .export import prometheus_text
 
@@ -389,17 +383,8 @@ def record(args: argparse.Namespace) -> None:
 
 
 # ----------------------------------------------------------------------
-# slo / serve
+# serve
 # ----------------------------------------------------------------------
-def slo(args: argparse.Namespace) -> None:
-    log = load_jsonl(args.run)
-    table = _slo_table(log)
-    if table is None:
-        print("(no query.slo events in this run log — record a traced run first)")
-        return
-    print(table)
-
-
 def serve(args: argparse.Namespace) -> None:
     """Execute a scenario while serving live metrics over HTTP.
 
@@ -473,12 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    help="execute on the sharded data plane with N worker "
                         "cells (traces merge into one run log)")
     p.add_argument("-o", "--out", default="RUN.jsonl")
-    p.add_argument("--chrome", default=None, metavar="TRACE.json",
-                   help="also write a Chrome trace_event file")
     p.add_argument("--prom", default=None, metavar="METRICS.txt",
                    help="also write a Prometheus text snapshot")
 
-    p = sub.add_parser("summarize", help="print series, span timings and cache rates")
+    p = sub.add_parser(
+        "summarize", help="print series, span timings, SLOs and cache rates"
+    )
     p.add_argument("run", metavar="RUN.jsonl")
 
     p = sub.add_parser("diff", help="compare two run logs")
@@ -488,9 +473,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("chrome", help="convert a run log to a Chrome trace")
     p.add_argument("run", metavar="RUN.jsonl")
     p.add_argument("-o", "--out", default="trace.json")
-
-    p = sub.add_parser("slo", help="print a run log's per-query SLO table")
-    p.add_argument("run", metavar="RUN.jsonl")
 
     p = sub.add_parser(
         "serve",
@@ -523,8 +505,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log = load_jsonl(args.run)
         write_chrome_trace(log, args.out)
         print(f"wrote {args.out}")
-    elif args.command == "slo":
-        slo(args)
     elif args.command == "serve":
         serve(args)
     return 0

@@ -101,10 +101,8 @@ class _PeerState:
 class DriftDetector:
     """Feed epoch snapshots in; get sustained-overload alerts out.
 
-    One detector instance observes exactly one run's global epoch
-    series (the sharded executor merges its per-cell series into a
-    global snapshot before feeding it — per-cell deltas only cover the
-    peers that cell hosts).
+    One detector instance observes exactly one run's epoch series (a
+    multi-cell run has one too, built from the cells' merged counters).
     """
 
     def __init__(self, config: DriftConfig = DriftConfig()) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
 from .recorder import Recorder, span_totals
-from .timeseries import EpochSnapshot, sort_epochs
+from .timeseries import EpochSnapshot
 
 __all__ = [
     "PLANNER_SPAN_ORDER",
@@ -124,10 +124,7 @@ def _write_jsonl(
         emit({"type": "span", **span})
     for event in recorder.events:
         emit({"type": "event", **event})
-    # Canonical (index, shard) order: the sharded executor's per-cell
-    # series arrive interleaved by the gather loop, and the exported
-    # log must not depend on that arrival order.
-    for epoch in sort_epochs(recorder.epochs):
+    for epoch in recorder.epochs:
         emit({"type": "epoch", **epoch.to_dict()})
     for name in sorted(recorder.counters):
         emit({"type": "counter", "name": name, "value": recorder.counters[name]})

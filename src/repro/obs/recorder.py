@@ -8,8 +8,7 @@ Two implementations share one duck-typed interface:
   the process-wide no-op singleton; instrumented call sites either
   hold a reference to it (every method is a no-op) or guard richer
   work behind ``if recorder.enabled:`` — a single attribute check, so
-  the disabled path stays within the 2% overhead budget CI enforces
-  (DESIGN.md §10).
+  the disabled path stays within its overhead budget (DESIGN.md §10).
 
 Naming convention: dotted lower-case metric names with the subsystem
 first (``cache.route.hits``, ``op.select.items``,

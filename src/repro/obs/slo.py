@@ -18,11 +18,11 @@ data plane actually delivered to it over a run (DESIGN.md §12):
   shard's peak queue depth.
 
 The executor's control loop computes these from its cells'
-accumulated counters
-(:meth:`~repro.engine.executor.StreamSimulator.query_slos`, over one
-cell or many), refreshes them at every epoch boundary (the live
-``/slo.json`` endpoint reads the latest batch mid-run), and emits one
-``query.slo`` event per query into traced run logs — ``python -m repro.obs slo RUN.jsonl`` renders
+accumulated counters, over one cell or many, and keeps the latest in
+``StreamSimulator.last_query_slos``: refreshed at every epoch boundary
+(the live ``/slo.json`` endpoint reads them mid-run) and at the end of
+the run, when it also emits one ``query.slo`` event per query into a
+traced run log — ``python -m repro.obs summarize RUN.jsonl`` renders
 the table.
 """
 

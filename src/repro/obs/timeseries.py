@@ -18,13 +18,13 @@ plottable without re-loading the topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a cycle with repro.engine
     from ..engine.metrics import RunMetrics
     from ..network.topology import Network
 
-__all__ = ["EpochSnapshot", "snapshot_delta", "sort_epochs"]
+__all__ = ["EpochSnapshot", "snapshot_delta"]
 
 
 @dataclass
@@ -60,10 +60,6 @@ class EpochSnapshot:
     inflight_items: int = 0
     inflight_peak: int = 0
     wall_s: float = 0.0
-    #: Worker cell this snapshot belongs to (sharded executor runs
-    #: emit one interleaved series per cell); ``None`` for the
-    #: sequential executor's single global series.
-    shard: Optional[int] = None
 
     @property
     def duration(self) -> float:
@@ -93,33 +89,12 @@ class EpochSnapshot:
             "faults_applied": self.faults_applied,
             "inflight_items": self.inflight_items,
             "inflight_peak": self.inflight_peak,
-            # Omitted for sequential runs so existing exported logs
-            # keep their exact key set.
-            **({"shard": self.shard} if self.shard is not None else {}),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "EpochSnapshot":
         known = {name for name in cls.__dataclass_fields__}
         return cls(**{key: value for key, value in data.items() if key in known})
-
-
-def sort_epochs(epochs: Iterable[EpochSnapshot]) -> List[EpochSnapshot]:
-    """Canonical ``(epoch index, shard)`` ordering of a snapshot series.
-
-    The sharded executor emits one interleaved series per worker cell;
-    recorder arrival order there is an artifact of the gather loop, not
-    a contract.  Exporters sort through here so a traced parallel run
-    log diffs clean against the inline run of the same partition.  The
-    sequential executor's single series (``shard is None``, sorted
-    before any cell) is already in this order, so sorting is a no-op
-    for it.  The sort is stable: snapshots with equal keys keep their
-    arrival order.
-    """
-    return sorted(
-        epochs,
-        key=lambda s: (s.index, -1 if s.shard is None else s.shard),
-    )
 
 
 def _num_delta(

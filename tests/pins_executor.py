@@ -274,9 +274,8 @@ _CELL_PREFIXES = ("exchange.", "exec.")
 def partition_free(log: Dict[str, Any]) -> Dict[str, Any]:
     """The part of :func:`run_log_projection` that no partition into
     cells and no source batch size may change: what was generated per
-    epoch and delivered in total (a multi-cell run reports one series
-    per cell, and delivery may lag production by the certified
-    ``epoch_lag``), the counters every run has, the ordered fault
+    epoch and delivered in total (delivery may lag production by the
+    certified ``epoch_lag``), the counters every run has, the ordered fault
     events and what each ``query.slo`` event says was delivered.  (How
     many batches an operator timed is not in it: an exchange barrier
     may hand a cell in two batches what one cell pumps as one.)"""

@@ -247,36 +247,6 @@ def test_query_lags_respect_certified_epoch_lag():
 
 
 # ----------------------------------------------------------------------
-# Traced runs: one interleaved epoch series per shard cell
-# ----------------------------------------------------------------------
-def test_traced_run_emits_per_shard_epochs(inline_cells):
-    recorder = Recorder()
-    seq_metrics, _, _ = run_system(1)
-    system = deployed_system(recorder=recorder)
-    metrics = system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=2)
-    assert metrics == seq_metrics
-    assert recorder.epochs
-    shards = {snapshot.shard for snapshot in recorder.epochs}
-    assert shards == {0, 1}
-    for snapshot in recorder.epochs:
-        assert snapshot.to_dict()["shard"] == snapshot.shard
-    # Per-cell series generated what the global run generated.
-    assert sum(s.items_generated for s in recorder.epochs) == sum(
-        metrics.items_generated.values()
-    )
-
-
-def test_sequential_epochs_have_no_shard_key():
-    recorder = Recorder()
-    system = deployed_system(recorder=recorder)
-    system.run(DURATION, max_items_per_source=MAX_ITEMS, workers=1)
-    assert recorder.epochs
-    for snapshot in recorder.epochs:
-        assert snapshot.shard is None
-        assert "shard" not in snapshot.to_dict()
-
-
-# ----------------------------------------------------------------------
 # Partition conflicts (one policy on both backends: keep the partition)
 # ----------------------------------------------------------------------
 def direct_simulator(system, generators=None, **kwargs):

@@ -1,10 +1,14 @@
 """CLI tests: ``python -m repro.obs record|summarize|diff|chrome``."""
 
 import json
+import re
 
 import pytest
 
+from repro.obs import chrome_trace, load_jsonl
 from repro.obs.cli import hit_rates, main
+
+from .conftest import pinned_cells
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +37,15 @@ class TestRecord:
     def test_record_writes_all_artifacts(self, tmp_path, capsys, inline_cells):
         for workers in ("1", "2"):
             out = tmp_path / f"run{workers}.jsonl"
-            chrome = tmp_path / f"trace{workers}.json"
             prom = tmp_path / f"metrics{workers}.txt"
             code = main(
                 [
                     "record", "--scenario", "churn-smoke", "--workers", workers,
-                    "-o", str(out), "--chrome", str(chrome), "--prom", str(prom),
+                    "-o", str(out), "--prom", str(prom),
                 ]
             )
             assert code == 0
-            assert out.exists() and chrome.exists() and prom.exists()
-            with open(chrome, "r", encoding="utf-8") as handle:
-                assert json.load(handle)["traceEvents"]
+            assert out.exists() and prom.exists()
             assert prom.read_text().startswith("# TYPE repro_")
             assert "spans" in capsys.readouterr().out
 
@@ -112,3 +113,58 @@ class TestChromeCommand:
             trace = json.load(handle)
         phases = {event["ph"] for event in trace["traceEvents"]}
         assert {"X", "C"} <= phases
+
+
+class TestShardedRunLog:
+    """A traced multi-cell run logs the one-cell run's epoch series."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("sharded")
+        paths = []
+        with pinned_cells("inline"):
+            for workers in ("1", "2"):
+                path = str(directory / f"run{workers}.jsonl")
+                code = main(
+                    ["record", "--scenario", "churn-smoke", "--workers", workers,
+                     "-o", path]
+                )
+                assert code == 0
+                paths.append(path)
+        return paths
+
+    def test_one_series_on_the_one_cell_boundaries(self, logs):
+        one, two = (load_jsonl(path) for path in logs)
+        assert two.meta["workers"] == 2
+        assert [(e.index, e.t_start, e.t_end) for e in two.epochs] == [
+            (e.index, e.t_start, e.t_end) for e in one.epochs
+        ]
+        assert [e.items_generated for e in two.epochs] == [
+            e.items_generated for e in one.epochs
+        ]
+        assert sum(e.items_delivered for e in two.epochs) == sum(
+            e.items_delivered for e in one.epochs
+        )
+
+    def test_summarize_prints_each_epoch_once(self, logs, capsys):
+        assert main(["summarize", logs[1]]) == 0
+        out = capsys.readouterr().out
+        table = out.split("Per-epoch item flow and churn transients:\n")[1]
+        rows = table.split("\n\n")[0].splitlines()[2:]
+        indices = [int(row.split()[0]) for row in rows]
+        assert indices == list(range(len(load_jsonl(logs[0]).epochs)))
+
+    def test_diff_reads_equal_epochs(self, logs, capsys):
+        assert main(["diff", *logs]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^\s*epochs\s+(\d+)\s+\1\s+0$", out, re.MULTILINE)
+
+    def test_one_cpu_counter_per_epoch(self, logs):
+        one, two = (load_jsonl(path) for path in logs)
+        cpu = [
+            event["args"]["value"]
+            for event in chrome_trace(two)["traceEvents"]
+            if event["name"] == "data-plane CPU (%)"
+        ]
+        assert len(cpu) == len(one.epochs)
+        assert cpu == [round(e.total_cpu_percent(), 3) for e in two.epochs]

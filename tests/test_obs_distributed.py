@@ -6,7 +6,7 @@ Pins the distributed-observability contracts (DESIGN.md §12):
   (including its ``staggered_crashes`` fault schedule) merges to the
   same counter totals and epoch series as the sequential traced run,
   with ``RunMetrics`` still byte-identical;
-* the segment merge is invariant under segment arrival order;
+* a cell's trace segment merges with its span tree and shard tags;
 * worker crashes surface as structured ``cell.error`` events;
 * :class:`MetricsServer` answers ``/metrics``, ``/healthz`` and
   ``/slo.json`` over real HTTP;
@@ -14,7 +14,6 @@ Pins the distributed-observability contracts (DESIGN.md §12):
 """
 
 import json
-import random
 import urllib.error
 import urllib.request
 
@@ -28,7 +27,7 @@ from repro.obs import (
     MetricsServer,
     QuerySLO,
     Recorder,
-    SegmentStore,
+    merge_segment,
     slos_from_events,
 )
 from repro.workload.scenarios import scenario_churn_hotspots
@@ -189,116 +188,57 @@ class TestTraceMergeIdentity:
 
 
 class TestSegmentShuffleInvariance:
-    def _segments(self):
-        segments = []
-        for shard in (0, 1):
-            base = shard * 100
-            segments.append(
-                {
-                    "shard": shard,
-                    "spans": [
-                        {
-                            "id": base + 1,
-                            "parent": None,
-                            "name": "cell.step",
-                            "t0": 0.1,
-                            "t1": 0.2,
-                            "attrs": {"until": 5.0},
-                        },
-                        {
-                            "id": base + 2,
-                            "parent": base + 1,
-                            "name": "cell.flush",
-                            "t0": 0.15,
-                            "t1": 0.18,
-                            "attrs": {},
-                        },
-                    ],
-                    "events": [
-                        {"t": 0.2, "name": "cell.mark", "fields": {"n": shard}}
-                    ],
-                    "counters": {"cell.steps": 1},
-                    "histograms": {},
-                }
-            )
-            # A later cumulative ship from the same shard supersedes.
-            segments.append(
-                {
-                    "shard": shard,
-                    "spans": [
-                        {
-                            "id": base + 3,
-                            "parent": None,
-                            "name": "cell.step",
-                            "t0": 0.3,
-                            "t1": 0.4,
-                            "attrs": {"until": 10.0},
-                        }
-                    ],
-                    "events": [],
-                    "counters": {"cell.steps": 2},
-                    "histograms": {
-                        "op.sel.batch_s": _hist([0.001, 0.002]).to_dict()
-                    },
-                }
-            )
-        return segments
+    """Each cell ships its whole trace once; the parent folds the
+    segments in shard order."""
 
     @staticmethod
-    def _fingerprint(recorder):
-        return (
-            [
-                (s.name, s.parent_id, s.start_s, s.end_s, tuple(sorted(s.attrs.items())))
-                for s in recorder.spans
+    def _segment(shard):
+        base = shard * 100
+        return {
+            "spans": [
+                # Completion order: a child closes before its parent.
+                {
+                    "id": base + 2,
+                    "parent": base + 1,
+                    "name": "cell.flush",
+                    "t0": 0.15,
+                    "t1": 0.18,
+                    "attrs": {},
+                },
+                {
+                    "id": base + 1,
+                    "parent": None,
+                    "name": "cell.step",
+                    "t0": 0.1,
+                    "t1": 0.2,
+                    "attrs": {"until": 5.0},
+                },
+                {
+                    "id": base + 3,
+                    "parent": None,
+                    "name": "cell.step",
+                    "t0": 0.3,
+                    "t1": 0.4,
+                    "attrs": {"until": 10.0},
+                },
             ],
-            recorder.events,
-            dict(recorder.counters),
-            {k: h.to_dict() for k, h in recorder.histograms.items()},
-        )
-
-    def test_merge_is_arrival_order_invariant(self):
-        segments = self._segments()
-        reference = None
-        for seed in range(4):
-            # Shuffle ships *across* shards; within a shard the barrier
-            # protocol preserves order, so keep each shard's ships
-            # relatively ordered (stable sort by per-shard sequence).
-            shuffled = list(segments)
-            random.Random(seed).shuffle(shuffled)
-            per_shard = {0: [], 1: []}
-            for segment in segments:
-                per_shard[segment["shard"]].append(segment)
-            ordered = []
-            position = {0: 0, 1: 0}
-            for segment in shuffled:
-                shard = segment["shard"]
-                ordered.append(per_shard[shard][position[shard]])
-                position[shard] += 1
-            store = SegmentStore(2)
-            for segment in ordered:
-                store.absorb(segment)
-            store.absorb(None)  # cells that recorded nothing ship nothing
-            recorder = Recorder()
-            store.merge_into(recorder)
-            fingerprint = self._fingerprint(recorder)
-            if reference is None:
-                reference = fingerprint
-            assert fingerprint == reference
+            "events": [{"t": 0.2, "name": "cell.mark", "fields": {"n": shard}}],
+            "counters": {"cell.steps": 2},
+            "histograms": {"op.sel.batch_s": _hist([0.001, 0.002]).to_dict()},
+        }
 
     def test_parent_links_and_shard_tags_survive(self):
-        store = SegmentStore(2)
-        for segment in self._segments():
-            store.absorb(segment)
         recorder = Recorder()
-        store.merge_into(recorder)
-        child = next(s for s in recorder.spans if s.name == "cell.flush")
-        parent = next(
-            s
-            for s in recorder.spans
-            if s.span_id == child.parent_id
-        )
-        assert parent.name == "cell.step"
-        assert parent.attrs["shard"] == child.attrs["shard"]
+        for shard in (0, 1):
+            merge_segment(recorder, shard, self._segment(shard))
+        assert [span.span_id for span in recorder.spans] == list(range(1, 7))
+        for child in (s for s in recorder.spans if s.name == "cell.flush"):
+            parent = next(
+                s for s in recorder.spans if s.span_id == child.parent_id
+            )
+            assert parent.name == "cell.step"
+            assert parent.attrs["shard"] == child.attrs["shard"]
+        assert [e["fields"]["shard"] for e in recorder.events] == [0, 1]
         assert recorder.counters["cell.steps"] == 4  # cumulative, 2 cells
         assert recorder.histograms["op.sel.batch_s"].count == 4
         assert recorder.histograms["op.sel.batch_s.shard1"].count == 2

@@ -100,16 +100,11 @@ class TestChurnTransient:
 
     def test_epochs_cover_the_whole_run(self, churn_runs):
         for scenario, recorder, _ in churn_runs:
-            # A multi-cell run interleaves one series per cell;
-            # contiguity holds within each shard's series.
-            by_shard = {}
-            for snapshot in recorder.epochs:
-                by_shard.setdefault(snapshot.shard, []).append(snapshot)
-            for epochs in by_shard.values():
-                assert epochs[0].t_start == 0.0
-                assert epochs[-1].t_end == pytest.approx(scenario.duration)
-                for before, after in zip(epochs, epochs[1:]):
-                    assert after.t_start == pytest.approx(before.t_end)
+            epochs = recorder.epochs
+            assert epochs[0].t_start == 0.0
+            assert epochs[-1].t_end == pytest.approx(scenario.duration)
+            for before, after in zip(epochs, epochs[1:]):
+                assert after.t_start == pytest.approx(before.t_end)
 
     def test_rerouted_bits_only_after_the_crash(self, churn_runs):
         for _, recorder, _ in churn_runs:
@@ -145,65 +140,3 @@ class TestChurnTransient:
             )
             total_bits = sum(sum(e.link_bits.values()) for e in epochs)
             assert total_bits == pytest.approx(sum(metrics.link_bits.values()))
-
-
-class TestSortEpochs:
-    """Satellite (PR 8): merged multi-cell series sort deterministically."""
-
-    @staticmethod
-    def _snap(index, shard=None):
-        return EpochSnapshot(index=index, t_start=0.0, t_end=1.0, shard=shard)
-
-    def test_orders_by_epoch_then_shard(self):
-        from repro.obs import sort_epochs
-
-        epochs = [
-            self._snap(1, shard=1),
-            self._snap(0, shard=1),
-            self._snap(1, shard=0),
-            self._snap(0, shard=0),
-        ]
-        ordered = sort_epochs(epochs)
-        assert [(e.index, e.shard) for e in ordered] == [
-            (0, 0), (0, 1), (1, 0), (1, 1),
-        ]
-
-    def test_sequential_series_unchanged(self):
-        from repro.obs import sort_epochs
-
-        epochs = [self._snap(i) for i in range(4)]
-        assert sort_epochs(epochs) == epochs
-
-    def test_global_epoch_sorts_before_its_shards(self):
-        from repro.obs import sort_epochs
-
-        epochs = [self._snap(0, shard=0), self._snap(0, shard=None)]
-        assert [e.shard for e in sort_epochs(epochs)] == [None, 0]
-
-    def test_export_is_shuffle_invariant(self, tmp_path):
-        """The regression this satellite pins: the JSONL epoch section
-        must not depend on recorder insertion order (sharded runs append
-        per-cell series in gather order)."""
-        import json
-
-        from repro.obs import write_jsonl
-
-        def export(order):
-            recorder = Recorder()
-            for snapshot in order:
-                recorder.epochs.append(snapshot)
-            path = tmp_path / f"run-{id(order)}.jsonl"
-            write_jsonl(recorder, str(path))
-            return [
-                (obj["index"], obj.get("shard"))
-                for obj in map(json.loads, path.read_text().splitlines())
-                if obj.get("type") == "epoch"
-            ]
-
-        interleaved = [
-            self._snap(0, shard=0), self._snap(1, shard=0),
-            self._snap(0, shard=1), self._snap(1, shard=1),
-        ]
-        shuffled = [interleaved[2], interleaved[1], interleaved[3], interleaved[0]]
-        assert export(interleaved) == export(shuffled)
-        assert export(interleaved) == [(0, 0), (0, 1), (1, 0), (1, 1)]

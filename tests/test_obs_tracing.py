@@ -168,8 +168,8 @@ class TestTracedEqualsUntraced:
 
     @pytest.mark.usefixtures("inline_cells")
     def test_operator_histograms_observed(self):
-        # Traced shard cells ship their operator histograms back at
-        # epoch barriers and the parent merges them (DESIGN.md §12).
+        # Traced shard cells ship their operator histograms back on
+        # their final state and the parent merges them (DESIGN.md §12).
         for workers in (1, 2):
             scenario = scenario_one(query_count=4)
             scenario.duration = 6.0
