@@ -55,7 +55,7 @@ from typing import (
 )
 
 from ..network.topology import Network
-from ..obs.merge import merge_segment, trace_segment
+from ..obs.merge import merge_segment
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlkit import Element
 from .executor import (
@@ -102,8 +102,8 @@ class _ShardCell:
     protocol operation is a ``cell.*`` span.  Neither the trace nor the
     captured results can reach the parent from another process as they
     are produced: both are kept here and ride on the final state, the
-    trace as one segment (:mod:`repro.obs.merge`).  Operations the plane
-    adds nothing to go to the cell as they are.
+    trace as the cell's recorder itself (:mod:`repro.obs.merge`).
+    Operations the plane adds nothing to go to the cell as they are.
     """
 
     def __init__(self, cell: Cell, recorder: Any, capture: bool) -> None:
@@ -142,7 +142,7 @@ class _ShardCell:
         state = self.cell.state()
         state["captured"] = self._captured
         if recorder.enabled:
-            state["trace"] = trace_segment(recorder)
+            state["trace"] = recorder
         return state
 
 

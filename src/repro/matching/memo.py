@@ -36,13 +36,3 @@ class MatchMemo:
         self.operators: Dict[Tuple[object, object, str], bool] = {}
         self.hits = 0
         self.misses = 0
-
-    def stats(self) -> Dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "properties_entries": len(self.properties),
-            "operator_entries": len(self.operators),
-        }

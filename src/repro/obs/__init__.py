@@ -16,10 +16,11 @@ those end-of-run totals into inspectable runs:
 * exporters — JSONL event logs, Chrome ``trace_event`` timelines
   (per-shard lanes with cut-edge flow arrows for sharded runs), and
   Prometheus text exposition with real labels
-  (:mod:`repro.obs.export`).
-* cross-process tracing — each worker cell ships its trace once, on
-  its final state; :mod:`repro.obs.merge` folds the cells in shard
-  order into one parent run log (DESIGN.md §12).
+  (:mod:`repro.obs.export`).  Each reads a :class:`Recorder`, live
+  or loaded back from a run log by :func:`load_jsonl`.
+* cross-process tracing — each worker cell ships its own
+  :class:`Recorder` once, on its final state; :mod:`repro.obs.merge`
+  folds the cells in shard order into the parent's (DESIGN.md §12).
 * :class:`QuerySLO` — per-query delivered service levels (delivery,
   epoch-lag freshness, loss, migrations, backpressure exposure),
   computed by both executors (:mod:`repro.obs.slo`).
@@ -49,7 +50,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .merge import merge_segment, trace_segment
+from .merge import merge_segment
 from .serve import MetricsServer
 from .slo import QuerySLO, slos_from_events
 
@@ -71,7 +72,6 @@ __all__ = [
     "prometheus_text",
     "slos_from_events",
     "snapshot_delta",
-    "trace_segment",
     "write_chrome_trace",
     "write_jsonl",
 ]

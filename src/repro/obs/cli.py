@@ -12,43 +12,33 @@ Subcommands:
   file for chrome://tracing / Perfetto;
 * ``serve``     — execute a scenario while serving live ``/metrics``
   (Prometheus), ``/healthz`` and ``/slo.json`` over HTTP.
+
+``summarize``, ``diff`` and ``chrome`` read a run log back as the
+:class:`~repro.obs.Recorder` it was written from; a file that is not a
+run log is refused with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .export import (
     PLANNER_SPAN_ORDER,
-    RunLog,
     format_table,
     load_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from .recorder import Recorder
-
-
-def hit_rates(counters: Dict[str, float]) -> Dict[str, Tuple[float, float, float]]:
-    """Derive ``{cache: (hits, misses, rate)}`` from ``*.hits``/``*.misses``."""
-    rates: Dict[str, Tuple[float, float, float]] = {}
-    for name, hits in sorted(counters.items()):
-        if not name.endswith(".hits"):
-            continue
-        base = name[: -len(".hits")]
-        misses = counters.get(base + ".misses", 0)
-        total = hits + misses
-        rates[base] = (hits, misses, hits / total if total else 0.0)
-    return rates
+from .recorder import Histogram, Recorder
+from .slo import QuerySLO, slos_from_events
 
 
 # ----------------------------------------------------------------------
 # summarize
 # ----------------------------------------------------------------------
-def _epoch_series_tables(log: RunLog, max_links: int = 8) -> List[str]:
+def _epoch_series_tables(log: Recorder, max_links: int = 8) -> List[str]:
     if not log.epochs:
         return ["(no epoch time series in this run log)"]
     peers = sorted({p for e in log.epochs for p in e.peer_cpu_percent})
@@ -100,7 +90,7 @@ def _epoch_series_tables(log: RunLog, max_links: int = 8) -> List[str]:
     return out
 
 
-def _span_timing_table(log: RunLog) -> str:
+def _span_timing_table(log: Recorder) -> str:
     totals = log.span_totals()
     if not totals:
         return "(no spans in this run log)"
@@ -119,46 +109,48 @@ def _span_timing_table(log: RunLog) -> str:
     return format_table(["span", "count", "total_ms", "mean_ms", "max_ms"], rows)
 
 
-def _cache_table(counters: Dict[str, float]) -> str:
-    rates = hit_rates(counters)
-    if not rates:
+def _cache_table(log: Recorder) -> str:
+    """One row per ``cache.<name>.hit_rate`` gauge, beside the cache's
+    counters (``StreamGlobe.cache_stats()`` mirrored into the recorder)."""
+    counters = log.counters
+    caches = sorted(
+        name[: -len(".hit_rate")]
+        for name in log.gauges
+        if name.startswith("cache.") and name.endswith(".hit_rate")
+    )
+    if not caches:
         return "(no cache counters in this run log)"
     rows = []
-    for base, (hits, misses, rate) in sorted(rates.items()):
+    for base in caches:
         invalidations = counters.get(base + ".invalidations")
         rows.append(
             [
                 base,
-                int(hits),
-                int(misses),
-                f"{rate * 100:.1f}%",
+                int(counters.get(base + ".hits", 0)),
+                int(counters.get(base + ".misses", 0)),
+                f"{log.gauges[base + '.hit_rate'] * 100:.1f}%",
                 int(invalidations) if invalidations is not None else "-",
             ]
         )
     return format_table(["cache", "hits", "misses", "hit_rate", "invalidations"], rows)
 
 
-def _operator_latency_table(histograms: Dict[str, Dict[str, Any]]) -> Optional[str]:
-    """Operator batch-latency quantiles (ms), global and per shard.
-
-    ``None`` when the run recorded no operator histograms (untraced
-    logs, or logs predating the quantile fields — absent quantiles
-    render as 0)."""
-    rows = []
-    for name, data in sorted(histograms.items()):
-        if not name.startswith("op.") or ".batch_s" not in name:
-            continue
-        rows.append(
-            [
-                name[len("op."):],
-                int(data.get("count", 0)),
-                data.get("mean", 0.0) * 1e3,
-                data.get("p50", 0.0) * 1e3,
-                data.get("p95", 0.0) * 1e3,
-                data.get("p99", 0.0) * 1e3,
-                data.get("max", 0.0) * 1e3,
-            ]
-        )
+def _operator_latency_table(histograms: Dict[str, Histogram]) -> Optional[str]:
+    """Operator batch-latency quantiles (ms), global and per shard, or
+    ``None`` when the run recorded no operator histograms (untraced)."""
+    rows = [
+        [
+            name[len("op."):],
+            hist.count,
+            hist.mean() * 1e3,
+            hist.quantile(0.50) * 1e3,
+            hist.quantile(0.95) * 1e3,
+            hist.quantile(0.99) * 1e3,
+            hist.max * 1e3,
+        ]
+        for name, hist in sorted(histograms.items())
+        if name.startswith("op.") and ".batch_s" in name
+    ]
     if not rows:
         return None
     return format_table(
@@ -167,11 +159,9 @@ def _operator_latency_table(histograms: Dict[str, Dict[str, Any]]) -> Optional[s
     )
 
 
-def _slo_table(log: RunLog) -> Optional[str]:
+def _slo_table(log: Recorder) -> Optional[str]:
     """The per-query SLO table, or ``None`` for logs without
     ``query.slo`` events."""
-    from .slo import slos_from_events
-
     slos = slos_from_events(log.events)
     if not slos:
         return None
@@ -231,7 +221,10 @@ def _columnar_table(counters: Dict[str, float]) -> Optional[str]:
     return format_table(["columnar", "count"], rows)
 
 
-def summarize(log: RunLog, out: Any = None) -> None:
+def summarize(log: Recorder, out: Any = None) -> None:
+    """Print a recorder's report: a run log loaded by
+    :func:`~repro.obs.load_jsonl` (its header in ``meta``) or a live
+    recorder."""
     out = out or sys.stdout
     w = out.write
     meta = log.meta
@@ -262,14 +255,14 @@ def summarize(log: RunLog, out: Any = None) -> None:
         w(slo + "\n")
 
     w("\n== caches ==\n")
-    w(_cache_table(log.counters) + "\n")
+    w(_cache_table(log) + "\n")
 
     columnar = _columnar_table(log.counters)
     if columnar is not None:
         w("\n== columnar engine ==\n")
         w(columnar + "\n")
 
-    decisions = log.events_named("plan.decision")
+    decisions = [e for e in log.events if e["name"] == "plan.decision"]
     if decisions:
         w("\n== plan decisions ==\n")
         for event in decisions:
@@ -284,7 +277,7 @@ def summarize(log: RunLog, out: Any = None) -> None:
                     reused=f.get("reused_streams", []),
                 )
             )
-    repairs = log.events_named("repair.report")
+    repairs = [e for e in log.events if e["name"] == "repair.report"]
     if repairs:
         w("\n== repairs ==\n")
         for event in repairs:
@@ -307,7 +300,7 @@ def _maybe_round(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # diff
 # ----------------------------------------------------------------------
-def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> None:
+def diff(a: Recorder, b: Recorder, label_a: str, label_b: str, out: Any = None) -> None:
     out = out or sys.stdout
     w = out.write
     w(f"== diff: A={label_a}  B={label_b} ==\n")
@@ -332,7 +325,7 @@ def diff(a: RunLog, b: RunLog, label_a: str, label_b: str, out: Any = None) -> N
     w("\nSpan totals:\n")
     w(format_table(["span", "A_count", "B_count", "A_ms", "B_ms"], rows) + "\n" if rows else "  (none)\n")
 
-    def epoch_sums(log: RunLog) -> Dict[str, float]:
+    def epoch_sums(log: Recorder) -> Dict[str, float]:
         return {
             "epochs": len(log.epochs),
             "items_delivered": sum(e.items_delivered for e in log.epochs),
@@ -402,9 +395,9 @@ def serve(args: argparse.Namespace) -> None:
         scenario.build_network(), strategy=args.strategy, recorder=recorder
     )
 
-    def slo_provider() -> List[Any]:
-        simulator = getattr(system, "last_simulator", None)
-        return getattr(simulator, "last_query_slos", [])
+    def slo_provider() -> List[QuerySLO]:
+        simulator = system.last_simulator
+        return simulator.last_query_slos if simulator is not None else []
 
     server = MetricsServer(
         recorder,
@@ -497,16 +490,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "record":
         record(args)
-    elif args.command == "summarize":
-        summarize(load_jsonl(args.run))
-    elif args.command == "diff":
-        diff(load_jsonl(args.run_a), load_jsonl(args.run_b), args.run_a, args.run_b)
-    elif args.command == "chrome":
-        log = load_jsonl(args.run)
-        write_chrome_trace(log, args.out)
-        print(f"wrote {args.out}")
-    elif args.command == "serve":
+        return 0
+    if args.command == "serve":
         serve(args)
+        return 0
+    paths = [args.run_a, args.run_b] if args.command == "diff" else [args.run]
+    try:
+        logs = [load_jsonl(path) for path in paths]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.command == "summarize":
+        summarize(*logs)
+    elif args.command == "diff":
+        diff(*logs, *paths)
+    else:
+        write_chrome_trace(*logs, args.out)
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -2,14 +2,16 @@
 and the plain-text table every report (``repro.obs``, ``repro.bench``)
 renders through.
 
+Every exporter reads one model, a :class:`~repro.obs.Recorder`: the
+live one a run records into, or the one :func:`load_jsonl` rebuilds
+from a run log — so a log exports exactly like the run that wrote it.
 The JSONL log is the canonical run artifact (one JSON object per
 line, ``type``-tagged); ``repro.obs summarize`` and ``repro.obs
-diff`` consume it, and :func:`chrome_trace` converts its spans and
-epochs into the Chrome ``trace_event`` format (load via
-``chrome://tracing`` or https://ui.perfetto.dev).
-:func:`prometheus_text` renders a recorder's counters/gauges/
-histograms in the Prometheus text exposition format for scrape-style
-integration.
+diff`` read it back, :func:`chrome_trace` converts spans and epochs
+into the Chrome ``trace_event`` format (load via ``chrome://tracing``
+or https://ui.perfetto.dev), and :func:`prometheus_text` renders
+counters/gauges/histograms in the Prometheus text exposition format
+for scrape-style integration.
 
 Line schema (``type`` → payload):
 
@@ -28,15 +30,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
-from .recorder import Recorder, span_totals
+from .recorder import HISTOGRAM_BUCKETS, Histogram, Recorder, Span
 from .timeseries import EpochSnapshot
 
 __all__ = [
     "PLANNER_SPAN_ORDER",
-    "RunLog",
     "chrome_trace",
     "format_table",
     "load_jsonl",
@@ -86,11 +86,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
+#: The ``format`` tag of a run log's ``meta`` header.
+LOG_FORMAT = "repro.obs/1"
+
+
 def _meta_line(recorder: Recorder, net: Any, extra: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     meta: Dict[str, Any] = {
         "type": "meta",
         "created_unix": recorder.created_unix,
-        "format": "repro.obs/1",
+        "format": LOG_FORMAT,
     }
     if net is not None:
         meta["peers"] = {
@@ -120,8 +124,8 @@ def _write_jsonl(
         handle.write(json.dumps(obj, sort_keys=True) + "\n")
 
     emit(_meta_line(recorder, net, extra))
-    for span in recorder.span_records():
-        emit({"type": "span", **span})
+    for span in recorder.spans:
+        emit({"type": "span", **span.to_dict()})
     for event in recorder.events:
         emit({"type": "event", **event})
     for epoch in recorder.epochs:
@@ -134,56 +138,50 @@ def _write_jsonl(
         emit({"type": "hist", "name": name, **recorder.histograms[name].to_dict()})
 
 
-@dataclass
-class RunLog:
-    """A parsed JSONL run log (what the CLI consumes)."""
+def load_jsonl(path: str) -> Recorder:
+    """Rebuild the :class:`Recorder` a JSONL run log was written from;
+    its header lands in :attr:`Recorder.meta`.
 
-    meta: Dict[str, Any] = field(default_factory=dict)
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    epochs: List[EpochSnapshot] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def span_records(self) -> List[Dict[str, Any]]:
-        """The spans as records — what :meth:`Recorder.span_records`
-        returns for a live recorder."""
-        return self.spans
-
-    def span_totals(self) -> Dict[str, Dict[str, float]]:
-        """Completed spans aggregated by name (:func:`span_totals`)."""
-        return span_totals(self.spans)
-
-    def events_named(self, name: str) -> List[Dict[str, Any]]:
-        return [event for event in self.events if event["name"] == name]
-
-
-def load_jsonl(path: str) -> RunLog:
-    """Parse a JSONL run log back into a :class:`RunLog`."""
-    log = RunLog()
+    Raises ``ValueError`` naming the path and line when the file is not
+    a run log: a line that is not a JSON object, or a first record that
+    is not a ``meta`` header tagged :data:`LOG_FORMAT`.
+    """
+    recorder = Recorder()
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
             kind = record.pop("type", None)
-            if kind == "meta":
-                log.meta = record
+            if not recorder.meta:
+                if kind != "meta" or record.get("format") != LOG_FORMAT:
+                    raise ValueError(
+                        f"{path}:{number}: not a {LOG_FORMAT} run log "
+                        "(the first record must be its meta header)"
+                    )
+                recorder.meta = record
+                recorder.created_unix = record.get("created_unix", recorder.created_unix)
             elif kind == "span":
-                log.spans.append(record)
+                recorder.spans.append(Span.from_dict(recorder, record))
             elif kind == "event":
-                log.events.append(record)
+                recorder.events.append(record)
             elif kind == "epoch":
-                log.epochs.append(EpochSnapshot.from_dict(record))
+                recorder.epochs.append(EpochSnapshot.from_dict(record))
             elif kind == "counter":
-                log.counters[record["name"]] = record["value"]
+                recorder.counters[record["name"]] = record["value"]
             elif kind == "gauge":
-                log.gauges[record["name"]] = record["value"]
+                recorder.gauges[record["name"]] = record["value"]
             elif kind == "hist":
-                log.histograms[record.pop("name")] = record
-    return log
+                recorder.histograms[record["name"]] = Histogram.from_dict(record)
+    if not recorder.meta:
+        raise ValueError(f"{path}: empty, not a {LOG_FORMAT} run log")
+    return recorder
 
 
 # ----------------------------------------------------------------------
@@ -194,13 +192,13 @@ def load_jsonl(path: str) -> RunLog:
 _SHARD_TID0 = 10
 
 
-def _span_tid(span: Dict[str, Any]) -> int:
-    shard = span.get("attrs", {}).get("shard")
+def _span_tid(span: Span) -> int:
+    shard = span.attrs.get("shard")
     return 1 if shard is None else _SHARD_TID0 + int(shard)
 
 
-def chrome_trace(source: Any) -> Dict[str, Any]:
-    """Convert a :class:`Recorder` or :class:`RunLog` into a Chrome trace.
+def chrome_trace(recorder: Recorder) -> Dict[str, Any]:
+    """Convert a recorder, live or loaded, into a Chrome trace.
 
     Spans become complete (``"ph": "X"``) duration events — on the
     control-plane track, or on a per-shard lane when they carry a
@@ -212,9 +210,8 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
     pairs (``"s"``/``"f"``) from the producing shard's lane to the
     consuming shard's — the cut-edge hand-offs of the sharded plane.
     """
-    spans = source.span_records()
-    events = source.events
-    epochs = source.epochs
+    spans = recorder.spans
+    events = recorder.events
     trace_events: List[Dict[str, Any]] = [
         {
             "name": "process_name",
@@ -232,9 +229,9 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
     ]
     shards = sorted(
         {
-            span["attrs"]["shard"]
+            span.attrs["shard"]
             for span in spans
-            if span.get("attrs", {}).get("shard") is not None
+            if span.attrs.get("shard") is not None
         }
         | {
             field
@@ -254,17 +251,17 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
             }
         )
     for span in spans:
-        if span.get("t1") is None:
+        if span.end_s is None:
             continue
         trace_events.append(
             {
-                "name": span["name"],
+                "name": span.name,
                 "ph": "X",
                 "pid": 1,
                 "tid": _span_tid(span),
-                "ts": span["t0"] * 1e6,
-                "dur": (span["t1"] - span["t0"]) * 1e6,
-                "args": span.get("attrs", {}),
+                "ts": span.start_s * 1e6,
+                "dur": (span.end_s - span.start_s) * 1e6,
+                "args": span.attrs,
             }
         )
     for event in events:
@@ -301,7 +298,7 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
                 "args": args,
             }
         )
-    for epoch in epochs:
+    for epoch in recorder.epochs:
         ts = epoch.wall_s * 1e6
         for counter_name, value in (
             ("data-plane CPU (%)", round(epoch.total_cpu_percent(), 3)),
@@ -320,9 +317,9 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(source: Any, path: str) -> None:
+def write_chrome_trace(recorder: Recorder, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(source), handle, indent=1)
+        json.dump(chrome_trace(recorder), handle, indent=1)
         handle.write("\n")
 
 
@@ -401,8 +398,6 @@ def prometheus_text(recorder: Recorder) -> str:
     and per-shard operator histograms become
     ``repro_op_batch_seconds{op=...,shard=...}`` series of one metric.
     """
-    from .recorder import HISTOGRAM_BUCKETS
-
     lines: List[str] = []
     typed: set = set()
 

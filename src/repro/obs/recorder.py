@@ -22,13 +22,17 @@ are closed in context-manager ``__exit__`` and appended to
 time.  :meth:`Recorder.span_totals` aggregates them by name — the
 per-phase planner timings the benchmarks and ``repro.obs summarize``
 report.
+
+A :class:`Recorder` is the one trace model: a run records into it, a
+worker cell ships it, and a run log loads back into it
+(:func:`~repro.obs.load_jsonl`), so every exporter reads one shape.
 """
 
 from __future__ import annotations
 
 import bisect
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Histogram",
@@ -36,7 +40,6 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "Span",
-    "span_totals",
 ]
 
 #: Geometric bucket ladder shared by every histogram: wide enough for
@@ -202,9 +205,8 @@ class Span:
 
     @classmethod
     def from_dict(cls, recorder: "Recorder", data: Dict[str, Any]) -> "Span":
-        """Rehydrate a completed span record (the trace-segment merge:
-        span ids are rewritten by the caller, times are already on the
-        destination recorder's timeline)."""
+        """Rehydrate a completed span record of a run log
+        (:func:`~repro.obs.load_jsonl`)."""
         span = cls.__new__(cls)
         span._recorder = recorder
         span.span_id = data["id"]
@@ -302,6 +304,9 @@ class Recorder:
         self.events: List[Dict[str, Any]] = []
         #: Data-plane time series (:class:`~repro.obs.EpochSnapshot`).
         self.epochs: List[Any] = []
+        #: The header of the run log this recorder was loaded from
+        #: (:func:`~repro.obs.load_jsonl`); empty on a live recorder.
+        self.meta: Dict[str, Any] = {}
         self._open: List[Span] = []
         self._next_span_id = 1
 
@@ -370,28 +375,19 @@ class Recorder:
         clone.epochs = list(self.epochs)
         return clone
 
-    def span_records(self) -> List[Dict[str, Any]]:
-        """The completed spans as exported records (:meth:`Span.to_dict`)."""
-        return [span.to_dict() for span in self.spans]
-
     def span_totals(self) -> Dict[str, Dict[str, float]]:
-        """Completed spans aggregated by name (:func:`span_totals`)."""
-        return span_totals(self.span_records())
-
-
-def span_totals(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
-    """Aggregate completed span records by name: count, total and max
-    seconds — over a live recorder's spans or a parsed run log's."""
-    totals: Dict[str, Dict[str, float]] = {}
-    for span in records:
-        if span.get("t1") is None:
-            continue
-        entry = totals.setdefault(
-            span["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        duration = span["t1"] - span["t0"]
-        entry["count"] += 1
-        entry["total_s"] += duration
-        if duration > entry["max_s"]:
-            entry["max_s"] = duration
-    return totals
+        """Completed spans aggregated by name: count, total and max
+        seconds."""
+        totals: Dict[str, Dict[str, float]] = {}
+        for span in self.spans:
+            if span.end_s is None:
+                continue
+            entry = totals.setdefault(
+                span.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
+            )
+            duration = span.end_s - span.start_s
+            entry["count"] += 1
+            entry["total_s"] += duration
+            if duration > entry["max_s"]:
+                entry["max_s"] = duration
+        return totals

@@ -31,6 +31,7 @@ from typing import Any, Callable, List, Optional
 
 from .export import prometheus_text
 from .recorder import Recorder
+from .slo import QuerySLO
 
 __all__ = ["MetricsServer"]
 
@@ -39,7 +40,7 @@ class MetricsServer:
     """Serve ``/metrics``, ``/healthz`` and ``/slo.json`` for a recorder.
 
     ``slo_provider`` returns the current list of
-    :class:`~repro.obs.slo.QuerySLO` records (or dicts); omit it and
+    :class:`~repro.obs.slo.QuerySLO` records; omit it and
     ``/slo.json`` serves an empty list.  ``port=0`` (the default) binds
     an ephemeral port — read :attr:`port` after :meth:`start`.
     """
@@ -47,7 +48,7 @@ class MetricsServer:
     def __init__(
         self,
         recorder: Recorder,
-        slo_provider: Optional[Callable[[], List[Any]]] = None,
+        slo_provider: Optional[Callable[[], List[QuerySLO]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -144,8 +145,4 @@ class MetricsServer:
     def slo_records(self) -> List[dict]:
         if self.slo_provider is None:
             return []
-        records = self.slo_provider() or []
-        return [
-            record.to_dict() if hasattr(record, "to_dict") else dict(record)
-            for record in records
-        ]
+        return [slo.to_dict() for slo in self.slo_provider()]

@@ -125,6 +125,8 @@ class StreamGlobe:
         ] = OrderedDict()
         self.analysis_hits = 0
         self.analysis_misses = 0
+        #: The executor of the latest :meth:`run` (``None`` before one).
+        self.last_simulator: Optional[StreamSimulator] = None
 
     # ------------------------------------------------------------------
     # Stream registration
@@ -469,7 +471,12 @@ class StreamGlobe:
         }
         memo = self.subscriber.match_memo
         if memo is not None:
-            stats["match"] = memo.stats()
+            stats["match"] = rated(
+                memo.hits,
+                memo.misses,
+                properties_entries=len(memo.properties),
+                operator_entries=len(memo.operators),
+            )
         return stats
 
     def _sync_cache_gauges(self) -> None:

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.obs import chrome_trace, load_jsonl
-from repro.obs.cli import hit_rates, main
+from repro.obs.cli import main
 
 from .conftest import pinned_cells
 
@@ -22,15 +22,17 @@ def run_log_path(tmp_path_factory):
     return str(path)
 
 
-class TestHitRates:
-    def test_pairs_hits_with_misses(self):
-        rates = hit_rates(
-            {"cache.route.hits": 8, "cache.route.misses": 2, "other": 5}
-        )
-        assert rates == {"cache.route": (8, 2, 0.8)}
-
-    def test_zero_total_is_zero_rate(self):
-        assert hit_rates({"cache.rate.hits": 0})["cache.rate"][2] == 0.0
+class TestNotARunLog:
+    @pytest.mark.parametrize("command", ["summarize", "diff", "chrome"])
+    def test_one_line_and_exit_2(self, command, run_log_path, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        other.write_text('{"type": "counter", "name": "x", "value": 1}\n')
+        paths = [run_log_path, str(other)] if command == "diff" else [str(other)]
+        assert main([command, *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{other}:1: not a repro.obs/1 run log " \
+            "(the first record must be its meta header)\n"
 
 
 class TestRecord:

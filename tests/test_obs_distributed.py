@@ -188,49 +188,32 @@ class TestTraceMergeIdentity:
 
 
 class TestSegmentShuffleInvariance:
-    """Each cell ships its whole trace once; the parent folds the
-    segments in shard order."""
+    """Each cell ships its own recorder once; the parent folds the
+    cells in shard order."""
 
     @staticmethod
-    def _segment(shard):
-        base = shard * 100
-        return {
-            "spans": [
-                # Completion order: a child closes before its parent.
-                {
-                    "id": base + 2,
-                    "parent": base + 1,
-                    "name": "cell.flush",
-                    "t0": 0.15,
-                    "t1": 0.18,
-                    "attrs": {},
-                },
-                {
-                    "id": base + 1,
-                    "parent": None,
-                    "name": "cell.step",
-                    "t0": 0.1,
-                    "t1": 0.2,
-                    "attrs": {"until": 5.0},
-                },
-                {
-                    "id": base + 3,
-                    "parent": None,
-                    "name": "cell.step",
-                    "t0": 0.3,
-                    "t1": 0.4,
-                    "attrs": {"until": 10.0},
-                },
-            ],
-            "events": [{"t": 0.2, "name": "cell.mark", "fields": {"n": shard}}],
-            "counters": {"cell.steps": 2},
-            "histograms": {"op.sel.batch_s": _hist([0.001, 0.002]).to_dict()},
-        }
+    def _cell(shard):
+        cell = Recorder()
+        with cell.span("cell.step", until=5.0):
+            with cell.span("cell.flush"):
+                pass
+        with cell.span("cell.step", until=10.0):
+            pass
+        cell.event("cell.mark", n=shard)
+        cell.inc("cell.steps", 2)
+        for value in (0.001, 0.002):
+            cell.observe("op.sel.batch_s", value)
+        return cell
 
     def test_parent_links_and_shard_tags_survive(self):
         recorder = Recorder()
         for shard in (0, 1):
-            merge_segment(recorder, shard, self._segment(shard))
+            cell = self._cell(shard)
+            # Completion order: a child closes before its parent.
+            assert [span.name for span in cell.spans] == [
+                "cell.flush", "cell.step", "cell.step",
+            ]
+            merge_segment(recorder, shard, cell)
         assert [span.span_id for span in recorder.spans] == list(range(1, 7))
         for child in (s for s in recorder.spans if s.name == "cell.flush"):
             parent = next(

@@ -1,9 +1,11 @@
 """Exporter tests: JSONL round-trip, Chrome traces, Prometheus text."""
 
+import io
 import json
 
 import pytest
 
+from repro.bench.harness import run_scenario
 from repro.network.topology import example_topology
 from repro.obs import (
     Recorder,
@@ -13,8 +15,10 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.cli import summarize
 from repro.obs.recorder import HISTOGRAM_BUCKETS
 from repro.obs.timeseries import EpochSnapshot
+from repro.workload.scenarios import SCENARIOS
 
 
 @pytest.fixture()
@@ -52,12 +56,14 @@ class TestJsonlRoundTrip:
         assert log.meta["format"] == "repro.obs/1"
         assert log.meta["scenario"] == "t"
         assert log.meta["peers"]["SP4"] > 0
-        assert [s["name"] for s in log.spans] == ["plan", "register"]
-        assert log.spans[0]["parent"] == log.spans[1]["id"]
-        assert log.events_named("plan.decision")[0]["fields"]["query"] == "Q1"
+        assert [s.name for s in log.spans] == ["plan", "register"]
+        assert log.spans[0].parent_id == log.spans[1].span_id
+        (decision,) = log.events
+        assert decision["name"] == "plan.decision"
+        assert decision["fields"]["query"] == "Q1"
         assert log.counters["cache.route.hits"] == 7
         assert log.gauges["cache.route.hit_rate"] == 0.7
-        assert log.histograms["op.select.batch_s"]["count"] == 1
+        assert log.histograms["op.select.batch_s"].count == 1
         (epoch,) = log.epochs
         assert epoch.peer_cpu_percent == {"SP4": 12.5}
         assert epoch.items_delivered == 90
@@ -79,6 +85,70 @@ class TestJsonlRoundTrip:
         assert log.span_totals().keys() == recorder.span_totals().keys()
         for name, entry in recorder.span_totals().items():
             assert log.span_totals()[name]["count"] == entry["count"]
+
+
+class TestLoadRefusesWhatIsNotARunLog:
+    """``load_jsonl`` names the path and the line it refuses."""
+
+    @staticmethod
+    def _load(tmp_path, *lines):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as info:
+            load_jsonl(str(path))
+        return str(info.value).replace(str(path), "RUN")
+
+    def test_a_line_that_is_not_json(self, tmp_path):
+        meta = json.dumps({"type": "meta", "format": "repro.obs/1"})
+        message = self._load(tmp_path, meta, "", "{not json")
+        assert message.startswith("RUN:3: not JSON")
+
+    def test_json_without_a_meta_header(self, tmp_path):
+        counter = json.dumps({"type": "counter", "name": "x", "value": 1})
+        message = self._load(tmp_path, "", counter)
+        assert message.startswith("RUN:2: not a repro.obs/1 run log")
+
+    def test_a_wrong_format_tag(self, tmp_path):
+        meta = json.dumps({"type": "meta", "format": "repro.obs/2"})
+        message = self._load(tmp_path, meta)
+        assert message.startswith("RUN:1: not a repro.obs/1 run log")
+
+
+def _summary(recorder):
+    out = io.StringIO()
+    summarize(recorder, out)
+    return out.getvalue()
+
+
+class TestRunLogIsAFixedPoint:
+    """A run log loads back as the recorder that wrote it: every
+    exporter reads the two alike, and writing the loaded one again
+    reproduces the log."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_loaded_recorder_exports_like_the_live_one(
+        self, workers, tmp_path, inline_cells
+    ):
+        recorder = Recorder()
+        run_scenario(
+            SCENARIOS["churn-smoke"](), "stream-sharing",
+            recorder=recorder, workers=workers,
+        )
+        assert any("shard" in span.attrs for span in recorder.spans) == (
+            workers == 2
+        )
+        path = tmp_path / "run.jsonl"
+        write_jsonl(recorder, str(path), extra={"scenario": "churn-smoke"})
+        loaded = load_jsonl(str(path))
+        recorder.meta = loaded.meta
+        assert prometheus_text(loaded) == prometheus_text(recorder)
+        assert _summary(loaded) == _summary(recorder)
+        assert json.dumps(chrome_trace(loaded), sort_keys=True) == json.dumps(
+            chrome_trace(recorder), sort_keys=True
+        )
+        again = tmp_path / "again.jsonl"
+        write_jsonl(loaded, str(again))
+        assert again.read_text().splitlines()[1:] == path.read_text().splitlines()[1:]
 
 
 class TestChromeTrace:

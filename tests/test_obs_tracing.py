@@ -102,6 +102,12 @@ class TestCacheStats:
             assert 0.0 <= cache["hit_rate"] <= 1.0
         assert stats["route"]["invalidations"] == 0
 
+    def test_an_unused_cache_rates_zero(self):
+        stats = make_system("stream-sharing").cache_stats()
+        for cache in stats.values():
+            assert cache["hits"] + cache["misses"] == 0
+            assert cache["hit_rate"] == 0.0
+
 
 class TestRepairTracing:
     @pytest.fixture(scope="class")
