@@ -9,9 +9,9 @@ runtime:
   path rooted at its origin node, using only real topology links
   (``P10x``), and the per-node availability index mirrors the routes
   exactly;
-* **sharing index** — the inverted signature index that serves indexed
-  candidate lookup lists exactly the installed streams at exactly their
-  route nodes, under their current content signatures (``P14x``);
+* **sharing index** — the inverted index that serves indexed candidate
+  lookup lists exactly the installed streams at exactly their route
+  nodes, under the keys of their current content (``P14x``);
 * **derivation** — parents exist, taps sit on parent routes, originals
   carry no pipeline, and every child's content is actually producible
   from its parent (``P11x``);
@@ -38,7 +38,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..costmodel.statistics import StatisticsCatalog
 from ..matching import match_stream_properties
-from ..sharing.index import content_signature
+from ..sharing.index import IndexKeys, index_keys
 from ..sharing.plan import Deployment, InstalledStream
 from ..xmlkit.schema import Schema
 from .diagnostics import AnalysisReport
@@ -167,7 +167,7 @@ def _check_availability_index(deployment: Deployment, report: AnalysisReport) ->
 # P14x — sharing index (indexed candidate lookup)
 # ----------------------------------------------------------------------
 def _check_sharing_index(deployment: Deployment, report: AnalysisReport) -> None:
-    """The inverted signature index must mirror the deployment exactly.
+    """The inverted index must mirror the deployment exactly.
 
     Indexed registration trusts the index as the *complete* candidate
     set: a missing entry silently hides a shareable stream (worse plans,
@@ -177,12 +177,12 @@ def _check_sharing_index(deployment: Deployment, report: AnalysisReport) -> None
     * ``P141`` — the index lists a stream at a node off its route;
     * ``P142`` — an installed stream is missing from the index at some
       node of its route (or entirely);
-    * ``P143`` — the indexed signature differs from the signature of the
-      stream's current content.
+    * ``P143`` — a stream is indexed under a signature, selection key
+      or content other than those of its current content.
     """
     index = deployment.sharing_index
     listed_nodes: Dict[str, Set[str]] = {}
-    for node, stream_id, signature in index.entries():
+    for node, stream_id, _ in index.entries():
         stream = deployment.streams.get(stream_id)
         if stream is None:
             report.add(
@@ -205,8 +205,8 @@ def _check_sharing_index(deployment: Deployment, report: AnalysisReport) -> None
 
     for stream in deployment.streams.values():
         subject = f"stream {stream.stream_id!r}"
-        signature = index.signature_of(stream.stream_id)
-        if signature is None:
+        stored = index.keys_of(stream.stream_id)
+        if stored is None:
             report.add(
                 "P142",
                 subject,
@@ -223,12 +223,21 @@ def _check_sharing_index(deployment: Deployment, report: AnalysisReport) -> None
                 f"sharing index misses the stream at route node(s) "
                 f"{', '.join(sorted(missing))}",
             )
-        if signature != content_signature(stream.content):
+        stale = [
+            name
+            for name, have, want in zip(
+                IndexKeys._fields, stored, index_keys(stream.content)
+            )
+            if have != want
+        ]
+        if stale:
             report.add(
                 "P143",
                 subject,
-                "indexed signature does not match the stream's current "
-                "content (indexed lookups would mis-bucket it)",
+                f"indexed {' and '.join(stale)} key(s) do not match the "
+                "stream's current content (indexed lookups would mis-group it)",
+                hint="a stream whose content changes must be re-keyed "
+                "(Deployment.replace_stream)",
             )
 
 

@@ -6,6 +6,7 @@ from .properties_match import (
     match_properties,
     match_stream_properties,
     missing_operators,
+    operators_matched,
 )
 
 __all__ = [
@@ -15,5 +16,6 @@ __all__ = [
     "match_properties",
     "match_stream_properties",
     "missing_operators",
+    "operators_matched",
     "serving_functions",
 ]

@@ -18,7 +18,7 @@ specs of :mod:`repro.properties.model`:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..predicates import match_predicates
 from .memo import MatchMemo
@@ -94,7 +94,23 @@ def _match_stream_properties(
 
     # Lines 6–36: every operator of the stream needs a compatible
     # counterpart in the subscription.
-    for op in stream.operators:                           # line 6
+    return operators_matched(stream.operators, subscription, mode, memo)
+
+
+def operators_matched(
+    operators: Tuple[OperatorSpec, ...],
+    subscription: StreamProperties,
+    mode: str = "edgewise",
+    memo: Optional[MatchMemo] = None,
+) -> bool:
+    """Lines 6–37 of Algorithm 2 over ``operators`` alone.
+
+    The availability index prunes a candidate whose selections fail
+    this check (:class:`~repro.sharing.index.SubscriptionProbe`): the
+    matcher runs the same check on all of the candidate's operators, so
+    a pruned candidate is exactly one it would reject.
+    """
+    for op in operators:                                   # line 6
         if not _operator_matched(op, subscription, mode, memo):  # lines 7–31
             return False                                   # lines 33–35
     return True                                            # line 37

@@ -185,8 +185,9 @@ class Deployment:
         self.queries: Dict[str, RegisteredQuery] = {}
         self.usage = NetworkUsage(net)
         self._available: Dict[str, List[str]] = {name: [] for name in net}
-        #: Inverted signature index over the same availability facts;
-        #: maintained in lock-step with ``_available`` (invariant P14x).
+        #: Inverted index over the same availability facts, by signature,
+        #: selection and content; maintained in lock-step with
+        #: ``_available`` (invariant P14x).
         self.sharing_index = StreamAvailabilityIndex()
         #: The sharded executor's memo of whether these records pickle:
         #: ``(records probed, verdict)``.
@@ -254,8 +255,11 @@ class Deployment:
 
     def replace_stream(self, stream: InstalledStream) -> None:
         """Swap an installed stream's record for one with the same id
-        and route (widening changes content and pipeline only)."""
+        and route (widening changes content and pipeline only), re-keyed
+        in the sharing index under its new content."""
+        self.sharing_index.discard(stream.stream_id, stream.route)
         self.streams[stream.stream_id] = stream
+        self.sharing_index.add(stream.stream_id, stream.content, stream.route)
         self.version += 1
 
     def replace_query(self, record: RegisteredQuery) -> None:
@@ -279,22 +283,13 @@ class Deployment:
         """Streams available for sharing at ``node`` (on their route)."""
         return [self.streams[stream_id] for stream_id in self._available[node]]
 
-    def candidates_at(
-        self, node: str, probe: SubscriptionProbe
-    ) -> List[InstalledStream]:
-        """Indexed variant of :meth:`streams_at`: only streams
-        structurally compatible with ``probe``, sorted by stream id."""
-        return [
-            self.streams[stream_id]
-            for stream_id in self.sharing_index.candidate_ids(node, probe)
-        ]
-
     def distinct_candidates_at(
         self, node: str, probe: SubscriptionProbe
-    ) -> List[Tuple[InstalledStream, Set[str]]]:
+    ) -> Tuple[List[Tuple[InstalledStream, Set[str]]], int]:
         """Indexed candidates grouped by *content*: one representative
-        stream per distinct content, plus the delivery targets of every
-        stream in the group.
+        stream per distinct content ``probe`` admits, plus the delivery
+        targets of every stream in the group; and the number of
+        contents pruned on their selections.
 
         Two streams with identical content tapped at the same node
         produce byte-identical plan effects and cost — only the parent
@@ -303,26 +298,18 @@ class Deployment:
         once per content and costing only the representative is
         therefore plan-equivalent to the full scan; the targets keep
         Algorithm 1's search frontier exact (every matched stream still
-        contributes its delivery target).
+        contributes its delivery target).  A pruned content would fail
+        Algorithm 2, so it adds neither a plan nor a target.
 
-        Representatives are returned in ascending stream-id order (the
-        group's smallest id; first occurrence over the id-sorted
-        candidate list).
+        Representatives are returned in ascending stream-id order.
         """
-        representatives: Dict[StreamProperties, InstalledStream] = {}
-        targets: Dict[StreamProperties, Set[str]] = {}
-        order: List[StreamProperties] = []
-        for stream_id in self.sharing_index.candidate_ids(node, probe):
-            stream = self.streams[stream_id]
-            content = stream.content
-            group = targets.get(content)
-            if group is None:
-                representatives[content] = stream
-                targets[content] = {stream.target_node}
-                order.append(content)
-            else:
-                group.add(stream.target_node)
-        return [(representatives[content], targets[content]) for content in order]
+        groups, pruned = self.sharing_index.candidate_groups(node, probe)
+        streams = self.streams
+        firsts = sorted((min(group), group) for group in groups)
+        return [
+            (streams[first], {streams[stream_id].target_node for stream_id in group})
+            for first, group in firsts
+        ], pruned
 
     def stream(self, stream_id: str) -> InstalledStream:
         try:

@@ -138,6 +138,9 @@ class Planner:
         self.rate_cache_hits = 0
         self.rate_cache_misses = 0
         self.plans_costed = 0
+        #: Algorithm 2 runs: candidates the search handed to
+        #: ``match_stream_properties``.
+        self.candidates_matched = 0
         #: Variants the search skipped because their candidate's
         #: :meth:`cost_floor` could not beat the incumbent plan.
         self.plans_bounded = 0

@@ -218,7 +218,12 @@ class Subscriber:
             # memo/index/rate-cache probes short-circuit on identity
             # instead of re-running structural equality.
             subscription_input = self.planner.intern_content(subscription_input)
-            probe = SubscriptionProbe.from_subscription(subscription_input)
+            probe = SubscriptionProbe.from_subscription(
+                subscription_input,
+                self.match_mode,
+                self.match_memo,
+                self.share_aggregates,
+            )
 
         marked: Set[str] = set()
         queue: Deque[str] = deque([original.origin_node])           # line 6
@@ -239,14 +244,21 @@ class Subscriber:
                 # streams tapped at the same node plan identically, and
                 # only the smallest id can win the strict-< tie-break,
                 # so matching and costing the representative is
-                # plan-equivalent to the full scan.
-                candidates = deployment.distinct_candidates_at(node, probe)
+                # plan-equivalent to the full scan.  Contents pruned on
+                # their selections would fail line 14; the latency model
+                # still charges them, since its count sets the modelled
+                # recovery time that gates delivery under churn.
+                candidates, pruned = deployment.distinct_candidates_at(node, probe)
+                plan.candidate_matches += pruned
             else:
                 candidates = self._scan(deployment, node, subscription_input)
             for candidate, targets in candidates:
+                # (A probe built without aggregate sharing covers no
+                # aggregate signature; the scan filters here.)
                 if not self.share_aggregates and candidate.content.aggregation is not None:
                     continue
                 plan.candidate_matches += 1
+                self.planner.candidates_matched += 1
                 if match_stream_properties(                         # line 14
                     candidate.content,
                     subscription_input,

@@ -17,11 +17,64 @@ from hypothesis import strategies as st
 from tests.conftest import PAPER_QUERIES, make_system
 from repro.analysis import verify_system
 from repro.faults import SuperPeerCrash, SuperPeerRejoin
+from repro.predicates import UnsatisfiableError
 from repro.workload.templates import QueryTemplateGenerator
+
+
+def _box(ra, dec, strict=False):
+    """A sky box; ``strict`` turns every bound into ``<``/``>``."""
+    low, high = (">", "<") if strict else (">=", "<=")
+    return (
+        f"$p/coord/cel/ra {low} {ra[0]} and $p/coord/cel/ra {high} {ra[1]} "
+        f"and $p/coord/cel/dec {low} {dec[0]} and $p/coord/cel/dec {high} {dec[1]}"
+    )
+
+
+def _selection(where):
+    return (
+        '<photons>{ for $p in stream("photons")/photons/photon '
+        f"where {where} return <m> {{ $p/coord/cel/ra }} {{ $p/coord/cel/dec }} "
+        "{ $p/en } { $p/det_time } </m> }</photons>"
+    )
+
+
+def _aggregate(where, function="avg"):
+    condition = where.replace("$p/", "")
+    return (
+        '<photons>{ for $w in stream("photons")/photons/photon '
+        f"[{condition}] |det_time diff 20 step 10| let $a := {function}($w/en) "
+        "return <agg_result> { $a } </agg_result> }</photons>"
+    )
+
+
+VELA = ((120.0, 138.0), (-49.0, -40.0))  # Query 1's box
+
+#: Selections built to sit where the index's selection prune is most
+#: likely to disagree with the scan: constants on a neighbour's bound,
+#: strict against non-strict comparisons, and nested, disjoint, and
+#: degenerate or empty regions.
+_ADVERSARIAL = [
+    _selection(_box(*VELA, strict=True)),  # Query 1's box, open
+    _selection(_box((138.0, 150.0), VELA[1])),  # shares the edge ra = 138
+    _selection(_box((138.0, 150.0), VELA[1], strict=True)),  # touches it, open
+    _selection(_box((138.0, 138.0), VELA[1])),  # the shared edge alone
+    _selection(_box((125.0, 130.0), (-45.0, -42.0))),  # nested, beside Query 2's
+    _selection(_box((120.0, 130.5), (-49.0, -45.0))),  # bounds of Query 1 and 2
+    _selection(_box((160.0, 170.0), (-30.0, -20.0))),  # disjoint from every box
+    _selection("$p/coord/cel/ra >= 120.0"),  # half-open, holds every box
+    _selection("$p/en > 1.3 and " + _box((130.5, 135.5), (-48.0, -45.0))),  # Query 2, open
+    _aggregate(_box(*VELA, strict=True)),  # Query 3's pre-selection, open
+    _aggregate(_box((138.0, 150.0), VELA[1]), "sum"),
+]
 
 #: A fixed pool of template queries (seeded: reproducible examples).
 _POOL = [g.text for g in QueryTemplateGenerator(seed=99).generate(12)]
 _POOL += list(PAPER_QUERIES.values())
+_POOL += _ADVERSARIAL
+
+#: The index test also draws an empty region, which registration
+#: refuses in both modes alike.
+_INDEX_POOL = _POOL + [_selection(_box((138.0, 138.0), VELA[1], strict=True))]
 
 SUBSCRIBERS = ("P1", "P2", "P3", "P4")
 
@@ -30,9 +83,12 @@ def _register_workload(use_index, picks):
     system = make_system("stream-sharing", use_index=use_index)
     results = []
     for i, pick in enumerate(picks):
-        result = system.register_query(
-            f"W{i:02d}", _POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)]
-        )
+        try:
+            result = system.register_query(
+                f"W{i:02d}", _INDEX_POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)]
+            )
+        except UnsatisfiableError:
+            continue  # an empty region is refused before any search
         results.append(result)
     return system, results
 
@@ -75,7 +131,7 @@ def _deployment_facts(system):
 @settings(max_examples=15, deadline=None)
 @given(
     picks=st.lists(
-        st.integers(min_value=0, max_value=len(_POOL) - 1),
+        st.integers(min_value=0, max_value=len(_INDEX_POOL) - 1),
         min_size=1,
         max_size=10,
     ),

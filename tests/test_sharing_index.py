@@ -12,6 +12,8 @@ on it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system
@@ -94,16 +96,16 @@ def test_probe_enumeration_agrees_with_bucket_scan():
         subscription = properties_of(text).single_input()
         probe = SubscriptionProbe.from_subscription(subscription)
         assert probe.signatures is not None
-        scan_probe = SubscriptionProbe(
-            stream=probe.stream,
-            item_path=probe.item_path,
-            details=probe.details,
-            signatures=None,  # force the bucket-scan path
-        )
+        # signatures=None forces the bucket-scan path.
+        scan_probe = dataclasses.replace(probe, signatures=None)
         for node in system.net.super_peer_names():
             assert index.candidate_ids(node, probe) == index.candidate_ids(
                 node, scan_probe
             )
+            groups, pruned = index.candidate_groups(node, probe)
+            scan_groups, scan_pruned = index.candidate_groups(node, scan_probe)
+            assert sorted(map(sorted, groups)) == sorted(map(sorted, scan_groups))
+            assert pruned == scan_pruned
 
 
 def test_avg_probe_accepts_sum_and_count_signatures():
@@ -128,11 +130,14 @@ def test_candidates_are_superset_of_matches_everywhere():
         probe = SubscriptionProbe.from_subscription(subscription)
         for node in system.net.super_peer_names():
             served = set(deployment.sharing_index.candidate_ids(node, probe))
+            groups, _ = deployment.sharing_index.candidate_groups(node, probe)
+            admitted = set().union(*groups)
             for stream in deployment.streams_at(node):
                 if stream.content.stream != subscription.stream:
                     continue
                 if match_stream_properties(stream.content, subscription):
                     assert stream.stream_id in served
+                    assert stream.stream_id in admitted
             # ... and everything served is genuinely available there.
             available = {s.stream_id for s in deployment.streams_at(node)}
             assert served <= available
@@ -148,25 +153,36 @@ def test_candidate_ids_are_sorted():
 
 
 def test_distinct_candidates_group_by_content():
-    """Grouped lookup partitions the flat candidate list: one minimal-id
-    representative per content, targets covering the whole group."""
+    """Grouped lookup partitions the flat candidate list by content: one
+    minimal-id representative per admitted content, targets covering
+    the whole group, and every other content pruned on a selection
+    Algorithm 2 rejects."""
     system = registered_system()
     # Re-register Q1 under a second name: a duplicate-content stream.
     system.register_query("Q1b", PAPER_QUERIES["Q1"], "P2")
     deployment = system.deployment
-    subscription = properties_of(PAPER_QUERIES["Q1"]).single_input()
-    probe = SubscriptionProbe.from_subscription(subscription)
-    for node in system.net.super_peer_names():
-        flat = deployment.candidates_at(node, probe)
-        grouped = deployment.distinct_candidates_at(node, probe)
-        regrouped = {}
-        for stream in flat:
-            regrouped.setdefault(stream.content, []).append(stream)
-        assert len(grouped) == len(regrouped)
-        for representative, targets in grouped:
-            group = regrouped[representative.content]
-            assert representative.stream_id == min(s.stream_id for s in group)
-            assert targets == {s.target_node for s in group}
+    saw_pruned = saw_shared = False
+    for text in (PAPER_QUERIES["Q1"], PAPER_QUERIES["Q2"]):
+        subscription = properties_of(text).single_input()
+        probe = SubscriptionProbe.from_subscription(subscription)
+        for node in system.net.super_peer_names():
+            regrouped = {}
+            for stream_id in deployment.sharing_index.candidate_ids(node, probe):
+                stream = deployment.streams[stream_id]
+                regrouped.setdefault(stream.content, []).append(stream)
+            grouped, pruned = deployment.distinct_candidates_at(node, probe)
+            assert len(grouped) + pruned == len(regrouped)
+            representatives = [stream.stream_id for stream, _ in grouped]
+            assert representatives == sorted(representatives)
+            for representative, targets in grouped:
+                group = regrouped.pop(representative.content)
+                assert representative.stream_id == min(s.stream_id for s in group)
+                assert targets == {s.target_node for s in group}
+                saw_shared |= len(group) > 1
+            for content in regrouped:  # pruned: the matcher rejects them
+                assert not match_stream_properties(content, subscription)
+            saw_pruned |= pruned > 0
+    assert saw_pruned and saw_shared
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +257,9 @@ def test_missing_route_node_is_rejected():
     delivered = system.deployment.queries["Q1"].delivered[0][1]
     stream = system.deployment.streams[delivered]
     index = system.deployment.sharing_index
-    signature = index.signature_of(delivered)
+    signature, selection, content = index.keys_of(delivered)
     node = stream.route[-1]
-    index._buckets[node][signature].discard(delivered)
+    index._nodes[node][signature][selection][content].discard(delivered)
     report = verify_system(system)
     assert "P142" in report.codes(), report.render()
 
@@ -259,6 +275,58 @@ def test_signature_mismatch_is_rejected():
     index.add(delivered, wrong_content, stream.route)
     report = verify_system(system)
     assert "P143" in report.codes(), report.render()
+
+
+def content_swapped_system():
+    """Q1 and Q2 installed; Q2's delivered stream and, for its record, a
+    copy carrying Q1's content — same signature, other selection."""
+    system = registered_system(queries=("Q1", "Q2"))
+    deployment = system.deployment
+    stream = deployment.streams[deployment.queries["Q2"].delivered[0][1]]
+    other = deployment.streams[deployment.queries["Q1"].delivered[0][1]]
+    assert content_signature(other.content) == content_signature(stream.content)
+    assert other.content.selection != stream.content.selection
+    return system, dataclasses.replace(stream, content=other.content)
+
+
+def test_stale_selection_key_is_rejected():
+    """A content rewrite that bypasses ``replace_stream`` leaves the
+    stream indexed under a stale selection key."""
+    system, swapped = content_swapped_system()
+    system.deployment.streams[swapped.stream_id] = swapped
+    report = verify_system(system)
+    [finding] = [d for d in report.diagnostics if d.code == "P143"]
+    assert "selection" in finding.message, report.render()
+
+
+def test_replace_stream_rekeys_the_index():
+    system, swapped = content_swapped_system()
+    system.deployment.replace_stream(swapped)
+    index = system.deployment.sharing_index
+    assert index.keys_of(swapped.stream_id).content == swapped.content
+    assert "P143" not in verify_system(system).codes()
+    # The old keys are gone: releasing removes every entry.
+    system.deployment.release_stream(swapped.stream_id)
+    assert all(entry[1] != swapped.stream_id for entry in index.entries())
+
+
+def test_widened_scenario_one_verifies_clean():
+    """Scenario 1 with widening rewrites installed contents in place;
+    every rewritten stream must end up re-keyed (P143 clean)."""
+    from repro.bench.harness import run_scenario
+    from repro.workload.scenarios import scenario_one
+
+    system = run_scenario(
+        scenario_one(), "stream-sharing", enable_widening=True, execute=False
+    ).system
+    assert any(
+        plan.widening is not None
+        for result in system.results
+        if result.plan is not None
+        for plan in result.plan.inputs
+    )
+    report = verify_system(system)
+    assert report.ok, report.render()
 
 
 # ----------------------------------------------------------------------

@@ -306,6 +306,46 @@ def test_scenario_one_variants_examined_are_unchanged():
 
 
 # ----------------------------------------------------------------------
+# The selection prune
+# ----------------------------------------------------------------------
+def test_selection_pruned_candidate_is_charged_but_never_matched(monkeypatch):
+    """Q1 cannot reuse Q2's narrower stream: the index prunes it on its
+    selection, so it never reaches Algorithm 2, yet the latency model is
+    charged for it like every other content whose signature can match."""
+    from repro.sharing import subscribe
+    from repro.sharing.plan import Deployment
+
+    system = make_system("stream-sharing")
+    system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
+    narrow = system.deployment.streams[
+        system.deployment.queries["Q2"].delivered[0][1]
+    ].content
+    deployment = system.deployment
+    charged, matched = [], []
+
+    def distinct_candidates_at(self, node, probe):
+        ids = deployment.sharing_index.candidate_ids(node, probe)
+        charged.append(len({deployment.streams[i].content for i in ids}))
+        return lookup(self, node, probe)
+
+    def spy(candidate, subscription, *args):
+        matched.append(candidate)
+        return match(candidate, subscription, *args)
+
+    lookup, match = Deployment.distinct_candidates_at, subscribe.match_stream_properties
+    monkeypatch.setattr(Deployment, "distinct_candidates_at", distinct_candidates_at)
+    monkeypatch.setattr(subscribe, "match_stream_properties", spy)
+    before = system.planner.candidates_matched
+    result = system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+
+    wide = extract_properties(parse_query(PAPER_QUERIES["Q1"]), "Q1").single_input()
+    assert not match(narrow, wide)
+    assert narrow not in matched
+    assert system.planner.candidates_matched - before == len(matched)
+    assert result.plan.candidate_matches == sum(charged) > len(matched)
+
+
+# ----------------------------------------------------------------------
 # The analysis memo
 # ----------------------------------------------------------------------
 UNSATISFIABLE = """<r>{ for $p in stream("photons")/photons/photon
