@@ -11,7 +11,8 @@ runtime:
   exactly;
 * **sharing index** — the inverted index that serves indexed candidate
   lookup lists exactly the installed streams at exactly their route
-  nodes, under the keys of their current content (``P14x``);
+  nodes, under the keys of their current content, and the reference
+  counts garbage collection sweeps by are a recount (``P14x``);
 * **derivation** — parents exist, taps sit on parent routes, originals
   carry no pipeline, and every child's content is actually producible
   from its parent (``P11x``);
@@ -68,6 +69,7 @@ def verify_deployment(
         _check_derivation(deployment, stream, report, views)
     _check_availability_index(deployment, report)
     _check_sharing_index(deployment, report)
+    _check_reference_counts(deployment, report)
     _check_deliveries(deployment, report, views)
     _check_usage_ledger(deployment, report)
     return report
@@ -239,6 +241,55 @@ def _check_sharing_index(deployment: Deployment, report: AnalysisReport) -> None
                 hint="a stream whose content changes must be re-keyed "
                 "(Deployment.replace_stream)",
             )
+
+
+def _check_reference_counts(deployment: Deployment, report: AnalysisReport) -> None:
+    """``P144`` — the reference counts must be a recount.
+
+    The tear-down collects exactly what the counts say nothing
+    references: a count too high leaks a dead stream (and its ledger
+    commitments) forever, one too low releases a stream a delivery
+    still reads.  Per installed stream the count is the deliveries that
+    name it plus its installed children, and the unreferenced set is
+    the derived streams whose count is 0.
+    """
+    streams = deployment.streams
+    expected: Dict[str, int] = {stream_id: 0 for stream_id in streams}
+    for stream in streams.values():
+        if stream.parent_id is not None and stream.parent_id in expected:
+            expected[stream.parent_id] += 1
+    for record in deployment.queries.values():
+        for _, stream_id in record.delivered:
+            if stream_id in expected:
+                expected[stream_id] += 1
+    stored = deployment.refcounts
+    for stream_id in sorted(set(expected) | set(stored)):
+        have, want = stored.get(stream_id), expected.get(stream_id)
+        if have != want:
+            report.add(
+                "P144",
+                f"stream {stream_id!r}",
+                f"reference count is {have}, but {want} deliveries and "
+                "installed children reference it",
+                hint="install_stream, release_stream, register_query, "
+                "pop_query and replace_query keep the counts",
+            )
+    unreferenced = {
+        stream_id
+        for stream_id, count in expected.items()
+        if count == 0 and not streams[stream_id].is_original
+    }
+    for stream_id in sorted(unreferenced ^ deployment.unreferenced):
+        listed = stream_id in deployment.unreferenced
+        report.add(
+            "P144",
+            f"stream {stream_id!r}",
+            "listed as unreferenced, but it is referenced, original or "
+            "not installed"
+            if listed
+            else "nothing references the derived stream, but it is not "
+            "listed as unreferenced (the tear-down would never collect it)",
+        )
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ A plan for one input stream of a subscription consists of:
 registration algorithm works against: every installed stream, which
 super-peers it is available at (every node on its route), the
 subscriptions served, and the estimated resource usage underlying
-``a_b``/``a_l`` in the cost function.
+``a_b``/``a_l`` in the cost function.  It also counts references
+to every installed stream, so garbage collection reads what nothing
+needs instead of searching for it.
 """
 
 from __future__ import annotations
@@ -189,6 +191,12 @@ class Deployment:
         #: selection and content; maintained in lock-step with
         #: ``_available`` (invariant P14x).
         self.sharing_index = StreamAvailabilityIndex()
+        #: Per installed stream: the deliveries that name it plus its
+        #: installed children (invariant P144).
+        self.refcounts: Dict[str, int] = {}
+        #: The derived streams whose count is 0: where the tear-down's
+        #: sweep starts (invariant P144).
+        self.unreferenced: Set[str] = set()
         #: The sharded executor's memo of whether these records pickle:
         #: ``(records probed, verdict)``.
         self.pickle_probe: Optional[Tuple[tuple, bool]] = None
@@ -214,6 +222,10 @@ class Deployment:
             # after this deployment was constructed.
             self._available.setdefault(node, []).append(stream.stream_id)
         self.sharing_index.add(stream.stream_id, stream.content, stream.route)
+        self.refcounts[stream.stream_id] = 0
+        if stream.parent_id is not None:
+            self.unreferenced.add(stream.stream_id)
+            self._reference(stream.parent_id)
 
     def release_stream(self, stream_id: str) -> bool:
         """Uninstall one stream; idempotent and atomic.
@@ -238,6 +250,10 @@ class Deployment:
             except ValueError:
                 pass  # index entry already gone; keep the removal atomic
         self.sharing_index.discard(stream_id, stream.route)
+        self.refcounts.pop(stream_id, None)
+        self.unreferenced.discard(stream_id)
+        if stream.parent_id is not None:
+            self._dereference(stream.parent_id)
         return True
 
     def register_query(self, record: RegisteredQuery) -> None:
@@ -245,18 +261,24 @@ class Deployment:
             raise ValueError(f"query {record.name!r} already registered")
         self.queries[record.name] = record
         self.version += 1
+        for _, stream_id in record.delivered:
+            self._reference(stream_id)
 
     def pop_query(self, name: str) -> RegisteredQuery:
         """Remove and return a subscription's record (``KeyError`` if
         it is not registered)."""
         record = self.queries.pop(name)
         self.version += 1
+        for _, stream_id in record.delivered:
+            self._dereference(stream_id)
         return record
 
     def replace_stream(self, stream: InstalledStream) -> None:
         """Swap an installed stream's record for one with the same id
         and route (widening changes content and pipeline only), re-keyed
-        in the sharing index under its new content."""
+        in the sharing index under its new content.  The parent stays,
+        so the reference counts do too."""
+        assert self.streams[stream.stream_id].parent_id == stream.parent_id
         self.sharing_index.discard(stream.stream_id, stream.route)
         self.streams[stream.stream_id] = stream
         self.sharing_index.add(stream.stream_id, stream.content, stream.route)
@@ -265,8 +287,25 @@ class Deployment:
     def replace_query(self, record: RegisteredQuery) -> None:
         """Swap a subscription's record (widening moves a delivery to
         its restoring stream)."""
+        for _, stream_id in self.queries[record.name].delivered:
+            self._dereference(stream_id)
         self.queries[record.name] = record
         self.version += 1
+        for _, stream_id in record.delivered:
+            self._reference(stream_id)
+
+    def _reference(self, stream_id: str) -> None:
+        count = self.refcounts.get(stream_id)
+        if count is not None:  # references to released streams count nowhere
+            self.refcounts[stream_id] = count + 1
+            self.unreferenced.discard(stream_id)
+
+    def _dereference(self, stream_id: str) -> None:
+        count = self.refcounts.get(stream_id)
+        if count is not None:
+            self.refcounts[stream_id] = count - 1
+            if count == 1 and not self.streams[stream_id].is_original:
+                self.unreferenced.add(stream_id)
 
     def commit_effects(self, effects: PlanEffects, sign: float = 1.0) -> None:
         """Fold estimated usage into the persistent state (``sign=-1.0``

@@ -8,8 +8,9 @@ rejoin, links fail and the rebalancer migrates — and differ only in
 *how* they execute a run:
 over one cell or 2 / 4 inline cells, in source batches of another size,
 into a live recorder or the null one.  After every step the reference
-twin verifies clean (P1xx/T2xx/F4xx/S5xx, index P140–143), its cached
-shard certificate is the one a fresh certification issues, its usage
+twin verifies clean (P1xx/T2xx/F4xx/S5xx; index and reference counts
+P140–144), its cached shard certificate is the one a fresh
+certification issues, its usage
 ledger is the walk over what is installed, and every twin holds the
 same deployment; after every run ``RunMetrics``, the captured
 deliveries and the SLO counters agree on all twins, and the

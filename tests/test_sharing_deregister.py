@@ -8,7 +8,7 @@ from tests.conftest import (
     make_system,
     on_every_executor,
 )
-from repro.sharing.deregister import DeregistrationError, live_stream_ids
+from repro.sharing.deregister import DeregistrationError, live_stream_ids, tear_down
 from repro.analysis import verify_deployment
 
 
@@ -161,10 +161,82 @@ class TestLiveStreamAnalysis:
         system = make_system()
         system.register_query("Q3", PAPER_QUERIES["Q3"], "P3")
         system.register_query("Q4", PAPER_QUERIES["Q4"], "P4")
-        del system.deployment.queries["Q3"]
+        system.deployment.pop_query("Q3")
         live = live_stream_ids(system.deployment)
         # Q4's re-aggregation feeds on Q3's stream: it must stay live.
         assert "Q3:photons" in live
+        assert "Q3:photons" not in system.deployment.unreferenced
+
+
+def deployment_state(system):
+    deployment, usage = system.deployment, system.deployment.usage
+    return (
+        dict(deployment.queries),
+        dict(deployment.streams),
+        deployment.version,
+        dict(deployment.refcounts),
+        set(deployment.unreferenced),
+        dict(usage._peer_work),
+        dict(usage._link_bits),
+    )
+
+
+class TestAtomicTearDown:
+    @pytest.mark.parametrize(
+        "names", [["Q1", "nope"], ["Q1", "Q1"], ["Q2", "Q1", "Q2"], ["nope"]]
+    )
+    def test_failed_call_changes_nothing(self, names):
+        """Every name is checked before any record is popped: a call
+        naming an unknown or repeated query must not strand the known
+        ones' streams and restructure charges."""
+        system = make_system()
+        system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+        system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
+        before = deployment_state(system)
+        with pytest.raises(DeregistrationError):
+            tear_down(system.planner, system.deployment, names)
+        assert deployment_state(system) == before
+        assert_ledger_is_the_walk(system)
+        # The records are still there to be removed for real.
+        tear_down(system.planner, system.deployment, ["Q1", "Q2"])
+        assert list(system.deployment.streams) == ["photons"]
+        assert_ledger_is_the_walk(system)
+
+
+def _unwalked(method):
+    def walk(self):
+        assert not self.armed, "the tear-down walked the whole mapping"
+        return method(self)
+
+    return walk
+
+
+class WalkFree(dict):
+    """A dict that fails if anything iterates it while ``armed``."""
+
+    armed = True
+    __iter__ = _unwalked(dict.__iter__)
+    keys = _unwalked(dict.keys)
+    values = _unwalked(dict.values)
+    items = _unwalked(dict.items)
+
+
+def test_tear_down_walks_neither_streams_nor_queries():
+    """A deregistration reads the counts: it looks streams and queries
+    up by id, never iterates them."""
+    system = make_system()
+    for name, peer in (("Q1", "P1"), ("Q2", "P2"), ("Q3", "P3"), ("Q4", "P4")):
+        system.register_query(name, PAPER_QUERIES[name], peer)
+    deployment = system.deployment
+    deployment.streams = WalkFree(deployment.streams)
+    deployment.queries = WalkFree(deployment.queries)
+    _, removed = tear_down(system.planner, deployment, ["Q2", "Q4"])
+    assert removed == ["Q2:photons", "Q4:photons"]
+    _, removed = tear_down(system.planner, deployment, ["Q1", "Q3"])
+    assert removed == ["Q1:photons", "Q3:photons"]
+    deployment.streams.armed = deployment.queries.armed = False
+    assert list(deployment.streams) == ["photons"]
+    assert_ledger_is_the_walk(system)
 
 
 class TestScenarioChurn:

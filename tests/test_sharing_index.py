@@ -22,7 +22,7 @@ from repro.faults import SuperPeerCrash, SuperPeerRejoin
 from repro.matching import MatchMemo, match_stream_properties
 from repro.network.routing import RouteCache
 from repro.network.topology import example_topology
-from repro.properties import extract_properties
+from repro.properties import UdfSpec, extract_properties
 from repro.sharing.index import (
     SubscriptionProbe,
     admission_order_key,
@@ -225,7 +225,7 @@ def test_deregistration_order_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# P140–P143 fire on seeded corruption
+# P140–P144 fire on seeded corruption
 # ----------------------------------------------------------------------
 def test_stale_index_entry_is_rejected():
     system = registered_system(queries=("Q1",))
@@ -275,6 +275,36 @@ def test_signature_mismatch_is_rejected():
     index.add(delivered, wrong_content, stream.route)
     report = verify_system(system)
     assert "P143" in report.codes(), report.render()
+
+
+def test_corrupted_reference_count_is_rejected():
+    system = registered_system(queries=("Q1", "Q2"))
+    shared = system.deployment.queries["Q1"].delivered[0][1]
+    assert system.deployment.refcounts[shared] == 2  # Q1's delivery, Q2's tap
+    system.deployment.refcounts[shared] += 1
+    report = verify_system(system)
+    [finding] = [d for d in report.diagnostics if d.code == "P144"]
+    assert shared in finding.subject and "3" in finding.message, report.render()
+
+
+def test_unreferenced_set_mismatch_is_rejected():
+    """A stream wrongly listed as unreferenced would be collected under
+    its consumers; an unreferenced one missing from the set leaks."""
+    system = registered_system(queries=("Q1",))
+    deployment = system.deployment
+    delivered = deployment.queries["Q1"].delivered[0][1]
+    deployment.unreferenced.add(delivered)
+    assert "P144" in verify_system(system).codes()
+    deployment.unreferenced.discard(delivered)
+    assert verify_system(system).ok
+    system.install_derived_stream(
+        "photons#udf", "photons", [UdfSpec("scale", ("2.0",))], target="P2"
+    )
+    assert deployment.unreferenced == {"photons#udf"}
+    deployment.unreferenced.clear()
+    report = verify_system(system)
+    [finding] = [d for d in report.diagnostics if d.code == "P144"]
+    assert "photons#udf" in finding.subject, report.render()
 
 
 def content_swapped_system():
