@@ -311,17 +311,28 @@ class CostModel:
         return self._net.super_peer(peer).capacity
 
     def plan_cost(self, effects: PlanEffects, usage: NetworkUsage) -> float:
-        """``C(P)`` of a candidate plan against the current usage."""
+        """``C(P)`` of a candidate plan against the current usage.
+
+        The search prices every variant it examines, so this reads the
+        ledger's dicts directly; ``a_b``/``a_l`` are the float
+        expressions of :meth:`NetworkUsage.available_bandwidth_fraction`
+        and :meth:`~NetworkUsage.available_load_fraction`
+        (``max(0.0, …)`` maps a NaN to 0).
+        """
+        link_bits = usage._link_bits
         traffic_cost = 0.0
         for link, bits in effects.link_bits.items():
-            u_b = bits / link.bandwidth
-            a_b = usage.available_bandwidth_fraction(link)
+            bandwidth = link.bandwidth
+            u_b = bits / bandwidth
+            a_b = max(0.0, 1.0 - link_bits.get(link.ends, 0.0) / bandwidth)
             traffic_cost += u_b + _overload_penalty(u_b, a_b)
+        peer_work = usage._peer_work
+        super_peer = self._net.super_peer
         load_cost = 0.0
         for peer, work in effects.peer_work.items():
-            capacity = self._net.super_peer(peer).capacity
+            capacity = super_peer(peer).capacity
             u_l = work / capacity
-            a_l = usage.available_load_fraction(peer)
+            a_l = max(0.0, 1.0 - peer_work.get(peer, 0.0) / capacity)
             load_cost += u_l + _overload_penalty(u_l, a_l)
         return self.gamma * traffic_cost + (1.0 - self.gamma) * load_cost
 

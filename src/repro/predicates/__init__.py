@@ -21,7 +21,7 @@ from .atoms import (
     normalize_atom,
     normalize_comparison,
 )
-from .graph import PredicateGraph, UnsatisfiableError, graph_from_atoms
+from .graph import PredicateGraph, UnsatisfiableError, graph_from_atoms, interned_graph_count
 from .matching import match_predicates
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "PredicateGraph",
     "UnsatisfiableError",
     "graph_from_atoms",
+    "interned_graph_count",
     "interval_of",
     "match_predicates",
     "normalize_atom",

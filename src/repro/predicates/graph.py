@@ -23,6 +23,7 @@ the paper uses during subscription registration:
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -37,10 +38,21 @@ class UnsatisfiableError(ValueError):
     """
 
 
+#: Canonical graphs by presentation (:meth:`PredicateGraph.interned`).
+_INTERNED: "weakref.WeakValueDictionary[tuple, PredicateGraph]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def interned_graph_count() -> int:
+    """Live entries of the graph intern table."""
+    return len(_INTERNED)
+
+
 class PredicateGraph:
     """Immutable-after-build weighted digraph over path/zero nodes."""
 
-    __slots__ = ("_edges", "_nodes", "_hash")
+    __slots__ = ("_edges", "_nodes", "_hash", "__weakref__")
 
     def __init__(self, atoms: Iterable[NormalizedAtom] = ()) -> None:
         self._edges: Dict[Tuple[NodeLabel, NodeLabel], Bound] = {}
@@ -128,6 +140,23 @@ class PredicateGraph:
 
     def __repr__(self) -> str:
         return f"PredicateGraph({len(self._nodes)} nodes, {len(self._edges)} edges)"
+
+    def interned(self) -> "PredicateGraph":
+        """The canonical live instance of this graph (this one if none).
+
+        Operator specs intern their graphs at construction, so equal
+        selections share one object and every ``==``, dict probe and
+        memo key on them hits the identity fast path.  The canonical
+        instance is keyed on the edges *and* the node and edge order:
+        equal graphs built in another order stay distinct, because that
+        order is the order :meth:`StreamStatistics.selectivity
+        <repro.costmodel.statistics.StreamStatistics.selectivity>`
+        multiplies its factors in and :meth:`describe` prints.  The
+        table holds its graphs weakly: a graph no spec uses any more
+        leaves it.
+        """
+        key = (tuple(self._edges.items()), tuple(self._nodes))
+        return _INTERNED.setdefault(key, self)
 
     def describe(self) -> str:
         """Human-readable listing of all atomic constraints."""

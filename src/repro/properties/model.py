@@ -29,7 +29,10 @@ from .windows import WindowSpec
 # The indexed registration path hashes the same specs once per
 # candidate pair (memo keys, signature buckets), so the hot classes
 # precompute their hash in ``__post_init__`` — the sanctioned
-# construction-time escape hatch for frozen dataclasses.
+# construction-time escape hatch for frozen dataclasses — and swap
+# their predicate graphs for the canonical instances
+# (:meth:`PredicateGraph.interned`), so comparing two specs' graphs is
+# an identity check.
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,7 @@ class SelectionSpec:
     kind: str = field(default="selection", init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "graph", self.graph.interned())
         object.__setattr__(self, "_hash", hash((SelectionSpec, self.graph)))
 
     def __hash__(self) -> int:
@@ -119,6 +123,8 @@ class AggregationSpec:
     def __post_init__(self) -> None:
         if self.function not in ("min", "max", "sum", "count", "avg"):
             raise ValueError(f"unknown aggregation function {self.function!r}")
+        object.__setattr__(self, "pre_selection", self.pre_selection.interned())
+        object.__setattr__(self, "result_filter", self.result_filter.interned())
         object.__setattr__(
             self,
             "_hash",

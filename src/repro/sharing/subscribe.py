@@ -13,7 +13,8 @@ For each input stream of a newly registered subscription the algorithm
    the subscription (Algorithm 2) and keeps the cheapest plan under the
    cost function ``C`` (lines 19–22) — a matched stream whose
    :meth:`~repro.sharing.planner.Planner.cost_floor` already reaches the
-   incumbent's cost is never built (branch and bound; decisions equal).
+   incumbent's cost is never priced (branch and bound; decisions
+   equal), and of the variants priced only the winner is built.
 
 The queue discipline is configurable: FIFO gives the paper's
 breadth-first search, LIFO the depth-first alternative the paper notes
@@ -24,15 +25,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
-from ..costmodel import PlanEffects
 from ..matching import MatchMemo, match_stream_properties
 from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import SubscriptionProbe
 from .plan import Deployment, EvaluationPlan, InputPlan, InstalledStream, RegisteredQuery
-from .planner import Planner, PlanningError
+from .planner import Planner, PlanningError, PricedVariant
 from .widening import WideningPlanner
 
 
@@ -189,25 +189,24 @@ class Subscriber:
             original = deployment.find_original(subscription_input.stream)
         except KeyError as exc:
             raise PlanningError(str(exc)) from None
-
-        def plans(candidate, node, placements=("tap", "target")):
-            return self.planner.plans_for_candidate(
-                deployment,
-                candidate,
-                node,
-                subscription_input,
-                query_name,
-                subscriber_node,
-                placements,
-            )
+        planner = self.planner
 
         # Lines 4–5: the initial plan ships the original stream to the
         # subscriber's super-peer and evaluates everything there (query
         # shipping: evaluates at the source and ships the result).
         placement = "tap" if self.strategy == "query-shipping" else "target"
-        (best,) = plans(original, original.origin_node, (placement,))
+        (best,) = planner.price_variants(
+            deployment,
+            original,
+            original.origin_node,
+            subscription_input,
+            subscriber_node,
+            (placement,),
+        )
         if self.strategy != "stream-sharing":
-            return best
+            return planner.build_plan(
+                deployment, best, subscription_input, query_name, subscriber_node
+            )
         initial_cost = best.cost
 
         # Widening needs the almost-matching candidates the signature
@@ -217,7 +216,7 @@ class Subscriber:
             # Interning makes recurring contents pointer-identical, so
             # memo/index/rate-cache probes short-circuit on identity
             # instead of re-running structural equality.
-            subscription_input = self.planner.intern_content(subscription_input)
+            subscription_input = planner.intern_content(subscription_input)
             probe = SubscriptionProbe.from_subscription(
                 subscription_input,
                 self.match_mode,
@@ -243,7 +242,7 @@ class Subscriber:
                 # One representative per distinct content: same-content
                 # streams tapped at the same node plan identically, and
                 # only the smallest id can win the strict-< tie-break,
-                # so matching and costing the representative is
+                # so matching and pricing the representative is
                 # plan-equivalent to the full scan.  Contents pruned on
                 # their selections would fail line 14; the latency model
                 # still charges them, since its count sets the modelled
@@ -258,7 +257,7 @@ class Subscriber:
                 if not self.share_aggregates and candidate.content.aggregation is not None:
                     continue
                 plan.candidate_matches += 1
-                self.planner.candidates_matched += 1
+                planner.candidates_matched += 1
                 if match_stream_properties(                         # line 14
                     candidate.content,
                     subscription_input,
@@ -266,18 +265,25 @@ class Subscriber:
                     self.match_memo,
                 ):
                     matched_targets.update(targets)                 # line 15
-                    floor = self.planner.cost_floor(
+                    floor = planner.cost_floor(
                         candidate.content, node, subscription_input, subscriber_node
                     )
                     if floor * (1.0 - FLOOR_MARGIN) >= best.cost:
                         # No variant can beat ``best`` under strict <:
-                        # skip building and costing them.
-                        self.planner.plans_bounded += 1 if node == subscriber_node else 2
+                        # skip pricing them.
+                        planner.plans_bounded += 1 if node == subscriber_node else 2
                         continue
-                    variants = plans(candidate, node)               # line 19
+                    variants = planner.price_variants(              # line 19
+                        deployment, candidate, node, subscription_input, subscriber_node
+                    )
                 elif self.widening is not None:
                     variants = self._widened(
-                        deployment, candidate, subscription_input, query_name, plans, node
+                        deployment,
+                        candidate,
+                        subscription_input,
+                        query_name,
+                        subscriber_node,
+                        node,
                     )
                 else:
                     continue
@@ -288,8 +294,11 @@ class Subscriber:
             for target in sorted(matched_targets):                  # lines 16–18
                 if target not in marked and target not in queue:
                     queue.append(target)
-        best.initial_cost = initial_cost
-        return best
+        chosen = planner.build_plan(
+            deployment, best, subscription_input, query_name, subscriber_node
+        )
+        chosen.initial_cost = initial_cost
+        return chosen
 
     def _widened(
         self,
@@ -297,25 +306,25 @@ class Subscriber:
         candidate: InstalledStream,
         subscription_input: StreamProperties,
         query_name: str,
-        plans: Callable[[InstalledStream, str], List[InputPlan]],
+        subscriber_node: str,
         node: str,
-    ) -> List[InputPlan]:
-        """The plans that reuse a non-matching ``candidate`` after
-        widening it, the widening's ledger delta costed in."""
+    ) -> List[PricedVariant]:
+        """The variants that reuse a non-matching ``candidate`` after
+        widening it, priced with the widening's ledger delta."""
         widened = self.widening.plan_widening(
             deployment, candidate, subscription_input, query_name
         )
         if widened is None:
             return []
         widened_stream, action = widened
-        variants = plans(widened_stream, node)
-        for variant in variants:
-            variant.widening = action
-            combined = PlanEffects()
-            combined.merge(variant.effects)
-            combined.merge(action.effects)
-            variant.cost = self.planner.cost_model.plan_cost(combined, deployment.usage)
-        return variants
+        return self.planner.price_variants(
+            deployment,
+            widened_stream,
+            node,
+            subscription_input,
+            subscriber_node,
+            widening=action,
+        )
 
     @staticmethod
     def _scan(

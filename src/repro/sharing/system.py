@@ -26,6 +26,7 @@ from ..engine import RunMetrics, StreamSimulator
 from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
+from ..predicates import interned_graph_count
 from ..properties import (
     Properties,
     StreamProperties,
@@ -439,7 +440,8 @@ class StreamGlobe:
         self._sync_cache_gauges()
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Hit/miss/invalidation counters of every control-plane cache.
+        """Hit/miss/invalidation counters of every control-plane cache,
+        and the entry counts of the intern tables (``"intern"``).
 
         Always available (the counters are plain ints kept regardless of
         tracing); the same numbers feed the recorder's
@@ -468,6 +470,12 @@ class StreamGlobe:
             "analysis": rated(
                 self.analysis_hits, self.analysis_misses, entries=len(self._analyses)
             ),
+        }
+        # The intern tables: contents live as long as the system (the
+        # table never evicts), graphs as long as some spec uses them.
+        stats["intern"] = {
+            "content_entries": self.planner.interned_contents,
+            "graph_entries": interned_graph_count(),
         }
         memo = self.subscriber.match_memo
         if memo is not None:

@@ -215,8 +215,8 @@ class WideningPlanner:
         parent_rate = planner.stream_rate(parent.content)
         old_rate = planner.stream_rate(candidate.content)
         new_rate = planner.stream_rate(widened_content)
-        planner.stream_effects(before, candidate, old_rate, parent_rate)
-        planner.stream_effects(action.effects, widened, new_rate, parent_rate)
+        planner.effects_of(before, candidate, old_rate, parent_rate)
+        planner.effects_of(action.effects, widened, new_rate, parent_rate)
         # Child streams: recompute their compensation pipelines against
         # the widened content.
         for stream in deployment.streams.values():
@@ -227,8 +227,8 @@ class WideningPlanner:
             )
             action.rewritten.append(rewritten)
             rate = planner.stream_rate(stream.content)
-            planner.stream_effects(before, stream, rate, old_rate)
-            planner.stream_effects(action.effects, rewritten, rate, new_rate)
+            planner.effects_of(before, stream, rate, old_rate)
+            planner.effects_of(action.effects, rewritten, rate, new_rate)
         # Direct deliveries: subscriptions whose delivered stream IS the
         # candidate get a restoring stream at their super-peer.
         for record in deployment.queries.values():
@@ -246,6 +246,6 @@ class WideningPlanner:
                     taps_parent=False,
                 )
                 action.restores.append((record.name, input_stream, restore))
-                planner.stream_effects(action.effects, restore, old_rate, new_rate)
+                planner.effects_of(action.effects, restore, old_rate, new_rate)
         action.effects.merge(before, sign=-1.0)
         return widened, action

@@ -97,16 +97,30 @@ class TestCacheStats:
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert system.recorder.enabled is False
         stats = system.cache_stats()
-        assert set(stats) == {"route", "rate", "match", "analysis"}
+        assert set(stats) == {"route", "rate", "match", "analysis", "intern"}
+        intern = stats.pop("intern")
         for cache in stats.values():
             assert 0.0 <= cache["hit_rate"] <= 1.0
         assert stats["route"]["invalidations"] == 0
+        # Q1's input content, and its selection graph (alive in it).
+        assert intern["content_entries"] == 1
+        assert intern["graph_entries"] >= 1
 
     def test_an_unused_cache_rates_zero(self):
         stats = make_system("stream-sharing").cache_stats()
+        assert stats.pop("intern")["content_entries"] == 0
         for cache in stats.values():
             assert cache["hits"] + cache["misses"] == 0
             assert cache["hit_rate"] == 0.0
+
+    def test_traced_system_reports_the_intern_tables(self):
+        system = make_system("stream-sharing", recorder=Recorder())
+        system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+        system.run(1.0)
+        intern = system.cache_stats()["intern"]
+        counters = system.recorder.counters
+        assert counters["cache.intern.content_entries"] == intern["content_entries"] == 1
+        assert counters["cache.intern.graph_entries"] >= 1
 
 
 class TestRepairTracing:

@@ -1,11 +1,18 @@
 """Unit tests for the properties model, windows, and extraction."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES
-from repro.predicates import PredicateGraph, UnsatisfiableError, normalize_comparison
+from tests.conftest import PAPER_QUERIES, make_system
+from repro.predicates import (
+    PredicateGraph,
+    UnsatisfiableError,
+    interned_graph_count,
+    normalize_comparison,
+)
 from repro.properties import (
     AggregationSpec,
     ProjectionSpec,
@@ -204,3 +211,54 @@ class TestExtraction:
             p.single_input()
         with pytest.raises(KeyError):
             p.input_for("nope")
+
+
+def _selection_query(where, returned):
+    return f"""<photons>
+{{ for $p in stream("photons")/photons/photon
+  where {where}
+  return <r> {{ $p/{returned} }} </r> }}
+</photons>"""
+
+
+#: A where clause no other test uses, so no other test holds its graph.
+INTERN_WHERE = "$p/en >= 2.71 and $p/coord/cel/ra <= 101.25"
+
+
+def _selection_graph(text):
+    return extract_properties(parse_query(text), "S").single_input().selection.graph
+
+
+class TestInternedGraphs:
+    def test_same_where_clause_shares_one_graph(self):
+        energy = _selection_graph(_selection_query(INTERN_WHERE, "en"))
+        ra = _selection_graph(_selection_query(INTERN_WHERE, "coord/cel/ra"))
+        assert energy is ra
+
+    def test_aggregations_share_their_pre_selection(self):
+        q3, q4 = props("Q3").single_input(), props("Q4").single_input()
+        assert q3.aggregation.pre_selection is q4.aggregation.pre_selection
+
+    def test_equal_graphs_built_in_another_order_stay_distinct(self):
+        """The canonical instance is keyed on node and edge order too:
+        selectivity multiplies its factors in node order, so sharing an
+        equal graph of another order could move an estimate's last bit."""
+        forward = _selection_graph(_selection_query(INTERN_WHERE, "en"))
+        swapped = " and ".join(reversed(INTERN_WHERE.split(" and ")))
+        backward = _selection_graph(_selection_query(swapped, "en"))
+        assert forward == backward
+        assert forward is not backward
+        assert forward.nodes != backward.nodes
+
+    def test_the_table_keeps_no_graph_alive(self):
+        where = "$p/en >= 3.17 and $p/coord/cel/dec <= -41.5"
+        system = make_system("stream-sharing")
+        system.register_query("S", _selection_query(where, "en"), "P1")
+        ((_, stream_id),) = system.deployment.queries["S"].delivered
+        graph = system.deployment.streams[stream_id].content.selection.graph
+        alive = weakref.ref(graph)
+        entries = interned_graph_count()
+        del system, graph
+        gc.collect()
+        assert alive() is None
+        assert interned_graph_count() < entries

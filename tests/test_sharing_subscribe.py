@@ -6,6 +6,8 @@ answered from Query 1's stream, Query 4 answered from Query 3's
 aggregates via re-aggregation.
 """
 
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,11 @@ from repro.bench.harness import run_scenario, scale_network
 from repro.faults import LinkFailure, SuperPeerCrash
 from repro.matching import match_stream_properties
 from repro.network.topology import example_topology
-from repro.predicates import UnsatisfiableError
+from repro.predicates import PredicateGraph, UnsatisfiableError
 from repro.properties import extract_properties
 from repro.sharing.planner import Planner, PlanningError
-from repro.sharing.subscribe import FLOOR_MARGIN
+from repro.sharing.index import SubscriptionProbe
+from repro.sharing.subscribe import FLOOR_MARGIN, Subscriber
 from repro.workload.scenarios import scenario_churn_hotspots, scenario_grid, scenario_one
 from repro.workload.templates import QueryTemplateGenerator
 from repro.wxquery import WXQueryError, parse_query
@@ -191,8 +194,10 @@ _FAULTS = (
 )
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+#: Generated deployments: up to eight registrations over peers and
+#: links scaled down until costs carry overload penalties, then churn;
+#: ``probe`` adds one more subscription to plan, ``subscriber`` where.
+DEPLOYMENTS = dict(
     picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=8),
     capacity=st.sampled_from([1.0, 0.05, 0.002]),
     bandwidth=st.sampled_from([None, 1e6, 1e5]),
@@ -200,36 +205,77 @@ _FAULTS = (
     probe=st.integers(0, len(_POOL) - 1),
     subscriber=st.sampled_from(["SP0", "SP1", "SP3", "SP4", "SP6"]),
 )
-@example(picks=[0], capacity=1.0, bandwidth=None, fault=None, probe=0, subscriber="SP1")
-def test_cost_floor_bounds_every_variant(picks, capacity, bandwidth, fault, probe, subscriber):
-    """``cost_floor`` never exceeds the cost of a placement variant of
-    any matched candidate, whatever the usage, penalties and churn: the
-    soundness the search's prune relies on."""
-    # Small capacities overload peers and links: costs carry penalties.
+_FIRST_DEPLOYMENT = dict(
+    picks=[0], capacity=1.0, bandwidth=None, fault=None, probe=0, subscriber="SP1"
+)
+
+
+def _matched_candidates(picks, capacity, bandwidth, fault, probe):
+    """The generated deployment's planner and deployment, and every
+    ``(subscription, node, candidate)`` whose candidate matches."""
     system = make_system(net=scale_network(example_topology(), capacity, bandwidth))
     for i, pick in enumerate(picks):
         system.register_query(f"W{i:02d}", _POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)])
     if fault is not None:
         system.apply_fault(fault)
     planner, deployment = system.planner, system.deployment
+    matched = []
     texts = sorted({_POOL[pick] for pick in picks} | {_POOL[probe]})
     for text in texts:
         for subscription in extract_properties(parse_query(text), "probe").inputs:
             for node in system.net.super_peer_names():
                 for candidate in deployment.streams_at(node):
-                    if not match_stream_properties(candidate.content, subscription):
-                        continue
-                    floor = planner.cost_floor(candidate.content, node, subscription, subscriber)
-                    costs = [
-                        variant.cost
-                        for variant in planner.plans_for_candidate(
-                            deployment, candidate, node, subscription, "probe", subscriber
-                        )
-                    ]
-                    assert floor >= 0.0
-                    assert min(costs) >= floor * (1.0 - FLOOR_MARGIN), (
-                        candidate.stream_id, node, floor, costs,
-                    )
+                    if match_stream_properties(candidate.content, subscription):
+                        matched.append((subscription, node, candidate))
+    return planner, deployment, matched
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEPLOYMENTS)
+@example(**_FIRST_DEPLOYMENT)
+def test_cost_floor_bounds_every_variant(picks, capacity, bandwidth, fault, probe, subscriber):
+    """``cost_floor`` never exceeds the cost of a placement variant of
+    any matched candidate, whatever the usage, penalties and churn: the
+    soundness the search's prune relies on."""
+    planner, deployment, matched = _matched_candidates(picks, capacity, bandwidth, fault, probe)
+    for subscription, node, candidate in matched:
+        floor = planner.cost_floor(candidate.content, node, subscription, subscriber)
+        costs = [
+            variant.cost
+            for variant in planner.plans_for_candidate(
+                deployment, candidate, node, subscription, "probe", subscriber
+            )
+        ]
+        assert floor >= 0.0
+        assert min(costs) >= floor * (1.0 - FLOOR_MARGIN), (
+            candidate.stream_id, node, floor, costs,
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEPLOYMENTS)
+@example(**_FIRST_DEPLOYMENT)
+def test_pricing_equals_building(picks, capacity, bandwidth, fault, probe, subscriber):
+    """A priced variant is what building it gives: the same cost, as a
+    float, and the same effects, in the same key order — the walk over
+    a variant's facts is the walk over the streams it installs."""
+    planner, deployment, matched = _matched_candidates(picks, capacity, bandwidth, fault, probe)
+    for subscription, node, candidate in matched:
+        priced = planner.price_variants(deployment, candidate, node, subscription, subscriber)
+        built = planner.plans_for_candidate(
+            deployment, candidate, node, subscription, "probe", subscriber
+        )
+        assert [(v.tap_node, v.placement_node) for v in priced] == [
+            (p.tap_node, p.placement_node) for p in built
+        ]
+        for variant, plan in zip(priced, built):
+            assert variant.cost == plan.cost, (candidate.stream_id, node)
+            assert list(variant.effects.link_bits.items()) == list(
+                plan.effects.link_bits.items()
+            )
+            assert list(variant.effects.peer_work.items()) == list(
+                plan.effects.peer_work.items()
+            )
 
 
 def _decisions(results):
@@ -238,6 +284,7 @@ def _decisions(results):
         (
             result.query,
             result.accepted,
+            repr(result.registration_ms),
             [
                 (
                     p.input_stream,
@@ -245,6 +292,7 @@ def _decisions(results):
                     p.tap_node,
                     p.placement_node,
                     repr(p.cost),
+                    repr(p.initial_cost),
                     [(link.ends, repr(bits)) for link, bits in p.effects.link_bits.items()],
                     [(peer, repr(work)) for peer, work in p.effects.peer_work.items()],
                     [stream.stream_id for stream in p.new_streams()],
@@ -256,13 +304,13 @@ def _decisions(results):
     ]
 
 
-def _registered(scenario, monkeypatch, bounded):
+def _registered(scenario, monkeypatch, *patches):
     """Register ``scenario`` (then apply its faults, collecting what plan
-    repair re-registered); with ``bounded=False`` the floor is 0 and
-    prunes nothing."""
+    repair re-registered) with every ``(owner, name, value)`` of
+    ``patches`` in place."""
     with monkeypatch.context() as patch:
-        if not bounded:
-            patch.setattr(Planner, "cost_floor", lambda self, *args: 0.0)
+        for owner, name, value in patches:
+            patch.setattr(owner, name, value)
         run = run_scenario(scenario, "stream-sharing", execute=False)
         system = run.system
         results = list(run.registrations)
@@ -280,21 +328,121 @@ def _registered(scenario, monkeypatch, bounded):
     return _decisions(results), facts, system.planner
 
 
-@pytest.mark.parametrize(
+#: The floor at 0: the search prunes nothing.
+NO_FLOOR = (Planner, "cost_floor", lambda self, *args: 0.0)
+
+SEARCH_SCENARIOS = pytest.mark.parametrize(
     "scenario",
     [scenario_one, lambda: scenario_grid(3, 3, 250), scenario_churn_hotspots],
     ids=["scenario1", "grid-3x3-250", "churn-hotspots"],
 )
+
+
+@SEARCH_SCENARIOS
 def test_bounded_search_decides_like_the_full_search(scenario, monkeypatch):
     """The prune is exact: with a floor of 0 every matched candidate is
-    built and costed, and every decision, cost, effect and stream id is
-    the same — after plan repair too."""
-    decisions, facts, planner = _registered(scenario(), monkeypatch, bounded=True)
-    full_decisions, full_facts, full = _registered(scenario(), monkeypatch, bounded=False)
+    priced, and every decision, cost, effect and stream id is the same
+    — after plan repair too."""
+    decisions, facts, planner = _registered(scenario(), monkeypatch)
+    full_decisions, full_facts, full = _registered(scenario(), monkeypatch, NO_FLOOR)
     assert decisions == full_decisions
     assert facts == full_facts
     assert planner.plans_bounded > 0 and full.plans_bounded == 0
     assert planner.plans_costed + planner.plans_bounded == full.plans_costed
+
+
+def _build_every_variant(self, deployment, subscription_input, query_name, subscriber_node, plan):
+    """The reference search: Algorithm 1 as it ran before variants were
+    priced — every variant of every matched candidate the floor admits
+    is built, and the strict-``<`` cheapest plan is kept (no widening)."""
+    assert self.widening is None
+    original = deployment.find_original(subscription_input.stream)
+
+    def plans(candidate, node, placements=("tap", "target")):
+        return self.planner.plans_for_candidate(
+            deployment, candidate, node, subscription_input, query_name,
+            subscriber_node, placements,
+        )
+
+    placement = "tap" if self.strategy == "query-shipping" else "target"
+    (best,) = plans(original, original.origin_node, (placement,))
+    if self.strategy != "stream-sharing":
+        return best
+    initial_cost = best.cost
+    probe = None
+    if self.use_index:
+        subscription_input = self.planner.intern_content(subscription_input)
+        probe = SubscriptionProbe.from_subscription(
+            subscription_input, self.match_mode, self.match_memo, self.share_aggregates
+        )
+    marked, queue = set(), deque([original.origin_node])
+    while queue:
+        node = queue.popleft() if self.search_order == "bfs" else queue.pop()
+        if node in marked:
+            continue
+        marked.add(node)
+        plan.visited_nodes += 1
+        matched_targets = set()
+        if probe is not None:
+            candidates, pruned = deployment.distinct_candidates_at(node, probe)
+            plan.candidate_matches += pruned
+        else:
+            candidates = self._scan(deployment, node, subscription_input)
+        for candidate, targets in candidates:
+            if not self.share_aggregates and candidate.content.aggregation is not None:
+                continue
+            plan.candidate_matches += 1
+            self.planner.candidates_matched += 1
+            if not match_stream_properties(
+                candidate.content, subscription_input, self.match_mode, self.match_memo
+            ):
+                continue
+            matched_targets.update(targets)
+            floor = self.planner.cost_floor(
+                candidate.content, node, subscription_input, subscriber_node
+            )
+            if floor * (1.0 - FLOOR_MARGIN) >= best.cost:
+                self.planner.plans_bounded += 1 if node == subscriber_node else 2
+                continue
+            for variant in plans(candidate, node):
+                if variant.cost < best.cost:
+                    best = variant
+        for target in sorted(matched_targets):
+            if target not in marked and target not in queue:
+                queue.append(target)
+    best.initial_cost = initial_cost
+    return best
+
+
+@SEARCH_SCENARIOS
+def test_priced_search_decides_like_the_build_everything_search(scenario, monkeypatch):
+    """Pricing variants and building only the winner decides exactly
+    like building every variant: every decision, cost, effect, stream
+    id and the count of variants costed — after plan repair too."""
+    decisions, facts, planner = _registered(scenario(), monkeypatch)
+    built_decisions, built_facts, built = _registered(
+        scenario(), monkeypatch, (Subscriber, "_search_input", _build_every_variant)
+    )
+    assert decisions == built_decisions
+    assert facts == built_facts
+    assert planner.plans_costed == built.plans_costed
+    assert planner.plans_bounded == built.plans_bounded
+
+
+def test_only_the_winner_is_built(monkeypatch):
+    """One plan is built per input stream registered: the winner."""
+    builds = []
+    build_plan = Planner.build_plan
+
+    def counted(self, *args):
+        builds.append(args)
+        return build_plan(self, *args)
+
+    monkeypatch.setattr(Planner, "build_plan", counted)
+    run = run_scenario(scenario_one(), "stream-sharing", execute=False)
+    inputs = [p for result in run.registrations for p in result.plan.inputs]
+    assert len(builds) == len(inputs)
+    assert run.system.planner.plans_costed > len(inputs)
 
 
 def test_scenario_one_variants_examined_are_unchanged():
@@ -303,6 +451,27 @@ def test_scenario_one_variants_examined_are_unchanged():
     planner = run_scenario(scenario_one(), "stream-sharing", execute=False).system.planner
     assert planner.plans_bounded > 0
     assert planner.plans_costed + planner.plans_bounded == 189
+
+
+def test_a_second_registration_compares_no_equal_graphs(monkeypatch):
+    """Selection graphs are interned: once scenario 1 is registered,
+    registering its queries again never compares two distinct but
+    equal predicate graphs edge by edge (unequal ones differ in their
+    cached hashes)."""
+    run = run_scenario(scenario_one(), "stream-sharing", execute=False)
+    structural = []
+    equal = PredicateGraph.__eq__
+
+    def counted(self, other):
+        if self is not other and isinstance(other, PredicateGraph):
+            if hash(self) == hash(other):
+                structural.append((self, other))
+        return equal(self, other)
+
+    monkeypatch.setattr(PredicateGraph, "__eq__", counted)
+    for query in scenario_one().queries:
+        run.system.register_query(f"again-{query.name}", query.text, query.subscriber_peer)
+    assert structural == []
 
 
 # ----------------------------------------------------------------------

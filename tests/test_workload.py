@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.workload import (
     RXJ_REGION,
     VELA_REGION,
     average_item_size,
+    scenario_churn_hotspots,
     scenario_drift,
     scenario_one,
     scenario_two,
@@ -272,6 +274,24 @@ class TestScenarios:
         for query in scenario_two().queries:
             streams.update(analyze(parse_query(query.text)).streams())
         assert streams == {"photons", "photons2"}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1(c): scenario_churn_hotspots puts its three hot spots "
+        "outside SKY_STRIP, so every hot-spot photon falls back to the uniform "
+        "background; the fix moves the hotspots-rolling-churn seed-0 pins",
+    )
+    def test_churn_hot_spots_emit_photons(self):
+        config = scenario_churn_hotspots().sources[0].config
+        near = 0
+        for item in PhotonGenerator(config).take(2000):
+            ra = float(item.find(["coord", "cel", "ra"]).text)
+            dec = float(item.find(["coord", "cel", "dec"]).text)
+            near += any(
+                math.hypot(ra - spot.ra, dec - spot.dec) <= 2 * spot.sigma
+                for spot in config.hot_spots
+            )
+        assert near > 0
 
     def test_all_scenario_queries_parse(self):
         for scenario in (scenario_one(), scenario_two()):
