@@ -10,10 +10,8 @@ traffic.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import series_table
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
+from conftest import cpu_by_peer, series_table, write_result
+from repro.workload.scenarios import run_scenario, scenario_one
 
 GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -30,17 +28,17 @@ def gamma_runs():
 class TestGammaSweep:
     def test_all_accept(self, gamma_runs):
         for run in gamma_runs.values():
-            assert run.rejected == 0
+            assert not run.system.rejected_queries()
 
     def test_traffic_weighting_minimizes_traffic(self, gamma_runs):
-        traffic = {gamma: run.total_traffic_mbit() for gamma, run in gamma_runs.items()}
+        traffic = {gamma: run.metrics.total_mbit() for gamma, run in gamma_runs.items()}
         assert traffic[1.0] <= min(traffic.values()) + 1e-6
 
     def test_load_weighting_minimizes_peak_cpu(self, gamma_runs):
         """With γ = 0 the optimizer only sees peer load; the resulting
         peak CPU must not exceed the traffic-only plan's peak."""
         def peak(run):
-            return max(run.cpu_by_peer().values())
+            return max(cpu_by_peer(run).values())
 
         assert peak(gamma_runs[0.0]) <= peak(gamma_runs[1.0]) * 1.25
 
@@ -49,13 +47,13 @@ class TestGammaSweep:
         (sharing decisions dominate the γ fine-tuning)."""
         shipping = run_scenario(scenario_one(), "data-shipping")
         for run in gamma_runs.values():
-            assert run.total_traffic_mbit() < shipping.total_traffic_mbit() / 2
+            assert run.metrics.total_mbit() < shipping.metrics.total_mbit() / 2
 
     def test_write_report(self, gamma_runs):
         series = {
             f"gamma={gamma}": {
-                "total MBit": run.total_traffic_mbit(),
-                "peak CPU %": max(run.cpu_by_peer().values()),
+                "total MBit": run.metrics.total_mbit(),
+                "peak CPU %": max(cpu_by_peer(run).values()),
             }
             for gamma, run in gamma_runs.items()
         }

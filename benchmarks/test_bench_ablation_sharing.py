@@ -13,10 +13,8 @@ Three design choices DESIGN.md calls out:
 
 import pytest
 
-from conftest import write_result
-from repro.bench import series_table
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
+from conftest import series_table, write_result
+from repro.workload.scenarios import run_scenario, scenario_one
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +27,14 @@ class TestSearchOrder:
         dfs = run_scenario(scenario_one(), "stream-sharing", search_order="dfs")
         # The search order changes traversal, not the candidate set:
         # total measured traffic stays within a small factor.
-        assert dfs.total_traffic_mbit() <= baseline_run.total_traffic_mbit() * 1.3
-        assert dfs.rejected == 0
+        assert dfs.metrics.total_mbit() <= baseline_run.metrics.total_mbit() * 1.3
+        assert not dfs.system.rejected_queries()
 
 
 class TestMatchMode:
     def test_closure_never_worse(self, baseline_run):
         closure = run_scenario(scenario_one(), "stream-sharing", match_mode="closure")
-        assert closure.total_traffic_mbit() <= baseline_run.total_traffic_mbit() * 1.05
+        assert closure.metrics.total_mbit() <= baseline_run.metrics.total_mbit() * 1.05
 
     def test_closure_finds_at_least_as_many_candidates(self):
         edgewise = run_scenario(
@@ -59,8 +57,8 @@ class TestAggregateReuse:
         no_agg = run_scenario(
             scenario_one(), "stream-sharing", share_aggregates=False
         )
-        assert no_agg.total_traffic_mbit() >= baseline_run.total_traffic_mbit()
-        assert no_agg.rejected == 0
+        assert no_agg.metrics.total_mbit() >= baseline_run.metrics.total_mbit()
+        assert not no_agg.system.rejected_queries()
 
     def test_no_aggregate_streams_reused(self):
         no_agg = run_scenario(
@@ -79,7 +77,7 @@ def test_write_ablation_report(baseline_run):
     closure = run_scenario(scenario_one(), "stream-sharing", match_mode="closure")
     no_agg = run_scenario(scenario_one(), "stream-sharing", share_aggregates=False)
     series = {
-        name: {"total MBit": run.total_traffic_mbit()}
+        name: {"total MBit": run.metrics.total_mbit()}
         for name, run in [
             ("bfs+edgewise (paper)", baseline_run),
             ("dfs", dfs),

@@ -15,11 +15,9 @@ then shared.  Findings of this ablation (scenario 1):
 
 import pytest
 
-from conftest import write_result
+from conftest import registration_stats_ms, series_table, write_result
 from repro.analysis import verify_deployment
-from repro.bench import series_table
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
+from repro.workload.scenarios import run_scenario, scenario_one
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +45,7 @@ def total_work(run):
 
 class TestWideningAblation:
     def test_all_queries_accepted(self, widened):
-        assert widened.rejected == 0
+        assert not widened.system.rejected_queries()
 
     def test_results_bit_identical(self, baseline, widened):
         """Widening must never change what subscribers receive."""
@@ -84,24 +82,24 @@ class TestWideningAblation:
         wide = run_scenario(
             scenario_one(), "stream-sharing", gamma=1.0, enable_widening=True
         )
-        assert wide.total_traffic_mbit() == pytest.approx(
-            base.total_traffic_mbit(), rel=0.01
+        assert wide.metrics.total_mbit() == pytest.approx(
+            base.metrics.total_mbit(), rel=0.01
         )
 
     def test_registration_overhead_bounded(self, widened, baseline):
-        widened_avg = widened.registration_stats_ms()[0]
-        baseline_avg = baseline.registration_stats_ms()[0]
+        widened_avg = registration_stats_ms(widened)[0]
+        baseline_avg = registration_stats_ms(baseline)[0]
         assert widened_avg <= baseline_avg * 2.0
 
     def test_write_report(self, baseline, widened):
         series = {
             "sharing (paper)": {
-                "total MBit": baseline.total_traffic_mbit(),
+                "total MBit": baseline.metrics.total_mbit(),
                 "total work (M units)": total_work(baseline) / 1e6,
                 "widened plans": 0.0,
             },
             "sharing + widening": {
-                "total MBit": widened.total_traffic_mbit(),
+                "total MBit": widened.metrics.total_mbit(),
                 "total work (M units)": total_work(widened) / 1e6,
                 "widened plans": float(widening_count(widened)),
             },

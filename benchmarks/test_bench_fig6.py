@@ -10,15 +10,20 @@
   less overall CPU than data shipping, and greatly reduces traffic.
 """
 
-from conftest import write_result
-from repro.bench import cpu_report, traffic_report
+from conftest import (
+    cpu_by_peer,
+    cpu_report,
+    traffic_by_link_kbps,
+    traffic_report,
+    write_result,
+)
 
 SOURCE_PEER = "SP4"
 
 
 class TestFigure6Shapes:
     def test_query_shipping_cpu_peak_at_source(self, scenario1_runs):
-        cpu = scenario1_runs["query-shipping"].cpu_by_peer()
+        cpu = cpu_by_peer(scenario1_runs["query-shipping"])
         peak = max(cpu, key=cpu.get)
         others = [v for k, v in cpu.items() if k != SOURCE_PEER]
         assert peak == SOURCE_PEER
@@ -26,17 +31,17 @@ class TestFigure6Shapes:
 
     def test_data_shipping_spreads_cpu(self, scenario1_runs):
         """Forwarding the full stream loads most peers noticeably."""
-        cpu = scenario1_runs["data-shipping"].cpu_by_peer()
+        cpu = cpu_by_peer(scenario1_runs["data-shipping"])
         loaded = [v for v in cpu.values() if v > 0.5]
         assert len(loaded) >= 5
 
     def test_stream_sharing_source_peak_below_query_shipping(self, scenario1_runs):
-        sharing = scenario1_runs["stream-sharing"].cpu_by_peer()[SOURCE_PEER]
-        shipping = scenario1_runs["query-shipping"].cpu_by_peer()[SOURCE_PEER]
+        sharing = cpu_by_peer(scenario1_runs["stream-sharing"])[SOURCE_PEER]
+        shipping = cpu_by_peer(scenario1_runs["query-shipping"])[SOURCE_PEER]
         assert sharing < shipping
 
     def test_traffic_ordering(self, scenario1_runs):
-        totals = {s: r.total_traffic_mbit() for s, r in scenario1_runs.items()}
+        totals = {s: r.metrics.total_mbit() for s, r in scenario1_runs.items()}
         assert totals["stream-sharing"] < totals["query-shipping"]
         assert totals["query-shipping"] < totals["data-shipping"]
         # Data shipping floods: the paper shows roughly an order of
@@ -46,14 +51,14 @@ class TestFigure6Shapes:
     def test_per_link_sharing_never_dramatically_worse(self, scenario1_runs):
         """Stream sharing's per-connection traffic stays below data
         shipping on every connection."""
-        sharing = scenario1_runs["stream-sharing"].traffic_by_link_kbps()
-        shipping = scenario1_runs["data-shipping"].traffic_by_link_kbps()
+        sharing = traffic_by_link_kbps(scenario1_runs["stream-sharing"])
+        shipping = traffic_by_link_kbps(scenario1_runs["data-shipping"])
         for link, kbps in sharing.items():
             assert kbps <= shipping[link] + 100.0
 
     def test_all_queries_accepted(self, scenario1_runs):
         for run in scenario1_runs.values():
-            assert run.rejected == 0
+            assert not run.system.rejected_queries()
 
     def test_deliveries_identical(self, scenario1_runs):
         reference = scenario1_runs["data-shipping"].metrics.items_delivered

@@ -15,8 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import write_result
-from repro.bench import series_table
+from conftest import series_table, write_result
 from repro.obs.drift import DriftConfig
 from repro.sharing import Rebalancer, StreamGlobe
 from repro.workload.scenarios import scenario_drift, scenario_hotspot_shift

@@ -7,47 +7,51 @@ the rough magnitudes (sharing rejects almost nothing, data shipping
 close to half).
 """
 
+import dataclasses
+
 import pytest
 
-from conftest import write_result
-from repro.bench import rejection_report
-from repro.bench.harness import run_scenario
+from conftest import rejection_report, write_result
 from repro.sharing import STRATEGIES
-from repro.workload.scenarios import scenario_two
-
-CONSTRAINTS = dict(
-    admission_control=True,
-    capacity_factor=0.10,
-    link_bandwidth=1_000_000.0,
-    execute=False,
-)
+from repro.workload.scenarios import run_scenario, scenario_two
 
 
 @pytest.fixture(scope="module")
 def rejection_runs():
+    scenario = scenario_two()
+    constrained = dataclasses.replace(
+        scenario,
+        network_factory=lambda: scenario.build_network().scaled(0.10, 1_000_000.0),
+    )
     return {
-        strategy: run_scenario(scenario_two(), strategy, **CONSTRAINTS)
+        strategy: run_scenario(
+            constrained, strategy, admission_control=True, execute=False
+        )
         for strategy in STRATEGIES
     }
 
 
+def rejected(run):
+    return len(run.system.rejected_queries())
+
+
 class TestRejectionShapes:
     def test_ordering(self, rejection_runs):
-        rejected = {s: r.rejected for s, r in rejection_runs.items()}
-        assert rejected["data-shipping"] > rejected["query-shipping"]
-        assert rejected["query-shipping"] > rejected["stream-sharing"]
+        counts = {s: rejected(r) for s, r in rejection_runs.items()}
+        assert counts["data-shipping"] > counts["query-shipping"]
+        assert counts["query-shipping"] > counts["stream-sharing"]
 
     def test_sharing_rejects_almost_nothing(self, rejection_runs):
-        assert rejection_runs["stream-sharing"].rejected <= 10
+        assert rejected(rejection_runs["stream-sharing"]) <= 10
 
     def test_data_shipping_rejects_heavily(self, rejection_runs):
         """The paper rejects 47/100; anything in the 30–85 band keeps
         the claim (absolute counts depend on the synthetic item sizes)."""
-        assert 30 <= rejection_runs["data-shipping"].rejected <= 85
+        assert 30 <= rejected(rejection_runs["data-shipping"]) <= 85
 
     def test_counts_add_up(self, rejection_runs):
         for run in rejection_runs.values():
-            assert run.accepted + run.rejected == 100
+            assert len(run.system.accepted_queries()) + rejected(run) == 100
 
     def test_rejections_do_not_pollute_state(self, rejection_runs):
         """A rejected query must leave no streams behind."""

@@ -10,11 +10,9 @@ from the registration latency model (DESIGN.md §1), not a clock, so
 
 import pytest
 
-from conftest import write_result
-from repro.bench import registration_table
-from repro.bench.harness import run_scenario
+from conftest import registration_stats_ms, registration_table, write_result
 from repro.sharing import STRATEGIES
-from repro.workload.scenarios import scenario_one, scenario_two
+from repro.workload.scenarios import run_scenario, scenario_one, scenario_two
 
 
 @pytest.fixture(scope="module")
@@ -35,30 +33,30 @@ class TestTable1Shapes:
     @pytest.mark.parametrize("scenario", ["1", "2"])
     def test_sharing_within_factor_three(self, registration_runs, scenario):
         runs = registration_runs[scenario]
-        sharing_avg = runs["stream-sharing"].registration_stats_ms()[0]
+        sharing_avg = registration_stats_ms(runs["stream-sharing"])[0]
         for baseline in ("data-shipping", "query-shipping"):
-            baseline_avg = runs[baseline].registration_stats_ms()[0]
+            baseline_avg = registration_stats_ms(runs[baseline])[0]
             assert sharing_avg <= 3.0 * baseline_avg
             assert sharing_avg > baseline_avg  # the search is not free
 
     @pytest.mark.parametrize("scenario", ["1", "2"])
     def test_stats_ordered(self, registration_runs, scenario):
         for run in registration_runs[scenario].values():
-            average, minimum, maximum = run.registration_stats_ms()
+            average, minimum, maximum = registration_stats_ms(run)
             assert minimum <= average <= maximum
 
     def test_larger_scenario_slower_for_sharing(self, registration_runs):
         """More streams and peers mean a larger searched region."""
-        small = registration_runs["1"]["stream-sharing"].registration_stats_ms()[0]
-        large = registration_runs["2"]["stream-sharing"].registration_stats_ms()[0]
+        small = registration_stats_ms(registration_runs["1"]["stream-sharing"])[0]
+        large = registration_stats_ms(registration_runs["2"]["stream-sharing"])[0]
         assert large > small
 
     def test_sharing_max_grows_with_deployment(self, registration_runs):
         """Later registrations see more candidate streams: the maximum
         exceeds the minimum substantially (paper: 5025 vs 509 ms)."""
-        _, minimum, maximum = registration_runs["1"][
-            "stream-sharing"
-        ].registration_stats_ms()
+        _, minimum, maximum = registration_stats_ms(
+            registration_runs["1"]["stream-sharing"]
+        )
         assert maximum > 1.5 * minimum
 
     def test_write_report(self, registration_runs):

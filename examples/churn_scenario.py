@@ -26,8 +26,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bench import run_scenario
-from repro.workload.scenarios import scenario_churn
+from repro.workload.scenarios import run_scenario, scenario_churn
 from repro.xmlkit.serializer import serialize
 
 

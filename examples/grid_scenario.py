@@ -13,8 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bench import run_scenario
-from repro.workload.scenarios import scenario_two
+from repro.workload.scenarios import run_scenario, scenario_two
 
 
 def main() -> None:
@@ -30,6 +29,7 @@ def main() -> None:
           f"{'avg reg ms':>11} {'shared':>7}")
     for strategy in ("data-shipping", "query-shipping", "stream-sharing"):
         run = run_scenario(scenario, strategy)
+        times = run.system.registration_times_ms()
         shared = sum(
             1
             for result in run.registrations
@@ -39,9 +39,9 @@ def main() -> None:
             )
         )
         print(
-            f"{strategy:<16} {run.total_traffic_mbit():>11.1f} "
-            f"{max(run.cpu_by_peer().values()):>11.2f} "
-            f"{run.registration_stats_ms()[0]:>11.0f} "
+            f"{strategy:<16} {run.metrics.total_mbit():>11.1f} "
+            f"{max(cpu for _, cpu in run.metrics.cpu_series(run.system.net)):>11.2f} "
+            f"{sum(times) / len(times):>11.0f} "
             f"{shared:>7}"
         )
 

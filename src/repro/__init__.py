@@ -21,7 +21,7 @@ Subpackages
 ``repro.engine``      push operators and the measured simulator
 ``repro.sharing``     Algorithm 1, strategies, the StreamGlobe facade
 ``repro.workload``    synthetic RASS photons, query templates, scenarios
-``repro.bench``       harness regenerating every table and figure
+                      and the runner that registers and executes them
 """
 
 from .network.topology import Network, example_topology, grid_topology

@@ -124,9 +124,8 @@ def _scenario_reports(
     The reports come back grouped by pass, in the order of ``passes``.
     """
     # Imported lazily: --code must work even if the engine side is broken.
-    from ..bench.harness import run_scenario
     from ..sharing.subscribe import STRATEGIES
-    from ..workload.scenarios import SCENARIOS
+    from ..workload.scenarios import SCENARIOS, run_scenario
     from .preflight import certify_system, flow_system, verify_system
 
     by_pass: Dict[str, List[AnalysisReport]] = {name: [] for name in passes}

@@ -10,7 +10,7 @@ Entry points per pass:
   certificate re-validation gate for ``--flow``/``--shards``).
 
 ``python -m repro.analysis`` registers each scenario's full workload
-*without executing it* (:func:`~repro.bench.harness.run_scenario` with
+*without executing it* (:func:`~repro.workload.scenarios.run_scenario` with
 ``execute=False``) and runs every requested pass on that one system.
 All passes are span-traced through the system's recorder
 (``analysis.flow`` / ``analysis.shards`` spans).
@@ -83,7 +83,7 @@ def build_churned_system(
     unknown = set(passes) - {"plan", "flow", "shards"}
     if unknown:
         raise ValueError(f"unknown churn passes: {sorted(unknown)}")
-    from ..bench.harness import run_scenario
+    from ..workload.scenarios import run_scenario
 
     system = run_scenario(scenario, strategy, execute=False).system
     last_plan: Optional[ShardPlan] = None

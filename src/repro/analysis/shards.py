@@ -272,55 +272,6 @@ class ShardPlan:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardPlan":
-        """Inverse of :meth:`to_dict` (``from_dict(to_dict(p)) == p``)."""
-        if data.get("version") != 1:
-            raise ValueError(f"unsupported ShardPlan version {data.get('version')!r}")
-        shards = tuple(
-            Shard(
-                shard_id=entry["id"],
-                nodes=tuple(entry["nodes"]),
-                streams=tuple(entry["streams"]),
-                queries=tuple(entry["queries"]),
-            )
-            for entry in data["shards"]
-        )
-        cut_edges = tuple(
-            CutEdge(
-                link=(entry["link"][0], entry["link"][1]),
-                from_shard=entry["from_shard"],
-                to_shard=entry["to_shard"],
-                streams=tuple(entry["streams"]),
-                effect=entry["effect"],
-            )
-            for entry in data["cut_edges"]
-        )
-        blocked_edges = tuple(
-            BlockedEdge(
-                link=(entry["link"][0], entry["link"][1]),
-                code=entry["code"],
-                streams=tuple(entry["streams"]),
-                reason=entry["reason"],
-            )
-            for entry in data["blocked_edges"]
-        )
-        # ``to_dict`` stores lags as a mapping; the plan builds the tuple
-        # over sorted query names, so sorted items reproduce it exactly.
-        epoch_lag = tuple(sorted(data["epoch_lag"].items()))
-        return cls(
-            network_version=data["network_version"],
-            shards=shards,
-            cut_edges=cut_edges,
-            blocked_edges=blocked_edges,
-            epoch_lag=epoch_lag,
-            certified=data["certified"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardPlan":
-        return cls.from_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # Plan → runtime partition adapter

@@ -5,7 +5,8 @@ conditions make sense against what the previous stage emits: projection
 marks must exist in the input schema, selection predicate paths must
 resolve (and address numeric leaves), time-based windows must key on a
 monotone reference element such as ``det_time``, and re-aggregation must
-consume an aggregate stream with a shareable window.  This module checks
+consume an aggregate stream (whose window the re-aggregation spec's own
+constructor has already found shareable).  This module checks
 those assumptions statically, without pumping a single item.
 
 The *schema* an operator chain is checked against is a
@@ -422,17 +423,6 @@ def _check_reaggregation(
                 f"{spec.new.function} aggregates",
                 hint="only avg streams carry (sum, count) pairs on the wire "
                 "(Section 3.3); every other function serves itself alone",
-            )
-        )
-    if not spec.new.window.shareable_from(spec.reused.window):
-        diags.append(
-            Diagnostic(
-                "T216",
-                stage,
-                f"window {spec.new.window} is not shareable from "
-                f"{spec.reused.window}",
-                hint="MatchAggregations requires Δ' mod Δ = 0, Δ mod µ = 0 "
-                "and µ' mod µ = 0 (Figure 5)",
             )
         )
     state.aggregation = spec.new

@@ -2,7 +2,7 @@
 
 from .descriptions import DEFAULT_DESCRIPTIONS, DescriptionRegistry, UdfDescription
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel
-from .load import BASE_LOADS, OperatorLoad, base_load, operator_load
+from .load import BASE_LOADS, base_load
 from .model import (
     AGGREGATE_ITEM_SIZE,
     RESIDUE_TOLERANCE,
@@ -30,7 +30,6 @@ __all__ = [
     "LatencyModel",
     "MIN_SELECTIVITY",
     "NetworkUsage",
-    "OperatorLoad",
     "PathStatistics",
     "PlanEffects",
     "RESIDUE_TOLERANCE",
@@ -39,5 +38,4 @@ __all__ = [
     "StreamStatistics",
     "base_load",
     "estimate_stream_rate",
-    "operator_load",
 ]

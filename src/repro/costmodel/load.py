@@ -19,10 +19,7 @@ the reproduced shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
-
-from ..network.topology import SuperPeer
 
 #: Work units charged per input item, by operator kind.
 BASE_LOADS: Dict[str, float] = {
@@ -67,21 +64,3 @@ def base_load(kind: str, udf_name: Optional[str] = None) -> float:
         return BASE_LOADS[kind]
     except KeyError:
         raise ValueError(f"unknown operator kind {kind!r}") from None
-
-
-@dataclass(frozen=True)
-class OperatorLoad:
-    """An operator's estimated steady-state load on one peer."""
-
-    kind: str
-    peer: str
-    input_frequency: float
-    work_per_second: float
-
-
-def operator_load(kind: str, peer: SuperPeer, input_frequency: float) -> OperatorLoad:
-    """``load(o, v, P_o) = bload(o) · pindex(v) · Σ freq(s)``."""
-    if input_frequency < 0:
-        raise ValueError("input frequency cannot be negative")
-    work = base_load(kind) * peer.pindex * input_frequency
-    return OperatorLoad(kind, peer.name, input_frequency, work)

@@ -175,12 +175,6 @@ class StreamStatistics:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def path_stats(self, path: Path) -> PathStatistics:
-        entry = self.paths.get(path)
-        if entry is None:
-            raise KeyError(f"stream {self.stream!r} has no statistics for {path}")
-        return entry
-
     def has_path(self, path: Path) -> bool:
         return path in self.paths
 
@@ -213,7 +207,8 @@ class StreamStatistics:
         Paths are absolute; they are rebased onto the item before the
         sample items are pruned.  This replaces the paper's subtraction
         formula with a measurement over the same sample — the two agree
-        for disjoint projection elements (covered by a unit test).
+        for disjoint projection elements (the formula is the reference of
+        ``tests/test_costmodel_statistics.py``).
         """
         key = frozenset(output_paths)
         cached = self._projection_cache.get(key)
@@ -228,44 +223,6 @@ class StreamStatistics:
         result = total / len(self._sample)
         self._projection_cache[key] = result
         return result
-
-    def paper_projected_size(self, output_paths: Iterable[Path]) -> float:
-        """The paper's formula: ``size(s) − Σ_{n∉Π} occ(n)·size(n)``.
-
-        The subtraction runs over the *maximal* dropped subtrees (top-
-        most paths not retained and not an ancestor of a retained path),
-        so nested elements are not double-counted.
-        """
-        outputs = list(output_paths)
-        dropped = 0.0
-        for path, entry in self.paths.items():
-            if self._retained(path, outputs):
-                continue
-            if not self._parent_kept(path, outputs):
-                continue  # an ancestor is already dropped wholesale
-            dropped += entry.occurrence * entry.avg_size
-        return self.avg_item_size - dropped
-
-    def _parent_kept(self, path: Path, outputs: List[Path]) -> bool:
-        """The direct parent of ``path`` survives the projection."""
-        parent = path.parent
-        if len(parent.steps) <= len(self.item_path.steps):
-            return True  # parent is the item root itself
-        return self._retained(parent, outputs)
-
-    def _retained(self, path: Path, outputs: List[Path]) -> bool:
-        """Retained = inside an output subtree or an ancestor of one."""
-        return self._retained_strict(path, outputs) or self._is_ancestor_of_retained(
-            path, outputs
-        )
-
-    @staticmethod
-    def _retained_strict(path: Path, outputs: List[Path]) -> bool:
-        return any(path.starts_with(out) for out in outputs)
-
-    @staticmethod
-    def _is_ancestor_of_retained(path: Path, outputs: List[Path]) -> bool:
-        return any(out.starts_with(path) for out in outputs)
 
     def selectivity(self, graph: PredicateGraph) -> float:
         """Estimated fraction of items satisfying ``graph``.

@@ -3,9 +3,7 @@
 from .aggregation import functions_compatible, match_aggregations, serving_functions
 from .memo import MatchMemo
 from .properties_match import (
-    match_properties,
     match_stream_properties,
-    missing_operators,
     operators_matched,
 )
 
@@ -13,9 +11,7 @@ __all__ = [
     "MatchMemo",
     "functions_compatible",
     "match_aggregations",
-    "match_properties",
     "match_stream_properties",
-    "missing_operators",
     "operators_matched",
     "serving_functions",
 ]

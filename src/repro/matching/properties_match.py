@@ -26,31 +26,11 @@ from ..properties import (
     AggregationSpec,
     OperatorSpec,
     ProjectionSpec,
-    Properties,
     SelectionSpec,
     StreamProperties,
     UdfSpec,
     WindowContentsSpec,
 )
-
-
-def match_properties(
-    stream: Properties, subscription: Properties, mode: str = "edgewise"
-) -> bool:
-    """Match a candidate stream against a whole subscription.
-
-    The candidate must be derived from a single original input stream
-    (multi-input results are post-processed and never reused, Section 2)
-    and the subscription must reference that stream; the per-stream
-    check is :func:`match_stream_properties`.
-    """
-    if len(stream.inputs) != 1:
-        return False
-    stream_input = stream.inputs[0]
-    for sub_input in subscription.inputs:
-        if sub_input.stream == stream_input.stream:
-            return match_stream_properties(stream_input, sub_input, mode)
-    return False
 
 
 def match_stream_properties(
@@ -187,14 +167,3 @@ def _projection_covers(stream_op: ProjectionSpec, sub_op: ProjectionSpec) -> boo
         if not any(needed.starts_with(out) for out in stream_op.output_elements):
             return False
     return True
-
-
-def missing_operators(
-    stream: StreamProperties, subscription: StreamProperties
-) -> Optional[list]:
-    """Diagnostic helper: subscription operators with no stream
-    counterpart of the same kind (useful in optimizer traces/tests)."""
-    if stream.stream != subscription.stream:
-        return None
-    present = {op.kind for op in stream.operators}
-    return [op for op in subscription.operators if op.kind not in present]

@@ -4,7 +4,6 @@ from .routing import (
     NoRouteError,
     RouteCache,
     all_distances,
-    eccentricity,
     hop_distance,
     path_links,
     shortest_path,
@@ -28,7 +27,6 @@ __all__ = [
     "ThinPeer",
     "TopologyError",
     "all_distances",
-    "eccentricity",
     "example_topology",
     "grid_topology",
     "hop_distance",

@@ -148,12 +148,3 @@ def all_distances(net: Network, source: str) -> Dict[str, int]:
                 queue.append(neighbor)
     return distances
 
-
-def eccentricity(net: Network, source: str) -> int:
-    """Largest hop distance from ``source`` to any super-peer."""
-    distances = all_distances(net, source)
-    if len(distances) != len(net):
-        raise NoRouteError(
-            f"{source} cannot reach the whole backbone{_churn_note(net)}"
-        )
-    return max(distances.values())

@@ -15,7 +15,7 @@ orientations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class TopologyError(Exception):
@@ -160,6 +160,32 @@ class Network:
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
         return link
+
+    def scaled(
+        self, capacity_factor: float = 1.0, link_bandwidth: Optional[float] = None
+    ) -> Network:
+        """A copy with every peer capacity times ``capacity_factor`` and,
+        if given, every link at ``link_bandwidth`` bits/s.
+
+        The rejection study's constraint: "we limited the maximum CPU
+        load of peers to 10 % of their actual capacity and the maximum
+        bandwidth of network connections between peers to 1 MBit/s"
+        (Section 4).
+        """
+        scaled = Network()
+        for peer in self.super_peers():
+            scaled.add_super_peer(
+                peer.name, capacity=peer.capacity * capacity_factor, pindex=peer.pindex
+            )
+        for link in self.links():
+            scaled.add_link(
+                link.a,
+                link.b,
+                bandwidth=link_bandwidth if link_bandwidth is not None else link.bandwidth,
+            )
+        for thin in self.thin_peers():
+            scaled.add_thin_peer(thin.name, thin.super_peer)
+        return scaled
 
     # ------------------------------------------------------------------
     # Churn (crashes, connection failures, rejoins)

@@ -345,8 +345,7 @@ def diff(a: Recorder, b: Recorder, label_a: str, label_b: str, out: Any = None) 
 # record
 # ----------------------------------------------------------------------
 def record(args: argparse.Namespace) -> None:
-    from ..bench.harness import run_scenario
-    from ..workload.scenarios import SCENARIOS
+    from ..workload.scenarios import SCENARIOS, run_scenario
 
     scenario = SCENARIOS[args.scenario]()
     recorder = Recorder()
@@ -357,8 +356,8 @@ def record(args: argparse.Namespace) -> None:
         "scenario": scenario.name,
         "strategy": args.strategy,
         "duration_s": scenario.duration,
-        "queries_accepted": run.accepted,
-        "queries_rejected": run.rejected,
+        "queries_accepted": len(run.system.accepted_queries()),
+        "queries_rejected": len(run.system.rejected_queries()),
     }
     if args.workers:
         simulator = run.system.last_simulator

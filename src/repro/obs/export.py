@@ -1,6 +1,6 @@
 """Exporters: JSONL event logs, Chrome traces, Prometheus exposition,
-and the plain-text table every report (``repro.obs``, ``repro.bench``)
-renders through.
+and the plain-text table every report (``repro.obs``, the benchmark
+tables) renders through.
 
 Every exporter reads one model, a :class:`~repro.obs.Recorder`: the
 live one a run records into, or the one :func:`load_jsonl` rebuilds

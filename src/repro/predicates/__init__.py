@@ -17,7 +17,6 @@ from .atoms import (
     NodeLabel,
     NormalizationError,
     NormalizedAtom,
-    interval_of,
     normalize_atom,
     normalize_comparison,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "UnsatisfiableError",
     "graph_from_atoms",
     "interned_graph_count",
-    "interval_of",
     "match_predicates",
     "normalize_atom",
     "normalize_comparison",

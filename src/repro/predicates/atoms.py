@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from ..wxquery.ast import Comparison, fraction_to_literal
 from ..xmlkit import Path
@@ -169,29 +169,3 @@ def normalize_atom(
         raise NormalizationError(f"'!=' is outside θ: {atom}")
     right: Union[Path, None] = right_path if atom.right_operand is not None else None
     return normalize_comparison(left_path, atom.op, right, atom.constant)
-
-
-def interval_of(
-    atoms: List[NormalizedAtom], node: NodeLabel
-) -> Tuple[Union[Bound, None], Union[Bound, None]]:
-    """Direct (non-derived) lower/upper bounds of ``node`` vs zero.
-
-    Returns ``(lower, upper)`` where ``upper`` is the tightest bound
-    ``node ≤ upper`` and ``lower`` the tightest ``node ≥ lower`` (stored
-    as the *value* bound, i.e. already negated back).  ``None`` when no
-    such direct constraint exists.  Used by selectivity estimation.
-    """
-    upper: Union[Bound, None] = None
-    lower: Union[Bound, None] = None
-    for atom in atoms:
-        if atom.source == node and atom.target == ZERO:
-            if upper is None or atom.bound < upper:
-                upper = atom.bound
-        elif atom.source == ZERO and atom.target == node:
-            candidate = Bound(-atom.bound.value, atom.bound.strict)
-            tighter = lower is None or candidate.value > lower.value or (
-                candidate.value == lower.value and candidate.strict and not lower.strict
-            )
-            if tighter:
-                lower = candidate
-    return lower, upper

@@ -268,16 +268,6 @@ class StreamGlobe:
         self._shard_plan_cache = (fingerprint, plan)
         return plan
 
-    def find_shareable_streams(self, needed: StreamProperties):
-        """All installed streams whose content can answer ``needed``."""
-        from ..matching import match_stream_properties
-
-        return [
-            stream
-            for stream in self.deployment.streams.values()
-            if match_stream_properties(stream.content, needed)
-        ]
-
     # ------------------------------------------------------------------
     # Query registration
     # ------------------------------------------------------------------

@@ -286,14 +286,3 @@ class PhotonGenerator:
             repr(energy),
             repr(round(self._clock, 4)),
         )
-
-
-def average_item_size(config: Optional[PhotonStreamConfig] = None, sample: int = 200) -> float:
-    """Average serialized photon size in bytes, from a fresh sample.
-
-    Used to seed the statistics catalog; deterministic for a fixed
-    config because the generator is seeded.
-    """
-    gen = PhotonGenerator(config)
-    total = sum(item.serialized_size() for item in gen.items(sample))
-    return total / sample

@@ -8,21 +8,25 @@
   opposite corners and 100 template queries registered across eight
   subscriber thin-peers.
 
-Both are pure descriptions; :mod:`repro.bench.harness` instantiates
-them per strategy and executes them.  :meth:`Scenario.register_on` is
-the one place a description becomes registrations.
+Both are pure descriptions.  :meth:`Scenario.register_on` is the one
+place a description becomes registrations, and :func:`run_scenario` the
+one place it becomes a registered (and optionally executed) system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..faults import FaultSchedule, LinkFailure, SuperPeerCrash, SuperPeerRejoin
 from ..network.topology import Network, example_topology, grid_topology
 from .photons import HotSpot, PhotonGenerator, PhotonStreamConfig, SkyRegion
 from .templates import QueryTemplateGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - repro.workload stays below repro.sharing
+    from ..engine import RunMetrics
+    from ..sharing import RegistrationResult, StreamGlobe
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,44 @@ class Scenario:
             system.register_query(spec.name, spec.text, spec.subscriber_peer)
             for spec in self.queries
         ]
+
+
+class ScenarioRun(NamedTuple):
+    """One scenario registered under one strategy (and maybe executed)."""
+
+    system: StreamGlobe
+    #: The query registrations, in scenario order.
+    registrations: List[RegistrationResult]
+    #: ``None`` when the scenario was registered but not executed.
+    metrics: Optional[RunMetrics]
+
+
+def run_scenario(
+    scenario: Scenario,
+    strategy: str,
+    *,
+    execute: bool = True,
+    workers: Optional[int] = None,
+    **options: Any,
+) -> ScenarioRun:
+    """Register ``scenario`` on a fresh :class:`~repro.sharing.StreamGlobe`
+    over its network and, unless ``execute=False``, run it for its
+    duration under its fault schedule.
+
+    ``options`` go to the :class:`~repro.sharing.StreamGlobe` constructor
+    as they are (``gamma``, ``enable_widening``, ``recorder``, ...);
+    ``workers`` to :meth:`~repro.sharing.StreamGlobe.run`.
+    """
+    from ..sharing import StreamGlobe
+
+    system = StreamGlobe(scenario.build_network(), strategy=strategy, **options)
+    registrations = scenario.register_on(system)
+    metrics = (
+        system.run(scenario.duration, faults=scenario.faults, workers=workers)
+        if execute
+        else None
+    )
+    return ScenarioRun(system, registrations, metrics)
 
 
 def scenario_one(seed: int = 20060326, query_count: int = 25) -> Scenario:

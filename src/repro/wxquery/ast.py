@@ -88,10 +88,6 @@ class Comparison:
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    @property
-    def is_variable_comparison(self) -> bool:
-        return self.right_operand is not None
-
     def __str__(self) -> str:
         const = self.constant_lexeme or fraction_to_literal(self.constant)
         if self.right_operand is None:
@@ -264,12 +260,6 @@ class FLWRExpr(Expr):
     clauses: Tuple[Union[ForClause, LetClause], ...]
     where: Optional[Condition]
     return_expr: Expr
-
-    def for_clauses(self) -> List[ForClause]:
-        return [c for c in self.clauses if isinstance(c, ForClause)]
-
-    def let_clauses(self) -> List[LetClause]:
-        return [c for c in self.clauses if isinstance(c, LetClause)]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,10 @@ from .parser import parse, parse_stream
 from .path import EMPTY_PATH, Path, parse_path
 from .schema import PHOTON_SCHEMA, Schema, SchemaNode
 from .serializer import pretty, serialize
-from .diff import Difference, assert_elements_equal, diff_elements, first_difference
 from .transform import prune_to_paths
 from .columns import Shape, ShapeNode, shape_of
 
 __all__ = [
-    "Difference",
     "Shape",
     "ShapeNode",
     "shape_of",
@@ -42,9 +40,6 @@ __all__ = [
     "SchemaNode",
     "PHOTON_SCHEMA",
     "pretty",
-    "assert_elements_equal",
-    "diff_elements",
-    "first_difference",
     "prune_to_paths",
     "serialize",
 ]

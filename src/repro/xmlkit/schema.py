@@ -86,13 +86,6 @@ class Schema:
     def has_path(self, path: Path) -> bool:
         return path in self._paths
 
-    def subtree_leaves(self, path: Path) -> List[Path]:
-        """Leaf paths contained in the subtree addressed by ``path``."""
-        if path.is_empty():
-            return self.leaf_paths()
-        self.node_at(path)  # raises if unknown
-        return [p for p in self.leaf_paths() if p.starts_with(path)]
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bench.harness import run_scenario
 from repro.faults import FaultSchedule, LinkFailure, single_crash, staggered_crashes
 from repro.obs.drift import DriftConfig
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -40,6 +39,7 @@ from repro.sharing.rebalance import Rebalancer
 from repro.sharing.system import StreamGlobe
 from repro.workload.scenarios import (
     Scenario,
+    run_scenario,
     scenario_churn_hotspots,
     scenario_drift,
     scenario_one,

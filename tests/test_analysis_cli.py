@@ -128,17 +128,17 @@ def test_churn_pass_revalidates_certificates(capsys):
 def test_every_pass_reads_one_registration(monkeypatch, capsys):
     """--plan --flow --shards registers each (scenario, strategy) once,
     plus scenario 1 with widening enabled for the plan pass."""
-    from repro.bench import harness
     from repro.sharing import STRATEGIES
+    from repro.workload import scenarios
 
-    register = harness.run_scenario
+    register = scenarios.run_scenario
     calls = []
 
     def counted(scenario, strategy, **options):
         calls.append((scenario.name, strategy, options.get("enable_widening", False)))
         return register(scenario, strategy, **options)
 
-    monkeypatch.setattr(harness, "run_scenario", counted)
+    monkeypatch.setattr(scenarios, "run_scenario", counted)
     assert main(["--plan", "--flow", "--shards", "--quiet"]) == 0
     expected = [
         (scenario, strategy, False)

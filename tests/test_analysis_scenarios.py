@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import build_churned_system, verify_system
-from repro.bench import run_scenario
 from repro.sharing import STRATEGIES
 from repro.workload.scenarios import (
+    run_scenario,
     scenario_churn,
     scenario_grid,
     scenario_one,

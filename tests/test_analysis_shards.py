@@ -17,7 +17,6 @@ from repro.analysis import (
     stream_effect,
 )
 from repro.analysis.preflight import build_churned_system, certify_system
-from repro.bench import run_scenario
 from repro.network.topology import Network
 from repro.predicates import PredicateGraph
 from repro.properties import (
@@ -31,7 +30,7 @@ from repro.properties import (
 from repro.sharing import StreamGlobe
 from repro.sharing.plan import InstalledStream
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
-from repro.workload.scenarios import scenario_churn, scenario_grid, scenario_one
+from repro.workload.scenarios import run_scenario, scenario_churn, scenario_grid, scenario_one
 from repro.xmlkit import Path
 
 EN = Path("photons/photon/en")
@@ -375,8 +374,7 @@ def test_partition_is_independent_of_the_hash_seed():
 
     script = (
         "from repro.analysis import partition_for_workers\n"
-        "from repro.bench.harness import run_scenario\n"
-        "from repro.workload.scenarios import scenario_two\n"
+        "from repro.workload.scenarios import run_scenario, scenario_two\n"
         "system = run_scenario(scenario_two(query_count=40), 'stream-sharing', execute=False).system\n"
         "for workers in (2, 3):\n"
         "    print(partition_for_workers(system.shard_plan(), system.deployment, workers).cells)\n"

@@ -70,8 +70,7 @@ def widened_system():
 
 
 def scenario_one_system(**options):
-    from repro.bench.harness import run_scenario
-    from repro.workload.scenarios import scenario_one
+    from repro.workload.scenarios import run_scenario, scenario_one
 
     return run_scenario(
         scenario_one(), "stream-sharing", execute=False, **options
@@ -528,6 +527,40 @@ def test_verify_flag_guards_execution():
     system.deployment.usage.add_peer_work("SP2", 123.0)
     with pytest.raises(InvariantViolation):
         system.run(duration=1.0)
+
+
+_SELECTION = """<photons>
+{{ for $p in stream("photons")/photons/photon
+  where {condition}
+  return <r> {{ $p/en }} </r> }}
+</photons>"""
+
+_AGGREGATION = """<photons>
+{{ for $w in stream("photons")/photons/photon
+  |{window}|
+  let $a := {aggregate}
+  return <r> {{ $a }} </r> }}
+</photons>"""
+
+
+_ILL_TYPED_TEXTS = {
+    "T201": _SELECTION.format(condition="$p/foo >= 1.0"),
+    "T202": _SELECTION.format(condition="$p/coord >= 1.0"),
+    "T204": _AGGREGATION.format(window="det_time diff 10 step 10", aggregate="sum($w/foo)"),
+    "T205": _AGGREGATION.format(window="det_time diff 10 step 10", aggregate="sum($w/coord)"),
+    "T207": _AGGREGATION.format(window="coord diff 10 step 10", aggregate="sum($w/en)"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_ILL_TYPED_TEXTS))
+def test_verify_flag_types_the_subscription_text(code):
+    """Ill-typed query text — an undeclared path, arithmetic on an
+    interior element, a window over one — is refused by the pre-flight
+    with exactly its type code."""
+    system = make_system(verify=True)
+    with pytest.raises(InvariantViolation) as exc:
+        system.register_query("Q", _ILL_TYPED_TEXTS[code], "P1")
+    assert set(exc.value.report.codes()) == {code}
 
 
 def test_install_derived_stream_commits_and_releases_effects():

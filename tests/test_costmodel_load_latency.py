@@ -3,30 +3,13 @@
 import pytest
 
 from repro.costmodel import (
-    BASE_LOADS,
     DEFAULT_LATENCY_MODEL,
     LatencyModel,
     base_load,
-    operator_load,
 )
-from repro.network.topology import SuperPeer
 
 
 class TestOperatorLoad:
-    def test_formula(self):
-        peer = SuperPeer("SP0", capacity=1_000_000, pindex=2.0)
-        load = operator_load("selection", peer, 100.0)
-        assert load.work_per_second == BASE_LOADS["selection"] * 2.0 * 100.0
-        assert load.peer == "SP0"
-
-    def test_zero_frequency(self):
-        peer = SuperPeer("SP0")
-        assert operator_load("projection", peer, 0.0).work_per_second == 0.0
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            operator_load("selection", SuperPeer("SP0"), -1.0)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             base_load("teleportation")

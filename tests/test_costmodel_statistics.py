@@ -16,6 +16,31 @@ EN = ITEM / "en"
 TIME = ITEM / "det_time"
 
 
+def paper_projected_size(stats, outputs):
+    """The paper's formula: ``size(s) − Σ_{n∉Π} occ(n)·size(n)``, the
+    reference the measured :meth:`StreamStatistics.projected_size` is
+    compared against.
+
+    The subtraction runs over the *maximal* dropped subtrees (top-most
+    paths neither inside an output subtree nor an ancestor of one), so
+    nested elements are not double-counted.
+    """
+
+    def retained(path):
+        return any(path.starts_with(out) or out.starts_with(path) for out in outputs)
+
+    def parent_kept(path):
+        parent = path.parent
+        return len(parent.steps) <= len(stats.item_path.steps) or retained(parent)
+
+    dropped = sum(
+        entry.occurrence * entry.avg_size
+        for path, entry in stats.paths.items()
+        if not retained(path) and parent_kept(path)
+    )
+    return stats.avg_item_size - dropped
+
+
 def selection_graph(*specs):
     atoms = []
     for path, op, const in specs:
@@ -31,7 +56,7 @@ class TestFromSample:
 
     def test_occurrences_are_one_for_dtd_elements(self, photon_stats):
         for path in (RA, DEC, EN, TIME, ITEM / "phc"):
-            assert photon_stats.path_stats(path).occurrence == 1.0
+            assert photon_stats.paths[path].occurrence == 1.0
 
     def test_value_ranges_inside_configured_strip(self, photon_stats):
         low, high = photon_stats.value_range(RA)
@@ -48,7 +73,7 @@ class TestFromSample:
 
     def test_unknown_path_raises(self, photon_stats):
         with pytest.raises(KeyError):
-            photon_stats.path_stats(ITEM / "nope")
+            photon_stats.paths[ITEM / "nope"]
         assert not photon_stats.has_path(ITEM / "nope")
 
     def test_empty_sample_rejected(self):
@@ -82,7 +107,7 @@ class TestProjectedSize:
             {ITEM / "phc"},
         ):
             measured = photon_stats.projected_size(outputs)
-            formula = photon_stats.paper_projected_size(outputs)
+            formula = paper_projected_size(photon_stats, outputs)
             assert measured == pytest.approx(formula, rel=0.01), outputs
 
     def test_path_outside_item_rejected(self, photon_stats):

@@ -274,8 +274,7 @@ def test_sequential_run_imports_nothing_of_the_sharded_plane():
     analysis (this is what keeps its resident memory where it was)."""
     script = (
         "import sys\n"
-        "from repro.bench.harness import run_scenario\n"
-        "from repro.workload.scenarios import scenario_one\n"
+        "from repro.workload.scenarios import run_scenario, scenario_one\n"
         "run = run_scenario(scenario_one(), 'stream-sharing')\n"
         "assert run.metrics.items_generated\n"
         "heavy = ('multiprocessing', 'repro.analysis', 'repro.engine.parallel')\n"

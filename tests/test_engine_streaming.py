@@ -13,7 +13,6 @@ import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
 from tests.oracle_materializing import MaterializingSimulator
-from repro.bench.harness import run_scenario
 from repro.engine.executor import (
     ExecutionError,
     StreamSimulator,
@@ -27,7 +26,7 @@ from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import ProjectionSpec, SelectionSpec, raw_stream_properties
 from repro.sharing.plan import Deployment, InstalledStream
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
-from repro.workload.scenarios import scenario_grid, scenario_one, scenario_two
+from repro.workload.scenarios import run_scenario, scenario_grid, scenario_one, scenario_two
 from repro.xmlkit import Path, element
 
 STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")

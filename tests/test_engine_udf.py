@@ -90,14 +90,13 @@ class TestUdfStreamSharing:
 
         # The identical UDF request is shareable; different parameters
         # are not (Algorithm 2, unknown operators).
+        from repro.matching import match_stream_properties
         from repro.properties import StreamProperties
 
         same = StreamProperties("photons", ITEM, (spec,))
         other = StreamProperties("photons", ITEM, (UdfSpec("scale", ("3.0",)),))
-        shareable = system.find_shareable_streams(same)
-        assert any(s.stream_id == "photons-x2" for s in shareable)
-        shareable_other = system.find_shareable_streams(other)
-        assert all(s.stream_id != "photons-x2" for s in shareable_other)
+        assert match_stream_properties(installed.content, same)
+        assert not match_stream_properties(installed.content, other)
 
     def test_udf_stream_never_serves_wxquery(self):
         """A WXQuery subscription has no UDF operator, so Algorithm 2

@@ -10,8 +10,7 @@ The snapshot is deterministic: the workload, statistics sample, and
 search tie-breaking are all seeded.
 """
 
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
+from repro.workload.scenarios import run_scenario, scenario_one
 
 #: (query, reused stream, operator placement node).  Reuse clusters:
 #: Q002 (a popular vela-region selection) feeds seven later queries,

@@ -3,8 +3,7 @@ scenario-1 workload are deterministic and structurally sound."""
 
 import pytest
 
-from repro.bench.harness import run_scenario
-from repro.workload.scenarios import scenario_one
+from repro.workload.scenarios import run_scenario, scenario_one
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,7 @@ import pytest
 from repro.matching import (
     functions_compatible,
     match_aggregations,
-    match_properties,
     match_stream_properties,
-    missing_operators,
 )
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import (
@@ -122,32 +120,6 @@ class TestMatchStreamProperties:
         stream = stream_props(aggregation())
         items = stream_props(selection((EN, ">=", 1)))
         assert not match_stream_properties(stream, items)
-
-    def test_missing_operators_helper(self):
-        stream = stream_props(selection((RA, "<=", 138)))
-        subscription = stream_props(selection((RA, "<=", 135)), aggregation())
-        missing = missing_operators(stream, subscription)
-        assert [op.kind for op in missing] == ["aggregation"]
-        assert missing_operators(stream_props(stream="x"), subscription) is None
-
-
-class TestMatchProperties:
-    def test_multi_input_candidate_rejected(self):
-        multi = Properties("m", (stream_props(), stream_props(stream="other")))
-        single = Properties("s", (stream_props(),))
-        assert not match_properties(multi, single)
-
-    def test_candidate_for_matching_input(self):
-        candidate = Properties("c", (stream_props(),))
-        subscription = Properties(
-            "q", (stream_props(selection((EN, ">=", 1))),)
-        )
-        assert match_properties(candidate, subscription)
-
-    def test_candidate_for_absent_stream(self):
-        candidate = Properties("c", (stream_props(stream="zzz"),))
-        subscription = Properties("q", (stream_props(),))
-        assert not match_properties(candidate, subscription)
 
 
 class TestMatchAggregations:

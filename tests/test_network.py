@@ -8,7 +8,6 @@ from repro.network import (
     NoRouteError,
     TopologyError,
     all_distances,
-    eccentricity,
     example_topology,
     grid_topology,
     hop_distance,
@@ -146,18 +145,12 @@ class TestRouting:
         net.add_super_peer("B")
         with pytest.raises(NoRouteError):
             shortest_path(net, "A", "B")
-        with pytest.raises(NoRouteError):
-            eccentricity(net, "A")
 
     def test_all_distances(self):
         distances = all_distances(example_topology(), "SP4")
         assert distances["SP4"] == 0
         assert distances["SP5"] == 1
         assert len(distances) == 8
-
-    def test_eccentricity(self):
-        assert eccentricity(grid_topology(4, 4), "SP0") == 6
-        assert eccentricity(grid_topology(4, 4), "SP5") == 4
 
     def test_deterministic_tie_breaking(self):
         net = example_topology()

@@ -19,7 +19,6 @@ import urllib.request
 
 import pytest
 
-from repro.bench.harness import run_scenario
 from repro.engine.executor import ExecutionError
 from repro.engine.parallel import _ProcessCell
 from repro.obs import (
@@ -30,7 +29,7 @@ from repro.obs import (
     merge_segment,
     slos_from_events,
 )
-from repro.workload.scenarios import scenario_churn_hotspots
+from repro.workload.scenarios import run_scenario, scenario_churn_hotspots
 
 from .pins_executor import UNPINNED_PREFIXES
 

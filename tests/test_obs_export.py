@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.bench.harness import run_scenario
 from repro.network.topology import example_topology
 from repro.obs import (
     Recorder,
@@ -18,7 +17,7 @@ from repro.obs import (
 from repro.obs.cli import summarize
 from repro.obs.recorder import HISTOGRAM_BUCKETS
 from repro.obs.timeseries import EpochSnapshot
-from repro.workload.scenarios import SCENARIOS
+from repro.workload.scenarios import SCENARIOS, run_scenario
 
 
 @pytest.fixture()

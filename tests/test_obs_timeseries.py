@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.bench.harness import run_scenario
 from repro.engine.metrics import RunMetrics
 from repro.network.topology import example_topology
 from repro.obs import EpochSnapshot, Recorder, snapshot_delta
-from repro.workload.scenarios import scenario_churn
+from repro.workload.scenarios import run_scenario, scenario_churn
 
 from .conftest import pinned_cells
 

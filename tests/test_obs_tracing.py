@@ -10,11 +10,10 @@ Also pins two behavioral guarantees of the instrumentation layer:
 
 import pytest
 
-from repro.bench.harness import run_scenario
 from repro.network.routing import RouteCache
 from repro.network.topology import example_topology
 from repro.obs import NULL_RECORDER, Recorder
-from repro.workload.scenarios import scenario_churn, scenario_one
+from repro.workload.scenarios import run_scenario, scenario_churn, scenario_one
 from tests.conftest import PAPER_QUERIES, make_system, pinned_cells
 
 

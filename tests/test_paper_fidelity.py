@@ -49,10 +49,12 @@ class TestFigure4Matching:
         assert graph.bound(ZERO, EN) == Bound(Fraction("-1.3"))
 
     def test_matching_direction(self, paper_properties):
-        from repro.matching import match_properties
+        from repro.matching import match_stream_properties
 
-        assert match_properties(paper_properties["Q1"], paper_properties["Q2"])
-        assert not match_properties(paper_properties["Q2"], paper_properties["Q1"])
+        q1 = paper_properties["Q1"].single_input()
+        q2 = paper_properties["Q2"].single_input()
+        assert match_stream_properties(q1, q2)
+        assert not match_stream_properties(q2, q1)
 
 
 class TestFigure5WindowArithmetic:

@@ -8,7 +8,6 @@ from repro.predicates import (
     ZERO,
     Bound,
     NormalizationError,
-    interval_of,
     normalize_comparison,
 )
 from repro.xmlkit import Path
@@ -90,27 +89,3 @@ class TestNormalization:
     def test_unknown_operator(self):
         with pytest.raises(NormalizationError):
             normalize_comparison(X, "!=", None, F(1))
-
-
-class TestIntervalOf:
-    def test_bounds_recovered(self):
-        atoms = normalize_comparison(X, ">=", None, F(1)) + normalize_comparison(
-            X, "<=", None, F(5)
-        )
-        lower, upper = interval_of(atoms, X)
-        assert lower.value == F(1)
-        assert upper.value == F(5)
-
-    def test_tightest_kept(self):
-        atoms = (
-            normalize_comparison(X, "<=", None, F(5))
-            + normalize_comparison(X, "<=", None, F(3))
-            + normalize_comparison(X, ">=", None, F(0))
-            + normalize_comparison(X, ">", None, F(0))
-        )
-        lower, upper = interval_of(atoms, X)
-        assert upper.value == F(3)
-        assert lower.strict is True
-
-    def test_unconstrained(self):
-        assert interval_of([], X) == (None, None)

@@ -242,8 +242,7 @@ def test_tear_down_walks_neither_streams_nor_queries():
 class TestScenarioChurn:
     @on_every_executor
     def test_mass_churn_leaves_consistent_state(self, executor):
-        from repro.bench.harness import run_scenario
-        from repro.workload.scenarios import scenario_one
+        from repro.workload.scenarios import run_scenario, scenario_one
 
         run = run_scenario(
             scenario_one(), "stream-sharing", execute=False, recorder=executor.recorder()
@@ -264,8 +263,7 @@ def test_reregistering_a_name_whose_stream_is_still_shared():
     query shares it, so registering the name again used to collide with
     "stream 'Q025:photons' already installed"."""
     from repro.analysis import verify_deployment
-    from repro.bench.harness import run_scenario
-    from repro.workload.scenarios import scenario_grid
+    from repro.workload.scenarios import run_scenario, scenario_grid
 
     scenario = scenario_grid(4, 4, 60)
     system = run_scenario(scenario, "stream-sharing", execute=False).system

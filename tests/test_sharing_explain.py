@@ -50,12 +50,11 @@ class TestExplainRegistration:
         assert "ms (simulated)" in text
 
     def test_rejection_explained(self):
-        from repro.bench.harness import scale_network
         from repro.network.topology import example_topology
         from repro.sharing import StreamGlobe
         from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 
-        net = scale_network(example_topology(), link_bandwidth=50_000.0)
+        net = example_topology().scaled(link_bandwidth=50_000.0)
         config = PhotonStreamConfig(seed=1, frequency=100.0)
         system = StreamGlobe(net, strategy="data-shipping", admission_control=True)
         system.register_stream(

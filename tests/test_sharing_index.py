@@ -343,8 +343,7 @@ def test_replace_stream_rekeys_the_index():
 def test_widened_scenario_one_verifies_clean():
     """Scenario 1 with widening rewrites installed contents in place;
     every rewritten stream must end up re-keyed (P143 clean)."""
-    from repro.bench.harness import run_scenario
-    from repro.workload.scenarios import scenario_one
+    from repro.workload.scenarios import run_scenario, scenario_one
 
     system = run_scenario(
         scenario_one(), "stream-sharing", enable_widening=True, execute=False

@@ -162,11 +162,10 @@ class TestTeardownParity:
 def test_ledger_is_the_walk_after_every_scheduled_fault(scenario):
     """Repair releases through the walk that committed — also what was
     committed on peers and links the fault has since removed."""
-    from repro.bench.harness import run_scenario
     from repro.workload import scenarios
 
     built = getattr(scenarios, scenario)()
-    system = run_scenario(built, "stream-sharing", execute=False).system
+    system = scenarios.run_scenario(built, "stream-sharing", execute=False).system
     events = built.faults.events()
     assert len(events) >= 2
     for event in events:

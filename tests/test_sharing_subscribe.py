@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import PAPER_QUERIES, make_system
-from repro.bench.harness import run_scenario, scale_network
 from repro.faults import LinkFailure, SuperPeerCrash
 from repro.matching import match_stream_properties
 from repro.network.topology import example_topology
@@ -22,7 +21,12 @@ from repro.properties import extract_properties
 from repro.sharing.planner import Planner, PlanningError
 from repro.sharing.index import SubscriptionProbe
 from repro.sharing.subscribe import FLOOR_MARGIN, Subscriber
-from repro.workload.scenarios import scenario_churn_hotspots, scenario_grid, scenario_one
+from repro.workload.scenarios import (
+    run_scenario,
+    scenario_churn_hotspots,
+    scenario_grid,
+    scenario_one,
+)
 from repro.workload.templates import QueryTemplateGenerator
 from repro.wxquery import WXQueryError, parse_query
 
@@ -139,13 +143,12 @@ class TestDfsVariant:
 
 class TestAdmissionControl:
     def test_rejection_under_tight_bandwidth(self):
-        from repro.bench.harness import scale_network
         from repro.network.topology import example_topology
         from repro.sharing import StreamGlobe
         from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 
         # 100 kbit/s links cannot carry the raw 100-items/s XML stream.
-        net = scale_network(example_topology(), link_bandwidth=100_000.0)
+        net = example_topology().scaled(link_bandwidth=100_000.0)
         config = PhotonStreamConfig(seed=1, frequency=100.0)
         system = StreamGlobe(net, strategy="data-shipping", admission_control=True)
         system.register_stream(
@@ -158,12 +161,11 @@ class TestAdmissionControl:
         assert system.rejected_queries() == ["Q1"]
 
     def test_rejected_query_leaves_no_streams(self):
-        from repro.bench.harness import scale_network
         from repro.network.topology import example_topology
         from repro.sharing import StreamGlobe
         from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 
-        net = scale_network(example_topology(), link_bandwidth=100_000.0)
+        net = example_topology().scaled(link_bandwidth=100_000.0)
         config = PhotonStreamConfig(seed=1, frequency=100.0)
         system = StreamGlobe(net, strategy="data-shipping", admission_control=True)
         system.register_stream(
@@ -213,7 +215,7 @@ _FIRST_DEPLOYMENT = dict(
 def _matched_candidates(picks, capacity, bandwidth, fault, probe):
     """The generated deployment's planner and deployment, and every
     ``(subscription, node, candidate)`` whose candidate matches."""
-    system = make_system(net=scale_network(example_topology(), capacity, bandwidth))
+    system = make_system(net=example_topology().scaled(capacity, bandwidth))
     for i, pick in enumerate(picks):
         system.register_query(f"W{i:02d}", _POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)])
     if fault is not None:

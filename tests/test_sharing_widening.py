@@ -229,8 +229,7 @@ class TestWideningEndToEnd:
 def test_scenario_one_with_widening_keeps_the_ledger_and_verifies():
     """The widened deployment of the ablation (benchmarks/): five
     widenings, each rewriting consumers and installing restores."""
-    from repro.bench.harness import run_scenario
-    from repro.workload.scenarios import scenario_one
+    from repro.workload.scenarios import run_scenario, scenario_one
 
     run = run_scenario(
         scenario_one(), "stream-sharing", enable_widening=True, execute=False

@@ -14,7 +14,6 @@ from repro.workload import (
     QueryTemplateGenerator,
     RXJ_REGION,
     VELA_REGION,
-    average_item_size,
     scenario_churn_hotspots,
     scenario_drift,
     scenario_one,
@@ -192,9 +191,6 @@ class TestPhotonGenerator:
         flat = Schema(SchemaNode("photon", (SchemaNode("en", value_type="decimal"),)), "photons")
         with pytest.raises(ValueError, match="leaves"):
             PhotonGenerator(PhotonStreamConfig(schema=flat))
-
-    def test_average_item_size_stable(self):
-        assert average_item_size() == average_item_size()
 
     def test_region_helpers(self):
         assert RXJ_REGION.ra_min >= VELA_REGION.ra_min

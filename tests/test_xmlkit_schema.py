@@ -33,10 +33,6 @@ class TestPhotonSchema:
             "det_time",
         }
 
-    def test_subtree_leaves(self):
-        leaves = {str(p) for p in PHOTON_SCHEMA.subtree_leaves(Path("coord/cel"))}
-        assert leaves == {"coord/cel/ra", "coord/cel/dec"}
-
     def test_node_lookup(self):
         assert PHOTON_SCHEMA.node_at(Path("en")).value_type == "decimal"
         assert PHOTON_SCHEMA.node_at(Path("phc")).value_type == "int"
