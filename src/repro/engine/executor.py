@@ -49,6 +49,7 @@ delivery continuity, so their output is identical to a fault-free run.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import math
 import sys
@@ -735,19 +736,31 @@ class Cell:
         destination's batches beside their headers.
 
         ``until`` at or before the sources' clocks makes this an
-        exchange-only round — the drain-to-quiescence primitive."""
-        programs = self._programs
-        for stream_id, batch in inbound:
-            program = programs.get(stream_id)
-            if program is not None:
-                self._pump(program, batch)
-        for stream_id in self._produced:
-            if stream_id in programs:
-                self._pump_source(stream_id, until)
-            else:
-                # Source's home super-peer is down: the thin-peer keeps
-                # producing, the items are lost at ingest.
-                self._drain_source(stream_id, until)
+        exchange-only round — the drain-to-quiescence primitive.
+
+        The cyclic collector is paused for the step: the pump makes no
+        reference cycles, so everything it drops goes by reference
+        count, and a collection here would only walk live batches
+        (DESIGN.md §7, "The pump and the collector").  It is resumed
+        only if it was running on entry."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            programs = self._programs
+            for stream_id, batch in inbound:
+                program = programs.get(stream_id)
+                if program is not None:
+                    self._pump(program, batch)
+            for stream_id in self._produced:
+                if stream_id in programs:
+                    self._pump_source(stream_id, until)
+                else:
+                    # Source's home super-peer is down: the thin-peer
+                    # keeps producing, the items are lost at ingest.
+                    self._drain_source(stream_id, until)
+        finally:
+            if collecting:
+                gc.enable()
         outbox: Outbox = {
             dst: (
                 [(sid, len(batch), batch_bytes(batch)) for sid, batch in batches],
@@ -901,6 +914,25 @@ class Cell:
             if isinstance(delivery, _MultiDelivery):
                 delivery.finish()
         return self.state()
+
+
+def reclaim_before_run(expected_allocations: float) -> bool:
+    """Collect the caller's cyclic garbage before a run, if the run is
+    large enough to pay for it; whether it collected.
+
+    Cells pause the collector while they step (:meth:`Cell.step`), so
+    the collections a run's allocations would have triggered no longer
+    reclaim what the caller left behind — a dropped system's plan graph,
+    say.  A run expected to allocate at least as many GC-tracked objects
+    as the heap holds blocks would have paid full collections of that
+    heap anyway: it pays one, here.  A smaller run skips it and leaves
+    the heap to the collector's own schedule between runs.  A caller
+    that disabled the collector gets no collection.
+    """
+    if gc.isenabled() and expected_allocations >= sys.getallocatedblocks():
+        gc.collect()
+        return True
+    return False
 
 
 def _make_op_timer(recorder: Any) -> Callable[[PrefixStage, int, float], None]:

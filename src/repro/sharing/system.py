@@ -11,6 +11,8 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
+import gc
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -23,7 +25,7 @@ from ..costmodel import (
     StreamStatistics,
 )
 from ..engine import RunMetrics, StreamSimulator
-from ..engine.executor import ExecutionError, ItemGenerator
+from ..engine.executor import ExecutionError, ItemGenerator, reclaim_before_run
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
 from ..predicates import interned_graph_count
@@ -63,6 +65,9 @@ class SourceRegistration:
     home_node: str
     frequency: float
     generator_factory: Callable[[], ItemGenerator] = field(repr=False)
+    #: GC-tracked objects one item holds (an element and its child
+    #: list per node), averaged over the statistics sample.
+    tracked_per_item: float
 
     def stream(self) -> InstalledStream:
         """The original stream's record, available at its home only."""
@@ -128,6 +133,8 @@ class StreamGlobe:
         self.analysis_misses = 0
         #: The executor of the latest :meth:`run` (``None`` before one).
         self.last_simulator: Optional[StreamSimulator] = None
+        #: The collector around the latest run (``cache_stats()["gc"]``).
+        self._gc_stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Stream registration
@@ -163,6 +170,7 @@ class StreamGlobe:
             home_node=home,
             frequency=frequency,
             generator_factory=generator_factory,
+            tracked_per_item=2.0 * sum(1 for item in sample for _ in item.iter()) / len(sample),
         )
         self.deployment.install_stream(self.sources[name].stream())
 
@@ -431,7 +439,8 @@ class StreamGlobe:
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/invalidation counters of every control-plane cache,
-        and the entry counts of the intern tables (``"intern"``).
+        the entry counts of the intern tables (``"intern"``) and the
+        collector's work during the latest run (``"gc"``).
 
         Always available (the counters are plain ints kept regardless of
         tracing); the same numbers feed the recorder's
@@ -475,6 +484,11 @@ class StreamGlobe:
                 properties_entries=len(memo.properties),
                 operator_entries=len(memo.operators),
             )
+        # The cyclic collector around the latest run (empty before
+        # one): collections per generation ``gen0``… while it ran, in
+        # this process, and the run-start rule's decision
+        # (``run_start_collection``) and both its inputs.
+        stats["gc"] = dict(self._gc_stats)
         return stats
 
     def _sync_cache_gauges(self) -> None:
@@ -594,10 +608,40 @@ class StreamGlobe:
                 self.net, self.deployment, generators, duration, **options
             )
         self.last_simulator = simulator
-        metrics = simulator.run()
+        metrics = self._run_collected(simulator, duration, max_items_per_source)
         if self.recorder.enabled:
             self._sync_cache_gauges()
         return metrics
+
+    def _run_collected(
+        self,
+        simulator: StreamSimulator,
+        duration: float,
+        max_items_per_source: Optional[int],
+    ) -> RunMetrics:
+        """``simulator.run()`` after the run-start collection rule
+        (:func:`~repro.engine.executor.reclaim_before_run`), recording
+        the collector's work during the run for :meth:`cache_stats`."""
+        expected = 0.0
+        for source in self.sources.values():
+            items = source.frequency * duration
+            if max_items_per_source is not None:
+                items = min(items, max_items_per_source)
+            expected += items * source.tracked_per_item
+        blocks = sys.getallocatedblocks()
+        collected = reclaim_before_run(expected)
+        before = gc.get_stats()
+        try:
+            return simulator.run()
+        finally:
+            stats: Dict[str, float] = {
+                f"gen{generation}": after["collections"] - start["collections"]
+                for generation, (start, after) in enumerate(zip(before, gc.get_stats()))
+            }
+            stats["run_start_collection"] = float(collected)
+            stats["expected_allocations"] = expected
+            stats["allocated_blocks"] = blocks
+            self._gc_stats = stats
 
     # ------------------------------------------------------------------
     # Reporting helpers

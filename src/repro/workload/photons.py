@@ -16,8 +16,29 @@ items conforming to :data:`repro.xmlkit.schema.PHOTON_SCHEMA` with
 * detector coordinates and pulse-height channel correlated with energy.
 
 All randomness is drawn from a single seeded :class:`random.Random`, so
-streams are reproducible bit-for-bit: the order of the draws is the
-contract (``tests/test_workload.py`` pins a digest of the stream).
+streams are reproducible bit-for-bit: the draws and their order are the
+contract (``tests/test_workload.py`` and ``tests/stream_digests.py``
+pin digests of the stream).  A photon reads, in this order:
+
+1. the ``det_time`` jitter, ``uniform(-j, j)``: ``-j + (j - -j) * random()``;
+2. the mixture roll, ``random()``;
+3. for a hot spot, up to 16 ``(ra, dec)`` pairs of ``gauss(mu, sigma)``
+   — Box–Muller as ``random`` spells it: a fresh pair draws
+   ``random() * 2π`` and ``sqrt(-2 log(1 - random()))``, the cosine
+   leg is returned and the sine leg is parked in ``rng.gauss_next``
+   for the next call, which takes it instead of drawing;
+4. for the background (no spot, or 16 misses), ``uniform`` over the
+   strip: ``ra_min + (ra_max - ra_min) * random()``, then ``dec``;
+5. up to 64 energies ``expovariate(1 / scale)``:
+   ``-log(1 - random()) / (1 / scale)`` — a division by the rate, not a
+   multiplication by ``scale``;
+6. ``randrange(17)`` for the channel jitter, then ``randrange(8192)``
+   for ``dx`` and ``dy``: ``getrandbits(n.bit_length())`` redrawn while
+   ``>= n`` (5 bits, then 14 bits each).
+
+These are ``random``'s own formulas on every supported Python, so the
+stream does not depend on the interpreter version.  Coordinates and
+``det_time`` are rounded to 4 places, energies to 3.
 
 Each photon is built once, by the compiled builder of the configured
 schema (:meth:`repro.xmlkit.schema.Schema.builder`): the generator
@@ -29,7 +50,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from math import cos, log, pi, sin, sqrt
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..xmlkit import Element, PHOTON_SCHEMA, Schema
 
@@ -132,33 +154,9 @@ class PhotonStreamConfig:
         if total_weight > 1.0:
             raise ValueError("hot spot weights must sum to at most 1")
 
-    def frequency_at(self, time: float) -> float:
-        """The active photon rate at virtual ``time``."""
-        frequency = self.frequency
-        if not self.rate_profile:
-            return frequency
-        for start, stepped in self.rate_profile:
-            if time >= start:
-                frequency = stepped
-            else:
-                break
-        return frequency
 
-    def hot_spots_at(self, time: float) -> Tuple[HotSpot, ...]:
-        """The active hot-spot mixture at virtual ``time``."""
-        spots = self.hot_spots
-        if not self.hot_spot_schedule:
-            return spots
-        for start, stepped in self.hot_spot_schedule:
-            if time >= start:
-                spots = stepped
-            else:
-                break
-        return spots
-
-
-#: The leaves :meth:`PhotonGenerator._build_photon` fills, in the order
-#: it passes them to the schema's builder.
+#: The leaves :meth:`PhotonGenerator.next_item` fills, in the order it
+#: passes them to the schema's builder.
 _PHOTON_LEAVES = (
     "phc",
     "coord/cel/ra",
@@ -169,9 +167,44 @@ _PHOTON_LEAVES = (
     "det_time",
 )
 
+#: ``random.gauss``'s constant (Box–Muller angle scale).
+_TWOPI = 2.0 * pi
+
+#: Below this magnitude a 4-place number has at most 15 significant
+#: digits, so its ``'%.4f'`` digits are the shortest text that reads
+#: back as ``round(x, 4)`` (a double holds 15 decimal digits exactly).
+_FOUR_PLACE_EXACT = 1e11
+
+#: A hot-spot mixture as :meth:`PhotonGenerator.next_item` walks it:
+#: per spot, the running weight sum it compares the roll with, then
+#: ``ra``, ``dec``, ``sigma`` and the rate of its energy spectrum.
+_Mixture = Tuple[Tuple[float, float, float, float, float], ...]
+
+
+def _mixture(spots: Tuple[HotSpot, ...]) -> _Mixture:
+    cumulative = 0.0
+    entries = []
+    for spot in spots:
+        cumulative += spot.weight
+        entries.append((cumulative, spot.ra, spot.dec, spot.sigma, 1.0 / spot.mean_energy))
+    return tuple(entries)
+
+
+def _four_place_text(x: float) -> str:
+    """``repr(round(x, 4))`` for finite ``x``, without the round trip
+    through a float."""
+    if -_FOUR_PLACE_EXACT < x < _FOUR_PLACE_EXACT:
+        text = ("%.4f" % x).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(x, 4))
+
 
 class PhotonGenerator:
     """Deterministic generator of photon :class:`Element` items.
+
+    The configuration is read once, at construction: the draws use
+    constants derived from it, so later edits of ``config`` do not
+    reach the stream.
 
     >>> gen = PhotonGenerator(PhotonStreamConfig(seed=1))
     >>> photon = gen.next_item()
@@ -180,8 +213,8 @@ class PhotonGenerator:
     """
 
     def __init__(self, config: Optional[PhotonStreamConfig] = None) -> None:
-        self.config = config or PhotonStreamConfig()
-        schema = self.config.schema
+        self.config = cfg = config or PhotonStreamConfig()
+        schema = cfg.schema
         leaves = tuple(str(path) for path in schema.leaf_paths())
         if leaves != _PHOTON_LEAVES:
             raise ValueError(
@@ -189,9 +222,34 @@ class PhotonGenerator:
                 f"the configured schema declares {leaves}"
             )
         self._build = schema.builder()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(cfg.seed)
         self._clock = 0.0
         self._emitted = 0
+        # Per-config invariants of next_item's draws.
+        self._mean_step = 1.0 / cfg.frequency
+        self._rate_steps = tuple((start, 1.0 / f) for start, f in cfg.rate_profile)
+        self._mixture = _mixture(cfg.hot_spots)
+        self._mixture_steps = tuple(
+            (start, _mixture(spots)) for start, spots in cfg.hot_spot_schedule
+        )
+        low = -cfg.time_jitter  # uniform(low, high) is low + (high - low) * random()
+        self._jitter = (low, cfg.time_jitter - low)
+        strip = cfg.strip
+        self._strip = (
+            strip.ra_min,
+            strip.ra_max,
+            strip.ra_max - strip.ra_min,
+            strip.dec_min,
+            strip.dec_max,
+            strip.dec_max - strip.dec_min,
+        )
+        self._band = (
+            cfg.energy_min,
+            cfg.energy_max,
+            cfg.energy_max - cfg.energy_min,
+            1.0 / cfg.energy_scale,
+            round((cfg.energy_min + cfg.energy_max) / 2, 3),
+        )
 
     @property
     def emitted(self) -> int:
@@ -213,19 +271,93 @@ class PhotonGenerator:
         nodes are not, so a wrapping source may still restructure the
         item (drop or reorder subtrees) before the executor's
         ``freeze()`` pins the rest.
+
+        Each draw is its ``random`` method's formula spelled out over
+        ``random()`` / ``getrandbits()`` (module docstring), in the
+        order of the methods it replaces.
         """
         rng = self._rng
-        cfg = self.config
+        random = rng.random
+        getrandbits = rng.getrandbits
 
-        mean_step = 1.0 / cfg.frequency_at(self._clock)
-        jitter = cfg.time_jitter
-        step = mean_step * (1.0 + rng.uniform(-jitter, jitter))
-        self._clock += max(step, mean_step * 0.01)
+        # det_time: mean step 1/frequency, uniform(-jitter, jitter)
+        # relative jitter, at least 1 % of the mean step.
+        mean_step = self._mean_step
+        if self._rate_steps:
+            mean_step = _stepped(mean_step, self._rate_steps, self._clock)
+        low, span = self._jitter
+        step = mean_step * (1.0 + (low + span * random()))
+        least = mean_step * 0.01
+        clock = self._clock = self._clock + (least if least > step else step)
 
-        ra, dec, spot = self._draw_position()
-        energy = self._draw_energy(spot)
+        # Position: a hot spot by weight (gauss around it, 16 tries to
+        # land in the strip), else — or after 16 misses — uniform over
+        # the strip.
+        ra_min, ra_max, ra_span, dec_min, dec_max, dec_span = self._strip
+        e_min, e_max, band, rate, e_mid = self._band
+        mixture = self._mixture
+        if self._mixture_steps:
+            mixture = _stepped(mixture, self._mixture_steps, clock)
+        roll = random()
+        placed = False
+        for cumulative, mu_ra, mu_dec, sigma, spot_rate in mixture:
+            if roll < cumulative:
+                for _ in range(16):
+                    carried = rng.gauss_next
+                    if carried is None:
+                        angle = random() * _TWOPI
+                        radius = sqrt(-2.0 * log(1.0 - random()))
+                        ra = mu_ra + cos(angle) * radius * sigma
+                        dec = mu_dec + sin(angle) * radius * sigma
+                    else:
+                        ra = mu_ra + carried * sigma
+                        angle = random() * _TWOPI
+                        radius = sqrt(-2.0 * log(1.0 - random()))
+                        dec = mu_dec + cos(angle) * radius * sigma
+                        rng.gauss_next = sin(angle) * radius
+                    if ra_min <= ra <= ra_max and dec_min <= dec <= dec_max:
+                        rate = spot_rate
+                        placed = True
+                        break
+                break
+        if not placed:
+            ra = ra_min + ra_span * random()
+            dec = dec_min + dec_span * random()
+
+        # Energy: expovariate(rate) redrawn up to 64 times into the band.
+        for _ in range(64):
+            energy = -log(1.0 - random()) / rate
+            if e_min <= energy <= e_max:
+                energy = round(energy, 3)
+                break
+        else:
+            energy = e_mid
+
+        # Pulse-height channel roughly proportional to energy (PSPC has
+        # 256 channels over the band), jittered by randrange(17) - 8;
+        # detector coordinates randrange(8192) each.
+        jitter = getrandbits(5)
+        while jitter >= 17:
+            jitter = getrandbits(5)
+        phc = int(256 * (energy - e_min) / band) - 8 + jitter
+        phc = 1 if phc < 1 else 255 if phc > 255 else phc
+        dx = getrandbits(14)
+        while dx >= 8192:
+            dx = getrandbits(14)
+        dy = getrandbits(14)
+        while dy >= 8192:
+            dy = getrandbits(14)
+
         self._emitted += 1
-        return self._build_photon(ra, dec, energy)
+        return self._build(
+            str(phc),
+            _four_place_text(ra),
+            _four_place_text(dec),
+            str(dx),
+            str(dy),
+            repr(energy),
+            _four_place_text(clock),
+        )
 
     def items(self, count: int) -> Iterator[Element]:
         """Yield the next ``count`` photons."""
@@ -236,53 +368,14 @@ class PhotonGenerator:
         """Materialize the next ``count`` photons as a list."""
         return list(self.items(count))
 
-    # ------------------------------------------------------------------
-    # Distributions
-    # ------------------------------------------------------------------
-    def _draw_position(self) -> Tuple[float, float, Optional[HotSpot]]:
-        rng = self._rng
-        strip = self.config.strip
-        roll = rng.random()
-        cumulative = 0.0
-        for spot in self.config.hot_spots_at(self._clock):
-            cumulative += spot.weight
-            if roll < cumulative:
-                for _ in range(16):
-                    ra = rng.gauss(spot.ra, spot.sigma)
-                    dec = rng.gauss(spot.dec, spot.sigma)
-                    if strip.contains(ra, dec):
-                        return round(ra, 4), round(dec, 4), spot
-                break  # pathological sigma: fall through to background
-        ra = rng.uniform(strip.ra_min, strip.ra_max)
-        dec = rng.uniform(strip.dec_min, strip.dec_max)
-        return round(ra, 4), round(dec, 4), None
 
-    def _draw_energy(self, spot: Optional[HotSpot]) -> float:
-        rng = self._rng
-        cfg = self.config
-        scale = spot.mean_energy if spot is not None else cfg.energy_scale
-        for _ in range(64):
-            energy = rng.expovariate(1.0 / scale)
-            if cfg.energy_min <= energy <= cfg.energy_max:
-                return round(energy, 3)
-        return round((cfg.energy_min + cfg.energy_max) / 2, 3)
-
-    def _build_photon(self, ra: float, dec: float, energy: float) -> Element:
-        rng = self._rng
-        cfg = self.config
-        # Pulse-height channel roughly proportional to energy (PSPC has
-        # 256 channels over the band), jittered by -8..8.
-        band = cfg.energy_max - cfg.energy_min
-        phc = max(1, min(255, int(256 * (energy - cfg.energy_min) / band)
-                         - 8 + rng.randrange(17)))
-        dx = rng.randrange(8192)
-        dy = rng.randrange(8192)
-        return self._build(
-            str(phc),
-            repr(ra),
-            repr(dec),
-            str(dx),
-            str(dy),
-            repr(energy),
-            repr(round(self._clock, 4)),
-        )
+def _stepped(value: Any, steps: Tuple[Tuple[float, Any], ...], time: float) -> Any:
+    """A piecewise-constant schedule's value at ``time``: ``value``
+    until the first ``(start, value)`` step, each step from its start
+    on (``steps`` ascend)."""
+    for start, stepped in steps:
+        if time >= start:
+            value = stepped
+        else:
+            break
+    return value

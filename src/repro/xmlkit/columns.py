@@ -417,22 +417,23 @@ class Shape:
 def signature_of(element: Element) -> Optional[Signature]:
     """The nested ``(tag, children)`` signature, or ``None`` when the
     item exceeds the sniffing bounds.  Sniffing interns nothing."""
-    budget = MAX_SHAPE_NODES
+    return _signature_walk(element, 0, [MAX_SHAPE_NODES])
 
-    def walk(node: Element, depth: int) -> Optional[Signature]:
-        nonlocal budget
-        budget -= 1
-        if budget < 0 or depth > MAX_SHAPE_DEPTH:
+
+def _signature_walk(node: Element, depth: int, budget: List[int]) -> Optional[Signature]:
+    # A module-level function, not a closure: a recursive closure is a
+    # function <-> cell reference cycle, garbage only the cyclic
+    # collector reclaims (DESIGN.md §7, "The pump and the collector").
+    budget[0] -= 1
+    if budget[0] < 0 or depth > MAX_SHAPE_DEPTH:
+        return None
+    children: List[Signature] = []
+    for child in node.children:
+        child_sig = _signature_walk(child, depth + 1, budget)
+        if child_sig is None:
             return None
-        children: List[Signature] = []
-        for child in node.children:
-            child_sig = walk(child, depth + 1)
-            if child_sig is None:
-                return None
-            children.append(child_sig)
-        return (node.tag, tuple(children))
-
-    return walk(element, 0)
+        children.append(child_sig)
+    return (node.tag, tuple(children))
 
 
 def _build_nodes(

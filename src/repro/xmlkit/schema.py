@@ -96,15 +96,11 @@ class Schema:
         :func:`repro.xmlkit.columns.compile_builder`).  ``int`` and
         ``decimal`` leaves are sized as plain ASCII, so their texts
         must be the ``str(int)`` / ``repr(float)`` forms."""
-
-        def signature(node: SchemaNode) -> Signature:
-            return (node.tag, tuple(signature(child) for child in node.children))
-
         plain = tuple(
             self._paths[path].value_type in ("int", "decimal")
             for path in self.leaf_paths()
         )
-        return compile_builder(signature(self.root), plain)
+        return compile_builder(_signature(self.root), plain)
 
     # ------------------------------------------------------------------
     # Validation
@@ -154,6 +150,12 @@ class Schema:
                     f"leaf <{where}> is not a decimal: {text!r}"
                 ) from None
         # "string" and None accept anything
+
+
+def _signature(node: SchemaNode) -> Signature:
+    # Module-level, not a closure in builder(): no reference cycle per
+    # generator (see repro.xmlkit.columns._signature_walk).
+    return (node.tag, tuple(_signature(child) for child in node.children))
 
 
 def _leaf(tag: str, value_type: str) -> SchemaNode:

@@ -96,7 +96,8 @@ class TestCacheStats:
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert system.recorder.enabled is False
         stats = system.cache_stats()
-        assert set(stats) == {"route", "rate", "match", "analysis", "intern"}
+        assert set(stats) == {"route", "rate", "match", "analysis", "intern", "gc"}
+        assert stats.pop("gc") == {}  # no run yet
         intern = stats.pop("intern")
         for cache in stats.values():
             assert 0.0 <= cache["hit_rate"] <= 1.0
@@ -108,6 +109,7 @@ class TestCacheStats:
     def test_an_unused_cache_rates_zero(self):
         stats = make_system("stream-sharing").cache_stats()
         assert stats.pop("intern")["content_entries"] == 0
+        assert stats.pop("gc") == {}
         for cache in stats.values():
             assert cache["hits"] + cache["misses"] == 0
             assert cache["hit_rate"] == 0.0

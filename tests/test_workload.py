@@ -1,55 +1,84 @@
 """Unit tests for the photon generator, templates, and scenarios."""
 
-import dataclasses
 import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.wxquery import analyze, parse_query
 from repro.workload import (
-    HotSpot,
     PhotonGenerator,
     PhotonStreamConfig,
     QueryTemplateGenerator,
     RXJ_REGION,
     VELA_REGION,
     scenario_churn_hotspots,
-    scenario_drift,
     scenario_one,
     scenario_two,
 )
+from repro.workload.photons import _four_place_text
 from repro.xmlkit import PHOTON_SCHEMA, Element, Schema, SchemaNode, serialize
+from tests.stream_digests import drifting_config, main as check_stream_digests, scheduled_config
 
 
-def drifting_config():
-    """``scenario_drift``'s rate step plus a hot-spot schedule whose
-    last mixture has a spot outside the strip (the 16-try fall-through
-    to the background)."""
-    return dataclasses.replace(
-        scenario_drift(duration=12.0).sources[0].config,
-        hot_spot_schedule=(
-            (2.0, (HotSpot(ra=150.0, dec=-30.0, sigma=2.0, weight=0.5, mean_energy=1.4),)),
-            (
-                4.5,
-                (
-                    HotSpot(ra=210.0, dec=-5.0, sigma=1.2, weight=0.40, mean_energy=2.1),
-                    HotSpot(ra=112.0, dec=-33.0, sigma=3.0, weight=0.25, mean_energy=1.1),
-                ),
-            ),
-        ),
-    )
+def _stepped(value, steps, time):
+    for start, stepped in steps:
+        if time >= start:
+            value = stepped
+        else:
+            break
+    return value
 
 
-class ConstructorPhotons(PhotonGenerator):
-    """The reference the compiled builder replaced: the same draws in
-    the same order (``randint`` spelled as before), the tree built
-    through the public validating ``Element(...)`` constructor."""
+class ConstructorPhotons:
+    """The generator as it was before its draws were spelled out: the
+    stdlib's ``uniform`` / ``gauss`` / ``expovariate`` / ``randint``
+    in the contract's order, and each photon built through the public
+    validating ``Element(...)`` constructor."""
 
-    def _build_photon(self, ra, dec, energy):
+    def __init__(self, config):
+        self.config = config
+        self._rng = random.Random(config.seed)
+        self.clock = 0.0
+
+    def next_item(self):
         rng = self._rng
-        band = self.config.energy_max - self.config.energy_min
-        phc = max(1, min(255, int(256 * (energy - self.config.energy_min) / band)
+        cfg = self.config
+        mean_step = 1.0 / _stepped(cfg.frequency, cfg.rate_profile, self.clock)
+        step = mean_step * (1.0 + rng.uniform(-cfg.time_jitter, cfg.time_jitter))
+        self.clock += max(step, mean_step * 0.01)
+
+        strip = cfg.strip
+        spot = None
+        roll = rng.random()
+        cumulative = 0.0
+        for candidate in _stepped(cfg.hot_spots, cfg.hot_spot_schedule, self.clock):
+            cumulative += candidate.weight
+            if roll < cumulative:
+                for _ in range(16):
+                    ra = rng.gauss(candidate.ra, candidate.sigma)
+                    dec = rng.gauss(candidate.dec, candidate.sigma)
+                    if strip.contains(ra, dec):
+                        spot = candidate
+                        break
+                break
+        if spot is None:
+            ra = rng.uniform(strip.ra_min, strip.ra_max)
+            dec = rng.uniform(strip.dec_min, strip.dec_max)
+
+        scale = spot.mean_energy if spot is not None else cfg.energy_scale
+        for _ in range(64):
+            energy = rng.expovariate(1.0 / scale)
+            if cfg.energy_min <= energy <= cfg.energy_max:
+                energy = round(energy, 3)
+                break
+        else:
+            energy = round((cfg.energy_min + cfg.energy_max) / 2, 3)
+
+        band = cfg.energy_max - cfg.energy_min
+        phc = max(1, min(255, int(256 * (energy - cfg.energy_min) / band)
                          + rng.randint(-8, 8)))
         dx = rng.randint(0, 8191)
         dy = rng.randint(0, 8191)
@@ -60,12 +89,15 @@ class ConstructorPhotons(PhotonGenerator):
                 Element(
                     "coord",
                     children=(
-                        Element("cel", children=(Element("ra", text=ra), Element("dec", text=dec))),
+                        Element("cel", children=(
+                            Element("ra", text=round(ra, 4)),
+                            Element("dec", text=round(dec, 4)),
+                        )),
                         Element("det", children=(Element("dx", text=dx), Element("dy", text=dy))),
                     ),
                 ),
                 Element("en", text=energy),
-                Element("det_time", text=round(self._clock, 4)),
+                Element("det_time", text=round(self.clock, 4)),
             ),
         )
 
@@ -145,14 +177,28 @@ class TestPhotonGenerator:
                 "de25e68c119c5cff2d55d3731d03de10548b0736428e6267807f0e3204608df4",
                 5.518781626175259,
             ),
+            (
+                scenario_churn_hotspots().sources[0].config,
+                "2996f3f12f29d80fa4bf04be7545125c6268874e15e022db6048f2d6dfc4fe6b",
+                10.015165888034044,
+            ),
+            (
+                scheduled_config(),
+                "796fe782ef85233fb3895ee0451eabe0894d6a207913c40a115133700e5ceebe",
+                10.045474468533861,
+            ),
         ],
-        ids=["default", "drift"],
+        ids=["default", "drift", "churn-hotspots", "schedule"],
     )
     def test_draw_order_is_pinned(self, config, digest, clock):
         """The seeded stream is a contract (sharebench's seed-0 pins,
         every golden RunMetrics): digests of the first 1 000 serialized
         photons, recorded before the compiled builder replaced the
-        ``Element(...)`` literal."""
+        ``Element(...)`` literal (default, drift) and before the draws
+        were spelled out over ``random()`` / ``getrandbits()`` (churn
+        hot spots: spots outside the strip, so every spot photon takes
+        the 16-try Gaussian rejection; schedule: a hot-spot rotation on
+        a constant rate)."""
         generator = PhotonGenerator(config)
         seen = hashlib.sha256()
         for item in generator.items(1000):
@@ -161,7 +207,8 @@ class TestPhotonGenerator:
         assert generator.clock == clock
 
     @pytest.mark.parametrize("config", [PhotonStreamConfig(seed=s) for s in (1, 7, 20060327)]
-                             + [drifting_config()])
+                             + [drifting_config(), scenario_churn_hotspots().sources[0].config,
+                                scheduled_config()])
     def test_built_photons_equal_constructed_ones_node_for_node(self, config):
         built = PhotonGenerator(config)
         constructed = ConstructorPhotons(config)
@@ -186,6 +233,29 @@ class TestPhotonGenerator:
                 )
                 assert node._size == len(serialize(node).encode())
         assert built.clock == constructed.clock
+
+    @pytest.mark.parametrize("config", [PhotonStreamConfig(), scenario_churn_hotspots().sources[0].config],
+                             ids=["default", "churn-hotspots"])
+    def test_a_parked_gaussian_is_drawn_first(self, config):
+        """The spelled-out ``gauss`` takes a leg parked in
+        ``rng.gauss_next`` before drawing, and parks its spare one, like
+        ``random.gauss``: with a leg parked up front every pair is
+        shifted by one leg, and the streams and the RNG states agree."""
+        built, constructed = PhotonGenerator(config), ConstructorPhotons(config)
+        built._rng.gauss_next = constructed._rng.gauss_next = 0.25
+        for _ in range(300):
+            assert serialize(built.next_item()) == serialize(constructed.next_item())
+        assert built._rng.getstate() == constructed._rng.getstate()
+
+    def test_the_digest_script_holds_on_this_interpreter(self):
+        """``tests/stream_digests.py`` is what CI runs on the oldest and
+        the newest supported Python."""
+        assert check_stream_digests() == 0
+
+    @given(st.floats(min_value=-1e15, max_value=1e15, allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 1e11, -1e11, 99999999999.99995, 0.00005, -0.00005]))
+    def test_four_place_text_is_repr_of_round(self, x):
+        assert _four_place_text(x) == repr(round(x, 4))
 
     def test_schema_of_another_shape_rejected(self):
         flat = Schema(SchemaNode("photon", (SchemaNode("en", value_type="decimal"),)), "photons")
