@@ -5,7 +5,7 @@ Four independent passes share one diagnostics vocabulary:
 * the **plan verifier** (:func:`verify_deployment`, P1xx/T2xx) checks a
   deployed stream network against the invariants the registration
   algorithms rely on — route shape, derivation validity, delivery,
-  usage-ledger consistency, and operator-chain typing;
+  usage-ledger consistency, and the typing of compensation pipelines;
 * the **linter** (:func:`lint_paths`, L3xx) is a small ``ast``-based
   pass for the repro-specific source rules generic linters miss;
 * the **flow analyzer** (:func:`analyze_flow`, F4xx) abstractly
@@ -18,12 +18,13 @@ Four independent passes share one diagnostics vocabulary:
   :class:`ShardPlan` — the partition of the super-peer graph the future
   parallel executor may run concurrently.
 
-All four are wired into ``python -m repro.analysis`` (CI gate) and, via
-``StreamGlobe(verify=True)``, into a pre-flight hook that raises
-:class:`InvariantViolation` on any error.
+All four are wired into ``python -m repro.analysis`` (CI gate) and,
+via ``StreamGlobe(verify=True)``, into a pre-flight hook that raises
+:class:`InvariantViolation` on any error.  Subscription texts are typed
+at registration on every system (:mod:`repro.properties.typecheck`).
 """
 
-from .diagnostics import AnalysisReport, Diagnostic, InvariantViolation
+from ..diagnostics import AnalysisReport, Diagnostic, InvariantViolation
 from .flow import FlowFacts, Interval, analyze_flow, derive_stream_facts
 from .linter import lint_paths, lint_source
 from .plan_verifier import verify_deployment
@@ -47,7 +48,7 @@ from .shards import (
     partition_for_workers,
     stream_effect,
 )
-from .typecheck import SchemaView, check_content, check_pipeline
+from ..properties.typecheck import SchemaView, check_content, check_pipeline
 
 __all__ = [
     "AnalysisReport",

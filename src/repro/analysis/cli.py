@@ -19,7 +19,8 @@ Passes
   :data:`~repro.workload.scenarios.SCENARIOS`), registers their
   workload (without pumping items) and runs the
   :func:`~repro.analysis.plan_verifier.verify_deployment` invariants
-  (P1xx/T2xx) over the resulting deployments;
+  (P1xx, and T2xx over compensation pipelines; subscription texts are
+  typed at registration) over the resulting deployments;
 * ``--flow`` runs the abstract interpreter
   (:func:`~repro.analysis.flow.analyze_flow`, F4xx) over the same
   deployments — each (scenario, strategy) is registered once, whatever
@@ -57,7 +58,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .diagnostics import AnalysisReport
+from ..diagnostics import AnalysisReport
 from .linter import lint_paths
 
 if TYPE_CHECKING:  # pragma: no cover - engine-side import kept lazy

@@ -91,7 +91,7 @@ from ..properties import (
 )
 from ..sharing.deregister import live_stream_ids
 from ..sharing.plan import Deployment, InstalledStream
-from .diagnostics import AnalysisReport, Diagnostic
+from ..diagnostics import AnalysisReport, Diagnostic
 
 __all__ = [
     "FlowFacts",

@@ -37,7 +37,7 @@ not know or is not strict enough about:
   in modern Python and are not flagged.)
 
 ``lint_paths`` walks files/directories and returns an
-:class:`~repro.analysis.diagnostics.AnalysisReport` whose subjects are
+:class:`~repro.diagnostics.AnalysisReport` whose subjects are
 ``path:line:col`` locations.
 """
 
@@ -47,7 +47,7 @@ import ast
 import os
 from typing import Iterable, List, Optional
 
-from .diagnostics import AnalysisReport, Diagnostic
+from ..diagnostics import AnalysisReport, Diagnostic
 
 __all__ = ["lint_source", "lint_paths"]
 

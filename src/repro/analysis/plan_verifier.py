@@ -23,9 +23,10 @@ runtime:
   and ``a_l(v)`` is consistent with the set of installed pipelines: no
   negative or ghost commitments, and no installed stream whose traffic
   or pipeline work was never committed (``P13x``);
-* **operator typing** — every content chain and compensation pipeline
+* **operator typing** — every derived stream's compensation pipeline
   type-checks stage-to-stage against the stream's schema (``T2xx``,
-  see :mod:`repro.analysis.typecheck`).
+  see :mod:`repro.properties.typecheck`); subscription texts, and so
+  stream contents, are typed at registration and not re-typed here.
 
 The verifier is read-only and cheap (linear in streams × route length),
 so :class:`~repro.sharing.system.StreamGlobe` can afford to run it as a
@@ -41,9 +42,8 @@ from ..costmodel.statistics import StatisticsCatalog
 from ..matching import match_stream_properties
 from ..sharing.index import IndexKeys, index_keys
 from ..sharing.plan import Deployment, InstalledStream
-from ..xmlkit.schema import Schema
-from .diagnostics import AnalysisReport
-from .typecheck import SchemaView, check_content, check_pipeline
+from ..diagnostics import AnalysisReport
+from ..properties.typecheck import SchemaView, check_pipeline
 
 __all__ = ["verify_deployment"]
 
@@ -57,12 +57,12 @@ _DUST_EPS = 1e-3
 def verify_deployment(
     deployment: Deployment,
     catalog: Optional[StatisticsCatalog] = None,
-    schemas: Optional[Dict[str, Schema]] = None,
     title: str = "deployment verification",
 ) -> AnalysisReport:
-    """Statically verify ``deployment``; returns the full report."""
+    """Statically verify ``deployment``; returns the full report
+    (compensation pipelines are typed only against a ``catalog``)."""
     report = AnalysisReport(title=title)
-    views = _build_views(deployment, catalog, schemas)
+    views = _build_views(deployment, catalog)
 
     for stream in deployment.streams.values():
         _check_route(deployment, stream, report)
@@ -70,7 +70,7 @@ def verify_deployment(
     _check_availability_index(deployment, report)
     _check_sharing_index(deployment, report)
     _check_reference_counts(deployment, report)
-    _check_deliveries(deployment, report, views)
+    _check_deliveries(deployment, report)
     _check_usage_ledger(deployment, report)
     return report
 
@@ -79,23 +79,16 @@ def verify_deployment(
 # Schema views
 # ----------------------------------------------------------------------
 def _build_views(
-    deployment: Deployment,
-    catalog: Optional[StatisticsCatalog],
-    schemas: Optional[Dict[str, Schema]],
+    deployment: Deployment, catalog: Optional[StatisticsCatalog]
 ) -> Dict[str, SchemaView]:
-    views: Dict[str, SchemaView] = {}
+    if catalog is None:
+        return {}
     names = {stream.content.stream for stream in deployment.streams.values()}
-    names.update(
-        sp.stream
-        for record in deployment.queries.values()
-        for sp in record.properties.inputs
-    )
-    for name in names:
-        if schemas and name in schemas:
-            views[name] = SchemaView.from_schema(schemas[name], stream=name)
-        elif catalog is not None and name in catalog:
-            views[name] = SchemaView.from_statistics(catalog.for_stream(name))
-    return views
+    return {
+        name: SchemaView.from_statistics(catalog.for_stream(name))
+        for name in names
+        if name in catalog
+    }
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +295,6 @@ def _check_derivation(
     views: Dict[str, SchemaView],
 ) -> None:
     subject = f"stream {stream.stream_id!r}"
-    view = views.get(stream.content.stream)
-    if view is not None:
-        report.extend(check_content(stream.content, view, subject))
-
     if stream.parent_id is None:
         if stream.pipeline:
             report.add(
@@ -345,6 +334,7 @@ def _check_derivation(
             hint="the compensation pipeline cannot create data its input "
             "does not contain",
         )
+    view = views.get(stream.content.stream)
     if view is not None:
         report.extend(
             check_pipeline(parent.content, stream.pipeline, view, subject)
@@ -354,9 +344,7 @@ def _check_derivation(
 # ----------------------------------------------------------------------
 # P12x — delivery
 # ----------------------------------------------------------------------
-def _check_deliveries(
-    deployment: Deployment, report: AnalysisReport, views: Dict[str, SchemaView]
-) -> None:
+def _check_deliveries(deployment: Deployment, report: AnalysisReport) -> None:
     for record in deployment.queries.values():
         subject = f"query {record.name!r}"
         for input_stream, stream_id in record.delivered:
@@ -396,9 +384,6 @@ def _check_deliveries(
                     f"delivered stream {stream_id!r} does not satisfy the "
                     f"subscription's requirement on {input_stream!r}",
                 )
-            view = views.get(needed.stream)
-            if view is not None:
-                report.extend(check_content(needed, view, subject))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .diagnostics import AnalysisReport
+from ..diagnostics import AnalysisReport
 from .flow import analyze_flow
 from .plan_verifier import verify_deployment
 from .shards import ShardPlan, certify_shards

@@ -25,7 +25,9 @@ Every operator spec is classified into a three-point lattice (see
 * **order-sensitive** — operators whose result can depend on more than
   the per-stream item sequence: UDFs (unknown semantics) and time-based
   windows whose reference ordering is *not* certified (their reorder
-  buffering depends on batch segmentation).
+  buffering depends on batch segmentation).  An admitted time window's
+  reference is always certified (``T208`` rejects the others at the
+  door), so a time window is order-sensitive only without a catalog.
 
 Happens-before model
 --------------------
@@ -74,7 +76,7 @@ from ..properties import (
     WindowSpec,
 )
 from ..sharing.plan import Deployment, InstalledStream
-from .diagnostics import AnalysisReport
+from ..diagnostics import AnalysisReport
 
 __all__ = [
     "BlockedEdge",

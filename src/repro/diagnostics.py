@@ -1,6 +1,7 @@
-"""Diagnostics shared by both analysis passes.
+"""Diagnostics shared by the static checks.
 
-Every check — plan-verifier invariants and linter rules alike — reports
+Every check — plan-verifier invariants, operator typing and linter
+rules alike — reports
 :class:`Diagnostic` records: a stable rule code, the subject it applies
 to (a stream, a query, or a ``file:line:col`` location), a one-line
 message, and an optional hint explaining how to fix it.  Diagnostics
@@ -13,7 +14,8 @@ Code ranges
 
 * ``P1xx`` — deployment/plan structure (routes, derivation, delivery,
   usage ledger);
-* ``T2xx`` — operator-chain type checking against stream schemas;
+* ``T2xx`` — operator-chain typing (:mod:`repro.properties.typecheck`,
+  run at registration: hence this module sits outside the passes);
 * ``L3xx`` — source-code lint rules;
 * ``F4xx`` — dataflow facts (:mod:`repro.analysis.flow`): F400 missing
   statistics, F401 committed estimate outside the derived interval,
@@ -115,7 +117,9 @@ class InvariantViolation(Exception):
     """A deployment failed its static pre-flight verification.
 
     Raised by :meth:`repro.sharing.system.StreamGlobe` hooks when
-    constructed with ``verify=True``; carries the full
+    constructed with ``verify=True``, and by
+    :meth:`~repro.sharing.system.StreamGlobe.install_derived_stream` on
+    every system for an ill-typed pipeline; carries the full
     :class:`AnalysisReport` so callers can inspect individual findings.
     """
 

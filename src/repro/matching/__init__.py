@@ -1,6 +1,7 @@
 """Stream/subscription matching (Algorithms 2 and 3 plus MatchAggregations)."""
 
-from .aggregation import functions_compatible, match_aggregations, serving_functions
+from ..properties import functions_compatible
+from .aggregation import match_aggregations, serving_functions
 from .memo import MatchMemo
 from .properties_match import (
     match_stream_properties,

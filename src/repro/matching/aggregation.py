@@ -23,33 +23,19 @@ subscription when *all* of the following hold (Figure 5):
 from __future__ import annotations
 
 from ..predicates import match_predicates
-from ..properties import AggregationSpec
-
-#: ``reused function -> functions it can serve``.  ``avg`` streams carry
-#: (sum, count) pairs on the wire (Section 3.3, last paragraph).
-_SERVABLE = {
-    "min": frozenset({"min"}),
-    "max": frozenset({"max"}),
-    "sum": frozenset({"sum"}),
-    "count": frozenset({"count"}),
-    "avg": frozenset({"avg", "sum", "count"}),
-}
-
-
-def functions_compatible(reused: str, new: str) -> bool:
-    """Can partial ``reused`` aggregates produce ``new`` aggregates?"""
-    return new in _SERVABLE[reused]
+from ..properties import SERVABLE_FUNCTIONS, AggregationSpec, functions_compatible
 
 
 def serving_functions(new: str) -> frozenset:
-    """The inverse of :data:`_SERVABLE`: functions whose result streams
-    can serve ``new`` aggregates (``sum`` ← {``sum``, ``avg``}, …).
+    """The inverse of :data:`~repro.properties.SERVABLE_FUNCTIONS`:
+    functions whose result streams can serve ``new`` aggregates (``sum``
+    ← {``sum``, ``avg``}, …).
 
     Used by the stream-availability index to enumerate the aggregation
     signatures a subscription is structurally compatible with.
     """
     return frozenset(
-        reused for reused, served in _SERVABLE.items() if new in served
+        reused for reused, served in SERVABLE_FUNCTIONS.items() if new in served
     )
 
 

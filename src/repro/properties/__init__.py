@@ -12,6 +12,7 @@
 from .extract import extract_from_analysis, extract_properties
 from .model import (
     RESULT_NODE,
+    SERVABLE_FUNCTIONS,
     AggregationSpec,
     OperatorSpec,
     ProjectionSpec,
@@ -22,12 +23,14 @@ from .model import (
     StreamProperties,
     UdfSpec,
     WindowContentsSpec,
+    functions_compatible,
     raw_stream_properties,
 )
 from .windows import WindowSpec
 
 __all__ = [
     "RESULT_NODE",
+    "SERVABLE_FUNCTIONS",
     "AggregationSpec",
     "OperatorSpec",
     "ProjectionSpec",
@@ -41,5 +44,6 @@ __all__ = [
     "WindowSpec",
     "extract_from_analysis",
     "extract_properties",
+    "functions_compatible",
     "raw_stream_properties",
 ]

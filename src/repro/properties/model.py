@@ -19,7 +19,7 @@ subscriber's super-peer and its output is never reused (Section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..predicates import PredicateGraph
 from ..xmlkit import Path
@@ -90,6 +90,26 @@ class ProjectionSpec:
         return f"π[{marked}]"
 
 
+#: Node label used inside ``result_filter`` graphs for the aggregate value.
+RESULT_NODE = Path("__aggregate_result__")
+
+#: ``function -> the functions its partial aggregates can produce``:
+#: ``avg`` streams carry (sum, count) pairs on the wire (Section 3.3,
+#: last paragraph); every other function serves itself alone.
+SERVABLE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
+    "min": frozenset({"min"}),
+    "max": frozenset({"max"}),
+    "sum": frozenset({"sum"}),
+    "count": frozenset({"count"}),
+    "avg": frozenset({"avg", "sum", "count"}),
+}
+
+
+def functions_compatible(reused: str, new: str) -> bool:
+    """Can partial ``reused`` aggregates produce ``new`` aggregates?"""
+    return new in SERVABLE_FUNCTIONS[reused]
+
+
 @dataclass(frozen=True)
 class AggregationSpec:
     """A window-based aggregation operator Φ.
@@ -121,8 +141,13 @@ class AggregationSpec:
     kind: str = field(default="aggregation", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.function not in ("min", "max", "sum", "count", "avg"):
+        if self.function not in SERVABLE_FUNCTIONS:
             raise ValueError(f"unknown aggregation function {self.function!r}")
+        for variable in self.result_filter.variables():
+            if variable != RESULT_NODE:
+                raise ValueError(
+                    f"result filter constrains {variable}, not the aggregate value"
+                )
         object.__setattr__(self, "pre_selection", self.pre_selection.interned())
         object.__setattr__(self, "result_filter", self.result_filter.interned())
         object.__setattr__(
@@ -152,10 +177,6 @@ class AggregationSpec:
         if self.is_filtered:
             text += f" having[{self.result_filter.describe()}]"
         return text
-
-
-#: Node label used inside ``result_filter`` graphs for the aggregate value.
-RESULT_NODE = Path("__aggregate_result__")
 
 
 @dataclass(frozen=True)
@@ -212,6 +233,11 @@ class ReAggregationSpec:
         if not self.new.window.shareable_from(self.reused.window):
             raise ValueError(
                 f"window {self.new.window} is not shareable from {self.reused.window}"
+            )
+        if not functions_compatible(self.reused.function, self.new.function):
+            raise ValueError(
+                f"partial {self.reused.function} aggregates cannot produce "
+                f"{self.new.function} aggregates"
             )
 
     def __str__(self) -> str:

@@ -5,18 +5,16 @@ conditions make sense against what the previous stage emits: projection
 marks must exist in the input schema, selection predicate paths must
 resolve (and address numeric leaves), time-based windows must key on a
 monotone reference element such as ``det_time``, and re-aggregation must
-consume an aggregate stream (whose window the re-aggregation spec's own
-constructor has already found shareable).  This module checks
-those assumptions statically, without pumping a single item.
+consume the aggregate stream it names.  This module checks those
+assumptions statically where a chain enters: registration types each
+subscription input (:func:`check_content`), ``install_derived_stream``
+its pipeline (:func:`check_pipeline`), and the plan verifier re-types
+only compensation pipelines.  What a spec's constructor enforces is not
+checked again.
 
-The *schema* an operator chain is checked against is a
-:class:`SchemaView`: the set of element paths a stream's items expose,
-which of them carry numeric values, and which are known to be
-non-decreasing.  Views are built either from a declared
-:class:`~repro.xmlkit.schema.Schema` (DTD tree) or from the measured
-:class:`~repro.costmodel.statistics.StreamStatistics` — the latter is
-what :class:`~repro.sharing.system.StreamGlobe` uses, keeping the
-verifier and the optimizer consistent by construction.
+A :class:`SchemaView` is what the measured
+:class:`~repro.costmodel.statistics.StreamStatistics` show of a stream's
+items — the source the optimizer uses too, so both agree by construction.
 """
 
 from __future__ import annotations
@@ -25,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set
 
 from ..costmodel.statistics import StreamStatistics
-from ..matching.aggregation import functions_compatible
-from ..properties import (
+from ..diagnostics import Diagnostic
+from ..xmlkit import Path
+from .model import (
     RESULT_NODE,
     AggregationSpec,
     OperatorSpec,
@@ -37,11 +36,8 @@ from ..properties import (
     StreamProperties,
     UdfSpec,
     WindowContentsSpec,
-    WindowSpec,
 )
-from ..xmlkit import Path
-from ..xmlkit.schema import Schema
-from .diagnostics import Diagnostic
+from .windows import WindowSpec
 
 __all__ = ["SchemaView", "check_content", "check_pipeline"]
 
@@ -52,36 +48,15 @@ class SchemaView:
 
     All paths are absolute (they include the stream/item prefix, e.g.
     ``photons/photon/en``), matching the convention of predicate-graph
-    labels and projection marks.  ``monotone`` is ``None`` when the
-    source of the view cannot know value ordering (a declared schema);
-    a statistics-backed view always knows.
+    labels and projection marks.
     """
 
     stream: str
-    item_path: Path
     paths: FrozenSet[Path]
     numeric: FrozenSet[Path]
-    monotone: Optional[FrozenSet[Path]] = None
+    monotone: FrozenSet[Path]
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_schema(cls, schema: Schema, stream: Optional[str] = None) -> "SchemaView":
-        """Build a view from a declared DTD tree (ordering unknown)."""
-        item_path = Path(schema.stream_tag) / schema.root.tag
-        paths = frozenset(Path(item_path.steps + p.steps) for p in schema.paths())
-        numeric = frozenset(
-            Path(item_path.steps + p.steps)
-            for p in schema.leaf_paths()
-            if schema.node_at(p).value_type in ("int", "decimal")
-        )
-        return cls(
-            stream=stream or schema.stream_tag,
-            item_path=item_path,
-            paths=paths,
-            numeric=numeric,
-            monotone=None,
-        )
-
     @classmethod
     def from_statistics(cls, stats: "StreamStatistics") -> "SchemaView":
         """Build a view from measured :class:`StreamStatistics`."""
@@ -90,13 +65,10 @@ class SchemaView:
             path for path, entry in stats.paths.items() if entry.minimum is not None
         )
         monotone = frozenset(
-            path
-            for path, entry in stats.paths.items()
-            if getattr(entry, "nondecreasing", None)
+            path for path, entry in stats.paths.items() if entry.nondecreasing
         )
         return cls(
             stream=stats.stream,
-            item_path=stats.item_path,
             paths=paths,
             numeric=numeric,
             monotone=monotone,
@@ -118,7 +90,8 @@ class _ChainState:
 def check_content(
     content: StreamProperties, view: SchemaView, subject: str
 ) -> List[Diagnostic]:
-    """Type-check a stream's full operator chain from the raw schema."""
+    """Type-check a stream's full operator chain from the raw schema
+    (a subscription input, at registration)."""
     diags: List[Diagnostic] = []
     _walk_operators(content.operators, _initial_state(view), view, subject, diags)
     return diags
@@ -302,11 +275,7 @@ def _check_window(
             )
         )
         return
-    if (
-        view.monotone is not None
-        and reference in view.numeric
-        and reference not in view.monotone
-    ):
+    if reference in view.numeric and reference not in view.monotone:
         diags.append(
             Diagnostic(
                 "T208",
@@ -357,15 +326,6 @@ def _check_aggregation(
         "pre-selection path",
     )
     _check_window(spec.window, state, view, stage, diags)
-    for variable in spec.result_filter.variables():
-        if variable != RESULT_NODE:
-            diags.append(
-                Diagnostic(
-                    "T209",
-                    stage,
-                    f"result filter constrains {variable}, not the aggregate value",
-                )
-            )
     state.aggregated = True
     state.aggregation = spec
     state.available = set()
@@ -404,25 +364,13 @@ def _check_reaggregation(
             )
         )
         return
-    produced = state.aggregation
-    if produced is not None and produced != spec.reused:
+    if state.aggregation != spec.reused:
         diags.append(
             Diagnostic(
                 "T218",
                 stage,
                 "re-aggregation's reused spec does not match the upstream "
-                f"aggregation ({spec.reused} vs {produced})",
-            )
-        )
-    if not functions_compatible(spec.reused.function, spec.new.function):
-        diags.append(
-            Diagnostic(
-                "T215",
-                stage,
-                f"partial {spec.reused.function} aggregates cannot produce "
-                f"{spec.new.function} aggregates",
-                hint="only avg streams carry (sum, count) pairs on the wire "
-                "(Section 3.3); every other function serves itself alone",
+                f"aggregation ({spec.reused} vs {state.aggregation})",
             )
         )
     state.aggregation = spec.new

@@ -24,6 +24,7 @@ from ..costmodel import (
     StatisticsCatalog,
     StreamStatistics,
 )
+from ..diagnostics import AnalysisReport, InvariantViolation
 from ..engine import RunMetrics, StreamSimulator
 from ..engine.executor import ExecutionError, ItemGenerator, reclaim_before_run
 from ..network.topology import Network
@@ -35,6 +36,7 @@ from ..properties import (
     extract_from_analysis,
     raw_stream_properties,
 )
+from ..properties.typecheck import SchemaView, check_content, check_pipeline
 from ..wxquery import AnalyzedQuery, Query, analyze, parse_query
 from ..xmlkit import Path
 from .deregister import tear_down
@@ -68,6 +70,8 @@ class SourceRegistration:
     #: GC-tracked objects one item holds (an element and its child
     #: list per node), averaged over the statistics sample.
     tracked_per_item: float
+    #: The sampled item structure every chain over the stream is typed against.
+    schema: SchemaView = field(repr=False)
 
     def stream(self) -> InstalledStream:
         """The original stream's record, available at its home only."""
@@ -123,11 +127,12 @@ class StreamGlobe:
         self.sources: Dict[str, SourceRegistration] = {}
         self.results: List[RegistrationResult] = []
         self._repairer = None  # lazily created PlanRepairer
-        #: ``query`` argument -> (analysis, input properties): the
-        #: properties of a subscription depend on its text only, its
-        #: name aside.  Per system, like the match memo.
+        #: ``query`` argument -> (analysis, input properties, rejection
+        #: reason or ``None``): they depend on its text only, its name
+        #: aside.  Per system, like the match memo.
         self._analyses: OrderedDict[
-            Union[str, Query], Tuple[AnalyzedQuery, Tuple[StreamProperties, ...]]
+            Union[str, Query],
+            Tuple[AnalyzedQuery, Tuple[StreamProperties, ...], Optional[str]],
         ] = OrderedDict()
         self.analysis_hits = 0
         self.analysis_misses = 0
@@ -160,9 +165,8 @@ class StreamGlobe:
 
         sample_generator = generator_factory()
         sample = [sample_generator.next_item() for _ in range(STATISTICS_SAMPLE_SIZE)]
-        self.catalog.register(
-            StreamStatistics.from_sample(name, path, sample, frequency)
-        )
+        statistics = StreamStatistics.from_sample(name, path, sample, frequency)
+        self.catalog.register(statistics)
 
         self.sources[name] = SourceRegistration(
             name=name,
@@ -171,6 +175,7 @@ class StreamGlobe:
             frequency=frequency,
             generator_factory=generator_factory,
             tracked_per_item=2.0 * sum(1 for item in sample for _ in item.iter()) / len(sample),
+            schema=SchemaView.from_statistics(statistics),
         )
         self.deployment.install_stream(self.sources[name].stream())
 
@@ -196,7 +201,8 @@ class StreamGlobe:
         (default: the parent stream's origin) and routed to ``target``.
 
         Returns the installed stream; it participates in sharing like
-        any query-generated stream.
+        any query-generated stream.  An ill-typed pipeline (``T2xx``)
+        raises :class:`~repro.diagnostics.InvariantViolation` first.
         """
         parent = self.deployment.stream(parent_id)
         origin = tap_node or parent.origin_node
@@ -204,10 +210,16 @@ class StreamGlobe:
             raise ValueError(
                 f"tap node {origin!r} is not on the route of {parent_id!r}"
             )
+        pipeline = tuple(pipeline)
+        schema = self.sources[parent.content.stream].schema
+        diagnostics = check_pipeline(parent.content, pipeline, schema, f"stream {stream_id!r}")
+        if diagnostics:
+            context = f"installing derived stream {stream_id!r}"
+            raise InvariantViolation(context, AnalysisReport(f"typing {context}", diagnostics))
         content = StreamProperties(
             stream=parent.content.stream,
             item_path=parent.content.item_path,
-            operators=parent.content.operators + tuple(pipeline),
+            operators=parent.content.operators + pipeline,
         )
         stream = InstalledStream(
             stream_id=stream_id,
@@ -215,7 +227,7 @@ class StreamGlobe:
             origin_node=origin,
             route=self.planner.routes.path(origin, self.net.home_of(target)),
             parent_id=parent_id,
-            pipeline=tuple(pipeline),
+            pipeline=pipeline,
         )
         # Commit what the stream uses, as query registration does for
         # the streams it installs: the same walk, so removing the stream
@@ -233,21 +245,17 @@ class StreamGlobe:
     def preflight(self, context: str) -> None:
         """Run the static analysis passes when ``verify=True``.
 
-        Three passes gate every plan mutation: the P1xx/T2xx plan
-        verifier, the F4xx flow analyzer, and the S5xx shard certifier
-        (the latter two span-traced through the system's recorder).
-        Raises :class:`~repro.analysis.InvariantViolation` carrying the
-        merged report if any pass finds an error.
+        Three passes gate every plan mutation: the P1xx plan verifier
+        (T2xx on compensation pipelines), the F4xx flow analyzer, and
+        the S5xx shard certifier (the latter two span-traced through the
+        system's recorder).  Raises
+        :class:`~repro.analysis.InvariantViolation` carrying the merged
+        report if any pass finds an error.
         """
         if not self.verify:
             return
         # Imported lazily: repro.analysis depends on repro.sharing.plan.
-        from ..analysis import (
-            InvariantViolation,
-            certify_system,
-            flow_system,
-            verify_system,
-        )
+        from ..analysis import certify_system, flow_system, verify_system
 
         report = verify_system(self, title=f"pre-flight {context}")
         report.merge(flow_system(self, title=f"flow pre-flight {context}"))
@@ -287,8 +295,10 @@ class StreamGlobe:
     ) -> RegistrationResult:
         """Register a continuous WXQuery subscription.
 
-        Returns the registration result; capacity rejections (with
-        admission control enabled) are reported, not raised.
+        Returns the registration result; an ill-typed text (typed
+        before the plan search, ``verify`` or not: its ``T2xx`` codes in
+        ``rejection_reason``, nothing committed) and capacity rejections
+        (with admission control enabled) are reported, not raised.
         """
         self._require_free_name(name)
         result = self._register(
@@ -299,17 +309,18 @@ class StreamGlobe:
 
     def _analysis(
         self, name: str, query: Union[str, Query]
-    ) -> Tuple[Properties, AnalyzedQuery]:
-        """Parse, analyze and extract ``query`` for the subscription
+    ) -> Tuple[Properties, AnalyzedQuery, Optional[str]]:
+        """Parse, analyze, extract and type ``query`` for the subscription
         ``name`` — once per distinct ``query`` while it stays in the
-        memo (errors are raised afresh on every attempt, never kept)."""
+        memo (errors are raised afresh on every attempt, never kept; nor
+        is a text whose sources are not all registered to type it)."""
         memo = self._analyses
         entry = memo.get(query)
         if entry is not None:
             self.analysis_hits += 1
             memo.move_to_end(query)
-            analyzed, inputs = entry
-            return Properties(name=name, inputs=inputs), analyzed
+            analyzed, inputs, rejection = entry
+            return Properties(name=name, inputs=inputs), analyzed, rejection
         self.analysis_misses += 1
         recorder = self.recorder
         with recorder.span("parse"):
@@ -317,10 +328,18 @@ class StreamGlobe:
         with recorder.span("analyze"):
             analyzed = analyze(parsed)
             properties = extract_from_analysis(analyzed, name)
-        memo[query] = (analyzed, properties.inputs)
-        if len(memo) > ANALYSIS_MEMO_SIZE:
-            memo.popitem(last=False)
-        return properties, analyzed
+            sources = [self.sources.get(sp.stream) for sp in properties.inputs]
+            rejection = "; ".join(
+                f"{d.code}: {d.subject}: {d.message}"
+                for sp, source in zip(properties.inputs, sources)
+                if source is not None
+                for d in check_content(sp, source.schema, f"input {sp.stream!r}")
+            ) or None
+        if None not in sources:
+            memo[query] = (analyzed, properties.inputs, rejection)
+            if len(memo) > ANALYSIS_MEMO_SIZE:
+                memo.popitem(last=False)
+        return properties, analyzed, rejection
 
     def register_queries(
         self,
@@ -339,10 +358,10 @@ class StreamGlobe:
         * runs the (optional) verification pre-flight once per batch
           instead of once per query.
 
-        Results are returned in the *caller's* order.  Admission order
-        is an optimization heuristic only — every plan is still chosen
-        by the same cost-based search, and each registration sees all
-        previously admitted streams.
+        Results are returned in the *caller's* order (an ill-typed entry
+        is rejected alone).  Admission order is an optimization heuristic
+        only — every plan is still chosen by the same cost-based search,
+        and each registration sees all previously admitted streams.
         """
         names = [name for name, _, _ in batch]
         duplicates = {name for name in names if names.count(name) > 1}
@@ -369,22 +388,28 @@ class StreamGlobe:
     def _register(
         self,
         name: str,
-        analysis: Callable[[], Tuple[Properties, AnalyzedQuery]],
+        analysis: Callable[[], Tuple[Properties, AnalyzedQuery, Optional[str]]],
         subscriber_peer: str,
         **tags: object,
     ) -> RegistrationResult:
-        """The registration body: analyze (inside the ``register`` span,
-        unless the caller already has), plan, record the outcome."""
+        """The registration body: analyze and type (inside the ``register``
+        span, unless the caller already has), plan, record the outcome."""
         recorder = self.recorder
         with recorder.span(
             "register", query=name, strategy=self.subscriber.strategy, **tags
         ) as span:
-            properties, analyzed = analysis()
+            properties, analyzed, rejection = analysis()
             subscriber_node = self.net.home_of(subscriber_peer)
-            with recorder.span("plan"):
-                result = self.subscriber.subscribe(
-                    self.deployment, properties, analyzed, subscriber_node
-                )
+            if rejection is not None:
+                # No search, nothing committed: the latency model charges
+                # the parsing alone.
+                base_ms = self.planner.latency_model.base_ms
+                result = RegistrationResult(name, False, None, base_ms, rejection)
+            else:
+                with recorder.span("plan"):
+                    result = self.subscriber.subscribe(
+                        self.deployment, properties, analyzed, subscriber_node
+                    )
             if recorder.enabled:
                 span.set(accepted=result.accepted)
         self.results.append(result)

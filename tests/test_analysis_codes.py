@@ -1,12 +1,10 @@
 """Every diagnostic code the analysis passes can report is named by a test.
 
 A code is *defined* when its literal (``"T201"``) appears in a module
-under ``src/repro/analysis``; it is *named* when some other file under
-``tests/`` mentions it.  The allowlist holds the codes no test names
-yet: input checks reachable only through a mutated deployment or an
-arbitrary pipeline handed to ``StreamGlobe.install_derived_stream``.
-It may only shrink — the test fails as well when a listed code gains a
-test, so the entry has to go.
+under ``src/repro/analysis`` or in ``repro.properties.typecheck`` (the
+T2xx typing); it is *named* when some other file under
+``tests/`` mentions it.  A code no test can name is a check nothing
+reaches: delete it, or enforce its condition where the input is built.
 """
 
 import pathlib
@@ -15,13 +13,13 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CODE = re.compile(r"\b[PTLFS][0-9]{3}\b")
 
-UNNAMED_ALLOWLIST = {"P114", "P123", "T209", "T210", "T211", "T212", "T214", "T218"}
-
 
 def defined_codes():
+    src = ROOT / "src" / "repro"
+    checks = [*(src / "analysis").rglob("*.py"), src / "properties" / "typecheck.py"]
     return {
         match.group(0)[1:-1]
-        for path in (ROOT / "src" / "repro" / "analysis").rglob("*.py")
+        for path in checks
         for match in re.finditer(r'"[PTLFS][0-9]{3}"', path.read_text(encoding="utf-8"))
     }
 
@@ -38,7 +36,4 @@ def named_codes():
 
 def test_every_defined_code_is_named_by_a_test():
     unnamed = defined_codes() - named_codes()
-    assert unnamed == UNNAMED_ALLOWLIST, (
-        f"named by no test: {sorted(unnamed - UNNAMED_ALLOWLIST)}; "
-        f"named now, drop from the allowlist: {sorted(UNNAMED_ALLOWLIST - unnamed)}"
-    )
+    assert not unnamed, f"named by no test: {sorted(unnamed)}"

@@ -9,6 +9,8 @@ code and subject for each.
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,14 +23,20 @@ from repro.analysis import (
     verify_deployment,
     verify_system,
 )
+from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import (
+    AggregationSpec,
     ProjectionSpec,
+    ReAggregationSpec,
+    SelectionSpec,
     StreamProperties,
     UdfSpec,
     WindowContentsSpec,
 )
 from repro.properties.windows import WindowSpec
+from repro.sharing.explain import explain_registration
 from repro.sharing.plan import InstalledStream
+from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
 from repro.xmlkit import Path
 
 
@@ -408,42 +416,37 @@ def test_seeded_typing_defect_surfaces_in_deployment_report(photon_stats):
     assert "T203" in report.codes(), report.render()
 
 
+def _agg(function="avg", size=20, step=10):
+    return AggregationSpec(
+        function=function,
+        aggregated_path=Path("photons/photon/en"),
+        window=WindowSpec(
+            "diff", Fraction(size), Fraction(step),
+            reference=Path("photons/photon/det_time"),
+        ),
+        pre_selection=PredicateGraph(),
+        result_filter=PredicateGraph(),
+    )
+
+
 def test_reaggregation_function_compatibility(photon_stats):
-    from repro.predicates import PredicateGraph
-    from repro.properties import AggregationSpec, ReAggregationSpec
-
     view = SchemaView.from_statistics(photon_stats)
-    window = WindowSpec(
-        "diff", Fraction(20), Fraction(10), reference=Path("photons/photon/det_time")
-    )
-    wide = WindowSpec(
-        "diff", Fraction(60), Fraction(20), reference=Path("photons/photon/det_time")
-    )
-
-    def agg(function, win):
-        return AggregationSpec(
-            function=function,
-            aggregated_path=Path("photons/photon/en"),
-            window=win,
-            pre_selection=PredicateGraph(),
-            result_filter=PredicateGraph(),
-        )
 
     def chain(reused_fn, new_fn):
         return StreamProperties(
             stream="photons",
             item_path=Path("photons/photon"),
             operators=(
-                agg(reused_fn, window),
-                ReAggregationSpec(agg(reused_fn, window), agg(new_fn, wide)),
+                _agg(reused_fn),
+                ReAggregationSpec(_agg(reused_fn), _agg(new_fn, size=60, step=20)),
             ),
         )
 
     # avg streams carry (sum, count) pairs: avg → sum is servable...
     assert [d.code for d in check_content(chain("avg", "sum"), view, "s")] == []
-    # ...but partial sums cannot rebuild an average.
-    diags = check_content(chain("sum", "avg"), view, "s")
-    assert "T215" in [d.code for d in diags]
+    # ...but partial sums cannot rebuild an average: the spec refuses.
+    with pytest.raises(ValueError, match="cannot produce avg"):
+        chain("sum", "avg")
 
 
 def test_empty_operator_chain_is_trivially_typed(photon_stats):
@@ -456,9 +459,6 @@ def test_aggregation_after_window_contents_is_accepted(photon_stats):
     # A window-contents stage re-emits the (selected, projected) items
     # in batches — the item schema survives, so a downstream aggregation
     # still types.  The converse order is rejected as T213.
-    from repro.predicates import PredicateGraph
-    from repro.properties import AggregationSpec
-
     view = SchemaView.from_statistics(photon_stats)
     window = WindowSpec(
         "diff", Fraction(20), Fraction(10), reference=Path("photons/photon/det_time")
@@ -508,6 +508,40 @@ def test_verify_flag_accepts_valid_registrations():
         assert result.accepted
 
 
+def two_source_system():
+    """The example system with a second photon source, ``gammas``."""
+    system = make_system(verify=True)
+    config = PhotonStreamConfig(seed=7, frequency=50.0)
+    system.register_stream(
+        "gammas", "photons/photon", lambda: PhotonGenerator(config),
+        frequency=50.0, source_peer="P4",
+    )
+    system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
+    return system
+
+
+def test_verify_flag_rejects_a_derivation_across_streams():
+    system = two_source_system()
+    delivered = system.deployment.queries["Q1"].delivered[0][1]
+    stream = system.deployment.streams[delivered]
+    object.__setattr__(
+        stream, "content", dataclasses.replace(stream.content, stream="gammas")
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        system.register_query("Q2", PAPER_QUERIES["Q2"], "P1")
+    assert "P114" in exc.value.report.codes()
+
+
+def test_verify_flag_rejects_a_delivery_for_no_input():
+    system = two_source_system()
+    record = system.deployment.queries["Q1"]
+    delivered = record.delivered[0][1]
+    object.__setattr__(record, "delivered", (("gammas", delivered),))
+    with pytest.raises(InvariantViolation) as exc:
+        system.register_query("Q2", PAPER_QUERIES["Q2"], "P1")
+    assert "P123" in exc.value.report.codes()
+
+
 def test_verify_flag_rejects_invalid_plan():
     system = make_system(verify=True)
     system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
@@ -549,18 +583,101 @@ _ILL_TYPED_TEXTS = {
     "T204": _AGGREGATION.format(window="det_time diff 10 step 10", aggregate="sum($w/foo)"),
     "T205": _AGGREGATION.format(window="det_time diff 10 step 10", aggregate="sum($w/coord)"),
     "T207": _AGGREGATION.format(window="coord diff 10 step 10", aggregate="sum($w/en)"),
+    # The paper's time windows need a stream ordered by the reference
+    # element (Section 2); energies arrive in any order.
+    "T208": _AGGREGATION.format(window="en diff 10 step 10", aggregate="sum($w/en)"),
 }
 
+_WELL_TYPED_TEXT = _AGGREGATION.format(
+    window="det_time diff 10 step 10", aggregate="sum($w/en)"
+)
 
-@pytest.mark.parametrize("code", sorted(_ILL_TYPED_TEXTS))
-def test_verify_flag_types_the_subscription_text(code):
+
+@pytest.mark.parametrize(
+    "verify, code",
+    [
+        pytest.param(verify, code, id=code if verify else f"{code}-unverified")
+        for verify in (True, False)
+        for code in sorted(_ILL_TYPED_TEXTS)
+    ],
+)
+def test_verify_flag_types_the_subscription_text(verify, code):
     """Ill-typed query text — an undeclared path, arithmetic on an
-    interior element, a window over one — is refused by the pre-flight
-    with exactly its type code."""
-    system = make_system(verify=True)
+    interior element, a window over one or over an unordered element —
+    is turned away at registration with exactly its type code, whatever
+    ``verify`` says, and leaves the deployment as it was."""
+    system = make_system(verify=verify)
+    version = system.deployment.version
+    result = system.register_query("Q", _ILL_TYPED_TEXTS[code], "P1")
+    assert not result.accepted and result.plan is None
+    assert result.rejection_reason.startswith(f"{code}: ")
+    assert re.findall(r"\bT2\d\d\b", result.rejection_reason) == [code]
+    assert "Q" not in system.deployment.queries
+    assert system.deployment.version == version
+    assert list(system.deployment.streams) == ["photons"]
+    assert system.rejected_queries() == ["Q"]
+    assert result.rejection_reason in explain_registration(result, system.deployment)
+    # The name is free again for a well-typed text.
+    assert system.register_query("Q", _WELL_TYPED_TEXT, "P1").accepted
+
+
+def test_typing_verdict_is_memoized_with_the_analysis():
+    system = make_system()
+    first = system.register_query("A", _ILL_TYPED_TEXTS["T201"], "P1")
+    second = system.register_query("B", _ILL_TYPED_TEXTS["T201"], "P1")
+    assert first.rejection_reason == second.rejection_reason
+    assert (system.analysis_misses, system.analysis_hits) == (1, 1)
+
+
+def test_batch_rejects_only_its_ill_typed_entry():
+    system = make_system()
+    batch = [
+        ("Q1", PAPER_QUERIES["Q1"], "P1"),
+        ("bad", _ILL_TYPED_TEXTS["T202"], "P2"),
+        ("Q2", PAPER_QUERIES["Q2"], "P3"),
+    ]
+    results = system.register_queries(batch)
+    assert [r.query for r in results] == ["Q1", "bad", "Q2"]
+    assert [r.accepted for r in results] == [True, False, True]
+    assert results[1].rejection_reason.startswith("T202: ")
+    assert set(system.deployment.queries) == {"Q1", "Q2"}
+    assert verify_system(system).ok
+
+
+def _en_at_least_one():
+    return SelectionSpec(
+        PredicateGraph(
+            normalize_comparison(Path("photons/photon/en"), ">=", None, Fraction(1))
+        )
+    )
+
+
+def _ill_typed_pipelines():
+    en = Path("photons/photon/en")
+    return {
+        "T210": (_agg(), _en_at_least_one()),
+        "T211": (_agg(), ProjectionSpec(frozenset({en}), frozenset({en}))),
+        "T212": (_agg(), _agg("sum")),
+        "T214": (ReAggregationSpec(_agg(), _agg(size=60, step=20)),),
+        # The re-aggregation names a reused aggregation other than the
+        # one upstream of it.
+        "T218": (_agg(), ReAggregationSpec(_agg(size=10), _agg(size=60, step=20))),
+    }
+
+
+@pytest.mark.parametrize("code", ["T210", "T211", "T212", "T214", "T218"])
+def test_install_derived_stream_types_its_pipeline(code):
+    """An administrative pipeline is typed where it enters: an ill-typed
+    one raises with exactly its code and installs nothing."""
+    system = make_system()
+    version = system.deployment.version
     with pytest.raises(InvariantViolation) as exc:
-        system.register_query("Q", _ILL_TYPED_TEXTS[code], "P1")
-    assert set(exc.value.report.codes()) == {code}
+        system.install_derived_stream(
+            "photons#bad", "photons", _ill_typed_pipelines()[code], target="P2"
+        )
+    assert exc.value.report.codes() == (code,), exc.value.report.render()
+    assert list(system.deployment.streams) == ["photons"]
+    assert system.deployment.version == version
 
 
 def test_install_derived_stream_commits_and_releases_effects():

@@ -14,6 +14,7 @@ from repro.predicates import (
     normalize_comparison,
 )
 from repro.properties import (
+    RESULT_NODE,
     AggregationSpec,
     ProjectionSpec,
     ReAggregationSpec,
@@ -112,6 +113,17 @@ class TestSpecs:
                 PredicateGraph(),
                 PredicateGraph(),
             )
+
+    def test_result_filter_constrains_only_the_aggregate(self):
+        def spec(variable):
+            return AggregationSpec(
+                "avg", Path("a/x"), WindowSpec("count", F(2), F(2)), PredicateGraph(),
+                PredicateGraph(normalize_comparison(variable, ">=", None, F(1))),
+            )
+
+        assert spec(RESULT_NODE).is_filtered
+        with pytest.raises(ValueError, match="not the aggregate value"):
+            spec(Path("a/x"))
 
     def test_reaggregation_requires_shareable_windows(self):
         fine = AggregationSpec(
