@@ -17,15 +17,32 @@ operators are obtained from statistics and selectivity estimations."
 Statistics are *measured from a sample* of the actual generator output
 (:meth:`StreamStatistics.from_sample`), which keeps the estimator and
 the executed system consistent by construction.
+
+The sample is held the way the columnar engine holds a batch
+(:mod:`repro.xmlkit.columns`): items are grouped by shape signature
+once, each group keeps its item count and the summed serialized size
+of every leaf, and a projection's measured size is read off the pruned
+shape (:meth:`~repro.xmlkit.columns.ShapeNode.prune`,
+:meth:`~repro.xmlkit.columns.ShapeNode.size_info`) — the pruner the
+projection kernel runs — instead of pruning and re-measuring every
+sample tree.  Only items beyond the sniffing bounds stay trees and go
+through :func:`~repro.xmlkit.transform.prune_to_paths`, the same split
+the engine makes.  The groups are private: building them interns and
+compiles nothing in the engine's shape registry.  Every estimate is
+integer-for-integer the tree measurement's
+(``tests/test_prop_estimation.py`` holds the tree reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, cast
 
 from ..predicates import ZERO, PredicateGraph
 from ..xmlkit import Element, Path, prune_to_paths
+from ..xmlkit.columns import ShapeNode, Signature, leaf_sizes, shape_tree, signature_of
 
 #: Selectivity floor: even a predicate selecting "nothing" in the sample
 #: is estimated above zero, matching classic catalog practice.
@@ -106,8 +123,14 @@ class StreamStatistics:
     frequency: float
     avg_item_size: float
     paths: Dict[Path, PathStatistics] = field(default_factory=dict)
-    #: Retained sample for measured projection sizes.
-    _sample: List[Element] = field(default_factory=list, repr=False)
+    #: Items in the sample.
+    sample_size: int = 0
+    #: Element nodes in the sample, item roots included.
+    sample_nodes: int = 0
+    #: The sample within the sniffing bounds, one group per shape.
+    _groups: List["_ShapeGroup"] = field(default_factory=list, repr=False)
+    #: Sample items beyond the sniffing bounds, kept as trees.
+    _loose: List[Element] = field(default_factory=list, repr=False)
     #: Memoization: plan search re-estimates the same projections and
     #: selections thousands of times during registration.
     _projection_cache: Dict[frozenset, float] = field(default_factory=dict, repr=False)
@@ -136,40 +159,75 @@ class StreamStatistics:
             raise ValueError(f"stream {stream!r}: cannot build statistics from nothing")
         if frequency <= 0:
             raise ValueError(f"stream {stream!r}: frequency must be positive")
-        total_size = 0
-        per_path_sizes: Dict[Path, List[int]] = {}
-        per_path_counts: Dict[Path, int] = {}
-        per_path_values: Dict[Path, List[float]] = {}
-        for item in items:
-            total_size += item.serialized_size()
-            _walk(item, item_path, per_path_sizes, per_path_counts, per_path_values)
+        # A unit is a shape group (its signature) or a loose item
+        # (``None``), listed at its first item.
+        by_signature: Dict[Signature, List[int]] = {}
+        units: List[Tuple[int, Optional[Signature]]] = []
+        for index, item in enumerate(items):
+            signature = signature_of(item)
+            if signature is None:
+                units.append((index, None))
+            elif signature in by_signature:
+                by_signature[signature].append(index)
+            else:
+                by_signature[signature] = [index]
+                units.append((index, signature))
 
         stats = cls(
             stream=stream,
             item_path=item_path,
             frequency=frequency,
-            avg_item_size=total_size / len(items),
-            _sample=list(items),
+            avg_item_size=0.0,
+            sample_size=len(items),
         )
+        # Units in order of their first item, entries of a unit in walk
+        # order (last child first): the catalog lists paths in the order
+        # the sample first shows them, and a path's values keep item
+        # order, then walk order within an item.
+        samples: Dict[Tuple[str, ...], _PathSample] = {}
+        total_size = 0
+        for index, signature in units:
+            if signature is None:
+                entries, size, nodes = _loose_entries(items[index], index)
+                stats._loose.append(items[index])
+            else:
+                members = by_signature[signature]
+                group, entries = _ShapeGroup.measure(
+                    signature, members, [items[member] for member in members]
+                )
+                size, nodes = group.item_sizes(), group.count * group.nodes
+                stats._groups.append(group)
+            total_size += size
+            stats.sample_nodes += nodes
+            for steps, occurrences, sizes, part in entries:
+                sample = samples.get(steps)
+                if sample is None:
+                    sample = samples[steps] = _PathSample()
+                sample.add(occurrences, sizes, part)
+
+        stats.avg_item_size = total_size / len(items)
         count = len(items)
-        for path, sizes in per_path_sizes.items():
+        for steps, sample in samples.items():
             entry = PathStatistics(
-                occurrence=per_path_counts[path] / count,
-                avg_size=sum(sizes) / len(sizes),
+                occurrence=sample.count / count,
+                avg_size=sample.size / sample.count,
             )
-            values = per_path_values.get(path)
+            values = sample.values()
             if values:
                 entry.minimum = min(values)
                 entry.maximum = max(values)
                 if len(values) > 1:
                     increments = [b - a for a, b in zip(values, values[1:])]
-                    entry.avg_increment = sum(increments) / len(increments)
+                    # Added left to right, as ``sum`` adds floats before
+                    # Python 3.12 (which compensates): the same catalog
+                    # on every supported interpreter.
+                    entry.avg_increment = reduce(add, increments, 0) / len(increments)
                     entry.max_increment = max(increments)
                     entry.nondecreasing = all(step >= 0 for step in increments)
                 entry.histogram = _build_histogram(
                     values, entry.minimum, entry.maximum
                 )
-            stats.paths[path] = entry
+            stats.paths[Path(item_path.steps + steps)] = entry
         return stats
 
     # ------------------------------------------------------------------
@@ -204,23 +262,31 @@ class StreamStatistics:
     def projected_size(self, output_paths: Iterable[Path]) -> float:
         """Measured average size of items projected to ``output_paths``.
 
-        Paths are absolute; they are rebased onto the item before the
-        sample items are pruned.  This replaces the paper's subtraction
-        formula with a measurement over the same sample — the two agree
-        for disjoint projection elements (the formula is the reference of
+        Paths are absolute; they are rebased onto the item.  Each shape
+        group answers from its pruned shape — ``count`` times the pruned
+        interior markup plus the summed sizes of the kept leaves — and
+        each loose item is pruned and measured as a tree; the sum is the
+        same integer the pruned sample trees serialize to.  This
+        replaces the paper's subtraction formula with a measurement over
+        the same sample — the two agree for disjoint projection elements
+        (the formula is the reference of
         ``tests/test_costmodel_statistics.py``).
         """
         key = frozenset(output_paths)
         cached = self._projection_cache.get(key)
         if cached is not None:
             return cached
-        relative = [self._rebase(path) for path in key]
+        keep = tuple(self._rebase(path) for path in key)
         total = 0
-        for item in self._sample:
-            pruned = prune_to_paths(item, relative)
-            if pruned is not None:
-                total += pruned.serialized_size()
-        result = total / len(self._sample)
+        for group in self._groups:
+            total += group.projected_total(keep)
+        if self._loose:
+            relative = [Path(steps) for steps in keep]
+            for item in self._loose:
+                pruned = prune_to_paths(item, relative)
+                if pruned is not None:
+                    total += pruned.serialized_size()
+        result = total / self.sample_size
         self._projection_cache[key] = result
         return result
 
@@ -267,9 +333,10 @@ class StreamStatistics:
         return result
 
     # ------------------------------------------------------------------
-    def _rebase(self, path: Path) -> Path:
+    def _rebase(self, path: Path) -> Tuple[str, ...]:
+        """The steps of ``path`` below the item."""
         if path.starts_with(self.item_path):
-            return path.relative_to(self.item_path)
+            return path.steps[len(self.item_path.steps) :]
         raise KeyError(
             f"path {path} is not under item path {self.item_path} "
             f"of stream {self.stream!r}"
@@ -314,25 +381,163 @@ def _build_histogram(
     return buckets
 
 
-def _walk(
-    item: Element,
-    item_path: Path,
-    sizes: Dict[Path, List[int]],
-    counts: Dict[Path, int],
-    values: Dict[Path, List[float]],
-) -> None:
-    """Collect per-path size/occurrence/value samples from one item."""
-    stack: List[Tuple[Element, Tuple[str, ...]]] = [
-        (child, item_path.steps + (child.tag,)) for child in item.children
+def _numbers(texts: List[Optional[str]]) -> Optional[List[Optional[float]]]:
+    """Numeric value of each text (``None`` where there is none), or
+    ``None`` when no text of the column is a number."""
+    try:
+        return list(map(float, cast("List[str]", texts)))
+    except (TypeError, ValueError):  # a row without text, or not a number
+        numbers = [_number(text) for text in texts]
+        return numbers if any(value is not None for value in numbers) else None
+
+
+def _number(text: Optional[str]) -> Optional[float]:
+    if text is None:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+#: Values of one path in one unit of the sample: the unit's item
+#: indices and, per occurrence of the path in an item (in walk order),
+#: the value of each item (``None``: not a number).
+_Part = Tuple[Sequence[int], List[List[Optional[float]]]]
+
+#: One path of one unit: relative steps, occurrences, summed subtree
+#: sizes, and its values (``None`` when it has none).
+_Entry = Tuple[Tuple[str, ...], int, int, Optional[_Part]]
+
+
+class _PathSample:
+    """One path's occurrences, sizes and values over the whole sample."""
+
+    __slots__ = ("count", "size", "parts")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.size = 0
+        self.parts: List[_Part] = []
+
+    def add(self, occurrences: int, size: int, part: Optional[_Part]) -> None:
+        self.count += occurrences
+        self.size += size
+        if part is not None:
+            self.parts.append(part)
+
+    def values(self) -> List[float]:
+        """The path's numeric values in item order, walk order within
+        an item: the order a walk over the sample trees meets them."""
+        keyed = [
+            pair for indices, columns in self.parts for pair in zip(indices, zip(*columns))
+        ]
+        keyed.sort(key=itemgetter(0))  # item indices are distinct across parts
+        return [value for _, row in keyed for value in row if value is not None]
+
+
+class _ShapeGroup:
+    """The sample items of one shape, held as summed leaf sizes.
+
+    ``leaf_totals[leaf]`` is the summed serialized size of a leaf node
+    over the group's ``count`` items.  ``root`` is a private
+    :func:`~repro.xmlkit.columns.shape_tree`: its prune and size caches
+    belong to this group, and the engine's registry never sees it.
+    """
+
+    __slots__ = ("root", "count", "nodes", "leaf_totals")
+
+    def __init__(
+        self, root: ShapeNode, count: int, nodes: int, leaf_totals: Dict[ShapeNode, int]
+    ) -> None:
+        self.root = root
+        self.count = count
+        #: Element nodes per item, the root included.
+        self.nodes = nodes
+        self.leaf_totals = leaf_totals
+
+    @classmethod
+    def measure(
+        cls, signature: Signature, indices: Sequence[int], items: Sequence[Element]
+    ) -> Tuple["_ShapeGroup", List[_Entry]]:
+        """The group of ``items`` (all of ``signature``, at sample
+        ``indices``) and its per-path entries in walk order."""
+        root = shape_tree(signature)
+        count = len(items)
+        totals: Dict[ShapeNode, int] = {}
+        if not root.children:
+            texts = [item.text for item in items]
+            totals[root] = sum(leaf_sizes(texts, root.tag_len))
+        # steps -> (nodes at those steps, value columns), walk order.
+        seen: Dict[Tuple[str, ...], Tuple[List[ShapeNode], List[List[Optional[float]]]]] = {}
+        stack: List[Tuple[Tuple[str, ...], ShapeNode, List[Element]]] = [
+            ((child.tag,), child, [item.children[i] for item in items])
+            for i, child in enumerate(root.children)
+        ]
+        nodes = 1
+        while stack:
+            steps, node, members = stack.pop()
+            nodes += 1
+            at = seen.get(steps)
+            if at is None:
+                at = seen[steps] = ([], [])
+            at[0].append(node)
+            if node.children:
+                stack.extend(
+                    (steps + (child.tag,), child, [member.children[i] for member in members])
+                    for i, child in enumerate(node.children)
+                )
+                continue
+            texts = [member.text for member in members]
+            totals[node] = sum(leaf_sizes(texts, node.tag_len))
+            numbers = _numbers(texts)
+            if numbers is not None:
+                at[1].append(numbers)
+        group = cls(root, count, nodes, totals)
+        entries: List[_Entry] = []
+        for steps, (positions, columns) in seen.items():
+            size = sum(group._subtree_total(node) for node in positions)
+            part = (indices, columns) if columns else None
+            entries.append((steps, count * len(positions), size, part))
+        return group, entries
+
+    def _subtree_total(self, node: ShapeNode) -> int:
+        """Summed serialized size of ``node``'s subtree over the group."""
+        static, leaves = node.size_info()
+        totals = self.leaf_totals
+        return self.count * static + sum(totals[leaf] for leaf in leaves)
+
+    def item_sizes(self) -> int:
+        """Summed serialized size of the group's items."""
+        return self._subtree_total(self.root)
+
+    def projected_total(self, keep: Tuple[Tuple[str, ...], ...]) -> int:
+        """Summed serialized size of the group's items pruned to
+        ``keep`` (steps relative to the item)."""
+        pruned = self.root.prune(keep)
+        return 0 if pruned is None else self._subtree_total(pruned)
+
+
+def _loose_entries(item: Element, index: int) -> Tuple[List[_Entry], int, int]:
+    """Per-path entries of one item walked as a tree, its serialized
+    size and its node count.  The walk pops the last child first; a
+    shape group replays the same order."""
+    counts: Dict[Tuple[str, ...], int] = {}
+    sizes: Dict[Tuple[str, ...], int] = {}
+    values: Dict[Tuple[str, ...], List[List[Optional[float]]]] = {}
+    stack: List[Tuple[Tuple[str, ...], Element]] = [
+        ((child.tag,), child) for child in item.children
     ]
     while stack:
-        node, steps = stack.pop()
-        path = Path(steps)
-        sizes.setdefault(path, []).append(node.serialized_size())
-        counts[path] = counts.get(path, 0) + 1
-        if node.text is not None:
-            try:
-                values.setdefault(path, []).append(float(node.text))
-            except ValueError:
-                pass
-        stack.extend((child, steps + (child.tag,)) for child in node.children)
+        steps, node = stack.pop()
+        counts[steps] = counts.get(steps, 0) + 1
+        sizes[steps] = sizes.get(steps, 0) + node.serialized_size()
+        value = _number(node.text)
+        if value is not None:
+            values.setdefault(steps, []).append([value])
+        stack.extend((steps + (child.tag,), child) for child in node.children)
+    entries: List[_Entry] = [
+        (steps, count, sizes[steps], ((index,), values[steps]) if steps in values else None)
+        for steps, count in counts.items()
+    ]
+    return entries, item.serialized_size(), 1 + sum(counts.values())

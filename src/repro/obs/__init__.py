@@ -26,7 +26,8 @@ those end-of-run totals into inspectable runs:
   computed by both executors (:mod:`repro.obs.slo`).
 * :class:`MetricsServer` — live ``/metrics`` / ``/healthz`` /
   ``/slo.json`` over HTTP while a run executes
-  (:mod:`repro.obs.serve`).
+  (:mod:`repro.obs.serve`).  It is imported on first use, so importing
+  the package (and everything that records) loads no HTTP stack.
 * a CLI — ``python -m repro.obs record|summarize|diff|chrome|serve``
   (:mod:`repro.obs.cli`).
 
@@ -51,7 +52,6 @@ from .export import (
     write_jsonl,
 )
 from .merge import merge_segment
-from .serve import MetricsServer
 from .slo import QuerySLO, slos_from_events
 
 __all__ = [
@@ -75,3 +75,13 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """``MetricsServer`` on first access (PEP 562): :mod:`http.server`
+    is only loaded by the code that serves."""
+    if name == "MetricsServer":
+        from .serve import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

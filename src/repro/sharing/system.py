@@ -174,7 +174,7 @@ class StreamGlobe:
             home_node=home,
             frequency=frequency,
             generator_factory=generator_factory,
-            tracked_per_item=2.0 * sum(1 for item in sample for _ in item.iter()) / len(sample),
+            tracked_per_item=2.0 * statistics.sample_nodes / len(sample),
             schema=SchemaView.from_statistics(statistics),
         )
         self.deployment.install_stream(self.sources[name].stream())

@@ -24,12 +24,27 @@ Token kinds
 ``SLASH``, ``COMMA``, ``ASSIGN`` (``:=``), comparison operators
     (``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=`` — note ``<`` only lexes
     as a comparison where it cannot start a tag), ``PLUS``, ``MINUS``.
+
+Scanning
+--------
+One compiled master pattern (:data:`_MASTER`) matches the whitespace
+at the cursor and then the start of a comment or one whole token; its
+alternatives are ordered the way a character-by-character scanner
+decides (a tag before ``<``, a comment before ``(``).  What a regular expression cannot
+say is done by hand: nested ``(: :)`` comments count their depth,
+numbers take any character ``str.isdigit`` accepts (non-ASCII digits
+included), and every input the pattern rejects gets the scanner's
+diagnostic at the scanner's position.  Lines and columns count code
+points, a newline starting the next line.
+``tests/wxquery_char_lexer.py`` keeps the character scanner this
+replaced; ``tests/test_prop_lexer.py`` checks tokens and errors against
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, Tuple
 
 from .errors import LexError
 
@@ -41,213 +56,171 @@ KEYWORDS = frozenset(
     }
 )
 
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | frozenset("0123456789-.")
 
-
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position (1-based)."""
+    """One lexical token with its source position (1-based).
 
-    kind: str
-    value: str
-    line: int
-    column: int
+    A plain slotted record: equal to a token with the same four fields
+    and hashed on them, nothing else."""
+
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def _key(self) -> Tuple[str, str, int, int]:
+        return (self.kind, self.value, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Single-pass scanner producing a list of :class:`Token`."""
+# A name continues over ``.`` only when a name character follows it.
+_NAME_TAIL = r"[A-Za-z0-9_\-]*(?:\.(?=[A-Za-z0-9_.\-])[A-Za-z0-9_\-]*)*"
+_TAG = r"[A-Za-z0-9_.\-]+"
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------
-    # Character-level helpers
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.column)
-
-    def _skip_space_and_comments(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "(" and self._peek(1) == ":":
-                depth = 1
-                self._advance(2)
-                while depth:
-                    if not self._peek():
-                        raise self._error("unterminated comment '(:'")
-                    if self._peek() == "(" and self._peek(1) == ":":
-                        depth += 1
-                        self._advance(2)
-                    elif self._peek() == ":" and self._peek(1) == ")":
-                        depth -= 1
-                        self._advance(2)
-                    else:
-                        self._advance()
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Token-level scanning
-    # ------------------------------------------------------------------
-    def tokens(self) -> List[Token]:
-        """Tokenize the whole input."""
-        out: List[Token] = []
-        while True:
-            self._skip_space_and_comments()
-            if not self._peek():
-                out.append(Token("EOF", "", self.line, self.column))
-                return out
-            out.append(self._next_token())
-
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        ch = self._peek()
-
-        if ch == "<":
-            tag_token = self._try_tag(line, column)
-            if tag_token is not None:
-                return tag_token
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token("LE", "<=", line, column)
-            return Token("LT", "<", line, column)
-
-        if ch == ">":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token("GE", ">=", line, column)
-            return Token("GT", ">", line, column)
-
-        if ch == "!":
-            if self._peek(1) == "=":
-                self._advance(2)
-                return Token("NE", "!=", line, column)
-            raise self._error("unexpected '!'")
-
-        if ch == ":":
-            if self._peek(1) == "=":
-                self._advance(2)
-                return Token("ASSIGN", ":=", line, column)
-            raise self._error("unexpected ':'")
-
-        simple = {
-            "{": "LBRACE", "}": "RBRACE",
-            "(": "LPAREN", ")": "RPAREN",
-            "[": "LBRACKET", "]": "RBRACKET",
-            "|": "PIPE", "/": "SLASH", ",": "COMMA",
-            "=": "EQ", "+": "PLUS", "-": "MINUS",
-        }
-        if ch in simple:
-            self._advance()
-            return Token(simple[ch], ch, line, column)
-
-        if ch == "$":
-            self._advance()
-            name = self._scan_name()
-            if not name:
-                raise self._error("expected a variable name after '$'")
-            return Token("VARIABLE", name, line, column)
-
-        if ch in "\"'":
-            return self._scan_string(line, column)
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number(line, column)
-
-        if ch in _NAME_START:
-            name = self._scan_name()
-            return Token("NAME", name, line, column)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _scan_name(self) -> str:
-        start = self.pos
-        while self._peek() in _NAME_CONT and self._peek():
-            # A '.' only continues a name when followed by a name char;
-            # this keeps "a.b" one step but stops before "avg(.." typos.
-            if self._peek() == "." and self._peek(1) not in _NAME_CONT:
-                break
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _scan_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            if not self._peek(1).isdigit():
-                raise self._error("decimal literal must have digits after '.'")
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        return Token("NUMBER", self.text[start : self.pos], line, column)
-
-    def _scan_string(self, line: int, column: int) -> Token:
-        quote = self._peek()
-        self._advance()
-        start = self.pos
-        while self._peek() and self._peek() != quote:
-            if self._peek() == "\n":
-                raise self._error("unterminated string literal")
-            self._advance()
-        if not self._peek():
-            raise self._error("unterminated string literal")
-        value = self.text[start : self.pos]
-        self._advance()  # closing quote
-        return Token("STRING", value, line, column)
-
-    def _try_tag(self, line: int, column: int) -> Optional[Token]:
-        """Lex ``<t>``, ``</t>`` or ``<t/>`` starting at the cursor.
-
-        Returns ``None`` when the ``<`` is a comparison operator (i.e.
-        not followed by a tag shape), leaving the cursor untouched.
-        """
-        text, pos = self.text, self.pos + 1
-        closing = False
-        if pos < len(text) and text[pos] == "/":
-            closing = True
-            pos += 1
-        name_start = pos
-        while pos < len(text) and text[pos] in _NAME_CONT:
-            pos += 1
-        if pos == name_start:
-            return None
-        tag = text[name_start:pos]
-        if pos < len(text) and text[pos] == ">":
-            kind = "CLOSE_TAG" if closing else "OPEN_TAG"
-            self._advance(pos + 1 - self.pos)
-            return Token(kind, tag, line, column)
-        if not closing and text.startswith("/>", pos):
-            self._advance(pos + 2 - self.pos)
-            return Token("EMPTY_TAG", tag, line, column)
-        return None
+#: Whitespace, then (optionally) the token or comment it precedes.
+_MASTER = re.compile(
+    r"([ \t\r\n]*)(?:"  # 1: whitespace, the last group when nothing follows
+    + "|".join(
+        [
+            r"(\(:)",  # 2: a comment opens
+            rf"</({_TAG})>",  # 3
+            rf"<({_TAG})>",  # 4
+            rf"<({_TAG})/>",  # 5
+            r"(<=|>=|!=|:=|[<>{}()\[\]|/,=+\-])",  # 6: operators and punctuation
+            rf"\$((?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-])){_NAME_TAIL})",  # 7
+            r'"([^"\n]*)"',  # 8
+            r"'([^'\n]*)'",  # 9
+            r"([0-9]|\.[0-9])",  # 10: a number starts
+            rf"([A-Za-z_]{_NAME_TAIL})",  # 11
+        ]
+    )
+    + ")?"
+)
+#: Group number -> token kind (``None``: decided by hand).
+_KINDS = (
+    None, None, None, "CLOSE_TAG", "OPEN_TAG", "EMPTY_TAG", None,
+    "VARIABLE", "STRING", "STRING", None, "NAME",
+)
+_PUNCTUATION = {
+    "<=": "LE", ">=": "GE", "!=": "NE", ":=": "ASSIGN",
+    "<": "LT", ">": "GT",
+    "{": "LBRACE", "}": "RBRACE",
+    "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACKET", "]": "RBRACKET",
+    "|": "PIPE", "/": "SLASH", ",": "COMMA",
+    "=": "EQ", "+": "PLUS", "-": "MINUS",
+}
+_COMMENT_MARK = re.compile(r"\(:|:\)")
+_ASCII_DIGITS = re.compile(r"[0-9]*")
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; the final token always has kind ``EOF``."""
-    return Lexer(text).tokens()
+    out: List[Token] = []
+    append = out.append
+    match = _MASTER.match
+    kinds = _KINDS
+    punctuation = _PUNCTUATION
+    pos, end = 0, len(text)
+    line, line_start = 1, 0  # ``line_start``: index of the line's first character
+    while True:
+        m = match(text, pos)
+        assert m is not None and m.lastindex is not None  # group 1 matches anywhere
+        start = m.end(1)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+            pos = start
+        group: int = m.lastindex
+        if group == 1 or group == 10:  # the end, a number, or no token at all
+            if pos == end:
+                break
+            stop = _number_end(text, pos, line, line_start)
+            append(Token("NUMBER", text[pos:stop], line, pos - line_start + 1))
+            pos = stop
+        elif group == 2:
+            stop = _comment_end(text, m.end(), line, line_start)
+            newlines = text.count("\n", pos, stop)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, stop) + 1
+            pos = stop
+        else:
+            value = m.group(group)
+            append(Token(kinds[group] or punctuation[value], value, line, pos - line_start + 1))
+            pos = m.end()
+    append(Token("EOF", "", line, pos - line_start + 1))
+    return out
+
+
+def _error(message: str, text: str, pos: int, line: int, line_start: int) -> LexError:
+    """A :class:`LexError` at ``pos``, counting the newlines between
+    the current line's start and ``pos``."""
+    newlines = text.count("\n", line_start, pos)
+    if newlines:
+        line += newlines
+        line_start = text.rindex("\n", line_start, pos) + 1
+    return LexError(message, line, pos - line_start + 1)
+
+
+def _comment_end(text: str, pos: int, line: int, line_start: int) -> int:
+    """End of the comment whose ``(:`` ends at ``pos``; comments nest."""
+    depth = 1
+    for mark in _COMMENT_MARK.finditer(text, pos):
+        depth += 1 if mark.group() == "(:" else -1
+        if not depth:
+            return mark.end()
+    raise _error("unterminated comment '(:'", text, len(text), line, line_start)
+
+
+def _digits_end(text: str, pos: int) -> int:
+    """End of the run of ``str.isdigit`` characters at ``pos``."""
+    end = _ASCII_DIGITS.match(text, pos).end()  # type: ignore[union-attr]
+    while end < len(text) and text[end].isdigit():  # a non-ASCII digit
+        end = _ASCII_DIGITS.match(text, end + 1).end()  # type: ignore[union-attr]
+    return end
+
+
+def _number_end(text: str, pos: int, line: int, line_start: int) -> int:
+    """End of the number at ``pos``, or the diagnostic of whatever the
+    master pattern could not match there."""
+    ch = text[pos]
+    if not (ch.isdigit() or (ch == "." and text[pos + 1 : pos + 2].isdigit())):
+        raise _unmatched(text, pos, line, line_start)
+    end = _digits_end(text, pos)
+    if text.startswith(".", end):
+        if not text[end + 1 : end + 2].isdigit():
+            raise _error(
+                "decimal literal must have digits after '.'", text, end, line, line_start
+            )
+        end = _digits_end(text, end + 1)
+    return end
+
+
+def _unmatched(text: str, pos: int, line: int, line_start: int) -> LexError:
+    """The diagnostic for a character no token starts with."""
+    ch = text[pos]
+    if ch in "!:":
+        return _error(f"unexpected {ch!r}", text, pos, line, line_start)
+    if ch == "$":
+        return _error("expected a variable name after '$'", text, pos + 1, line, line_start)
+    if ch in "\"'":  # no closing quote before the line ends
+        stop = text.find("\n", pos + 1)
+        stop = len(text) if stop == -1 else stop
+        return _error("unterminated string literal", text, stop, line, line_start)
+    return _error(f"unexpected character {ch!r}", text, pos, line, line_start)

@@ -13,7 +13,8 @@ column per leaf element.  This module owns the shape machinery:
   and interns only the shapes it ends up stored under; a column batch
   crossing a process boundary arrives as a bare signature and is
   interned in the same registry; :func:`shape_of` is sniff-and-intern
-  for one item;
+  for one item, and :func:`shape_tree` builds a shape's nodes outside
+  the registry (the statistics sample's groups);
 * each shape carries a code-generated **validator** (exact structural
   match via direct child indexing, no tag scans) and per-leaf
   **extractors** (``elements -> text column``);
@@ -537,13 +538,22 @@ def shapes_for_signatures(signatures: Sequence[Signature]) -> Optional[List[Shap
     return [cast(Shape, shape_for_signature(signature)) for signature in signatures]
 
 
+def shape_tree(signature: Signature) -> ShapeNode:
+    """The node tree of ``signature`` with its leaves numbered in
+    document order, outside the registry: nothing is interned and
+    nothing is compiled.  For a reader that wants :meth:`ShapeNode.prune`
+    and :meth:`ShapeNode.size_info` on a shape no batch is stored under,
+    such as the statistics sample (:mod:`repro.costmodel.statistics`)."""
+    return _build_nodes(signature, [], ())
+
+
 def elements_from_columns(
     signature: Signature, columns: Sequence[list], count: int
 ) -> Tuple[Element, ...]:
     """Rebuild ``count`` frozen item trees from the leaf text columns
     of ``signature`` (document order) without interning anything — the
     arrival path of a column view when the registry is full."""
-    root = _build_nodes(signature, [], ())
+    root = shape_tree(signature)
     build = root.decoder()
     sizes = [
         leaf_sizes(column, leaf.tag_len)

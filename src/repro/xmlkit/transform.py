@@ -2,10 +2,13 @@
 
 :func:`prune_to_paths` implements projection at the data level: keep
 only the parts of an item that lie *on or below* a set of retained
-paths, together with the interior elements needed to reach them.  Both
-the projection operator (:mod:`repro.engine.project`) and the measured
-size estimator (:mod:`repro.costmodel.statistics`) use it, so estimated
-and executed projections agree by construction.
+paths, together with the interior elements needed to reach them.  The
+projection kernel runs it on a row store (:mod:`repro.engine.columnar`)
+and the measured size estimator (:mod:`repro.costmodel.statistics`) on
+sample items beyond the sniffing bounds; everywhere else both prune the
+item's shape with :meth:`repro.xmlkit.columns.ShapeNode.prune`, its
+node-for-node mirror, so estimated and executed projections agree by
+construction.
 """
 
 from __future__ import annotations

@@ -187,3 +187,13 @@ class TestCatalog:
     def test_unknown_stream_raises(self):
         with pytest.raises(KeyError):
             StatisticsCatalog().for_stream("missing")
+
+
+def test_registration_digests_are_pinned():
+    """``tests/registration_digests.py`` under the suite's interpreter:
+    tokens, catalog, projected sizes and selectivities of every
+    benchmark scenario."""
+    from tests.registration_digests import BENCHMARK_SCENARIOS, PINNED, scenario_digests
+
+    for name, build in BENCHMARK_SCENARIOS.items():
+        assert scenario_digests(build()) == PINNED[name], name

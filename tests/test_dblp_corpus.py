@@ -24,7 +24,7 @@ from repro.engine.columnar import GroupedBatch, RowBatch, columnar_stats, encode
 from repro.predicates import PredicateGraph, normalize_comparison
 from repro.properties import ProjectionSpec, SelectionSpec
 from repro.xmlkit import Path, XmlParseError, element, parse, parse_stream, serialize
-from repro.xmlkit.columns import MAX_SHAPE_DEPTH, MAX_SHAPE_NODES, signature_of
+from repro.xmlkit.columns import MAX_SHAPE_DEPTH, MAX_SHAPE_NODES, registry_size, signature_of
 
 ITEM = Path("dblp/record")
 YEAR = ITEM / "year"
@@ -218,3 +218,33 @@ def test_the_published_form_is_rejected_with_a_position(text, message):
         with pytest.raises(XmlParseError, match=message) as caught:
             parser(source)
         assert caught.value.line == source.count("\n") + 1
+
+
+class CorpusGenerator:
+    """The corpus as a source: one record per ``next_item``."""
+
+    def __init__(self, seed, **bounds):
+        self._rng = random.Random(seed)
+        self._bounds = bounds
+
+    def next_item(self):
+        return record(self._rng, **self._bounds)
+
+
+@pytest.mark.parametrize("bounds", [FEW, UNBOUNDED], ids=["few", "unbounded"])
+def test_registering_a_corpus_stream_interns_no_shape(bounds):
+    """The statistics sample is grouped by shape outside the engine's
+    registry: registration leaves it as it found it."""
+    from repro.network.topology import example_topology
+    from repro.sharing import StreamGlobe
+
+    system = StreamGlobe(example_topology())
+    before = registry_size()
+    system.register_stream(
+        "dblp", "dblp/record", lambda: CorpusGenerator(30, **bounds),
+        frequency=10.0, source_peer="P0",
+    )
+    stats = system.catalog.for_stream("dblp")
+    stats.projected_size([TITLE, YEAR])
+    assert registry_size() == before
+    assert stats.paths[ITEM / "author"].occurrence > 1  # repeated siblings

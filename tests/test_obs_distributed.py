@@ -14,6 +14,9 @@ Pins the distributed-observability contracts (DESIGN.md §12):
 """
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -283,6 +286,25 @@ class TestCellErrorEvents:
                                      "traceback": ""}), NULL_RECORDER)
         with pytest.raises(ExecutionError):
             cell.result()
+
+
+def test_the_http_stack_loads_only_with_the_server():
+    """``repro.obs`` imports ``MetricsServer`` lazily: the control
+    plane and the executor load no ``http.server`` (nor the ``email``
+    and ``socket`` modules it drags in), and the name still imports."""
+    script = (
+        "import sys\n"
+        "import repro.sharing\n"
+        "print('http.server' in sys.modules)\n"
+        "from repro.obs import MetricsServer\n"
+        "print(MetricsServer.__module__, 'http.server' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.split("\n")[:2] == ["False", "repro.obs.serve True"]
 
 
 class TestMetricsServer:
