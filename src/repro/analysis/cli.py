@@ -6,8 +6,7 @@ Usage::
     python -m repro.analysis --code src/repro      # lint only
     python -m repro.analysis --plan                # verify all scenarios
     python -m repro.analysis --plan --scenario 1 --strategy stream-sharing
-    python -m repro.analysis --flow --shards       # dataflow + sharding
-    python -m repro.analysis --shards --scenario grid --shard-plan-out plan.json
+    python -m repro.analysis --flow                # dataflow facts
 
 Passes
 ------
@@ -25,15 +24,8 @@ Passes
   (:func:`~repro.analysis.flow.analyze_flow`, F4xx) over the same
   deployments — each (scenario, strategy) is registered once, whatever
   the passes;
-* ``--shards`` runs the shard-safety certifier
-  (:func:`~repro.analysis.shards.certify_shards`, S5xx) and prints each
-  deployment's :class:`~repro.analysis.shards.ShardPlan` as one
-  ``SHARD-PLAN <scenario> <strategy> <json>`` line (optionally also
-  written to ``--shard-plan-out``);
 * ``--churn`` replays the churn scenario's fault schedule against a
-  registered deployment and re-runs plan/flow/shards after every
-  repair, re-validating shard certificates against the bumped
-  topology version.
+  registered deployment and re-runs plan and flow after every repair.
 
 Exit-code contract
 ------------------
@@ -56,17 +48,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..diagnostics import AnalysisReport
 from .linter import lint_paths
 
-if TYPE_CHECKING:  # pragma: no cover - engine-side import kept lazy
-    from .shards import ShardPlan
-
 __all__ = ["main"]
 
-#: What --plan/--flow/--shards register without --scenario: the
+#: What --plan/--flow register without --scenario: the
 #: fault-free scenarios (--churn replays the faulted one).
 _DEFAULT_SCENARIOS = ("1", "2", "grid")
 _DEFAULT_CODE_PATHS = (os.path.join("src", "repro"),)
@@ -119,7 +108,7 @@ def _scenario_reports(
     scenarios: Sequence[str],
     strategies: Optional[Sequence[str]],
     passes: Tuple[str, ...],
-) -> Tuple[List[AnalysisReport], List[Tuple[str, str, "ShardPlan"]]]:
+) -> List[AnalysisReport]:
     """Register each (scenario, strategy) once and run ``passes`` on it.
 
     The reports come back grouped by pass, in the order of ``passes``.
@@ -127,10 +116,9 @@ def _scenario_reports(
     # Imported lazily: --code must work even if the engine side is broken.
     from ..sharing.subscribe import STRATEGIES
     from ..workload.scenarios import SCENARIOS, run_scenario
-    from .preflight import certify_system, flow_system, verify_system
+    from .preflight import flow_system, verify_system
 
     by_pass: Dict[str, List[AnalysisReport]] = {name: [] for name in passes}
-    plans: List[Tuple[str, str, "ShardPlan"]] = []
     for key in scenarios:
         scenario = SCENARIOS[key]()
         for strategy in strategies or STRATEGIES:
@@ -156,13 +144,7 @@ def _scenario_reports(
                 by_pass["flow"].append(
                     flow_system(system, title=f"flow analysis: {where}")
                 )
-            if "shards" in passes:
-                plan, shard_report = certify_system(
-                    system, title=f"shard certification: {where}"
-                )
-                by_pass["shards"].append(shard_report)
-                plans.append((key, strategy, plan))
-    return [report for name in passes for report in by_pass[name]], plans
+    return [report for name in passes for report in by_pass[name]]
 
 
 def _churn_reports(
@@ -191,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis gates: source lint, plan verifier, "
-        "flow analyzer, shard certifier.",
+        "flow analyzer.",
     )
     parser.add_argument(
         "--code",
@@ -211,28 +193,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the F4xx abstract interpreter over the scenario deployments",
     )
     parser.add_argument(
-        "--shards",
-        action="store_true",
-        help="certify shard partitions (S5xx) and print each ShardPlan as "
-        "a 'SHARD-PLAN <scenario> <strategy> <json>' line",
-    )
-    parser.add_argument(
-        "--shard-plan-out",
-        metavar="PATH",
-        default=None,
-        help="also write the last certified ShardPlan JSON to PATH",
-    )
-    parser.add_argument(
         "--churn",
         action="store_true",
-        help="replay the churn scenario's faults and re-run the plan, flow "
-        "and shards passes after every repair",
+        help="replay the churn scenario's faults and re-run the plan and "
+        "flow passes after every repair",
     )
     parser.add_argument(
         "--scenario",
         choices=SCENARIOS,
         action="append",
-        help="restrict plan/flow/shards to one scenario (repeatable; "
+        help="restrict plan/flow to one scenario (repeatable; "
         "default: 1, 2 and grid)",
     )
     parser.add_argument(
@@ -250,12 +220,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_code = args.code is not None
     run_plan = args.plan
     run_flow = args.flow
-    run_shards = args.shards
     run_churn = args.churn
-    if not any((run_code, run_plan, run_flow, run_shards, run_churn)):
+    if not any((run_code, run_plan, run_flow, run_churn)):
         run_code = run_plan = True  # no flags: run the default full gate
 
-    if args.strategy and (run_plan or run_flow or run_shards or run_churn):
+    if args.strategy and (run_plan or run_flow or run_churn):
         from ..sharing.subscribe import STRATEGIES
 
         unknown = [s for s in args.strategy if s not in STRATEGIES]
@@ -271,21 +240,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         reports.append(_code_report(paths))
     passes = tuple(
         name
-        for name, wanted in (("plan", run_plan), ("flow", run_flow), ("shards", run_shards))
+        for name, wanted in (("plan", run_plan), ("flow", run_flow))
         if wanted
     )
     if passes:
-        scenario_reports, plans = _scenario_reports(
-            args.scenario or _DEFAULT_SCENARIOS, args.strategy, passes
+        reports.extend(
+            _scenario_reports(args.scenario or _DEFAULT_SCENARIOS, args.strategy, passes)
         )
-        reports.extend(scenario_reports)
-        for key, strategy, plan in plans:
-            print(f"SHARD-PLAN {key} {strategy} {plan.to_json()}")
-        if args.shard_plan_out and plans:
-            with open(args.shard_plan_out, "w", encoding="utf-8") as handle:
-                handle.write(plans[-1][2].to_json() + "\n")
     if run_churn:
-        reports.extend(_churn_reports(args.strategy, ("plan", "flow", "shards")))
+        reports.extend(_churn_reports(args.strategy, ("plan", "flow")))
 
     failed = False
     for report in reports:

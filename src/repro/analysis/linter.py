@@ -31,8 +31,8 @@ not know or is not strict enough about:
   ``.send_bytes`` — pickle and worker-pipe traffic).  Set iteration
   order is hash-order, so anything derived from it — diagnostics,
   plans, teardown order, bytes crossing a process boundary — silently
-  varies across processes; the shard certifier's and the sharded
-  executor's determinism guarantees assume it never happens.  Wrap
+  varies across processes; the sharded executor's determinism
+  guarantee assumes it never happens.  Wrap
   in ``sorted(...)`` to fix the order.  (Dicts are insertion-ordered
   in modern Python and are not flagged.)
 

@@ -19,10 +19,11 @@ Code ranges
 * ``L3xx`` — source-code lint rules;
 * ``F4xx`` — dataflow facts (:mod:`repro.analysis.flow`): F400 missing
   statistics, F401 committed estimate outside the derived interval,
-  F402 dead stream (warning), F403 missed sharing (warning);
-* ``S5xx`` — shard safety (:mod:`repro.analysis.shards`): S501
-  unclassifiable operator, S510 order-sensitive consumer blocks a cut,
-  S511 multi-input subscription pins its inputs' feed paths.
+  F402 dead stream (warning), F403 missed sharing (warning).
+
+There is no shard-safety range: the sharded executor runs any
+partition of the super-peers byte-identically (DESIGN.md §12), so no
+partition needs a certificate.
 """
 
 from __future__ import annotations

@@ -1080,8 +1080,8 @@ class StreamSimulator:
         self.mode_used = "sequential"
         self.workers_used = 1
         #: Exchange epochs of the run, and how many of them each query's
-        #: deliveries lag behind production: one cell exchanges nothing,
-        #: so nothing lags.
+        #: deliveries lagged behind production at most: one cell
+        #: exchanges nothing, so nothing lags.
         self.exchange_epochs = 1
         self.query_lags: Dict[str, int] = {}
         self.peak_live_items = 0
@@ -1549,7 +1549,7 @@ class StreamSimulator:
         any partition; only ``inflight_peak`` is the maximum over cells
         that peak at different instants.  A sampling boundary of a
         multi-cell run is not drained: there ``items_delivered`` may lag
-        production by the certified ``epoch_lag``.
+        production by a query's ``epoch_lag``.
         """
         if t_end <= self._epoch_start and self._epoch_index > 0:
             return None  # coincident boundaries: nothing elapsed
@@ -1594,10 +1594,10 @@ class StreamSimulator:
         """One :class:`~repro.obs.slo.QuerySLO` per registered query,
         from the cells' latest states (DESIGN.md §12).
 
-        ``delivery_latency_s`` converts the certified epoch lag into
-        worst-case stream time: a cut-crossing item produced right
-        after an exchange barrier waits ``epoch_lag`` full exchange
-        epochs before its delivery step sees it.
+        ``delivery_latency_s`` converts the epoch lag into worst-case
+        stream time: an item crossing cells, produced right after an
+        exchange barrier, waits ``epoch_lag`` full exchange epochs
+        before its delivery step sees it.
         """
         from ..obs.slo import QuerySLO
 

@@ -1,37 +1,37 @@
-"""The sharded data plane: run a certified :class:`ShardPlan` on
-multiple cores with epoch-synchronized cut-edge exchange.
+"""The sharded data plane: run a deployment on multiple cores with
+epoch-synchronized exchange between cells.
 
 :class:`ShardedSimulator` is the control loop of
 :class:`~repro.engine.executor.StreamSimulator` over several
 :class:`~repro.engine.executor.Cell` s instead of one, and adds only
-what more than one cell needs (DESIGN.md §12): it partitions the
-deployed operator DAG by the certified shard plan
-(``StreamGlobe.shard_plan()``, PR 6), packing the finest certified
-shards into *cells* — one per worker — and runs each cell in its own
-``multiprocessing`` worker (forked; an in-process backend covers
-unpicklable payloads, hosts without ``fork`` and single-core hosts —
-the run observes which applies).  Streams whose parent or
+what more than one cell needs (DESIGN.md §12): it packs the live
+super-peers into *cells* — one per worker
+(:func:`~repro.engine.partition.partition_cells`) — and runs each cell
+in its own ``multiprocessing`` worker (forked; an in-process backend
+covers unpicklable payloads, hosts without ``fork`` and single-core
+hosts — the run observes which applies).  Streams whose parent or
 subscriber lives in a foreign cell get a *proxy* node in the consuming
 cell, fed exclusively by serialized item batches exchanged at epoch
-barriers — the runtime realization of the plan's cut edges, honoring
-the certified ``epoch_lag`` (a batch crossing ``k`` cuts is delivered
-``k`` exchange epochs after production).  A worker pickles each
-per-destination outbox once into a ``bytes`` *frame* beside a header
-list ``(stream_id, rows, bytes)``; the parent accounts from the headers
-and forwards the frame untouched, so only the consuming cell ever
-unpickles it — into column batches, never trees (DESIGN.md §12, §14).
+barriers: a batch crossing ``k`` cell boundaries is delivered ``k``
+exchange epochs after production (``query_lags``).  A worker pickles
+each per-destination outbox once into a ``bytes`` *frame* beside a
+header list ``(stream_id, rows, bytes)``; the parent accounts from the
+headers and forwards the frame untouched, so only the consuming cell
+ever unpickles it — into column batches, never trees (DESIGN.md §12,
+§14).
 
-Determinism argument (DESIGN.md §12) in brief: every engine operator
-is a per-item push over its own stream's FIFO, multi-input
-subscriptions buffer per input until ``finish()``, and all counters
+Why any partition is safe (DESIGN.md §12) in brief: every engine
+operator is a per-item push over its own stream's FIFO, the exchange
+hands each stream's batches over unsplit and in order, multi-input
+subscriptions buffer every input until ``finish()``, and all counters
 are integers — so totals depend only on per-stream input *sequences*,
 never on cross-stream interleaving or batch segmentation.  The loop
 merges the per-cell integer counters in the one accounting order
 (retired first, then Kahn order, then registration order), so the
 resulting :class:`RunMetrics` is byte-identical to a one-cell run —
 including under fault schedules, where faults apply only at *drained*
-barriers (no in-flight exchange) and the plan is re-certified and
-re-partitioned on every ``Network.version`` bump.
+barriers (no in-flight exchange) and a run keeps its cells: a
+super-peer new to the run joins the least-loaded one.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ from .executor import (
     StreamSimulator,
     _LocalCell,
 )
+from .partition import partition_cells, query_lags
 
-if TYPE_CHECKING:  # avoid runtime cycles with repro.sharing / repro.analysis
-    from ..analysis.shards import RuntimePartition, ShardPlan
+if TYPE_CHECKING:  # avoid runtime cycles with repro.sharing
     from ..faults.schedule import FaultSchedule
     from ..sharing.plan import Deployment
 
@@ -81,9 +81,9 @@ __all__ = ["ShardedSimulator"]
 BARRIER_DEADLINE_S = 600.0
 _JOIN_S = 1.0
 
-#: Evenly spaced exchange barriers of a multi-cell run: cut-edge
-#: batches produced in one exchange epoch are delivered at its end (the
-#: certified ``epoch_lag`` contract).  Fault and recovery boundaries
+#: Evenly spaced exchange barriers of a multi-cell run: batches a cell
+#: exports in one exchange epoch are delivered at its end (one epoch
+#: of lag per cell boundary crossed).  Fault and recovery boundaries
 #: are *drained* barriers, and so is every sampling boundary of a
 #: rebalanced run: the drained counters replay byte-for-byte, so the
 #: drift detector sees the snapshots of a one-cell run and migrates
@@ -303,23 +303,16 @@ class _ProcessCell(_LocalCell):
 # The sharded executor
 # ----------------------------------------------------------------------
 class ShardedSimulator(StreamSimulator):
-    """Execute a deployment across shard-plan cells, merging to the
+    """Execute a deployment across several cells, merging to the
     one-cell run's exact :class:`RunMetrics`.
 
     Parameters are :class:`StreamSimulator`'s plus:
 
-    plan:
-        The certified :class:`~repro.analysis.ShardPlan` to partition
-        by.  With an uncertified plan (or ≤1 resulting cell) the run
-        is the sequential one: one cell, nothing added.
     workers:
-        Worker-cell budget; the certified shards are packed into at
-        most this many cells (:func:`partition_for_workers`).
-    replan:
-        Zero-argument callback returning a fresh certified plan after
-        a topology change — ``lambda: system.shard_plan()``.  Defaults
-        to re-running :func:`~repro.analysis.certify_shards` on the
-        (repaired) deployment.
+        Worker-cell budget; the live super-peers are packed into at
+        most this many cells (:func:`~repro.engine.partition
+        .partition_cells`).  With one worker, or one resulting cell,
+        the run is the sequential one: one cell, nothing added.
 
     The cells run in forked worker processes when the host has ``fork``
     and more than one core and the plan's records pickle; otherwise in
@@ -332,8 +325,9 @@ class ShardedSimulator(StreamSimulator):
       max, not their sum, is ``peak_live_items``: cells peak at
       different epochs, so the sum overstates peak memory);
     * ``exchange_batches/items/bytes`` and ``exchange_pairs`` — the
-      cut-edge traffic volume;
-    * ``query_lags``, ``partition_conflicts``; ``mode_used`` and
+      traffic between cells;
+    * ``query_lags`` — per query, the most cell boundaries its
+      delivery chain crossed over the run; ``mode_used`` and
       ``workers_used`` say how the cells ran.
 
     Captured results are replayed at the end of the run, per query in
@@ -347,13 +341,11 @@ class ShardedSimulator(StreamSimulator):
         deployment: "Deployment",
         generators: Dict[str, ItemGenerator],
         duration: float,
-        plan: "ShardPlan",
         workers: int,
         max_items_per_source: Optional[int] = None,
         batch_size: int = SOURCE_BATCH,
         schedule: Optional["FaultSchedule"] = None,
         repair: Optional[Callable[..., Any]] = None,
-        replan: Optional[Callable[[], "ShardPlan"]] = None,
         capture: Optional[Callable[[str, Element], None]] = None,
         recorder: Optional[Any] = None,
         rebalancer: Optional[Any] = None,
@@ -373,11 +365,8 @@ class ShardedSimulator(StreamSimulator):
         )
         if workers < 1:
             raise ExecutionError("workers must be >= 1")
-        self.plan = plan
         self.workers = workers
-        self.replan = replan
         self.exchange_epochs = EXCHANGE_EPOCHS
-        self.partition_conflicts = 0
         self.peak_live_items_per_shard: Dict[int, int] = {0: 0}
         self.exchange_batches = 0
         self.exchange_items = 0
@@ -387,13 +376,6 @@ class ShardedSimulator(StreamSimulator):
     # ------------------------------------------------------------------
     # Partition and backend
     # ------------------------------------------------------------------
-    def _partition(self) -> Optional["RuntimePartition"]:
-        if not self.plan.certified or self.workers <= 1:
-            return None
-        from ..analysis.shards import partition_for_workers
-
-        return partition_for_workers(self.plan, self.deployment, self.workers)
-
     def _resolve_mode(self) -> str:
         """Forked cells if this host and plan allow them, in-process
         cells otherwise (DESIGN.md §12)."""
@@ -427,20 +409,21 @@ class ShardedSimulator(StreamSimulator):
         return verdict
 
     def _build(self) -> None:
-        """One empty cell per packed group of certified shards, each
-        behind its backend; the loop then installs every cell's slice
-        of the plan as its first diff."""
-        partition = self._partition()
-        if partition is None or partition.cell_count <= 1:
+        """One empty cell per cell of the partition, each behind its
+        backend; the loop then installs every cell's slice of the plan
+        as its first diff."""
+        node_cell = partition_cells(self.deployment, self.workers)
+        cell_count = max(node_cell.values(), default=0) + 1
+        if cell_count <= 1:
             super()._build()
             return
-        self.query_lags = partition.query_lags(self.deployment)
-        self._node_cell = dict(partition.as_mapping())
+        self._node_cell = node_cell
+        self.query_lags = query_lags(self.deployment, node_cell)
         self.mode_used = self._resolve_mode()
-        self.workers_used = partition.cell_count
+        self.workers_used = cell_count
         recorder = self.recorder
         cells = []
-        for index in range(partition.cell_count):
+        for index in range(cell_count):
             # Cell recorders are built pre-fork, pinned to the parent's
             # timeline so shipped span times merge onto one axis
             # without adjustment.
@@ -516,8 +499,8 @@ class ShardedSimulator(StreamSimulator):
                     # One flow per (src, dst) redistribution: the
                     # Chrome-trace exporter renders it as an s/f arrow
                     # between the two cells' lanes, visualizing the
-                    # cut-edge hand-off (delivery next round — the
-                    # certified epoch_lag in action).
+                    # hand-off between cells (delivery next round: one
+                    # epoch of lag per boundary crossed).
                     self._flow_seq += 1
                     recorder.event(
                         "exchange.flow",
@@ -531,54 +514,32 @@ class ShardedSimulator(StreamSimulator):
         return merged
 
     # ------------------------------------------------------------------
-    # Re-certification
+    # The partition after churn
     # ------------------------------------------------------------------
-    def _fresh_plan(self) -> Optional["ShardPlan"]:
-        if self.replan is not None:
-            return self.replan()
-        from ..analysis.shards import certify_shards
-
-        plan, _ = certify_shards(self.deployment)
-        return plan
-
     def _place(self) -> None:
-        """Re-validate the shard plan against the mutated topology and
-        map any newly appearing super-peers to cells.
+        """Give the super-peers new to the run a cell, and recount the
+        query lags on the repaired deployment.
 
         A node keeps its cell for the whole run (a rejoined node
         returns to it); a new one goes to the deterministic
-        least-loaded cell.  If the fresh certificate would *split*
-        nodes currently co-resident in one cell that is only a
-        coarsening — always safe; the conflict case (a certified shard
-        spanning two cells, i.e. the new plan demands a *merge* across
-        our cell boundary, or no certificate at all) is counted in
-        ``partition_conflicts`` and the run keeps its partition.  That
-        is safe on either backend, which move the same batches through
-        the same exchange: every engine operator is per-item
-        deterministic over per-stream FIFOs and the exchange hands
-        over each stream's batches unsplit and in order.
+        least-loaded cell.  A re-routed delivery chain may cross more
+        cells than before, so each query reports the most crossings of
+        any deployment it ran on.
         """
         if self.workers_used == 1:
             return
-        plan = self._fresh_plan()
         node_cell = self._node_cell
         loads = [0] * len(self._cells)
         for cell in self._owner.values():
             loads[cell] += 1
-        shards = plan.shards if plan is not None else ()
-        for shard in sorted(shards, key=lambda s: s.shard_id):
-            for node in shard.nodes:
-                if node not in node_cell:
-                    cell = min(range(len(loads)), key=lambda index: (loads[index], index))
-                    node_cell[node] = cell
-                    loads[cell] += 1
-        if (
-            plan is None
-            or not plan.certified
-            or any(len({node_cell[node] for node in shard.nodes}) > 1 for shard in shards)
-        ):
-            self.partition_conflicts += 1
-            self.recorder.inc("exec.partition_conflicts")
+        for node in sorted(self.deployment.net.super_peer_names()):
+            if node not in node_cell:
+                cell = min(range(len(loads)), key=lambda index: (loads[index], index))
+                node_cell[node] = cell
+                loads[cell] += 1
+        lags = self.query_lags
+        for name, lag in query_lags(self.deployment, node_cell).items():
+            lags[name] = max(lags.get(name, 0), lag)
 
     # ------------------------------------------------------------------
     # What the cells kept to the end: captures and traces

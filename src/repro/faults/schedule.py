@@ -183,10 +183,10 @@ def staggered_crashes(
 
     Peer ``i`` crashes at ``start + i * spacing``; ``downtime > 0``
     additionally rejoins each peer that long after its crash.  Staggered
-    crashes are the stress pattern for shard re-certification: every
-    event forces a plan repair and (on the sharded executor) a
-    re-partition, and overlapping downtimes exercise repairs computed on
-    an already-degraded backbone.
+    crashes are the stress pattern for plan repair: every event forces
+    a repair and (on the sharded executor) a reconcile of every cell,
+    and overlapping downtimes exercise repairs computed on an
+    already-degraded backbone.
     """
     if spacing <= 0:
         raise FaultError(f"crash spacing must be > 0, got {spacing!r}")

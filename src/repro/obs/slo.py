@@ -5,10 +5,10 @@ data plane actually delivered to it over a run (DESIGN.md §12):
 
 * **delivery** — items fed to its restructuring step and results
   produced;
-* **freshness** — the certified ``epoch_lag`` of its delivery chain
-  (how many exchange epochs a cut-crossing item is delayed on the
-  sharded plane) and the derived worst-case stream-time delivery
-  latency, ``epoch_lag × exchange-epoch width``;
+* **freshness** — the ``epoch_lag`` of its delivery chain (the most
+  cell boundaries it crossed on the sharded plane over the run, each
+  delaying an item one exchange epoch) and the derived worst-case
+  stream-time delivery latency, ``epoch_lag × exchange-epoch width``;
 * **loss and churn exposure** — items dropped while the query's
   recovery gate was closed, live migrations that moved it, and whether
   it ended the run parked (torn down, pending repair);
@@ -42,11 +42,13 @@ class QuerySLO:
     #: Worker cell hosting the query's delivery step (0 on the
     #: sequential executor).
     shard: int
-    #: Certified exchange-epoch lag of the query's delivery chain
-    #: (:meth:`ShardPlan.query_lags`); 0 on the sequential executor.
+    #: Exchange-epoch lag of the query's delivery chain: the most cell
+    #: boundaries it crossed on any deployment of the run
+    #: (:func:`~repro.engine.partition.query_lags`); 0 on the
+    #: sequential executor.
     epoch_lag: int
-    #: Worst-case added stream-time delivery latency from cut-edge
-    #: exchange: ``epoch_lag`` × exchange-epoch width, in stream
+    #: Worst-case added stream-time delivery latency from the
+    #: exchange between cells: ``epoch_lag`` × exchange-epoch width, in stream
     #: seconds.  0 when delivery is same-epoch (sequential executor).
     delivery_latency_s: float
     #: Items fed to the query's restructuring step.

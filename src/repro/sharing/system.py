@@ -46,7 +46,6 @@ from .planner import Planner
 from .subscribe import RegistrationResult, Subscriber
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..analysis.shards import ShardPlan
     from ..faults import FaultEvent
     from .repair import RepairReport
 
@@ -245,44 +244,21 @@ class StreamGlobe:
     def preflight(self, context: str) -> None:
         """Run the static analysis passes when ``verify=True``.
 
-        Three passes gate every plan mutation: the P1xx plan verifier
-        (T2xx on compensation pipelines), the F4xx flow analyzer, and
-        the S5xx shard certifier (the latter two span-traced through the
-        system's recorder).  Raises
+        Two passes gate every plan mutation: the P1xx plan verifier
+        (T2xx on compensation pipelines) and the F4xx flow analyzer
+        (span-traced through the system's recorder).  Raises
         :class:`~repro.analysis.InvariantViolation` carrying the merged
-        report if any pass finds an error.
+        report if either finds an error.
         """
         if not self.verify:
             return
         # Imported lazily: repro.analysis depends on repro.sharing.plan.
-        from ..analysis import certify_system, flow_system, verify_system
+        from ..analysis import flow_system, verify_system
 
         report = verify_system(self, title=f"pre-flight {context}")
         report.merge(flow_system(self, title=f"flow pre-flight {context}"))
-        report.merge(certify_system(self, title=f"shards pre-flight {context}")[1])
         if not report.ok:
             raise InvariantViolation(context, report)
-
-    def shard_plan(self) -> "ShardPlan":
-        """The certified :class:`~repro.analysis.ShardPlan` of the
-        current deployment, cached per plan state.
-
-        The cache key is the topology version plus the deployment's
-        mutation count — not the installed names, which are reused: a
-        subscription registered again elsewhere under its old name is a
-        different plan — so any plan mutation (a registration, a
-        deregistration, a fault repair, a migration) invalidates the
-        certificate.
-        """
-        from ..analysis import certify_system
-
-        fingerprint = (self.net.version, self.deployment.version)
-        cached = getattr(self, "_shard_plan_cache", None)
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        plan, _ = certify_system(self)
-        self._shard_plan_cache = (fingerprint, plan)
-        return plan
 
     # ------------------------------------------------------------------
     # Query registration
@@ -584,10 +560,10 @@ class StreamGlobe:
 
         ``workers`` — run on the sharded executor
         (:class:`~repro.engine.parallel.ShardedSimulator`) with up to
-        this many worker cells, partitioned by the certified
-        :meth:`shard_plan` — the same control loop over several cells
-        instead of one, so ``RunMetrics`` is byte-identical to the
-        sequential run at every worker count.  ``None`` or ``1`` means
+        this many worker cells, the live super-peers packed by load —
+        the same control loop over several cells instead of one, so
+        ``RunMetrics`` is byte-identical to the sequential run at every
+        worker count and under any partition.  ``None`` or ``1`` means
         sequential, a count below 1 is rejected; the backend (forked or
         in-process cells) is the executor's choice from what it observes
         of the host and the plan.
@@ -597,8 +573,8 @@ class StreamGlobe:
         *this* system).  The executor feeds it the per-epoch time
         series; on sustained load drift it migrates affected plans live
         at a quiescent epoch barrier, each migration re-running the
-        verified pre-flight (``verify=True``) and, on the sharded
-        executor, re-certifying the shard plan exactly like churn.
+        verified pre-flight (``verify=True``); on the sharded executor
+        the run keeps its cells, exactly like churn.
         """
         self.preflight("before execution")
         generators = {
@@ -623,9 +599,7 @@ class StreamGlobe:
                 self.deployment,
                 generators,
                 duration,
-                plan=self.shard_plan(),
                 workers=workers,
-                replan=self.shard_plan,
                 **options,
             )
         else:

@@ -262,10 +262,10 @@ def scenario_churn_hotspots(
 
     The photon stream carries **three** hot spots, so selection-heavy
     subscriptions stay busy across disjoint sky regions and the
-    certified shard partition gets genuinely unbalanced cells — the
-    interesting regime for the sharded executor.  ``crash_peers`` then
-    crash one after another (each rejoining ``downtime`` later),
-    forcing repeated plan repair and shard re-certification mid-run.
+    sharded executor's cells get genuinely unbalanced loads — its
+    interesting regime.  ``crash_peers`` then crash one after another
+    (each rejoining ``downtime`` later), forcing repeated plan repair
+    and executor reconciliation mid-run.
     """
     from ..faults.schedule import staggered_crashes
 

@@ -275,7 +275,7 @@ def partition_free(log: Dict[str, Any]) -> Dict[str, Any]:
     """The part of :func:`run_log_projection` that no partition into
     cells and no source batch size may change: what was generated per
     epoch and delivered in total (delivery may lag production by the
-    certified ``epoch_lag``), the counters every run has, the ordered fault
+    query's ``epoch_lag``), the counters every run has, the ordered fault
     events and what each ``query.slo`` event says was delivered.  (How
     many batches an operator timed is not in it: an exchange barrier
     may hand a cell in two batches what one cell pumps as one.)"""

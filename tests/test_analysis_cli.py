@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
@@ -92,42 +91,29 @@ def test_flow_pass_exits_zero_on_the_paper_scenario(capsys):
     assert out.strip().endswith("OK")
 
 
-def test_shards_pass_prints_a_parseable_plan(capsys, tmp_path):
-    out_file = tmp_path / "plan.json"
-    code = main(
-        [
-            "--shards",
-            "--scenario",
-            "grid",
-            "--strategy",
-            "stream-sharing",
-            "--shard-plan-out",
-            str(out_file),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0, out
-    plan_lines = [l for l in out.splitlines() if l.startswith("SHARD-PLAN ")]
-    assert len(plan_lines) == 1
-    _tag, scenario, strategy, payload = plan_lines[0].split(" ", 3)
-    assert (scenario, strategy) == ("grid", "stream-sharing")
-    plan = json.loads(payload)
-    assert plan["certified"]
-    assert len(plan["shards"]) >= 2  # the acceptance bar
-    # --shard-plan-out wrote the same certificate to disk.
-    assert json.loads(out_file.read_text()) == plan
+def test_shards_is_an_unknown_flag(capsys):
+    """The shard certifier is gone: its flags are usage errors."""
+    for flags in (["--shards"], ["--plan", "--shard-plan-out", "plan.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_churn_pass_revalidates_certificates(capsys):
-    code = main(["--churn", "--strategy", "stream-sharing", "--quiet"])
+def test_churn_pass_reruns_plan_and_flow(capsys):
+    code = main(["--churn", "--strategy", "stream-sharing"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out.strip() == "OK"
+    assert out.strip().endswith("OK")
+    titles = [line for line in out.splitlines() if line.startswith("==")]
+    assert titles and len(titles) % 2 == 0
+    assert all("flow churn verification" in line for line in titles[1::2])
+    assert not any("flow" in line for line in titles[::2])
 
 
 def test_every_pass_reads_one_registration(monkeypatch, capsys):
-    """--plan --flow --shards registers each (scenario, strategy) once,
-    plus scenario 1 with widening enabled for the plan pass."""
+    """--plan --flow registers each (scenario, strategy) once, plus
+    scenario 1 with widening enabled for the plan pass."""
     from repro.sharing import STRATEGIES
     from repro.workload import scenarios
 
@@ -139,7 +125,7 @@ def test_every_pass_reads_one_registration(monkeypatch, capsys):
         return register(scenario, strategy, **options)
 
     monkeypatch.setattr(scenarios, "run_scenario", counted)
-    assert main(["--plan", "--flow", "--shards", "--quiet"]) == 0
+    assert main(["--plan", "--flow", "--quiet"]) == 0
     expected = [
         (scenario, strategy, False)
         for scenario in ("scenario-1", "scenario-2", "grid-3x3")

@@ -307,3 +307,20 @@ def test_f403_silent_when_sharing_strategy_reuses():
     system.register_query("Q2", PAPER_QUERIES["Q2"], "P2")
     report = analyze_flow(system.deployment, system.catalog)
     assert "F403" not in report.codes(), report.render()
+
+
+# ----------------------------------------------------------------------
+# Through churn
+# ----------------------------------------------------------------------
+def test_churn_runs_every_requested_pass():
+    from repro.analysis.preflight import build_churned_system
+    from repro.workload.scenarios import scenario_churn
+
+    reports = build_churned_system(
+        scenario_churn(), "stream-sharing", passes=("plan", "flow")
+    )
+    assert reports and len(reports) % 2 == 0  # both passes per fault event
+    for report in reports:
+        assert report.ok, report.render()
+    with pytest.raises(ValueError, match="unknown churn passes"):
+        build_churned_system(scenario_churn(), "stream-sharing", passes=("shards",))

@@ -270,22 +270,38 @@ class TestEndToEndExecution:
 
 def test_sequential_run_imports_nothing_of_the_sharded_plane():
     """The loop and the cell live in ``repro.engine.executor``: a
-    sequential run pays for neither ``multiprocessing`` nor the shard
-    analysis (this is what keeps its resident memory where it was)."""
+    sequential run pays for neither ``multiprocessing`` nor the sharded
+    plane (this is what keeps its resident memory where it was), and a
+    sharded run, inline or forked, for nothing of the analysis passes:
+    its partition needs no certificate."""
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from repro.workload.scenarios import run_scenario, scenario_one\n"
-        "run = run_scenario(scenario_one(), 'stream-sharing')\n"
+        "workers, cores = int(sys.argv[1]), int(sys.argv[2])\n"
+        "os.cpu_count = lambda: cores\n"
+        "run = run_scenario(scenario_one(), 'stream-sharing', workers=workers)\n"
         "assert run.metrics.items_generated\n"
+        "simulator = run.system.last_simulator\n"
         "heavy = ('multiprocessing', 'repro.analysis', 'repro.engine.parallel')\n"
-        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+        "print(simulator.mode_used, simulator.workers_used,"
+        " sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert result.stdout.strip() == "[]"
+
+    def imported(workers, cores):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(workers), str(cores)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        mode, used, modules = result.stdout.strip().split(" ", 2)
+        return mode, int(used), modules
+
+    assert imported(1, 2) == ("sequential", 1, "[]")
+    for mode, cores in (("inline", 1), ("process", 2)):
+        used_mode, used, modules = imported(2, cores)
+        assert (used_mode, used) == (mode, 2)
+        assert "repro.engine.parallel" in modules
+        assert "repro.analysis" not in modules
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +589,6 @@ def test_sharded_simulator_draws_source_batches_of_the_constant(inline_cells):
         system.deployment,
         generators,
         8.0,
-        plan=system.shard_plan(),
         workers=2,
         recorder=recorder,
     )

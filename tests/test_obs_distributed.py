@@ -105,7 +105,7 @@ class TestTraceMergeIdentity:
         sharded = par.system.recorder.epochs
         # The parent emits one snapshot per cell per barrier; summing
         # across cells at each boundary must reproduce the sequential
-        # series for generation (delivery may lag by the certified
+        # series for generation (delivery may lag by a query's
         # epoch_lag, so only its total is pinned).
         generated = {}
         delivered_total = 0

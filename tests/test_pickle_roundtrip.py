@@ -1,13 +1,11 @@
 """Pickle round-trips for everything the sharded executor ships across
 process boundaries: elements (item batches), compiled pipelines and
-restructurers (reconcile payloads), plan records, and the certified
-ShardPlan."""
+restructurers (reconcile payloads) and plan records."""
 
 import pickle
 
 import pytest
 
-from repro.analysis import certify_shards
 from repro.engine.pipeline import Pipeline
 from repro.engine.restructure import Restructurer
 from repro.workload import PhotonGenerator, PhotonStreamConfig
@@ -110,12 +108,3 @@ def test_installed_stream_and_registered_query_roundtrip():
         assert clone.delivered == record.delivered
         assert clone.subscriber_node == record.subscriber_node
 
-
-# ----------------------------------------------------------------------
-# ShardPlan
-# ----------------------------------------------------------------------
-def test_certified_shard_plan_pickle_roundtrip():
-    system = deployed_system()
-    plan, _report = certify_shards(system.deployment)
-    assert plan.certified
-    assert pickle.loads(pickle.dumps(plan)) == plan

@@ -7,12 +7,14 @@ hand-installed stream), and ``run``, inside which super-peers crash and
 rejoin, links fail and the rebalancer migrates — and differ only in
 *how* they execute a run:
 over one cell or 2 / 4 inline cells, in source batches of another size,
-into a live recorder or the null one.  After every step the reference
-twin verifies clean (P1xx/T2xx/F4xx/S5xx; index and reference counts
-P140–144), its cached shard certificate is the one a fresh
-certification issues, its usage
-ledger is the walk over what is installed, and every twin holds the
-same deployment; after every run ``RunMetrics``, the captured
+into a live recorder or the null one.  Where the multi-cell twins cut
+the deployment is drawn too: the packer's partition, every super-peer
+a cell of its own (every link cut), or any map of the super-peers onto
+the cells — :func:`repro.engine.partition.partition_cells` substituted
+for the run — so no partition may change a result.  After every step
+the reference twin verifies clean (P1xx/T2xx/F4xx; index and reference
+counts P140–144), its usage ledger is the walk over what is installed,
+and every twin holds the same deployment; after every run ``RunMetrics``, the captured
 deliveries and the SLO counters agree on all twins, and the
 partition-free part of the run log on the traced ones.  The kind of
 input (regular, mixed-shape, row-store) is drawn per machine, so the
@@ -41,8 +43,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis import certify_system, flow_system, verify_system
-from repro.engine import DEFAULT_UDF_REGISTRY, clear_default_registry
+from repro.analysis import flow_system, verify_system
+from repro.engine import DEFAULT_UDF_REGISTRY, clear_default_registry, parallel
 from repro.engine.executor import SOURCE_BATCH, StreamSimulator
 from repro.engine.parallel import ShardedSimulator
 from repro.faults import (
@@ -69,6 +71,16 @@ from .pins_executor import partition_free, run_log_projection, slo_counters
 #: shared stream, two window aggregates) plus template queries.
 _POOL = list(PAPER_QUERIES.values())
 _POOL += [g.text for g in QueryTemplateGenerator(seed=7).generate(6)]
+
+#: The example topology's super-peers, by name.
+NODES = tuple(sorted(example_topology().super_peer_names()))
+#: Where a multi-cell twin cuts: the packer's partition, every link
+#: cut, or a drawn cell per super-peer (taken modulo the cell count).
+LAYOUTS = st.one_of(
+    st.just("packer"),
+    st.just("every-link-cut"),
+    st.lists(st.integers(0, 3), min_size=len(NODES), max_size=len(NODES)),
+)
 
 #: Few names, so a deregistered name is soon registered again.
 NAMES = ("A", "B", "C", "D")
@@ -139,15 +151,24 @@ class Twin:
     system: StreamGlobe
     workers: int
     batch_size: int
+    layout: Any = "packer"
 
     @property
     def traced(self) -> bool:
         return self.system.recorder.enabled
 
+    def partition(self, deployment: Any, workers: int) -> Dict[str, int]:
+        """This twin's node → cell map of the live super-peers."""
+        live = sorted(deployment.net.super_peer_names())
+        if self.layout == "every-link-cut":
+            return {node: cell for cell, node in enumerate(live)}
+        cells = dict(zip(NODES, self.layout))
+        return {node: cells[node] % workers for node in live}
+
     def run(self, duration: float, faults: Optional[FaultSchedule], migrate: bool):
         """What ``StreamGlobe.run`` does, at this twin's batch size and
-        always on inline cells; returns what a subscriber and an
-        operator can see of the run."""
+        cell map and always on inline cells; returns what a subscriber
+        and an operator can see of the run."""
         system = self.system
         captured: Dict[str, List[str]] = {}
         common: Dict[str, Any] = dict(
@@ -178,12 +199,12 @@ class Twin:
                 system.deployment,
                 generators,
                 duration,
-                plan=system.shard_plan(),
                 workers=self.workers,
-                replan=system.shard_plan,
                 **common,
             )
-        with pinned_cells("inline"):
+        with pinned_cells("inline"), pytest.MonkeyPatch.context() as patch:
+            if self.layout != "packer":
+                patch.setattr(parallel, "partition_cells", self.partition)
             metrics = simulator.run()
         slos = [slo.to_dict() for slo in simulator.last_query_slos]
         return metrics, captured, slo_counters(slos)
@@ -219,10 +240,11 @@ class ExecutorIdentity(RuleBasedStateMachine):
         batch_sizes=st.lists(
             st.sampled_from([5, 16, 64, 200]), min_size=2, max_size=2, unique=True
         ),
+        layouts=st.lists(LAYOUTS, min_size=2, max_size=2),
         paper=st.booleans(),
     )
-    def build(self, kind, cells, batch_sizes, paper):
-        def twin(workers, batch, traced):
+    def build(self, kind, cells, batch_sizes, layouts, paper):
+        def twin(workers, batch, traced, layout="packer"):
             system = StreamGlobe(
                 example_topology(),
                 recorder=Recorder() if traced else NULL_RECORDER,
@@ -230,7 +252,7 @@ class ExecutorIdentity(RuleBasedStateMachine):
             system.register_stream(
                 "photons", "photons/photon", _source(kind), 100.0, "P0"
             )
-            return Twin(system, workers, batch)
+            return Twin(system, workers, batch, layout)
 
         #: The reference first: one cell, default batches, untraced.
         #: {one cell, several} x {untraced, traced}; the traced pair
@@ -238,9 +260,9 @@ class ExecutorIdentity(RuleBasedStateMachine):
         #: of their run logs must not tell apart either.
         self.twins = [
             twin(1, SOURCE_BATCH, False),
-            twin(cells[0], SOURCE_BATCH, False),
+            twin(cells[0], SOURCE_BATCH, False, layouts[0]),
             twin(1, batch_sizes[0], True),
-            twin(cells[1], batch_sizes[1], True),
+            twin(cells[1], batch_sizes[1], True, layouts[1]),
         ]
         if paper:
             # Figure 2: Q2 taps Q1's stream and Q4 re-aggregates Q3's,
@@ -349,7 +371,9 @@ class ExecutorIdentity(RuleBasedStateMachine):
             for part, expected, observed in zip(
                 ("metrics", "captures", "slo counters"), outcomes[0], outcome
             ):
-                assert observed == expected, (part, twin.workers, twin.batch_size)
+                assert observed == expected, (
+                    part, twin.workers, twin.batch_size, twin.layout
+                )
         logs = [
             partition_free(run_log_projection(twin.system.recorder))
             for twin in self.twins
@@ -367,10 +391,7 @@ class ExecutorIdentity(RuleBasedStateMachine):
         reference = self.twins[0].system
         report = verify_system(reference)
         report.merge(flow_system(reference))
-        certificate, shard_report = certify_system(reference)
-        report.merge(shard_report)
         assert report.ok, report.render()
-        assert reference.shard_plan().to_dict() == certificate.to_dict()
         assert_ledger_is_the_walk(reference)
 
 
