@@ -125,8 +125,6 @@ class StreamStatistics:
     paths: Dict[Path, PathStatistics] = field(default_factory=dict)
     #: Items in the sample.
     sample_size: int = 0
-    #: Element nodes in the sample, item roots included.
-    sample_nodes: int = 0
     #: The sample within the sniffing bounds, one group per shape.
     _groups: List["_ShapeGroup"] = field(default_factory=list, repr=False)
     #: Sample items beyond the sniffing bounds, kept as trees.
@@ -188,17 +186,16 @@ class StreamStatistics:
         total_size = 0
         for index, signature in units:
             if signature is None:
-                entries, size, nodes = _loose_entries(items[index], index)
+                entries, size = _loose_entries(items[index], index)
                 stats._loose.append(items[index])
             else:
                 members = by_signature[signature]
                 group, entries = _ShapeGroup.measure(
                     signature, members, [items[member] for member in members]
                 )
-                size, nodes = group.item_sizes(), group.count * group.nodes
+                size = group.item_sizes()
                 stats._groups.append(group)
             total_size += size
-            stats.sample_nodes += nodes
             for steps, occurrences, sizes, part in entries:
                 sample = samples.get(steps)
                 if sample is None:
@@ -445,15 +442,13 @@ class _ShapeGroup:
     belong to this group, and the engine's registry never sees it.
     """
 
-    __slots__ = ("root", "count", "nodes", "leaf_totals")
+    __slots__ = ("root", "count", "leaf_totals")
 
     def __init__(
-        self, root: ShapeNode, count: int, nodes: int, leaf_totals: Dict[ShapeNode, int]
+        self, root: ShapeNode, count: int, leaf_totals: Dict[ShapeNode, int]
     ) -> None:
         self.root = root
         self.count = count
-        #: Element nodes per item, the root included.
-        self.nodes = nodes
         self.leaf_totals = leaf_totals
 
     @classmethod
@@ -474,10 +469,8 @@ class _ShapeGroup:
             ((child.tag,), child, [item.children[i] for item in items])
             for i, child in enumerate(root.children)
         ]
-        nodes = 1
         while stack:
             steps, node, members = stack.pop()
-            nodes += 1
             at = seen.get(steps)
             if at is None:
                 at = seen[steps] = ([], [])
@@ -493,7 +486,7 @@ class _ShapeGroup:
             numbers = _numbers(texts)
             if numbers is not None:
                 at[1].append(numbers)
-        group = cls(root, count, nodes, totals)
+        group = cls(root, count, totals)
         entries: List[_Entry] = []
         for steps, (positions, columns) in seen.items():
             size = sum(group._subtree_total(node) for node in positions)
@@ -518,10 +511,10 @@ class _ShapeGroup:
         return 0 if pruned is None else self._subtree_total(pruned)
 
 
-def _loose_entries(item: Element, index: int) -> Tuple[List[_Entry], int, int]:
-    """Per-path entries of one item walked as a tree, its serialized
-    size and its node count.  The walk pops the last child first; a
-    shape group replays the same order."""
+def _loose_entries(item: Element, index: int) -> Tuple[List[_Entry], int]:
+    """Per-path entries of one item walked as a tree and its serialized
+    size.  The walk pops the last child first; a shape group replays
+    the same order."""
     counts: Dict[Tuple[str, ...], int] = {}
     sizes: Dict[Tuple[str, ...], int] = {}
     values: Dict[Tuple[str, ...], List[List[Optional[float]]]] = {}
@@ -540,4 +533,4 @@ def _loose_entries(item: Element, index: int) -> Tuple[List[_Entry], int, int]:
         (steps, count, sizes[steps], ((index,), values[steps]) if steps in values else None)
         for steps, count in counts.items()
     ]
-    return entries, item.serialized_size(), 1 + sum(counts.values())
+    return entries, item.serialized_size()

@@ -248,6 +248,10 @@ class ColumnBatch:
         """The single-shape column views this batch consists of: itself."""
         return (self,)
 
+    def root_tags(self) -> Tuple[str, ...]:
+        """The rows' root tags, once: every row has the shape's."""
+        return (self.vshape.tag,)
+
     # ------------------------------------------------------------------
     # Column access (indexed by base row id)
     # ------------------------------------------------------------------
@@ -511,6 +515,10 @@ class GroupedBatch:
         )
         return self.store.number_col(columns)
 
+    def root_tags(self) -> List[str]:
+        """The rows' root tags, once per group's shape."""
+        return [vshape.tag for vshape in self.vshapes]
+
     def shape_views(self) -> List[ColumnBatch]:
         """The surviving rows of each group as a view of the group's
         own store, group-local row vector and virtual shape (groups
@@ -618,6 +626,10 @@ class RowBatch:
         """No interned shape describes these rows."""
         return None
 
+    def root_tags(self) -> List[str]:
+        """The root tag of every row of the store."""
+        return [element.tag for element in self.elements]
+
     def number_column(self, steps: Tuple[str, ...]) -> List[Optional[float]]:
         """``Element.number(steps)`` of every row of the store."""
         col = self._numbers.get(steps)
@@ -676,6 +688,10 @@ def encode_batch(items: Sequence[Element]) -> Batch:
     are looked up while the batch is undecided and interned only once
     it is stored under them, all or none: the registry never evicts, so
     a batch that ends in a row store must leave nothing in it.
+
+    Every row comes out frozen: a row a shape's validator accepts was
+    pinned by it, a row no validator accepted is frozen where it is
+    sniffed (:func:`_assign_shapes`), and a row store freezes its rows.
     """
     if not items:
         return RowBatch(items)
@@ -701,7 +717,8 @@ def encode_batch(items: Sequence[Element]) -> Batch:
 def _assign_shapes(items: Sequence[Element]) -> Tuple[List[Signature], List[int]]:
     """Every row's shape: the signatures in order of first appearance
     and a group id per row — tried against the validators of the
-    interned shapes this batch has met first, sniffed when none fits.
+    interned shapes this batch has met first, sniffed (and frozen) when
+    none fits.
 
     No signatures at all when the batch stays whole in a row store: a
     row past the sniffing bounds, or more shapes than amortize — a
@@ -718,6 +735,7 @@ def _assign_shapes(items: Sequence[Element]) -> Tuple[List[Signature], List[int]
             if validate(item):
                 break
         else:
+            item.freeze()  # no validator pinned it
             signature = signature_of(item)
             if signature is None:
                 return [], []
@@ -752,7 +770,11 @@ def _encode_mixed(
 
 
 def encode_ingest(batch: Sequence[Element]) -> Batch:
-    """Pick the store of a batch entering the engine, from the batch."""
+    """Pick the store of a batch entering the engine, from the batch.
+
+    The rows may arrive unfrozen, or frozen in part: every row of the
+    returned batch is frozen, most of them by the validator that
+    accepted them, in the same walk (:func:`encode_batch`)."""
     if len(batch) < AUTO_MIN_ROWS:
         return RowBatch(batch)
     return encode_batch(batch)

@@ -54,7 +54,6 @@ import heapq
 import math
 import sys
 from collections import deque
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -428,6 +427,38 @@ def _stage_counts(node: _StreamNode) -> List[StageCount]:
     ]
 
 
+def _ingest(stream_id: str, tag: str, items: List[Element]) -> Batch:
+    """A source batch entering the engine: its store picked and every
+    row frozen, most rows inside the shape check (:func:`encode_ingest`,
+    DESIGN.md §7), and every root tag the item path's ``tag``."""
+    batch = encode_ingest(items)
+    for got in batch.root_tags():
+        if got != tag:
+            raise ExecutionError(
+                f"stream {stream_id!r}: item path expects <{tag}> items, "
+                f"the source produced <{got}>"
+            )
+    return batch
+
+
+def _exporter(
+    stream_id: str,
+    exports: Dict[str, Tuple[int, ...]],
+    outbox: Dict[int, List["Exchanged"]],
+) -> Callable[[Batch], None]:
+    """The feed of a stream other cells consume: park each batch,
+    detached, in the outbox of every consuming cell.  It holds the
+    cell's export table and outbox, not the cell: a feed on a node the
+    cell holds must not lead back to the cell (DESIGN.md §7)."""
+
+    def export(batch: Batch) -> None:
+        parked = batch.detached()
+        for consumer in exports[stream_id]:
+            outbox.setdefault(consumer, []).append((stream_id, parked))
+
+    return export
+
+
 def _strip_parent(stream: "InstalledStream") -> "InstalledStream":
     """A proxy copy of ``stream``: same id/route/content, no parent.
 
@@ -594,7 +625,9 @@ class Cell:
 
         for stream_id, consumers in diff["exports"].items():
             if stream_id not in self._exports:
-                nodes[stream_id].deliveries.append(partial(self._export, stream_id))
+                nodes[stream_id].deliveries.append(
+                    _exporter(stream_id, self._exports, self._outbox)
+                )
             self._exports[stream_id] = consumers
 
         # Re-wire subscriptions the repair touched, behind its gate;
@@ -768,7 +801,7 @@ class Cell:
             )
             for dst, batches in self._outbox.items()
         }
-        self._outbox = {}
+        self._outbox.clear()  # emptied in place: the export feeds hold it
         return outbox
 
     def _pump_source(self, stream_id: str, until: float) -> None:
@@ -776,24 +809,24 @@ class Cell:
         if generator is None:
             raise ExecutionError(f"no generator for original stream {stream_id!r}")
         program = self._programs[stream_id]
+        tag = self._nodes[stream_id].stream.content.item_path.steps[-1]
         produced = self._produced[stream_id]
         batch_size = self.batch_size
         limit = sys.maxsize if self.max_items is None else self.max_items
         next_item = generator.next_item
         clock = generator.clock
         while clock < until and produced < limit:
-            batch: List[Element] = []
-            append = batch.append
+            items: List[Element] = []
+            append = items.append
             for _ in range(min(batch_size, limit - produced)):
-                # Pins what the generator left unfrozen (DESIGN.md §7:
-                # a wrapper may restructure an item up to here).
-                append(next_item().freeze())
+                append(next_item())
                 clock = generator.clock
                 if clock >= until:
                     break
-            produced += len(batch)
+            produced += len(items)
             self.source_batches += 1
-            self._pump(program, encode_ingest(batch))
+            # Not bound here: the next batch is drawn with this one freed.
+            self._pump(program, _ingest(stream_id, tag, items))
         self._produced[stream_id] = produced
 
     def _drain_source(self, stream_id: str, until: float) -> None:
@@ -838,12 +871,6 @@ class Cell:
 
     def _emit(self, stream_id: str, out: Batch) -> None:
         self._pump(self._programs[stream_id], out)
-
-    def _export(self, stream_id: str, batch: Batch) -> None:
-        """The feed of a stream other cells consume."""
-        parked = batch.detached()
-        for consumer in self._exports[stream_id]:
-            self._outbox.setdefault(consumer, []).append((stream_id, parked))
 
     # ------------------------------------------------------------------
     # Counters out
@@ -914,25 +941,6 @@ class Cell:
             if isinstance(delivery, _MultiDelivery):
                 delivery.finish()
         return self.state()
-
-
-def reclaim_before_run(expected_allocations: float) -> bool:
-    """Collect the caller's cyclic garbage before a run, if the run is
-    large enough to pay for it; whether it collected.
-
-    Cells pause the collector while they step (:meth:`Cell.step`), so
-    the collections a run's allocations would have triggered no longer
-    reclaim what the caller left behind — a dropped system's plan graph,
-    say.  A run expected to allocate at least as many GC-tracked objects
-    as the heap holds blocks would have paid full collections of that
-    heap anyway: it pays one, here.  A smaller run skips it and leaves
-    the heap to the collector's own schedule between runs.  A caller
-    that disabled the collector gets no collection.
-    """
-    if gc.isenabled() and expected_allocations >= sys.getallocatedblocks():
-        gc.collect()
-        return True
-    return False
 
 
 def _make_op_timer(recorder: Any) -> Callable[[PrefixStage, int, float], None]:
@@ -1099,6 +1107,19 @@ class StreamSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> RunMetrics:
+        """Execute the run once.  When it returns or raises, the
+        simulator lets go of what only the run needed — its cells and
+        the ``schedule``, ``repair``, ``capture`` and ``rebalancer``
+        it was handed: a simulator outlives its run (a system keeps its
+        latest one), and a repairer or rebalancer holds the system that
+        keeps it, a reference cycle (DESIGN.md §7)."""
+        try:
+            return self._run()
+        finally:
+            self._cells = []
+            self.schedule = self.repair = self.capture = self.rebalancer = None
+
+    def _run(self) -> RunMetrics:
         recorder = self.recorder
         self._cells: List[Any] = []
         #: What the cells run, kept here to diff the deployment against:

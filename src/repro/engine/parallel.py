@@ -94,6 +94,17 @@ EXCHANGE_EPOCHS = 8
 # ----------------------------------------------------------------------
 # A cell of a multi-cell run, and the backends it runs behind
 # ----------------------------------------------------------------------
+def _parker(captured: Dict[str, List[Element]]) -> Callable[[str, Element], None]:
+    """A cell's capture hook that keeps each result in ``captured``:
+    it holds the dictionary, not the :class:`_ShardCell` that holds the
+    cell (no cell ↔ wrapper cycle)."""
+
+    def park(name: str, item: Element) -> None:
+        captured.setdefault(name, []).append(item)
+
+    return park
+
+
 class _ShardCell:
     """A cell with what the sharded plane adds around it.
 
@@ -111,10 +122,7 @@ class _ShardCell:
         self._recorder = recorder
         self._captured: Dict[str, List[Element]] = {}
         if capture:
-            cell.capture = self._park
-
-    def _park(self, name: str, item: Element) -> None:
-        self._captured.setdefault(name, []).append(item)
+            cell.capture = _parker(self._captured)
 
     def __getattr__(self, op: str) -> Any:
         return getattr(self.cell, op)

@@ -79,7 +79,7 @@ class Pipeline:
 
         The items enter the way a source batch enters a cell —
         :func:`~repro.engine.columnar.encode_ingest` picks their store
-        (a row store freezes them) — and the outputs are decoded at the
+        (and freezes every one of them) — and the outputs are decoded at the
         end, so the contract is elements in, an element list out.
         """
         batch = encode_ingest(items)

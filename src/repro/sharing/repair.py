@@ -87,14 +87,17 @@ class RepairReport:
 class PlanRepairer:
     """Repairs a :class:`StreamGlobe` deployment after topology faults.
 
-    Stateful: subscriptions that cannot be re-registered against the
-    current topology are remembered and retried on every subsequent
-    :meth:`repair` call, so a rejoin heals them automatically.
+    Subscriptions that cannot be re-registered against the current
+    topology are parked on the system (:attr:`StreamGlobe.parked`) and
+    retried on every subsequent :meth:`repair` call, by this repairer
+    or another one over the same system, so a rejoin heals them
+    automatically.  A repairer holds nothing else: build one per use
+    (:meth:`StreamGlobe.plan_repairer`).
     """
 
     def __init__(self, system: "StreamGlobe") -> None:
         self.system = system
-        self._pending: Dict[str, Tuple[RegisteredQuery, str]] = {}
+        self._pending: Dict[str, Tuple[RegisteredQuery, str]] = system.parked
 
     # ------------------------------------------------------------------
     @property
@@ -260,8 +263,3 @@ class PlanRepairer:
 
     def is_parked(self, name: str) -> bool:
         return name in self._pending
-
-    def cancel(self, name: str) -> bool:
-        """Forget a parked subscription (its owner deregistered it);
-        says whether there was one."""
-        return self._pending.pop(name, None) is not None

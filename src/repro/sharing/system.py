@@ -12,7 +12,6 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 import gc
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -26,7 +25,7 @@ from ..costmodel import (
 )
 from ..diagnostics import AnalysisReport, InvariantViolation
 from ..engine import RunMetrics, StreamSimulator
-from ..engine.executor import ExecutionError, ItemGenerator, reclaim_before_run
+from ..engine.executor import ExecutionError, ItemGenerator
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
 from ..predicates import interned_graph_count
@@ -66,9 +65,6 @@ class SourceRegistration:
     home_node: str
     frequency: float
     generator_factory: Callable[[], ItemGenerator] = field(repr=False)
-    #: GC-tracked objects one item holds (an element and its child
-    #: list per node), averaged over the statistics sample.
-    tracked_per_item: float
     #: The sampled item structure every chain over the stream is typed against.
     schema: SchemaView = field(repr=False)
 
@@ -125,7 +121,11 @@ class StreamGlobe:
         self.deployment = Deployment(net)
         self.sources: Dict[str, SourceRegistration] = {}
         self.results: List[RegistrationResult] = []
-        self._repairer = None  # lazily created PlanRepairer
+        #: Subscriptions plan repair could not re-register yet, name →
+        #: (record, reason): every later repair retries them.  Kept
+        #: here, not on a repairer, so that no repairer outlives its use
+        #: (:meth:`plan_repairer`).
+        self.parked: Dict[str, Tuple[RegisteredQuery, str]] = {}
         #: ``query`` argument -> (analysis, input properties, rejection
         #: reason or ``None``): they depend on its text only, its name
         #: aside.  Per system, like the match memo.
@@ -173,7 +173,6 @@ class StreamGlobe:
             home_node=home,
             frequency=frequency,
             generator_factory=generator_factory,
-            tracked_per_item=2.0 * statistics.sample_nodes / len(sample),
             schema=SchemaView.from_statistics(statistics),
         )
         self.deployment.install_stream(self.sources[name].stream())
@@ -403,8 +402,7 @@ class StreamGlobe:
     def _require_free_name(self, name: str) -> None:
         """A name is taken while its subscription is installed — or
         parked by plan repair, which registers it again at a rejoin."""
-        parked = self._repairer is not None and self._repairer.is_parked(name)
-        if parked or name in self.deployment.queries:
+        if name in self.parked or name in self.deployment.queries:
             raise ValueError(f"query {name!r} already registered")
 
     def deregister_query(self, name: str) -> List[str]:
@@ -416,7 +414,7 @@ class StreamGlobe:
         (none for a subscription plan repair had parked: it holds
         nothing, and is forgotten).
         """
-        if self._repairer is not None and self._repairer.cancel(name):
+        if self.parked.pop(name, None) is not None:
             return []
         with self.recorder.span("deregister", query=name) as span:
             _, removed = tear_down(self.planner, self.deployment, [name])
@@ -487,8 +485,7 @@ class StreamGlobe:
             )
         # The cyclic collector around the latest run (empty before
         # one): collections per generation ``gen0``… while it ran, in
-        # this process, and the run-start rule's decision
-        # (``run_start_collection``) and both its inputs.
+        # this process.
         stats["gc"] = dict(self._gc_stats)
         return stats
 
@@ -508,16 +505,16 @@ class StreamGlobe:
     # Fault handling and plan repair
     # ------------------------------------------------------------------
     def plan_repairer(self):
-        """The system's persistent :class:`~repro.sharing.repair.PlanRepairer`.
+        """A :class:`~repro.sharing.repair.PlanRepairer` over this system.
 
-        Persistent so subscriptions parked as pending by one fault are
-        retried after a later rejoin.
+        A fresh one per call: what a repair leaves pending lives on the
+        system (:attr:`parked`), so a later rejoin retries it whichever
+        repairer runs.  A system that kept its repairer would be half of
+        a reference cycle (the repairer holds the system).
         """
         from .repair import PlanRepairer
 
-        if self._repairer is None:
-            self._repairer = PlanRepairer(self)
-        return self._repairer
+        return PlanRepairer(self)
 
     def apply_fault(self, event: "FaultEvent") -> "RepairReport":
         """Apply one :class:`~repro.faults.FaultEvent` and repair the plan.
@@ -607,40 +604,17 @@ class StreamGlobe:
                 self.net, self.deployment, generators, duration, **options
             )
         self.last_simulator = simulator
-        metrics = self._run_collected(simulator, duration, max_items_per_source)
-        if self.recorder.enabled:
-            self._sync_cache_gauges()
-        return metrics
-
-    def _run_collected(
-        self,
-        simulator: StreamSimulator,
-        duration: float,
-        max_items_per_source: Optional[int],
-    ) -> RunMetrics:
-        """``simulator.run()`` after the run-start collection rule
-        (:func:`~repro.engine.executor.reclaim_before_run`), recording
-        the collector's work during the run for :meth:`cache_stats`."""
-        expected = 0.0
-        for source in self.sources.values():
-            items = source.frequency * duration
-            if max_items_per_source is not None:
-                items = min(items, max_items_per_source)
-            expected += items * source.tracked_per_item
-        blocks = sys.getallocatedblocks()
-        collected = reclaim_before_run(expected)
         before = gc.get_stats()
         try:
-            return simulator.run()
+            metrics = simulator.run()
         finally:
-            stats: Dict[str, float] = {
+            self._gc_stats = {
                 f"gen{generation}": after["collections"] - start["collections"]
                 for generation, (start, after) in enumerate(zip(before, gc.get_stats()))
             }
-            stats["run_start_collection"] = float(collected)
-            stats["expected_allocations"] = expected
-            stats["allocated_blocks"] = blocks
-            self._gc_stats = stats
+        if self.recorder.enabled:
+            self._sync_cache_gauges()
+        return metrics
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -16,7 +16,8 @@ column per leaf element.  This module owns the shape machinery:
   for one item, and :func:`shape_tree` builds a shape's nodes outside
   the registry (the statistics sample's groups);
 * each shape carries a code-generated **validator** (exact structural
-  match via direct child indexing, no tag scans) and per-leaf
+  match via direct child indexing, no tag scans, that freezes the item
+  it accepts in the same call) and per-leaf
   **extractors** (``elements -> text column``);
 * one tree code generator fills :class:`Element` slots directly (no
   per-node ``__init__``) for both directions: :func:`compile_builder`
@@ -41,7 +42,7 @@ shape signature.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from .element import Element, _escape_text
 
@@ -167,6 +168,8 @@ class ShapeNode:
     def resolve(self, steps: Tuple[str, ...]) -> Optional["ShapeNode"]:
         """Follow child-axis steps, first matching child per step —
         exactly :meth:`Element.find` semantics, cached per step tuple."""
+        if not steps:
+            return self  # not cached: a node must not hold itself
         cached = self._resolve_cache.get(steps, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
@@ -197,13 +200,12 @@ class ShapeNode:
         (shape, keep) pair covers every row of every batch; results are
         cached and shared so downstream caches key off node identity.
         """
+        if any(not steps for steps in keep):
+            return self  # the empty path keeps the whole item (not cached)
         cached = self._prune_cache.get(keep, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
-        if any(not steps for steps in keep):
-            result: Optional[ShapeNode] = self  # empty path keeps the whole item
-        else:
-            result = _prune_shape(self, list(keep))
+        result = _prune_shape(self, list(keep))
         self._prune_cache[keep] = result
         return result
 
@@ -216,7 +218,11 @@ class ShapeNode:
         Interior nodes contribute a content-independent ``2·|tag|+5``
         (``<t>`` + ``</t>``); leaves contribute per row via their text
         column.  Together they reproduce ``Element.serialized_size``.
+        A leaf answers afresh: caching ``(0, (self,))`` would make it
+        hold itself, a cycle only the cyclic collector reclaims.
         """
+        if self.column is not None:
+            return 0, (self,)
         if self._size_info is None:
             static = 0
             leaves: List[ShapeNode] = []
@@ -302,41 +308,58 @@ def _compile_tree(
     still restructure the item before ``freeze()``.
     """
     lines = [f"def _build({params}):"]
-    nodes = 0
-    leaves = 0
-
-    def emit(sig: Signature) -> int:
-        nonlocal nodes, leaves
-        tag, child_sigs = sig
-        Element(tag)  # raises on an invalid tag
-        tag_len = len(tag.encode("utf-8"))
-        kids = [emit(child_sig) for child_sig in child_sigs]
-        node = nodes
-        nodes += 1
-        if kids:
-            text = size = "None"
-            if pin_interior:
-                size = " + ".join([str(2 * tag_len + 5), *(f"z{kid}" for kid in kids)])
-        else:
-            text, size = leaf(leaves, tag_len)
-            leaves += 1
-        if pin_interior:
-            size = f"z{node} = {size}"
-        lines.append(f"    e{node} = new(E)")
-        lines.append(f"    e{node}.tag = {tag!r}")
-        lines.append(f"    e{node}.text = {text}")
-        lines.append(f"    e{node}.children = [{', '.join(f'e{kid}' for kid in kids)}]")
-        lines.append(f"    e{node}._size = {size}")
-        return node
-
-    lines.append(f"    return e{emit(signature)}")
+    root = _emit_tree(signature, [0, 0], leaf, pin_interior, lines)
+    lines.append(f"    return e{root}")
     namespace: Dict[str, object] = {
         "E": Element,
         "new": object.__new__,
         "leaf_size": leaf_size,
     }
-    exec(compile("\n".join(lines), "<shape-tree>", "exec"), namespace)  # noqa: S102
-    return namespace["_build"]  # type: ignore[return-value]
+    return _generated(lines, "<shape-tree>", namespace, "_build")
+
+
+def _emit_tree(
+    sig: Signature,
+    counts: List[int],
+    leaf: Callable[[int, int], Tuple[str, str]],
+    pin_interior: bool,
+    lines: List[str],
+) -> int:
+    """Append the statements building node ``sig`` (children first) to
+    ``lines``; its variable number.  ``counts`` holds the nodes and the
+    leaves numbered so far.  A module function, not a recursive closure
+    (DESIGN.md §7, "The pump and the collector")."""
+    tag, child_sigs = sig
+    Element(tag)  # raises on an invalid tag
+    tag_len = len(tag.encode("utf-8"))
+    kids = [_emit_tree(child_sig, counts, leaf, pin_interior, lines) for child_sig in child_sigs]
+    node = counts[0]
+    counts[0] += 1
+    if kids:
+        text = size = "None"
+        if pin_interior:
+            size = " + ".join([str(2 * tag_len + 5), *(f"z{kid}" for kid in kids)])
+    else:
+        text, size = leaf(counts[1], tag_len)
+        counts[1] += 1
+    if pin_interior:
+        size = f"z{node} = {size}"
+    lines.append(f"    e{node} = new(E)")
+    lines.append(f"    e{node}.tag = {tag!r}")
+    lines.append(f"    e{node}.text = {text}")
+    lines.append(f"    e{node}.children = [{', '.join(f'e{kid}' for kid in kids)}]")
+    lines.append(f"    e{node}._size = {size}")
+    return node
+
+
+def _generated(
+    lines: List[str], filename: str, namespace: Dict[str, object], name: str
+) -> Callable[..., Any]:
+    """Compile the generated function ``name`` over ``namespace`` and
+    take it out of the namespace again: the function keeps its globals,
+    and globals that held the function would be a reference cycle."""
+    exec(compile("\n".join(lines), filename, "exec"), namespace)  # noqa: S102
+    return cast(Callable[..., Any], namespace.pop(name))
 
 
 @lru_cache(maxsize=MAX_SHAPES)
@@ -404,13 +427,8 @@ class Shape:
         extract = self._extractors.get(column)
         if extract is None:
             chain = "".join(f".children[{i}]" for i in self.column_paths[column])
-            source = (
-                "def _extract(elements):\n"
-                f"    return [e{chain}.text for e in elements]\n"
-            )
-            namespace: Dict[str, object] = {}
-            exec(compile(source, "<shape-extractor>", "exec"), namespace)  # noqa: S102
-            extract = namespace["_extract"]  # type: ignore[assignment]
+            lines = ["def _extract(elements):", f"    return [e{chain}.text for e in elements]"]
+            extract = _generated(lines, "<shape-extractor>", {}, "_extract")
             self._extractors[column] = extract
         return extract
 
@@ -454,37 +472,63 @@ def _build_nodes(
 
 
 def _compile_validator(signature: Signature) -> Callable[[Element], bool]:
-    """Generate an exact structural matcher with direct child indexing.
+    """Generate an exact structural matcher that freezes what it accepts.
 
     The generated function checks tags and child counts at every level
-    and requires leaves to be childless — any mismatch means the item
-    does not share the batch shape and the batch falls back to trees.
+    (direct child indexing, no tag scans), requires leaves to be
+    childless and interior nodes to be textless — any mismatch means the
+    item does not share the batch shape and the batch falls back to
+    trees.  An accepted item is then pinned in the same call: every node
+    not frozen yet gets :meth:`Element.freeze`'s size, a leaf
+    :func:`leaf_size` and an interior node ``2·|tag|+5`` plus its
+    children's sizes; a node already frozen keeps its size.  A rejected
+    item is left as it came (ingest freezes it on its own,
+    :func:`repro.engine.columnar.encode_batch`).
     """
-    lines = ["def _validate(e0):"]
-    counter = 0
+    checks = ["def _validate(e0):"]
+    pins: List[str] = []
+    _emit_validator(signature, 0, [0], checks, pins)
+    # A frozen item's nodes are all frozen (``freeze`` pins a subtree
+    # whole): only the checks remain.
+    checks.append("    if e0._size is not None: return True")
+    lines = [*checks, *pins, "    return True"]
+    return _generated(lines, "<shape-validator>", {"leaf_size": leaf_size}, "_validate")
 
-    def emit(var: str, sig: Signature) -> None:
-        nonlocal counter
-        tag, child_sigs = sig
-        lines.append(f"    if {var}.tag != {tag!r}: return False")
-        if not child_sigs:
-            lines.append(f"    if {var}.children: return False")
-            return
-        counter += 1
-        kids = f"c{counter}"
-        lines.append(f"    {kids} = {var}.children")
-        lines.append(f"    if len({kids}) != {len(child_sigs)}: return False")
-        for index, child_sig in enumerate(child_sigs):
-            counter += 1
-            child_var = f"e{counter}"
-            lines.append(f"    {child_var} = {kids}[{index}]")
-            emit(child_var, child_sig)
 
-    emit("e0", signature)
-    lines.append("    return True")
-    namespace: Dict[str, object] = {}
-    exec(compile("\n".join(lines), "<shape-validator>", "exec"), namespace)  # noqa: S102
-    return namespace["_validate"]  # type: ignore[return-value]
+def _emit_validator(
+    sig: Signature, node: int, counter: List[int], checks: List[str], pins: List[str]
+) -> None:
+    """Append node ``e{node}``'s checks (pre-order) and its pin
+    (post-order: children first) to the generated validator.  A module
+    function, not a recursive closure, like :func:`_signature_walk`."""
+    tag, child_sigs = sig
+    var = f"e{node}"
+    tag_len = len(tag.encode("utf-8"))
+    size = f"z{node}"
+    if not child_sigs:
+        checks.append(f"    if {var}.tag != {tag!r} or {var}.children: return False")
+        pins.append(f"    {size} = {var}._size")
+        pins.append(f"    if {size} is None:")
+        pins.append(f"        t = {var}.text")
+        pins.append(
+            f"        {size} = {var}._size = "
+            f"{tag_len + 3} if t is None else leaf_size(t, {tag_len})"
+        )
+        return
+    checks.append(f"    if {var}.tag != {tag!r} or {var}.text is not None: return False")
+    counter[0] += 1
+    kids = f"c{counter[0]}"
+    checks.append(f"    {kids} = {var}.children")
+    checks.append(f"    if len({kids}) != {len(child_sigs)}: return False")
+    children = []
+    for index, child_sig in enumerate(child_sigs):
+        counter[0] += 1
+        children.append(f"z{counter[0]}")
+        checks.append(f"    e{counter[0]} = {kids}[{index}]")
+        _emit_validator(child_sig, counter[0], counter, checks, pins)
+    pins.append(f"    {size} = {var}._size")
+    pins.append(f"    if {size} is None:")
+    pins.append(f"        {size} = {var}._size = {' + '.join([str(2 * tag_len + 5), *children])}")
 
 
 _REGISTRY: Dict[Signature, Shape] = {}

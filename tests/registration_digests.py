@@ -40,43 +40,43 @@ BENCHMARK_SCENARIOS = {
 PINNED = {
     "1": (
         "d2f91ce8ea681a8f",
-        "873e3922ee2a0940",
+        "d047b7c7bc5001e3",
         "e37002c79e5d83a8",
         "555705cccc96b06b",
     ),
     "2": (
         "efb28604acf1f574",
-        "9cd95112af90b50f",
+        "74f0f2a63aef55f2",
         "267815922d00fc92",
         "f5efd9e2ae084fe1",
     ),
     "grid": (
         "ef51af508866abce",
-        "2dd09fb7d37c7701",
+        "e9a90af154d4f5b9",
         "0cf893b2c6d963d0",
         "96058cb77115239d",
     ),
     "churn": (
         "d46033b5a6e8f0c7",
-        "24bb18281d1c55b4",
+        "e6c1d53cbeca7ce5",
         "b02862f8ef10625a",
         "bb24517db8353fd8",
     ),
     "churn-smoke": (
         "0bb16ccedb304bb7",
-        "24bb18281d1c55b4",
+        "e6c1d53cbeca7ce5",
         "40145e6c404aa517",
         "f765d68a313e0ae9",
     ),
     "grid-800": (
         "292f2a6787e85ca7",
-        "2dd09fb7d37c7701",
+        "e9a90af154d4f5b9",
         "e3f5663c9b5c645e",
         "b909023b63455411",
     ),
     "hotspots": (
         "d3b5f902b5fc69e0",
-        "424e62737ed5734f",
+        "b39e26e76c5f0c93",
         "28c1e9c52fedca39",
         "d2ea87b06523f846",
     ),
@@ -105,9 +105,7 @@ def scenario_digests(scenario):
     tokens, catalog, sizes, selectivities = [], [], [], []
     for name in sorted(system.sources):
         stats = system.catalog.for_stream(name)
-        catalog.append(
-            f"{name} {stats.avg_item_size!r} {system.sources[name].tracked_per_item!r}"
-        )
+        catalog.append(f"{name} {stats.avg_item_size!r}")
         catalog.extend(f"{path} {entry!r}" for path, entry in stats.paths.items())
     for query in scenario.queries:
         tokens.extend(repr(token) for token in tokenize(query.text))

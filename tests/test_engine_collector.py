@@ -1,23 +1,24 @@
 """The pump and the cyclic collector (DESIGN.md §7).
 
-Cells pause the collector while they step; that is safe only because a
-run makes no reference cycles, and the caller's own cyclic garbage is
-reclaimed by one collection at the start of a run large enough to pay
-for it.  A run leaves the collector as it found it.
+Cells pause the collector while they step.  That is safe because
+nothing makes reference cycles — not a run, and not a system: what a
+run drops and what a dropped system leaves go by reference count, so
+the collector, switched off below, has nothing to find.  A run leaves
+the collector as it found it.
 """
 
 import dataclasses
 import gc
-import sys
 from contextlib import contextmanager
 
 import pytest
 
 from tests.conftest import PAPER_QUERIES, make_system, pinned_cells
-from repro.engine.executor import ExecutionError, reclaim_before_run
+from repro.engine.executor import ExecutionError
+from repro.sharing.rebalance import Rebalancer
 from repro.workload import PhotonGenerator, PhotonStreamConfig
 from repro.workload import scenario_churn_hotspots, scenario_two
-from repro.workload.scenarios import run_scenario
+from repro.workload.scenarios import SCENARIOS, run_scenario
 
 
 @contextmanager
@@ -47,8 +48,8 @@ def collections():
         gc.callbacks.remove(callback)
 
 
-def paper_system():
-    system = make_system()
+def paper_system(**options):
+    system = make_system(**options)
     for name, text in PAPER_QUERIES.items():
         system.register_query(name, text, subscriber_peer=f"P{name[1]}")
     return system
@@ -86,18 +87,44 @@ def run_once(kind):
         with pytest.raises(ExecutionError, match="mid-step"):
             system.run(5.0)
         return system
-    system = paper_system()
-    if kind == "sequential":
+    if kind == "faults":
+        scenario = SCENARIOS["churn-smoke"]()
+        system = run_scenario(scenario, "stream-sharing", execute=False).system
+        system.run(scenario.duration, faults=scenario.faults)
+        return system
+    system = paper_system(verify=kind == "verify")
+    if kind in ("sequential", "verify"):
         system.run(5.0)
-    elif kind == "workers-2":
-        system.run(5.0, workers=2)
+    elif kind == "capture":
+        captured = []
+        system.run(5.0, capture=lambda name, item: captured.append(name))
+        assert captured
+    elif kind == "rebalancer":
+        system.run(5.0, rebalancer=Rebalancer(system))
+    elif kind == "deregistered":
+        system.run(5.0)
+        for name in list(system.deployment.queries):
+            system.deregister_query(name)
     else:
-        with pinned_cells("inline"):
+        with pinned_cells("process" if kind == "workers-2" else "inline"):
             system.run(5.0, workers=2)
+        assert system.last_simulator.workers_used == 2
     return system
 
 
 RUNS = ["sequential", "workers-2", "inline-workers-2", "failing"]
+
+#: Every kind of run a system may have had when it is dropped.
+DROPPED = [
+    "sequential",
+    "verify",
+    "capture",
+    "faults",
+    "rebalancer",
+    "workers-2",
+    "inline-workers-2",
+    "deregistered",
+]
 
 
 @pytest.mark.parametrize(
@@ -106,18 +133,44 @@ RUNS = ["sequential", "workers-2", "inline-workers-2", "failing"]
     ids=["scenario-two", "churn-hotspots-fault-free"],
 )
 def test_a_run_makes_no_reference_cycles(scenario):
-    """Everything a run drops goes by reference count.  (Before the
-    recursive signature closures became module functions the two runs
-    left 22 and 66 cyclic objects on scenario two.)"""
+    """Everything a run drops goes by reference count, on one cell and
+    on two, forked or inline.  (Before the recursive signature closures
+    became module functions the two sequential runs left 22 and 66
+    cyclic objects on scenario two; before a cell exported through a
+    closure over its outbox, every sharded run left the cell ↔ export
+    feed cycle.)"""
     system = run_scenario(scenario(), "stream-sharing", execute=False).system
-    # The first run compiles each interned shape once (bounded by the
+    # The first runs compile each interned shape once (bounded by the
     # shape registry, not by the run).
     system.run(2.0)
+    for mode in ("process", "inline"):
+        with pinned_cells(mode):
+            system.run(2.0, workers=2)
     with collector(False):
         gc.collect()
         for duration in (10.0, 40.0):
             system.run(duration)
             assert gc.collect() == 0, duration
+        for mode in ("process", "inline"):
+            with pinned_cells(mode):
+                system.run(10.0, workers=2)
+            assert system.last_simulator.mode_used == mode
+            assert gc.collect() == 0, mode
+
+
+@pytest.mark.parametrize("kind", DROPPED)
+def test_a_dropped_system_leaves_no_cyclic_garbage(kind):
+    """A system is freed by reference count, whatever it ran: no
+    repairer it keeps (it keeps the parked subscriptions instead), no
+    repairer, rebalancer or capture hook its latest simulator keeps
+    after the run, no shape node that caches itself (the statistics'
+    private shape trees) and no cell its export feeds or capture hook
+    lead back to."""
+    run_once(kind)  # the process-wide caches (shapes, builders) fill once
+    with collector(False):
+        gc.collect()
+        run_once(kind)
+        assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -129,57 +182,32 @@ def test_a_run_leaves_the_collector_as_it_found_it(kind, enabled):
 
 
 @pytest.mark.parametrize("kind", RUNS)
-def test_a_disabled_collector_never_runs_during_a_run(kind, monkeypatch):
-    # Even a run the rule would collect before.
-    monkeypatch.setattr(sys, "getallocatedblocks", lambda: 0)
+def test_a_disabled_collector_never_runs_during_a_run(kind):
     with collector(False), collections() as seen:
         system = run_once(kind)
     assert seen == []
     stats = system.cache_stats()["gc"]
-    assert stats["run_start_collection"] == 0.0
-    assert [stats["gen0"], stats["gen1"], stats["gen2"]] == [0, 0, 0]
+    assert stats == {"gen0": 0, "gen1": 0, "gen2": 0}
 
 
-class TestRunStartCollection:
-    def test_collects_only_when_the_run_allocates_a_heap(self, monkeypatch):
-        with collector(True):
-            monkeypatch.setattr(sys, "getallocatedblocks", lambda: 1000)
-            with collections() as seen:
-                assert reclaim_before_run(1000.0)
-            assert seen == [2]
-            with collections() as seen:
-                assert not reclaim_before_run(999.0)
-            assert seen == []
-        with collector(False), collections() as seen:
-            assert not reclaim_before_run(1000.0)
-        assert seen == []
+def test_cache_stats_count_the_runs_collections():
+    system = paper_system()
+    assert system.cache_stats()["gc"] == {}
+    with collector(True), collections() as seen:
+        system.run(5.0)
+    stats = system.cache_stats()["gc"]
+    assert sorted(stats) == ["gen0", "gen1", "gen2"]
+    for generation in range(3):
+        assert seen.count(generation) == stats[f"gen{generation}"]
 
-    @pytest.mark.parametrize("blocks, fired", [(0, 1.0), (10**12, 0.0)])
-    def test_cache_stats_report_the_runs_collections(self, monkeypatch, blocks, fired):
-        system = paper_system()
-        assert system.cache_stats()["gc"] == {}
-        monkeypatch.setattr(sys, "getallocatedblocks", lambda: blocks)
-        with collector(True), collections() as seen:
-            system.run(5.0)
-        stats = system.cache_stats()["gc"]
-        assert stats["run_start_collection"] == fired
-        assert stats["allocated_blocks"] == blocks
-        # 5 s of 100 photons/s, 11 nodes each: an element and a child
-        # list per node.
-        assert stats["expected_allocations"] == pytest.approx(5.0 * 100 * 22)
-        # The run-start collection is a full one; the rest are the
-        # run's own, generation by generation.
-        assert seen.count(2) == stats["gen2"] + fired
-        assert seen.count(1) == stats["gen1"]
-        assert seen.count(0) == stats["gen0"]
 
-    def test_the_pump_is_not_where_collections_happen(self):
-        """A sequential run steps its one cell once (no faults, not
-        traced): its collections happen around the step, a handful,
-        however long it runs."""
-        system = run_scenario(scenario_two(), "stream-sharing", execute=False).system
-        with collector(True):
-            system.run(100.0)
-        stats = system.cache_stats()["gc"]
-        assert stats["gen1"] + stats["gen2"] <= 2
-        assert stats["gen0"] < 20
+def test_the_pump_is_not_where_collections_happen():
+    """A sequential run steps its one cell once (no faults, not
+    traced): its collections happen around the step, a handful,
+    however long it runs."""
+    system = run_scenario(scenario_two(), "stream-sharing", execute=False).system
+    with collector(True):
+        system.run(100.0)
+    stats = system.cache_stats()["gc"]
+    assert stats["gen1"] + stats["gen2"] <= 2
+    assert stats["gen0"] < 20

@@ -206,7 +206,6 @@ def assert_matches_the_trees(items, item_path, projections):
     for path, entry in expected.items():
         assert stats.paths[path] == entry, path
     assert stats.avg_item_size == sum(item.serialized_size() for item in items) / len(items)
-    assert stats.sample_nodes == sum(1 for item in items for _ in item.iter())
     for outputs in projections:
         assert stats.projected_size(outputs) == reference_projected_size(
             items, item_path, outputs
