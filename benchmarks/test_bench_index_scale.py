@@ -11,9 +11,10 @@ after the selection prune.  The same
 ways (``index_scale_runs``).  The index is an optimization,
 never a behaviour change: every plan decision is equal, and what differs
 is how many candidates reach Algorithm 2 and how many placement
-variants are costed or skipped by the search's cost floor — exactly
-repeatable counts, written to ``index_scale.txt`` and compared byte for
-byte in CI.  The
+variants are priced or skipped by the search's cost floor (priced
+cheapest floor first; priced plus skipped is the variants examined) —
+exactly repeatable counts, written to ``index_scale.txt`` and compared
+byte for byte in CI.  The
 wall-clock ratio of the same run is asserted ``> 1`` here and written
 nowhere.  The living throughput measurement is sharebench
 ``grid-register-800``.

@@ -11,7 +11,7 @@ reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .topology import Link, Network, TopologyError
 
@@ -77,8 +77,23 @@ def _reconstruct(parents: Dict[str, str], source: str, target: str) -> List[str]
     return path
 
 
+class RouteProfile(NamedTuple):
+    """The sums a cost floor needs of one route, each over its own
+    entities (removed ones resolve through the topology's stash)."""
+
+    #: ``Σ 1/b(e)`` over the route's links.
+    inverse_bandwidth: float
+    #: ``Σ pindex/l(v)`` over the super-peers that send along it (all
+    #: but the last).
+    sender_share: float
+    #: ``pindex/l(v)`` of the route's first and last super-peer.
+    source_share: float
+    target_share: float
+
+
 class RouteCache:
-    """Memoized :func:`shortest_path` keyed on ``(source, target)``.
+    """Memoized :func:`shortest_path` keyed on ``(source, target)``,
+    and each memoized route's :class:`RouteProfile`.
 
     The backbone topology only changes through the churn APIs, and every
     one of those bumps :attr:`Network.version`; the cache checks the
@@ -90,28 +105,39 @@ class RouteCache:
     break differently per direction, and plans must be byte-identical to
     direct ``shortest_path`` calls.  Routing errors (disconnected
     endpoints) propagate uncached, so a later rejoin can succeed.
+    Profiles live beside the routes they sum and are dropped with them,
+    so there is at most one per routed pair.
 
     ``hits``/``misses``/``invalidations`` are always-on plain-int
     counters (surfaced through ``StreamGlobe.cache_stats`` and the
     observability registry); ``invalidations`` counts wholesale drops,
-    i.e. lookups that found :attr:`Network.version` had moved.
+    i.e. lookups that found :attr:`Network.version` had moved.  A
+    profile lookup counts as one route lookup.
     """
 
-    __slots__ = ("net", "_version", "_paths", "hits", "misses", "invalidations")
+    __slots__ = (
+        "net", "_version", "_paths", "_profiles", "hits", "misses", "invalidations"
+    )
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self._version = net.version
         self._paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        self._profiles: Dict[Tuple[str, str], RouteProfile] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
+    def _invalidate(self) -> None:
+        """Drop every route and profile: the topology has moved."""
+        self._paths.clear()
+        self._profiles.clear()
+        self._version = self.net.version
+        self.invalidations += 1
+
     def path(self, source: str, target: str) -> Tuple[str, ...]:
         if self._version != self.net.version:
-            self._paths.clear()
-            self._version = self.net.version
-            self.invalidations += 1
+            self._invalidate()
         key = (source, target)
         route = self._paths.get(key)
         if route is None:
@@ -121,6 +147,35 @@ class RouteCache:
         else:
             self.hits += 1
         return route
+
+    def profile(self, source: str, target: str) -> RouteProfile:
+        """The :class:`RouteProfile` of ``path(source, target)``."""
+        if self._version != self.net.version:
+            self._invalidate()
+        key = (source, target)
+        profile = self._profiles.get(key)
+        if profile is not None:
+            self.hits += 1
+            return profile
+        route = self.path(source, target)
+        net = self.net
+        inverse_bandwidth = 0.0
+        for a, b in zip(route, route[1:]):
+            inverse_bandwidth += 1.0 / net.link(a, b, include_removed=True).bandwidth
+        shares = []
+        for node in route:
+            peer = net.super_peer(node, include_removed=True)
+            shares.append(peer.pindex / peer.capacity)
+        profile = RouteProfile(
+            inverse_bandwidth, sum(shares[:-1], 0.0), shares[0], shares[-1]
+        )
+        self._profiles[key] = profile
+        return profile
+
+    @property
+    def profiles(self) -> int:
+        """Entries of the profile table."""
+        return len(self._profiles)
 
     def __len__(self) -> int:
         return len(self._paths)

@@ -22,8 +22,9 @@ module implements it in parts:
   the one walk that prices a variant, commits a stream and releases
   it again;
 * :meth:`Planner.cost_floor` — a lower bound on what every placement
-  variant of a candidate costs, so the search skips a candidate that
-  cannot beat its incumbent without pricing it.
+  variant of a candidate costs, read from the route's profile in one
+  lookup, so the search prices candidates cheapest floor first and
+  skips those that cannot beat its incumbent.
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ def _fresh_id(deployment: Deployment, base: str) -> str:
         attempt += 1
         stream_id = f"{base}~{attempt}"
     return stream_id
+
+
+def variant_count(tap_node: str, subscriber_node: str) -> int:
+    """How many placement variants :meth:`Planner.price_variants`
+    prices for a candidate tapped at ``tap_node``: one when the tap is
+    the subscriber's node (the two placements coincide), two
+    otherwise."""
+    return 1 if tap_node == subscriber_node else 2
 
 
 class PricedVariant(NamedTuple):
@@ -366,36 +375,25 @@ class Planner:
         something over ``path(tap, subscriber)`` — the delivered stream
         (compensation at the tap) or a relay of the reused one
         (compensation at the subscriber) — and restructure at the
-        subscriber.  The floor sums those terms at the smaller of the
-        two rates, usage-free and penalty-free; every term of
-        :meth:`CostModel.plan_cost` is non-negative, so no variant costs
-        less (up to float rounding).
+        subscriber.  The floor prices those terms at the smaller of the
+        two rates, usage-free and penalty-free, from the route's
+        :class:`~repro.network.routing.RouteProfile` (one lookup, not a
+        walk over the hops); every term of :meth:`CostModel.plan_cost`
+        is non-negative, so no variant costs less (up to float
+        rounding).
         """
         reused = self.stream_rate(content)
         delivered = self.stream_rate(subscription)
-        route = self.routes.path(tap_node, subscriber_node)
+        profile = self.routes.profile(tap_node, subscriber_node)
         bits = min(reused.bits_per_second, delivered.bits_per_second)
-        link = self.net.link
-        traffic = 0.0
-        for a, b in zip(route, route[1:]):
-            traffic += bits / link(a, b, include_removed=True).bandwidth
-        share = self._load_share
-        load = share(tap_node, "duplicate", reused.frequency)
-        load += share(subscriber_node, "restructure", delivered.frequency)
         frequency = min(reused.frequency, delivered.frequency)
-        transfer = base_load("transfer")
-        super_peer = self.net.super_peer
-        for sender in route[:-1]:
-            peer = super_peer(sender, include_removed=True)
-            load += transfer * peer.pindex * frequency / peer.capacity
+        load = (
+            base_load("duplicate") * reused.frequency * profile.source_share
+            + base_load("restructure") * delivered.frequency * profile.target_share
+            + base_load("transfer") * frequency * profile.sender_share
+        )
         gamma = self.cost_model.gamma
-        return gamma * traffic + (1.0 - gamma) * load
-
-    def _load_share(self, node: str, kind: str, frequency: float) -> float:
-        """One operator's share of a peer's capacity (``u_l`` of its
-        :meth:`charge`)."""
-        peer = self.net.super_peer(node, include_removed=True)
-        return base_load(kind) * peer.pindex * frequency / peer.capacity
+        return gamma * bits * profile.inverse_bandwidth + (1.0 - gamma) * load
 
     # ------------------------------------------------------------------
     # The ledger walk

@@ -11,10 +11,14 @@ For each input stream of a newly registered subscription the algorithm
    relevant part of the network;
 3. matches every variant stream available at each visited node against
    the subscription (Algorithm 2) and keeps the cheapest plan under the
-   cost function ``C`` (lines 19–22) — a matched stream whose
-   :meth:`~repro.sharing.planner.Planner.cost_floor` already reaches the
-   incumbent's cost is never priced (branch and bound; decisions
-   equal), and of the variants priced only the winner is built.
+   cost function ``C`` (lines 19–22), best first: matched streams are
+   priced after the search in ascending order of their
+   :meth:`~repro.sharing.planner.Planner.cost_floor`, and one whose
+   floor exceeds the incumbent's cost is never priced (branch and
+   bound).  Ties go to the stream found first — the plan is the minimum
+   of ``(cost, discovery order, placement)``, which a strict-``<`` scan
+   in discovery order would keep too, so decisions do not depend on the
+   pricing order.  Of the variants priced only the winner is built.
 
 The queue discipline is configurable: FIFO gives the paper's
 breadth-first search, LIFO the depth-first alternative the paper notes
@@ -32,7 +36,7 @@ from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import SubscriptionProbe
 from .plan import Deployment, EvaluationPlan, InputPlan, InstalledStream, RegisteredQuery
-from .planner import Planner, PlanningError, PricedVariant
+from .planner import Planner, PlanningError, PricedVariant, variant_count
 from .widening import WideningPlanner
 
 
@@ -45,11 +49,28 @@ from .widening import WideningPlanner
 STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
 
 #: Relative slack on :meth:`Planner.cost_floor` before it prunes: the
-#: floor and a variant's cost sum the same terms in different orders,
+#: floor and a variant's cost sum the same terms in different orders —
+#: the floor also re-associates them through its route profile (a
+#: rate times a sum of per-hop shares, not a sum of per-hop products) —
 #: so rounding may put the floor a few ulps above the cost it bounds;
 #: this margin (far above any rounding, far below any real cost gap)
-#: keeps the prune from ever skipping a strict winner.
+#: keeps the prune from ever skipping a winner.
 FLOOR_MARGIN = 1e-9
+
+
+def _keep_cheapest(
+    variants: List[PricedVariant],
+    order: int,
+    best: PricedVariant,
+    best_key: Tuple[float, int, int],
+) -> Tuple[PricedVariant, Tuple[float, int, int]]:
+    """The incumbent and its key after the ``variants`` of the
+    candidate found ``order``-th, in placement order."""
+    for placement, variant in enumerate(variants):
+        key = (variant.cost, order, placement)
+        if key < best_key:
+            best, best_key = variant, key
+    return best, best_key
 
 
 @dataclass
@@ -116,6 +137,7 @@ class Subscriber:
         plan = EvaluationPlan(query=properties.name)
         recorder = self.planner.recorder
 
+        costed, bounded = self.planner.plans_costed, self.planner.plans_bounded
         with recorder.span("search", query=properties.name) as span:
             for subscription_input in properties.input_streams():  # line 2
                 best = self._search_input(
@@ -130,6 +152,8 @@ class Subscriber:
                 span.set(
                     visited_nodes=plan.visited_nodes,
                     candidate_matches=plan.candidate_matches,
+                    priced=self.planner.plans_costed - costed,
+                    bounded=self.planner.plans_bounded - bounded,
                     inputs=len(plan.inputs),
                 )
 
@@ -224,6 +248,15 @@ class Subscriber:
                 self.share_aggregates,
             )
 
+        # The incumbent's key: (cost, discovery order, placement index),
+        # the initial plan at order -1.  Its lexicographic minimum is
+        # the plan a strict-< scan in discovery order keeps, whatever
+        # order the variants are priced in.
+        best_key = (best.cost, -1, 0)
+        # Matched candidates, priced after the search, cheapest floor
+        # first: (floor, discovery order, candidate, tap node).
+        pending: List[Tuple[float, int, InstalledStream, str]] = []
+        order = 0
         marked: Set[str] = set()
         queue: Deque[str] = deque([original.origin_node])           # line 6
 
@@ -241,12 +274,13 @@ class Subscriber:
             if probe is not None:
                 # One representative per distinct content: same-content
                 # streams tapped at the same node plan identically, and
-                # only the smallest id can win the strict-< tie-break,
-                # so matching and pricing the representative is
-                # plan-equivalent to the full scan.  Contents pruned on
-                # their selections would fail line 14; the latency model
-                # still charges them, since its count sets the modelled
-                # recovery time that gates delivery under churn.
+                # only the smallest id can win the tie-break on
+                # discovery order, so matching and pricing the
+                # representative is plan-equivalent to the full scan.
+                # Contents pruned on their selections would fail
+                # line 14; the latency model still charges them, since
+                # its count sets the modelled recovery time that gates
+                # delivery under churn.
                 candidates, pruned = deployment.distinct_candidates_at(node, probe)
                 plan.candidate_matches += pruned
             else:
@@ -258,6 +292,7 @@ class Subscriber:
                     continue
                 plan.candidate_matches += 1
                 planner.candidates_matched += 1
+                order += 1
                 if match_stream_properties(                         # line 14
                     candidate.content,
                     subscription_input,
@@ -268,32 +303,44 @@ class Subscriber:
                     floor = planner.cost_floor(
                         candidate.content, node, subscription_input, subscriber_node
                     )
-                    if floor * (1.0 - FLOOR_MARGIN) >= best.cost:
-                        # No variant can beat ``best`` under strict <:
-                        # skip pricing them.
-                        planner.plans_bounded += 1 if node == subscriber_node else 2
-                        continue
-                    variants = planner.price_variants(              # line 19
-                        deployment, candidate, node, subscription_input, subscriber_node
-                    )
+                    pending.append((floor, order, candidate, node))
                 elif self.widening is not None:
-                    variants = self._widened(
-                        deployment,
-                        candidate,
-                        subscription_input,
-                        query_name,
-                        subscriber_node,
-                        node,
+                    # A widening's ledger delta has no floor: priced now.
+                    best, best_key = _keep_cheapest(
+                        self._widened(
+                            deployment,
+                            candidate,
+                            subscription_input,
+                            query_name,
+                            subscriber_node,
+                            node,
+                        ),
+                        order,
+                        best,
+                        best_key,
                     )
-                else:
-                    continue
-                for variant in variants:
-                    if variant.cost < best.cost:                    # lines 20–22
-                        best = variant
 
             for target in sorted(matched_targets):                  # lines 16–18
                 if target not in marked and target not in queue:
                     queue.append(target)
+
+        # Lines 19–22, best-first: a variant costs at least its
+        # candidate's floor (up to the margin), so a candidate whose
+        # floor exceeds the incumbent's cost — or equals it, found after
+        # the incumbent — cannot win and is never priced.
+        pending.sort()
+        for floor, order, candidate, node in pending:
+            if (floor * (1.0 - FLOOR_MARGIN), order) > best_key[:2]:
+                planner.plans_bounded += variant_count(node, subscriber_node)
+                continue
+            best, best_key = _keep_cheapest(
+                planner.price_variants(                             # line 19
+                    deployment, candidate, node, subscription_input, subscriber_node
+                ),
+                order,
+                best,
+                best_key,
+            )
         chosen = planner.build_plan(
             deployment, best, subscription_input, query_name, subscriber_node
         )
@@ -336,8 +383,8 @@ class Subscriber:
         ``Deployment.distinct_candidates_at``).
 
         Sorted by stream id so equal-cost plans tie-break identically
-        from both candidate sources — the ``best`` updates use strict
-        ``<``, so the first-iterated candidate wins.
+        from both candidate sources — ties go to the candidate found
+        first.
         """
         return [
             (stream, (stream.target_node,))

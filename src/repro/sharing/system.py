@@ -461,6 +461,7 @@ class StreamGlobe:
                 routes.misses,
                 invalidations=routes.invalidations,
                 entries=len(routes),
+                profiles=routes.profiles,
             ),
             "rate": rated(
                 self.planner.rate_cache_hits, self.planner.rate_cache_misses

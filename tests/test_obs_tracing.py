@@ -10,6 +10,7 @@ Also pins two behavioral guarantees of the instrumentation layer:
 
 import pytest
 
+from repro.faults import SuperPeerCrash
 from repro.network.routing import RouteCache
 from repro.network.topology import example_topology
 from repro.obs import NULL_RECORDER, Recorder
@@ -61,6 +62,21 @@ class TestRegistrationSpans:
         span = _spans_by_name(recorder)["search"][0]
         assert span.attrs["visited_nodes"] >= 1
         assert span.attrs["candidate_matches"] >= 1
+
+    def test_search_spans_sum_to_the_planner_counts(self):
+        """Each search span carries the variants it priced and bounded;
+        over a run (plan repair included) they sum to the planner's
+        counts."""
+        recorder = Recorder()
+        system = run_scenario(
+            scenario_one(), "stream-sharing", recorder=recorder, execute=False
+        ).system
+        system.apply_fault(SuperPeerCrash(1.0, "SP5"))
+        spans = _spans_by_name(recorder)["search"]
+        planner = system.planner
+        assert sum(span.attrs["priced"] for span in spans) == planner.plans_costed
+        assert sum(span.attrs["bounded"] for span in spans) == planner.plans_bounded
+        assert planner.plans_bounded > 0
 
     def test_decision_records_emitted(self, traced):
         _, recorder = traced
@@ -235,6 +251,25 @@ class TestRouteCacheInvalidation:
         net.restore_super_peer("SP5")  # rejoin also bumps
         cache.path("SP0", "SP7")
         assert cache.invalidations == 2
+
+    def test_profiles_are_one_per_node_pair_and_dropped_on_a_bump(self):
+        system = make_system("stream-sharing")
+        for name in ("Q1", "Q2", "Q3", "Q4"):
+            system.register_query(name, PAPER_QUERIES[name], f"P{name[1]}")
+        net, routes = system.net, system.planner.routes
+        registered = routes.profiles
+        assert 0 < registered == system.cache_stats()["route"]["profiles"]
+        names = net.super_peer_names()
+        for _ in range(2):
+            for source in names:
+                for target in names:
+                    routes.profile(source, target)
+        assert routes.profiles == len(names) ** 2
+
+        net.remove_super_peer("SP2")  # churn API -> version bump
+        routes.path("SP0", "SP7")
+        assert routes.profiles == 0
+        assert system.cache_stats()["route"]["profiles"] == 0
 
     def test_every_churn_api_bumps_version(self):
         net = example_topology()

@@ -13,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import PAPER_QUERIES, make_system
-from repro.faults import LinkFailure, SuperPeerCrash
+from repro.costmodel import base_load
+from repro.faults import LinkFailure, LinkRestore, SuperPeerCrash, SuperPeerRejoin
 from repro.matching import match_stream_properties
 from repro.network.topology import example_topology
 from repro.predicates import PredicateGraph, UnsatisfiableError
 from repro.properties import extract_properties
-from repro.sharing.planner import Planner, PlanningError
+from repro.sharing.planner import Planner, PlanningError, variant_count
 from repro.sharing.index import SubscriptionProbe
 from repro.sharing.subscribe import FLOOR_MARGIN, Subscriber
 from repro.workload.scenarios import (
@@ -212,14 +213,24 @@ _FIRST_DEPLOYMENT = dict(
 )
 
 
-def _matched_candidates(picks, capacity, bandwidth, fault, probe):
+#: The rejoin that undoes each fault of ``_FAULTS``.
+_REJOINS = {
+    SuperPeerCrash: lambda fault: SuperPeerRejoin(6.0, fault.peer),
+    LinkFailure: lambda fault: LinkRestore(6.0, fault.a, fault.b),
+}
+
+
+def _matched_candidates(picks, capacity, bandwidth, fault, probe, rejoin=False):
     """The generated deployment's planner and deployment, and every
-    ``(subscription, node, candidate)`` whose candidate matches."""
+    ``(subscription, node, candidate)`` whose candidate matches
+    (``rejoin``: after the fault is undone again)."""
     system = make_system(net=example_topology().scaled(capacity, bandwidth))
     for i, pick in enumerate(picks):
         system.register_query(f"W{i:02d}", _POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)])
     if fault is not None:
         system.apply_fault(fault)
+        if rejoin:
+            system.apply_fault(_REJOINS[type(fault)](fault))
     planner, deployment = system.planner, system.deployment
     matched = []
     texts = sorted({_POOL[pick] for pick in picks} | {_POOL[probe]})
@@ -251,6 +262,52 @@ def test_cost_floor_bounds_every_variant(picks, capacity, bandwidth, fault, prob
         assert floor >= 0.0
         assert min(costs) >= floor * (1.0 - FLOOR_MARGIN), (
             candidate.stream_id, node, floor, costs,
+        )
+
+
+def _walk_floor(planner, content, tap_node, subscription, subscriber_node):
+    """``Planner.cost_floor`` as a walk over the route's hops: the
+    reference the route profile's sums are checked against."""
+    reused = planner.stream_rate(content)
+    delivered = planner.stream_rate(subscription)
+    route = planner.routes.path(tap_node, subscriber_node)
+    net = planner.net
+    bits = min(reused.bits_per_second, delivered.bits_per_second)
+    traffic = 0.0
+    for a, b in zip(route, route[1:]):
+        traffic += bits / net.link(a, b, include_removed=True).bandwidth
+
+    def share(node, kind, frequency):
+        peer = net.super_peer(node, include_removed=True)
+        return base_load(kind) * peer.pindex * frequency / peer.capacity
+
+    load = share(tap_node, "duplicate", reused.frequency)
+    load += share(subscriber_node, "restructure", delivered.frequency)
+    frequency = min(reused.frequency, delivered.frequency)
+    for sender in route[:-1]:
+        load += share(sender, "transfer", frequency)
+    gamma = planner.cost_model.gamma
+    return gamma * traffic + (1.0 - gamma) * load
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEPLOYMENTS, rejoin=st.booleans())
+@example(**_FIRST_DEPLOYMENT, rejoin=False)
+@example(**dict(_FIRST_DEPLOYMENT, fault=_FAULTS[1]), rejoin=True)
+def test_profile_floor_is_the_walk_floor(
+    picks, capacity, bandwidth, fault, probe, subscriber, rejoin
+):
+    """The floor read from a route profile is the per-hop walk's floor
+    up to the re-association of its sums (far inside ``FLOOR_MARGIN``),
+    also after a crash or link failure and after the rejoin."""
+    planner, _, matched = _matched_candidates(
+        picks, capacity, bandwidth, fault, probe, rejoin
+    )
+    for subscription, node, candidate in matched:
+        args = (candidate.content, node, subscription, subscriber)
+        walked = _walk_floor(planner, *args)
+        assert abs(planner.cost_floor(*args) - walked) <= walked * FLOOR_MARGIN / 100, (
+            candidate.stream_id, node,
         )
 
 
@@ -404,7 +461,7 @@ def _build_every_variant(self, deployment, subscription_input, query_name, subsc
                 candidate.content, node, subscription_input, subscriber_node
             )
             if floor * (1.0 - FLOOR_MARGIN) >= best.cost:
-                self.planner.plans_bounded += 1 if node == subscriber_node else 2
+                self.planner.plans_bounded += variant_count(node, subscriber_node)
                 continue
             for variant in plans(candidate, node):
                 if variant.cost < best.cost:
@@ -418,17 +475,21 @@ def _build_every_variant(self, deployment, subscription_input, query_name, subsc
 
 @SEARCH_SCENARIOS
 def test_priced_search_decides_like_the_build_everything_search(scenario, monkeypatch):
-    """Pricing variants and building only the winner decides exactly
-    like building every variant: every decision, cost, effect, stream
-    id and the count of variants costed — after plan repair too."""
+    """Pricing variants best-first and building only the winner decides
+    exactly like building every variant in discovery order: every
+    decision, cost, effect and stream id — after plan repair too.  It
+    prices no more variants, and examines the same number."""
     decisions, facts, planner = _registered(scenario(), monkeypatch)
     built_decisions, built_facts, built = _registered(
         scenario(), monkeypatch, (Subscriber, "_search_input", _build_every_variant)
     )
     assert decisions == built_decisions
     assert facts == built_facts
-    assert planner.plans_costed == built.plans_costed
-    assert planner.plans_bounded == built.plans_bounded
+    assert planner.plans_costed <= built.plans_costed
+    assert (
+        planner.plans_costed + planner.plans_bounded
+        == built.plans_costed + built.plans_bounded
+    )
 
 
 def test_only_the_winner_is_built(monkeypatch):
@@ -453,6 +514,45 @@ def test_scenario_one_variants_examined_are_unchanged():
     planner = run_scenario(scenario_one(), "stream-sharing", execute=False).system.planner
     assert planner.plans_bounded > 0
     assert planner.plans_costed + planner.plans_bounded == 189
+
+
+def test_equal_costs_go_to_the_candidate_found_first(monkeypatch):
+    """On scenario 1, Q008 (at SP0) can reuse ``Q002:photons`` tapped at
+    SP4, found first, or at SP7, found later, for bit-equal costs.  The
+    search keeps SP4 even when a lower floor at SP7 has that candidate
+    priced first: ties go by discovery order, not by pricing order."""
+    scenario = scenario_one()
+    probe = scenario.queries[7]
+    scenario.queries = scenario.queries[:7]
+    system = run_scenario(scenario, "stream-sharing", execute=False).system
+    planner, deployment = system.planner, system.deployment
+    subscriber = system.net.home_of(probe.subscriber_peer)
+    (subscription,) = extract_properties(parse_query(probe.text), probe.name).inputs
+    shared = deployment.streams["Q002:photons"]
+    tap_costs = [
+        planner.price_variants(deployment, shared, node, subscription, subscriber)[0].cost
+        for node in ("SP4", "SP7")
+    ]
+    assert (probe.name, subscriber) == ("Q008", "SP0")
+    assert tap_costs[0] == tap_costs[1]
+
+    cost_floor, price_variants = Planner.cost_floor, Planner.price_variants
+    priced = []
+
+    def floor_zero_at_sp7(self, content, node, *rest):
+        return 0.0 if node == "SP7" else cost_floor(self, content, node, *rest)
+
+    def spied(self, deployment, candidate, node, *rest):
+        priced.append((candidate.stream_id, node))
+        return price_variants(self, deployment, candidate, node, *rest)
+
+    monkeypatch.setattr(Planner, "cost_floor", floor_zero_at_sp7)
+    monkeypatch.setattr(Planner, "price_variants", spied)
+    (chosen,) = system.register_query(probe.name, probe.text, probe.subscriber_peer).plan.inputs
+    assert priced.index(("Q002:photons", "SP7")) < priced.index(("Q002:photons", "SP4"))
+    assert (chosen.reused_id, chosen.tap_node, chosen.cost) == (
+        "Q002:photons", "SP4", tap_costs[0],
+    )
 
 
 def test_a_second_registration_compares_no_equal_graphs(monkeypatch):
