@@ -26,34 +26,25 @@ measured :meth:`~repro.engine.executor.StreamSimulator.stream_counts`.
 Transformers
 ------------
 
-The abstract transformers mirror the cost model's point estimators
-(:func:`repro.costmodel.estimate_stream_rate`) but are *conservative*
-where the estimators use averages:
-
-* a source stream's mean frequency ``f`` widens to
-  ``[f / SOURCE_RATE_SLACK, f · SOURCE_RATE_SLACK]`` — the photon
-  generator jitters inter-arrival gaps by ±40% around ``1/f``, so a
-  slack factor of 2 soundly covers any jitter ≤ 100%;
-* a selection keeps ``[0, hi]`` (selectivity is an average, the true
-  pass rate may be anything below 1);
-* a count window of step µ emits at most one item per µ arrivals;
-* a time-based (diff) window's emission count is *not* bounded by its
-  input count — one arriving item can complete many windows — so it is
-  bounded through the reference element instead: the reference advances
-  at most ``max_increment`` per raw arrival (the sampled maximum, widened
-  by :data:`INCREMENT_SLACK`), and each µ of reference span completes at
-  most one window;
-* a UDF has unknown semantics: its output facts are ⊤ (``[0, ∞)``).
+Each stage's transformer is the interval side of its operator kind's
+rule in :data:`repro.costmodel.rates.RATE_RULES` — the table whose
+point side the cost model folds into its committed estimate — so the
+two cannot drift apart.  The intervals are *conservative* where the
+points are averages: a source's catalog mean widens by
+:data:`SOURCE_RATE_SLACK`, a selection's floor is 0, a time-based
+window is bounded through its reference element, and a UDF is ⊤ (a
+declared description is an expectation, not a bound).
 
 Diagnostics (F4xx)
 ------------------
 
 * ``F400`` (warning) — an original stream has no statistics catalog
   entry, so no facts can be derived for it or its descendants;
-* ``F401`` (error) — the cost model's committed rate for a stream lies
-  *outside* the interval derived from its actual parent lineage: the
-  content the planner priced is inconsistent with how the stream is
-  really derived (unsound rate estimate);
+* ``F401`` (error) — the cost model's committed rate for a stream (the
+  point rules folded over its content) lies *outside* the interval
+  derived from its actual parent lineage (the interval rules folded
+  along its pipelines): the content the planner priced is inconsistent
+  with how the stream is really derived (unsound rate estimate);
 * ``F402`` (warning) — a dead stream: installed and committing
   resources in the usage ledger, but never delivered to a query nor
   tapped by a live descendant (liveness via
@@ -69,26 +60,21 @@ Diagnostics (F4xx)
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..costmodel import (
-    AGGREGATE_ITEM_SIZE,
-    StatisticsCatalog,
-    StreamStatistics,
-    estimate_stream_rate,
+from ..costmodel import StatisticsCatalog, estimate_stream_rate
+from ..costmodel.rates import (
+    INCREMENT_SLACK,
+    RATE_RULES,
+    SIZE_SLACK,
+    SOURCE_RATE_SLACK,
+    FlowFacts,
+    Interval,
+    source_facts,
 )
 from ..engine.executor import topological_streams
 from ..matching import match_stream_properties
 from ..obs import NULL_RECORDER
-from ..properties import (
-    AggregationSpec,
-    OperatorSpec,
-    ReAggregationSpec,
-    WindowContentsSpec,
-    WindowSpec,
-)
 from ..sharing.deregister import live_stream_ids
 from ..sharing.plan import Deployment, InstalledStream
 from ..diagnostics import AnalysisReport, Diagnostic
@@ -102,91 +88,6 @@ __all__ = [
     "analyze_flow",
     "derive_stream_facts",
 ]
-
-INF = float("inf")
-
-#: Widening factor on a source's catalog mean frequency.  The photon
-#: generator draws inter-arrival gaps uniformly from ``(1 ± 0.4)/f``
-#: (clamped ≥ ``0.01/f``), so a factor of 2 covers any jitter ≤ 100%.
-SOURCE_RATE_SLACK = 2.0
-
-#: Widening factor on average serialized sizes (item sizes vary with
-#: optional elements; aggregate wire sizes are "within a few bytes").
-SIZE_SLACK = 2.0
-
-#: Widening factor on the *sampled* maximum reference increment — the
-#: true maximum of a 400-item sample of a uniform jitter distribution
-#: sits below the distribution's supremum.
-INCREMENT_SLACK = 2.0
-
-#: Relative tolerance when checking a committed point estimate against
-#: a derived interval (floating-point noise only).
-_ESTIMATE_TOLERANCE = 1e-6
-
-#: Wire envelope of a window-contents batch, widened from the cost
-#: model's ``2 × 8`` bytes.
-_BATCH_ENVELOPE = 32.0
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed non-negative interval ``[lo, hi]``; ``hi`` may be ∞."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.lo < 0 or math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError(f"invalid interval bounds [{self.lo}, {self.hi}]")
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def top() -> "Interval":
-        """The ⊤ element: no information, ``[0, ∞)``."""
-        return Interval(0.0, INF)
-
-    def contains(self, value: float, rel_tol: float = _ESTIMATE_TOLERANCE) -> bool:
-        """Whether ``value`` lies inside, up to relative tolerance."""
-        low = self.lo * (1.0 - rel_tol)
-        high = self.hi if math.isinf(self.hi) else self.hi * (1.0 + rel_tol)
-        return low <= value <= high
-
-    def scale(self, factor: float) -> "Interval":
-        if factor < 0:
-            raise ValueError("intervals are non-negative; factor must be ≥ 0")
-        return Interval(self.lo * factor, self.hi * factor)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def __str__(self) -> str:
-        hi = "inf" if math.isinf(self.hi) else f"{self.hi:.6g}"
-        return f"[{self.lo:.6g}, {hi}]"
-
-
-@dataclass(frozen=True)
-class FlowFacts:
-    """Interval facts about one installed stream."""
-
-    frequency: Interval  # emissions per virtual second
-    item_size: Interval  # serialized bytes per item
-    burst: float  # additive, duration-independent count slack
-
-    def count_bounds(self, duration: float) -> Tuple[float, float]:
-        """Sound bounds on the item count over ``duration`` seconds."""
-        if duration < 0:
-            raise ValueError("duration must be ≥ 0")
-        low = max(0.0, math.floor(self.frequency.lo * duration) - self.burst)
-        if math.isinf(self.frequency.hi):
-            return low, INF
-        return low, self.frequency.hi * duration + self.burst
-
-    def __str__(self) -> str:
-        return (
-            f"freq {self.frequency} items/s · size {self.item_size} B"
-            f" · burst {self.burst:g}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +107,7 @@ def derive_stream_facts(
         if stream.is_original:
             if stream.content.stream in catalog:
                 stats = catalog.for_stream(stream.content.stream)
-                facts[stream.stream_id] = _source_facts(stats)
+                facts[stream.stream_id] = source_facts(stats)
             continue
         if stream.parent_id is None:  # pragma: no cover - invalid plans
             continue
@@ -220,115 +121,9 @@ def derive_stream_facts(
         )
         current = parent
         for spec in stream.pipeline:
-            current = _transform(spec, current, stats)
+            current = RATE_RULES[spec.kind].interval(spec, current, stats)
         facts[stream.stream_id] = current
     return facts
-
-
-def _source_facts(stats: StreamStatistics) -> FlowFacts:
-    frequency = Interval(
-        stats.frequency / SOURCE_RATE_SLACK, stats.frequency * SOURCE_RATE_SLACK
-    )
-    item_size = Interval(
-        stats.avg_item_size / SIZE_SLACK, stats.avg_item_size * SIZE_SLACK
-    )
-    # The pump emits at least one item for any positive horizon.
-    return FlowFacts(frequency=frequency, item_size=item_size, burst=1.0)
-
-
-def _transform(
-    spec: OperatorSpec, facts: FlowFacts, stats: Optional[StreamStatistics]
-) -> FlowFacts:
-    """The abstract transformer of one compensation-pipeline stage."""
-    if spec.kind == "selection":
-        return FlowFacts(
-            frequency=Interval(0.0, facts.frequency.hi),
-            item_size=facts.item_size,
-            burst=facts.burst,
-        )
-    if spec.kind == "projection":
-        # Pruning a serialized tree never grows it.
-        return FlowFacts(
-            frequency=facts.frequency,
-            item_size=Interval(0.0, facts.item_size.hi),
-            burst=facts.burst,
-        )
-    if spec.kind == "aggregation":
-        assert isinstance(spec, AggregationSpec)
-        frequency, burst = _window_output(spec.window, facts, stats)
-        if spec.is_filtered:
-            frequency = Interval(0.0, frequency.hi)
-        return FlowFacts(
-            frequency=frequency,
-            item_size=_aggregate_size(spec.function),
-            burst=burst,
-        )
-    if spec.kind == "window":
-        assert isinstance(spec, WindowContentsSpec)
-        frequency, burst = _window_output(spec.window, facts, stats)
-        if spec.window.kind == "count":
-            size = Interval(
-                0.0, float(spec.window.size) * facts.item_size.hi + _BATCH_ENVELOPE
-            )
-        else:
-            # A diff window may hold arbitrarily many items.
-            size = Interval(0.0, INF)
-        return FlowFacts(frequency=frequency, item_size=size, burst=burst)
-    if spec.kind == "reaggregation":
-        assert isinstance(spec, ReAggregationSpec)
-        # One emission per µ'/µ arriving reused aggregates.
-        stride = max(1.0, float(spec.new.window.step / spec.reused.window.step))
-        frequency = Interval(0.0, facts.frequency.hi / stride)
-        return FlowFacts(
-            frequency=frequency,
-            item_size=_aggregate_size(spec.new.function),
-            burst=facts.burst + 1.0,
-        )
-    if spec.kind == "restructure":
-        # Per-item structural rewrite: counts unchanged, size unknown.
-        return FlowFacts(
-            frequency=facts.frequency,
-            item_size=Interval.top(),
-            burst=facts.burst,
-        )
-    # Unknown operators (UDFs included): no information survives.
-    return FlowFacts(
-        frequency=Interval.top(), item_size=Interval.top(), burst=facts.burst
-    )
-
-
-def _window_output(
-    window: WindowSpec, facts: FlowFacts, stats: Optional[StreamStatistics]
-) -> Tuple[Interval, float]:
-    """Frequency interval and burst slack of a windowing stage."""
-    step = float(window.step)
-    if window.kind == "count":
-        # One emission per µ arrivals, plus the first-window offset.
-        frequency = Interval(0.0, facts.frequency.hi / step)
-        burst = facts.burst / min(1.0, step) + 1.0
-        return frequency, burst
-    # Time-based window: bounded through the reference element.  The
-    # reference is a value of the *raw* stream, so its span over any
-    # period is bounded by the raw arrival count times the maximum
-    # per-item increment — a bound that survives upstream selections
-    # (a subsequence spans no more than the full sequence).
-    assert window.reference is not None
-    max_increment = (
-        stats.max_increment(window.reference) if stats is not None else None
-    )
-    if stats is None or max_increment is None or max_increment <= 0:
-        return Interval.top(), facts.burst + 1.0
-    advance = max_increment * INCREMENT_SLACK
-    raw_high = stats.frequency * SOURCE_RATE_SLACK
-    frequency = Interval(0.0, raw_high * advance / step)
-    # One partial window at the origin plus the raw pump's burst item.
-    burst = facts.burst + advance / step + 1.0
-    return frequency, burst
-
-
-def _aggregate_size(function: str) -> Interval:
-    wire = AGGREGATE_ITEM_SIZE[function]
-    return Interval(wire / SIZE_SLACK, wire * SIZE_SLACK)
 
 
 # ----------------------------------------------------------------------

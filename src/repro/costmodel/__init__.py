@@ -1,17 +1,10 @@
-"""Cost model: statistics, operator loads, C(P), latency (Section 3.2)."""
+"""Cost model: statistics, rate rules, operator loads, C(P), latency (Section 3.2)."""
 
 from .descriptions import DEFAULT_DESCRIPTIONS, DescriptionRegistry, UdfDescription
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from .load import BASE_LOADS, base_load
-from .model import (
-    AGGREGATE_ITEM_SIZE,
-    RESIDUE_TOLERANCE,
-    CostModel,
-    NetworkUsage,
-    PlanEffects,
-    StreamRate,
-    estimate_stream_rate,
-)
+from .model import RESIDUE_TOLERANCE, CostModel, NetworkUsage, PlanEffects
+from .rates import AGGREGATE_ITEM_SIZE, RATE_RULES, StreamRate, estimate_stream_rate
 from .statistics import (
     MIN_SELECTIVITY,
     PathStatistics,
@@ -32,6 +25,7 @@ __all__ = [
     "NetworkUsage",
     "PathStatistics",
     "PlanEffects",
+    "RATE_RULES",
     "RESIDUE_TOLERANCE",
     "StatisticsCatalog",
     "StreamRate",

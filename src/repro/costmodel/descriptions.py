@@ -12,9 +12,11 @@ rate-neutral.
 
 Descriptions are deliberately conservative: without one, a UDF is
 assumed to preserve both size and frequency (the safest neutral
-default); with one, the declared factors feed
-:func:`repro.costmodel.model.estimate_stream_rate` and the planner's
-stage-frequency bookkeeping.
+default); with one, the declared factors are the ``udf`` rule of
+:data:`repro.costmodel.rates.RATE_RULES`: they scale the stream's
+estimated rate and the frequency every later pipeline stage is charged
+at.  The flow pass's interval stays ⊤ — a description is an
+expectation, not a bound.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """The cost model ``C`` (Section 3.2).
 
-Three layers:
+Two layers over the rate rules of :mod:`repro.costmodel.rates` (``size(p)``
+and ``freq(p)`` of a stream):
 
-* :func:`estimate_stream_rate` — ``size(p)`` and ``freq(p)`` of the
-  stream described by a :class:`~repro.properties.model.StreamProperties`
-  (paper formulas for selection/projection/aggregation/window queries);
 * :class:`NetworkUsage` — the current bandwidth/load commitments of the
   network, yielding the available fractions ``a_b(e)`` and ``a_l(v)``;
 * :class:`CostModel` — the weighted cost function with the exponential
@@ -16,184 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..network.topology import Link, Network
-from ..predicates import ZERO
-from ..properties import (
-    AggregationSpec,
-    StreamProperties,
-    WindowContentsSpec,
-    WindowSpec,
-)
-from .descriptions import DEFAULT_DESCRIPTIONS
-from .statistics import MIN_SELECTIVITY, StatisticsCatalog, StreamStatistics
-
-#: Approximate wire sizes (bytes) of one aggregate result item.  ``avg``
-#: aggregates travel as (sum, count) pairs (Section 3.3); the engine's
-#: wire format matches these within a few bytes.
-AGGREGATE_ITEM_SIZE = {
-    "min": 24.0,
-    "max": 24.0,
-    "sum": 26.0,
-    "count": 22.0,
-    "avg": 46.0,  # <agg><sum>…</sum><count>…</count></agg>
-}
-
-
-@dataclass(frozen=True)
-class StreamRate:
-    """Average item size (bytes) and frequency (items per second)."""
-
-    size: float
-    frequency: float
-
-    @property
-    def bits_per_second(self) -> float:
-        return self.size * 8.0 * self.frequency
-
-
-def estimate_stream_rate(
-    properties: StreamProperties, catalog: StatisticsCatalog
-) -> StreamRate:
-    """``size(p)`` and ``freq(p)`` for a (possibly derived) stream.
-
-    Follows Section 3.2 exactly:
-
-    * selections scale the frequency by their selectivity and leave the
-      item size unchanged;
-    * projections shrink the item size
-      (``size(p) = size(s) − Σ_{n∉Π} occ(n)·size(n)``, realized as a
-      measured projection over the catalog sample) and leave the
-      frequency unchanged;
-    * aggregations replace the item by an aggregate value whose size is
-      independent of the input, at the window's update frequency;
-    * window-contents queries emit one batch of the (selected,
-      projected) items per window update.
-    """
-    stats = catalog.for_stream(properties.stream)
-    size = stats.avg_item_size
-    frequency = stats.frequency
-
-    selection = properties.selection
-    if selection is not None:
-        frequency *= stats.selectivity(selection.graph)
-
-    projection = properties.projection
-    if projection is not None:
-        size = stats.projected_size(projection.output_elements)
-
-    aggregation = properties.aggregation
-    if aggregation is not None:
-        return _aggregate_rate(aggregation, stats, frequency)
-
-    window_op = properties.operator_of_kind("window")
-    if isinstance(window_op, WindowContentsSpec):
-        return _window_contents_rate(window_op, stats, size, frequency)
-
-    # User-defined operators: apply declared descriptions when present;
-    # unknown UDFs are conservatively rate-neutral (see
-    # repro.costmodel.descriptions).
-    for op in properties.operators:
-        if op.kind != "udf":
-            continue
-        description = DEFAULT_DESCRIPTIONS.lookup(getattr(op, "name", ""))
-        if description is not None:
-            frequency *= description.selectivity
-            size *= description.size_factor
-
-    return StreamRate(size=size, frequency=frequency)
-
-
-def _window_update_frequency(
-    window: WindowSpec, stats: StreamStatistics, input_frequency: float
-) -> float:
-    """Average window updates per second (the ``freq(p)`` rules).
-
-    Item-based: the input frequency divided by the step size µ.
-    Time-based: µ divided by the average reference-element increment
-    gives the items per update; dividing the *raw* input frequency by it
-    yields the update rate (the reference element advances with the raw
-    stream regardless of selections).
-    """
-    if window.kind == "count":
-        return input_frequency / float(window.step)
-    assert window.reference is not None
-    increment = stats.avg_increment(window.reference)
-    if increment is None or increment <= 0:
-        # Degenerate reference element: fall back to one update per step
-        # worth of items, mirroring the item-based rule.
-        return input_frequency / float(window.step)
-    items_per_update = float(window.step) / increment
-    if items_per_update <= 0:
-        return input_frequency
-    return stats.frequency / items_per_update
-
-
-def _aggregate_rate(
-    aggregation: AggregationSpec, stats: StreamStatistics, input_frequency: float
-) -> StreamRate:
-    size = AGGREGATE_ITEM_SIZE[aggregation.function]
-    frequency = _window_update_frequency(aggregation.window, stats, input_frequency)
-    if aggregation.is_filtered:
-        frequency *= _result_filter_selectivity(aggregation, stats)
-    return StreamRate(size=size, frequency=frequency)
-
-
-def _window_contents_rate(
-    window_op: WindowContentsSpec,
-    stats: StreamStatistics,
-    item_size: float,
-    input_frequency: float,
-) -> StreamRate:
-    """Batch size = items per window × item size (Section 3.2)."""
-    window = window_op.window
-    if window.kind == "count":
-        items_per_window = float(window.size)
-    else:
-        assert window.reference is not None
-        increment = stats.avg_increment(window.reference)
-        raw_per_window = (
-            float(window.size) / increment if increment and increment > 0 else float(window.size)
-        )
-        # Selections thin out the items inside the window.
-        survival = input_frequency / stats.frequency if stats.frequency else 1.0
-        items_per_window = raw_per_window * survival
-    window_envelope = 2 * 8.0  # <window> … </window>
-    size = items_per_window * item_size + window_envelope
-    frequency = _window_update_frequency(window, stats, input_frequency)
-    return StreamRate(size=size, frequency=frequency)
-
-
-def _result_filter_selectivity(
-    aggregation: AggregationSpec, stats: StreamStatistics
-) -> float:
-    """Fraction of aggregate values passing the result filter.
-
-    Approximated with the *aggregated element's* value distribution —
-    for windowed means over stationary streams the aggregate
-    concentrates around the element mean, so its range is a usable
-    stand-in when no aggregate-level statistics exist.
-    """
-    value_range = stats.value_range(aggregation.aggregated_path)
-    if value_range is None:
-        return 0.5
-    low, high = value_range
-    if high <= low:
-        return 1.0
-    closure = aggregation.result_filter.closure()
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-    for (source, target), bound in closure.items():
-        if target == ZERO:
-            upper = float(bound.value) if upper is None else min(upper, float(bound.value))
-        elif source == ZERO:
-            candidate = -float(bound.value)
-            lower = candidate if lower is None else max(lower, candidate)
-    effective_low = low if lower is None else max(low, lower)
-    effective_high = high if upper is None else min(high, upper)
-    fraction = (effective_high - effective_low) / (high - low)
-    return max(MIN_SELECTIVITY, min(1.0, fraction))
 
 
 # ----------------------------------------------------------------------

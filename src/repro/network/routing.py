@@ -95,10 +95,10 @@ class RouteCache:
     """Memoized :func:`shortest_path` keyed on ``(source, target)``,
     and each memoized route's :class:`RouteProfile`.
 
-    The backbone topology only changes through the churn APIs, and every
-    one of those bumps :attr:`Network.version`; the cache checks the
-    counter on each lookup and drops itself wholesale when it moved, so
-    crash/rejoin repairs always re-route against the current topology
+    Every topology mutation (growth and churn) bumps
+    :attr:`Network.version`; the cache checks the counter on each lookup
+    and drops itself wholesale when it moved, so a grown network and
+    crash/rejoin repairs always route against the current topology
     without any explicit invalidation hook.
 
     Each direction is computed and cached independently — BFS ties can

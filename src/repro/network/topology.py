@@ -102,9 +102,9 @@ class Network:
     tear-down bookkeeping (which must release commitments estimated
     against the old topology) can still resolve them via the
     ``include_removed`` lookups, and so a later rejoin restores the
-    exact same capacities and bandwidths.  Every mutation bumps
-    :attr:`version`, invalidating any routing state derived from an
-    earlier topology.
+    exact same capacities and bandwidths.  Every mutation — growth
+    (``add_*``) as well as churn — bumps :attr:`version`, invalidating
+    any routing state derived from an earlier topology.
     """
 
     def __init__(self) -> None:
@@ -136,6 +136,7 @@ class Network:
         peer = SuperPeer(name, capacity, pindex)
         self._peers[name] = peer
         self._adjacency[name] = []
+        self.version += 1
         return peer
 
     def add_thin_peer(self, name: str, super_peer: str) -> ThinPeer:
@@ -145,6 +146,7 @@ class Network:
             raise TopologyError(f"unknown super-peer {super_peer}")
         thin = ThinPeer(name, super_peer)
         self._thin_peers[name] = thin
+        self.version += 1
         return thin
 
     def add_link(self, a: str, b: str, bandwidth: float = 100_000_000.0) -> Link:
@@ -159,6 +161,7 @@ class Network:
         self._links[link.ends] = link
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
+        self.version += 1
         return link
 
     def scaled(

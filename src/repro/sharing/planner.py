@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from ..costmodel import (
+    RATE_RULES,
     CostModel,
     LatencyModel,
     PlanEffects,
@@ -44,11 +45,9 @@ from ..network.routing import RouteCache
 from ..network.topology import Network
 from ..obs.recorder import NULL_RECORDER
 from ..properties import (
-    AggregationSpec,
     OperatorSpec,
     ProjectionSpec,
     ReAggregationSpec,
-    SelectionSpec,
     StreamProperties,
     WindowContentsSpec,
 )
@@ -417,7 +416,10 @@ class Planner:
         Walks the stream's facts, so a variant is priced before any
         :class:`InstalledStream` exists: tap duplication (when the
         stream ``taps_parent``), then the ``pipeline`` stages at
-        ``origin``, then traffic and transfer work along ``route``.
+        ``origin`` — each charged at the frequency its predecessor's
+        :data:`~repro.costmodel.RATE_RULES` rule yields (the last
+        stage's output is never computed: ``rate`` prices the route) —
+        then traffic and transfer work along ``route``.
         ``rate`` is the stream's own :meth:`stream_rate` (of
         ``content``), ``parent_rate`` that of the stream it derives
         from (``None``: nothing runs at the origin).
@@ -426,12 +428,13 @@ class Planner:
             frequency = parent_rate.frequency
             if taps_parent:
                 self.charge(effects, origin, "duplicate", frequency)
-            for spec in pipeline:
+            for index, spec in enumerate(pipeline):
+                if index:  # a stage runs at its predecessor's output frequency
+                    before = pipeline[index - 1]
+                    stats = self.catalog.for_stream(content.stream)
+                    frequency = RATE_RULES[before.kind].frequency(before, frequency, stats)
                 udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
                 self.charge(effects, origin, spec.kind, frequency, udf_name)
-                frequency = self._stage_output_frequency(
-                    spec, content, frequency, rate.frequency
-                )
         # Route traffic and transfer work: :meth:`PlanEffects.add_link`
         # and :meth:`charge` unrolled over the hops.
         bits = rate.bits_per_second
@@ -491,17 +494,3 @@ class Planner:
         it."""
         peer = self.net.super_peer(node, include_removed=True)
         effects.add_peer(node, base_load(kind, udf_name) * peer.pindex * frequency)
-
-    def _stage_output_frequency(
-        self,
-        spec: OperatorSpec,
-        content: StreamProperties,
-        input_frequency: float,
-        output_frequency: float,
-    ) -> float:
-        if isinstance(spec, SelectionSpec):
-            stats = self.catalog.for_stream(content.stream)
-            return min(input_frequency, stats.frequency * stats.selectivity(spec.graph))
-        if isinstance(spec, (AggregationSpec, ReAggregationSpec, WindowContentsSpec)):
-            return output_frequency
-        return input_frequency  # projections keep the frequency

@@ -14,8 +14,7 @@ from repro.analysis import (
     analyze_flow,
     derive_stream_facts,
 )
-from repro.analysis.flow import _transform
-from repro.costmodel import StatisticsCatalog
+from repro.costmodel import RATE_RULES, StatisticsCatalog
 from repro.network.topology import example_topology
 from repro.predicates import PredicateGraph, graph_from_atoms, normalize_comparison
 from repro.properties import (
@@ -84,8 +83,12 @@ def test_count_bounds():
 
 
 # ----------------------------------------------------------------------
-# Transformers (the abstract semantics of each operator kind)
+# Transformers (the interval side of each operator kind's rate rule)
 # ----------------------------------------------------------------------
+def _transform(spec, facts, stats):
+    return RATE_RULES[spec.kind].interval(spec, facts, stats)
+
+
 def _base_facts():
     return FlowFacts(
         frequency=Interval(50.0, 200.0),

@@ -6,10 +6,12 @@ from repro.costmodel import (
     DEFAULT_DESCRIPTIONS,
     DescriptionRegistry,
     UdfDescription,
+    base_load,
     estimate_stream_rate,
 )
-from repro.properties import StreamProperties, UdfSpec
+from repro.properties import ProjectionSpec, StreamProperties, UdfSpec
 from repro.xmlkit import Path
+from tests.conftest import make_system
 
 ITEM = Path("photons/photon")
 
@@ -92,3 +94,29 @@ class TestEstimationWithDescriptions:
         with_udf = estimate_stream_rate(props, catalog)
         without = estimate_stream_rate(plain, catalog)
         assert with_udf.frequency == pytest.approx(without.frequency * 0.5)
+
+
+class TestDescribedUdfInPipelines:
+    def test_stages_after_a_described_udf_are_charged_at_its_output_rate(self):
+        """The projection after a UDF that keeps a quarter of the items
+        runs on 25 items/s, not on the 100 the UDF reads."""
+        DEFAULT_DESCRIPTIONS.register(UdfDescription("thin", selectivity=0.25))
+        system = make_system("stream-sharing")
+        usage = system.deployment.usage
+        before = {peer: usage.peer_work(peer) for peer in system.net.super_peer_names()}
+        en = ITEM / "en"
+        stream = system.install_derived_stream(
+            "d",
+            "photons",
+            [UdfSpec("thin"), ProjectionSpec(frozenset({en}), frozenset({en}))],
+            target="P1",
+        )
+        assert system.planner.stream_rate(stream.content).frequency == 25.0
+        origin = stream.origin_node
+        assert stream.route[0] == origin and len(stream.route) > 1
+        per_second = (
+            (base_load("duplicate") + base_load("udf", "thin")) * 100.0
+            + (base_load("projection") + base_load("transfer")) * 25.0
+        )
+        committed = usage.peer_work(origin) - before[origin]
+        assert committed == pytest.approx(per_second * system.net.super_peer(origin).pindex)

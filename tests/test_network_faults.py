@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network.topology import Network, TopologyError, example_topology
+from repro.workload.scenarios import run_scenario, scenario_one
 
 
 def triangle() -> Network:
@@ -148,3 +149,23 @@ class TestVersionCounter:
         assert net.version == version + 3
         net.restore_super_peer("B")
         assert net.version == version + 4
+        net.add_super_peer("D")
+        assert net.version == version + 5
+        net.add_thin_peer("P", "D")
+        assert net.version == version + 6
+        net.add_link("C", "D")
+        assert net.version == version + 7
+
+    def test_routes_and_profiles_follow_a_grown_network(self):
+        """A link added under a registered system re-routes the next
+        lookups, and the route's cost-floor profile sums the new hop."""
+        system = run_scenario(scenario_one(), "stream-sharing", execute=False).system
+        routes = system.planner.routes
+        assert routes.path("SP4", "SP3") == ("SP4", "SP5", "SP1", "SP3")
+        routes.profile("SP4", "SP3")
+        link = system.net.add_link("SP4", "SP3", bandwidth=2_000_000.0)
+        assert routes.path("SP4", "SP3") == ("SP4", "SP3")
+        profile = routes.profile("SP4", "SP3")
+        assert profile.inverse_bandwidth == 1.0 / link.bandwidth
+        source = system.net.super_peer("SP4")
+        assert profile.sender_share == source.pindex / source.capacity
