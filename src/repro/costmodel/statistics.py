@@ -367,10 +367,12 @@ class StatisticsCatalog:
 def _build_histogram(
     values: List[float], minimum: float, maximum: float
 ) -> Optional[List[int]]:
-    """Equi-width histogram of the sample, or ``None`` when degenerate."""
-    if maximum <= minimum or len(values) < 2:
-        return None
+    """Equi-width histogram of the sample, or ``None`` when degenerate
+    (a range too narrow for a nonzero bucket width, e.g. ``[0, 5e-324]``,
+    included)."""
     width = (maximum - minimum) / HISTOGRAM_BUCKETS
+    if not width > 0 or len(values) < 2:
+        return None
     buckets = [0] * HISTOGRAM_BUCKETS
     for value in values:
         index = min(HISTOGRAM_BUCKETS - 1, int((value - minimum) / width))

@@ -20,7 +20,11 @@ Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import reduce
+from itertools import filterfalse
+from math import isnan
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, cast
 
 from ..predicates import ZERO, PredicateGraph
 from ..properties import AggregationSpec, ReAggregationSpec
@@ -30,6 +34,9 @@ from .eval import rebase
 from .operators import EngineError, Operator
 from .window import SlidingWindower, WindowBatch
 
+#: The payload of a row without a value: it advances the windows, and
+#: :meth:`PartialAggregate.of_values` drops it.
+NAN = float("nan")
 
 # ----------------------------------------------------------------------
 # Partial aggregates
@@ -44,21 +51,16 @@ class PartialAggregate:
     maximum: Optional[float] = None
 
     @classmethod
-    def of_values(cls, values: Sequence[float]) -> "PartialAggregate":
-        """:meth:`fold` over ``values``, left to right and bit for bit:
-        the same running sum, the first of equal minima / maxima kept
-        (``min(kept, value)`` replaces only on ``value < kept``)."""
-        if not values:
+    def of_values(cls, values: Iterable[float]) -> "PartialAggregate":
+        """:meth:`fold` over ``values`` with the NaN markers of valueless
+        rows dropped, left to right and bit for bit: the same running sum
+        (``reduce``, not ``sum``, which compensates floats from Python
+        3.12), the first of equal minima / maxima kept (``min`` and
+        ``max`` replace only on a strict comparison, like ``fold``)."""
+        kept = list(filterfalse(isnan, values))
+        if not kept:
             return cls()
-        total = 0.0
-        minimum = maximum = values[0]
-        for value in values:
-            total += value
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-        return cls(len(values), total, minimum, maximum)
+        return cls(len(kept), reduce(add, kept, 0.0), min(kept), max(kept))
 
     def fold(self, value: float) -> None:
         self.count += 1
@@ -219,39 +221,48 @@ class WindowAggregateOperator(Operator):
             self._reorder = None
 
     def process_columns(self, batch: Batch) -> Batch:
-        """Gather the batch's ``(position, value)`` run from its
-        columns, then fold it into the windows in one call.
+        """Gather the batch's positions and values as two columns,
+        then fold them into the windows in one call.
 
         The windower's float arithmetic is order-sensitive, so the fold
         is sequential whatever store the batch lives in; a row without
         a position is skipped, one without a value still advances the
-        windows (it folds as a NaN marker that ``_emit`` drops).
+        windows (it folds as a NaN marker that ``of_values`` drops).
         """
         rows = batch.rows
-        values = batch.number_column(self._aggregated_steps)
-        nan = float("nan")
-        if values is None:
-            payloads = [nan] * len(rows)
-        else:
-            payloads = [nan if values[i] is None else values[i] for i in rows]
         if self.spec.window.kind == "count":
             first = self._count
             self._count += len(rows)
-            run = list(zip(map(float, range(first, self._count)), payloads))
+            positions: Sequence[float] = list(map(float, range(first, self._count)))
         else:
             assert self._reference_steps is not None
-            positions = batch.number_column(self._reference_steps)
-            if positions is None:
+            column = batch.number_column(self._reference_steps)
+            if column is None:
                 return RowBatch(())  # reference path never resolves: every row skipped
-            run = [
-                (positions[i], payload)
-                for i, payload in zip(rows, payloads)
-                if positions[i] is not None
-            ]
+            referenced = list(map(column.__getitem__, rows))
+            if None in referenced:
+                rows = [i for i, p in zip(rows, referenced) if p is not None]
+                positions = [p for p in referenced if p is not None]
+            else:
+                positions = cast(List[float], referenced)
+        values = batch.number_column(self._aggregated_steps)
+        payloads: Sequence[float]
+        if values is None:
+            payloads = [NAN] * len(rows)
+        else:
+            payloads = list(map(values.__getitem__, rows))
+            if None in payloads:
+                payloads = [NAN if v is None else v for v in payloads]
         if self._reorder is not None:
             reorder_add = self._reorder.add
-            run = [released for arrival in run for released in reorder_add(*arrival)]
-        completed = self._windower.add_run(run)
+            run = [
+                released
+                for arrival in zip(positions, payloads)
+                for released in reorder_add(*arrival)
+            ]
+            completed = self._windower.add_run(run)
+        else:
+            completed = self._windower.add_columns(positions, payloads)
         return RowBatch([w for w in map(self._emit, completed) if w is not None])
 
     def flush(self) -> List[Element]:
@@ -263,8 +274,7 @@ class WindowAggregateOperator(Operator):
         return [w for w in map(self._emit, batches) if w is not None]
 
     def _emit(self, batch: WindowBatch[float]) -> Optional[Element]:
-        values = [v for v in batch.contents if v == v]  # drop NaN markers
-        partial = PartialAggregate.of_values(values)
+        partial = PartialAggregate.of_values(batch.contents)
         if not filter_accepts(self.spec.result_filter, partial.final(self.spec.function)):
             return None
         return partial_to_wire(partial, self.spec.function)

@@ -75,6 +75,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.sharing
     from ..faults.schedule import FaultSchedule
     from ..obs.slo import QuerySLO
     from ..sharing.plan import Deployment, InstalledStream, RegisteredQuery
+    from ..wxquery.analyzer import AnalyzedQuery
 from ..obs.recorder import NULL_RECORDER
 from ..obs.timeseries import EpochSnapshot, snapshot_delta
 from .accounting import (
@@ -178,6 +179,35 @@ def interleave_round_robin(
 # ----------------------------------------------------------------------
 # Cell internals
 # ----------------------------------------------------------------------
+def _compile_delivery(analyzed: "AnalyzedQuery") -> Tuple[Restructurer, DeliveryKernel]:
+    restructurer = Restructurer(analyzed)
+    return restructurer, DeliveryKernel(restructurer)
+
+
+class _DeliveryTable:
+    """The restructurer and count kernel of each analyzed query a cell
+    delivers, shared by all its single-input deliveries (a template
+    workload registers hundreds of subscriptions over a few analyses).
+
+    Keyed on ``id(analyzed)``; the entry holds the analysis, so the id
+    stays its own while the table lives.  The table lives and dies with
+    its cell: a process-wide one would keep every run's kernels.
+    """
+
+    __slots__ = ("_entries", "__weakref__")
+
+    def __init__(self) -> None:
+        self._entries: Dict[
+            int, Tuple["AnalyzedQuery", Restructurer, DeliveryKernel]
+        ] = {}
+
+    def compiled(self, analyzed: "AnalyzedQuery") -> Tuple[Restructurer, DeliveryKernel]:
+        entry = self._entries.get(id(analyzed))
+        if entry is None:
+            entry = self._entries[id(analyzed)] = (analyzed, *_compile_delivery(analyzed))
+        return entry[1], entry[2]
+
+
 class _SingleDelivery:
     """Incremental post-processing of a single-input subscription."""
 
@@ -187,14 +217,17 @@ class _SingleDelivery:
         self,
         record: "RegisteredQuery",
         capture: Optional[Callable[[str, Element], None]] = None,
+        compiled: Optional[Tuple[Restructurer, DeliveryKernel]] = None,
     ) -> None:
+        """``compiled`` is the restructurer and count kernel to share
+        (:class:`_DeliveryTable`); without it the delivery compiles its
+        own."""
         self.record = record
-        self.restructurer = Restructurer(record.analyzed)
+        #: The count kernel serves capture-free feeds.
+        self.restructurer, self._kernel = compiled or _compile_delivery(record.analyzed)
         self.inputs = 0
         self.results = 0
         self.capture = capture
-        #: Count kernel of capture-free feeds.
-        self._kernel = DeliveryKernel(self.restructurer)
 
     def feed(
         self, batch: Batch, members: Optional[Sequence["_SingleDelivery"]] = None
@@ -532,6 +565,7 @@ class Cell:
         #: their delivery object, and with it their position and their
         #: accumulated counters).
         self._deliveries: Dict[str, Any] = {}
+        self._delivery_table = _DeliveryTable()
         #: Per subscription: the node lists its feeds sit in.
         self._feeds: Dict[str, List[Tuple[list, Any]]] = {}
         self._retired: List[RetiredSnapshot] = []
@@ -646,7 +680,9 @@ class Cell:
                     # Buffered items count as in-flight.
                     delivery = _MultiDelivery(record, self._gauge, self.capture)
                 else:
-                    delivery = _SingleDelivery(record, self.capture)
+                    delivery = _SingleDelivery(
+                        record, self.capture, self._delivery_table.compiled(record.analyzed)
+                    )
                 self._deliveries[name] = delivery
             else:
                 self._remove_feeds(name)

@@ -85,6 +85,8 @@ class _ChainState:
     aggregated: bool = False
     #: The aggregation that produced the current aggregate values.
     aggregation: Optional[AggregationSpec] = None
+    #: ``True`` once a window-contents stage batched the items.
+    windowed: bool = False
 
 
 def check_content(
@@ -199,6 +201,8 @@ def _check_selection(
     stage: str,
     diags: List[Diagnostic],
 ) -> None:
+    if _after_windowing(state, stage, diags, "selection"):
+        return
     variables = spec.graph.variables()
     if state.aggregated:
         if any(v != RESULT_NODE for v in variables):
@@ -235,6 +239,8 @@ def _check_projection(
     stage: str,
     diags: List[Diagnostic],
 ) -> None:
+    if _after_windowing(state, stage, diags, "projection"):
+        return
     if state.aggregated:
         diags.append(
             Diagnostic(
@@ -329,6 +335,7 @@ def _check_aggregation(
     state.aggregated = True
     state.aggregation = spec
     state.available = set()
+    state.windowed = False  # aggregate values now, not window batches
 
 
 def _check_window_contents(
@@ -343,7 +350,28 @@ def _check_window_contents(
             Diagnostic("T213", stage, "window-contents operator after aggregation")
         )
         return
+    if _after_windowing(state, stage, diags, "window-contents operator"):
+        return
     _check_window(spec.window, state, view, stage, diags)
+    state.windowed = True
+
+
+def _after_windowing(
+    state: _ChainState, stage: str, diags: List[Diagnostic], what: str
+) -> bool:
+    """Report an item-level stage over window batches (``T219``)."""
+    if not state.windowed:
+        return False
+    diags.append(
+        Diagnostic(
+            "T219",
+            stage,
+            f"item-level {what} after a window-contents stage",
+            hint="a window-contents stream carries window batches, not items; "
+            "select and project before the window",
+        )
+    )
+    return True
 
 
 def _check_reaggregation(

@@ -680,6 +680,49 @@ def test_install_derived_stream_types_its_pipeline(code):
     assert system.deployment.version == version
 
 
+def _count_window_contents():
+    return WindowContentsSpec(WindowSpec("count", Fraction(50), Fraction(25)))
+
+
+def _item_level_stages():
+    en = Path("photons/photon/en")
+    return {
+        "selection": _en_at_least_one(),
+        "projection": ProjectionSpec(frozenset({en}), frozenset({en})),
+        "window": _count_window_contents(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["selection", "projection", "window"])
+def test_item_level_stage_after_window_contents_is_rejected(photon_stats, kind):
+    """A window-contents stage turns items into window batches: an
+    item-level stage may come before it, not after it (T219)."""
+    view = SchemaView.from_statistics(photon_stats)
+    stage = _item_level_stages()[kind]
+
+    def codes(*operators):
+        content = StreamProperties(
+            stream="photons", item_path=Path("photons/photon"), operators=operators
+        )
+        return [d.code for d in check_content(content, view, "s")]
+
+    assert codes(_count_window_contents()) == []
+    if kind != "window":
+        assert codes(stage, _count_window_contents()) == []
+    assert codes(_count_window_contents(), stage) == ["T219"]
+
+
+def test_install_derived_stream_rejects_a_projected_window_batch():
+    """The chain priced as one projected photon per window batch is
+    refused before anything is installed."""
+    system = make_system()
+    pipeline = [_count_window_contents(), _item_level_stages()["projection"]]
+    with pytest.raises(InvariantViolation) as exc:
+        system.install_derived_stream("x", "photons", pipeline, target="P1")
+    assert exc.value.report.codes() == ("T219",), exc.value.report.render()
+    assert list(system.deployment.streams) == ["photons"]
+
+
 def test_install_derived_stream_commits_and_releases_effects():
     system = make_system(verify=True)
     system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")

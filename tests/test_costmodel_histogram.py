@@ -18,6 +18,11 @@ class TestBuildHistogram:
     def test_single_value(self):
         assert _build_histogram([5.0], 5.0, 5.0) is None
 
+    def test_subnormal_range_is_degenerate(self):
+        """A range whose bucket width rounds to zero builds no histogram
+        (it used to divide by that width)."""
+        assert _build_histogram([0.0, 5e-324], 0.0, 5e-324) is None
+
     def test_maximum_lands_in_last_bucket(self):
         histogram = _build_histogram([0.0, 10.0], 0.0, 10.0)
         assert histogram[-1] == 1

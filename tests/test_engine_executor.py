@@ -598,3 +598,81 @@ def test_sharded_simulator_draws_source_batches_of_the_constant(inline_cells):
     assert simulator.exec_counts["source_batches"] == sum(
         math.ceil(n / SOURCE_BATCH) for n in per_cell_epoch
     )
+
+
+class TestDeliveryTable:
+    """A cell compiles one restructurer and count kernel per analyzed
+    query, shared by that query's deliveries; the table goes with the
+    run's cell."""
+
+    @staticmethod
+    def _system():
+        system = make_system()
+        for name, peer in (("Q1", "P1"), ("Q1b", "P2"), ("Q1c", "P3"), ("Q3", "P3"), ("Q3b", "P4")):
+            system.register_query(name, PAPER_QUERIES[name[:2]], subscriber_peer=peer)
+        queries = system.deployment.queries
+        assert queries["Q1"].analyzed is queries["Q1b"].analyzed is queries["Q1c"].analyzed
+        return system
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Weak references to every table built, and per delivery the
+        ids of its analysis, restructurer and kernel."""
+        from repro.engine import executor
+
+        tables, deliveries = [], []
+        table_init = executor._DeliveryTable.__init__
+        delivery_init = executor._SingleDelivery.__init__
+
+        def spy_table(self):
+            table_init(self)
+            tables.append(weakref.ref(self))
+
+        def spy_delivery(self, record, *args):
+            delivery_init(self, record, *args)
+            deliveries.append(
+                (id(record.analyzed), id(self.restructurer), id(self._kernel))
+            )
+
+        monkeypatch.setattr(executor._DeliveryTable, "__init__", spy_table)
+        monkeypatch.setattr(executor._SingleDelivery, "__init__", spy_delivery)
+        return tables, deliveries
+
+    def test_deliveries_of_one_analysis_share_one_kernel(self, monkeypatch):
+        from repro.engine import executor
+
+        system = self._system()
+        tables, deliveries = self._spy(monkeypatch)
+        metrics = system.run(10.0)
+        assert len(tables) == 1 and len(deliveries) == 5
+        compiled = {}
+        for analyzed, restructurer, kernel in deliveries:
+            compiled.setdefault(analyzed, set()).add((restructurer, kernel))
+        assert len(compiled) == 2
+        assert all(len(pairs) == 1 for pairs in compiled.values())
+        # Nothing of the table outlives the run.
+        assert tables[0]() is None
+        # A delivery compiling its own kernel counts the same.
+        monkeypatch.setattr(
+            executor._DeliveryTable,
+            "compiled",
+            lambda self, analyzed: executor._compile_delivery(analyzed),
+        )
+        assert system.run(10.0) == metrics
+
+    def test_a_capture_run_builds_per_item(self, monkeypatch):
+        system = self._system()
+        counted = system.run(10.0)
+        (state,) = system.last_simulator._final_states
+        results = {name: entry[2] for name, entry in state["deliveries"].items()}
+        tables, deliveries = self._spy(monkeypatch)
+        captured = {}
+        before = columnar_stats()["delivery_kernel_batches"]
+        metrics = system.run(
+            10.0, capture=lambda name, item: captured.update({name: captured.get(name, 0) + 1})
+        )
+        assert columnar_stats()["delivery_kernel_batches"] == before
+        assert metrics == counted
+        # Every result built and captured, as many as the kernels counted.
+        assert captured == {name: n for name, n in results.items() if n}
+        assert len(deliveries) == 5 and tables[0]() is None

@@ -5,13 +5,16 @@ aggregates into compatible coarser windows yields *exactly* the values a
 fresh aggregation with the coarse window would have produced.
 """
 
+import math
+import struct
 from fractions import Fraction
 from itertools import starmap
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.engine import (
     EngineError,
+    PartialAggregate,
     ReAggregateOperator,
     SlidingWindower,
     WindowAggregateOperator,
@@ -355,3 +358,154 @@ class TestRunFold:
         assert [
             (position, repr(payload)) for position, payload in windower._buffer
         ] == [(position, repr(payload)) for position, payload in reference.buffer]
+
+
+# ----------------------------------------------------------------------
+# Sorted columns against the per-row add
+# ----------------------------------------------------------------------
+NOT_FINITE = "window position {} is not finite; time-based windows need a finite reference element"
+
+
+def _per_row_checked(reference, run):
+    """The per-row reference with the windower's finiteness check in
+    front (``inf`` and ``nan`` never fail the order check first)."""
+    out = []
+    for position, payload in run:
+        if not position < math.inf:
+            raise EngineError(NOT_FINITE.format(position))
+        out.extend(reference.add(position, payload))
+    return out
+
+
+def _flushed(reference):
+    """The per-row windower's explicit drain."""
+    out = []
+    while reference.buffer:
+        start = reference.next_index * reference.step
+        end = start + reference.size
+        contents = tuple(p for pos, p in reference.buffer if start <= pos < end)
+        out.append((reference.next_index, start, end, contents))
+        reference.next_index += 1
+        keep_from = reference.next_index * reference.step
+        reference.buffer = [(pos, p) for pos, p in reference.buffer if pos >= keep_from]
+    return out
+
+
+@st.composite
+def column_runs(draw):
+    """Sorted positions with a ``-inf`` lead-in or not, and maybe one
+    fault anywhere: ``nan``, ``inf`` or a decrease."""
+    positions = draw(sorted_runs())
+    positions = [-math.inf] * draw(st.integers(0, 2)) + positions
+    fault = draw(st.sampled_from([None, None, "nan", "inf", "decrease"]))
+    if fault is not None:
+        at = draw(st.integers(0, len(positions)))
+        if fault == "decrease":
+            back = draw(st.sampled_from([0.25, 1.0, 50.0]))
+            bad = (positions[at - 1] if at else 0.0) - back
+        else:
+            bad = float(fault)
+        positions = [*positions[:at], bad, *positions[at:]]
+    return positions
+
+
+class TestColumns:
+    @given(
+        GEOMETRIES | st.sampled_from([(1.0, 4.0), (0.5, 3.0)]),
+        column_runs(),
+        st.lists(st.integers(0, 45), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_add_columns_equals_per_row_add(self, geometry, positions, cuts):
+        """Windows in emission order, ``_next_index``,
+        ``_last_position``, the buffer and the error, batch by batch."""
+        windower = SlidingWindower(*geometry)
+        reference = _PerRowWindower(*geometry)
+        payloads = list(range(len(positions)))
+        bounds = [0, *sorted(min(cut, len(positions)) for cut in cuts), len(positions)]
+        for low, high in zip(bounds, bounds[1:]):
+            fold, expected = _folded(
+                lambda _: _windows(
+                    windower.add_columns(positions[low:high], payloads[low:high])
+                ),
+                lambda run: _per_row_checked(reference, run),
+                list(zip(positions[low:high], payloads[low:high])),
+            )
+            assert fold == expected
+            assert repr(_windower_state(windower)) == repr(reference.state())
+            if isinstance(fold, str):
+                return
+        assert _windows(windower.flush()) == _flushed(reference)
+        assert windower._buffer == []
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16, 1e-300, math.nan]),
+                st.floats(allow_nan=False, width=64),
+            ),
+            max_size=30,
+        )
+    )
+    @example([1e16, 1.0, -1e16])  # 0.0 by the fold; 1.0 by ``sum`` from 3.12
+    @settings(max_examples=300, deadline=None)
+    def test_of_values_is_the_fold_bit_for_bit(self, values):
+        """``-0.0`` against ``0.0``, equal minima, mixed magnitudes and
+        NaN markers (dropped)."""
+        folded = PartialAggregate()
+        for value in values:
+            if value == value:
+                folded.fold(value)
+        got = PartialAggregate.of_values(values)
+        assert repr(got) == repr(folded)
+        for field in ("total", "minimum", "maximum"):
+            mine, theirs = getattr(got, field), getattr(folded, field)
+            assert (mine is None) == (theirs is None)
+            if mine is not None and mine == mine:
+                assert struct.pack("<d", mine) == struct.pack("<d", theirs)
+
+
+class _SortedReorder:
+    """``ReorderBuffer`` as a list re-sorted on every arrival: the
+    reference the heap is compared with."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.sequence = 0
+
+    def add(self, position, payload):
+        self.items.append((position, self.sequence, payload))
+        self.sequence += 1
+        self.items.sort(key=lambda entry: (entry[0], entry[1]))
+        released = []
+        while len(self.items) > self.capacity:
+            position, _, payload = self.items.pop(0)
+            released.append((position, payload))
+        return released
+
+    def flush(self):
+        released = [(position, payload) for position, _, payload in self.items]
+        self.items.clear()
+        return released
+
+
+class TestReorderHeap:
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0]), st.just("flush")),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_heap_releases_like_the_sorted_list(self, capacity, arrivals):
+        """Equal positions (ties leave in arrival order) and flushes at
+        any point."""
+        buffer, reference = ReorderBuffer(capacity), _SortedReorder(capacity)
+        for index, arrival in enumerate([*arrivals, "flush"]):
+            if arrival == "flush":
+                assert buffer.flush() == reference.flush()
+            else:
+                assert buffer.add(arrival, index) == reference.add(arrival, index)
+            assert len(buffer) == len(reference.items)
