@@ -7,12 +7,12 @@ runtime:
 
 * **routes** — every installed stream's route is a cycle-free connected
   path rooted at its origin node, using only real topology links
-  (``P10x``), and the per-node availability index mirrors the routes
-  exactly;
-* **sharing index** — the inverted index that serves indexed candidate
-  lookup lists exactly the installed streams at exactly their route
-  nodes, under the keys of their current content, and the reference
-  counts garbage collection sweeps by are a recount (``P14x``);
+  (``P101``–``P104``);
+* **sharing index** — the availability index, the deployment's one
+  record of where a stream is available, mirrors the routes: it lists
+  exactly the installed streams at exactly their route nodes, under the
+  keys of their current content; and the reference counts garbage
+  collection sweeps by are a recount (``P14x``);
 * **derivation** — parents exist, taps sit on parent routes, originals
   carry no pipeline, and every child's content is actually producible
   from its parent (``P11x``);
@@ -67,7 +67,6 @@ def verify_deployment(
     for stream in deployment.streams.values():
         _check_route(deployment, stream, report)
         _check_derivation(deployment, stream, report, views)
-    _check_availability_index(deployment, report)
     _check_sharing_index(deployment, report)
     _check_reference_counts(deployment, report)
     _check_deliveries(deployment, report)
@@ -129,33 +128,6 @@ def _check_route(
             hint="evaluation plans route streams along cycle-free trees "
             "(Section 3.3); a repeated node means a routing cycle",
         )
-
-
-def _check_availability_index(deployment: Deployment, report: AnalysisReport) -> None:
-    expected: Dict[str, Counter] = {node: Counter() for node in deployment.net}
-    for stream in deployment.streams.values():
-        for node in stream.route:
-            if node in expected:
-                expected[node][stream.stream_id] += 1
-    for node, stream_ids in deployment._available.items():
-        actual = Counter(stream_ids)
-        # Sorted: diagnostic order must not depend on set hash order.
-        for stream_id in sorted(set(expected.get(node, Counter())) - set(actual)):
-            report.add(
-                "P105",
-                f"node {node}",
-                f"availability index is missing stream {stream_id!r} "
-                "although its route passes through",
-            )
-        for stream_id, count in actual.items():
-            want = expected.get(node, Counter()).get(stream_id, 0)
-            if count > want:
-                report.add(
-                    "P106",
-                    f"node {node}",
-                    f"availability index lists stream {stream_id!r} "
-                    f"{count} time(s) but its route covers the node {want} time(s)",
-                )
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import filterfalse
 from math import isnan
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, cast
+from typing import Dict, Iterable, List, Optional
 
 from ..predicates import ZERO, PredicateGraph
 from ..properties import AggregationSpec, ReAggregationSpec
@@ -32,7 +32,7 @@ from ..xmlkit import Element, Path
 from .columnar import Batch, RowBatch
 from .eval import rebase
 from .operators import EngineError, Operator
-from .window import SlidingWindower, WindowBatch
+from .window import ReorderBuffer, SlidingWindower, WindowBatch, WindowPositions
 
 #: The payload of a row without a value: it advances the windows, and
 #: :meth:`PartialAggregate.of_values` drops it.
@@ -52,21 +52,15 @@ class PartialAggregate:
 
     @classmethod
     def of_values(cls, values: Iterable[float]) -> "PartialAggregate":
-        """:meth:`fold` over ``values`` with the NaN markers of valueless
-        rows dropped, left to right and bit for bit: the same running sum
-        (``reduce``, not ``sum``, which compensates floats from Python
-        3.12), the first of equal minima / maxima kept (``min`` and
-        ``max`` replace only on a strict comparison, like ``fold``)."""
+        """The window's aggregate over ``values``, with the NaN markers of
+        valueless rows dropped: a left-to-right running sum (``reduce``,
+        not ``sum``, which compensates floats from Python 3.12), and the
+        first of equal minima / maxima kept (``min`` and ``max`` replace
+        only on a strict comparison)."""
         kept = list(filterfalse(isnan, values))
         if not kept:
             return cls()
         return cls(len(kept), reduce(add, kept, 0.0), min(kept), max(kept))
-
-    def fold(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
 
     def merge(self, other: "PartialAggregate") -> None:
         self.count += other.count
@@ -202,23 +196,15 @@ class WindowAggregateOperator(Operator):
         self._windower: SlidingWindower[float] = SlidingWindower(
             float(spec.window.size), float(spec.window.step)
         )
-        self._count = 0
-        # Rebase both navigation paths once (same values as item_number
-        # on the spec paths).
+        self._positions = WindowPositions(spec.window, item_path)
+        # Rebase the aggregated path once (same value as item_number on
+        # the spec path).
         self._aggregated_steps = rebase(spec.aggregated_path, item_path).steps
-        self._reference_steps = (
-            None
-            if spec.window.reference is None
-            else rebase(spec.window.reference, item_path).steps
+        self._reorder: Optional[ReorderBuffer[float]] = (
+            ReorderBuffer(reorder_capacity)
+            if reorder_capacity > 0 and spec.window.kind == "diff"
+            else None
         )
-        if reorder_capacity > 0 and spec.window.kind == "diff":
-            from .window import ReorderBuffer
-
-            self._reorder: Optional["ReorderBuffer[float]"] = ReorderBuffer(
-                reorder_capacity
-            )
-        else:
-            self._reorder = None
 
     def process_columns(self, batch: Batch) -> Batch:
         """Gather the batch's positions and values as two columns,
@@ -229,24 +215,9 @@ class WindowAggregateOperator(Operator):
         a position is skipped, one without a value still advances the
         windows (it folds as a NaN marker that ``of_values`` drops).
         """
-        rows = batch.rows
-        if self.spec.window.kind == "count":
-            first = self._count
-            self._count += len(rows)
-            positions: Sequence[float] = list(map(float, range(first, self._count)))
-        else:
-            assert self._reference_steps is not None
-            column = batch.number_column(self._reference_steps)
-            if column is None:
-                return RowBatch(())  # reference path never resolves: every row skipped
-            referenced = list(map(column.__getitem__, rows))
-            if None in referenced:
-                rows = [i for i, p in zip(rows, referenced) if p is not None]
-                positions = [p for p in referenced if p is not None]
-            else:
-                positions = cast(List[float], referenced)
+        positions, rows = self._positions.gather(batch, batch.rows)
         values = batch.number_column(self._aggregated_steps)
-        payloads: Sequence[float]
+        payloads: List[float]
         if values is None:
             payloads = [NAN] * len(rows)
         else:
@@ -254,22 +225,14 @@ class WindowAggregateOperator(Operator):
             if None in payloads:
                 payloads = [NAN if v is None else v for v in payloads]
         if self._reorder is not None:
-            reorder_add = self._reorder.add
-            run = [
-                released
-                for arrival in zip(positions, payloads)
-                for released in reorder_add(*arrival)
-            ]
-            completed = self._windower.add_run(run)
-        else:
-            completed = self._windower.add_columns(positions, payloads)
+            positions, payloads = self._reorder.add_columns(positions, payloads)
+        completed = self._windower.add_columns(positions, payloads)
         return RowBatch([w for w in map(self._emit, completed) if w is not None])
 
     def flush(self) -> List[Element]:
         batches = []
         if self._reorder is not None:
-            for position, payload in self._reorder.flush():
-                batches.extend(self._windower.add(position, payload))
+            batches.extend(self._windower.add_columns(*self._reorder.flush()))
         batches.extend(self._windower.flush())
         return [w for w in map(self._emit, batches) if w is not None]
 

@@ -216,15 +216,14 @@ class _SingleDelivery:
     def __init__(
         self,
         record: "RegisteredQuery",
+        table: _DeliveryTable,
         capture: Optional[Callable[[str, Element], None]] = None,
-        compiled: Optional[Tuple[Restructurer, DeliveryKernel]] = None,
     ) -> None:
-        """``compiled`` is the restructurer and count kernel to share
-        (:class:`_DeliveryTable`); without it the delivery compiles its
-        own."""
+        """The restructurer and count kernel come from ``table``, shared
+        with every delivery of the same analysis."""
         self.record = record
         #: The count kernel serves capture-free feeds.
-        self.restructurer, self._kernel = compiled or _compile_delivery(record.analyzed)
+        self.restructurer, self._kernel = table.compiled(record.analyzed)
         self.inputs = 0
         self.results = 0
         self.capture = capture
@@ -680,9 +679,7 @@ class Cell:
                     # Buffered items count as in-flight.
                     delivery = _MultiDelivery(record, self._gauge, self.capture)
                 else:
-                    delivery = _SingleDelivery(
-                        record, self.capture, self._delivery_table.compiled(record.analyzed)
-                    )
+                    delivery = _SingleDelivery(record, self._delivery_table, self.capture)
                 self._deliveries[name] = delivery
             else:
                 self._remove_feeds(name)

@@ -8,8 +8,11 @@ what more than one cell needs (DESIGN.md §12): it packs the live
 super-peers into *cells* — one per worker
 (:func:`~repro.engine.partition.partition_cells`) — and runs each cell
 in its own ``multiprocessing`` worker (forked; an in-process backend
-covers unpicklable payloads, hosts without ``fork`` and single-core
-hosts — the run observes which applies).  Streams whose parent or
+covers hosts without ``fork`` and single-core hosts — the run observes
+which applies).  A forked cell inherits its plan; what crosses a
+process boundary afterwards is only what the protocol sends: plan
+diffs carrying stream and query records, item frames, and the cells'
+counters and states as plain data.  Streams whose parent or
 subscriber lives in a foreign cell get a *proxy* node in the consuming
 cell, fed exclusively by serialized item batches exchanged at epoch
 barriers: a batch crossing ``k`` cell boundaries is delivered ``k``
@@ -37,7 +40,6 @@ super-peer new to the run joins the least-loaded one.
 from __future__ import annotations
 
 import multiprocessing
-import operator
 import os
 import pickle
 import socket
@@ -385,36 +387,14 @@ class ShardedSimulator(StreamSimulator):
     # Partition and backend
     # ------------------------------------------------------------------
     def _resolve_mode(self) -> str:
-        """Forked cells if this host and plan allow them, in-process
+        """Forked cells on a multi-core host with ``fork``, in-process
         cells otherwise (DESIGN.md §12)."""
         if (
-            "fork" not in multiprocessing.get_all_start_methods()
-            or (os.cpu_count() or 1) <= 1
+            "fork" in multiprocessing.get_all_start_methods()
+            and (os.cpu_count() or 1) > 1
         ):
-            return "inline"
-        return "process" if self._payload_pickles() else "inline"
-
-    def _payload_pickles(self) -> bool:
-        """Probe the IPC payload types: plan diffs and retired
-        snapshots carry stream and query records.  The records are
-        frozen, so the verdict is memoised on the deployment for as
-        long as it holds these very records."""
-        deployment = self.deployment
-        records = (*deployment.streams.values(), *deployment.queries.values())
-        memo = deployment.pickle_probe
-        if (
-            memo is not None
-            and len(memo[0]) == len(records)
-            and all(map(operator.is_, memo[0], records))
-        ):
-            return memo[1]
-        try:
-            pickle.dumps(records)
-            verdict = True
-        except Exception:  # noqa: BLE001 - any failure means fall back
-            verdict = False
-        deployment.pickle_probe = (records, verdict)
-        return verdict
+            return "process"
+        return "inline"
 
     def _build(self) -> None:
         """One empty cell per cell of the partition, each behind its

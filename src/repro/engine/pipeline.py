@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import pickle
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..properties import OperatorSpec
 from ..xmlkit import Element, Path
@@ -34,11 +33,6 @@ class Pipeline:
     def __init__(self, operators: Sequence[Operator]) -> None:
         self.operators: List[Operator] = list(operators)
         self.input_counts: List[int] = [0] * len(self.operators)
-        #: Build recipe, remembered by :meth:`from_specs` so a compiled
-        #: pipeline can cross a process boundary (see ``__reduce__``).
-        self._specs: Optional[Tuple[OperatorSpec, ...]] = None
-        self._item_path: Optional[Path] = None
-        self._restructurer: Optional[Restructurer] = None
 
     @classmethod
     def from_specs(
@@ -47,29 +41,7 @@ class Pipeline:
         item_path: Path,
         restructurer: Optional[Restructurer] = None,
     ) -> "Pipeline":
-        pipeline = cls(
-            [build_operator(spec, item_path, restructurer) for spec in specs]
-        )
-        pipeline._specs = tuple(specs)
-        pipeline._item_path = item_path
-        pipeline._restructurer = restructurer
-        return pipeline
-
-    def __reduce__(self) -> tuple:
-        """Pickle as the build recipe, not the compiled closures.
-
-        Unpickling recompiles every operator with *fresh* state — the
-        same recovery-restart semantics plan repair gives re-created
-        pipelines; window contents and input counts do not migrate.
-        Only :meth:`from_specs` pipelines know their recipe."""
-        if self._specs is None:
-            raise pickle.PicklingError(
-                "only Pipeline.from_specs pipelines can be pickled"
-            )
-        return (
-            Pipeline.from_specs,
-            (self._specs, self._item_path, self._restructurer),
-        )
+        return cls([build_operator(spec, item_path, restructurer) for spec in specs])
 
     def process(self, item: Element) -> List[Element]:
         return self.process_batch((item,))

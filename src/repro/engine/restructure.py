@@ -69,11 +69,6 @@ class Restructurer:
             self._for_vars,
         )
 
-    def __reduce__(self) -> tuple:
-        """Pickle as the analyzed query; the closure tree recompiles on
-        the receiving side (restructuring is stateless per item)."""
-        return (Restructurer, (self.analyzed,))
-
     # ------------------------------------------------------------------
     def build(self, item: Element) -> List[Element]:
         """Produce the result elements for one delivered stream item."""

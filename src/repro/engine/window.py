@@ -10,12 +10,13 @@ items are emitted empty so that downstream re-aggregation sees a
 regular cadence.
 
 Positions never decrease, so :class:`SlidingWindower` buffers two
-sorted columns, positions and payloads.  The operators hand it a
-batch as two such columns (:meth:`SlidingWindower.add_columns`): an
-ordered, finite run is appended a slice per stretch between window
-ends, a window's contents are one ``bisect`` and one slice, pruning is
-one ``del``; any other run takes the per-arrival
-:meth:`SlidingWindower.add_run`, which raises at the offending arrival.
+sorted columns, positions and payloads.  Arrivals enter as two such
+columns (:meth:`SlidingWindower.add_columns`, the one arrival path):
+a run is appended a slice per stretch between window ends, a window's
+contents are one ``bisect`` and one slice, pruning is one ``del``; a
+run that decreases or holds a non-finite position is added up to that
+arrival, which raises.  The operators gather a batch's positions
+through :class:`WindowPositions`.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from operator import le
-from typing import Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar, cast
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar, cast
 
-from ..properties import WindowContentsSpec
+from ..properties import WindowContentsSpec, WindowSpec
 from ..xmlkit import Element, Path
 from .columnar import Batch, RowBatch
 from .eval import rebase
 from .operators import EngineError, Operator
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class SlidingWindower(Generic[T]):
         return list(zip(self._positions, self._payloads))
 
     def add(self, position: float, payload: T) -> List[WindowBatch[T]]:
-        return self.add_run(((position, payload),))
+        return self.add_columns((position,), (payload,))
 
     def add_columns(
         self, positions: Sequence[float], payloads: Sequence[T]
@@ -86,12 +88,15 @@ class SlidingWindower(Generic[T]):
         """Add the arrivals ``zip(positions, payloads)`` in order; return
         every window they complete, in order.
 
-        A finite run that does not decrease (checked at C speed) is
-        appended stretch by stretch: each stretch up to the next window
-        end is one slice.  Any other run goes through :meth:`add_run`,
-        which raises at the offending arrival.
+        The run is appended stretch by stretch: each stretch up to the
+        next window end is one slice.  A decreasing position raises with
+        every arrival before it added, and so does ``inf`` or ``nan`` (no
+        window ends after either; ``-inf`` completes none and is added
+        like any position); the windows that prefix completed are
+        dropped with the error.
         """
-        if not positions:
+        count = len(positions)
+        if not count:
             return []
         last = self._last_position
         if not (
@@ -99,57 +104,43 @@ class SlidingWindower(Generic[T]):
             and all(map(le, positions, islice(positions, 1, None)))
             and positions[-1] < math.inf
         ):
-            return self.add_run(zip(positions, payloads))
+            count = self._addable(positions)
         out: List[WindowBatch[T]] = []
         buffered, carried = self._positions, self._payloads
-        low, count = 0, len(positions)
+        low = 0
         while True:
             end = self.origin + self._next_index * self.step + self.size
-            high = bisect_left(positions, end, low)
+            high = bisect_left(positions, end, low, count)
             buffered += positions[low:high]
             carried += payloads[low:high]
             if high == count:
                 break
             out.extend(self._complete_up_to(positions[high]))
             low = high
-        self._last_position = positions[-1]
-        return out
-
-    def add_run(self, run: Iterable[Tuple[float, T]]) -> List[WindowBatch[T]]:
-        """Add a run of ``(position, payload)`` arrivals one by one, in
-        order; return every window they complete, in order.
-
-        An arrival inside the current window is one append: the window
-        arithmetic runs only when a position reaches the window's end.
-        A decreasing position raises with everything before it added,
-        and so does ``inf`` or ``nan`` (no window ends after either;
-        ``-inf`` completes none and is added like any position).
-        """
-        out: List[WindowBatch[T]] = []
-        buffered, carried = self._positions, self._payloads
-        last = self._last_position
-        end = self.origin + self._next_index * self.step + self.size
-        for position, payload in run:
+        if count:
+            self._last_position = last = positions[count - 1]
+        if count < len(positions):
+            position = positions[count]
             if last is not None and position < last:
-                self._last_position = last
                 raise EngineError(
                     f"out-of-order position {position} after {last}; "
                     "time-based windows need a sorted reference element"
                 )
-            if not position < end:
-                if not position < math.inf:
-                    self._last_position = last
-                    raise EngineError(
-                        f"window position {position} is not finite; "
-                        "time-based windows need a finite reference element"
-                    )
-                out.extend(self._complete_up_to(position))
-                end = self.origin + self._next_index * self.step + self.size
-            last = position
-            buffered.append(position)
-            carried.append(payload)
-        self._last_position = last
+            raise EngineError(
+                f"window position {position} is not finite; "
+                "time-based windows need a finite reference element"
+            )
         return out
+
+    def _addable(self, positions: Sequence[float]) -> int:
+        """How many leading arrivals of a run can be added: the index of
+        the first that decreases or is not finite."""
+        last = self._last_position
+        for index, position in enumerate(positions):
+            if (last is not None and position < last) or not position < math.inf:
+                return index
+            last = position
+        return len(positions)
 
     def _complete_up_to(self, position: float) -> List[WindowBatch[T]]:
         """Emit every window ending at or before ``position``, then drop
@@ -205,25 +196,63 @@ class ReorderBuffer(Generic[T]):
         self._items: List[Tuple[float, int, T]] = []
         self._sequence = 0
 
-    def add(self, position: float, payload: T) -> List[Tuple[float, T]]:
-        """Insert; return items forced out in sorted order."""
-        items = self._items
-        heapq.heappush(items, (position, self._sequence, payload))
-        self._sequence += 1
-        released: List[Tuple[float, T]] = []
-        while len(items) > self.capacity:
-            position, _, payload = heapq.heappop(items)
-            released.append((position, payload))
+    def add_columns(
+        self, positions: Sequence[float], payloads: Sequence[T]
+    ) -> Tuple[List[float], List[T]]:
+        """Insert the arrivals ``zip(positions, payloads)`` in order;
+        return the items each insertion forces out, in release order,
+        as two columns."""
+        items, capacity = self._items, self.capacity
+        sequence = self._sequence
+        released: Tuple[List[float], List[T]] = ([], [])
+        for position, payload in zip(positions, payloads):
+            heapq.heappush(items, (position, sequence, payload))
+            sequence += 1
+            if len(items) > capacity:
+                position, _, payload = heapq.heappop(items)
+                released[0].append(position)
+                released[1].append(payload)
+        self._sequence = sequence
         return released
 
-    def flush(self) -> List[Tuple[float, T]]:
-        """Release everything, sorted."""
-        released = [(pos, payload) for pos, _, payload in sorted(self._items)]
+    def flush(self) -> Tuple[List[float], List[T]]:
+        """Release everything, sorted, as two columns."""
+        ordered = sorted(self._items)
         self._items.clear()
-        return released
+        return [entry[0] for entry in ordered], [entry[2] for entry in ordered]
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class WindowPositions:
+    """Where a window operator's rows fall (Section 2): item indices for
+    ``count`` windows, the reference element's value for ``diff``
+    windows, where a row without one is skipped."""
+
+    def __init__(self, window: WindowSpec, item_path: Path) -> None:
+        #: The reference path rebased once (same value as item_number
+        #: on the spec path); ``None`` for count windows.
+        self._steps = (
+            None if window.reference is None else rebase(window.reference, item_path).steps
+        )
+        self._count = 0
+
+    def gather(self, batch: Batch, rows: Sequence[R]) -> Tuple[List[float], Sequence[R]]:
+        """The positions of ``batch``'s rows, and the entries of ``rows``
+        (parallel to ``batch.rows``) that have one."""
+        if self._steps is None:
+            first = self._count
+            self._count += len(rows)
+            return list(map(float, range(first, self._count))), rows
+        column = batch.number_column(self._steps)
+        if column is None:
+            return [], []  # the reference path never resolves: every row skipped
+        positions = list(map(column.__getitem__, batch.rows))
+        if None in positions:
+            kept = [p is not None for p in positions]
+            return list(compress(positions, kept)), list(compress(rows, kept))
+        return cast(List[float], positions), rows
 
 
 class WindowContentsOperator(Operator):
@@ -241,38 +270,13 @@ class WindowContentsOperator(Operator):
         self._windower: SlidingWindower[Element] = SlidingWindower(
             float(spec.window.size), float(spec.window.step)
         )
-        self._count = 0
-        # Rebase the reference path once (same value as item_number on
-        # the spec path).
-        self._reference_steps = (
-            None
-            if spec.window.reference is None
-            else rebase(spec.window.reference, item_path).steps
-        )
+        self._positions = WindowPositions(spec.window, item_path)
 
     def process_columns(self, batch: Batch) -> Batch:
-        """Fill windows with the batch's rows in order: positions come
-        from the reference column (rows without one are skipped),
-        payloads are the decoded items — the emitted ``<window>``
-        elements copy the items themselves, so trees are needed here
-        anyway."""
-        items: Sequence[Element] = batch.decode()
-        positions: Sequence[float]
-        if self.spec.window.kind == "count":
-            first = self._count
-            self._count += len(items)
-            positions = list(map(float, range(first, self._count)))
-        else:
-            assert self._reference_steps is not None
-            column = batch.number_column(self._reference_steps)
-            if column is None:
-                return RowBatch(())  # reference path never resolves: every row skipped
-            referenced = list(map(column.__getitem__, batch.rows))
-            if None in referenced:
-                items = [item for item, p in zip(items, referenced) if p is not None]
-                positions = [p for p in referenced if p is not None]
-            else:
-                positions = cast(List[float], referenced)
+        """Fill windows with the batch's rows in order: payloads are the
+        decoded items — the emitted ``<window>`` elements copy the items
+        themselves, so trees are needed here anyway."""
+        positions, items = self._positions.gather(batch, batch.decode())
         return RowBatch(list(map(self._emit, self._windower.add_columns(positions, items))))
 
     def flush(self) -> List[Element]:

@@ -138,18 +138,6 @@ class FaultSchedule:
     def events(self) -> List[FaultEvent]:
         return list(self._events)
 
-    def events_due(self, start: float, end: float) -> List[FaultEvent]:
-        """Events with ``start <= time < end`` (half-open, like epochs)."""
-        return [e for e in self._events if start <= e.time < end]
-
-    def boundaries(self, duration: float) -> List[float]:
-        """Distinct event times inside ``(0, duration)``, ascending."""
-        seen: List[float] = []
-        for event in self._events:
-            if 0.0 < event.time < duration and event.time not in seen:
-                seen.append(event.time)
-        return seen
-
     def __len__(self) -> int:
         return len(self._events)
 

@@ -349,14 +349,6 @@ class Properties:
             raise ValueError(f"{self.name} has {len(self.inputs)} inputs, expected 1")
         return self.inputs[0]
 
-    def is_variant_of(self, other: "StreamProperties") -> bool:
-        """``True`` when some input derives from ``other``'s stream.
-
-        Used by Algorithm 1 line 9 ("data streams available at v that
-        are variants of p_s").
-        """
-        return any(sp.stream == other.stream for sp in self.inputs)
-
     def __str__(self) -> str:
         return f"{self.name}{{{'; '.join(str(sp) for sp in self.inputs)}}}"
 

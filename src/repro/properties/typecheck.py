@@ -311,6 +311,8 @@ def _check_aggregation(
             )
         )
         return
+    if _after_windowing(state, stage, diags, "aggregation"):
+        return
     _resolve_paths(
         [spec.aggregated_path], state, view, stage, diags, "T204", "aggregated element"
     )
@@ -335,7 +337,6 @@ def _check_aggregation(
     state.aggregated = True
     state.aggregation = spec
     state.available = set()
-    state.windowed = False  # aggregate values now, not window batches
 
 
 def _check_window_contents(

@@ -285,13 +285,14 @@ class StreamAvailabilityIndex:
     """Inverted index ``node → signature → selection key → content →
     stream ids``.
 
-    Mirrors :class:`~repro.sharing.plan.Deployment`'s availability
-    bookkeeping (a stream is available at every node of its route), but
+    The deployment's one record of where each installed stream is
+    available — at every node of its route (Algorithm 1, line 9) —
     grouped so ``Subscribe`` consults only candidates that can match,
     one group per distinct content.  Maintenance is strictly add/discard
     from ``install_stream``/``release_stream``/``replace_stream`` —
     there is no rebuild path, so the ``P14x`` invariants check it
-    against the ground truth.
+    against the routes, and the reference scan
+    (``Subscriber._scan``) reads the routes, not the index.
     """
 
     __slots__ = ("_nodes", "_keys", "_contents", "_shared")
@@ -402,24 +403,6 @@ class StreamAvailabilityIndex:
             for signature, by_selection in per_node.items():
                 if probe.covers(signature):
                     yield by_selection
-
-    def candidate_ids(self, node: str, probe: SubscriptionProbe) -> List[str]:
-        """Structurally compatible stream ids at ``node``, sorted.
-
-        A superset of the streams Algorithm 2 accepts there — every
-        stream left out has a signature that cannot match.  Selections
-        are not consulted: the distinct contents among these streams are
-        what the registration latency model charges.
-        """
-        ids = [
-            stream_id
-            for by_selection in self._covered(node, probe)
-            for by_content in by_selection.values()
-            for group in by_content.values()
-            for stream_id in group
-        ]
-        ids.sort()
-        return ids
 
     def candidate_groups(
         self, node: str, probe: SubscriptionProbe

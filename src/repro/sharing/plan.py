@@ -186,10 +186,9 @@ class Deployment:
         self.streams: Dict[str, InstalledStream] = {}
         self.queries: Dict[str, RegisteredQuery] = {}
         self.usage = NetworkUsage(net)
-        self._available: Dict[str, List[str]] = {name: [] for name in net}
-        #: Inverted index over the same availability facts, by signature,
-        #: selection and content; maintained in lock-step with
-        #: ``_available`` (invariant P14x).
+        #: Where each installed stream is available (every node of its
+        #: route), by signature, selection and content: the one per-node
+        #: record of the deployment (invariant P14x).
         self.sharing_index = StreamAvailabilityIndex()
         #: Per installed stream: the deliveries that name it plus its
         #: installed children (invariant P144).
@@ -197,9 +196,6 @@ class Deployment:
         #: The derived streams whose count is 0: where the tear-down's
         #: sweep starts (invariant P144).
         self.unreferenced: Set[str] = set()
-        #: The sharded executor's memo of whether these records pickle:
-        #: ``(records probed, verdict)``.
-        self.pickle_probe: Optional[Tuple[tuple, bool]] = None
         #: Bumped by every mutation of ``streams`` / ``queries``: what a
         #: cache of anything derived from the plan is keyed on (names
         #: are reused, so the installed ids are not a key).
@@ -217,10 +213,6 @@ class Deployment:
             )
         self.streams[stream.stream_id] = stream
         self.version += 1
-        for node in stream.route:
-            # setdefault: a super-peer may have rejoined the topology
-            # after this deployment was constructed.
-            self._available.setdefault(node, []).append(stream.stream_id)
         self.sharing_index.add(stream.stream_id, stream.content, stream.route)
         self.refcounts[stream.stream_id] = 0
         if stream.parent_id is not None:
@@ -241,14 +233,6 @@ class Deployment:
         if stream is None:
             return False
         self.version += 1
-        for node in stream.route:
-            bucket = self._available.get(node)
-            if bucket is None:
-                continue
-            try:
-                bucket.remove(stream_id)
-            except ValueError:
-                pass  # index entry already gone; keep the removal atomic
         self.sharing_index.discard(stream_id, stream.route)
         self.refcounts.pop(stream_id, None)
         self.unreferenced.discard(stream_id)
@@ -318,10 +302,6 @@ class Deployment:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def streams_at(self, node: str) -> List[InstalledStream]:
-        """Streams available for sharing at ``node`` (on their route)."""
-        return [self.streams[stream_id] for stream_id in self._available[node]]
-
     def distinct_candidates_at(
         self, node: str, probe: SubscriptionProbe
     ) -> Tuple[List[Tuple[InstalledStream, Set[str]]], int]:

@@ -377,19 +377,22 @@ class Subscriber:
     def _scan(
         deployment: Deployment, node: str, subscription_input: StreamProperties
     ) -> List[Tuple[InstalledStream, Tuple[str, ...]]]:
-        """Line 9, the brute-force reference: every stream available at
-        ``node`` derived from the same original input stream, with its
-        delivery target (the indexed source is
-        ``Deployment.distinct_candidates_at``).
+        """Line 9 as written, the brute-force reference: every installed
+        stream whose route passes ``node`` and whose content derives
+        from the subscription's original input stream, with its
+        delivery target.  It reads the routes, not the availability
+        index the indexed source (``Deployment.distinct_candidates_at``)
+        is checked against.
 
         Sorted by stream id so equal-cost plans tie-break identically
         from both candidate sources — ties go to the candidate found
         first.
         """
-        return [
-            (stream, (stream.target_node,))
-            for stream in sorted(
-                deployment.streams_at(node), key=lambda stream: stream.stream_id
-            )
-            if stream.content.stream == subscription_input.stream
+        source = subscription_input.stream
+        available = [
+            stream
+            for stream in deployment.streams.values()
+            if node in stream.route and stream.content.stream == source
         ]
+        available.sort(key=lambda stream: stream.stream_id)
+        return [(stream, (stream.target_node,)) for stream in available]

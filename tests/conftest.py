@@ -215,6 +215,13 @@ def make_system(
     return system
 
 
+def available_at(deployment, node):
+    """The ids the availability index lists at ``node``, sorted."""
+    return sorted(
+        {stream_id for at, stream_id, _ in deployment.sharing_index.entries() if at == node}
+    )
+
+
 @pytest.fixture()
 def sharing_system():
     return make_system("stream-sharing")

@@ -50,11 +50,10 @@ def registered_system(strategy="stream-sharing", queries=("Q1", "Q2", "Q3", "Q4"
 def reroute(system, stream_id, route):
     """Force a stream onto ``route``, keeping the index in sync."""
     stream = system.deployment.streams[stream_id]
-    for node in stream.route:
-        system.deployment._available[node].remove(stream_id)
+    index = system.deployment.sharing_index
+    index.discard(stream_id, stream.route)
     object.__setattr__(stream, "route", route)
-    for node in route:
-        system.deployment._available.setdefault(node, []).append(stream_id)
+    index.add(stream_id, stream.content, route)
     return stream
 
 
@@ -164,15 +163,16 @@ def test_route_not_rooted_at_origin_is_rejected():
 
 def test_stale_availability_index_is_rejected():
     system = registered_system(queries=("Q1",))
+    index = system.deployment.sharing_index
+    photons = system.deployment.streams["photons"]
     # The index claims availability at a node the route never touches...
-    system.deployment._available["SP3"].append("photons")
+    index.add("photons", photons.content, photons.route + ("SP3",))
     report = verify_system(system)
-    assert "P106" in report.codes(), report.render()
+    assert "P141" in report.codes(), report.render()
     # ...and a missing entry is the mirror violation.
-    system.deployment._available["SP3"].remove("photons")
-    system.deployment._available["SP4"].remove("photons")
+    index.discard("photons", photons.route + ("SP3",))
     report = verify_system(system)
-    assert "P105" in report.codes(), report.render()
+    assert "P142" in report.codes(), report.render()
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_missing_delivered_stream_is_rejected():
     system.deployment.release_stream(delivered)
     report = verify_system(system)
     assert "P120" in report.codes(), report.render()
-    assert not {"P105", "P106", "P140", "P142", "P144"} & set(report.codes())
+    assert not {"P140", "P141", "P142", "P144"} & set(report.codes())
 
 
 def test_delivery_to_wrong_node_is_rejected():
@@ -455,10 +455,10 @@ def test_empty_operator_chain_is_trivially_typed(photon_stats):
     assert check_content(content, view, "stream 'raw'") == []
 
 
-def test_aggregation_after_window_contents_is_accepted(photon_stats):
-    # A window-contents stage re-emits the (selected, projected) items
-    # in batches — the item schema survives, so a downstream aggregation
-    # still types.  The converse order is rejected as T213.
+def test_aggregation_after_window_contents_is_rejected(photon_stats):
+    # A window-contents stage emits window batches, not items: an
+    # aggregation after it would read its aggregated path off
+    # ``<window>`` elements (T219).  The converse order is T213.
     view = SchemaView.from_statistics(photon_stats)
     window = WindowSpec(
         "diff", Fraction(20), Fraction(10), reference=Path("photons/photon/det_time")
@@ -470,18 +470,18 @@ def test_aggregation_after_window_contents_is_accepted(photon_stats):
         pre_selection=PredicateGraph(),
         result_filter=PredicateGraph(),
     )
-    accepted = StreamProperties(
+    batched = StreamProperties(
         stream="photons",
         item_path=Path("photons/photon"),
         operators=(WindowContentsSpec(window=window), aggregation),
     )
-    assert check_content(accepted, view, "s") == []
-    rejected = StreamProperties(
+    assert [d.code for d in check_content(batched, view, "s")] == ["T219"]
+    aggregated = StreamProperties(
         stream="photons",
         item_path=Path("photons/photon"),
         operators=(aggregation, WindowContentsSpec(window=window)),
     )
-    assert [d.code for d in check_content(rejected, view, "s")] == ["T213"]
+    assert [d.code for d in check_content(aggregated, view, "s")] == ["T213"]
 
 
 def test_restructure_only_chain_is_rejected(photon_stats):
@@ -717,6 +717,25 @@ def test_install_derived_stream_rejects_a_projected_window_batch():
     refused before anything is installed."""
     system = make_system()
     pipeline = [_count_window_contents(), _item_level_stages()["projection"]]
+    with pytest.raises(InvariantViolation) as exc:
+        system.install_derived_stream("x", "photons", pipeline, target="P1")
+    assert exc.value.report.codes() == ("T219",), exc.value.report.render()
+    assert list(system.deployment.streams) == ["photons"]
+
+
+def test_install_derived_stream_rejects_an_aggregated_window_batch():
+    """The chain whose aggregation reads ``en`` off ``<window>``
+    elements (every window would report an empty aggregate) is refused
+    before anything is installed."""
+    system = make_system()
+    aggregation = AggregationSpec(
+        function="avg",
+        aggregated_path=Path("photons/photon/en"),
+        window=WindowSpec("count", Fraction(2), Fraction(2)),
+        pre_selection=PredicateGraph(),
+        result_filter=PredicateGraph(),
+    )
+    pipeline = [_count_window_contents(), aggregation]
     with pytest.raises(InvariantViolation) as exc:
         system.install_derived_stream("x", "photons", pipeline, target="P1")
     assert exc.value.report.codes() == ("T219",), exc.value.report.render()

@@ -46,6 +46,18 @@ def agg_spec(function="avg", size=4, step=2, filt=None):
     )
 
 
+def folded(values):
+    """The per-value fold ``PartialAggregate.of_values`` replaced: the
+    reference it is compared with, bit for bit."""
+    partial = PartialAggregate()
+    for value in values:
+        partial.count += 1
+        partial.total += value
+        partial.minimum = value if partial.minimum is None else min(partial.minimum, value)
+        partial.maximum = value if partial.maximum is None else max(partial.maximum, value)
+    return partial
+
+
 def result_filter(op, const):
     return PredicateGraph(normalize_comparison(RESULT_NODE, op, None, F(const)))
 
@@ -71,11 +83,9 @@ class TestPartialAggregate:
     def test_of_values_is_the_fold_loop_bit_for_bit(self, values):
         """Same running sum; of equal extrema (``-0.0 == 0.0``) the
         first seen is the one kept — ``repr`` tells the zeros apart."""
-        folded = PartialAggregate()
-        for value in values:
-            folded.fold(value)
-        assert repr(PartialAggregate.of_values(values)) == repr(folded)
-        assert repr(PartialAggregate.of_values(tuple(values))) == repr(folded)
+        expected = repr(folded(values))
+        assert repr(PartialAggregate.of_values(values)) == expected
+        assert repr(PartialAggregate.of_values(tuple(values))) == expected
 
     def test_empty_window(self):
         empty = PartialAggregate()

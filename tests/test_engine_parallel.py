@@ -749,22 +749,6 @@ def test_hung_worker_fails_at_the_deadline_and_siblings_are_reaped(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pickle_probe_is_memoised_per_deployment_state(monkeypatch):
-    system = deployed_system()
-    simulator = direct_simulator(system)
-    assert simulator._payload_pickles()
-    probed = system.deployment.pickle_probe
-    monkeypatch.setattr(
-        parallel.pickle, "dumps", lambda *a, **k: pytest.fail("probed again")
-    )
-    assert simulator._payload_pickles()
-    monkeypatch.undo()
-    # A registration changes the record set: the probe runs afresh.
-    system.register_query("Q9", PAPER_QUERIES["Q1"], subscriber_peer="P3")
-    assert direct_simulator(system)._payload_pickles()
-    assert system.deployment.pickle_probe is not probed
-
-
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_rejects_a_worker_count_below_one(workers):
     """Like ``ShardedSimulator(workers=0)``: not a silent sequential run."""

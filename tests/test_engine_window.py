@@ -85,25 +85,20 @@ class TestSlidingWindower:
 class TestReorderBuffer:
     def test_orders_within_capacity(self):
         buffer = ReorderBuffer(capacity=3)
-        released = []
-        for position in (3.0, 1.0, 2.0, 4.0):
-            released.extend(buffer.add(position, position))
-        released.extend(buffer.flush())
-        assert [p for p, _ in released] == [1.0, 2.0, 3.0, 4.0]
+        arrivals = [3.0, 1.0, 2.0, 4.0]
+        released, _ = buffer.add_columns(arrivals, arrivals)
+        assert released + buffer.flush()[0] == [1.0, 2.0, 3.0, 4.0]
 
     def test_overflow_releases_smallest(self):
         buffer = ReorderBuffer(capacity=2)
-        assert buffer.add(5.0, "a") == []
-        assert buffer.add(3.0, "b") == []
-        released = buffer.add(4.0, "c")
-        assert released == [(3.0, "b")]
+        assert buffer.add_columns([5.0, 3.0], ["a", "b"]) == ([], [])
+        assert buffer.add_columns([4.0], ["c"]) == ([3.0], ["b"])
         assert len(buffer) == 2
 
     def test_stable_for_equal_positions(self):
         buffer = ReorderBuffer(capacity=1)
-        buffer.add(1.0, "first")
-        released = buffer.add(1.0, "second")
-        assert released == [(1.0, "first")]
+        released = buffer.add_columns([1.0, 1.0], ["first", "second"])
+        assert released == ([1.0], ["first"])
 
     def test_capacity_validated(self):
         with pytest.raises(EngineError):
@@ -204,8 +199,10 @@ class TestNonFinitePositions:
     @pytest.mark.parametrize("text", NON_FINITE)
     def test_windower_rejects_it_inside_a_run(self, text):
         windower = SlidingWindower(1.0, 1.0)
-        run = [(0.5, "a"), (1.5, "b"), (float(text), "x"), (2.5, "c")]
-        assert isinstance(_outcome(lambda: windower.add_run(run)), EngineError)
+        positions = [0.5, 1.5, float(text), 2.5]
+        error = _outcome(lambda: windower.add_columns(positions, ["a", "b", "x", "c"]))
+        assert isinstance(error, EngineError)
+        assert f"window position {text} is not finite" in str(error)
         assert windower._last_position == 1.5
         assert [payload for _, payload in windower._buffer] == ["b"]
 

@@ -81,25 +81,6 @@ class TestSchedule:
         schedule = FaultSchedule([crash, rejoin])
         assert schedule.events() == [crash, rejoin]
 
-    def test_events_due_is_half_open(self):
-        schedule = FaultSchedule(
-            [SuperPeerCrash(5.0, "A"), SuperPeerRejoin(10.0, "A")]
-        )
-        assert [e.time for e in schedule.events_due(0.0, 5.0)] == []
-        assert [e.time for e in schedule.events_due(5.0, 10.0)] == [5.0]
-        assert [e.time for e in schedule.events_due(0.0, 30.0)] == [5.0, 10.0]
-
-    def test_boundaries_clip_to_duration(self):
-        schedule = FaultSchedule(
-            [
-                SuperPeerCrash(5.0, "A"),
-                SuperPeerRejoin(5.0, "A"),
-                LinkFailure(12.0, "A", "B"),
-            ]
-        )
-        assert schedule.boundaries(10.0) == [5.0]
-        assert schedule.boundaries(30.0) == [5.0, 12.0]
-
     def test_len_bool_iter_describe(self):
         empty = FaultSchedule()
         assert not empty and len(empty) == 0

@@ -443,13 +443,20 @@ def test_grouped_crediting_equals_per_delivery_builds(closure):
     from types import SimpleNamespace
 
     from repro.engine.columnar import batch_bytes, encode_ingest
-    from repro.engine.executor import Cell, _ClosureProgram, _SingleDelivery, _StreamNode
+    from repro.engine.executor import (
+        Cell,
+        _ClosureProgram,
+        _DeliveryTable,
+        _SingleDelivery,
+        _StreamNode,
+    )
     from repro.engine.restructure import Restructurer
     from repro.wxquery import analyze, parse_query
 
     kind, parents, members, batches, sniffed = closure
     analyzed = [analyze(parse_query(text)) for text in CLOSURE_QUERIES[kind]]
     nodes, depth, deliveries = [], [], []
+    table = _DeliveryTable()
     for index, (hops, picks) in enumerate(members):
         route = ("SP0", "SP1") if hops else ("SP0",)
         node = _StreamNode(SimpleNamespace(stream_id=f"s{index}", route=route))
@@ -462,7 +469,7 @@ def test_grouped_crediting_equals_per_delivery_builds(closure):
         nodes.append(node)
         for pick in picks:
             record = SimpleNamespace(name=f"q{len(deliveries)}", analyzed=analyzed[pick])
-            delivery = _SingleDelivery(record)
+            delivery = _SingleDelivery(record, table)
             node.countable.append(delivery)
             deliveries.append((delivery, pick))
 

@@ -151,8 +151,8 @@ class TestWindowSpecLattice:
 # ----------------------------------------------------------------------
 class _PerRowWindower:
     """``SlidingWindower`` as it was when ``add`` did the window
-    arithmetic on every arrival: the reference :meth:`add_run` is
-    compared with."""
+    arithmetic on every arrival: the reference
+    :meth:`SlidingWindower.add_columns` is compared with."""
 
     def __init__(self, size, step):
         self.size, self.step = size, step
@@ -225,6 +225,13 @@ def sorted_runs(draw):
     return run
 
 
+def _add_run(windower, run):
+    """Add the ``(position, payload)`` pairs of ``run`` as one batch."""
+    positions = [position for position, _ in run]
+    payloads = [payload for _, payload in run]
+    return windower.add_columns(positions, payloads)
+
+
 class TestRunFold:
     @given(GEOMETRIES, sorted_runs(), st.lists(st.integers(0, 40), max_size=3))
     @settings(max_examples=200, deadline=None)
@@ -238,7 +245,7 @@ class TestRunFold:
         for low, high in zip(bounds, bounds[1:]):
             run = arrivals[low:high]
             expected = [w for arrival in run for w in reference.add(*arrival)]
-            assert _windows(windower.add_run(run)) == expected
+            assert _windows(_add_run(windower, run)) == expected
             assert _windower_state(windower) == reference.state()
         # One more arrival, a few windows on, flushes what is buffered.
         beyond = (positions[-1] if positions else 0.0) + 3 * geometry[0]
@@ -264,7 +271,7 @@ class TestRunFold:
 
         with_error = [*run[: late + 1], (positions[late] - 1.0, "early"), *run[late + 1 :]]
         fold, expected = _folded(
-            lambda arrivals: _windows(windower.add_run(arrivals)), per_row, with_error
+            lambda arrivals: _windows(_add_run(windower, arrivals)), per_row, with_error
         )
         assert isinstance(expected, str) and fold == expected
         # Everything before the offending row was added, nothing after.
@@ -319,7 +326,7 @@ class TestRunFold:
 
         operator = WindowAggregateOperator(spec, ITEM, reorder_capacity=capacity)
         reference = _PerRowWindower(float(size), float(step))
-        reorder = ReorderBuffer(capacity) if capacity and kind == "diff" else None
+        reorder = _SortedReorder(capacity) if capacity and kind == "diff" else None
         seen = 0
 
         def per_row(batch):
@@ -415,10 +422,15 @@ class TestColumns:
         column_runs(),
         st.lists(st.integers(0, 45), max_size=3),
     )
+    # A sorted run cut into batches across no, one and many window ends,
+    # and one where a position falls back in the middle of a batch.
+    @example((6.0, 2.0), [0.5, 0.5, 1.0, 4.0, 4.25, 44.25, 45.25], [2, 5])
+    @example((0.75, 0.25), [7.0, 7.5, 8.5, 8.5, 7.5, 11.5, 12.0], [1])
     @settings(max_examples=300, deadline=None)
     def test_add_columns_equals_per_row_add(self, geometry, positions, cuts):
         """Windows in emission order, ``_next_index``,
-        ``_last_position``, the buffer and the error, batch by batch."""
+        ``_last_position``, the buffer and the error, batch by batch;
+        then one arrival a few windows on, and the drain."""
         windower = SlidingWindower(*geometry)
         reference = _PerRowWindower(*geometry)
         payloads = list(range(len(positions)))
@@ -435,6 +447,8 @@ class TestColumns:
             assert repr(_windower_state(windower)) == repr(reference.state())
             if isinstance(fold, str):
                 return
+        beyond = (positions[-1] if positions else 0.0) + 3 * geometry[0]
+        assert _windows(windower.add(beyond, "last")) == reference.add(beyond, "last")
         assert _windows(windower.flush()) == _flushed(reference)
         assert windower._buffer == []
 
@@ -454,8 +468,11 @@ class TestColumns:
         NaN markers (dropped)."""
         folded = PartialAggregate()
         for value in values:
-            if value == value:
-                folded.fold(value)
+            if value == value:  # the per-value fold of_values replaced
+                folded.count += 1
+                folded.total += value
+                folded.minimum = value if folded.minimum is None else min(folded.minimum, value)
+                folded.maximum = value if folded.maximum is None else max(folded.maximum, value)
         got = PartialAggregate.of_values(values)
         assert repr(got) == repr(folded)
         for field in ("total", "minimum", "maximum"):
@@ -501,11 +518,20 @@ class TestReorderHeap:
     @settings(max_examples=300, deadline=None)
     def test_heap_releases_like_the_sorted_list(self, capacity, arrivals):
         """Equal positions (ties leave in arrival order) and flushes at
-        any point."""
+        any point; the arrivals between two flushes enter as one run."""
         buffer, reference = ReorderBuffer(capacity), _SortedReorder(capacity)
+
+        def columns(pairs):
+            return [position for position, _ in pairs], [payload for _, payload in pairs]
+
+        run = []
         for index, arrival in enumerate([*arrivals, "flush"]):
-            if arrival == "flush":
-                assert buffer.flush() == reference.flush()
-            else:
-                assert buffer.add(arrival, index) == reference.add(arrival, index)
+            if arrival != "flush":
+                run.append((arrival, index))
+                continue
+            released = [pair for entry in run for pair in reference.add(*entry)]
+            assert buffer.add_columns(*columns(run)) == columns(released)
             assert len(buffer) == len(reference.items)
+            assert buffer.flush() == columns(reference.flush())
+            assert len(buffer) == 0
+            run = []

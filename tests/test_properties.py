@@ -207,7 +207,6 @@ class TestExtraction:
     def test_raw_stream_properties(self):
         p = raw_stream_properties("photons", "photons/photon")
         assert p.single_input().is_raw
-        assert p.is_variant_of(p.single_input())
 
     def test_multi_input_extraction(self):
         p = extract_properties(

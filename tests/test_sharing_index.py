@@ -99,9 +99,6 @@ def test_probe_enumeration_agrees_with_bucket_scan():
         # signatures=None forces the bucket-scan path.
         scan_probe = dataclasses.replace(probe, signatures=None)
         for node in system.net.super_peer_names():
-            assert index.candidate_ids(node, probe) == index.candidate_ids(
-                node, scan_probe
-            )
             groups, pruned = index.candidate_groups(node, probe)
             scan_groups, scan_pruned = index.candidate_groups(node, scan_probe)
             assert sorted(map(sorted, groups)) == sorted(map(sorted, scan_groups))
@@ -122,6 +119,16 @@ def test_avg_probe_accepts_sum_and_count_signatures():
 # ----------------------------------------------------------------------
 # Lookup against a live deployment
 # ----------------------------------------------------------------------
+def covered_ids(index, node, probe):
+    """The ids filed at ``node`` under a signature ``probe`` covers: the
+    structurally compatible candidates, selections not consulted."""
+    return sorted(
+        stream_id
+        for at, stream_id, keys in index.entries()
+        if at == node and probe.covers(keys.signature)
+    )
+
+
 def test_candidates_are_superset_of_matches_everywhere():
     system = registered_system()
     deployment = system.deployment
@@ -129,26 +136,28 @@ def test_candidates_are_superset_of_matches_everywhere():
         subscription = properties_of(text).single_input()
         probe = SubscriptionProbe.from_subscription(subscription)
         for node in system.net.super_peer_names():
-            served = set(deployment.sharing_index.candidate_ids(node, probe))
+            served = set(covered_ids(deployment.sharing_index, node, probe))
             groups, _ = deployment.sharing_index.candidate_groups(node, probe)
             admitted = set().union(*groups)
-            for stream in deployment.streams_at(node):
-                if stream.content.stream != subscription.stream:
+            for stream in deployment.streams.values():
+                if node not in stream.route or stream.content.stream != subscription.stream:
                     continue
                 if match_stream_properties(stream.content, subscription):
                     assert stream.stream_id in served
                     assert stream.stream_id in admitted
             # ... and everything served is genuinely available there.
-            available = {s.stream_id for s in deployment.streams_at(node)}
+            available = {s.stream_id for s in deployment.streams.values() if node in s.route}
             assert served <= available
 
 
 def test_candidate_ids_are_sorted():
+    """Planning walks the candidates at a node in stream-id order."""
     system = registered_system()
     subscription = properties_of(PAPER_QUERIES["Q1"]).single_input()
     probe = SubscriptionProbe.from_subscription(subscription)
     for node in system.net.super_peer_names():
-        ids = system.deployment.sharing_index.candidate_ids(node, probe)
+        grouped, _ = system.deployment.distinct_candidates_at(node, probe)
+        ids = [stream.stream_id for stream, _ in grouped]
         assert ids == sorted(ids)
 
 
@@ -167,7 +176,7 @@ def test_distinct_candidates_group_by_content():
         probe = SubscriptionProbe.from_subscription(subscription)
         for node in system.net.super_peer_names():
             regrouped = {}
-            for stream_id in deployment.sharing_index.candidate_ids(node, probe):
+            for stream_id in covered_ids(deployment.sharing_index, node, probe):
                 stream = deployment.streams[stream_id]
                 regrouped.setdefault(stream.content, []).append(stream)
             grouped, pruned = deployment.distinct_candidates_at(node, probe)

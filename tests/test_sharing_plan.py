@@ -12,6 +12,8 @@ from repro.sharing.plan import (
     InstalledStream,
 )
 
+from .conftest import available_at
+
 
 def raw_content(name="photons"):
     return raw_stream_properties(name, "photons/photon").single_input()
@@ -72,9 +74,8 @@ class TestDeployment:
             make_stream(stream_id="derived", parent="photons", route=("SP4", "SP5", "SP1"))
         )
         for node in ("SP4", "SP5", "SP1"):
-            ids = [s.stream_id for s in deployment.streams_at(node)]
-            assert "derived" in ids
-        assert all(s.stream_id != "derived" for s in deployment.streams_at("SP7"))
+            assert "derived" in available_at(deployment, node)
+        assert "derived" not in available_at(deployment, "SP7")
 
     def test_find_original(self, deployment):
         assert deployment.find_original("photons").stream_id == "photons"
@@ -111,7 +112,7 @@ class TestReleaseStream:
         assert deployment.release_stream("derived") is True
         assert "derived" not in deployment.streams
         for node in ("SP4", "SP5", "SP1"):
-            assert all(s.stream_id != "derived" for s in deployment.streams_at(node))
+            assert "derived" not in available_at(deployment, node)
 
     def test_release_is_idempotent(self, deployment):
         assert deployment.release_stream("derived") is True
@@ -121,11 +122,14 @@ class TestReleaseStream:
     def test_release_survives_missing_index_entries(self, deployment):
         """Atomicity: a partially missing availability index must not
         abort the release half way through."""
-        deployment._available["SP5"].remove("derived")
-        del deployment._available["SP1"]
+        index = deployment.sharing_index
+        signature, selection, content = index.keys_of("derived")
+        index._nodes["SP5"][signature][selection][content].discard("derived")
+        del index._nodes["SP1"]
         assert deployment.release_stream("derived") is True
         assert "derived" not in deployment.streams
-        assert all(s.stream_id != "derived" for s in deployment.streams_at("SP4"))
+        assert "derived" not in available_at(deployment, "SP4")
+        assert index.keys_of("derived") is None
 
     def test_reinstall_after_release(self, deployment):
         deployment.release_stream("derived")

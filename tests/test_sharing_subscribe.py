@@ -237,7 +237,9 @@ def _matched_candidates(picks, capacity, bandwidth, fault, probe, rejoin=False):
     for text in texts:
         for subscription in extract_properties(parse_query(text), "probe").inputs:
             for node in system.net.super_peer_names():
-                for candidate in deployment.streams_at(node):
+                for candidate in deployment.streams.values():
+                    if node not in candidate.route:
+                        continue
                     if match_stream_properties(candidate.content, subscription):
                         matched.append((subscription, node, candidate))
     return planner, deployment, matched
@@ -595,8 +597,8 @@ def test_selection_pruned_candidate_is_charged_but_never_matched(monkeypatch):
     charged, matched = [], []
 
     def distinct_candidates_at(self, node, probe):
-        ids = deployment.sharing_index.candidate_ids(node, probe)
-        charged.append(len({deployment.streams[i].content for i in ids}))
+        groups, pruned = deployment.sharing_index.candidate_groups(node, probe)
+        charged.append(len(groups) + pruned)  # one group per admitted content
         return lookup(self, node, probe)
 
     def spy(candidate, subscription, *args):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import PAPER_QUERIES, make_system, on_every_executor
+from tests.conftest import PAPER_QUERIES, available_at, make_system, on_every_executor
 from repro.network.topology import example_topology
 from repro.sharing import StreamGlobe
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
@@ -22,8 +22,8 @@ class TestStreamRegistration:
         system = make_system()
         original = system.deployment.stream("photons")
         assert original.route == ("SP4",)
-        assert [s.stream_id for s in system.deployment.streams_at("SP4")] == ["photons"]
-        assert system.deployment.streams_at("SP0") == []
+        assert available_at(system.deployment, "SP4") == ["photons"]
+        assert available_at(system.deployment, "SP0") == []
 
     def test_statistics_registered(self):
         system = make_system()
