@@ -6,6 +6,7 @@ from .memo import MatchMemo
 from .properties_match import (
     match_stream_properties,
     operators_matched,
+    window_contents_terms,
 )
 
 __all__ = [
@@ -15,4 +16,5 @@ __all__ = [
     "match_stream_properties",
     "operators_matched",
     "serving_functions",
+    "window_contents_terms",
 ]

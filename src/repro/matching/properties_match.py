@@ -12,6 +12,8 @@ specs of :mod:`repro.properties.model`:
 * selection → :func:`repro.predicates.match_predicates` (Algorithm 3);
 * projection → output elements ``R`` ⊇ referenced elements ``R'``;
 * window-based aggregation → :func:`repro.matching.aggregation.match_aggregations`;
+* window contents → equal windows, and the stream is reused only as it
+  is (:func:`window_contents_terms`);
 * anything else (user-defined operators) → equal operator and equal
   input vector (deterministic operators only).
 """
@@ -72,9 +74,29 @@ def _match_stream_properties(
     if stream.item_path != subscription.item_path:
         return False
 
+    # A window-contents stream carries ``<window>`` batches, and no
+    # item-level compensation may follow a window (T219).
+    terms = window_contents_terms(stream)
+    if terms is not None and terms != window_contents_terms(subscription):
+        return False
+
     # Lines 6–36: every operator of the stream needs a compatible
     # counterpart in the subscription.
     return operators_matched(stream.operators, subscription, mode, memo)
+
+
+def window_contents_terms(
+    content: StreamProperties,
+) -> Optional[Tuple[WindowContentsSpec, Optional[SelectionSpec], Optional[ProjectionSpec]]]:
+    """The window, selection and projection of a window-contents
+    content (``None`` for any other): a window-contents stream serves
+    only a subscription whose three are equal to its own, since a
+    stricter selection or a narrower projection would have to follow
+    the window."""
+    window = content.operator_of_kind("window")
+    if not isinstance(window, WindowContentsSpec):
+        return None
+    return window, content.selection, content.projection
 
 
 def operators_matched(
@@ -146,9 +168,9 @@ def _conditions_verdict(op: OperatorSpec, other: OperatorSpec, mode: str) -> boo
 
         return match_aggregations(op, other, mode)
     if isinstance(op, WindowContentsSpec) and isinstance(other, WindowContentsSpec):
-        # Window-contents streams: the new window must be rebuildable
-        # from the reused one (same arithmetic as aggregate windows).
-        return other.window.shareable_from(op.window)
+        # Window-contents streams are reused as they are: no
+        # compensation re-windows their batches.
+        return op == other
     if isinstance(op, UdfSpec) and isinstance(other, UdfSpec):
         # Lines 25–30: unknown deterministic operators — equal operator
         # and equal input vector.

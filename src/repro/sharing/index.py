@@ -64,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from ..matching import MatchMemo, operators_matched
+from ..matching import MatchMemo, operators_matched, window_contents_terms
 from ..matching.aggregation import serving_functions
 from ..properties import (
     AggregationSpec,
@@ -113,8 +113,9 @@ class ContentSignature:
         return self._hash  # type: ignore[attr-defined]
 
 
-def _operator_detail(op: OperatorSpec) -> Detail:
-    """The components Algorithm 2 requires to coincide for ``op``.
+def _operator_detail(op: OperatorSpec, content: StreamProperties) -> Detail:
+    """The components Algorithm 2 requires to coincide for ``op`` of
+    ``content``.
 
     Only *necessary* equalities go in here — anything Algorithm 2 checks
     by implication/coverage (predicates, projections, window sizes)
@@ -124,7 +125,9 @@ def _operator_detail(op: OperatorSpec) -> Detail:
       and reference element must coincide in every branch of
       ``MatchAggregations``; the function must be servable (handled on
       the probe side via :func:`serving_functions`);
-    * window contents: ``shareable_from`` requires equal kind/reference;
+    * window contents: the content's window, selection and projection
+      (:func:`~repro.matching.properties_match.window_contents_terms`:
+      such a stream is reused only as it is);
     * udf: Algorithm 2's unknown-operator case requires the operator and
       its parameter vector to be equal;
     * selection/projection: only the operator kind is necessary.
@@ -138,7 +141,7 @@ def _operator_detail(op: OperatorSpec) -> Detail:
             op.window.reference,
         )
     if isinstance(op, WindowContentsSpec):
-        return ("window", op.window.kind, op.window.reference)
+        return ("window",) + window_contents_terms(content)
     if isinstance(op, UdfSpec):
         return ("udf", op.name, op.parameters)
     return (op.kind,)
@@ -149,7 +152,7 @@ def content_signature(content: StreamProperties) -> ContentSignature:
     return ContentSignature(
         stream=content.stream,
         item_path=content.item_path,
-        details=frozenset(_operator_detail(op) for op in content.operators),
+        details=frozenset(_operator_detail(op, content) for op in content.operators),
     )
 
 
@@ -201,7 +204,7 @@ def _compatible_details(
                     )
                 )
         else:
-            details.add(_operator_detail(op))
+            details.add(_operator_detail(op, subscription))
     return frozenset(details)
 
 

@@ -26,7 +26,14 @@ pin digests of the stream).  A photon reads, in this order:
    — Box–Muller as ``random`` spells it: a fresh pair draws
    ``random() * 2π`` and ``sqrt(-2 log(1 - random()))``, the cosine
    leg is returned and the sine leg is parked in ``rng.gauss_next``
-   for the next call, which takes it instead of drawing;
+   for the next call, which takes it instead of drawing.  A try lands
+   at most ``R = sqrt(-2 log 2⁻⁵³) ≈ 8.57`` σ from its spot
+   (``1 - random() ≥ 2⁻⁵³``), so a spot whose ``centre ± |σ|·R`` box
+   misses the strip on either axis misses on all 16 tries: its tries
+   advance the generator in one ``getrandbits`` call (2 048 bits, the
+   64 words of 32 ``random()`` calls).  A try takes both legs of a
+   fresh pair, so a seeded generator never parks a leg; a hand-set
+   parked leg keeps the 16 tries;
 4. for the background (no spot, or 16 misses), ``uniform`` over the
    strip: ``ra_min + (ra_max - ra_min) * random()``, then ``dec``;
 5. up to 64 energies ``expovariate(1 / scale)``:
@@ -170,6 +177,18 @@ _PHOTON_LEAVES = (
 #: ``random.gauss``'s constant (Box–Muller angle scale).
 _TWOPI = 2.0 * pi
 
+#: Gaussian tries a hot-spot photon takes to land in the strip before
+#: it falls back to the background.
+_SPOT_TRIES = 16
+
+#: The largest Box–Muller radius, in σ: ``random()`` is a multiple of
+#: 2⁻⁵³ below 1, so ``1 - random() ≥ 2⁻⁵³`` (the radius's own formula).
+_REACH = sqrt(-2.0 * log(2.0 ** -53))
+
+#: The bits ``_SPOT_TRIES`` fresh pairs read: two ``random()`` per
+#: pair, each two 32-bit words.
+_SPOT_BITS = _SPOT_TRIES * 2 * 64
+
 #: Below this magnitude a 4-place number has at most 15 significant
 #: digits, so its ``'%.4f'`` digits are the shortest text that reads
 #: back as ``round(x, 4)`` (a double holds 15 decimal digits exactly).
@@ -177,16 +196,29 @@ _FOUR_PLACE_EXACT = 1e11
 
 #: A hot-spot mixture as :meth:`PhotonGenerator.next_item` walks it:
 #: per spot, the running weight sum it compares the roll with, then
-#: ``ra``, ``dec``, ``sigma`` and the rate of its energy spectrum.
-_Mixture = Tuple[Tuple[float, float, float, float, float], ...]
+#: ``ra``, ``dec``, ``sigma``, the rate of its energy spectrum and
+#: whether no try can land in the strip.
+_Mixture = Tuple[Tuple[float, float, float, float, float, bool], ...]
 
 
-def _mixture(spots: Tuple[HotSpot, ...]) -> _Mixture:
+def _mixture(spots: Tuple[HotSpot, ...], strip: SkyRegion) -> _Mixture:
     cumulative = 0.0
     entries = []
     for spot in spots:
         cumulative += spot.weight
-        entries.append((cumulative, spot.ra, spot.dec, spot.sigma, 1.0 / spot.mean_energy))
+        # A try lands within reach of the centre on each axis; the
+        # margin covers the rounding of the products (a NaN reach never
+        # compares, so such a spot keeps its tries).
+        reach = abs(spot.sigma) * _REACH * (1.0 + 1e-9)
+        unreachable = (
+            spot.ra + reach < strip.ra_min
+            or spot.ra - reach > strip.ra_max
+            or spot.dec + reach < strip.dec_min
+            or spot.dec - reach > strip.dec_max
+        )
+        entries.append(
+            (cumulative, spot.ra, spot.dec, spot.sigma, 1.0 / spot.mean_energy, unreachable)
+        )
     return tuple(entries)
 
 
@@ -228,9 +260,9 @@ class PhotonGenerator:
         # Per-config invariants of next_item's draws.
         self._mean_step = 1.0 / cfg.frequency
         self._rate_steps = tuple((start, 1.0 / f) for start, f in cfg.rate_profile)
-        self._mixture = _mixture(cfg.hot_spots)
+        self._mixture = _mixture(cfg.hot_spots, cfg.strip)
         self._mixture_steps = tuple(
-            (start, _mixture(spots)) for start, spots in cfg.hot_spot_schedule
+            (start, _mixture(spots, cfg.strip)) for start, spots in cfg.hot_spot_schedule
         )
         low = -cfg.time_jitter  # uniform(low, high) is low + (high - low) * random()
         self._jitter = (low, cfg.time_jitter - low)
@@ -292,7 +324,9 @@ class PhotonGenerator:
 
         # Position: a hot spot by weight (gauss around it, 16 tries to
         # land in the strip), else — or after 16 misses — uniform over
-        # the strip.
+        # the strip.  A spot out of the strip's reach takes its 16
+        # misses as one advance of the generator; a parked leg (only a
+        # hand-set state holds one) keeps the tries.
         ra_min, ra_max, ra_span, dec_min, dec_max, dec_span = self._strip
         e_min, e_max, band, rate, e_mid = self._band
         mixture = self._mixture
@@ -300,9 +334,12 @@ class PhotonGenerator:
             mixture = _stepped(mixture, self._mixture_steps, clock)
         roll = random()
         placed = False
-        for cumulative, mu_ra, mu_dec, sigma, spot_rate in mixture:
+        for cumulative, mu_ra, mu_dec, sigma, spot_rate, unreachable in mixture:
             if roll < cumulative:
-                for _ in range(16):
+                if unreachable and rng.gauss_next is None:
+                    getrandbits(_SPOT_BITS)
+                    break
+                for _ in range(_SPOT_TRIES):
                     carried = rng.gauss_next
                     if carried is None:
                         angle = random() * _TWOPI

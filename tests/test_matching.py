@@ -110,11 +110,30 @@ class TestMatchStreamProperties:
         assert not match_stream_properties(stream, other_params)
         assert not match_stream_properties(stream, other_name)
 
-    def test_window_contents_requires_rebuildable_window(self):
+    def test_window_contents_requires_equal_window(self):
+        """A window-contents stream carries ``<window>`` batches that no
+        compensation re-windows, so a rebuildable window is not enough."""
         fine = stream_props(WindowContentsSpec(WindowSpec("count", F(10), F(5))))
         coarse = stream_props(WindowContentsSpec(WindowSpec("count", F(20), F(10))))
-        assert match_stream_properties(fine, coarse)
+        assert match_stream_properties(fine, fine)
+        assert not match_stream_properties(fine, coarse)
         assert not match_stream_properties(coarse, fine)
+
+    def test_window_contents_require_equal_selection_and_projection(self):
+        """A stricter selection or a narrower projection would have to
+        follow the window (T219): only the stream's own terms match."""
+        window = WindowContentsSpec(WindowSpec("count", F(10), F(10)))
+        loose, strict = selection((EN, ">=", 1.0)), selection((EN, ">=", 1.3))
+        both = ProjectionSpec(frozenset({EN, TIME}), frozenset({EN, TIME}))
+        narrower = ProjectionSpec(frozenset({EN}), frozenset({EN}))
+        assert match_stream_properties(stream_props(loose, window), stream_props(loose, window))
+        assert not match_stream_properties(stream_props(loose, window), stream_props(strict, window))
+        assert not match_stream_properties(stream_props(window), stream_props(loose, window))
+        assert not match_stream_properties(
+            stream_props(both, window), stream_props(narrower, window)
+        )
+        # Item streams still serve a window-contents subscription.
+        assert match_stream_properties(stream_props(loose), stream_props(strict, window))
 
     def test_aggregate_stream_vs_item_subscription_fails(self):
         stream = stream_props(aggregation())

@@ -11,7 +11,7 @@ workloads plus the paper's example queries.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import PAPER_QUERIES, make_system
@@ -47,6 +47,13 @@ def _aggregate(where, function="avg"):
     )
 
 
+def _window_contents(where, window="count 10 step 10"):
+    return (
+        '<photons>{ for $w in stream("photons")/photons/photon '
+        f"[{where}] |{window}| return $w }}</photons>"
+    )
+
+
 VELA = ((120.0, 138.0), (-49.0, -40.0))  # Query 1's box
 
 #: Selections built to sit where the index's selection prune is most
@@ -66,6 +73,17 @@ _ADVERSARIAL = [
     _aggregate(_box(*VELA, strict=True)),  # Query 3's pre-selection, open
     _aggregate(_box((138.0, 150.0), VELA[1]), "sum"),
 ]
+
+#: Window contents, reused only with an equal window, selection and
+#: projection: each is a near miss of the ones before it (windows that
+#: rebuild the earlier ones, a stricter selection).
+_WINDOW_CONTENTS = [
+    _window_contents("en >= 1.0", "count 10 step 5"),
+    _window_contents("en >= 1.0"),
+    _window_contents("en >= 1.3"),
+    _window_contents("en >= 1.0", "count 20 step 10"),
+]
+_ADVERSARIAL += _WINDOW_CONTENTS
 
 #: A fixed pool of template queries (seeded: reproducible examples).
 _POOL = [g.text for g in QueryTemplateGenerator(seed=99).generate(12)]
@@ -138,6 +156,12 @@ def _deployment_facts(system):
     drop=st.sets(st.integers(min_value=0, max_value=9)),
     crash=st.sampled_from([None, "SP5", "SP6", "SP7"]),
     rejoin=st.booleans(),
+)
+@example(
+    picks=[_INDEX_POOL.index(text) for text in _WINDOW_CONTENTS + _WINDOW_CONTENTS[1:2]],
+    drop=set(),
+    crash=None,
+    rejoin=False,
 )
 def test_indexed_equals_brute_force(picks, drop, crash, rejoin):
     indexed, indexed_results = _register_workload(True, picks)

@@ -625,6 +625,29 @@ UNSATISFIABLE = """<r>{ for $p in stream("photons")/photons/photon
   where $p/en >= 2.0 and $p/en <= 1.0 return $p/en }</r>"""
 
 
+def test_a_window_contents_stream_is_reused_only_as_it_is():
+    """A stricter selection would have to follow ``A``'s windows (T219):
+    ``B`` windows the photons itself, while ``C``, equal to ``A``, reuses
+    its stream with no compensation."""
+    from repro.analysis import verify_deployment
+
+    text = (
+        '<r>{{ for $w in stream("photons")/photons/photon[en >= {}] '
+        "|count 10 step 10| return $w }}</r>"
+    )
+    system = make_system("stream-sharing")
+    assert system.register_query("A", text.format("1.0"), "P1").accepted
+    b = system.register_query("B", text.format("1.3"), "P1")
+    c = system.register_query("C", text.format("1.0"), "P1")
+    assert b.accepted and c.accepted
+    (b_input,), (c_input,) = b.plan.inputs, c.plan.inputs
+    assert b_input.reused_id != "A:photons"
+    assert b_input.delivered.pipeline[-1].kind == "window"
+    assert (c_input.reused_id, c_input.delivered.pipeline) == ("A:photons", ())
+    report = verify_deployment(system.deployment, catalog=system.catalog)
+    assert report.ok, report.render()
+
+
 class TestAnalysisMemo:
     def test_one_text_is_analysed_once(self):
         system = make_system("stream-sharing")

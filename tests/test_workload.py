@@ -1,26 +1,32 @@
 """Unit tests for the photon generator, templates, and scenarios."""
 
-import hashlib
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.wxquery import analyze, parse_query
 from repro.workload import (
+    HotSpot,
     PhotonGenerator,
     PhotonStreamConfig,
     QueryTemplateGenerator,
     RXJ_REGION,
+    SKY_STRIP,
     VELA_REGION,
     scenario_churn_hotspots,
     scenario_one,
     scenario_two,
 )
-from repro.workload.photons import _four_place_text
+from repro.workload.photons import _REACH, _four_place_text, _mixture
 from repro.xmlkit import PHOTON_SCHEMA, Element, Schema, SchemaNode, serialize
-from tests.stream_digests import drifting_config, main as check_stream_digests, scheduled_config
+from tests.stream_digests import (
+    drifting_config,
+    main as check_stream_digests,
+    scheduled_config,
+    stream_digest,
+)
 
 
 def _stepped(value, steps, time):
@@ -102,6 +108,50 @@ class ConstructorPhotons:
         )
 
 
+def _assert_same_nodes(item, reference):
+    """A built photon equals the constructed one node for node: tags,
+    texts, shapes and serialized sizes (both are frozen here)."""
+    assert serialize(item) == serialize(reference)
+    item.freeze()
+    reference.freeze()
+    nodes, expected = list(item.iter()), list(reference.iter())
+    assert len(nodes) == len(expected) == 11
+    for node, other in zip(nodes, expected):
+        assert (node.tag, node.text, len(node.children), node._size) == (
+            other.tag, other.text, len(other.children), other._size
+        )
+        assert node._size == len(serialize(node).encode())
+
+
+#: A spot's Gaussian tries at a strip edge: which coordinate, which edge,
+#: inside or outside, how many reaches ``k`` from it, and its sigma (tiny,
+#: huge, 0 or negative among them).
+_EDGE_SPOTS = st.tuples(
+    st.sampled_from(["ra", "dec"]),
+    st.sampled_from(["min", "max"]),
+    st.booleans(),
+    st.floats(min_value=0.9, max_value=1.1),
+    st.floats(min_value=-20.0, max_value=20.0)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1e308]),
+)
+
+
+def _edge_spot(axis, edge, inside, k, sigma):
+    """A hot spot whose centre sits ``k`` reaches (``|σ|·R``) from the
+    sky strip's ``axis`` ``edge``, on the strip's side or off it; the
+    other coordinate is the strip's centre."""
+    offset = k * abs(sigma) * _REACH
+    outward = -1.0 if edge == "min" else 1.0
+    if inside:
+        outward = -outward
+    ra, dec = SKY_STRIP.center
+    if axis == "ra":
+        ra = (SKY_STRIP.ra_min if edge == "min" else SKY_STRIP.ra_max) + outward * offset
+    else:
+        dec = (SKY_STRIP.dec_min if edge == "min" else SKY_STRIP.dec_max) + outward * offset
+    return HotSpot(ra=ra, dec=dec, sigma=sigma, weight=0.3, mean_energy=1.2)
+
+
 class TestPhotonGenerator:
     def test_deterministic_for_seed(self):
         first = PhotonGenerator(PhotonStreamConfig(seed=5)).take(50)
@@ -165,46 +215,55 @@ class TestPhotonGenerator:
             PhotonStreamConfig(frequency=0)
 
     @pytest.mark.parametrize(
-        "config, digest, clock",
+        "config, digest, clock, parked",
         [
             (
                 PhotonStreamConfig(),
                 "416d25705094acba1bebf14b4a330a5ac11b1b26e6048a6b50332b8dc629a9fb",
                 9.987996754722694,
+                None,
             ),
             (
                 drifting_config(),
                 "de25e68c119c5cff2d55d3731d03de10548b0736428e6267807f0e3204608df4",
                 5.518781626175259,
+                None,
             ),
             (
                 scenario_churn_hotspots().sources[0].config,
                 "2996f3f12f29d80fa4bf04be7545125c6268874e15e022db6048f2d6dfc4fe6b",
                 10.015165888034044,
+                None,
             ),
             (
                 scheduled_config(),
                 "796fe782ef85233fb3895ee0451eabe0894d6a207913c40a115133700e5ceebe",
                 10.045474468533861,
+                None,
+            ),
+            (
+                scenario_churn_hotspots().sources[0].config,
+                "2df7deada200d375c9e11afa1d7a70d72c76698757cdf9c93310b48b9653eb8c",
+                10.015165888034044,
+                0.25,
             ),
         ],
-        ids=["default", "drift", "churn-hotspots", "schedule"],
+        ids=["default", "drift", "churn-hotspots", "schedule", "churn-parked"],
     )
-    def test_draw_order_is_pinned(self, config, digest, clock):
+    def test_draw_order_is_pinned(self, config, digest, clock, parked):
         """The seeded stream is a contract (sharebench's seed-0 pins,
         every golden RunMetrics): digests of the first 1 000 serialized
         photons, recorded before the compiled builder replaced the
         ``Element(...)`` literal (default, drift) and before the draws
         were spelled out over ``random()`` / ``getrandbits()`` (churn
-        hot spots: spots outside the strip, so every spot photon takes
-        the 16-try Gaussian rejection; schedule: a hot-spot rotation on
-        a constant rate)."""
-        generator = PhotonGenerator(config)
-        seen = hashlib.sha256()
-        for item in generator.items(1000):
-            seen.update(serialize(item).encode())
-        assert seen.hexdigest() == digest
-        assert generator.clock == clock
+        hot spots: spots out of the strip's reach, so every spot
+        photon draws and rejects 16 Gaussian pairs, since taken as one
+        ``getrandbits`` advance; schedule: a hot-spot rotation on a
+        constant rate).  The churn stream with a leg parked up front
+        keeps the 16-try loop on every spot photon: no photon shows
+        the leg, so its digest also takes the leg parked after the last
+        photon."""
+        assert stream_digest(config, parked=parked) == (digest, clock)
 
     @pytest.mark.parametrize("config", [PhotonStreamConfig(seed=s) for s in (1, 7, 20060327)]
                              + [drifting_config(), scenario_churn_hotspots().sources[0].config,
@@ -222,16 +281,7 @@ class TestPhotonGenerator:
             assert all(node.frozen for node in item.iter() if not node.children)
             assert type(item.children) is list and type(coord.children) is list
             assert not any(node.frozen for node in reference.iter())
-            assert serialize(item) == serialize(reference)
-            item.freeze()
-            reference.freeze()
-            nodes, expected = list(item.iter()), list(reference.iter())
-            assert len(nodes) == len(expected) == 11
-            for node, other in zip(nodes, expected):
-                assert (node.tag, node.text, len(node.children), node._size) == (
-                    other.tag, other.text, len(other.children), other._size
-                )
-                assert node._size == len(serialize(node).encode())
+            _assert_same_nodes(item, reference)
         assert built.clock == constructed.clock
 
     @pytest.mark.parametrize("config", [PhotonStreamConfig(), scenario_churn_hotspots().sources[0].config],
@@ -246,6 +296,34 @@ class TestPhotonGenerator:
         for _ in range(300):
             assert serialize(built.next_item()) == serialize(constructed.next_item())
         assert built._rng.getstate() == constructed._rng.getstate()
+
+    def test_spots_out_of_reach_are_marked(self):
+        """The churn spots are out of the strip's reach; the default
+        spots sit inside it."""
+        churn = scenario_churn_hotspots().sources[0].config
+        assert [entry[-1] for entry in _mixture(churn.hot_spots, churn.strip)] == [True] * 3
+        default = PhotonStreamConfig()
+        assert [entry[-1] for entry in _mixture(default.hot_spots, default.strip)] == [False] * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spots=st.lists(_EDGE_SPOTS, min_size=1, max_size=3),
+        parked=st.none() | st.floats(-10.0, 10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(spots=[("ra", "min", True, 0.95, -1.0)], parked=None, seed=0)
+    def test_skipped_tries_draw_like_the_stdlib(self, spots, parked, seed):
+        """A spot marked out of reach takes its 16 tries as one advance
+        of the generator: at a strip edge, within a tenth of the reach
+        either way, the photons and the RNG state are the stdlib
+        reference's, also with a leg parked (which keeps the tries)."""
+        config = PhotonStreamConfig(seed=seed, hot_spots=tuple(_edge_spot(*spot) for spot in spots))
+        built, constructed = PhotonGenerator(config), ConstructorPhotons(config)
+        built._rng.gauss_next = constructed._rng.gauss_next = parked
+        for _ in range(200):
+            _assert_same_nodes(built.next_item(), constructed.next_item())
+        assert built._rng.getstate() == constructed._rng.getstate()
+        assert built.clock == constructed.clock
 
     def test_the_digest_script_holds_on_this_interpreter(self):
         """``tests/stream_digests.py`` is what CI runs on the oldest and
