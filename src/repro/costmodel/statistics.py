@@ -248,11 +248,6 @@ class StreamStatistics:
         entry = self.paths.get(path)
         return None if entry is None else entry.max_increment
 
-    def is_nondecreasing(self, path: Path) -> Optional[bool]:
-        """Whether the sampled values of ``path`` never decreased."""
-        entry = self.paths.get(path)
-        return None if entry is None else entry.nondecreasing
-
     # ------------------------------------------------------------------
     # Derived estimates
     # ------------------------------------------------------------------

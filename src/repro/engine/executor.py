@@ -1045,7 +1045,7 @@ class StreamSimulator:
         after the run.
     repair:
         Callback invoked after each applied fault, typically
-        ``PlanRepairer.repair`` — called as ``repair(context=...)`` and
+        ``StreamGlobe.repair`` — called as ``repair(context=...)`` and
         returning a :class:`~repro.sharing.repair.RepairReport`.
         Without it the topology mutates but the deployment keeps
         running its pre-fault plan (for what-if measurements only).

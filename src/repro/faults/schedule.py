@@ -6,8 +6,9 @@ This module expresses such churn as *data*: a :class:`FaultSchedule` is
 an ordered list of :class:`FaultEvent` records — super-peer crashes,
 link failures, and the corresponding rejoins — each pinned to a point
 in simulated stream time.  The executor applies due events between
-batches, the :class:`~repro.sharing.repair.PlanRepairer` reacts to
-them, and because the schedule is plain data the whole churn run stays
+batches, :meth:`StreamGlobe.repair
+<repro.sharing.system.StreamGlobe.repair>` re-plans after each, and
+because the schedule is plain data the whole churn run stays
 bit-for-bit reproducible.
 
 Events at the same time fire in schedule order (stable sort), so a

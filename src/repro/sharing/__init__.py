@@ -13,7 +13,7 @@ from .system import StreamGlobe
 from .deregister import DeregistrationError, live_stream_ids, tear_down
 from .explain import explain_deployment, explain_registration
 from .rebalance import HotPeerCostModel, MigrationReport, Rebalancer
-from .repair import PlanRepairer, RepairReport
+from .repair import RepairReport, replan
 from .export import deployment_to_dict, deployment_to_json
 from .widening import WideningAction, WideningPlanner, widen_content
 
@@ -24,7 +24,6 @@ __all__ = [
     "InputPlan",
     "InstalledStream",
     "MigrationReport",
-    "PlanRepairer",
     "Planner",
     "PlanningError",
     "Rebalancer",
@@ -43,6 +42,7 @@ __all__ = [
     "explain_deployment",
     "explain_registration",
     "live_stream_ids",
+    "replan",
     "tear_down",
     "widen_content",
 ]

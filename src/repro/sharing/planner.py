@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 from ..costmodel import (
     RATE_RULES,
     CostModel,
-    LatencyModel,
     PlanEffects,
     StatisticsCatalog,
     StreamRate,
@@ -159,13 +158,11 @@ class Planner:
         net: Network,
         catalog: StatisticsCatalog,
         cost_model: CostModel,
-        latency_model: Optional[LatencyModel] = None,
         recorder: Optional[object] = None,
     ) -> None:
         self.net = net
         self.catalog = catalog
         self.cost_model = cost_model
-        self.latency_model = latency_model or LatencyModel()
         #: Observability sink (no-op unless the owning system traces).
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         # Always-on plain-int cache telemetry (cheap enough to keep

@@ -12,15 +12,15 @@ and the control plane (DESIGN.md §13):
    sustained-overload alerts (windowed means + hysteresis, so photon
    bursts and fault transients don't trigger churn);
 2. on an alert, :meth:`migrate` re-plans every subscription whose
-   delivery chain places operator work on a hot super-peer, with
-   plan repair's two primitives: tear the affected subscriptions down
-   (:func:`~repro.sharing.deregister.tear_down`: garbage-collecting
-   their now-unshared streams and releasing the estimated
-   commitments), then re-register each one
-   (:meth:`StreamGlobe.reregister`) — *with the planner's cost
-   model temporarily wrapped to surcharge work placed on hot peers*,
-   so Algorithm 1's strict-``<`` comparison steers new operator
-   placements away from the hotspot;
+   delivery chain places operator work on a hot super-peer through
+   plan repair's re-plan pass (:func:`~repro.sharing.repair.replan`):
+   tear the affected subscriptions down (garbage-collecting their
+   now-unshared streams and releasing the estimated commitments), then
+   re-register each one — *first with the planner's cost model wrapped
+   to surcharge work placed on hot peers*, so Algorithm 1's
+   strict-``<`` comparison steers new operator placements away from
+   the hotspot, then unbiased; what neither places is parked, as
+   repair parks it;
 3. the rewritten deployment passes the PR 1 verified pre-flight
    (``verify=True`` systems), exactly like churn repair does.
 
@@ -44,9 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..costmodel import CostModel, NetworkUsage, PlanEffects
 from ..obs.drift import DriftAlert, DriftConfig, DriftDetector
 from ..obs.timeseries import EpochSnapshot
-from .deregister import tear_down
-from .plan import RegisteredQuery
-from .planner import PlanningError
+from .repair import replan
 from .subscribe import RegistrationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,11 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["HotPeerCostModel", "MigrationReport", "Rebalancer"]
 
-#: Default surcharge per unit of *relative* load (work/capacity) a
-#: candidate plan places on a hot peer.  Large against the cost
-#: function's O(1) relative terms, so any feasible placement avoiding
-#: the hot peer wins; finite, so a plan *through* the hot peer still
-#: beats no plan when the topology offers nothing else.
+#: Surcharge per unit of *relative* load (work/capacity) a candidate
+#: plan places on a hot peer.  Large against the cost function's O(1)
+#: relative terms, so any feasible placement avoiding the hot peer
+#: wins; finite, so a plan *through* the hot peer still beats no plan
+#: when the topology offers nothing else.
 HOT_PEER_PENALTY = 1000.0
 
 
@@ -72,21 +70,15 @@ class HotPeerCostModel:
     upstream of costing, so the bias can never leak into accounting.
     """
 
-    def __init__(
-        self,
-        base: CostModel,
-        hot_peers: Sequence[str],
-        penalty: float = HOT_PEER_PENALTY,
-    ) -> None:
+    def __init__(self, base: CostModel, hot_peers: Sequence[str]) -> None:
         self._base = base
         self._hot = frozenset(hot_peers)
-        self._penalty = penalty
 
     def plan_cost(self, effects: PlanEffects, usage: NetworkUsage) -> float:
         cost = self._base.plan_cost(effects, usage)
         for peer, work in effects.peer_work.items():
             if peer in self._hot:
-                cost += self._penalty * (work / self._base.peer_capacity(peer))
+                cost += HOT_PEER_PENALTY * (work / self._base.peer_capacity(peer))
         return cost
 
     def overloads(self, effects: PlanEffects, usage: NetworkUsage) -> bool:
@@ -150,12 +142,10 @@ class Rebalancer:
         self,
         system: "StreamGlobe",
         config: Optional[DriftConfig] = None,
-        penalty: float = HOT_PEER_PENALTY,
         max_migrations: Optional[int] = None,
     ) -> None:
         self.system = system
         self.detector = DriftDetector(config or DriftConfig())
-        self.penalty = penalty
         #: Optional hard cap on migration passes per run (None = unlimited).
         self.max_migrations = max_migrations
         #: Every migration applied so far, in epoch order.
@@ -186,13 +176,10 @@ class Rebalancer:
     def migrate(self, alert: DriftAlert) -> Optional[MigrationReport]:
         """One migration pass: re-plan everything working on hot peers.
 
-        Mirrors :meth:`PlanRepairer.repair
-        <repro.sharing.repair.PlanRepairer.repair>`'s teardown /
-        re-register structure — the topology is intact here, so unlike
-        repair there is no damage closure and no pending parking: every
-        torn-down subscription re-registers (with the hot-peer
-        surcharge; retried unbiased if the surcharged search fails,
-        which cannot lose plans the original registration found).
+        The re-plan pass of plan repair (:func:`~repro.sharing.repair.replan`)
+        with the hot-peer surcharge tried first; the topology is intact,
+        so there is no damage analysis, and a subscription neither
+        search places is parked as repair parks it.
         """
         system = self.system
         deployment = system.deployment
@@ -214,33 +201,10 @@ class Rebalancer:
         with recorder.span(
             "rebalance", context=context, hot_peers=list(hot)
         ) as rebalance_span:
-            with recorder.span("rebalance.teardown") as span:
-                # Streams no surviving subscription shares are
-                # garbage-collected and their estimated commitments
-                # released — the tear-down the repair path runs,
-                # against an undamaged topology.
-                popped, report.removed_streams = tear_down(
-                    system.planner, deployment, affected
-                )
-                report.moved_queries = sorted(popped)
-                if recorder.enabled:
-                    span.set(
-                        moved_queries=len(popped),
-                        removed_streams=len(report.removed_streams),
-                    )
-
-            with recorder.span("rebalance.reregister") as span:
-                base_model = system.planner.cost_model
-                biased = HotPeerCostModel(base_model, hot, self.penalty)
-                try:
-                    for _, record in sorted(popped.items()):
-                        report.reregistered.append(
-                            self._reregister(record, biased, base_model)
-                        )
-                finally:
-                    system.planner.cost_model = base_model
-                if recorder.enabled:
-                    span.set(reregistered=len(report.migrated_queries))
+            biased = HotPeerCostModel(system.planner.cost_model, hot)
+            report.moved_queries, report.removed_streams, report.reregistered = replan(
+                system, "rebalance", affected, bias=biased
+            )
 
             report.peer_work_after = {
                 peer: deployment.usage.peer_work(peer) for peer in hot
@@ -295,31 +259,3 @@ class Rebalancer:
             if movable or record.subscriber_node in hot:
                 affected.append(name)
         return affected
-
-    def _reregister(
-        self, record: RegisteredQuery, biased: HotPeerCostModel, unbiased: CostModel
-    ) -> RegistrationResult:
-        """Re-register one torn-down subscription, never losing it.
-
-        The surcharged search can only fail where the unbiased search
-        would (the penalty is finite), but re-plan defensively: on a
-        surcharged :class:`PlanningError` or rejection, retry with the
-        base model — the topology is intact, so the original plan shape
-        is always still available.
-        """
-        system = self.system
-        system.planner.cost_model = biased
-        try:
-            result = system.reregister(record)
-            if result.accepted:
-                return result
-        except PlanningError:
-            pass
-        system.planner.cost_model = unbiased
-        result = system.reregister(record)
-        if not result.accepted:
-            raise PlanningError(
-                f"migration could not re-register query {record.name!r}: "
-                f"{result.rejection_reason or 'registration rejected'}"
-            )
-        return result

@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Set, Tuple
 
+from ..costmodel import DEFAULT_LATENCY_MODEL
 from ..matching import MatchMemo, match_stream_properties
 from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
@@ -161,7 +162,7 @@ class Subscriber:
             query=properties.name,
             accepted=True,
             plan=plan,
-            registration_ms=self.planner.latency_model.registration_time_ms(
+            registration_ms=DEFAULT_LATENCY_MODEL.registration_time_ms(
                 visited_nodes=plan.visited_nodes,
                 candidate_matches=plan.candidate_matches,
                 installed_operators=plan.installed_operator_count(),

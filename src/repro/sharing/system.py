@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import (
+    DEFAULT_LATENCY_MODEL,
     CostModel,
-    LatencyModel,
     PlanEffects,
     StatisticsCatalog,
     StreamStatistics,
@@ -42,11 +42,11 @@ from .deregister import tear_down
 from .index import admission_order_key
 from .plan import Deployment, InstalledStream, RegisteredQuery
 from .planner import Planner
+from .repair import RepairReport, damaged_streams, replan
 from .subscribe import RegistrationResult, Subscriber
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..faults import FaultEvent
-    from .repair import RepairReport
 
 #: Number of sample items used to build a stream's statistics entry.
 STATISTICS_SAMPLE_SIZE = 400
@@ -92,7 +92,6 @@ class StreamGlobe:
         share_aggregates: bool = True,
         enable_widening: bool = False,
         use_index: bool = True,
-        latency_model: Optional[LatencyModel] = None,
         verify: bool = False,
         recorder: Optional[object] = None,
     ) -> None:
@@ -105,9 +104,7 @@ class StreamGlobe:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.catalog = StatisticsCatalog()
         self.cost_model = CostModel(net, gamma=gamma)
-        self.planner = Planner(
-            net, self.catalog, self.cost_model, latency_model, recorder=self.recorder
-        )
+        self.planner = Planner(net, self.catalog, self.cost_model, recorder=self.recorder)
         self.subscriber = Subscriber(
             self.planner,
             strategy,
@@ -121,10 +118,8 @@ class StreamGlobe:
         self.deployment = Deployment(net)
         self.sources: Dict[str, SourceRegistration] = {}
         self.results: List[RegistrationResult] = []
-        #: Subscriptions plan repair could not re-register yet, name →
-        #: (record, reason): every later repair retries them.  Kept
-        #: here, not on a repairer, so that no repairer outlives its use
-        #: (:meth:`plan_repairer`).
+        #: Subscriptions a repair or a migration could not re-register
+        #: yet, name → (record, reason): every later repair retries them.
         self.parked: Dict[str, Tuple[RegisteredQuery, str]] = {}
         #: ``query`` argument -> (analysis, input properties, rejection
         #: reason or ``None``): they depend on its text only, its name
@@ -378,7 +373,7 @@ class StreamGlobe:
             if rejection is not None:
                 # No search, nothing committed: the latency model charges
                 # the parsing alone.
-                base_ms = self.planner.latency_model.base_ms
+                base_ms = DEFAULT_LATENCY_MODEL.base_ms
                 result = RegistrationResult(name, False, None, base_ms, rejection)
             else:
                 with recorder.span("plan"):
@@ -505,19 +500,80 @@ class StreamGlobe:
     # ------------------------------------------------------------------
     # Fault handling and plan repair
     # ------------------------------------------------------------------
-    def plan_repairer(self):
-        """A :class:`~repro.sharing.repair.PlanRepairer` over this system.
+    def repair(self, context: str = "topology fault") -> RepairReport:
+        """One repair pass against the current topology.
 
-        A fresh one per call: what a repair leaves pending lives on the
-        system (:attr:`parked`), so a later rejoin retries it whichever
-        repairer runs.  A system that kept its repairer would be half of
-        a reference cycle (the repairer holds the system).
+        Reinstalls the original streams whose home rejoined, tears down
+        every subscription whose subscriber is gone or whose delivery
+        chain touches a damaged stream, and registers them again — the
+        parked ones first (:func:`~repro.sharing.repair.replan`); what
+        still cannot be placed stays parked for the next repair.
         """
-        from .repair import PlanRepairer
+        deployment = self.deployment
+        net = self.net
+        recorder = self.recorder
+        report = RepairReport(context=context)
 
-        return PlanRepairer(self)
+        with recorder.span("repair", context=context) as repair_span:
+            with recorder.span("repair.damage") as span:
+                for name, source in self.sources.items():
+                    if name not in deployment.streams and source.home_node in net:
+                        deployment.install_stream(source.stream())
+                        report.reinstalled_sources.append(name)
 
-    def apply_fault(self, event: "FaultEvent") -> "RepairReport":
+                damaged = damaged_streams(deployment, net)
+                report.damaged_streams = sorted(damaged)
+                affected = [
+                    name
+                    for name, record in deployment.queries.items()
+                    if record.subscriber_node not in net
+                    or any(
+                        stream_id not in deployment.streams or stream_id in damaged
+                        for _, stream_id in record.delivered
+                    )
+                ]
+                report.torn_down_queries = sorted(affected)
+                if recorder.enabled:
+                    span.set(
+                        damaged_streams=len(damaged),
+                        torn_down_queries=len(report.torn_down_queries),
+                    )
+
+            # Damaged *original* streams (their source's home crashed)
+            # are never garbage: the pass drops them after the sweep.
+            # They carry no committed effects (single-node route, no
+            # pipeline).
+            originals = [
+                stream_id
+                for stream_id in report.damaged_streams
+                if deployment.streams[stream_id].is_original
+            ]
+            _, report.removed_streams, report.reregistered = replan(
+                self, "repair", affected, release=originals, parked_first=True
+            )
+            report.pending = [
+                (name, reason) for name, (_, reason) in sorted(self.parked.items())
+            ]
+            if recorder.enabled:
+                repair_span.set(summary=report.summary())
+
+        if recorder.enabled:
+            recorder.event(
+                "repair.report",
+                context=context,
+                damaged_streams=len(report.damaged_streams),
+                removed_streams=len(report.removed_streams),
+                torn_down_queries=len(report.torn_down_queries),
+                queries_repaired=len(report.repaired_queries),
+                queries_lost=len(report.pending),
+                sources_reinstalled=len(report.reinstalled_sources),
+                recovery_time_ms=report.recovery_time_ms(),
+            )
+
+        self.preflight(f"after plan repair ({context})")
+        return report
+
+    def apply_fault(self, event: "FaultEvent") -> RepairReport:
         """Apply one :class:`~repro.faults.FaultEvent` and repair the plan.
 
         Mutates the topology, tears down every affected stream and
@@ -526,7 +582,7 @@ class StreamGlobe:
         deployment.  Returns the :class:`~repro.sharing.repair.RepairReport`.
         """
         event.apply(self.net)
-        return self.plan_repairer().repair(context=event.describe())
+        return self.repair(context=event.describe())
 
     # ------------------------------------------------------------------
     # Execution
@@ -583,7 +639,7 @@ class StreamGlobe:
         options: Dict[str, Any] = dict(
             max_items_per_source=max_items_per_source,
             schedule=faults,
-            repair=self.plan_repairer().repair if faults else None,
+            repair=self.repair if faults else None,
             capture=capture,
             recorder=self.recorder,
             rebalancer=rebalancer,

@@ -192,7 +192,7 @@ def check_one_cell_runs_sequentially(faults_key, net=None, workers=1):
         workers=workers,
         max_items_per_source=MAX_ITEMS,
         schedule=FAULT_CASES[faults_key]() if faults_key else None,
-        repair=system.plan_repairer().repair if faults_key else None,
+        repair=system.repair if faults_key else None,
         capture=lambda name, item: captured.setdefault(name, []).append(
             serialize(item)
         ),
@@ -326,7 +326,7 @@ def test_partition_conflict_keeps_the_partition_in_both_modes(mode, case):
     simulator = direct_simulator(
         system,
         schedule=FAULT_CASES[case](),
-        repair=system.plan_repairer().repair,
+        repair=system.repair,
     )
     built = partition_cells(system.deployment, 2)
     with pinned_cells(mode):

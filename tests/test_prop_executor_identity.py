@@ -174,7 +174,7 @@ class Twin:
         common: Dict[str, Any] = dict(
             batch_size=self.batch_size,
             schedule=faults,
-            repair=system.plan_repairer().repair if faults else None,
+            repair=system.repair if faults else None,
             capture=lambda name, item: captured.setdefault(name, []).append(
                 serialize(item)
             ),
@@ -291,7 +291,7 @@ class ExecutorIdentity(RuleBasedStateMachine):
     def _registered(self):
         """The names in use: installed, or parked by plan repair."""
         system = self.twins[0].system
-        parked = [name for name, _ in system.plan_repairer().pending]
+        parked = sorted(system.parked)
         return [*system.deployment.queries, *parked]
 
     @rule(

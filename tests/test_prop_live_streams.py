@@ -141,11 +141,10 @@ def test_sweep_removes_exactly_the_oracles_dead_set(steps):
     until one sweeps it."""
     system = make_system("stream-sharing", enable_widening=True)
     deployment = system.deployment
-    repairer = system.plan_repairer()
     down, clock, udfs = [], 0.0, 0
 
     def register(name, text, subscriber):
-        if name not in deployment.queries and not repairer.is_parked(name):
+        if name not in deployment.queries and name not in system.parked:
             try:
                 system.register_query(name, TEXTS[text], subscriber)
             except (PlanningError, TopologyError):

@@ -266,7 +266,7 @@ class TestHotPeerCostModel:
 
         system = drift_runs["static_sys"]
         base = system.cost_model
-        biased = HotPeerCostModel(base, ["SP0"], penalty=1000.0)
+        biased = HotPeerCostModel(base, ["SP0"])
         effects = PlanEffects()
         effects.add_peer("SP0", 100.0)
         effects.add_peer("SP1", 100.0)
@@ -278,6 +278,39 @@ class TestHotPeerCostModel:
         # The surcharge wrapper must never survive a migration pass.
         system = drift_runs["adaptive_sys"]
         assert not isinstance(system.planner.cost_model, HotPeerCostModel)
+
+
+def test_migration_parks_what_neither_search_places(monkeypatch):
+    """A subscription the surcharged and the unbiased search both fail
+    to place is parked with its reason, as repair parks it; the other
+    moves still apply."""
+    from repro.obs.drift import DriftAlert
+    from repro.sharing.planner import PlanningError
+
+    system = _build(scenario_drift())
+    rebalancer = Rebalancer(system, config=CONFIG)
+    assert rebalancer._affected_queries(("SP1",)) == ["Q001", "Q009"]
+    reregister = StreamGlobe.reregister
+    attempts = []
+
+    def failing(self, record):
+        attempts.append(record.name)
+        if record.name == "Q001":
+            raise PlanningError("no plan for Q001")
+        return reregister(self, record)
+
+    monkeypatch.setattr(StreamGlobe, "reregister", failing)
+    report = rebalancer.migrate(DriftAlert(3, 1.5, (("SP1", 40.0),)))
+    assert attempts.count("Q001") == 2  # surcharged, then unbiased
+    assert report.moved_queries == ["Q001", "Q009"]
+    assert report.migrated_queries == ["Q009"]
+    assert {name: reason for name, (_, reason) in system.parked.items()} == {
+        "Q001": "no plan for Q001"
+    }
+    assert "Q001" not in system.deployment.queries
+    assert "Q009" in system.deployment.queries
+    assert not isinstance(system.planner.cost_model, HotPeerCostModel)
+    assert_ledger_is_the_walk(system)
 
 
 class TestRebalancerKnobs:

@@ -121,7 +121,7 @@ class TestPendingSubscriptions:
         system = make_system(verify=True)
         register_all(system, names=("Q1", "Q2"))
         system.apply_fault(SuperPeerCrash(5.0, "SP1"))
-        assert [name for name, _ in system.plan_repairer().pending] == ["Q1"]
+        assert sorted(system.parked) == ["Q1"]
         streams = set(system.deployment.streams)
         with pytest.raises(ValueError, match="'Q1' already registered"):
             system.register_query("Q1", PAPER_QUERIES["Q3"], "P3")
@@ -130,7 +130,7 @@ class TestPendingSubscriptions:
         assert set(system.deployment.streams) == streams  # refused up front
 
         assert system.deregister_query("Q1") == []
-        assert system.plan_repairer().pending == []
+        assert system.parked == {}
         system.register_query("Q1", PAPER_QUERIES["Q3"], "P3")
         healed = system.apply_fault(SuperPeerRejoin(15.0, "SP1"))
         assert healed.repaired_queries == []
@@ -171,6 +171,38 @@ def test_ledger_is_the_walk_after_every_scheduled_fault(scenario):
     for event in events:
         system.apply_fault(event)
         assert_ledger_is_the_walk(system)
+
+
+def test_damage_set_is_the_closure_over_each_streams_ancestors():
+    """After every fault of the churn schedule, repair's damage set is
+    every installed stream whose own route or some ancestor's route
+    touches a removed node or link."""
+    from repro.workload import scenarios
+
+    built = scenarios.scenario_churn()
+    system = scenarios.run_scenario(built, "stream-sharing", execute=False).system
+    net, streams = system.net, system.deployment.streams
+
+    def broken(stream):
+        return any(node not in net for node in stream.route) or any(
+            not net.has_link(a, b) for a, b in stream.links()
+        )
+
+    damaged_somewhere = False
+    for event in built.faults.events():
+        event.apply(net)
+        expected = set()
+        for stream_id, stream in streams.items():
+            link = stream
+            while link is not None:
+                if broken(link):
+                    expected.add(stream_id)
+                    break
+                link = streams.get(link.parent_id) if link.parent_id else None
+        report = system.repair(context=event.describe())
+        assert report.damaged_streams == sorted(expected)
+        damaged_somewhere = damaged_somewhere or bool(expected)
+    assert damaged_somewhere
 
 
 def test_planning_toward_a_crashed_super_peer_still_raises():
