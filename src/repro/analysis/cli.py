@@ -19,11 +19,11 @@ Passes
   workload (without pumping items) and runs the
   :func:`~repro.analysis.plan_verifier.verify_deployment` invariants
   (P1xx, and T2xx over compensation pipelines; subscription texts are
-  typed at registration) over the resulting deployments;
+  typed at registration) over the resulting deployments, stream
+  sharing's also with widening enabled (it rewrites installed streams);
 * ``--flow`` runs the abstract interpreter
   (:func:`~repro.analysis.flow.analyze_flow`, F4xx) over the same
-  deployments — each (scenario, strategy) is registered once, whatever
-  the passes;
+  deployments — each of them is registered once, whatever the passes;
 * ``--churn`` replays the churn scenario's fault schedule against a
   registered deployment and re-runs plan and flow after every repair.
 
@@ -109,7 +109,8 @@ def _scenario_reports(
     strategies: Optional[Sequence[str]],
     passes: Tuple[str, ...],
 ) -> List[AnalysisReport]:
-    """Register each (scenario, strategy) once and run ``passes`` on it.
+    """Register each (scenario, strategy) once — stream sharing also
+    with widening enabled — and run ``passes`` on each deployment.
 
     The reports come back grouped by pass, in the order of ``passes``.
     """
@@ -122,28 +123,21 @@ def _scenario_reports(
     for key in scenarios:
         scenario = SCENARIOS[key]()
         for strategy in strategies or STRATEGIES:
-            system = run_scenario(scenario, strategy, execute=False).system
-            where = f"scenario {key}, strategy {strategy!r}"
-            if "plan" in passes:
-                by_pass["plan"].append(
-                    verify_system(system, title=f"plan verification: {where}")
-                )
-                if (key, strategy) == ("1", "stream-sharing"):
-                    # Widening rewrites installed streams in place: the one
-                    # deployment shape no other scenario produces.
-                    widened = run_scenario(
-                        scenario, strategy, enable_widening=True, execute=False
-                    ).system
+            for widening in (False, True) if strategy == "stream-sharing" else (False,):
+                system = run_scenario(
+                    scenario, strategy, enable_widening=widening, execute=False
+                ).system
+                where = f"scenario {key}, strategy {strategy!r}"
+                if widening:
+                    where += ", widening enabled"
+                if "plan" in passes:
                     by_pass["plan"].append(
-                        verify_system(
-                            widened,
-                            title=f"plan verification: {where}, widening enabled",
-                        )
+                        verify_system(system, title=f"plan verification: {where}")
                     )
-            if "flow" in passes:
-                by_pass["flow"].append(
-                    flow_system(system, title=f"flow analysis: {where}")
-                )
+                if "flow" in passes:
+                    by_pass["flow"].append(
+                        flow_system(system, title=f"flow analysis: {where}")
+                    )
     return [report for name in passes for report in by_pass[name]]
 
 

@@ -159,6 +159,17 @@ class CostModel:
             load_cost += u_l + _overload_penalty(u_l, a_l)
         return self.gamma * traffic_cost + (1.0 - self.gamma) * load_cost
 
+    def added_cost_floor(self, effects: PlanEffects) -> float:
+        """The least non-negative ``effects`` add to any plan's cost: the
+        usage-free, penalty-free terms of :meth:`plan_cost`, since no
+        term grows slower than its utilization (``-inf``, no bound, if
+        an entry is negative)."""
+        if min((*effects.link_bits.values(), *effects.peer_work.values()), default=0.0) < 0.0:
+            return -math.inf
+        traffic = sum(bits / link.bandwidth for link, bits in effects.link_bits.items())
+        load = sum(work / self.peer_capacity(p) for p, work in effects.peer_work.items())
+        return self.gamma * traffic + (1.0 - self.gamma) * load
+
     def overloads(self, effects: PlanEffects, usage: NetworkUsage) -> bool:
         """Hard overload test for admission control (Section 4).
 

@@ -43,17 +43,7 @@ class SelectOperator(Operator):
         self.graph = graph
         self.item_path = item_path
         self._edges = _compile_edges(graph, item_path)
-        self.seen = 0
-        self.passed = 0
 
     def process_columns(self, batch: Batch) -> Batch:
         """Refine the batch's row vector to the accepted rows."""
-        self.seen += len(batch)
-        rows = filter_rows(self._edges, batch.rows, batch.number_column)
-        self.passed += len(rows)
-        return batch.derive(rows)
-
-    @property
-    def observed_selectivity(self) -> float:
-        """Measured pass fraction (compare against the estimate)."""
-        return self.passed / self.seen if self.seen else 1.0
+        return batch.derive(filter_rows(self._edges, batch.rows, batch.number_column))

@@ -15,7 +15,7 @@ from .explain import explain_deployment, explain_registration
 from .rebalance import HotPeerCostModel, MigrationReport, Rebalancer
 from .repair import RepairReport, replan
 from .export import deployment_to_dict, deployment_to_json
-from .widening import WideningAction, WideningPlanner, widen_content
+from .widening import WideningAction, plan_widening, widen_content
 
 __all__ = [
     "Deployment",
@@ -34,7 +34,6 @@ __all__ = [
     "StreamGlobe",
     "Subscriber",
     "WideningAction",
-    "WideningPlanner",
     "DeregistrationError",
     "deployment_to_dict",
     "deployment_to_json",
@@ -42,6 +41,7 @@ __all__ = [
     "explain_deployment",
     "explain_registration",
     "live_stream_ids",
+    "plan_widening",
     "replan",
     "tear_down",
     "widen_content",

@@ -87,6 +87,14 @@ SelectionKey = Tuple[SelectionSpec, ...]
 #: (exponential) signature powerset; they scan node buckets instead.
 _MAX_ENUMERATED_DETAILS = 10
 
+#: The operator kinds of the contents stream widening rewrites
+#: (:mod:`repro.sharing.widening`).
+PLAIN_KINDS = ("selection", "projection")
+
+
+def is_plain(content: StreamProperties) -> bool:
+    return all(op.kind in PLAIN_KINDS for op in content.operators)
+
 
 @dataclass(frozen=True)
 class ContentSignature:
@@ -219,6 +227,10 @@ class SubscriptionProbe:
     node's buckets with a subset test instead.  ``mode`` and ``memo`` are
     the subscriber's, so :meth:`admits` decides a selection key exactly
     as the matcher would.
+
+    A ``widening`` probe (a plain subscription on a widening system)
+    covers every plain signature, since widening may reuse a plain
+    content the subscription lacks an operator of.
     """
 
     subscription: StreamProperties
@@ -226,6 +238,7 @@ class SubscriptionProbe:
     signatures: Optional[Tuple[ContentSignature, ...]]
     mode: str = "edgewise"
     memo: Optional[MatchMemo] = None
+    widening: bool = False
     #: Selection key → verdict; keys are interned by the index, so a
     #: repeated key hits on identity.
     verdicts: Dict[SelectionKey, bool] = field(
@@ -239,8 +252,11 @@ class SubscriptionProbe:
         mode: str = "edgewise",
         memo: Optional[MatchMemo] = None,
         share_aggregates: bool = True,
+        widening: bool = False,
     ) -> "SubscriptionProbe":
         details = _compatible_details(subscription, share_aggregates)
+        if widening:
+            details |= {(kind,) for kind in PLAIN_KINDS}
         signatures: Optional[Tuple[ContentSignature, ...]] = None
         if len(details) <= _MAX_ENUMERATED_DETAILS:
             # key=repr: details mix strings, paths, and None, which do
@@ -255,11 +271,11 @@ class SubscriptionProbe:
                 for size in range(len(ordered) + 1)
                 for subset in combinations(ordered, size)
             )
-        return cls(subscription, details, signatures, mode, memo)
+        return cls(subscription, details, signatures, mode, memo, widening)
 
     def covers(self, signature: ContentSignature) -> bool:
         """Structural compatibility: could a stream with ``signature``
-        match this subscription input?"""
+        match this subscription input (or be widened to serve it)?"""
         return (
             signature.stream == self.subscription.stream
             and signature.item_path == self.subscription.item_path
@@ -409,15 +425,17 @@ class StreamAvailabilityIndex:
 
     def candidate_groups(
         self, node: str, probe: SubscriptionProbe
-    ) -> Tuple[List[Set[str]], int]:
+    ) -> Tuple[List[Set[str]], int, List[Set[str]]]:
         """The same-content id groups at ``node`` that ``probe`` admits,
-        and how many covered contents it pruned on their selections.
+        how many covered contents it pruned on their selections, and —
+        on a widening probe — the pruned groups themselves.
 
         Every admitted group can match; every pruned content is one
         Algorithm 2 rejects.  Groups come in index order; the caller
         orders them.
         """
         groups: List[Set[str]] = []
+        pruned_groups: List[Set[str]] = []
         pruned = 0
         for by_selection in self._covered(node, probe):
             for selection, by_content in by_selection.items():
@@ -425,7 +443,9 @@ class StreamAvailabilityIndex:
                     groups.extend(by_content.values())
                 else:
                     pruned += len(by_content)
-        return groups, pruned
+                    if probe.widening:
+                        pruned_groups.extend(by_content.values())
+        return groups, pruned, pruned_groups
 
     # ------------------------------------------------------------------
     # Introspection (verifier, tests)

@@ -304,7 +304,7 @@ class Deployment:
     # ------------------------------------------------------------------
     def distinct_candidates_at(
         self, node: str, probe: SubscriptionProbe
-    ) -> Tuple[List[Tuple[InstalledStream, Set[str]]], int]:
+    ) -> Tuple[List[Tuple[InstalledStream, Optional[Set[str]]]], int]:
         """Indexed candidates grouped by *content*: one representative
         stream per distinct content ``probe`` admits, plus the delivery
         targets of every stream in the group; and the number of
@@ -320,14 +320,26 @@ class Deployment:
         contributes its delivery target).  A pruned content would fail
         Algorithm 2, so it adds neither a plan nor a target.
 
-        Representatives are returned in ascending stream-id order.
+        A widening depends on the stream, not on its content alone, so a
+        widening probe's lookup also lists, without targets, the members
+        of pruned groups and the other members of admitted ones.  All
+        come in stream-id order, as the reference scan lists them.
         """
-        groups, pruned = self.sharing_index.candidate_groups(node, probe)
+        groups, pruned, pruned_groups = self.sharing_index.candidate_groups(node, probe)
         streams = self.streams
-        firsts = sorted((min(group), group) for group in groups)
+        entries: List[Tuple[str, Optional[Set[str]]]] = [(min(g), g) for g in groups]
+        if probe.widening:
+            firsts = {first for first, _ in entries}
+            entries += [
+                (stream_id, None)
+                for group in groups + pruned_groups
+                for stream_id in group
+                if stream_id not in firsts
+            ]
+        entries.sort()
         return [
-            (streams[first], {streams[stream_id].target_node for stream_id in group})
-            for first, group in firsts
+            (streams[first], None if group is None else {streams[s].target_node for s in group})
+            for first, group in entries
         ], pruned
 
     def stream(self, stream_id: str) -> InstalledStream:

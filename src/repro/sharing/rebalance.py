@@ -20,7 +20,7 @@ and the control plane (DESIGN.md §13):
    to surcharge work placed on hot peers*, so Algorithm 1's
    strict-``<`` comparison steers new operator placements away from
    the hotspot, then unbiased; what neither places is parked, as
-   repair parks it;
+   repair parks it, and what is parked already is retried first;
 3. the rewritten deployment passes the PR 1 verified pre-flight
    (``verify=True`` systems), exactly like churn repair does.
 
@@ -178,8 +178,8 @@ class Rebalancer:
 
         The re-plan pass of plan repair (:func:`~repro.sharing.repair.replan`)
         with the hot-peer surcharge tried first; the topology is intact,
-        so there is no damage analysis, and a subscription neither
-        search places is parked as repair parks it.
+        so there is no damage analysis; parked subscriptions go first, and
+        one neither search places is parked as repair parks it.
         """
         system = self.system
         deployment = system.deployment

@@ -30,8 +30,8 @@ consistent, verifiable state against the *surviving* topology:
 
 Subscriptions that cannot be re-registered *yet* — their subscriber's
 or their source's super-peer is down, or the backbone is partitioned —
-are parked on the system (:attr:`StreamGlobe.parked`) and retried on
-every later repair (i.e. after a rejoin).
+are parked on the system (:attr:`StreamGlobe.parked`) and retried
+first by every later re-plan pass (a repair after a rejoin, a migration).
 
 Migration (:meth:`Rebalancer.migrate
 <repro.sharing.rebalance.Rebalancer.migrate>`) runs the same
@@ -114,7 +114,6 @@ def replan(
     names: Sequence[str],
     *,
     release: Sequence[str] = (),
-    parked_first: bool = False,
     bias: Optional[CostModel] = None,
 ) -> Tuple[List[str], List[str], List[RegistrationResult]]:
     """Tear the subscriptions ``names`` down and register them again.
@@ -124,11 +123,10 @@ def replan(
     ``<phase>.reregister`` span.  After the sweep, the original streams
     ``release`` are dropped: releasing a dead derived stream looks up
     its parent's rate, so an original must still be installed then.
-    Re-registration takes the parked subscriptions first when
-    ``parked_first`` (they have waited longest), then the torn-down
-    ones in name order.  Each one tries the ``bias`` cost model first,
-    if given, then the planner's own; one that still fails is parked
-    with its reason.
+    Re-registration takes the parked subscriptions first (they have
+    waited longest), then the torn-down ones in name order.  Each one
+    tries the ``bias`` cost model first, if given, then the planner's
+    own; one that still fails is parked with its reason.
 
     Returns the torn-down names, the removed stream ids and the
     accepted re-registrations.
@@ -149,9 +147,7 @@ def replan(
 
     with recorder.span(f"{phase}.reregister") as span:
         parked = system.parked
-        records: List[RegisteredQuery] = []
-        if parked_first:
-            records = [parked.pop(name)[0] for name in sorted(parked)]
+        records: List[RegisteredQuery] = [parked.pop(name)[0] for name in sorted(parked)]
         records.extend(record for _, record in sorted(popped.items()))
         reregistered: List[RegistrationResult] = []
         for record in records:
@@ -161,9 +157,7 @@ def replan(
             else:
                 reregistered.append(result)
         if recorder.enabled:
-            span.set(reregistered=len(reregistered))
-            if parked_first:
-                span.set(pending=len(parked))
+            span.set(reregistered=len(reregistered), pending=len(parked))
     return sorted(popped), removed, reregistered
 
 

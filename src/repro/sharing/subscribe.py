@@ -29,16 +29,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import DEFAULT_LATENCY_MODEL
 from ..matching import MatchMemo, match_stream_properties
 from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
-from .index import SubscriptionProbe
+from .index import SubscriptionProbe, is_plain
 from .plan import Deployment, EvaluationPlan, InputPlan, InstalledStream, RegisteredQuery
-from .planner import Planner, PlanningError, PricedVariant, variant_count
-from .widening import WideningPlanner
+from .planner import Planner, PlanningError, variant_count
+from .widening import WideningAction, plan_widening
 
 
 #: The evaluation strategies compared in Section 4.  **Data shipping**
@@ -57,21 +57,6 @@ STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
 #: this margin (far above any rounding, far below any real cost gap)
 #: keeps the prune from ever skipping a winner.
 FLOOR_MARGIN = 1e-9
-
-
-def _keep_cheapest(
-    variants: List[PricedVariant],
-    order: int,
-    best: PricedVariant,
-    best_key: Tuple[float, int, int],
-) -> Tuple[PricedVariant, Tuple[float, int, int]]:
-    """The incumbent and its key after the ``variants`` of the
-    candidate found ``order``-th, in placement order."""
-    for placement, variant in enumerate(variants):
-        key = (variant.cost, order, placement)
-        if key < best_key:
-            best, best_key = variant, key
-    return best, best_key
 
 
 @dataclass
@@ -120,10 +105,8 @@ class Subscriber:
         self.use_index = use_index
         self.match_memo = MatchMemo() if use_index else None
         #: The Section 6 enhancement: consider widening almost-matching
-        #: streams (see :mod:`repro.sharing.widening`).  It needs the
-        #: near-miss candidates the index would prune, so it forces the
-        #: scan.
-        self.widening = WideningPlanner(planner) if enable_widening else None
+        #: streams (see :mod:`repro.sharing.widening`).
+        self.enable_widening = enable_widening
 
     # ------------------------------------------------------------------
     def subscribe(
@@ -234,10 +217,11 @@ class Subscriber:
             )
         initial_cost = best.cost
 
-        # Widening needs the almost-matching candidates the signature
-        # index prunes, so it falls back to the full per-node scan.
+        # Only a plain subscription can be served by widening a stream
+        # (widen_content), so no other is offered any.
+        widening = self.enable_widening and is_plain(subscription_input)
         probe: Optional[SubscriptionProbe] = None
-        if self.use_index and self.widening is None:
+        if self.use_index:
             # Interning makes recurring contents pointer-identical, so
             # memo/index/rate-cache probes short-circuit on identity
             # instead of re-running structural equality.
@@ -247,6 +231,7 @@ class Subscriber:
                 self.match_mode,
                 self.match_memo,
                 self.share_aggregates,
+                widening,
             )
 
         # The incumbent's key: (cost, discovery order, placement index),
@@ -254,9 +239,14 @@ class Subscriber:
         # the plan a strict-< scan in discovery order keeps, whatever
         # order the variants are priced in.
         best_key = (best.cost, -1, 0)
-        # Matched candidates, priced after the search, cheapest floor
-        # first: (floor, discovery order, candidate, tap node).
-        pending: List[Tuple[float, int, InstalledStream, str]] = []
+        # Matched and widened candidates, priced after the search,
+        # cheapest floor first: (floor, discovery order, candidate, tap
+        # node, the widening it needs).
+        pending: List[Tuple[float, int, InstalledStream, str, Optional[WideningAction]]] = []
+        # Widenings do not depend on the visited node: one search widens
+        # each candidate once and each content once (plan_widening).
+        widenings: Dict[str, Optional[Tuple[InstalledStream, WideningAction]]] = {}
+        widened_contents: Dict[StreamProperties, Optional[StreamProperties]] = {}
         order = 0
         marked: Set[str] = set()
         queue: Deque[str] = deque([original.origin_node])           # line 6
@@ -281,45 +271,49 @@ class Subscriber:
                 # Contents pruned on their selections would fail
                 # line 14; the latency model still charges them, since
                 # its count sets the modelled recovery time that gates
-                # delivery under churn.
+                # delivery under churn.  (A widening probe also lists,
+                # without targets, what only widening may reuse.)
                 candidates, pruned = deployment.distinct_candidates_at(node, probe)
                 plan.candidate_matches += pruned
             else:
                 candidates = self._scan(deployment, node, subscription_input)
             for candidate, targets in candidates:
-                # (A probe built without aggregate sharing covers no
-                # aggregate signature; the scan filters here.)
-                if not self.share_aggregates and candidate.content.aggregation is not None:
-                    continue
-                plan.candidate_matches += 1
-                planner.candidates_matched += 1
                 order += 1
-                if match_stream_properties(                         # line 14
-                    candidate.content,
-                    subscription_input,
-                    self.match_mode,
-                    self.match_memo,
-                ):
-                    matched_targets.update(targets)                 # line 15
-                    floor = planner.cost_floor(
-                        candidate.content, node, subscription_input, subscriber_node
-                    )
-                    pending.append((floor, order, candidate, node))
-                elif self.widening is not None:
-                    # A widening's ledger delta has no floor: priced now.
-                    best, best_key = _keep_cheapest(
-                        self._widened(
-                            deployment,
-                            candidate,
-                            subscription_input,
-                            query_name,
-                            subscriber_node,
-                            node,
-                        ),
-                        order,
-                        best,
-                        best_key,
-                    )
+                if targets is not None:
+                    # (A probe built without aggregate sharing covers no
+                    # aggregate signature; the scan filters here.)
+                    if not self.share_aggregates and candidate.content.aggregation is not None:
+                        continue
+                    plan.candidate_matches += 1
+                    planner.candidates_matched += 1
+                    if match_stream_properties(                     # line 14
+                        candidate.content,
+                        subscription_input,
+                        self.match_mode,
+                        self.match_memo,
+                    ):
+                        matched_targets.update(targets)             # line 15
+                        floor = planner.cost_floor(
+                            candidate.content, node, subscription_input, subscriber_node
+                        )
+                        pending.append((floor, order, candidate, node, None))
+                        if widening:  # its group's other members need none
+                            widened_contents[candidate.content] = None
+                        continue
+                if widening:
+                    if candidate.stream_id not in widenings:
+                        widenings[candidate.stream_id] = plan_widening(
+                            planner, deployment, candidate, subscription_input,
+                            query_name, self.match_memo, widened_contents,
+                        )
+                    widened = widenings[candidate.stream_id]
+                    if widened is not None:
+                        # The widening's delta adds to the widened floor.
+                        stream, action = widened
+                        floor = action.floor + planner.cost_floor(
+                            stream.content, node, subscription_input, subscriber_node
+                        )
+                        pending.append((floor, order, stream, node, action))
 
             for target in sorted(matched_targets):                  # lines 16–18
                 if target not in marked and target not in queue:
@@ -330,49 +324,22 @@ class Subscriber:
         # floor exceeds the incumbent's cost — or equals it, found after
         # the incumbent — cannot win and is never priced.
         pending.sort()
-        for floor, order, candidate, node in pending:
+        for floor, order, candidate, node, action in pending:
             if (floor * (1.0 - FLOOR_MARGIN), order) > best_key[:2]:
                 planner.plans_bounded += variant_count(node, subscriber_node)
                 continue
-            best, best_key = _keep_cheapest(
-                planner.price_variants(                             # line 19
-                    deployment, candidate, node, subscription_input, subscriber_node
-                ),
-                order,
-                best,
-                best_key,
+            variants = planner.price_variants(                      # line 19
+                deployment, candidate, node, subscription_input, subscriber_node, widening=action
             )
+            for placement, variant in enumerate(variants):
+                key = (variant.cost, order, placement)
+                if key < best_key:
+                    best, best_key = variant, key
         chosen = planner.build_plan(
             deployment, best, subscription_input, query_name, subscriber_node
         )
         chosen.initial_cost = initial_cost
         return chosen
-
-    def _widened(
-        self,
-        deployment: Deployment,
-        candidate: InstalledStream,
-        subscription_input: StreamProperties,
-        query_name: str,
-        subscriber_node: str,
-        node: str,
-    ) -> List[PricedVariant]:
-        """The variants that reuse a non-matching ``candidate`` after
-        widening it, priced with the widening's ledger delta."""
-        widened = self.widening.plan_widening(
-            deployment, candidate, subscription_input, query_name
-        )
-        if widened is None:
-            return []
-        widened_stream, action = widened
-        return self.planner.price_variants(
-            deployment,
-            widened_stream,
-            node,
-            subscription_input,
-            subscriber_node,
-            widening=action,
-        )
 
     @staticmethod
     def _scan(

@@ -119,7 +119,7 @@ class StreamGlobe:
         self.sources: Dict[str, SourceRegistration] = {}
         self.results: List[RegistrationResult] = []
         #: Subscriptions a repair or a migration could not re-register
-        #: yet, name → (record, reason): every later repair retries them.
+        #: yet, name → (record, reason): every later re-plan pass retries them first.
         self.parked: Dict[str, Tuple[RegisteredQuery, str]] = {}
         #: ``query`` argument -> (analysis, input properties, rejection
         #: reason or ``None``): they depend on its text only, its name
@@ -507,7 +507,7 @@ class StreamGlobe:
         every subscription whose subscriber is gone or whose delivery
         chain touches a damaged stream, and registers them again — the
         parked ones first (:func:`~repro.sharing.repair.replan`); what
-        still cannot be placed stays parked for the next repair.
+        still cannot be placed stays parked for the next re-plan pass.
         """
         deployment = self.deployment
         net = self.net
@@ -549,7 +549,7 @@ class StreamGlobe:
                 if deployment.streams[stream_id].is_original
             ]
             _, report.removed_streams, report.reregistered = replan(
-                self, "repair", affected, release=originals, parked_first=True
+                self, "repair", affected, release=originals
             )
             report.pending = [
                 (name, reason) for name, (_, reason) in sorted(self.parked.items())

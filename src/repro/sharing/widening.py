@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..costmodel import PlanEffects
-from ..matching import match_stream_properties
+from ..matching import MatchMemo, match_stream_properties
 from ..predicates import PredicateGraph
 from ..properties import (
     OperatorSpec,
@@ -45,6 +45,7 @@ from ..properties import (
     SelectionSpec,
     StreamProperties,
 )
+from .index import is_plain
 from .plan import Deployment, InstalledStream
 from .planner import Planner, derive_compensation
 
@@ -89,19 +90,17 @@ def widen_projection(
 
 
 def widen_content(
-    existing: StreamProperties, needed: StreamProperties
+    existing: StreamProperties, needed: StreamProperties, memo: Optional[MatchMemo] = None
 ) -> Optional[StreamProperties]:
     """Widened stream content serving both ``existing`` and ``needed``.
 
     Returns ``None`` when the streams are incompatible or widening is
     not applicable (aggregates/windows/UDFs, or nothing would change).
+    ``memo`` caches the matching checks.
     """
     if existing.stream != needed.stream or existing.item_path != needed.item_path:
         return None
-    plain_kinds = {"selection", "projection"}
-    if any(op.kind not in plain_kinds for op in existing.operators):
-        return None
-    if any(op.kind not in plain_kinds for op in needed.operators):
+    if not (is_plain(existing) and is_plain(needed)):
         return None
 
     operators: List[OperatorSpec] = []
@@ -120,9 +119,9 @@ def widen_content(
     if widened.operators == existing.operators:
         return None  # nothing widens: the existing stream already matched
     # Sanity: the widened stream must serve both parties.
-    if not match_stream_properties(widened, existing):
+    if not match_stream_properties(widened, existing, memo=memo):
         return None
-    if not match_stream_properties(widened, needed):
+    if not match_stream_properties(widened, needed, memo=memo):
         return None
     return widened
 
@@ -146,6 +145,8 @@ class WideningAction:
     #: The ledger delta: the walk over the streams above after the
     #: widening minus the walk over them before it.
     effects: PlanEffects = field(default_factory=PlanEffects)
+    #: What the delta adds to a variant's cost at least.
+    floor: float = 0.0
 
     def commit(self, deployment: Deployment) -> None:
         """Apply the action's *structural* changes.
@@ -172,80 +173,86 @@ class WideningAction:
             )
 
 
-class WideningPlanner:
-    """Builds widening actions against a deployment."""
+def plan_widening(
+    planner: Planner,
+    deployment: Deployment,
+    candidate: InstalledStream,
+    needed: StreamProperties,
+    query_name: str,
+    memo: Optional[MatchMemo] = None,
+    widened_contents: Optional[Dict[StreamProperties, Optional[StreamProperties]]] = None,
+) -> Optional[Tuple[InstalledStream, WideningAction]]:
+    """Try to widen ``candidate`` so that it serves ``needed``.
 
-    def __init__(self, planner: Planner) -> None:
-        self.planner = planner
+    Returns the *hypothetical* widened stream (not yet installed) plus
+    the action describing the deployment change, or ``None`` when
+    widening does not apply — in particular when the candidate's parent
+    cannot supply the widened content.  ``memo`` caches the matching
+    checks; ``widened_contents``, :func:`widen_content` per content
+    (``None``: it needs none or cannot widen) for one search.
+    """
+    if candidate.is_original:
+        return None  # the raw stream is already maximal
+    parent = deployment.streams.get(candidate.parent_id or "")
+    # The widened content serves ``needed`` and matching is transitive,
+    # so a parent that cannot supply ``needed`` cannot supply it either.
+    if parent is None or not match_stream_properties(parent.content, needed, memo=memo):
+        return None
+    if widened_contents is None:
+        widened_contents = {}
+    content = candidate.content
+    if content not in widened_contents:
+        hull = widen_content(content, needed, memo)
+        # Interned, so the memo's probes hit on identity.
+        widened_contents[content] = None if hull is None else planner.intern_content(hull)
+    widened_content = widened_contents[content]
+    if widened_content is None or not match_stream_properties(
+        parent.content, widened_content, memo=memo
+    ):
+        return None
+    widened = dataclasses.replace(
+        candidate,
+        content=widened_content,
+        pipeline=derive_compensation(parent.content, widened_content),
+    )
+    action = WideningAction(candidate.stream_id, widened_content, [widened])
 
-    # ------------------------------------------------------------------
-    def plan_widening(
-        self,
-        deployment: Deployment,
-        candidate: InstalledStream,
-        needed: StreamProperties,
-        query_name: str,
-    ) -> Optional[Tuple[InstalledStream, WideningAction]]:
-        """Try to widen ``candidate`` so that it serves ``needed``.
-
-        Returns the *hypothetical* widened stream (not yet installed)
-        plus the action describing the deployment change, or ``None``
-        when widening does not apply — in particular when the
-        candidate's parent cannot supply the widened content.
-        """
-        if candidate.is_original:
-            return None  # the raw stream is already maximal
-        widened_content = widen_content(candidate.content, needed)
-        if widened_content is None:
-            return None
-        parent = deployment.streams.get(candidate.parent_id or "")
-        if parent is None or not match_stream_properties(
-            parent.content, widened_content
-        ):
-            return None
-        widened = dataclasses.replace(
-            candidate,
-            content=widened_content,
-            pipeline=derive_compensation(parent.content, widened_content),
+    before = PlanEffects()
+    parent_rate = planner.stream_rate(parent.content)
+    old_rate = planner.stream_rate(candidate.content)
+    new_rate = planner.stream_rate(widened_content)
+    planner.effects_of(before, candidate, old_rate, parent_rate)
+    planner.effects_of(action.effects, widened, new_rate, parent_rate)
+    # Child streams: recompute their compensation pipelines against
+    # the widened content.
+    for stream in deployment.streams.values():
+        if stream.parent_id != candidate.stream_id:
+            continue
+        rewritten = dataclasses.replace(
+            stream, pipeline=derive_compensation(widened_content, stream.content)
         )
-        action = WideningAction(candidate.stream_id, widened_content, [widened])
-
-        planner = self.planner
-        before = PlanEffects()
-        parent_rate = planner.stream_rate(parent.content)
-        old_rate = planner.stream_rate(candidate.content)
-        new_rate = planner.stream_rate(widened_content)
-        planner.effects_of(before, candidate, old_rate, parent_rate)
-        planner.effects_of(action.effects, widened, new_rate, parent_rate)
-        # Child streams: recompute their compensation pipelines against
-        # the widened content.
-        for stream in deployment.streams.values():
-            if stream.parent_id != candidate.stream_id:
+        action.rewritten.append(rewritten)
+        rate = planner.stream_rate(stream.content)
+        planner.effects_of(before, stream, rate, old_rate)
+        planner.effects_of(action.effects, rewritten, rate, new_rate)
+    # Direct deliveries: subscriptions whose delivered stream IS the
+    # candidate get a restoring stream at their super-peer.
+    for record in deployment.queries.values():
+        for input_stream, stream_id in record.delivered:
+            if stream_id != candidate.stream_id:
                 continue
-            rewritten = dataclasses.replace(
-                stream, pipeline=derive_compensation(widened_content, stream.content)
+            restore = InstalledStream(
+                stream_id=f"{candidate.stream_id}#restore:{record.name}:{query_name}",
+                content=candidate.content,
+                origin_node=candidate.target_node,
+                route=(candidate.target_node,),
+                parent_id=candidate.stream_id,
+                pipeline=derive_compensation(widened_content, candidate.content),
+                query=record.name,
+                taps_parent=False,
             )
-            action.rewritten.append(rewritten)
-            rate = planner.stream_rate(stream.content)
-            planner.effects_of(before, stream, rate, old_rate)
-            planner.effects_of(action.effects, rewritten, rate, new_rate)
-        # Direct deliveries: subscriptions whose delivered stream IS the
-        # candidate get a restoring stream at their super-peer.
-        for record in deployment.queries.values():
-            for input_stream, stream_id in record.delivered:
-                if stream_id != candidate.stream_id:
-                    continue
-                restore = InstalledStream(
-                    stream_id=f"{candidate.stream_id}#restore:{record.name}:{query_name}",
-                    content=candidate.content,
-                    origin_node=candidate.target_node,
-                    route=(candidate.target_node,),
-                    parent_id=candidate.stream_id,
-                    pipeline=derive_compensation(widened_content, candidate.content),
-                    query=record.name,
-                    taps_parent=False,
-                )
-                action.restores.append((record.name, input_stream, restore))
-                planner.effects_of(action.effects, restore, old_rate, new_rate)
-        action.effects.merge(before, sign=-1.0)
-        return widened, action
+            action.restores.append((record.name, input_stream, restore))
+            planner.effects_of(action.effects, restore, old_rate, new_rate)
+    action.effects.merge(before, sign=-1.0)
+    action.floor = planner.cost_model.added_cost_floor(action.effects)
+    return widened, action

@@ -112,8 +112,8 @@ def test_churn_pass_reruns_plan_and_flow(capsys):
 
 
 def test_every_pass_reads_one_registration(monkeypatch, capsys):
-    """--plan --flow registers each (scenario, strategy) once, plus
-    scenario 1 with widening enabled for the plan pass."""
+    """--plan --flow registers each (scenario, strategy) once, stream
+    sharing also with widening enabled."""
     from repro.sharing import STRATEGIES
     from repro.workload import scenarios
 
@@ -127,9 +127,9 @@ def test_every_pass_reads_one_registration(monkeypatch, capsys):
     monkeypatch.setattr(scenarios, "run_scenario", counted)
     assert main(["--plan", "--flow", "--quiet"]) == 0
     expected = [
-        (scenario, strategy, False)
+        (scenario, strategy, widening)
         for scenario in ("scenario-1", "scenario-2", "grid-3x3")
         for strategy in STRATEGIES
+        for widening in ((False, True) if strategy == "stream-sharing" else (False,))
     ]
-    expected.insert(3, ("scenario-1", "stream-sharing", True))
     assert calls == expected

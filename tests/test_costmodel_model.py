@@ -132,6 +132,26 @@ class TestCostFunction:
             2 * model.plan_cost(small, usage)
         )
 
+    def test_added_cost_floor_bounds_what_effects_add(self, example_net):
+        """Non-negative effects add at least their floor to any plan's
+        cost, overload penalties or not; a negative entry bounds nothing."""
+        model = CostModel(example_net)
+        usage = NetworkUsage(example_net)
+        usage.add_peer_work("SP4", 900_000.0)
+        link = example_net.link("SP4", "SP5")
+        base, delta, combined = PlanEffects(), PlanEffects(), PlanEffects()
+        base.add_link(link, 40_000_000.0)
+        base.add_peer("SP4", 50_000.0)
+        delta.add_link(link, 30_000_000.0)
+        delta.add_peer("SP4", 200_000.0)
+        delta.add_peer("SP5", 10_000.0)
+        combined.merge(base)
+        combined.merge(delta)
+        added = model.plan_cost(combined, usage) - model.plan_cost(base, usage)
+        assert 0.0 < model.added_cost_floor(delta) < added
+        delta.add_peer("SP5", -20_000.0)
+        assert model.added_cost_floor(delta) == -math.inf
+
     def test_gamma_weights_components(self, example_net):
         usage = NetworkUsage(example_net)
         link = example_net.link("SP4", "SP5")

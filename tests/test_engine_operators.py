@@ -70,15 +70,6 @@ class TestSelectOperator:
         assert op.process(photon(en=1.5)) == [photon(en=1.5)]
         assert op.process(photon(en=1.0)) == []
 
-    def test_observed_selectivity(self):
-        op = SelectOperator(graph((EN, ">=", "1.3")), ITEM)
-        for en in (1.5, 1.0, 2.0, 0.5):
-            op.process(photon(en=en))
-        assert op.observed_selectivity == 0.5
-
-    def test_selectivity_before_input(self):
-        assert SelectOperator(PredicateGraph(), ITEM).observed_selectivity == 1.0
-
 
 class TestProjectOperator:
     def test_projects(self):

@@ -5,8 +5,10 @@ candidate lookup, and the route cache are all *optimizations*: on any
 workload — including deregistration and churn with plan repair — the
 indexed system must accept the same subscriptions, reuse the same
 streams at the same nodes with the same placements and costs, and end
-with an identical deployment.  Randomized here over template-generated
-workloads plus the paper's example queries.
+with an identical deployment — with stream widening on as well, where
+both sources offer the streams that fail Algorithm 2 for widening.
+Randomized here over template-generated workloads plus the paper's
+example queries.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def _aggregate(where, function="avg"):
         '<photons>{ for $w in stream("photons")/photons/photon '
         f"[{condition}] |det_time diff 20 step 10| let $a := {function}($w/en) "
         "return <agg_result> { $a } </agg_result> }</photons>"
+    )
+
+
+def _whole_items(where):
+    return (
+        '<photons>{ for $p in stream("photons")/photons/photon '
+        f"where {where} return $p }}</photons>"
     )
 
 
@@ -94,16 +103,56 @@ _POOL += _ADVERSARIAL
 #: refuses in both modes alike.
 _INDEX_POOL = _POOL + [_selection(_box((138.0, 138.0), VELA[1], strict=True))]
 
+#: Query 2's box under a projection that drops ``dec``: its selection
+#: passes the prune for the box's other queries, its projection fails.
+NARROW_PROJECTION = (
+    '<photons>{ for $p in stream("photons")/photons/photon where '
+    f"{_box((125.0, 130.0), (-45.0, -42.0))} "
+    "return <m> { $p/coord/cel/ra } { $p/en } </m> }</photons>"
+)
+
+#: The widening test adds plain subscriptions without a projection or
+#: without a selection: a widening probe also reaches the plain
+#: contents beyond their details.
+_WIDENING_POOL = _INDEX_POOL + [
+    _whole_items(_box(*VELA)),
+    _whole_items(_box((125.0, 130.0), (-45.0, -42.0))),
+    '<photons>{ for $p in stream("photons")/photons/photon '
+    "return <m> { $p/coord/cel/ra } { $p/coord/cel/dec } { $p/en } </m> }</photons>",
+    NARROW_PROJECTION,
+]
+
+#: Picks whose widened plan only one near-miss source offers: a box,
+#: then one beside it whose probe prunes the first's selection; a
+#: template query's projected box, then whole items of Query 1's box —
+#: the projected content lies beyond that subscription's details; and
+#: two streams of ``NARROW_PROJECTION``'s content, the second of which
+#: the last pick widens (an admitted group's non-representative member).
+WIDENED_PRUNED = [
+    _WIDENING_POOL.index(_selection(_box((160.0, 170.0), (-30.0, -20.0)))),
+    _WIDENING_POOL.index(_selection(_box((138.0, 150.0), VELA[1], strict=True))),
+]
+WIDENED_BEYOND_DETAILS = [10, _WIDENING_POOL.index(_whole_items(_box(*VELA)))]
+_NARROW = _WIDENING_POOL.index(NARROW_PROJECTION)
+WIDENED_FOLLOWER = [
+    16,
+    _NARROW,
+    _WIDENING_POOL.index(_whole_items(_box(*VELA))),
+    4,
+    _NARROW,
+    _WIDENING_POOL.index(_selection(_box((125.0, 130.0), (-45.0, -42.0)))),
+]
+
 SUBSCRIBERS = ("P1", "P2", "P3", "P4")
 
 
-def _register_workload(use_index, picks):
-    system = make_system("stream-sharing", use_index=use_index)
+def _register_workload(use_index, picks, pool=_INDEX_POOL, **options):
+    system = make_system("stream-sharing", use_index=use_index, **options)
     results = []
     for i, pick in enumerate(picks):
         try:
             result = system.register_query(
-                f"W{i:02d}", _INDEX_POOL[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)]
+                f"W{i:02d}", pool[pick], SUBSCRIBERS[i % len(SUBSCRIBERS)]
             )
         except UnsatisfiableError:
             continue  # an empty region is refused before any search
@@ -125,6 +174,7 @@ def _decisions(results):
                     p.cost,
                     p.effects.link_bits,
                     p.effects.peer_work,
+                    p.widening is not None,
                 )
                 for p in r.plan.inputs
             )
@@ -164,8 +214,35 @@ def _deployment_facts(system):
     rejoin=False,
 )
 def test_indexed_equals_brute_force(picks, drop, crash, rejoin):
-    indexed, indexed_results = _register_workload(True, picks)
-    brute, brute_results = _register_workload(False, picks)
+    _assert_equivalent(picks, drop, crash, rejoin)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    picks=st.lists(
+        st.integers(min_value=0, max_value=len(_WIDENING_POOL) - 1),
+        min_size=1,
+        max_size=10,
+    ),
+    drop=st.sets(st.integers(min_value=0, max_value=9)),
+    crash=st.sampled_from([None, "SP5", "SP6", "SP7"]),
+    rejoin=st.booleans(),
+)
+@example(picks=WIDENED_PRUNED, drop=set(), crash=None, rejoin=False)
+@example(picks=WIDENED_BEYOND_DETAILS, drop=set(), crash=None, rejoin=False)
+@example(picks=WIDENED_FOLLOWER, drop=set(), crash=None, rejoin=False)
+def test_indexed_widening_equals_scan_widening(picks, drop, crash, rejoin):
+    """With widening on, the index offers widening what the scan does:
+    the streams of pruned groups, of groups beyond the subscription's
+    details, and every member of an admitted group that fails."""
+    _assert_equivalent(
+        picks, drop, crash, rejoin, pool=_WIDENING_POOL, enable_widening=True
+    )
+
+
+def _assert_equivalent(picks, drop, crash, rejoin, **options):
+    indexed, indexed_results = _register_workload(True, picks, **options)
+    brute, brute_results = _register_workload(False, picks, **options)
 
     # Identical plan decisions, including costs, on registration ...
     assert _decisions(indexed_results) == _decisions(brute_results)

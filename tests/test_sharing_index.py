@@ -99,8 +99,8 @@ def test_probe_enumeration_agrees_with_bucket_scan():
         # signatures=None forces the bucket-scan path.
         scan_probe = dataclasses.replace(probe, signatures=None)
         for node in system.net.super_peer_names():
-            groups, pruned = index.candidate_groups(node, probe)
-            scan_groups, scan_pruned = index.candidate_groups(node, scan_probe)
+            groups, pruned, _ = index.candidate_groups(node, probe)
+            scan_groups, scan_pruned, _ = index.candidate_groups(node, scan_probe)
             assert sorted(map(sorted, groups)) == sorted(map(sorted, scan_groups))
             assert pruned == scan_pruned
 
@@ -137,7 +137,7 @@ def test_candidates_are_superset_of_matches_everywhere():
         probe = SubscriptionProbe.from_subscription(subscription)
         for node in system.net.super_peer_names():
             served = set(covered_ids(deployment.sharing_index, node, probe))
-            groups, _ = deployment.sharing_index.candidate_groups(node, probe)
+            groups, _, _ = deployment.sharing_index.candidate_groups(node, probe)
             admitted = set().union(*groups)
             for stream in deployment.streams.values():
                 if node not in stream.route or stream.content.stream != subscription.stream:

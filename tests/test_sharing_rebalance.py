@@ -283,7 +283,7 @@ class TestHotPeerCostModel:
 def test_migration_parks_what_neither_search_places(monkeypatch):
     """A subscription the surcharged and the unbiased search both fail
     to place is parked with its reason, as repair parks it; the other
-    moves still apply."""
+    moves still apply, and the next migration re-registers it first."""
     from repro.obs.drift import DriftAlert
     from repro.sharing.planner import PlanningError
 
@@ -310,6 +310,14 @@ def test_migration_parks_what_neither_search_places(monkeypatch):
     assert "Q001" not in system.deployment.queries
     assert "Q009" in system.deployment.queries
     assert not isinstance(system.planner.cost_model, HotPeerCostModel)
+    assert_ledger_is_the_walk(system)
+
+    monkeypatch.undo()
+    report = rebalancer.migrate(DriftAlert(4, 1.5, (("SP1", 40.0),)))
+    assert report.moved_queries == ["Q009"]
+    assert report.migrated_queries == ["Q001", "Q009"]
+    assert system.parked == {}
+    assert "Q001" in system.deployment.queries
     assert_ledger_is_the_walk(system)
 
 

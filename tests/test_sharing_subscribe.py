@@ -6,6 +6,7 @@ answered from Query 1's stream, Query 4 answered from Query 3's
 aggregates via re-aggregation.
 """
 
+import math
 from collections import deque
 
 import pytest
@@ -27,6 +28,7 @@ from repro.workload.scenarios import (
     scenario_churn_hotspots,
     scenario_grid,
     scenario_one,
+    scenario_two,
 )
 from repro.workload.templates import QueryTemplateGenerator
 from repro.wxquery import WXQueryError, parse_query
@@ -365,14 +367,14 @@ def _decisions(results):
     ]
 
 
-def _registered(scenario, monkeypatch, *patches):
+def _registered(scenario, monkeypatch, *patches, **options):
     """Register ``scenario`` (then apply its faults, collecting what plan
     repair re-registered) with every ``(owner, name, value)`` of
     ``patches`` in place."""
     with monkeypatch.context() as patch:
         for owner, name, value in patches:
             patch.setattr(owner, name, value)
-        run = run_scenario(scenario, "stream-sharing", execute=False)
+        run = run_scenario(scenario, "stream-sharing", execute=False, **options)
         system = run.system
         results = list(run.registrations)
         for event in scenario.faults.events() if scenario.faults else ():
@@ -412,11 +414,28 @@ def test_bounded_search_decides_like_the_full_search(scenario, monkeypatch):
     assert planner.plans_costed + planner.plans_bounded == full.plans_costed
 
 
+def test_bounded_widening_search_decides_like_the_full_search(monkeypatch):
+    """Widened candidates are bounded by the widened stream's floor plus
+    ``CostModel.added_cost_floor`` of their delta: with no floor at all
+    (``-inf``: a delta that releases work can make a cost negative, so
+    0 would prune), the widening registration of scenario 2 decides the
+    same."""
+    no_floor = (Planner, "cost_floor", lambda self, *args: -math.inf)
+    decisions, facts, planner = _registered(scenario_two(), monkeypatch, enable_widening=True)
+    full_decisions, full_facts, full = _registered(
+        scenario_two(), monkeypatch, no_floor, enable_widening=True
+    )
+    assert decisions == full_decisions
+    assert facts == full_facts
+    assert planner.plans_bounded > 0 and full.plans_bounded == 0
+    assert planner.plans_costed + planner.plans_bounded == full.plans_costed
+
+
 def _build_every_variant(self, deployment, subscription_input, query_name, subscriber_node, plan):
     """The reference search: Algorithm 1 as it ran before variants were
     priced — every variant of every matched candidate the floor admits
     is built, and the strict-``<`` cheapest plan is kept (no widening)."""
-    assert self.widening is None
+    assert not self.enable_widening
     original = deployment.find_original(subscription_input.stream)
 
     def plans(candidate, node, placements=("tap", "target")):
@@ -544,9 +563,9 @@ def test_equal_costs_go_to_the_candidate_found_first(monkeypatch):
     def floor_zero_at_sp7(self, content, node, *rest):
         return 0.0 if node == "SP7" else cost_floor(self, content, node, *rest)
 
-    def spied(self, deployment, candidate, node, *rest):
+    def spied(self, deployment, candidate, node, *rest, **options):
         priced.append((candidate.stream_id, node))
-        return price_variants(self, deployment, candidate, node, *rest)
+        return price_variants(self, deployment, candidate, node, *rest, **options)
 
     monkeypatch.setattr(Planner, "cost_floor", floor_zero_at_sp7)
     monkeypatch.setattr(Planner, "price_variants", spied)
@@ -597,7 +616,7 @@ def test_selection_pruned_candidate_is_charged_but_never_matched(monkeypatch):
     charged, matched = [], []
 
     def distinct_candidates_at(self, node, probe):
-        groups, pruned = deployment.sharing_index.candidate_groups(node, probe)
+        groups, pruned, _ = deployment.sharing_index.candidate_groups(node, probe)
         charged.append(len(groups) + pruned)  # one group per admitted content
         return lookup(self, node, probe)
 

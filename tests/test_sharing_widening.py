@@ -18,7 +18,7 @@ from repro.properties import (
     StreamProperties,
     extract_properties,
 )
-from repro.sharing import WideningPlanner, widen_content
+from repro.sharing import plan_widening, widen_content
 from repro.sharing.widening import widen_projection, widen_selection
 from repro.wxquery import parse_query
 from repro.xmlkit import Path
@@ -205,9 +205,8 @@ class TestWideningEndToEnd:
             "narrow:copy", "narrow:photons", (), "P1", tap_node=narrow.target_node
         )
         needed = extract_properties(parse_query(WIDE_QUERY), "wide").single_input()
-        widening = WideningPlanner(system.planner)
-        assert widening.plan_widening(deployment, narrow, needed, "wide") is not None
-        assert widening.plan_widening(deployment, child, needed, "wide") is None
+        assert plan_widening(system.planner, deployment, narrow, needed, "wide") is not None
+        assert plan_widening(system.planner, deployment, child, needed, "wide") is None
 
     def test_widening_used_when_it_wins(self):
         """On a path where the narrow stream flows right past the new
