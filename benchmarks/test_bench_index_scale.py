@@ -12,7 +12,9 @@ ways (``index_scale_runs``).  The index is an optimization,
 never a behaviour change: every plan decision is equal, and what differs
 is how many candidates reach Algorithm 2 and how many placement
 variants are priced or skipped by the search's cost floor (priced
-cheapest floor first; priced plus skipped is the variants examined) —
+cheapest floor first; priced plus skipped is the variants examined; the
+floor is exact on this unloaded grid, so pricing stops near the
+winner) —
 exactly repeatable counts, written to ``index_scale.txt`` and compared
 byte for byte in CI.  The
 wall-clock ratio of the same run is asserted ``> 1`` here and written
@@ -96,6 +98,15 @@ class TestIndexScale:
         assert candidate_matches(indexed) * 2 < candidate_matches(scan)
         assert algorithm_2_runs(indexed) * 2 < candidate_matches(indexed)
         assert algorithm_2_runs(scan) == candidate_matches(scan)
+
+    def test_the_search_prices_little_beyond_the_winner(self, index_scale_runs):
+        """The floor is the exact cost of a variant that overloads
+        nothing, and nothing overloads on this grid: the indexed search
+        prices at most 4 variants per registration (the initial plan and
+        about the winner's).  A count, not a clock: a loosened floor
+        fails on any host."""
+        indexed, _ = index_scale_runs["indexed"]
+        assert indexed.system.planner.plans_costed <= 4 * QUERIES
 
     def test_index_is_faster_in_the_same_run(self, index_scale_runs):
         (_, indexed_s), (_, scan_s) = index_scale_runs.values()

@@ -159,6 +159,19 @@ class CostModel:
             load_cost += u_l + _overload_penalty(u_l, a_l)
         return self.gamma * traffic_cost + (1.0 - self.gamma) * load_cost
 
+    def utilisation_cost(self, effects: PlanEffects) -> float:
+        """The γ-weighted utilisation sum of ``effects``: :meth:`plan_cost`
+        with every overload penalty 0, by its own expressions in its own
+        order — so a plan that overloads nothing costs exactly this."""
+        traffic_cost = 0.0
+        for link, bits in effects.link_bits.items():
+            traffic_cost += bits / link.bandwidth
+        super_peer = self._net.super_peer
+        load_cost = 0.0
+        for peer, work in effects.peer_work.items():
+            load_cost += work / super_peer(peer).capacity
+        return self.gamma * traffic_cost + (1.0 - self.gamma) * load_cost
+
     def added_cost_floor(self, effects: PlanEffects) -> float:
         """The least non-negative ``effects`` add to any plan's cost: the
         usage-free, penalty-free terms of :meth:`plan_cost`, since no
@@ -166,9 +179,7 @@ class CostModel:
         an entry is negative)."""
         if min((*effects.link_bits.values(), *effects.peer_work.values()), default=0.0) < 0.0:
             return -math.inf
-        traffic = sum(bits / link.bandwidth for link, bits in effects.link_bits.items())
-        load = sum(work / self.peer_capacity(p) for p, work in effects.peer_work.items())
-        return self.gamma * traffic + (1.0 - self.gamma) * load
+        return self.utilisation_cost(effects)
 
     def overloads(self, effects: PlanEffects, usage: NetworkUsage) -> bool:
         """Hard overload test for admission control (Section 4).

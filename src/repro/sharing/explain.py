@@ -9,7 +9,8 @@ on in scripts.
 
 ``decision_record`` is the machine-readable counterpart: a plain-dict
 "why this plan" record (reused stream, placement, compensation,
-chosen vs. initial cost, search telemetry) that the observability
+chosen vs. initial cost, the overload penalty in the chosen cost,
+search telemetry) that the observability
 layer attaches to every registration as a structured
 ``plan.decision`` event (DESIGN.md §10).
 """
@@ -88,6 +89,11 @@ def explain_input_plan(plan: InputPlan, deployment: Deployment) -> List[str]:
             f"  result routed {' -> '.join(plan.delivered.route)}"
         )
     lines.append(f"  estimated plan cost C = {plan.cost:.6f}")
+    if plan.overload_penalty:
+        lines.append(
+            f"  of which overload penalty {plan.overload_penalty:.6f} "
+            f"(the plan exceeds the available capacity)"
+        )
     return lines
 
 
@@ -131,6 +137,7 @@ def _input_plan_record(plan: InputPlan, deployment: Deployment) -> Dict[str, Any
         "compensation": [describe_operator(spec) for spec in plan.delivered.pipeline],
         "widened": plan.widening is not None,
         "cost": plan.cost,
+        "overload_penalty": plan.overload_penalty,
         "initial_cost": plan.initial_cost,
     }
     if plan.initial_cost is not None:

@@ -133,6 +133,10 @@ class InputPlan:
     #: the subscriber) — the baseline the chosen plan improved on; set
     #: by the search, reported in the decision record.
     initial_cost: Optional[float] = None
+    #: What ``cost`` pays over the plan's γ-weighted utilisation sum
+    #: (widening delta included): its overload penalties, 0.0 for a
+    #: plan that fits the available capacity.
+    overload_penalty: float = 0.0
 
     def new_streams(self) -> List[InstalledStream]:
         streams = [] if self.relay is None else [self.relay]

@@ -21,15 +21,18 @@ module implements it in parts:
   ``size(p)``/``freq(p)`` estimates), walked from the stream's facts:
   the one walk that prices a variant, commits a stream and releases
   it again;
-* :meth:`Planner.cost_floor` — a lower bound on what every placement
-  variant of a candidate costs, read from the route's profile in one
-  lookup, so the search prices candidates cheapest floor first and
-  skips those that cannot beat its incumbent.
+* :meth:`Planner.cost_floor` — what the cheaper placement variant of
+  a candidate costs without overload penalties, read from the route's
+  profile in one lookup: a lower bound under any usage, and the exact
+  cost of a variant that overloads nothing.  The search prices
+  candidates cheapest floor first and skips those that cannot beat its
+  incumbent, so on an unloaded network it prices little beyond the
+  winner.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..costmodel import (
     RATE_RULES,
@@ -123,6 +126,16 @@ def _fresh_id(deployment: Deployment, base: str) -> str:
     return stream_id
 
 
+def _with_widening(effects: PlanEffects, widening: Optional["WideningAction"]) -> PlanEffects:
+    """``effects`` plus the ledger delta of ``widening``, if any."""
+    if widening is None:
+        return effects
+    combined = PlanEffects()
+    combined.merge(effects)
+    combined.merge(widening.effects)
+    return combined
+
+
 def variant_count(tap_node: str, subscriber_node: str) -> int:
     """How many placement variants :meth:`Planner.price_variants`
     prices for a candidate tapped at ``tap_node``: one when the tap is
@@ -183,6 +196,11 @@ class Planner:
         # immutable content and the catalog entry of its original
         # stream, which is registered once and never mutated.
         self._rate_cache: Dict[StreamProperties, StreamRate] = {}
+        # Compensation load per (reused content, subscription), beside
+        # the rates it is walked from (see :meth:`stage_load`).
+        self._stage_loads: Dict[Tuple[StreamProperties, StreamProperties], float] = {}
+        self.stage_load_hits = 0
+        self.stage_load_misses = 0
         # Content intern table: equal contents recur constantly in
         # template-style workloads, and every dict probe on a *distinct*
         # equal object pays a full structural __eq__.  Interning makes
@@ -210,6 +228,48 @@ class Planner:
             self.rate_cache_hits += 1
         return rate
 
+    @property
+    def stage_loads(self) -> int:
+        """Entries of the :meth:`stage_load` memo."""
+        return len(self._stage_loads)
+
+    def stage_load(self, content: StreamProperties, subscription: StreamProperties) -> float:
+        """``L``: the compensation stages that turn ``content`` into
+        ``subscription`` (:func:`derive_compensation`), each ``bload`` ×
+        its input frequency — what :meth:`stream_effects` charges for
+        them at a peer of performance index 1.  Memoized per pair: like
+        the rates it reads, it depends on the contents and the catalog
+        only."""
+        key = (content, subscription)
+        load = self._stage_loads.get(key)
+        if load is None:
+            self.stage_load_misses += 1
+            load = 0.0
+            pipeline = derive_compensation(content, subscription)
+            frequency = self.stream_rate(content).frequency
+            for kind, udf_name, frequency in self._stages(pipeline, frequency, content.stream):
+                load += base_load(kind, udf_name) * frequency
+            self._stage_loads[key] = load
+        else:
+            self.stage_load_hits += 1
+        return load
+
+    def _stages(
+        self, pipeline: Tuple[OperatorSpec, ...], frequency: float, stream: str
+    ) -> Iterator[Tuple[str, Optional[str], float]]:
+        """Each stage of ``pipeline`` as ``(kind, udf name, input
+        frequency)``: the first runs at ``frequency``, every later one
+        at the frequency its predecessor's
+        :data:`~repro.costmodel.RATE_RULES` rule yields (the last
+        stage's output is never computed)."""
+        for index, spec in enumerate(pipeline):
+            if index:
+                before = pipeline[index - 1]
+                stats = self.catalog.for_stream(stream)
+                frequency = RATE_RULES[before.kind].frequency(before, frequency, stats)
+            udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
+            yield spec.kind, udf_name, frequency
+
     # ------------------------------------------------------------------
     # Pricing and construction
     # ------------------------------------------------------------------
@@ -226,8 +286,9 @@ class Planner:
         """Every placement variant of reusing ``candidate`` at
         ``tap_node``, priced: what it commits — the walk over the
         streams :meth:`build_plan` would install, plus the subscriber's
-        post-processing — and its :meth:`variant_cost`.  ``widening``:
-        the action that makes ``candidate`` reusable."""
+        post-processing — and its cost ``C(P)``, the ledger delta of
+        ``widening`` (the action that makes ``candidate`` reusable)
+        included."""
         pipeline = derive_compensation(candidate.content, subscription)
         reused_rate = self.stream_rate(candidate.content)
         delivered_rate = self.stream_rate(subscription)
@@ -260,27 +321,14 @@ class Planner:
                 reused_rate,
             )
             self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
-            cost = self.variant_cost(deployment, effects, widening)
+            cost = self.cost_model.plan_cost(
+                _with_widening(effects, widening), deployment.usage
+            )
             self.plans_costed += 1
             variants.append(
                 PricedVariant(cost, effects, candidate, tap_node, node, pipeline, widening)
             )
         return variants
-
-    def variant_cost(
-        self,
-        deployment: Deployment,
-        effects: PlanEffects,
-        widening: Optional["WideningAction"],
-    ) -> float:
-        """``C(P)`` of a variant's ``effects`` plus the ledger delta of
-        the ``widening`` it needs, if any."""
-        if widening is not None:
-            combined = PlanEffects()
-            combined.merge(effects)
-            combined.merge(widening.effects)
-            effects = combined
-        return self.cost_model.plan_cost(effects, deployment.usage)
 
     def build_plan(
         self,
@@ -326,6 +374,8 @@ class Planner:
         )
         self.effects_of(effects, delivered, delivered_rate, reused_rate)
         self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
+        combined = _with_widening(effects, variant.widening)
+        cost = self.cost_model.plan_cost(combined, deployment.usage)
         return InputPlan(
             input_stream=subscription.stream,
             reused_id=candidate.stream_id,
@@ -334,8 +384,9 @@ class Planner:
             relay=relay,
             delivered=delivered,
             effects=effects,
-            cost=self.variant_cost(deployment, effects, variant.widening),
+            cost=cost,
             widening=variant.widening,
+            overload_penalty=cost - self.cost_model.utilisation_cost(combined),
         )
 
     def plans_for_candidate(
@@ -364,32 +415,40 @@ class Planner:
         subscription: StreamProperties,
         subscriber_node: str,
     ) -> float:
-        """A lower bound on the cost of every placement variant of
-        reusing a stream of ``content`` at ``tap_node``.
+        """The usage-free, penalty-free cost of the cheaper placement
+        variant of reusing a stream of ``content`` at ``tap_node``.
 
-        Both variants duplicate the reused stream at the tap, ship
-        something over ``path(tap, subscriber)`` — the delivered stream
-        (compensation at the tap) or a relay of the reused one
-        (compensation at the subscriber) — and restructure at the
-        subscriber.  The floor prices those terms at the smaller of the
-        two rates, usage-free and penalty-free, from the route's
+        Both variants duplicate the reused stream at the tap, send
+        something along ``path(tap, subscriber)`` and restructure at the
+        subscriber.  Compensation at the tap sends the delivered stream
+        (its bits and frequency) and runs the stages' load ``L``
+        (:meth:`stage_load`) at the tap; compensation at the subscriber
+        relays the reused stream and runs ``L`` there.  Each variant's
+        γ-weighted utilisation sum is read from the route's
         :class:`~repro.network.routing.RouteProfile` (one lookup, not a
-        walk over the hops); every term of :meth:`CostModel.plan_cost`
-        is non-negative, so no variant costs less (up to float
-        rounding).
+        walk over the hops).  The overload penalties of
+        :meth:`CostModel.plan_cost` are never negative, so no variant
+        costs less under any usage (up to float rounding), and one that
+        overloads nothing costs exactly its floor.
         """
         reused = self.stream_rate(content)
         delivered = self.stream_rate(subscription)
+        stages = self.stage_load(content, subscription)
         profile = self.routes.profile(tap_node, subscriber_node)
-        bits = min(reused.bits_per_second, delivered.bits_per_second)
-        frequency = min(reused.frequency, delivered.frequency)
-        load = (
-            base_load("duplicate") * reused.frequency * profile.source_share
-            + base_load("restructure") * delivered.frequency * profile.target_share
-            + base_load("transfer") * frequency * profile.sender_share
+        tap_share, subscriber_share = profile.source_share, profile.target_share
+        shared = (
+            base_load("duplicate") * reused.frequency * tap_share
+            + base_load("restructure") * delivered.frequency * subscriber_share
         )
+        transfer = base_load("transfer") * profile.sender_share
         gamma = self.cost_model.gamma
-        return gamma * bits * profile.inverse_bandwidth + (1.0 - gamma) * load
+        at_tap = gamma * delivered.bits_per_second * profile.inverse_bandwidth + (
+            1.0 - gamma
+        ) * (shared + stages * tap_share + transfer * delivered.frequency)
+        at_subscriber = gamma * reused.bits_per_second * profile.inverse_bandwidth + (
+            1.0 - gamma
+        ) * (shared + stages * subscriber_share + transfer * reused.frequency)
+        return min(at_tap, at_subscriber)
 
     # ------------------------------------------------------------------
     # The ledger walk
@@ -425,13 +484,11 @@ class Planner:
             frequency = parent_rate.frequency
             if taps_parent:
                 self.charge(effects, origin, "duplicate", frequency)
-            for index, spec in enumerate(pipeline):
-                if index:  # a stage runs at its predecessor's output frequency
-                    before = pipeline[index - 1]
-                    stats = self.catalog.for_stream(content.stream)
-                    frequency = RATE_RULES[before.kind].frequency(before, frequency, stats)
-                udf_name = getattr(spec, "name", None) if spec.kind == "udf" else None
-                self.charge(effects, origin, spec.kind, frequency, udf_name)
+            if pipeline:  # a relay or an exact reuse runs no stage
+                for kind, udf_name, frequency in self._stages(
+                    pipeline, frequency, content.stream
+                ):
+                    self.charge(effects, origin, kind, frequency, udf_name)
         # Route traffic and transfer work: :meth:`PlanEffects.add_link`
         # and :meth:`charge` unrolled over the hops.
         bits = rate.bits_per_second

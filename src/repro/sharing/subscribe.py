@@ -13,11 +13,13 @@ For each input stream of a newly registered subscription the algorithm
    the subscription (Algorithm 2) and keeps the cheapest plan under the
    cost function ``C`` (lines 19–22), best first: matched streams are
    priced after the search in ascending order of their
-   :meth:`~repro.sharing.planner.Planner.cost_floor`, and one whose
-   floor exceeds the incumbent's cost is never priced (branch and
-   bound).  Ties go to the stream found first — the plan is the minimum
-   of ``(cost, discovery order, placement)``, which a strict-``<`` scan
-   in discovery order would keep too, so decisions do not depend on the
+   :meth:`~repro.sharing.planner.Planner.cost_floor` — the cost of
+   their cheaper placement variant without overload penalties, exact
+   for a plan that overloads nothing — and one whose floor exceeds the
+   incumbent's cost is never priced (branch and bound).  Ties go to
+   the stream found first — the plan is the minimum of ``(cost,
+   discovery order, placement)``, which a strict-``<`` scan in
+   discovery order would keep too, so decisions do not depend on the
    pricing order.  Of the variants priced only the winner is built.
 
 The queue discipline is configurable: FIFO gives the paper's
@@ -50,10 +52,11 @@ from .widening import WideningAction, plan_widening
 STRATEGIES = ("data-shipping", "query-shipping", "stream-sharing")
 
 #: Relative slack on :meth:`Planner.cost_floor` before it prunes: the
-#: floor and a variant's cost sum the same terms in different orders —
-#: the floor also re-associates them through its route profile (a
-#: rate times a sum of per-hop shares, not a sum of per-hop products) —
-#: so rounding may put the floor a few ulps above the cost it bounds;
+#: floor is a variant's penalty-free cost with its non-negative terms
+#: re-associated — per charge instead of per peer, and through the
+#: route profile (a rate times a sum of per-hop shares, not a sum of
+#: per-hop products) — so rounding may put it a few ulps above the
+#: cost it bounds (or equals, for a variant that overloads nothing);
 #: this margin (far above any rounding, far below any real cost gap)
 #: keeps the prune from ever skipping a winner.
 FLOOR_MARGIN = 1e-9

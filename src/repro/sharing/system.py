@@ -461,6 +461,11 @@ class StreamGlobe:
             "rate": rated(
                 self.planner.rate_cache_hits, self.planner.rate_cache_misses
             ),
+            "stages": rated(
+                self.planner.stage_load_hits,
+                self.planner.stage_load_misses,
+                entries=self.planner.stage_loads,
+            ),
             "analysis": rated(
                 self.analysis_hits, self.analysis_misses, entries=len(self._analyses)
             ),

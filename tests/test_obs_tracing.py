@@ -95,6 +95,10 @@ class TestRegistrationSpans:
         system, recorder = traced
         assert recorder.counters["cache.route.hits"] == system.planner.routes.hits
         assert recorder.counters["cache.rate.misses"] == system.planner.rate_cache_misses
+        planner = system.planner
+        assert recorder.counters["cache.stages.hits"] == planner.stage_load_hits
+        assert recorder.counters["cache.stages.misses"] == planner.stage_load_misses
+        assert recorder.counters["cache.stages.entries"] == planner.stage_loads > 0
         assert recorder.counters["planner.plans_costed"] == system.planner.plans_costed
         assert 0.0 <= recorder.gauges["cache.match.hit_rate"] <= 1.0
 
@@ -112,7 +116,7 @@ class TestCacheStats:
         system.register_query("Q1", PAPER_QUERIES["Q1"], "P1")
         assert system.recorder.enabled is False
         stats = system.cache_stats()
-        assert set(stats) == {"route", "rate", "match", "analysis", "intern", "gc"}
+        assert set(stats) == {"route", "rate", "stages", "match", "analysis", "intern", "gc"}
         assert stats.pop("gc") == {}  # no run yet
         intern = stats.pop("intern")
         for cache in stats.values():

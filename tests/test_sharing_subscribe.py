@@ -14,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import PAPER_QUERIES, make_system
-from repro.costmodel import base_load
+from repro.costmodel import RATE_RULES, base_load
 from repro.faults import LinkFailure, LinkRestore, SuperPeerCrash, SuperPeerRejoin
 from repro.matching import match_stream_properties
 from repro.network.topology import example_topology
 from repro.predicates import PredicateGraph, UnsatisfiableError
 from repro.properties import extract_properties
-from repro.sharing.planner import Planner, PlanningError, variant_count
+from repro.sharing.planner import Planner, PlanningError, derive_compensation, variant_count
+from repro.sharing.explain import decision_record, explain_registration
 from repro.sharing.index import SubscriptionProbe
 from repro.sharing.subscribe import FLOOR_MARGIN, Subscriber
 from repro.workload.scenarios import (
@@ -270,28 +271,42 @@ def test_cost_floor_bounds_every_variant(picks, capacity, bandwidth, fault, prob
 
 
 def _walk_floor(planner, content, tap_node, subscription, subscriber_node):
-    """``Planner.cost_floor`` as a walk over the route's hops: the
-    reference the route profile's sums are checked against."""
+    """``Planner.cost_floor`` as a walk over the route's hops: each
+    placement variant's penalty-free cost — duplication at the tap, the
+    compensation stages at the variant's placement node, the traffic
+    and transfer work of what it sends along the route, restructuring
+    at the subscriber — and the cheaper of the two.  The reference the
+    route profile's sums are checked against."""
     reused = planner.stream_rate(content)
     delivered = planner.stream_rate(subscription)
     route = planner.routes.path(tap_node, subscriber_node)
+    pipeline = derive_compensation(content, subscription)
+    stats = planner.catalog.for_stream(subscription.stream)
     net = planner.net
-    bits = min(reused.bits_per_second, delivered.bits_per_second)
-    traffic = 0.0
-    for a, b in zip(route, route[1:]):
-        traffic += bits / net.link(a, b, include_removed=True).bandwidth
 
-    def share(node, kind, frequency):
+    def share(node, kind, frequency, udf_name=None):
         peer = net.super_peer(node, include_removed=True)
-        return base_load(kind) * peer.pindex * frequency / peer.capacity
+        return base_load(kind, udf_name) * peer.pindex * frequency / peer.capacity
 
-    load = share(tap_node, "duplicate", reused.frequency)
-    load += share(subscriber_node, "restructure", delivered.frequency)
-    frequency = min(reused.frequency, delivered.frequency)
-    for sender in route[:-1]:
-        load += share(sender, "transfer", frequency)
     gamma = planner.cost_model.gamma
-    return gamma * traffic + (1.0 - gamma) * load
+    costs = []
+    for placement, sent in ((tap_node, delivered), (subscriber_node, reused)):
+        traffic = 0.0
+        for a, b in zip(route, route[1:]):
+            traffic += sent.bits_per_second / net.link(a, b, include_removed=True).bandwidth
+        load = share(tap_node, "duplicate", reused.frequency)
+        frequency = reused.frequency
+        for index, spec in enumerate(pipeline):
+            if index:
+                before = pipeline[index - 1]
+                frequency = RATE_RULES[before.kind].frequency(before, frequency, stats)
+            udf_name = spec.name if spec.kind == "udf" else None
+            load += share(placement, spec.kind, frequency, udf_name)
+        for sender in route[:-1]:
+            load += share(sender, "transfer", sent.frequency)
+        load += share(subscriber_node, "restructure", delivered.frequency)
+        costs.append(gamma * traffic + (1.0 - gamma) * load)
+    return min(costs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,6 +328,58 @@ def test_profile_floor_is_the_walk_floor(
         assert abs(planner.cost_floor(*args) - walked) <= walked * FLOOR_MARGIN / 100, (
             candidate.stream_id, node,
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEPLOYMENTS)
+@example(**_FIRST_DEPLOYMENT)
+def test_an_unloaded_candidate_costs_its_floor(
+    picks, capacity, bandwidth, fault, probe, subscriber
+):
+    """The floor is exact: when no placement variant of a matched
+    candidate pays an overload penalty, the cheapest costs its floor
+    (up to ``FLOOR_MARGIN``), so best-first pricing stops at about the
+    winner."""
+    planner, deployment, matched = _matched_candidates(picks, capacity, bandwidth, fault, probe)
+    unloaded = 0
+    for subscription, node, candidate in matched:
+        plans = planner.plans_for_candidate(
+            deployment, candidate, node, subscription, "probe", subscriber
+        )
+        if any(plan.overload_penalty for plan in plans):
+            continue
+        unloaded += 1
+        floor = planner.cost_floor(candidate.content, node, subscription, subscriber)
+        cost = min(plan.cost for plan in plans)
+        assert abs(cost - floor) <= cost * FLOOR_MARGIN, (candidate.stream_id, node, floor, cost)
+    if capacity == 1.0 and bandwidth is None:  # the unscaled topology overloads nothing
+        assert unloaded
+
+
+def test_scenario_one_pays_no_overload_penalty():
+    """Every plan of scenario 1 fits the available capacity: each input
+    record's ``overload_penalty`` is exactly 0.0, and the explanation
+    names none."""
+    run = run_scenario(scenario_one(), "stream-sharing", execute=False)
+    deployment = run.system.deployment
+    for result in run.registrations:
+        record = decision_record(result, deployment)
+        assert [entry["overload_penalty"] for entry in record["inputs"]] == [0.0]
+        assert "overload penalty" not in explain_registration(result, deployment)
+
+
+def test_an_overloaded_plan_reports_its_penalty():
+    """On the example topology scaled to capacity 0.002, the first
+    pooled query's plan overloads its peers: the decision record says
+    by how much its cost exceeds the utilisation sum, and the
+    explanation prints it."""
+    system = make_system(net=example_topology().scaled(0.002, None))
+    result = system.register_query("W00", _POOL[0], SUBSCRIBERS[0])
+    (input_plan,) = result.plan.inputs
+    record = decision_record(result, system.deployment)
+    utilisation = system.planner.cost_model.utilisation_cost(input_plan.effects)
+    assert record["inputs"][0]["overload_penalty"] == input_plan.cost - utilisation > 0.0
+    assert "of which overload penalty" in explain_registration(result, system.deployment)
 
 
 @settings(max_examples=30, deadline=None)
@@ -391,8 +458,9 @@ def _registered(scenario, monkeypatch, *patches, **options):
     return _decisions(results), facts, system.planner
 
 
-#: The floor at 0: the search prunes nothing.
-NO_FLOOR = (Planner, "cost_floor", lambda self, *args: 0.0)
+#: No floor at all: the search prunes nothing (``-inf``, not 0: a
+#: widening delta that releases work can make a cost negative).
+NO_FLOOR = (Planner, "cost_floor", lambda self, *args: -math.inf)
 
 SEARCH_SCENARIOS = pytest.mark.parametrize(
     "scenario",
@@ -403,7 +471,7 @@ SEARCH_SCENARIOS = pytest.mark.parametrize(
 
 @SEARCH_SCENARIOS
 def test_bounded_search_decides_like_the_full_search(scenario, monkeypatch):
-    """The prune is exact: with a floor of 0 every matched candidate is
+    """The prune is exact: with no floor every matched candidate is
     priced, and every decision, cost, effect and stream id is the same
     — after plan repair too."""
     decisions, facts, planner = _registered(scenario(), monkeypatch)
@@ -417,13 +485,10 @@ def test_bounded_search_decides_like_the_full_search(scenario, monkeypatch):
 def test_bounded_widening_search_decides_like_the_full_search(monkeypatch):
     """Widened candidates are bounded by the widened stream's floor plus
     ``CostModel.added_cost_floor`` of their delta: with no floor at all
-    (``-inf``: a delta that releases work can make a cost negative, so
-    0 would prune), the widening registration of scenario 2 decides the
-    same."""
-    no_floor = (Planner, "cost_floor", lambda self, *args: -math.inf)
+    the widening registration of scenario 2 decides the same."""
     decisions, facts, planner = _registered(scenario_two(), monkeypatch, enable_widening=True)
     full_decisions, full_facts, full = _registered(
-        scenario_two(), monkeypatch, no_floor, enable_widening=True
+        scenario_two(), monkeypatch, NO_FLOOR, enable_widening=True
     )
     assert decisions == full_decisions
     assert facts == full_facts
