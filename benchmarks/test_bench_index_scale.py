@@ -102,9 +102,9 @@ class TestIndexScale:
     def test_the_search_prices_little_beyond_the_winner(self, index_scale_runs):
         """The floor is the exact cost of a variant that overloads
         nothing, and nothing overloads on this grid: the indexed search
-        prices at most 4 variants per registration (the initial plan and
-        about the winner's).  A count, not a clock: a loosened floor
-        fails on any host."""
+        builds and costs at most 4 variants per registration (the
+        initial plan and about the winner's).  A count, not a clock: a
+        loosened floor fails on any host."""
         indexed, _ = index_scale_runs["indexed"]
         assert indexed.system.planner.plans_costed <= 4 * QUERIES
 

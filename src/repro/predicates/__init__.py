@@ -21,9 +21,10 @@ from .atoms import (
     normalize_comparison,
 )
 from .graph import PredicateGraph, UnsatisfiableError, graph_from_atoms, interned_graph_count
-from .matching import match_predicates
+from .matching import MATCH_MODES, match_predicates
 
 __all__ = [
+    "MATCH_MODES",
     "ZERO",
     "ZERO_BOUND",
     "Bound",

@@ -29,6 +29,10 @@ from typing import Dict, Tuple
 from .atoms import Bound, NodeLabel, NormalizedAtom
 from .graph import PredicateGraph
 
+#: The matching modes, Algorithm 3 first: what :func:`match_predicates`
+#: accepts and what a system is built with (``match_mode``).
+MATCH_MODES = ("edgewise", "closure")
+
 
 def match_predicates(
     stream_graph: PredicateGraph,
@@ -50,7 +54,7 @@ def match_predicates(
         return _match_edgewise(stream_graph, subscription_graph)
     if mode == "closure":
         return _match_closure(stream_graph, subscription_graph)
-    raise ValueError(f"unknown predicate matching mode {mode!r}")
+    raise ValueError(f"unknown predicate matching mode {mode!r}; pick one of {MATCH_MODES}")
 
 
 def _match_edgewise(g: PredicateGraph, g_new: PredicateGraph) -> bool:

@@ -6,33 +6,30 @@ module implements it in parts:
 
 * :func:`derive_compensation` — the operator specs that transform the
   reused stream's content into the subscription's required content;
-* :meth:`Planner.price_variants` — what each placement variant would
-  commit and cost, without building it.  The compensation can run at
-  the tap node (in-network processing — the paper's stream-sharing
-  placement, cf. Query 1 computed at SP4) or at the subscriber's
-  super-peer (the shape of Algorithm 1's *initial* plan, which ships
-  the stream first).  Both variants are priced and the cost function
-  chooses — a documented, cost-neutral generalization;
-* :meth:`Planner.build_plan` — the streams of the variant that won,
-  materialised once per input (:meth:`Planner.plans_for_candidate`
-  builds every variant of a candidate);
+* :meth:`Planner.plans_for_candidate` — every placement variant of a
+  reuse, built and costed: the streams it installs, what they commit,
+  and ``C(P)``.  The compensation can run at the tap node (in-network
+  processing — the paper's stream-sharing placement, cf. Query 1
+  computed at SP4) or at the subscriber's super-peer (the shape of
+  Algorithm 1's *initial* plan, which ships the stream first).  Both
+  variants are built and the cost function chooses — a documented,
+  cost-neutral generalization;
 * :meth:`Planner.stream_effects` — what one stream commits (traffic
   per link, operator load per peer, from the cost model's
-  ``size(p)``/``freq(p)`` estimates), walked from the stream's facts:
-  the one walk that prices a variant, commits a stream and releases
-  it again;
+  ``size(p)``/``freq(p)`` estimates): the one walk that prices a
+  variant, commits a stream and releases it again;
 * :meth:`Planner.cost_floor` — what the cheaper placement variant of
   a candidate costs without overload penalties, read from the route's
   profile in one lookup: a lower bound under any usage, and the exact
-  cost of a variant that overloads nothing.  The search prices
+  cost of a variant that overloads nothing.  The search builds
   candidates cheapest floor first and skips those that cannot beat its
-  incumbent, so on an unloaded network it prices little beyond the
+  incumbent, so on an unloaded network it builds little beyond the
   winner.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..costmodel import (
     RATE_RULES,
@@ -137,34 +134,15 @@ def _with_widening(effects: PlanEffects, widening: Optional["WideningAction"]) -
 
 
 def variant_count(tap_node: str, subscriber_node: str) -> int:
-    """How many placement variants :meth:`Planner.price_variants`
-    prices for a candidate tapped at ``tap_node``: one when the tap is
+    """How many placement variants :meth:`Planner.plans_for_candidate`
+    builds for a candidate tapped at ``tap_node``: one when the tap is
     the subscriber's node (the two placements coincide), two
     otherwise."""
     return 1 if tap_node == subscriber_node else 2
 
 
-class PricedVariant(NamedTuple):
-    """One placement variant of reusing ``candidate`` at ``tap_node``,
-    priced but not built: the search's incumbent, materialised by
-    :meth:`Planner.build_plan` only if it wins.
-
-    ``effects`` are the variant's own commitments; ``cost`` also
-    covers the ``widening`` it needs, when there is one.
-    """
-
-    cost: float
-    effects: PlanEffects
-    candidate: InstalledStream
-    tap_node: str
-    placement_node: str
-    pipeline: Tuple[OperatorSpec, ...]
-    widening: Optional["WideningAction"] = None
-
-
 class Planner:
-    """Prices, builds and costs candidate plans against a deployment
-    state."""
+    """Builds and costs candidate plans against a deployment state."""
 
     def __init__(
         self,
@@ -182,6 +160,7 @@ class Planner:
         # unconditional; surfaced via StreamGlobe.cache_stats()).
         self.rate_cache_hits = 0
         self.rate_cache_misses = 0
+        #: Placement variants built and costed (:meth:`plans_for_candidate`).
         self.plans_costed = 0
         #: Algorithm 2 runs: candidates the search handed to
         #: ``match_stream_properties``.
@@ -271,124 +250,8 @@ class Planner:
             yield spec.kind, udf_name, frequency
 
     # ------------------------------------------------------------------
-    # Pricing and construction
+    # Construction
     # ------------------------------------------------------------------
-    def price_variants(
-        self,
-        deployment: Deployment,
-        candidate: InstalledStream,
-        tap_node: str,
-        subscription: StreamProperties,
-        subscriber_node: str,
-        placements: Tuple[str, ...] = ("tap", "target"),
-        widening: Optional["WideningAction"] = None,
-    ) -> List[PricedVariant]:
-        """Every placement variant of reusing ``candidate`` at
-        ``tap_node``, priced: what it commits — the walk over the
-        streams :meth:`build_plan` would install, plus the subscriber's
-        post-processing — and its cost ``C(P)``, the ledger delta of
-        ``widening`` (the action that makes ``candidate`` reusable)
-        included."""
-        pipeline = derive_compensation(candidate.content, subscription)
-        reused_rate = self.stream_rate(candidate.content)
-        delivered_rate = self.stream_rate(subscription)
-        variants: List[PricedVariant] = []
-        for placement in placements:
-            node = tap_node if placement == "tap" else subscriber_node
-            if any(variant.placement_node == node for variant in variants):
-                continue  # tap == target: the variants coincide
-            effects = PlanEffects()
-            relayed = node != tap_node
-            if relayed:
-                self.stream_effects(
-                    effects,
-                    tap_node,
-                    self.routes.path(tap_node, node),
-                    (),
-                    True,
-                    candidate.content,
-                    reused_rate,
-                    reused_rate,
-                )
-            self.stream_effects(
-                effects,
-                node,
-                self.routes.path(node, subscriber_node),
-                pipeline,
-                not relayed,
-                subscription,
-                delivered_rate,
-                reused_rate,
-            )
-            self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
-            cost = self.cost_model.plan_cost(
-                _with_widening(effects, widening), deployment.usage
-            )
-            self.plans_costed += 1
-            variants.append(
-                PricedVariant(cost, effects, candidate, tap_node, node, pipeline, widening)
-            )
-        return variants
-
-    def build_plan(
-        self,
-        deployment: Deployment,
-        variant: PricedVariant,
-        subscription: StreamProperties,
-        query_name: str,
-        subscriber_node: str,
-    ) -> InputPlan:
-        """Materialise a priced variant: the streams it installs, and
-        the effects and cost walked from them — what releasing them
-        walks again (uncounted: the variant was priced already)."""
-        candidate = variant.candidate
-        tap_node, placement_node = variant.tap_node, variant.placement_node
-        effects = PlanEffects()
-        reused_rate = self.stream_rate(candidate.content)
-        delivered_rate = self.stream_rate(subscription)
-        relay: Optional[InstalledStream] = None
-        delivered_parent = candidate.stream_id
-        if placement_node != tap_node:
-            relay = InstalledStream(
-                stream_id=_fresh_id(
-                    deployment, f"{query_name}:{subscription.stream}:relay"
-                ),
-                content=candidate.content,
-                origin_node=tap_node,
-                route=self.routes.path(tap_node, placement_node),
-                parent_id=candidate.stream_id,
-                pipeline=(),
-                query=query_name,
-            )
-            delivered_parent = relay.stream_id
-            self.effects_of(effects, relay, reused_rate, reused_rate)
-        delivered = InstalledStream(
-            stream_id=_fresh_id(deployment, f"{query_name}:{subscription.stream}"),
-            content=subscription,
-            origin_node=placement_node,
-            route=self.routes.path(placement_node, subscriber_node),
-            parent_id=delivered_parent,
-            pipeline=variant.pipeline,
-            query=query_name,
-            taps_parent=relay is None,
-        )
-        self.effects_of(effects, delivered, delivered_rate, reused_rate)
-        self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
-        combined = _with_widening(effects, variant.widening)
-        cost = self.cost_model.plan_cost(combined, deployment.usage)
-        return InputPlan(
-            input_stream=subscription.stream,
-            reused_id=candidate.stream_id,
-            tap_node=tap_node,
-            placement_node=placement_node,
-            relay=relay,
-            delivered=delivered,
-            effects=effects,
-            cost=cost,
-            widening=variant.widening,
-            overload_penalty=cost - self.cost_model.utilisation_cost(combined),
-        )
-
     def plans_for_candidate(
         self,
         deployment: Deployment,
@@ -398,15 +261,68 @@ class Planner:
         query_name: str,
         subscriber_node: str,
         placements: Tuple[str, ...] = ("tap", "target"),
+        widening: Optional["WideningAction"] = None,
     ) -> List[InputPlan]:
-        """All placement variants of reusing ``candidate`` at
-        ``tap_node``, priced and built."""
-        return [
-            self.build_plan(deployment, variant, subscription, query_name, subscriber_node)
-            for variant in self.price_variants(
-                deployment, candidate, tap_node, subscription, subscriber_node, placements
+        """Every placement variant of reusing ``candidate`` at
+        ``tap_node``, built: the streams it installs, their
+        :meth:`stream_effects` plus the subscriber's post-processing,
+        and its cost ``C(P)`` — the ledger delta of ``widening`` (the
+        action that makes ``candidate`` reusable) included."""
+        pipeline = derive_compensation(candidate.content, subscription)
+        reused_rate = self.stream_rate(candidate.content)
+        delivered_rate = self.stream_rate(subscription)
+        plans: List[InputPlan] = []
+        for placement in placements:
+            node = tap_node if placement == "tap" else subscriber_node
+            if any(plan.placement_node == node for plan in plans):
+                continue  # tap == target: the variants coincide
+            effects = PlanEffects()
+            relay: Optional[InstalledStream] = None
+            delivered_parent = candidate.stream_id
+            if node != tap_node:
+                relay = InstalledStream(
+                    stream_id=_fresh_id(
+                        deployment, f"{query_name}:{subscription.stream}:relay"
+                    ),
+                    content=candidate.content,
+                    origin_node=tap_node,
+                    route=self.routes.path(tap_node, node),
+                    parent_id=candidate.stream_id,
+                    pipeline=(),
+                    query=query_name,
+                )
+                delivered_parent = relay.stream_id
+                self.stream_effects(effects, relay, reused_rate, reused_rate)
+            delivered = InstalledStream(
+                stream_id=_fresh_id(deployment, f"{query_name}:{subscription.stream}"),
+                content=subscription,
+                origin_node=node,
+                route=self.routes.path(node, subscriber_node),
+                parent_id=delivered_parent,
+                pipeline=pipeline,
+                query=query_name,
+                taps_parent=relay is None,
             )
-        ]
+            self.stream_effects(effects, delivered, delivered_rate, reused_rate)
+            self.charge(effects, subscriber_node, "restructure", delivered_rate.frequency)
+            combined = _with_widening(effects, widening)
+            cost = self.cost_model.plan_cost(combined, deployment.usage)
+            self.plans_costed += 1
+            plans.append(
+                InputPlan(
+                    input_stream=subscription.stream,
+                    reused_id=candidate.stream_id,
+                    tap_node=tap_node,
+                    placement_node=node,
+                    relay=relay,
+                    delivered=delivered,
+                    effects=effects,
+                    cost=cost,
+                    widening=widening,
+                    overload_penalty=cost - self.cost_model.utilisation_cost(combined),
+                )
+            )
+        return plans
 
     def cost_floor(
         self,
@@ -456,41 +372,37 @@ class Planner:
     def stream_effects(
         self,
         effects: PlanEffects,
-        origin: str,
-        route: Tuple[str, ...],
-        pipeline: Tuple[OperatorSpec, ...],
-        taps_parent: bool,
-        content: StreamProperties,
+        stream: InstalledStream,
         rate: StreamRate,
         parent_rate: Optional[StreamRate],
     ) -> None:
-        """Add what one stream commits to ``effects`` — the one walk
+        """Add what ``stream`` commits to ``effects`` — the one walk
         behind every ledger entry and every price (invariant: ``usage``
         equals this walk summed over the installed streams plus one
         ``restructure`` :meth:`charge` per delivered input).
 
-        Walks the stream's facts, so a variant is priced before any
-        :class:`InstalledStream` exists: tap duplication (when the
-        stream ``taps_parent``), then the ``pipeline`` stages at
-        ``origin`` — each charged at the frequency its predecessor's
-        :data:`~repro.costmodel.RATE_RULES` rule yields (the last
-        stage's output is never computed: ``rate`` prices the route) —
-        then traffic and transfer work along ``route``.
-        ``rate`` is the stream's own :meth:`stream_rate` (of
-        ``content``), ``parent_rate`` that of the stream it derives
-        from (``None``: nothing runs at the origin).
+        Tap duplication at the origin (when the stream ``taps_parent``),
+        then its ``pipeline`` stages there — each charged at the
+        frequency its predecessor's :data:`~repro.costmodel.RATE_RULES`
+        rule yields (the last stage's output is never computed:
+        ``rate`` prices the route) — then traffic and transfer work
+        along its route.  ``rate`` is the stream's own
+        :meth:`stream_rate`, ``parent_rate`` that of the stream it
+        derives from (``None``: nothing runs at the origin).
         """
+        origin = stream.origin_node
         if parent_rate is not None:
             frequency = parent_rate.frequency
-            if taps_parent:
+            if stream.taps_parent:
                 self.charge(effects, origin, "duplicate", frequency)
-            if pipeline:  # a relay or an exact reuse runs no stage
+            if stream.pipeline:  # a relay or an exact reuse runs no stage
                 for kind, udf_name, frequency in self._stages(
-                    pipeline, frequency, content.stream
+                    stream.pipeline, frequency, stream.content.stream
                 ):
                     self.charge(effects, origin, kind, frequency, udf_name)
         # Route traffic and transfer work: :meth:`PlanEffects.add_link`
         # and :meth:`charge` unrolled over the hops.
+        route = stream.route
         bits = rate.bits_per_second
         link = self.net.link
         link_bits = effects.link_bits
@@ -505,25 +417,6 @@ class Planner:
             work = transfer * super_peer(sender, include_removed=True).pindex * frequency
             peer_work[sender] = peer_work.get(sender, 0.0) + work
 
-    def effects_of(
-        self,
-        effects: PlanEffects,
-        stream: InstalledStream,
-        rate: StreamRate,
-        parent_rate: Optional[StreamRate],
-    ) -> None:
-        """:meth:`stream_effects` over an :class:`InstalledStream`'s facts."""
-        self.stream_effects(
-            effects,
-            stream.origin_node,
-            stream.route,
-            stream.pipeline,
-            stream.taps_parent,
-            stream.content,
-            rate,
-            parent_rate,
-        )
-
     def installed_effects(
         self, effects: PlanEffects, deployment: Deployment, stream: InstalledStream
     ) -> None:
@@ -531,7 +424,7 @@ class Planner:
         rate = self.stream_rate(stream.content)
         parent = deployment.streams.get(stream.parent_id or "")
         parent_rate = None if parent is None else self.stream_rate(parent.content)
-        self.effects_of(effects, stream, rate, parent_rate)
+        self.stream_effects(effects, stream, rate, parent_rate)
 
     def charge(
         self,

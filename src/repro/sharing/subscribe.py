@@ -11,16 +11,16 @@ For each input stream of a newly registered subscription the algorithm
    relevant part of the network;
 3. matches every variant stream available at each visited node against
    the subscription (Algorithm 2) and keeps the cheapest plan under the
-   cost function ``C`` (lines 19–22), best first: matched streams are
-   priced after the search in ascending order of their
+   cost function ``C`` (lines 19–22), best first: the plans of matched
+   streams are built after the search in ascending order of their
    :meth:`~repro.sharing.planner.Planner.cost_floor` — the cost of
    their cheaper placement variant without overload penalties, exact
    for a plan that overloads nothing — and one whose floor exceeds the
-   incumbent's cost is never priced (branch and bound).  Ties go to
+   incumbent's cost is never built (branch and bound).  Ties go to
    the stream found first — the plan is the minimum of ``(cost,
    discovery order, placement)``, which a strict-``<`` scan in
    discovery order would keep too, so decisions do not depend on the
-   pricing order.  Of the variants priced only the winner is built.
+   build order.
 
 The queue discipline is configurable: FIFO gives the paper's
 breadth-first search, LIFO the depth-first alternative the paper notes
@@ -35,6 +35,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import DEFAULT_LATENCY_MODEL
 from ..matching import MatchMemo, match_stream_properties
+from ..predicates import MATCH_MODES
 from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import SubscriptionProbe, is_plain
@@ -89,6 +90,8 @@ class Subscriber:
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+        if match_mode not in MATCH_MODES:
+            raise ValueError(f"unknown match_mode {match_mode!r}; pick one of {MATCH_MODES}")
         if search_order not in ("bfs", "dfs"):
             raise ValueError("search_order must be 'bfs' or 'dfs'")
         self.planner = planner
@@ -201,23 +204,28 @@ class Subscriber:
         except KeyError as exc:
             raise PlanningError(str(exc)) from None
         planner = self.planner
+        sharing = self.strategy == "stream-sharing"
+        if sharing and self.use_index:
+            # Interning makes recurring contents pointer-identical, so
+            # memo/index/rate-cache probes short-circuit on identity
+            # instead of re-running structural equality.
+            subscription_input = planner.intern_content(subscription_input)
 
         # Lines 4–5: the initial plan ships the original stream to the
         # subscriber's super-peer and evaluates everything there (query
         # shipping: evaluates at the source and ships the result).
         placement = "tap" if self.strategy == "query-shipping" else "target"
-        (best,) = planner.price_variants(
+        (best,) = planner.plans_for_candidate(
             deployment,
             original,
             original.origin_node,
             subscription_input,
+            query_name,
             subscriber_node,
             (placement,),
         )
-        if self.strategy != "stream-sharing":
-            return planner.build_plan(
-                deployment, best, subscription_input, query_name, subscriber_node
-            )
+        if not sharing:
+            return best
         initial_cost = best.cost
 
         # Only a plain subscription can be served by widening a stream
@@ -225,10 +233,6 @@ class Subscriber:
         widening = self.enable_widening and is_plain(subscription_input)
         probe: Optional[SubscriptionProbe] = None
         if self.use_index:
-            # Interning makes recurring contents pointer-identical, so
-            # memo/index/rate-cache probes short-circuit on identity
-            # instead of re-running structural equality.
-            subscription_input = planner.intern_content(subscription_input)
             probe = SubscriptionProbe.from_subscription(
                 subscription_input,
                 self.match_mode,
@@ -240,9 +244,9 @@ class Subscriber:
         # The incumbent's key: (cost, discovery order, placement index),
         # the initial plan at order -1.  Its lexicographic minimum is
         # the plan a strict-< scan in discovery order keeps, whatever
-        # order the variants are priced in.
+        # order the variants are built in.
         best_key = (best.cost, -1, 0)
-        # Matched and widened candidates, priced after the search,
+        # Matched and widened candidates, built after the search,
         # cheapest floor first: (floor, discovery order, candidate, tap
         # node, the widening it needs).
         pending: List[Tuple[float, int, InstalledStream, str, Optional[WideningAction]]] = []
@@ -269,7 +273,7 @@ class Subscriber:
                 # One representative per distinct content: same-content
                 # streams tapped at the same node plan identically, and
                 # only the smallest id can win the tie-break on
-                # discovery order, so matching and pricing the
+                # discovery order, so matching and building the
                 # representative is plan-equivalent to the full scan.
                 # Contents pruned on their selections would fail
                 # line 14; the latency model still charges them, since
@@ -325,24 +329,22 @@ class Subscriber:
         # Lines 19–22, best-first: a variant costs at least its
         # candidate's floor (up to the margin), so a candidate whose
         # floor exceeds the incumbent's cost — or equals it, found after
-        # the incumbent — cannot win and is never priced.
+        # the incumbent — cannot win and is never built.
         pending.sort()
         for floor, order, candidate, node, action in pending:
             if (floor * (1.0 - FLOOR_MARGIN), order) > best_key[:2]:
                 planner.plans_bounded += variant_count(node, subscriber_node)
                 continue
-            variants = planner.price_variants(                      # line 19
-                deployment, candidate, node, subscription_input, subscriber_node, widening=action
+            variants = planner.plans_for_candidate(                 # line 19
+                deployment, candidate, node, subscription_input, query_name,
+                subscriber_node, widening=action,
             )
             for placement, variant in enumerate(variants):
                 key = (variant.cost, order, placement)
                 if key < best_key:
                     best, best_key = variant, key
-        chosen = planner.build_plan(
-            deployment, best, subscription_input, query_name, subscriber_node
-        )
-        chosen.initial_cost = initial_cost
-        return chosen
+        best.initial_cost = initial_cost
+        return best
 
     @staticmethod
     def _scan(

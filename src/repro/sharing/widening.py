@@ -221,8 +221,8 @@ def plan_widening(
     parent_rate = planner.stream_rate(parent.content)
     old_rate = planner.stream_rate(candidate.content)
     new_rate = planner.stream_rate(widened_content)
-    planner.effects_of(before, candidate, old_rate, parent_rate)
-    planner.effects_of(action.effects, widened, new_rate, parent_rate)
+    planner.stream_effects(before, candidate, old_rate, parent_rate)
+    planner.stream_effects(action.effects, widened, new_rate, parent_rate)
     # Child streams: recompute their compensation pipelines against
     # the widened content.
     for stream in deployment.streams.values():
@@ -233,8 +233,8 @@ def plan_widening(
         )
         action.rewritten.append(rewritten)
         rate = planner.stream_rate(stream.content)
-        planner.effects_of(before, stream, rate, old_rate)
-        planner.effects_of(action.effects, rewritten, rate, new_rate)
+        planner.stream_effects(before, stream, rate, old_rate)
+        planner.stream_effects(action.effects, rewritten, rate, new_rate)
     # Direct deliveries: subscriptions whose delivered stream IS the
     # candidate get a restoring stream at their super-peer.
     for record in deployment.queries.values():
@@ -252,7 +252,7 @@ def plan_widening(
                 taps_parent=False,
             )
             action.restores.append((record.name, input_stream, restore))
-            planner.effects_of(action.effects, restore, old_rate, new_rate)
+            planner.stream_effects(action.effects, restore, old_rate, new_rate)
     action.effects.merge(before, sign=-1.0)
     action.floor = planner.cost_model.added_cost_floor(action.effects)
     return widened, action

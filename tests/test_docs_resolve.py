@@ -7,8 +7,10 @@ has the attribute, the variable is read somewhere under ``src/repro``,
 the file is in the tree, the job is defined in the workflow.  Every
 ``python -m <module>`` command, in code blocks too, must name a module
 that imports and runs as a program (a package with a ``__main__``).
-History belongs in CHANGES.md, so a name the documents still use is a
-name the tree still has.
+Every backticked ``test_*`` name in those documents and in the verify
+skill must name a test function or a test module under ``tests/`` or
+``benchmarks/``.  History belongs in CHANGES.md, so a name the
+documents still use is a name the tree still has.
 
 ``benchmarks/sharebench/README.md`` is not checked: feature PRs may not
 edit the benchmark's directory, and it still names ``REPRO_COLUMNAR``.
@@ -24,6 +26,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCUMENTS = ("DESIGN.md", "README.md", "EXPERIMENTS.md")
+#: The documents whose test names are checked too.
+TEST_CITING = DOCUMENTS + (".claude/skills/verify/SKILL.md",)
 
 _BACKTICKED = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
@@ -31,6 +35,8 @@ _VARIABLE = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
 _FILE = re.compile(r"[\w.\-]+(?:/[\w.\-]+)+\.(?:py|json|md|txt|yml|toml)\b")
 _JOB = re.compile(r"`([a-z][a-z0-9-]*)`\s+job\b")
 _COMMAND = re.compile(r"\bpython3? -m ([A-Za-z_][\w.]*)")
+_TEST_NAME = re.compile(r"\btest_\w+")
+_TEST_DEF = re.compile(r"^\s*(?:async\s+)?def (test_\w+)", re.M)
 
 
 def _tree_files():
@@ -58,6 +64,34 @@ def _source_variables(files):
             with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
                 variables.update(_VARIABLE.findall(handle.read()))
     return variables
+
+
+def _test_names(files):
+    """The test functions and test modules under ``tests/`` and
+    ``benchmarks/``."""
+    names = set()
+    for path in files:
+        if path.startswith(("tests/", "benchmarks/")) and path.endswith(".py"):
+            module = os.path.basename(path)[: -len(".py")]
+            if module.startswith("test_"):
+                names.add(module)
+            with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+                names.update(_TEST_DEF.findall(handle.read()))
+    return names
+
+
+def dangling_tests(text, tests):
+    """``(line, name)`` for every backticked ``test_*`` name that names
+    no test (a pattern such as ``test_bench_*.py`` is not a name)."""
+    dangling = []
+    for quoted in _BACKTICKED.finditer(text):
+        token = quoted.group(1)
+        if "*" in token or "<" in token:
+            continue
+        for name in _TEST_NAME.findall(token):
+            if name not in tests:
+                dangling.append((text.count("\n", 0, quoted.start()) + 1, name))
+    return dangling
 
 
 def _ci_jobs():
@@ -138,6 +172,30 @@ def test_every_quoted_name_resolves(document):
         f"{document}:{line}: {kind} `{name}` does not exist"
         for line, kind, name in dangling
     )
+
+
+@pytest.mark.parametrize("document", TEST_CITING)
+def test_every_quoted_test_name_resolves(document):
+    with open(os.path.join(ROOT, document), encoding="utf-8") as handle:
+        text = handle.read()
+    dangling = dangling_tests(text, _test_names(_tree_files()))
+    assert dangling == [], "\n".join(
+        f"{document}:{line}: test `{name}` does not exist" for line, name in dangling
+    )
+
+
+def test_the_resolver_notices_a_removed_test():
+    """A test function or module that is gone is dangling; one that is
+    there, a ``pytest`` node id, and a pattern are not."""
+    text = (
+        "`test_golden_decisions`, `test_bounded_search_decides_like_the_full_search`\n"
+        "and `tests/test_cli.py::TestScenarioNames`; `test_bench_*.py`;\n"
+        "`test_golden_decision` and `test_only_a_ghost_is_built[scenario1]`.\n"
+    )
+    assert dangling_tests(text, _test_names(_tree_files())) == [
+        (3, "test_golden_decision"),
+        (3, "test_only_a_ghost_is_built"),
+    ]
 
 
 def test_the_resolver_notices_a_renamed_module():

@@ -223,3 +223,22 @@ def test_planning_toward_a_crashed_super_peer_still_raises():
     assert system.deployment.streams == streams
     assert "Q1" not in system.deployment.queries
     assert_ledger_is_the_walk(system)
+
+
+def test_repair_builds_few_variants_per_registration():
+    """Search effort on a loaded network under repair: registering the
+    hot-spot churn scenario and applying its staggered crashes builds
+    at most four placement variants per registration and
+    re-registration (196 over 24 + 34).  The exact floors skip every
+    candidate that cannot beat the incumbent; a floor half as tight
+    builds more than four."""
+    from repro.workload import scenarios
+
+    built = scenarios.scenario_churn_hotspots()
+    run = scenarios.run_scenario(built, "stream-sharing", execute=False)
+    system = run.system
+    registrations = len(run.registrations)
+    for event in built.faults.events():
+        registrations += len(system.apply_fault(event).reregistered)
+    assert registrations > len(run.registrations)  # repair re-registered
+    assert system.planner.plans_costed <= 4 * registrations

@@ -144,6 +144,14 @@ class TestDfsVariant:
         with pytest.raises(ValueError):
             make_system("stream-sharing", search_order="sideways")
 
+    @pytest.mark.parametrize("strategy", ["stream-sharing", "data-shipping"])
+    def test_invalid_match_mode_rejected(self, strategy):
+        """An unknown ``match_mode`` is refused where the system is
+        built, not deep inside Algorithm 3 (or never, for a strategy
+        that matches nothing)."""
+        with pytest.raises(ValueError, match="bogus"):
+            make_system(strategy, match_mode="bogus")
+
 
 class TestAdmissionControl:
     def test_rejection_under_tight_bandwidth(self):
@@ -382,32 +390,6 @@ def test_an_overloaded_plan_reports_its_penalty():
     assert "of which overload penalty" in explain_registration(result, system.deployment)
 
 
-@settings(max_examples=30, deadline=None)
-@given(**DEPLOYMENTS)
-@example(**_FIRST_DEPLOYMENT)
-def test_pricing_equals_building(picks, capacity, bandwidth, fault, probe, subscriber):
-    """A priced variant is what building it gives: the same cost, as a
-    float, and the same effects, in the same key order — the walk over
-    a variant's facts is the walk over the streams it installs."""
-    planner, deployment, matched = _matched_candidates(picks, capacity, bandwidth, fault, probe)
-    for subscription, node, candidate in matched:
-        priced = planner.price_variants(deployment, candidate, node, subscription, subscriber)
-        built = planner.plans_for_candidate(
-            deployment, candidate, node, subscription, "probe", subscriber
-        )
-        assert [(v.tap_node, v.placement_node) for v in priced] == [
-            (p.tap_node, p.placement_node) for p in built
-        ]
-        for variant, plan in zip(priced, built):
-            assert variant.cost == plan.cost, (candidate.stream_id, node)
-            assert list(variant.effects.link_bits.items()) == list(
-                plan.effects.link_bits.items()
-            )
-            assert list(variant.effects.peer_work.items()) == list(
-                plan.effects.peer_work.items()
-            )
-
-
 def _decisions(results):
     """Everything a registration decided, floats by ``repr``."""
     return [
@@ -497,9 +479,10 @@ def test_bounded_widening_search_decides_like_the_full_search(monkeypatch):
 
 
 def _build_every_variant(self, deployment, subscription_input, query_name, subscriber_node, plan):
-    """The reference search: Algorithm 1 as it ran before variants were
-    priced — every variant of every matched candidate the floor admits
-    is built, and the strict-``<`` cheapest plan is kept (no widening)."""
+    """The reference search: Algorithm 1 in discovery order — every
+    variant of every matched candidate the floor admits is built as the
+    candidate is found, and the strict-``<`` cheapest plan is kept (no
+    widening)."""
     assert not self.enable_widening
     original = deployment.find_original(subscription_input.stream)
 
@@ -560,11 +543,11 @@ def _build_every_variant(self, deployment, subscription_input, query_name, subsc
 
 
 @SEARCH_SCENARIOS
-def test_priced_search_decides_like_the_build_everything_search(scenario, monkeypatch):
-    """Pricing variants best-first and building only the winner decides
-    exactly like building every variant in discovery order: every
-    decision, cost, effect and stream id — after plan repair too.  It
-    prices no more variants, and examines the same number."""
+def test_best_first_pricing_decides_like_discovery_order(scenario, monkeypatch):
+    """Building variants best-first, cheapest floor first, decides
+    exactly like building them in discovery order: every decision,
+    cost, effect and stream id — after plan repair too.  It builds no
+    more variants, and examines the same number."""
     decisions, facts, planner = _registered(scenario(), monkeypatch)
     built_decisions, built_facts, built = _registered(
         scenario(), monkeypatch, (Subscriber, "_search_input", _build_every_variant)
@@ -576,22 +559,6 @@ def test_priced_search_decides_like_the_build_everything_search(scenario, monkey
         planner.plans_costed + planner.plans_bounded
         == built.plans_costed + built.plans_bounded
     )
-
-
-def test_only_the_winner_is_built(monkeypatch):
-    """One plan is built per input stream registered: the winner."""
-    builds = []
-    build_plan = Planner.build_plan
-
-    def counted(self, *args):
-        builds.append(args)
-        return build_plan(self, *args)
-
-    monkeypatch.setattr(Planner, "build_plan", counted)
-    run = run_scenario(scenario_one(), "stream-sharing", execute=False)
-    inputs = [p for result in run.registrations for p in result.plan.inputs]
-    assert len(builds) == len(inputs)
-    assert run.system.planner.plans_costed > len(inputs)
 
 
 def test_scenario_one_variants_examined_are_unchanged():
@@ -616,13 +583,15 @@ def test_equal_costs_go_to_the_candidate_found_first(monkeypatch):
     (subscription,) = extract_properties(parse_query(probe.text), probe.name).inputs
     shared = deployment.streams["Q002:photons"]
     tap_costs = [
-        planner.price_variants(deployment, shared, node, subscription, subscriber)[0].cost
+        planner.plans_for_candidate(
+            deployment, shared, node, subscription, probe.name, subscriber
+        )[0].cost
         for node in ("SP4", "SP7")
     ]
     assert (probe.name, subscriber) == ("Q008", "SP0")
     assert tap_costs[0] == tap_costs[1]
 
-    cost_floor, price_variants = Planner.cost_floor, Planner.price_variants
+    cost_floor, plans_for_candidate = Planner.cost_floor, Planner.plans_for_candidate
     priced = []
 
     def floor_zero_at_sp7(self, content, node, *rest):
@@ -630,10 +599,10 @@ def test_equal_costs_go_to_the_candidate_found_first(monkeypatch):
 
     def spied(self, deployment, candidate, node, *rest, **options):
         priced.append((candidate.stream_id, node))
-        return price_variants(self, deployment, candidate, node, *rest, **options)
+        return plans_for_candidate(self, deployment, candidate, node, *rest, **options)
 
     monkeypatch.setattr(Planner, "cost_floor", floor_zero_at_sp7)
-    monkeypatch.setattr(Planner, "price_variants", spied)
+    monkeypatch.setattr(Planner, "plans_for_candidate", spied)
     (chosen,) = system.register_query(probe.name, probe.text, probe.subscriber_peer).plan.inputs
     assert priced.index(("Q002:photons", "SP7")) < priced.index(("Q002:photons", "SP4"))
     assert (chosen.reused_id, chosen.tap_node, chosen.cost) == (
