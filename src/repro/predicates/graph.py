@@ -299,8 +299,7 @@ def graph_from_atoms(atoms: Iterable[NormalizedAtom]) -> PredicateGraph:
 
     This is the once-per-registration pipeline of Section 3.3: reject
     unsatisfiable subscriptions, then keep the minimized graph inside
-    the properties.
+    the properties.  :meth:`PredicateGraph.minimized` runs the one
+    satisfiability check (and raises :class:`UnsatisfiableError`).
     """
-    graph = PredicateGraph(atoms)
-    graph.check_satisfiable()
-    return graph.minimized()
+    return PredicateGraph(atoms).minimized()

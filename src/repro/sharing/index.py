@@ -239,8 +239,11 @@ class SubscriptionProbe:
     mode: str = "edgewise"
     memo: Optional[MatchMemo] = None
     widening: bool = False
-    #: Selection key → verdict; keys are interned by the index, so a
-    #: repeated key hits on identity.
+    #: Selection key → verdict, for as long as the probe lives (a
+    #: subscriber keeps one per subscription input).  A lookup hashes
+    #: the key tuple anew (a tuple does not cache its hash; each
+    #: selection in it does), then, since the index interns its keys,
+    #: finds a repeated key equal on identity.
     verdicts: Dict[SelectionKey, bool] = field(
         init=False, default_factory=dict, compare=False, repr=False
     )

@@ -22,7 +22,7 @@ needs instead of searching for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import NetworkUsage, PlanEffects
 from ..network.topology import Network
@@ -308,30 +308,33 @@ class Deployment:
     # ------------------------------------------------------------------
     def distinct_candidates_at(
         self, node: str, probe: SubscriptionProbe
-    ) -> Tuple[List[Tuple[InstalledStream, Optional[Set[str]]]], int]:
+    ) -> Tuple[List[Tuple[InstalledStream, Optional[AbstractSet[str]]]], int]:
         """Indexed candidates grouped by *content*: one representative
-        stream per distinct content ``probe`` admits, plus the delivery
-        targets of every stream in the group; and the number of
-        contents pruned on their selections.
+        stream per distinct content ``probe`` admits, with the ids of
+        every stream in its group; and the number of contents pruned on
+        their selections.
 
         Two streams with identical content tapped at the same node
         produce byte-identical plan effects and cost — only the parent
         linkage differs — so under the deterministic smallest-id-first
         tie-break only the group's smallest id can ever win.  Matching
         once per content and costing only the representative is
-        therefore plan-equivalent to the full scan; the targets keep
+        therefore plan-equivalent to the full scan; the group keeps
         Algorithm 1's search frontier exact (every matched stream still
-        contributes its delivery target).  A pruned content would fail
-        Algorithm 2, so it adds neither a plan nor a target.
+        contributes its delivery target, which the search resolves only
+        for a group whose content matched).  A pruned content would
+        fail Algorithm 2, so it adds neither a plan nor a target.  A
+        group is the index's own id set: read it before the deployment
+        changes, never write it.
 
         A widening depends on the stream, not on its content alone, so a
-        widening probe's lookup also lists, without targets, the members
+        widening probe's lookup also lists, without a group, the members
         of pruned groups and the other members of admitted ones.  All
         come in stream-id order, as the reference scan lists them.
         """
         groups, pruned, pruned_groups = self.sharing_index.candidate_groups(node, probe)
         streams = self.streams
-        entries: List[Tuple[str, Optional[Set[str]]]] = [(min(g), g) for g in groups]
+        entries: List[Tuple[str, Optional[AbstractSet[str]]]] = [(min(g), g) for g in groups]
         if probe.widening:
             firsts = {first for first, _ in entries}
             entries += [
@@ -341,10 +344,7 @@ class Deployment:
                 if stream_id not in firsts
             ]
         entries.sort()
-        return [
-            (streams[first], None if group is None else {streams[s].target_node for s in group})
-            for first, group in entries
-        ], pruned
+        return [(streams[first], group) for first, group in entries], pruned
 
     def stream(self, stream_id: str) -> InstalledStream:
         try:

@@ -20,8 +20,9 @@ module implements it in parts:
   variant, commits a stream and releases it again;
 * :meth:`Planner.cost_floor` — what the cheaper placement variant of
   a candidate costs without overload penalties, read from the route's
-  profile in one lookup: a lower bound under any usage, and the exact
-  cost of a variant that overloads nothing.  The search builds
+  profile in one lookup (the rest, :meth:`Planner.floor_terms`, a
+  search reads once per content): a lower bound under any usage, and
+  the exact cost of a variant that overloads nothing.  The search builds
   candidates cheapest floor first and skips those that cannot beat its
   incumbent, so on an unloaded network it builds little beyond the
   winner.
@@ -29,7 +30,7 @@ module implements it in parts:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..costmodel import (
     RATE_RULES,
@@ -141,6 +142,16 @@ def variant_count(tap_node: str, subscriber_node: str) -> int:
     return 1 if tap_node == subscriber_node else 2
 
 
+class FloorTerms(NamedTuple):
+    """What :meth:`Planner.cost_floor` reads of a (content,
+    subscription) pair, whatever the tap node."""
+
+    reused: StreamRate
+    delivered: StreamRate
+    #: ``L``, the compensation's :meth:`~Planner.stage_load`.
+    stages: float
+
+
 class Planner:
     """Builds and costs candidate plans against a deployment state."""
 
@@ -162,8 +173,8 @@ class Planner:
         self.rate_cache_misses = 0
         #: Placement variants built and costed (:meth:`plans_for_candidate`).
         self.plans_costed = 0
-        #: Algorithm 2 runs: candidates the search handed to
-        #: ``match_stream_properties``.
+        #: Algorithm 2 runs: contents the search handed to
+        #: ``match_stream_properties``, each once per search.
         self.candidates_matched = 0
         #: Variants the search skipped because their candidate's
         #: :meth:`cost_floor` could not beat the incumbent plan.
@@ -324,12 +335,23 @@ class Planner:
             )
         return plans
 
+    def floor_terms(
+        self, content: StreamProperties, subscription: StreamProperties
+    ) -> FloorTerms:
+        """The route-independent terms of :meth:`cost_floor`."""
+        return FloorTerms(
+            self.stream_rate(content),
+            self.stream_rate(subscription),
+            self.stage_load(content, subscription),
+        )
+
     def cost_floor(
         self,
         content: StreamProperties,
         tap_node: str,
         subscription: StreamProperties,
         subscriber_node: str,
+        terms: Optional[FloorTerms] = None,
     ) -> float:
         """The usage-free, penalty-free cost of the cheaper placement
         variant of reusing a stream of ``content`` at ``tap_node``.
@@ -346,10 +368,14 @@ class Planner:
         :meth:`CostModel.plan_cost` are never negative, so no variant
         costs less under any usage (up to float rounding), and one that
         overloads nothing costs exactly its floor.
+
+        ``terms`` are :meth:`floor_terms` of ``content`` and
+        ``subscription``, for a caller that floors one content at many
+        tap nodes; read here when not given.
         """
-        reused = self.stream_rate(content)
-        delivered = self.stream_rate(subscription)
-        stages = self.stage_load(content, subscription)
+        if terms is None:
+            terms = self.floor_terms(content, subscription)
+        reused, delivered, stages = terms
         profile = self.routes.profile(tap_node, subscriber_node)
         tap_share, subscriber_share = profile.source_share, profile.target_share
         shared = (

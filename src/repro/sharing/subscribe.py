@@ -10,7 +10,8 @@ For each input stream of a newly registered subscription the algorithm
    non-matching property adds no nodes, so the search visits only the
    relevant part of the network;
 3. matches every variant stream available at each visited node against
-   the subscription (Algorithm 2) and keeps the cheapest plan under the
+   the subscription (Algorithm 2, once per distinct content: the verdict
+   does not depend on the node) and keeps the cheapest plan under the
    cost function ``C`` (lines 19–22), best first: the plans of matched
    streams are built after the search in ascending order of their
    :meth:`~repro.sharing.planner.Planner.cost_floor` — the cost of
@@ -40,7 +41,7 @@ from ..properties import Properties, StreamProperties
 from ..wxquery import AnalyzedQuery
 from .index import SubscriptionProbe, is_plain
 from .plan import Deployment, EvaluationPlan, InputPlan, InstalledStream, RegisteredQuery
-from .planner import Planner, PlanningError, variant_count
+from .planner import FloorTerms, Planner, PlanningError, variant_count
 from .widening import WideningAction, plan_widening
 
 
@@ -110,6 +111,11 @@ class Subscriber:
         #: the reference the index is tested against.
         self.use_index = use_index
         self.match_memo = MatchMemo() if use_index else None
+        #: One probe per interned subscription input (and widening
+        #: flag), kept for the subscriber's life like the match memo: a
+        #: probe's signatures and selection verdicts depend only on the
+        #: subscription, so a recurring one is prepared once.
+        self.probes: Dict[Tuple[StreamProperties, bool], SubscriptionProbe] = {}
         #: The Section 6 enhancement: consider widening almost-matching
         #: streams (see :mod:`repro.sharing.widening`).
         self.enable_widening = enable_widening
@@ -233,13 +239,16 @@ class Subscriber:
         widening = self.enable_widening and is_plain(subscription_input)
         probe: Optional[SubscriptionProbe] = None
         if self.use_index:
-            probe = SubscriptionProbe.from_subscription(
-                subscription_input,
-                self.match_mode,
-                self.match_memo,
-                self.share_aggregates,
-                widening,
-            )
+            probe = self.probes.get((subscription_input, widening))
+            if probe is None:
+                probe = SubscriptionProbe.from_subscription(
+                    subscription_input,
+                    self.match_mode,
+                    self.match_memo,
+                    self.share_aggregates,
+                    widening,
+                )
+                self.probes[(subscription_input, widening)] = probe
 
         # The incumbent's key: (cost, discovery order, placement index),
         # the initial plan at order -1.  Its lexicographic minimum is
@@ -250,6 +259,15 @@ class Subscriber:
         # cheapest floor first: (floor, discovery order, candidate, tap
         # node, the widening it needs).
         pending: List[Tuple[float, int, InstalledStream, str, Optional[WideningAction]]] = []
+        # Whether a content can serve the subscription does not depend
+        # on the node that lists it, yet a content is listed at every
+        # node of its route: Algorithm 2 decides each distinct content
+        # once per search, the first time any node lists it.  ``None``
+        # marks a rejected content; a matched one keeps the
+        # node-independent terms of its floor (Planner.floor_terms), so
+        # each later node only adds its route profile.
+        verdicts: Dict[StreamProperties, Optional[FloorTerms]] = {}
+        streams = deployment.streams
         # Widenings do not depend on the visited node: one search widens
         # each candidate once and each content once (plan_widening).
         widenings: Dict[str, Optional[Tuple[InstalledStream, WideningAction]]] = {}
@@ -279,33 +297,42 @@ class Subscriber:
                 # line 14; the latency model still charges them, since
                 # its count sets the modelled recovery time that gates
                 # delivery under churn.  (A widening probe also lists,
-                # without targets, what only widening may reuse.)
+                # without a group, what only widening may reuse.)
                 candidates, pruned = deployment.distinct_candidates_at(node, probe)
                 plan.candidate_matches += pruned
             else:
                 candidates = self._scan(deployment, node, subscription_input)
-            for candidate, targets in candidates:
+            for candidate, group in candidates:
                 order += 1
-                if targets is not None:
+                if group is not None:
+                    content = candidate.content
                     # (A probe built without aggregate sharing covers no
                     # aggregate signature; the scan filters here.)
-                    if not self.share_aggregates and candidate.content.aggregation is not None:
+                    if not self.share_aggregates and content.aggregation is not None:
                         continue
                     plan.candidate_matches += 1
-                    planner.candidates_matched += 1
-                    if match_stream_properties(                     # line 14
-                        candidate.content,
-                        subscription_input,
-                        self.match_mode,
-                        self.match_memo,
-                    ):
-                        matched_targets.update(targets)             # line 15
+                    if content not in verdicts:
+                        planner.candidates_matched += 1
+                        verdicts[content] = (
+                            planner.floor_terms(content, subscription_input)
+                            if match_stream_properties(             # line 14
+                                content,
+                                subscription_input,
+                                self.match_mode,
+                                self.match_memo,
+                            )
+                            else None
+                        )
+                    terms = verdicts[content]
+                    if terms is not None:
+                        # Line 15: the group's targets, resolved on a match.
+                        matched_targets.update(streams[s].target_node for s in group)
                         floor = planner.cost_floor(
-                            candidate.content, node, subscription_input, subscriber_node
+                            content, node, subscription_input, subscriber_node, terms
                         )
                         pending.append((floor, order, candidate, node, None))
                         if widening:  # its group's other members need none
-                            widened_contents[candidate.content] = None
+                            widened_contents[content] = None
                         continue
                 if widening:
                     if candidate.stream_id not in widenings:
@@ -349,11 +376,11 @@ class Subscriber:
     @staticmethod
     def _scan(
         deployment: Deployment, node: str, subscription_input: StreamProperties
-    ) -> List[Tuple[InstalledStream, Tuple[str, ...]]]:
+    ) -> List[Tuple[InstalledStream, Tuple[str]]]:
         """Line 9 as written, the brute-force reference: every installed
         stream whose route passes ``node`` and whose content derives
-        from the subscription's original input stream, with its
-        delivery target.  It reads the routes, not the availability
+        from the subscription's original input stream, as a group of its
+        own id.  It reads the routes, not the availability
         index the indexed source (``Deployment.distinct_candidates_at``)
         is checked against.
 
@@ -368,4 +395,4 @@ class Subscriber:
             if node in stream.route and stream.content.stream == source
         ]
         available.sort(key=lambda stream: stream.stream_id)
-        return [(stream, (stream.target_node,)) for stream in available]
+        return [(stream, (stream.stream_id,)) for stream in available]

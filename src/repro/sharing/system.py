@@ -483,6 +483,7 @@ class StreamGlobe:
                 memo.misses,
                 properties_entries=len(memo.properties),
                 operator_entries=len(memo.operators),
+                probe_entries=len(self.subscriber.probes),
             )
         # The cyclic collector around the latest run (empty before
         # one): collections per generation ``gen0``… while it ran, in

@@ -161,6 +161,27 @@ class TestMinimization:
         with pytest.raises(UnsatisfiableError):
             graph_from_atoms(atoms((A, ">", None, 1), (A, "<", None, 1)))
 
+    def test_graph_from_atoms_checks_satisfiability_once(self, monkeypatch):
+        """One Bellman–Ford run per graph, satisfiable or not, and the
+        rejection names the predicate as the check always has."""
+        checks = []
+        is_satisfiable = PredicateGraph.is_satisfiable
+
+        def counted(self):
+            checks.append(self)
+            return is_satisfiable(self)
+
+        monkeypatch.setattr(PredicateGraph, "is_satisfiable", counted)
+        graph_from_atoms(atoms((A, ">=", None, 1), (A, "<=", B, 0), (B, "<=", None, 3)))
+        assert len(checks) == 1
+        contradiction = atoms((A, ">", B, 1), (B, ">", None, 2), (A, "<", None, 3))
+        with pytest.raises(UnsatisfiableError) as raised:
+            graph_from_atoms(contradiction)
+        assert len(checks) == 2
+        assert str(raised.value) == (
+            f"predicate is unsatisfiable: {PredicateGraph(contradiction).describe()}"
+        )
+
     def test_isolated_nodes_preserved(self):
         graph = PredicateGraph(atoms((A, "<=", None, 5), (A, "<=", None, 9)))
         assert set(graph.minimized().nodes) == set(graph.nodes)

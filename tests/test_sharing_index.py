@@ -163,8 +163,8 @@ def test_candidate_ids_are_sorted():
 
 def test_distinct_candidates_group_by_content():
     """Grouped lookup partitions the flat candidate list by content: one
-    minimal-id representative per admitted content, targets covering
-    the whole group, and every other content pruned on a selection
+    minimal-id representative per admitted content, with the ids of
+    its whole group, and every other content pruned on a selection
     Algorithm 2 rejects."""
     system = registered_system()
     # Re-register Q1 under a second name: a duplicate-content stream.
@@ -183,10 +183,10 @@ def test_distinct_candidates_group_by_content():
             assert len(grouped) + pruned == len(regrouped)
             representatives = [stream.stream_id for stream, _ in grouped]
             assert representatives == sorted(representatives)
-            for representative, targets in grouped:
+            for representative, ids in grouped:
                 group = regrouped.pop(representative.content)
                 assert representative.stream_id == min(s.stream_id for s in group)
-                assert targets == {s.target_node for s in group}
+                assert ids == {s.stream_id for s in group}
                 saw_shared |= len(group) > 1
             for content in regrouped:  # pruned: the matcher rejects them
                 assert not match_stream_properties(content, subscription)

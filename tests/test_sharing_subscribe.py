@@ -516,7 +516,7 @@ def _build_every_variant(self, deployment, subscription_input, query_name, subsc
             plan.candidate_matches += pruned
         else:
             candidates = self._scan(deployment, node, subscription_input)
-        for candidate, targets in candidates:
+        for candidate, group in candidates:
             if not self.share_aggregates and candidate.content.aggregation is not None:
                 continue
             plan.candidate_matches += 1
@@ -525,7 +525,7 @@ def _build_every_variant(self, deployment, subscription_input, query_name, subsc
                 candidate.content, subscription_input, self.match_mode, self.match_memo
             ):
                 continue
-            matched_targets.update(targets)
+            matched_targets.update(deployment.streams[s].target_node for s in group)
             floor = self.planner.cost_floor(
                 candidate.content, node, subscription_input, subscriber_node
             )
@@ -559,6 +559,54 @@ def test_best_first_pricing_decides_like_discovery_order(scenario, monkeypatch):
         planner.plans_costed + planner.plans_bounded
         == built.plans_costed + built.plans_bounded
     )
+
+
+def _matched_per_search(scenario, monkeypatch, **options):
+    """Register ``scenario`` (and repair its faults) with a spy on
+    Algorithm 2: the contents each ``_search_input`` handed to
+    ``match_stream_properties``, and the planner."""
+    from repro.sharing import subscribe
+
+    searches = []
+    search, match = Subscriber._search_input, subscribe.match_stream_properties
+
+    def opened(self, *args):
+        searches.append([])
+        return search(self, *args)
+
+    def spy(candidate, subscription, *rest):
+        searches[-1].append(candidate)
+        return match(candidate, subscription, *rest)
+
+    _, _, planner = _registered(
+        scenario,
+        monkeypatch,
+        (Subscriber, "_search_input", opened),
+        (subscribe, "match_stream_properties", spy),
+        **options,
+    )
+    return searches, planner
+
+
+@pytest.mark.parametrize("use_index", [True, False], ids=["indexed", "scan"])
+@SEARCH_SCENARIOS
+def test_no_content_is_matched_twice_in_one_search(scenario, use_index, monkeypatch):
+    """A content is listed at every node of its route, but whether it
+    serves the subscription does not depend on the node: within one
+    search no content reaches Algorithm 2 twice, from either candidate
+    source — after plan repair too — and ``candidates_matched`` counts
+    exactly the matcher's runs."""
+    searches, planner = _matched_per_search(scenario(), monkeypatch, use_index=use_index)
+    assert all(len(set(contents)) == len(contents) for contents in searches)
+    assert planner.candidates_matched == sum(map(len, searches)) > 0
+
+
+def test_no_content_is_matched_twice_in_one_widening_search(monkeypatch):
+    """The same on a widening system, whose probe also lists what only
+    widening may reuse."""
+    searches, planner = _matched_per_search(scenario_two(), monkeypatch, enable_widening=True)
+    assert all(len(set(contents)) == len(contents) for contents in searches)
+    assert planner.candidates_matched == sum(map(len, searches)) > 0
 
 
 def test_scenario_one_variants_examined_are_unchanged():
